@@ -11,6 +11,7 @@ formats it (computed by another route where the library has one).
 from __future__ import annotations
 
 from springer_tworow import action, diagrams, homology
+from springer_tworow.errors import InternalCheckError
 from springer_tworow.homology import HomClass, format_class, hom_class
 from springer_tworow.matchings import (
     DottedMatching,
@@ -64,6 +65,24 @@ def check(job: dict, out, outputs: dict) -> str | None:
         want = action.act_word(job["word"], HomClass.of(M))
         return None if out == want else f"skein {out} != action {want}"
     raise ValueError(f"unknown job kind {kind!r}")
+
+
+#: Job kinds whose check is that the call does not raise: ``reduce_class(x,
+#: check=True)`` raises when its linear and rewriting routes disagree.
+MUST_NOT_RAISE = {"reduce"}
+
+
+def raised(job: dict, exc: Exception) -> dict:
+    """The failure record of a job that raised instead of returning.
+
+    A failed internal cross-check, or any exception from a job whose check
+    is that it does not raise, is a wrong answer; anything else is a job
+    that gave no answer.
+    """
+    text = f"{type(exc).__name__}: {exc}"
+    if isinstance(exc, InternalCheckError) or job["kind"] in MUST_NOT_RAISE:
+        return {"wrong": text}
+    return {"error": text}
 
 
 def digest_text(job: dict, out) -> str:

@@ -1,10 +1,11 @@
-"""Run every workload once and print each metric by name and unit.
+"""Run every workload once, untraced, and print each end-to-end metric.
 
-    python3 perfbench/report.py [--seed N] [--seconds S] [--trace 0|1]
+    python3 perfbench/report.py [--seed N]
 
-Each workload runs as ``run.py`` would run it, in its own process; the
-table lists every metric with its unit, then whether the outputs were
-correct and how many jobs failed, with each failed job's inputs.
+Each workload runs as ``run.py`` runs it, in its own process, for
+``run_seconds`` from BENCHMARK.json; the table lists every end-to-end
+metric by name and unit, then whether the outputs were correct and how
+many jobs failed (``run.py`` prints each failed job's inputs).
 Exits 1 if any output was wrong or any run could not finish.
 """
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+RUN_SECONDS = json.loads((HERE.parent / "BENCHMARK.json").read_text())["run_seconds"]
 
 from jobs import WORKLOADS  # noqa: E402
 
@@ -24,15 +26,12 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float,
-                   default=json.loads((HERE.parent / "BENCHMARK.json").read_text())["run_seconds"])
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     results, ok = {}, True
     for workload in WORKLOADS:
         proc = subprocess.run([sys.executable, str(HERE / "run.py"), "--workload", workload,
-                               "--seed", str(args.seed), "--seconds", str(args.seconds),
-                               "--trace", str(args.trace)],
+                               "--seed", str(args.seed), "--seconds", str(RUN_SECONDS),
+                               "--trace", "0"],
                               cwd=HERE.parent, capture_output=True, text=True)
         if proc.returncode:
             print(f"{workload}: run failed\n{proc.stderr}", file=sys.stderr)

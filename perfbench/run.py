@@ -36,7 +36,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = ROOT / ".perfbench_out"
 RUN_LIMIT_S = 170.0  # a run must end within 180 s
-SETUP_SAMPLES = 2    # set-up-only workers per run, beside each untraced pass
+SETUP_PER_PASS = 3   # set-up samples (setup_probe.py) after each untraced pass
 #: Wall seconds one pass of each workload took at the baseline (Python 3.11.7,
 #: 2 cores).  A run makes about --seconds / this many passes.  The count is
 #: fixed before the run starts: stopping on the clock would make fast
@@ -59,27 +59,38 @@ class RunFailed(Exception):
     """The run could not finish (the program is missing, a worker died or hung)."""
 
 
-def worker(workload: str, jobs_file: str, work: str, deadline: float, mode: str = "pass",
-           traced: bool = False, check: bool = False, spans: str | None = None) -> dict:
-    """Start one worker, wait for it, and return its JSON result."""
-    cmd = [sys.executable, str(HERE / "worker.py"), "--workload", workload,
-           "--jobs", jobs_file, "--mode", mode, "--work", work, "--deadline", repr(deadline)]
-    cmd += ["--traced"] if traced else []
-    cmd += ["--check"] if check else []
-    cmd += ["--spans", spans] if spans else []
-    spawn = time.monotonic()
-    proc = subprocess.Popen(cmd + ["--spawn", repr(spawn)], cwd=ROOT, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, start_new_session=True)
+def child(cmd: list[str], what: str, deadline: float) -> dict:
+    """Start one harness child, wait for it, and return its JSON result."""
+    proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
     try:
         out, err = proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        raise RunFailed(f"{workload} {mode} worker passed the {RUN_LIMIT_S:.0f} s limit")
+        raise RunFailed(f"{what} passed the {RUN_LIMIT_S:.0f} s limit")
     if proc.returncode:
-        raise RunFailed(f"{workload} {mode} worker exited {proc.returncode}:\n"
+        raise RunFailed(f"{what} exited {proc.returncode}:\n"
                         + err.decode("utf-8", "replace")[-3000:])
     return json.loads(out.decode().splitlines()[-1])
+
+
+def worker(workload: str, jobs_file: str, work: str, deadline: float, mode: str = "pass",
+           traced: bool = False, check: bool = False, spans: str | None = None) -> dict:
+    """Run one worker (a pass of the job list, or the expected CLI outputs)."""
+    cmd = [sys.executable, str(HERE / "worker.py"), "--workload", workload,
+           "--jobs", jobs_file, "--mode", mode, "--work", work, "--deadline", repr(deadline)]
+    cmd += ["--traced"] if traced else []
+    cmd += ["--check"] if check else []
+    cmd += ["--spans", spans] if spans else []
+    return child(cmd, f"{workload} {mode} worker", deadline)
+
+
+def setup_sample(workload: str, work: str, deadline: float) -> dict:
+    """One set-up sample from a fresh interpreter that imports only the program first."""
+    cmd = [sys.executable, str(HERE / "setup_probe.py"), workload, work,
+           repr(time.monotonic())]
+    return child(cmd, f"{workload} set-up probe", deadline)
 
 
 # --- checking ---------------------------------------------------------------------
@@ -120,6 +131,11 @@ def cli_failures(jobs, passes, expected, first_pass: int = 0) -> list[dict]:
             if failure:
                 out.append({"pass": idx, "job": job, **failure})
     return out
+
+
+def correct(failures: list[dict]) -> bool:
+    """False when some output was wrong; a job that gave no answer only fails."""
+    return not any("wrong" in f for f in failures)
 
 
 # --- metrics ------------------------------------------------------------------------
@@ -183,6 +199,7 @@ def per_layer(untraced, traced) -> dict:
         totals = dict(p["totals"], self_s={name: s * factor
                                            for name, s in p["totals"]["self_s"].items()})
         v = layers.layer_values(totals)
+        v["skein.calibrate.self_s"] += p.get("setup_calibrate_s", 0.0) * factor
         layer_self = sum(s for name, s in p["totals"]["self_s"].items() if name != "job")
         v["bench.unattributed_s"] = (sum(p["latencies"]) - layer_self) * factor
         v["cli.import_ms"] = (factor * statistics.median(p["import_ms"])
@@ -190,8 +207,8 @@ def per_layer(untraced, traced) -> dict:
         values.append(v)
     out = {name: statistics.median(v[name] for v in values) for name in values[0]}
     out["bench.trace_overhead_ratio"] = (
-        statistics.median(sum(latencies(p, "ref")) for p in traced)
-        / statistics.median(sum(latencies(p, "ref")) for p in untraced))
+        statistics.median(sum(p["wall_latencies"]) for p in traced)
+        / statistics.median(sum(p["wall_latencies"]) for p in untraced))
     return out
 
 
@@ -255,7 +272,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             probe_expected = worker("probe", probe_file, work, deadline,
                                     mode="expect")["expected"]
         n_passes = max(2 if trace else 1, round(seconds / PASS_SECONDS[workload]))
-        passes, probe_passes = [], []
+        passes, probe_passes, setups = [], [], []
         while len(passes) < n_passes:
             traced = trace and len(passes) % 2 == 1
             spans = str(spans_dir / f"{workload}-pass{len(passes)}") if traced else None
@@ -263,6 +280,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
                        check=not passes, spans=spans)
             p["traced"] = traced
             passes.append(p)
+            if not trace:
+                setups += [setup_sample(workload, work, deadline)
+                           for _ in range(SETUP_PER_PASS)]
             if len(probe_passes) < len(probe_rounds):
                 # The probe rounds sit between the passes, off the measured time.
                 round_file = probe_rounds[len(probe_passes)][0]
@@ -285,8 +305,6 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             metrics = per_layer(untraced, traced)
             units = dict(layers.PER_LAYER)
         else:
-            setups = untraced + [worker(workload, jobs_file, work, deadline, mode="setup")
-                                 for _ in range(SETUP_SAMPLES)]
             cli_passes = [(jobs, p) for p in untraced]
             if probe_rounds:
                 cli_passes = [(round_jobs, p) for (_, round_jobs), p
@@ -309,14 +327,13 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
         if trace:
             metrics["bench.error_rate"] = len(failures) / attempted
         record.update(
-            correct=not any("wrong" in f for f in failures),
+            correct=correct(failures),
             attempted=attempted, failed=len(failures),
             metrics={name: {"value": value, "unit": units[name]}
                      for name, value in metrics.items()},
             failed_jobs=failures,
-            passes_detail=[{key: p[key] for key in ("traced", "setup_s", "setup_wall_s",
-                                                    "wall_s", "rss_mb", "latencies", "speed",
-                                                    "marks")}
+            passes_detail=[{key: p[key] for key in ("traced", "wall_s", "rss_mb", "latencies",
+                                                    "speed", "marks")}
                            for p in passes],
         )
         with open(OUT / f"{workload}-seed{seed}-trace{int(trace)}.json", "w",

@@ -4,6 +4,7 @@
 """
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -18,8 +19,10 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(ROOT / "src"))
 
+import checks  # noqa: E402
 import layers  # noqa: E402
 import run  # noqa: E402
+import worker  # noqa: E402
 from jobs import WORKLOADS, jobs_for  # noqa: E402
 from spans import Tracer, self_times  # noqa: E402
 
@@ -151,6 +154,57 @@ def test_cli_stdout_is_identical_traced_and_untraced(argv, tmp_path):
         assert traced.returncode == plain.returncode
     totals = json.loads((tmp_path / "t.spans.json").read_text())
     assert totals["calls"]["cli.main"] == 1
+
+
+def _import_order(cmd, cwd) -> list[str]:
+    """Modules in the order ``-X importtime`` reports them (each on completion)."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *cmd], capture_output=True,
+                          cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    return [line.split("|")[2].strip() for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")]
+
+
+@pytest.mark.parametrize("script", ["setup_probe", "traced_cli"])
+def test_the_program_is_imported_before_any_harness_module(script, tmp_path):
+    if script == "setup_probe":
+        cmd = [str(HERE / "setup_probe.py"), "cli", str(tmp_path), repr(time.monotonic())]
+    else:
+        cmd = [str(HERE / "traced_cli.py"), "--spans", str(tmp_path / "t.spans"), "--job",
+               "0", "--", "validate", "4: u1-2 u3-4"]
+    order = _import_order(cmd, tmp_path)
+    program = order.index("springer_tworow.cli")
+    # Standard modules the program needs are charged to the program ...
+    assert order.index("json") < program
+    assert order.index("fractions") < program
+    # ... and the harness's own modules come after it.
+    harness = {"setup_probe": "speed", "traced_cli": "spans"}[script]
+    assert order.index(harness) > program
+    if script == "setup_probe":
+        assert len(list(tmp_path.glob("setup-cache-*"))) == 1
+
+
+def test_a_raising_cross_check_is_a_wrong_answer(tmp_path, monkeypatch):
+    from springer_tworow import homology
+    from springer_tworow.errors import InternalCheckError
+
+    def disagree(x, *args, **kwargs):
+        raise InternalCheckError("linear and rewriting routes disagree")
+
+    monkeypatch.setattr(homology, "reduce_class", disagree)
+    jobs = [job for job in jobs_for("homology", 1) if job["kind"] == "reduce"][:2]
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(json.dumps(jobs))
+    args = argparse.Namespace(workload="homology", jobs=str(jobs_file), traced=False,
+                              check=True, spans=None)
+    result = json.loads(json.dumps(worker.in_process_pass(args)))  # as run.py reads it
+    failures = run.in_process_failures(jobs, [result])
+    assert [f["job"] for f in failures] == jobs
+    assert all("InternalCheckError" in f["wrong"] for f in failures)
+    assert not run.correct(failures)
+    # A job that only gave no answer fails without making the run incorrect.
+    failure = checks.raised({"kind": "skein"}, MemoryError())
+    assert "wrong" not in failure and run.correct([failure])
 
 
 def test_job_lists_depend_only_on_the_seed():

@@ -2,30 +2,29 @@
 
     python -X importtime perfbench/traced_cli.py --spans FILE --job ID -- ARGV...
 
-Imports ``springer_tworow.cli``, installs the wrappers, calls
-``cli.main(ARGV)`` as one job and exits with its return code.  Stdout is
-the command's own; the spans go to FILE and the per-name totals to
-FILE.json.
+Imports ``springer_tworow.cli`` before any harness module, so that
+``-X importtime`` charges every module the program needs to the program.
+Then installs the wrappers, calls ``cli.main(ARGV)`` as one job and exits
+with its return code.  Stdout is the command's own; the spans go to FILE
+and the per-name totals to FILE.json.
 """
-from __future__ import annotations
-
-import json
+import os
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))),
+                                "src"))
+from springer_tworow import cli  # noqa: E402
+
+import json  # noqa: E402
+
+import layers  # noqa: E402
+from spans import Tracer  # noqa: E402
 
 
 def main() -> int:
     sep = sys.argv.index("--")
     opts = dict(zip(sys.argv[1:sep:2], sys.argv[2:sep:2]))
     argv = sys.argv[sep + 1:]
-    sys.path.insert(0, str(SRC))
-    from springer_tworow import cli
-
-    import layers
-    from spans import Tracer
-
     tracer = Tracer()
     tracer.install(layers.TARGETS)
     try:

@@ -8,8 +8,10 @@ cold each pass, as they do for a user.
 Modes:
   pass    run the jobs (``--traced`` installs the spans, ``--check`` runs
           the independent checks after the timed jobs)
-  setup   stop where the first job would start, to sample set-up time
   expect  print the expected stdout of each CLI job, computed in-process
+
+Set-up time is not sampled here, because this process imports harness
+modules before the program; ``setup_probe.py`` samples it.
 """
 from __future__ import annotations
 
@@ -80,14 +82,6 @@ def prepare(job: dict):
     raise ValueError(f"unknown job kind {kind!r}")
 
 
-def setup_only(result: dict, meter) -> dict:
-    """A set-up sample, with the machine speed measured right after it."""
-    for _ in range(3):
-        meter.tick(force=True)
-    result["speed"] = meter.samples
-    return result
-
-
 def children_cpu() -> float:
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
@@ -106,10 +100,7 @@ def in_process_pass(args) -> dict:
         skein.calibrate(3)
     jobs = load_jobs(args.jobs)
     latencies, wall_latencies, outputs, errors = [], [], {}, {}
-    result = {"setup_s": time.process_time(), "setup_wall_s": time.monotonic() - args.spawn}
     meter = speed.Meter()
-    if args.mode == "setup":
-        return setup_only(result, meter)
     wall0 = time.perf_counter()
     marks = []
     for job in jobs:
@@ -119,28 +110,26 @@ def in_process_pass(args) -> dict:
         try:
             outputs[job["id"]] = tracer.run_job(job["id"], call) if tracer else call()
         except Exception as exc:  # a failed job is counted, not fatal
-            errors[job["id"]] = f"{type(exc).__name__}: {exc}"
+            errors[job["id"]] = exc
         latencies.append(time.process_time() - c0)
         wall_latencies.append(time.perf_counter() - t0)
     meter.tick(force=True)
-    result.update(wall_s=time.perf_counter() - wall0, latencies=latencies,
+    result = dict(wall_s=time.perf_counter() - wall0, latencies=latencies,
                   wall_latencies=wall_latencies, speed=meter.samples, marks=marks,
                   rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     if tracer:
         tracer.remove()
         if args.spans:
             tracer.write(args.spans + ".spans")
-        totals = tracer.totals
-        calibrate = tracer.setup_totals["self_s"].get("skein.calibrate", 0.0)
-        totals["self_s"]["skein.calibrate"] = totals["self_s"].get("skein.calibrate", 0.0) \
-            + calibrate
-        result["totals"] = totals
+        # calibrate(3) on skein runs in set-up, outside every job.
+        result.update(totals=tracer.totals, setup_calibrate_s=tracer.setup_totals["self_s"]
+                      .get("skein.calibrate", 0.0))
     import checks
     digests, failures = {}, {}
     for job in jobs:
         jid = job["id"]
         if jid in errors:
-            failures[jid] = {"error": errors[jid]}
+            failures[jid] = checks.raised(job, errors[jid])
             continue
         digests[jid] = checks.digest_text(job, outputs[jid])
         if args.check:
@@ -156,10 +145,7 @@ def cli_pass(args) -> dict:
     cache_dir = tempfile.mkdtemp(prefix="cache-", dir=args.work)
     latencies, wall_latencies, stdout, codes, stderr, import_us = [], [], {}, {}, {}, []
     totals: dict = {}
-    result = {"setup_s": time.process_time(), "setup_wall_s": time.monotonic() - args.spawn}
     meter = speed.Meter()
-    if args.mode == "setup":
-        return setup_only(result, meter)
     if args.traced:
         import layers
     wall0 = time.perf_counter()
@@ -199,7 +185,7 @@ def cli_pass(args) -> dict:
         if proc.returncode:
             stderr[jid] = err[-2000:]
     meter.tick(force=True)
-    result.update(wall_s=time.perf_counter() - wall0, speed=meter.samples, marks=marks,
+    result = dict(wall_s=time.perf_counter() - wall0, speed=meter.samples, marks=marks,
                   latencies=latencies, wall_latencies=wall_latencies,
                   rss_mb=resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
                   stdout=stdout, codes=codes, stderr=stderr)
@@ -224,9 +210,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--workload", required=True)
     p.add_argument("--jobs", required=True, help="JSON file with the job list")
-    p.add_argument("--mode", choices=("pass", "setup", "expect"), default="pass")
-    p.add_argument("--spawn", type=float, default=None,
-                   help="time.monotonic() just before this process was started")
+    p.add_argument("--mode", choices=("pass", "expect"), default="pass")
     p.add_argument("--deadline", type=float, default=None,
                    help="time.monotonic() by which the pass must end")
     p.add_argument("--traced", action="store_true")
