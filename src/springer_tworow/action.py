@@ -7,6 +7,16 @@ ambient sphere product via the pole-flip map (every undotted arc becomes
 minus-free-at-the-odd-end plus-free-at-the-even-end), permute coordinates
 there, and solve back.  The two must agree; characters and the Coxeter
 presentation pin the representation exactly.
+
+Both routes share one cached solver factory, ``_solver(expand, n, k, m)``,
+keyed by the integer expansion map (``matching_terms`` or
+``line_diagram_terms``), and one helper, ``_image_coords``, that expands
+a class, moves its keys by sigma and solves.  The standard columns of
+either expansion are unit-triangular: the lexicographically last key of
+the column of M is the bottom row of ``tableau_of(M)``, with entry +-1
+(the ``action.unit-triangular`` verify invariant).  So every solve is
+integer back-substitution that certifies itself by a zero residual, and
+no Fraction is built on this path.
 """
 from __future__ import annotations
 
@@ -30,29 +40,51 @@ from .permutations import (
     class_representative,
     partitions,
 )
-from .tabloids import irr_character, matching_vector, permute, tabloid_keys, zeta
+from .tabloids import irr_character, matching_terms, tabloid_index, tabloid_keys
 
 
 @lru_cache(maxsize=None)
-def _zeta_solver(n: int, k: int, m: int):
+def _solver(expand, n: int, k: int, m: int):
+    """Standard basis of (n, k, m), the tabloid rows and the factored columns.
+
+    ``expand`` maps a dotted matching to its integer terms over m-subsets.
+    """
     basis = standard_dotted_matchings(n, k, m)
-    columns = [matching_vector(M).to_row() for M in basis]
-    return basis, ColumnSolver(columns)
+    index = tabloid_index(n, m)
+    columns = [{index[key]: v for key, v in expand(M).items()} for M in basis]
+    return basis, index, ColumnSolver(columns)
+
+
+def _image_coords(sigma: Permutation, terms, expand, n: int, k: int, m: int) -> list[int]:
+    """Coordinates of sigma applied to the class sum(c * M), over the standard basis.
+
+    Expands each (M, c) of ``terms`` through ``expand``, moves the keys by
+    sigma and solves; raises SolveFailed if the image leaves the span.
+    """
+    if sigma.n != n:
+        raise SizeMismatch(f"permutation on {sigma.n} letters, class on {n}")
+    _, index, solver = _solver(expand, n, k, m)
+    target: dict[int, int] = {}
+    for M, c in terms:
+        for key, v in expand(M).items():
+            row = index[sigma.apply_to_set(key)]
+            target[row] = target.get(row, 0) + c * v
+    try:
+        return solver.solve(target)
+    except SolveFailed as exc:
+        raise SolveFailed(f"action of {sigma.images} at (n, k, m) = ({n}, {k}, {m}) "
+                          f"left the standard span: {exc}") from exc
 
 
 def act(sigma: Permutation, x: HomClass) -> HomClass:
     """The action of sigma on a homogeneous class, in the standard basis."""
     if sigma.n != x.n:
         raise SizeMismatch(f"permutation on {sigma.n} letters, class on {x.n}")
-    m = x.grading
     if x.is_zero:
         return x
-    basis, solver = _zeta_solver(x.n, x.k, m)
-    target = permute(sigma, zeta(x))
-    try:
-        coords = solver.solve_int(target.to_row())
-    except SolveFailed as exc:
-        raise SolveFailed(f"action left the standard span: {exc}") from exc
+    m = x.grading
+    coords = _image_coords(sigma, x.terms, matching_terms, x.n, x.k, m)
+    basis = _solver(matching_terms, x.n, x.k, m)[0]
     return hom_class(x.n, x.k, dict(zip(basis, coords)))
 
 
@@ -65,23 +97,27 @@ def rep_matrix(sigma: Permutation, n: int, k: int, m: int,
         hit = cache.load(sigma, n, k, m)
         if hit is not None:
             return hit
-    basis, _ = _zeta_solver(n, k, m)
-    cols = []
-    for M in basis:
-        image = act(sigma, HomClass.of(M))
-        coeffs = image.coeffs
-        cols.append([coeffs.get(N, 0) for N in basis])
-    matrix = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+    basis = _solver(matching_terms, n, k, m)[0]
+    cols = [_image_coords(sigma, ((M, 1),), matching_terms, n, k, m) for M in basis]
+    matrix = [list(row) for row in zip(*cols)]
     if cache is not None:
         cache.store(sigma, n, k, m, matrix)
     return matrix
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+    """Integer matrix product, summing over the nonzero entries only."""
+    width = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for t, x in enumerate(row):
+            if x:
+                for j, y in b_rows[t]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def _is_identity(mat: list[list[int]]) -> bool:
@@ -122,30 +158,23 @@ def line_diagram_class(n: int, coeffs: dict[frozenset[int], int]) -> LineDiagram
 S_ODD = -1  # orientation of the free factor at the odd endpoint of an arc
 
 
+def line_diagram_terms(M: DottedMatching) -> dict[frozenset[int], int]:
+    """Integer terms of the pole-flip image of M (see ``line_diagram_expand``)."""
+    ends = [(i, j) if i % 2 == 0 else (j, i) for i, j in M.undotted]
+    out: dict[frozenset[int], int] = {}
+    for picks in itertools.product((0, 1), repeat=len(ends)):
+        key = frozenset(odd if p else even for p, (even, odd) in zip(picks, ends))
+        out[key] = out.get(key, 0) + S_ODD ** sum(picks)
+    return out
+
+
 def line_diagram_expand(M: DottedMatching) -> LineDiagramClass:
     """Pole-flip image of a dotted matching in the ambient sphere power.
 
     Every undotted arc contributes S_ODD * [free at odd endpoint] +
     [free at even endpoint]; dotted arcs and rays pin their positions.
     """
-    out: dict[frozenset[int], int] = {}
-    arcs = M.undotted
-    ends = []
-    for i, j in arcs:
-        even, odd = (i, j) if i % 2 == 0 else (j, i)
-        ends.append((even, odd))
-    for picks in itertools.product((0, 1), repeat=len(ends)):
-        key = frozenset(odd if p else even for p, (even, odd) in zip(picks, ends))
-        sign = S_ODD ** sum(picks)
-        out[key] = out.get(key, 0) + sign
-    return line_diagram_class(M.n, out)
-
-
-@lru_cache(maxsize=None)
-def _gamma_solver(n: int, k: int, m: int):
-    basis = standard_dotted_matchings(n, k, m)
-    columns = [line_diagram_expand(M).to_row(m) for M in basis]
-    return basis, ColumnSolver(columns)
+    return line_diagram_class(M.n, line_diagram_terms(M))
 
 
 def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
@@ -155,17 +184,11 @@ def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
     if x.is_zero:
         return x
     m = x.grading
-    basis, solver = _gamma_solver(x.n, x.k, m)
-    total: dict[frozenset[int], int] = {}
-    for M, c in x.terms:
-        for key, v in line_diagram_expand(M).terms:
-            moved = sigma.apply_to_set(key)
-            total[moved] = total.get(moved, 0) + c * v
-    target = line_diagram_class(x.n, total)
     try:
-        coords = solver.solve_int(target.to_row(m))
+        coords = _image_coords(sigma, x.terms, line_diagram_terms, x.n, x.k, m)
     except SolveFailed as exc:
         raise PullbackFailed(str(exc)) from exc
+    basis = _solver(line_diagram_terms, x.n, x.k, m)[0]
     return hom_class(x.n, x.k, dict(zip(basis, coords)))
 
 

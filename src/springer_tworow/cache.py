@@ -2,8 +2,9 @@
 
 Entries live at ``<root>/rep_{n}_{k}_{m}/{perm-key}.json`` with matrix
 entries serialized as decimal strings.  The cache is an accelerator only:
-entries are ignored unless their provenance fields and basis listing match
-what would be recomputed.
+an entry is ignored unless its provenance fields, basis listing and
+permutation images match the request and its matrix is square of the
+basis dimension.
 """
 from __future__ import annotations
 
@@ -16,7 +17,11 @@ from .permutations import Permutation
 
 CACHE_ENV = "SPRINGER_CACHE_DIR"
 GENERATOR = "zeta-oracle"
-VERSION = "1"
+VERSION = "2"
+
+
+def _images(sigma: Permutation) -> list[str]:
+    return [str(v) for v in sigma.images]
 
 
 def default_cache_dir() -> str:
@@ -41,16 +46,24 @@ class RepMatrixCache:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
+        if not isinstance(data, dict):
+            return None
         if data.get("generator") != GENERATOR or data.get("version") != VERSION:
             return None
-        if data.get("basis") != self._basis(n, k, m):
+        basis = self._basis(n, k, m)
+        if data.get("basis") != basis:
             return None
         if (data.get("n"), data.get("k"), data.get("m")) != (str(n), str(k), str(m)):
             return None
+        if data.get("perm") != _images(sigma):
+            return None
         try:
-            return [[int(entry) for entry in row] for row in data["matrix"]]
+            matrix = [[int(entry) for entry in row] for row in data["matrix"]]
         except (KeyError, ValueError, TypeError):
             return None
+        if len(matrix) != len(basis) or any(len(row) != len(basis) for row in matrix):
+            return None
+        return matrix
 
     def store(self, sigma: Permutation, n: int, k: int, m: int,
               matrix: list[list[int]]) -> str:
@@ -61,6 +74,7 @@ class RepMatrixCache:
             "k": str(k),
             "m": str(m),
             "basis": self._basis(n, k, m),
+            "perm": _images(sigma),
             "matrix": [[str(entry) for entry in row] for row in matrix],
             "generator": GENERATOR,
             "version": VERSION,

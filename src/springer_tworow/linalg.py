@@ -1,15 +1,19 @@
-"""Exact linear algebra over the rationals (fractions.Fraction).
+"""Exact linear algebra: dense rational elimination and a sparse integer solve.
 
-Matrices are lists of lists; everything is desk scale (dimensions in the
-low hundreds), so plain Gaussian elimination is both simple and fast
-enough.  No floats anywhere.
+``rref`` and the helpers built on it take dense lists of lists and run
+plain Gaussian elimination over fractions.Fraction.  ``ColumnSolver`` is
+the integer solve of the action: its columns are sparse and must be
+unit-triangular (each column's last nonzero row is a pivot of its own,
+with entry +-1), which it checks when it factors, so back-substitution
+stays in the integers and each solve certifies itself by leaving a zero
+residual.  No floats anywhere.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .errors import SolveFailed
+from .errors import InternalCheckError, SolveFailed
 
 Row = list[Fraction]
 
@@ -71,57 +75,65 @@ def in_row_space(vector: Sequence, rows: Sequence[Sequence]) -> bool:
 
 
 class ColumnSolver:
-    """Solve A x = b exactly for a fixed full-column-rank matrix A.
+    """Solve A x = b exactly over the integers for a unit-triangular A.
 
-    Columns are given as vectors; the solver factors once and answers
-    many right-hand sides.
+    Columns and right-hand sides are sparse ``{row: int}`` dicts.  The
+    pivot of a column is its last nonzero row; the factor requires the
+    pivots to be distinct and every pivot entry to be +-1, so A is
+    unit-triangular in pivot order and every solution is integral.  A
+    column that breaks this raises InternalCheckError: there is no dense
+    fallback.  ``nrows`` is one past the highest pivot row.
     """
 
-    def __init__(self, columns: Sequence[Sequence]):
+    def __init__(self, columns: Sequence[Mapping[int, int]]):
         self.ncols = len(columns)
-        self.nrows = len(columns[0]) if columns else 0
-        aug = [[Fraction(columns[j][i]) for j in range(self.ncols)]
-               for i in range(self.nrows)]
-        # Row-reduce A while recording the transform T with T A = E.
-        transform = [[Fraction(1 if i == j else 0) for j in range(self.nrows)]
-                     for i in range(self.nrows)]
-        r = 0
-        self.pivot_cols: list[int] = []
-        for c in range(self.ncols):
-            pivot_row = next((i for i in range(r, self.nrows) if aug[i][c] != 0), None)
-            if pivot_row is None:
-                raise SolveFailed("columns are linearly dependent")
-            aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-            transform[r], transform[pivot_row] = transform[pivot_row], transform[r]
-            inv = Fraction(1) / aug[r][c]
-            aug[r] = [x * inv for x in aug[r]]
-            transform[r] = [x * inv for x in transform[r]]
-            for i in range(self.nrows):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-                    transform[i] = [a - f * b for a, b in zip(transform[i], transform[r])]
-            self.pivot_cols.append(c)
-            r += 1
-        self._echelon = aug
-        self._transform = transform
-        self._rank = r
+        owner: dict[int, int] = {}
+        for j, col in enumerate(columns):
+            rows = [r for r, v in col.items() if v]
+            if not rows:
+                raise InternalCheckError(f"unit-triangular: column {j} is zero")
+            p = max(rows)
+            if p in owner:
+                raise InternalCheckError(
+                    f"unit-triangular: column {j} has pivot row {p}, "
+                    f"already the pivot of column {owner[p]}"
+                )
+            if col[p] not in (1, -1):
+                raise InternalCheckError(
+                    f"unit-triangular: column {j} has entry {col[p]} at its pivot row {p}"
+                )
+            owner[p] = j
+        # (pivot row, pivot entry, column index, column items), highest pivot first
+        self._steps = [
+            (p, columns[j][p], j, [(r, v) for r, v in columns[j].items() if v])
+            for p, j in sorted(owner.items(), reverse=True)
+        ]
+        self.nrows = self._steps[0][0] + 1 if self._steps else 0
 
-    def solve(self, b: Sequence) -> list[Fraction]:
-        """Return x with A x = b, or raise SolveFailed if inconsistent."""
-        bf = [Fraction(x) for x in b]
-        tb = [sum(t * x for t, x in zip(row, bf)) for row in self._transform]
-        x = [Fraction(0)] * self.ncols
-        for r in range(self._rank):
-            x[r] = tb[r]
-        # consistency: rows of E beyond the rank must match zero
-        for r in range(self._rank, self.nrows):
-            if tb[r] != 0:
-                raise SolveFailed("right-hand side outside the column span")
+    def solve(self, b: Mapping[int, int]) -> list[int]:
+        """Return the integer x with A x = b, or raise SolveFailed.
+
+        Back-substitutes in decreasing pivot order on a sparse residual;
+        a residual left over at the end proves b is outside the span.
+        """
+        residual = {r: v for r, v in b.items() if v}
+        x = [0] * self.ncols
+        for p, unit, j, items in self._steps:
+            if not residual:
+                break
+            c = residual.get(p)
+            if not c:
+                continue
+            c *= unit
+            x[j] = c
+            for r, v in items:
+                left = residual.get(r, 0) - c * v
+                if left:
+                    residual[r] = left
+                else:
+                    del residual[r]
+        if residual:
+            raise SolveFailed(
+                f"right-hand side outside the column span ({len(residual)} rows left)"
+            )
         return x
-
-    def solve_int(self, b: Sequence) -> list[int]:
-        x = self.solve(b)
-        if any(f.denominator != 1 for f in x):
-            raise SolveFailed(f"expected integer solution, got {x}")
-        return [int(f) for f in x]

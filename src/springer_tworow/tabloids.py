@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, SizeMismatch
+from .errors import DomainError, SizeMismatch, SolveFailed
 from .homology import HomClass
 from .matchings import DottedMatching, StandardTableau, complete_dotted
 from .permutations import Permutation
@@ -91,23 +91,48 @@ def tabloid_keys(n: int, m: int) -> tuple[TabloidKey, ...]:
     return tuple(frozenset(c) for c in itertools.combinations(range(1, n + 1), m))
 
 
+@lru_cache(maxsize=None)
+def tabloid_index(n: int, m: int) -> dict[TabloidKey, int]:
+    """Row of each tabloid; rows run in lexicographic order of the sorted sets."""
+    return {key: i for i, key in enumerate(tabloid_keys(n, m))}
+
+
 def permute(sigma: Permutation, v: TabloidVector) -> TabloidVector:
     if sigma.n != v.n:
         raise SizeMismatch(f"permutation on {sigma.n} letters, vector on {v.n}")
     return tabloid_vector(v.n, v.m, {sigma.apply_to_set(k): c for k, c in v.coords})
 
 
+def polytabloid_terms(T: StandardTableau) -> dict[TabloidKey, int]:
+    """Integer terms of the polytabloid: alternating sum over the column stabilizer."""
+    T.check()
+    columns = list(zip(T.top, T.bottom))
+    out: dict[TabloidKey, int] = {}
+    for swaps in itertools.product((False, True), repeat=len(columns)):
+        key = frozenset(t if s else b for s, (t, b) in zip(swaps, columns))
+        out[key] = out.get(key, 0) + (-1) ** sum(swaps)
+    return out
+
+
 def polytabloid(T: StandardTableau) -> TabloidVector:
     """Alternating sum over the column stabilizer (order 2^m)."""
-    T.check()
-    n, m = T.n, len(T.bottom)
-    columns = list(zip(T.top, T.bottom))
-    out: dict[TabloidKey, Fraction] = {}
-    for swaps in itertools.product((False, True), repeat=m):
-        key = frozenset(t if s else b for s, (t, b) in zip(swaps, columns))
-        sign = (-1) ** sum(swaps)
-        out[key] = out.get(key, Fraction(0)) + sign
-    return tabloid_vector(n, m, out)
+    return tabloid_vector(T.n, len(T.bottom), polytabloid_terms(T))
+
+
+def matching_terms(M: DottedMatching) -> dict[TabloidKey, int]:
+    """Integer terms of the matching vector of M (see ``matching_vector``)."""
+    n = M.n
+    oriented = []
+    for i, j in M.undotted:
+        if (i + j) % 2 == 0:
+            raise DomainError(f"arc ({i},{j}) joins two vertices of equal parity")
+        plus, minus = (i, j) if i % 2 == n % 2 else (j, i)
+        oriented.append((plus, minus))
+    out: dict[TabloidKey, int] = {}
+    for picks in itertools.product((0, 1), repeat=len(oriented)):
+        key = frozenset(mi if p else pl for p, (pl, mi) in zip(picks, oriented))
+        out[key] = out.get(key, 0) + (-1) ** sum(picks)
+    return out
 
 
 def matching_vector(M: DottedMatching) -> TabloidVector:
@@ -120,21 +145,7 @@ def matching_vector(M: DottedMatching) -> TabloidVector:
     the one under which all three relation families cancel.  Dots and
     rays contribute nothing; M need not be standard.
     """
-    n = M.n
-    arcs = M.undotted
-    m = len(arcs)
-    oriented = []
-    for i, j in arcs:
-        if (i + j) % 2 == 0:
-            raise DomainError(f"arc ({i},{j}) joins two vertices of equal parity")
-        plus, minus = (i, j) if i % 2 == n % 2 else (j, i)
-        oriented.append((plus, minus))
-    out: dict[TabloidKey, Fraction] = {}
-    for picks in itertools.product((0, 1), repeat=m):
-        key = frozenset(mi if p else pl for p, (pl, mi) in zip(picks, oriented))
-        sign = (-1) ** sum(picks)
-        out[key] = out.get(key, Fraction(0)) + sign
-    return tabloid_vector(n, m, out)
+    return tabloid_vector(M.n, M.m, matching_terms(M))
 
 
 def zeta(x: HomClass) -> TabloidVector:
@@ -176,29 +187,36 @@ class ModuleComparison:
 
 
 def modules_equal(n: int, m: int, k: int) -> ModuleComparison:
-    """Row-space comparison of the tableau and matching spanning sets.
+    """Span comparison of the tableau and matching spanning sets.
 
     The rows are dense tabloid coordinates of the polytabloids of
     standard (n-m, m) tableaux and of the matching vectors of standard
-    dotted matchings of type (n-k, k) with grading m; when the spans
-    coincide both exact change-of-basis matrices come along.
+    dotted matchings of type (n-k, k) with grading m.  Both sets are
+    factored by the unit-triangular ``ColumnSolver``; the spans coincide
+    exactly when every vector of each set solves in the other, and those
+    certified solves are the two integer change-of-basis matrices.
     """
-    from . import linalg
+    from .linalg import ColumnSolver
     from .matchings import standard_dotted_matchings, tableau_of
 
     if m > k:
         raise DomainError(f"m={m} exceeds k={k}")
     ms = standard_dotted_matchings(n, k, m)
-    t_rows = [polytabloid(tableau_of(M)).to_row() for M in ms]
-    m_rows = [matching_vector(M).to_row() for M in ms]
-    equal = linalg.row_space_equal(t_rows, m_rows)
-    t_in_m = m_in_t = None
-    if equal and ms:
-        m_solver = linalg.ColumnSolver(m_rows)
-        t_solver = linalg.ColumnSolver(t_rows)
-        t_in_m = [m_solver.solve(row) for row in t_rows]
-        m_in_t = [t_solver.solve(row) for row in m_rows]
-    return ModuleComparison(equal, t_rows, m_rows, t_in_m, m_in_t)
+    t_terms = [polytabloid_terms(tableau_of(M)) for M in ms]
+    m_terms = [matching_terms(M) for M in ms]
+    keys = tabloid_keys(n, m)
+    t_rows = [[terms.get(key, 0) for key in keys] for terms in t_terms]
+    m_rows = [[terms.get(key, 0) for key in keys] for terms in m_terms]
+    index = tabloid_index(n, m)
+    t_cols = [{index[key]: v for key, v in terms.items()} for terms in t_terms]
+    m_cols = [{index[key]: v for key, v in terms.items()} for terms in m_terms]
+    m_solver, t_solver = ColumnSolver(m_cols), ColumnSolver(t_cols)
+    try:
+        t_in_m = [m_solver.solve(col) for col in t_cols]
+        m_in_t = [t_solver.solve(col) for col in m_cols]
+    except SolveFailed:
+        return ModuleComparison(False, t_rows, m_rows, None, None)
+    return ModuleComparison(True, t_rows, m_rows, t_in_m, m_in_t)
 
 
 # --- characters ----------------------------------------------------------------

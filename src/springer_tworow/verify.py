@@ -129,10 +129,15 @@ def check_component_steps(n_max: int, rng) -> None:
         graph = diagrams.arrow_graph(n, k)
         for a in ms:
             for b in ms:
-                assert len(diagrams.glue(a, b)) <= n - k
-                # every single move changes the overlay count by exactly 1
+                count = len(diagrams.glue(a, b))
+                assert count <= n - k
+                # a single move changes the overlay count by exactly 1 while
+                # both pairs stay compatible, and by at most 1 otherwise (a
+                # ray move can leave it unchanged)
                 for y in graph.successors[a]:
-                    assert abs(len(diagrams.glue(a, b)) - len(diagrams.glue(y, b))) == 1
+                    step = abs(count - len(diagrams.glue(y, b)))
+                    both = diagrams.compatible(a, b) and diagrams.compatible(y, b)
+                    assert step == 1 if both else step <= 1, (str(a), str(y), str(b), step)
                 if a == b or not diagrams.compatible(a, b):
                     continue
                 seq = diagrams.minimal_sequence(a, b)
@@ -415,6 +420,30 @@ def check_f_embed(n_max: int, rng) -> None:
             assert lhs == rhs
 
 
+def check_unit_triangular(n_max: int, rng) -> None:
+    """Standard columns are unit-triangular on their tableau bottom rows.
+
+    For the matching vector, the pole-flip image and the polytabloid of
+    tableau_of(M), the lexicographically last key with a nonzero entry is
+    the bottom row of tableau_of(M), and that entry is +-1.  The integer
+    solve of the action relies on this.
+    """
+    for n, k in _types(min(n_max, 10)):
+        for m in range(k + 1):
+            for M in standard_dotted_matchings(n, k, m):
+                T = tableau_of(M)
+                families = (
+                    ("matching vector", tabloids.matching_terms(M)),
+                    ("pole-flip", action.line_diagram_terms(M)),
+                    ("polytabloid", tabloids.polytabloid_terms(T)),
+                )
+                for family, terms in families:
+                    last = max(tuple(sorted(key)) for key, c in terms.items() if c)
+                    entry = terms[frozenset(last)]
+                    assert last == T.bottom and entry in (1, -1), (
+                        (n, k, m), str(M), family, last, entry)
+
+
 def check_modules_equal(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 7)):
         for m in range(k + 1):
@@ -608,6 +637,7 @@ CHECKS: list[Check] = [
     Check("tabloid.undotted-dependence", check_matching_vector_depends_on_undotted),
     Check("tabloid.f-embed", check_f_embed),
     Check("tabloid.modules-equal", check_modules_equal),
+    Check("action.unit-triangular", check_unit_triangular),
     Check("action.graded-group-laws", check_action_graded_and_group),
     Check("action.gamma-agreement", check_gamma_agreement),
     Check("action.eta-transport", check_eta_transport),

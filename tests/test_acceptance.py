@@ -29,9 +29,9 @@ from springer_tworow.matchings import (
     parse_matching,
     standard_dotted_matchings,
 )
-from springer_tworow.permutations import adjacent, parse_permutation
+from springer_tworow.permutations import Permutation, adjacent, parse_permutation
 from springer_tworow.subspaces import subspace_of
-from springer_tworow.tabloids import f_embed, matching_vector, zeta
+from springer_tworow.tabloids import f_embed, irr_character, matching_vector, zeta
 
 
 @contextmanager
@@ -236,3 +236,14 @@ def test_criterion_12_order_independence():
                     if sigma:
                         assert action.act(sigma, reduced) == base_act
         assert saw_distinct_triple  # the sweep genuinely varied the extension
+
+
+def test_criterion_13_representation_reach():
+    with budget(13, "character table at (10, 5); exact (12, 6, 6) matrix trace", 60):
+        report = action.character_table_check(10, 5)
+        assert report.ok, report.failures
+        sigma = Permutation(tuple(random.Random(13).sample(range(1, 13), 12)))
+        mat = action.rep_matrix(sigma, 12, 6, 6)
+        assert len(mat) == 132
+        trace = sum(mat[i][i] for i in range(len(mat)))
+        assert trace == irr_character((6, 6), sigma.cycle_type())

@@ -125,7 +125,7 @@ def test_matrix_cache(tmp_path, capsys):
     assert os.path.exists(path)
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
-    assert stored["generator"] == "zeta-oracle" and stored["version"] == "1"
+    assert stored["generator"] == "zeta-oracle" and stored["version"] == "2"
     assert stored["basis"] == ["4: u1-2 u3-4", "4: u1-4 u2-3"]
     # cached rerun gives identical output
     code2, out2, _ = run(
@@ -191,3 +191,10 @@ def test_verify_subset(capsys):
         "PASS matching.arc-parity",
         "PASS subspace.fung-and-circles",
     ]
+
+
+def test_verify_all_nmax6_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--all", "-nmax", "6")
+    assert code == 0, [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert "PASS diagram.component-steps" in out.splitlines()
+    assert "PASS action.unit-triangular" in out.splitlines()

@@ -238,3 +238,12 @@ def test_arrow_graph_cached_and_acyclic():
     assert g1 is g2
     assert len(g1.nodes) == math.comb(6, 2) - math.comb(6, 1)
     linear_order(6, 2)  # raises CycleDetected on a cycle
+
+
+def test_ray_move_can_keep_the_component_count():
+    # The move a -> y turns the pair with b incompatible and leaves the
+    # overlay count at 2, so the "exactly 1" step holds only on compatible pairs.
+    a, y, b = (m("4: r1 u2-3 r4"), m("4: u1-2 r3 r4"), m("4: r1 r2 u3-4"))
+    assert y in arrow_graph(4, 1).successors[a]
+    assert len(glue(a, b)) == len(glue(y, b)) == 2
+    assert compatible(a, b) and not compatible(y, b)

@@ -1,0 +1,154 @@
+"""The integer unit-triangular ColumnSolver against dense rational elimination.
+
+The reference solves A X = B by ``linalg.rref`` of the augmented matrix
+[A | B]: with A of full column rank, the pivots fall in the first
+columns and the solution is read off the B block.  Every (n, k, m) with
+n <= 8 is compared: ``rep_matrix`` for each adjacent generator and one
+seeded random permutation, ``act_via_gamma`` on every standard basis
+vector for that permutation, and both ``modules_equal`` change-of-basis
+matrices.
+"""
+import random
+
+import pytest
+
+from springer_tworow import errors, linalg, verify
+from springer_tworow.action import act_via_gamma, line_diagram_expand, rep_matrix
+from springer_tworow.homology import HomClass
+from springer_tworow.linalg import ColumnSolver
+from springer_tworow.matchings import standard_dotted_matchings, tableau_of
+from springer_tworow.permutations import Permutation, adjacent
+from springer_tworow.tabloids import (
+    matching_vector,
+    modules_equal,
+    permute,
+    polytabloid,
+    tabloid_keys,
+)
+
+
+def shapes(n):
+    return [(k, m) for k in range(n // 2 + 1) for m in range(k + 1)]
+
+
+def reference_solve(a_cols, b_cols):
+    """Columns x_j with A x_j = b_j, by rref of [A | B]; None if inconsistent."""
+    nrows, ncols = len(a_cols[0]), len(a_cols)
+    aug = [[col[i] for col in a_cols] + [col[i] for col in b_cols] for i in range(nrows)]
+    echelon, pivots = linalg.rref(aug)
+    if pivots[:ncols] != list(range(ncols)) or any(c >= ncols for c in pivots):
+        return None
+    return [[echelon[r][ncols + j] for r in range(ncols)] for j in range(len(b_cols))]
+
+
+def random_sigma(n, k, m):
+    """The seeded random permutation of the shape (n, k, m)."""
+    return Permutation(tuple(random.Random(f"{n}-{k}-{m}").sample(range(1, n + 1), n)))
+
+
+def gamma_row(M, sigma):
+    moved = {sigma.apply_to_set(key): v for key, v in line_diagram_expand(M).terms}
+    return [moved.get(key, 0) for key in tabloid_keys(M.n, M.m)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rep_matrix_matches_dense_reference(n):
+    for k, m in shapes(n):
+        basis = standard_dotted_matchings(n, k, m)
+        a_cols = [matching_vector(M).to_row() for M in basis]
+        sigmas = [adjacent(n, i) for i in range(1, n)] + [random_sigma(n, k, m)]
+        b_cols = [permute(s, matching_vector(M)).to_row() for s in sigmas for M in basis]
+        x = reference_solve(a_cols, b_cols)
+        assert x is not None, (n, k, m)
+        d = len(basis)
+        for idx, sigma in enumerate(sigmas):
+            cols = x[idx * d:(idx + 1) * d]
+            want = [[cols[j][i] for j in range(d)] for i in range(d)]
+            assert rep_matrix(sigma, n, k, m) == want, (n, k, m, sigma.images)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_act_via_gamma_matches_dense_reference(n):
+    for k, m in shapes(n):
+        sigma = random_sigma(n, k, m)
+        basis = standard_dotted_matchings(n, k, m)
+        a_cols = [line_diagram_expand(M).to_row(m) for M in basis]
+        x = reference_solve(a_cols, [gamma_row(M, sigma) for M in basis])
+        assert x is not None, (n, k, m)
+        for M, coords in zip(basis, x):
+            want = {N: c for N, c in zip(basis, coords) if c}
+            assert act_via_gamma(sigma, M).coeffs == want, (n, k, m, M)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_modules_equal_change_of_basis_matches_dense_reference(n):
+    for k, m in shapes(n):
+        basis = standard_dotted_matchings(n, k, m)
+        t_rows = [polytabloid(tableau_of(M)).to_row() for M in basis]
+        m_rows = [matching_vector(M).to_row() for M in basis]
+        got = modules_equal(n, m, k)
+        assert got.equal
+        for matrix in (got.tableau_in_matching, got.matching_in_tableau):
+            assert all(type(v) is int for row in matrix for v in row)
+        assert got.tableau_in_matching == reference_solve(m_rows, t_rows), (n, k, m)
+        assert got.matching_in_tableau == reference_solve(t_rows, m_rows), (n, k, m)
+
+
+def test_solutions_are_ints():
+    x = ColumnSolver([{0: 1}, {0: 2, 1: -1}]).solve({0: 4, 1: 3})
+    assert x == [10, -3] and all(type(v) is int for v in x)
+
+
+def test_rhs_outside_span_raises():
+    solver = ColumnSolver([{0: 1}, {0: 2, 2: -1}])
+    assert solver.nrows == 3
+    with pytest.raises(errors.SolveFailed):
+        solver.solve({1: 1})
+    with pytest.raises(errors.SolveFailed):
+        solver.solve({5: 1})
+    # a tabloid vector outside the span of the standard matching vectors
+    basis = standard_dotted_matchings(4, 2, 2)
+    keys = tabloid_keys(4, 2)
+    cols = [{i: v for i, v in enumerate(matching_vector(M).to_row()) if v} for M in basis]
+    with pytest.raises(errors.SolveFailed):
+        ColumnSolver(cols).solve({keys.index(frozenset({3, 4})): 1})
+
+
+def test_colliding_pivots_raise():
+    with pytest.raises(errors.InternalCheckError, match=r"column 1 .*row 2"):
+        ColumnSolver([{0: 1, 2: 1}, {1: 3, 2: -1}])
+
+
+def test_non_unit_pivot_raises():
+    with pytest.raises(errors.InternalCheckError, match=r"column 1 .*entry 2"):
+        ColumnSolver([{0: 1}, {0: 1, 1: 2}])
+    with pytest.raises(errors.InternalCheckError, match="column 0 is zero"):
+        ColumnSolver([{0: 0}])
+
+
+def test_unit_triangular_invariant_to_n10():
+    verify.check_unit_triangular(10, random.Random(0))
+
+
+def test_action_path_builds_no_fraction(monkeypatch):
+    import fractions
+
+    from springer_tworow import action
+
+    built = []
+    original = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    action._solver.cache_clear()
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
+    sigma = random_sigma(7, 3, 2)
+    basis = standard_dotted_matchings(7, 3, 2)
+    rep_matrix(sigma, 7, 3, 2)
+    action.act(sigma, HomClass.of(basis[0]) + HomClass.of(basis[-1]))
+    act_via_gamma(sigma, basis[1])
+    assert built == []
+    monkeypatch.undo()
+    assert fractions.Fraction(1, 2) * 2 == 1
