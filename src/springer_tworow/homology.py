@@ -13,14 +13,15 @@ unnested configuration):
 
 Reduction to the standard basis is implemented twice: by exact row
 reduction of the relation span and by a terminating rewriting system, and
-the two must agree.
+the two must agree.  The row reduction and the cokernel ranks of the
+difference-of-inclusions map both run on the sparse exact elimination
+kernel of :mod:`linalg`; the relation rows go to it sparse.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -164,26 +165,26 @@ def relation_instances(n: int, k: int, m: int | None = None,
 # --- reduction to the standard basis -----------------------------------------
 
 @lru_cache(maxsize=None)
-def _reduction_data(n: int, k: int, m: int):
-    """Echelonized relation span with nonstandard columns leading."""
+def _reduction_data(n: int, k: int, m: int, order: tuple[Matching, ...] | None = None):
+    """Echelonized relation span with nonstandard columns leading.
+
+    The relation rows are built sparse and echelonized by the kernel in
+    :mod:`linalg`; ``order`` is the node order they are assembled in (see
+    :func:`relation_instances`), which must not change any reduction.
+    """
     nonstandard = [M for M in all_dotted_matchings(n, k, m) if not M.is_standard]
     standard = list(standard_dotted_matchings(n, k, m))
     columns = nonstandard + standard
     index = {M: i for i, M in enumerate(columns)}
-    rows = []
-    for rel in relation_instances(n, k, m):
-        row = [0] * len(columns)
-        for M, c in rel.terms:
-            row[index[M]] = c
-        rows.append(row)
-    echelon, pivots = linalg.rref(rows)
-    if any(p >= len(nonstandard) for p in pivots):
+    basis = linalg.Echelon({index[M]: c for M, c in rel.terms}
+                           for rel in relation_instances(n, k, m, order=order))
+    if any(p >= len(nonstandard) for p in basis.rows):
         raise InternalCheckError("relation pivot landed on a standard generator")
-    if len(pivots) != len(nonstandard):
+    if len(basis.rows) != len(nonstandard):
         raise InternalCheckError(
-            f"relation rank {len(pivots)} != nonstandard count {len(nonstandard)}"
+            f"relation rank {len(basis.rows)} != nonstandard count {len(nonstandard)}"
         )
-    return columns, index, echelon, pivots, len(nonstandard)
+    return columns, index, basis, len(nonstandard)
 
 
 def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> HomClass:
@@ -207,21 +208,7 @@ def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> Ho
         return x
     if method == "rewrite":
         return _reduce_by_rewriting(x)
-    m = x.grading
-    columns, index, echelon, pivots, n_nonstd = _reduction_data(x.n, x.k, m)
-    vec = [0] * len(columns)
-    for M, c in x.terms:
-        vec[index[M]] = c
-    reduced = linalg.reduce_against(vec, echelon, pivots)
-    if any(reduced[i] != 0 for i in range(n_nonstd)):
-        raise InternalCheckError("reduction left a nonstandard coordinate")
-    coeffs = {}
-    for i in range(n_nonstd, len(columns)):
-        if reduced[i] != 0:
-            if Fraction(reduced[i]).denominator != 1:
-                raise InternalCheckError(f"non-integer reduced coordinate {reduced[i]}")
-            coeffs[columns[i]] = int(reduced[i])
-    return hom_class(x.n, x.k, coeffs)
+    return _reduce_linear(x)
 
 
 def reduce_class_ordered(x: HomClass, order: tuple[Matching, ...]) -> HomClass:
@@ -230,32 +217,19 @@ def reduce_class_ordered(x: HomClass, order: tuple[Matching, ...]) -> HomClass:
     Diagnostic path for order-independence checks; mathematically the
     answer must match :func:`reduce_class`.
     """
-    if x.is_zero or all(M.is_standard for M, _ in x.terms):
-        return x
-    m = x.grading
-    nonstandard = [M for M in all_dotted_matchings(x.n, x.k, m) if not M.is_standard]
-    standard = list(standard_dotted_matchings(x.n, x.k, m))
-    columns = nonstandard + standard
-    index = {M: i for i, M in enumerate(columns)}
-    rows = []
-    for rel in relation_instances(x.n, x.k, m, order=order):
-        row = [0] * len(columns)
-        for M, c in rel.terms:
-            row[index[M]] = c
-        rows.append(row)
-    echelon, pivots = linalg.rref(rows)
-    vec = [0] * len(columns)
-    for M, c in x.terms:
-        vec[index[M]] = c
-    reduced = linalg.reduce_against(vec, echelon, pivots)
+    return _reduce_linear(x, order)
+
+
+def _reduce_linear(x: HomClass, order: tuple[Matching, ...] | None = None) -> HomClass:
+    """Reduce x against the relation echelon of its grading, assembled in ``order``."""
+    columns, index, basis, n_nonstd = _reduction_data(x.n, x.k, x.grading, order)
     coeffs = {}
-    for i, value in enumerate(reduced):
-        if value != 0:
-            if Fraction(value).denominator != 1:
-                raise InternalCheckError(f"non-integer ordered coordinate {value}")
-            coeffs[columns[i]] = int(value)
-    if any(not M.is_standard for M in coeffs):
-        raise InternalCheckError("ordered reduction left a nonstandard coordinate")
+    for i, value in basis.reduce({index[M]: c for M, c in x.terms}).items():
+        if i < n_nonstd:
+            raise InternalCheckError("reduction left a nonstandard coordinate")
+        if not isinstance(value, int):
+            raise InternalCheckError(f"non-integer reduced coordinate {value}")
+        coeffs[columns[i]] = value
     return hom_class(x.n, x.k, coeffs)
 
 
@@ -424,11 +398,11 @@ def psi_minus_rows(n: int, k: int, m: int,
             glued = glue(b, c)
             n_circles = len(glued.circles)
             for free in itertools.combinations(range(n_circles), m):
-                cls = pushforward_from_overlay(glued, "above", frozenset(free)) - \
-                    pushforward_from_overlay(glued, "below", frozenset(free))
                 row = [0] * len(columns)
-                for M, coeff in cls.terms:
-                    row[index[M]] = coeff
+                for M, coeff in pushforward_from_overlay(glued, "above", frozenset(free)).terms:
+                    row[index[M]] += coeff
+                for M, coeff in pushforward_from_overlay(glued, "below", frozenset(free)).terms:
+                    row[index[M]] -= coeff
                 rows.append(row)
     return columns, rows
 

@@ -1,7 +1,22 @@
-"""Exact linear algebra: dense rational elimination and a sparse integer solve.
+"""Exact linear algebra: one sparse elimination kernel and a unit-triangular solve.
 
-``rref`` and the helpers built on it take dense lists of lists and run
-plain Gaussian elimination over fractions.Fraction.  ``ColumnSolver`` is
+``Echelon`` is the one row-elimination routine.  Rows are sparse
+``{column: value}`` dicts, and a row's pivot is its leading (lowest)
+column.  Elimination runs on integers: a row is scaled to a primitive
+integer vector (coprime entries, positive leading entry) before it takes
+a pivot.  A row led by 1 takes its pivot at once, while a row led by any
+other value waits until every row has been offered, so a unit row takes
+a pivot ahead of a non-unit one.  While every pivot is 1 a clearing step
+is a plain subtraction; against a non-unit pivot the row being cleared
+is first multiplied by pivot / gcd, so no step divides.
+fractions.Fraction appears only in results that divide by a non-unit
+pivot: the normalised rows of ``rref`` and the remainders of ``reduce``.
+This is sparse exact elimination in the spirit of Dumas, Saunders and
+Villard (J. Symbolic Comput. 32, 2001).
+
+``rref``, ``rank``, ``row_space_equal``, ``in_row_space`` and
+``reduce_against`` are thin adapters over the kernel for dense lists of
+lists; ``rank(rows)`` is ``len(rref(rows)[1])``.  ``ColumnSolver`` is
 the integer solve of the action: its columns are sparse and must be
 unit-triangular (each column's last nonzero row is a pivot of its own,
 with entry +-1), which it checks when it factors, so back-substitution
@@ -10,42 +25,174 @@ residual.  No floats anywhere.
 """
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import compress
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InternalCheckError, SolveFailed
 
-Row = list[Fraction]
+Number = Union[int, Fraction]
+SparseRow = dict[int, Number]
 
 
-def _to_fraction_rows(rows: Sequence[Sequence]) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
+class Echelon:
+    """A row echelon basis of the span of sparse rows, by exact elimination.
+
+    ``rows`` maps each pivot column to its pivot row: a primitive integer
+    ``{column: int}`` dict whose lowest column is that pivot, with a
+    positive entry there.  After ``back_substitute`` every pivot row is
+    also zero at every other pivot column.
+    """
+
+    def __init__(self, rows: Iterable[Mapping[int, Number]]):
+        self.rows: dict[int, dict[int, int]] = {}
+        waiting = [_integral(row)[0] for row in rows]
+        while waiting:
+            left = []
+            for v in waiting:
+                lead = self._eliminate(v, full=False)[0]
+                if lead is None:
+                    continue
+                v = _primitive(v, lead)
+                if v[lead] == 1:
+                    self.rows[lead] = v
+                else:
+                    left.append(v)
+            if len(left) == len(waiting):
+                # Nothing changed, so every waiting row is reduced and led
+                # by a non-unit: the first one takes its pivot as it is.
+                v = left.pop(0)
+                self.rows[min(v)] = v
+            waiting = left
+
+    def _eliminate(self, v: dict[int, int], full: bool) -> tuple[int | None, int]:
+        """Clear pivot columns of v in place, lowest column first.
+
+        Returns (lead, scale).  With ``full`` every pivot column is
+        cleared and lead is None; otherwise elimination stops at v's
+        leading column once no pivot owns it and returns that column
+        (None when v becomes zero).  ``scale`` is the integer v was
+        multiplied by on the way.  A pivot row only has entries right of
+        its pivot, so a column once passed is never filled again.
+        """
+        heap = list(v)
+        heapq.heapify(heap)
+        rows = self.rows
+        scale = 1
+        while heap:
+            c = heapq.heappop(heap)
+            if not v.get(c):
+                continue
+            row = rows.get(c)
+            if row is None:
+                if full:
+                    continue
+                return c, scale
+            scale *= _clear(v, c, row, heap)
+        return None, scale
+
+    def reduce(self, vector: Mapping[int, Number]) -> SparseRow:
+        """The remainder of vector after clearing every pivot column.
+
+        It is zero exactly when vector lies in the span, and it does not
+        depend on which echelon basis of the span is used.
+        """
+        v, d = _integral(vector)
+        d *= self._eliminate(v, full=True)[1]
+        return {c: _quotient(x, d) for c, x in v.items()}
+
+    def back_substitute(self) -> None:
+        """Clear every pivot row at the other pivot columns: the reduced form.
+
+        Rows go highest pivot first, so every row used to clear another is
+        already zero at every pivot but its own.
+        """
+        for p in sorted(self.rows, reverse=True):
+            row = self.rows[p]
+            cleared = [j for j in row if j != p and j in self.rows]
+            for j in cleared:
+                _clear(row, j, self.rows[j], None)
+            if cleared:
+                self.rows[p] = _primitive(row, p)
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = _to_fraction_rows(rows)
-    if not m:
+def _clear(v: dict[int, int], c: int, row: dict[int, int], heap: list | None) -> int:
+    """Make v[c] zero with the pivot row led at c; return the factor v was scaled by.
+
+    New columns of v are pushed onto ``heap`` when one is given.
+    """
+    f, p = v[c], row[c]
+    a = 1
+    if p != 1:
+        g = gcd(f, p)
+        a, f = p // g, f // g
+        if a != 1:
+            for j in v:
+                v[j] *= a
+    for j, x in row.items():
+        y = v.get(j, 0) - f * x
+        if y:
+            if heap is not None and j not in v:
+                heapq.heappush(heap, j)
+            v[j] = y
+        else:
+            del v[j]
+    return a
+
+
+def _integral(row: Mapping[int, Number]) -> tuple[dict[int, int], int]:
+    """(w, d): w is an integer row and d a positive int with row == w / d."""
+    values = [x for x in row.values() if x]
+    if all(type(x) is int for x in values):
+        return {c: x for c, x in row.items() if x}, 1
+    d = lcm(*(Fraction(x).denominator for x in values))
+    return {c: int(x * d) for c, x in row.items() if x}, d
+
+
+def _primitive(v: dict[int, int], lead: int) -> dict[int, int]:
+    """v divided by the gcd of its entries, signed so that v[lead] > 0."""
+    g = gcd(*v.values())
+    if v[lead] < 0:
+        g = -g
+    return v if g == 1 else {c: x // g for c, x in v.items()}
+
+
+def _quotient(x: int, d: int) -> Number:
+    """x / d exactly: an int when d divides x, else a Fraction."""
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
+
+
+def _sparse(row: Sequence) -> SparseRow:
+    return {c: row[c] for c in compress(range(len(row)), row)}
+
+
+def _dense(row: Mapping[int, Number], width: int) -> list[Number]:
+    out: list[Number] = [0] * width
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Number]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Dense rows in, dense reduced rows out, ordered by pivot; entries are
+    exact: ``int`` where integral, Fraction otherwise.
+    """
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    basis = Echelon(map(_sparse, rows))
+    basis.back_substitute()
+    pivots = sorted(basis.rows)
+    width = len(rows[0])
+    out = []
+    for p in pivots:
+        row = basis.rows[p]
+        out.append(_dense({c: _quotient(x, row[p]) for c, x in row.items()}, width))
+    return out, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -54,24 +201,27 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 def row_space_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
     """True iff the two row spans coincide (same ambient width)."""
-    ra, _ = rref(a)
-    rb, _ = rref(b)
-    return ra == rb
+    ra, rb = Echelon(map(_sparse, a)), Echelon(map(_sparse, b))
+    ra.back_substitute()
+    rb.back_substitute()
+    return ra.rows == rb.rows
 
 
-def reduce_against(vector: Sequence, echelon: list[Row], pivots: list[int]) -> Row:
-    """Subtract multiples of echelon rows to clear the pivot coordinates."""
-    v = [Fraction(x) for x in vector]
-    for row, c in zip(echelon, pivots):
-        if v[c] != 0:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
+def reduce_against(vector: Sequence, echelon: Sequence[Sequence],
+                   pivots: Sequence[int]) -> list[Number]:
+    """Clear the pivot coordinates of vector using the rows of an echelon form.
+
+    ``echelon`` and ``pivots`` are as ``rref`` returns them; the result
+    is the dense remainder.
+    """
+    basis = Echelon(map(_sparse, echelon))
+    if sorted(basis.rows) != sorted(pivots):
+        raise InternalCheckError(f"echelon pivots {sorted(basis.rows)} != given {list(pivots)}")
+    return _dense(basis.reduce(_sparse(vector)), len(vector))
 
 
 def in_row_space(vector: Sequence, rows: Sequence[Sequence]) -> bool:
-    ech, piv = rref(rows)
-    return all(x == 0 for x in reduce_against(vector, ech, piv))
+    return not Echelon(map(_sparse, rows)).reduce(_sparse(vector))
 
 
 class ColumnSolver:

@@ -29,7 +29,7 @@ from .errors import (
     NoConventionFits,
     UncalibratedConvention,
 )
-from .homology import HomClass, reduce_class, zero_class
+from .homology import HomClass, hom_class, reduce_class
 from .matchings import DottedMatching, standard_dotted_matchings, validate
 from .permutations import Permutation
 
@@ -130,12 +130,12 @@ def circle_rule(dots: int) -> int:
 def resolve_evaluate(M: DottedMatching, tangle: FlatTangle,
                      convention: ResolutionConvention | None = None) -> HomClass:
     """Evaluate the tangle glued below M; result in the standard basis."""
-    total = zero_class(M.n, M.k)
+    coeffs: dict[DottedMatching, int] = {}
     for diagram in expand_resolutions(M, tangle, convention):
         coeff = diagram.coefficient * diagram.circle_scalar()
         if coeff:
-            total = total + HomClass.of(diagram.boundary, coeff)
-    return reduce_class(total)
+            coeffs[diagram.boundary] = coeffs.get(diagram.boundary, 0) + coeff
+    return reduce_class(hom_class(M.n, M.k, coeffs))
 
 
 def expand_resolutions(M: DottedMatching, tangle: FlatTangle,

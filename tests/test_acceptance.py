@@ -247,3 +247,9 @@ def test_criterion_13_representation_reach():
         assert len(mat) == 132
         trace = sum(mat[i][i] for i in range(len(mat)))
         assert trace == irr_character((6, 6), sigma.cycle_type())
+
+
+def test_criterion_14_cokernel_betti_reach():
+    with budget(14, "cokernel ranks equal basis counts at n = 10", 60):
+        for k in range(10 // 2 + 1):
+            assert homology.presentation_betti(10, k) == homology.betti(10, k), k

@@ -1,0 +1,177 @@
+"""The sparse elimination kernel against dense rational Gauss-Jordan.
+
+``reference_rref`` is plain Gaussian elimination over Fraction on dense
+rows, kept here as the independent reference.  The kernel-backed
+``rref``, ``rank``, ``row_space_equal``, ``in_row_space`` and
+``reduce_against`` must agree with it on every difference-of-inclusions
+block and every relation block with n <= 8, and on seeded random
+matrices whose entries are not all units, so that non-unit pivots and
+fractional results occur.  The linear reduction to the standard basis
+must agree with the rewriting route on every nonstandard generator with
+n <= 8, and a relation list that lost a necessary row, or gained a
+standard generator, must be refused.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from springer_tworow import errors, homology, linalg
+from springer_tworow.homology import HomClass, psi_minus_rows, reduce_class, relation_instances
+from springer_tworow.matchings import all_dotted_matchings, standard_dotted_matchings
+
+
+def reference_rref(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def reference_reduce(vector, echelon, pivots):
+    v = [Fraction(x) for x in vector]
+    for row, c in zip(echelon, pivots):
+        if v[c] != 0:
+            f = v[c]
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def shapes(n):
+    return [(k, m) for k in range(n // 2 + 1) for m in range(k + 1)]
+
+
+def blocks(n):
+    """(difference-of-inclusions rows, relation rows) of every (k, m), on shared columns."""
+    for k, m in shapes(n):
+        columns, rows = psi_minus_rows(n, k, m)
+        index = {M: i for i, M in enumerate(columns)}
+        rel_rows = []
+        for rel in relation_instances(n, k, m):
+            row = [0] * len(columns)
+            for M, c in rel.terms:
+                row[index[M]] = c
+            rel_rows.append(row)
+        yield (n, k, m), columns, rows, rel_rows
+
+
+def check_against_reference(rows, probes):
+    want = reference_rref(rows)
+    assert linalg.rref(rows) == want
+    assert linalg.rank(rows) == len(want[1])
+    for v in probes:
+        remainder = reference_reduce(v, *want)
+        assert linalg.reduce_against(v, *want) == remainder
+        assert linalg.in_row_space(v, rows) == (not any(remainder))
+    return want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_homology_blocks_match_reference(n):
+    rng = random.Random(n)
+    for shape, columns, rows, rel_rows in blocks(n):
+        width = len(columns)
+        units = [[int(i == j) for i in range(width)] for j in rng.sample(range(width), min(width, 6))]
+        want = check_against_reference(rows, units)
+        want_rel = check_against_reference(rel_rows, units + rel_rows[:3])
+        assert linalg.row_space_equal(rows, rel_rows), shape
+        assert width - len(want[1]) == homology.betti(n, shape[1])[shape[2]], shape
+        if rel_rows:
+            fewer = rel_rows[1:]
+            same = reference_rref(fewer)[0] == want_rel[0]
+            assert linalg.row_space_equal(fewer, rel_rows) == same, shape
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_matrices_match_reference(seed):
+    rng = random.Random(seed)
+    entries = [0, 0, 0, 0, 1, -1, 2, -2, 3, 6, Fraction(1, 2), Fraction(-3, 4)]
+    fractional = 0
+    for trial in range(60):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 9)
+        pool = entries if trial % 3 == 0 else entries[:-2]  # mostly integer input
+        rows = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+        probes = [[rng.choice(pool) for _ in range(ncols)] for _ in range(3)]
+        if rows:
+            # combinations of the rows: inside the span by construction
+            probes.append([sum(rng.randint(-3, 3) * row[j] for row in rows)
+                           for j in range(ncols)])
+        want = check_against_reference(rows, probes)
+        fractional += any(x.denominator != 1 for row in want[0] for x in row)
+        mixed = [[sum(rng.randint(-2, 2) * row[j] for row in rows) for j in range(ncols)]
+                 for _ in range(nrows)]
+        same = reference_rref(mixed)[0] == want[0]
+        assert linalg.row_space_equal(rows, mixed) == same
+    assert fractional, "no trial needed a non-unit pivot"
+
+
+def test_integer_rows_stay_integer_and_unit_rows_take_the_pivot():
+    rng = random.Random(7)
+    rows = [{c: rng.choice([2, -3, 4, 1, -1]) for c in rng.sample(range(12), 4)}
+            for _ in range(10)]
+    basis = linalg.Echelon(rows)
+    for p, row in basis.rows.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(x) is int for x in row.values())
+    # the row led by 2 is offered first, but the unit row takes column 0
+    basis = linalg.Echelon([{0: 2, 1: 1}, {0: 1, 2: 1}])
+    assert basis.rows == {0: {0: 1, 2: 1}, 1: {1: 1, 2: -2}}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_linear_reduction_matches_rewriting(n):
+    for k in range(n // 2 + 1):
+        for M in all_dotted_matchings(n, k):
+            if not M.is_standard:
+                x = HomClass.of(M)
+                assert reduce_class(x, "linear") == reduce_class(x, "rewrite"), M
+
+
+def shape_with_a_necessary_relation():
+    """An (n, k, m), its relations and the index of one whose removal lowers the rank."""
+    n, k, m = 5, 2, 1
+    rels = relation_instances(n, k, m)
+    columns = list(all_dotted_matchings(n, k, m))
+    index = {M: i for i, M in enumerate(columns)}
+
+    def dense(rel_list):
+        rows = []
+        for rel in rel_list:
+            row = [0] * len(columns)
+            for M, c in rel.terms:
+                row[index[M]] = c
+            rows.append(row)
+        return rows
+
+    full = len(reference_rref(dense(rels))[1])
+    drop = next(i for i in range(len(rels))
+                if len(reference_rref(dense(rels[:i] + rels[i + 1:]))[1]) < full)
+    return (n, k, m), rels, drop
+
+
+def test_reduction_data_refuses_a_relation_list_missing_a_row(monkeypatch):
+    (n, k, m), rels, drop = shape_with_a_necessary_relation()
+    monkeypatch.setattr(homology, "relation_instances",
+                        lambda *args, **kw: rels[:drop] + rels[drop + 1:])
+    with pytest.raises(errors.InternalCheckError, match="relation rank"):
+        homology._reduction_data.__wrapped__(n, k, m, None)
+
+
+def test_reduction_data_refuses_a_pivot_on_a_standard_generator(monkeypatch):
+    (n, k, m), rels, _ = shape_with_a_necessary_relation()
+    standard = standard_dotted_matchings(n, k, m)[0]
+    monkeypatch.setattr(homology, "relation_instances",
+                        lambda *args, **kw: rels + [HomClass.of(standard)])
+    with pytest.raises(errors.InternalCheckError, match="standard generator"):
+        homology._reduction_data.__wrapped__(n, k, m, None)
