@@ -388,30 +388,39 @@ def psi_minus_rows(n: int, k: int, m: int,
     of grading m and each row is the image of one basis class of one
     arrow-pair intersection.
     """
-    columns = list(all_dotted_matchings(n, k, m))
-    index = {M: i for i, M in enumerate(columns)}
+    return _psi_minus_rows(n, k, m, _arrow_overlays(n, k, order))
+
+
+def _arrow_overlays(n: int, k: int,
+                    order: tuple[Matching, ...] | None) -> list[GluedOneManifold]:
+    """glue(b, c) for every arrow b -> c, sources in node order."""
     graph = arrow_graph(n, k)
     nodes = order if order is not None else graph.nodes
+    return [glue(b, c) for b in nodes for c in graph.successors[b]]
+
+
+def _psi_minus_rows(n: int, k: int, m: int,
+                    overlays: list[GluedOneManifold]) -> tuple[list, list]:
+    columns = list(all_dotted_matchings(n, k, m))
+    index = {M: i for i, M in enumerate(columns)}
     rows = []
-    for b in nodes:
-        for c in graph.successors[b]:
-            glued = glue(b, c)
-            n_circles = len(glued.circles)
-            for free in itertools.combinations(range(n_circles), m):
-                row = [0] * len(columns)
-                for M, coeff in pushforward_from_overlay(glued, "above", frozenset(free)).terms:
-                    row[index[M]] += coeff
-                for M, coeff in pushforward_from_overlay(glued, "below", frozenset(free)).terms:
-                    row[index[M]] -= coeff
-                rows.append(row)
+    for glued in overlays:
+        for free in itertools.combinations(range(len(glued.circles)), m):
+            row = [0] * len(columns)
+            for M, coeff in pushforward_from_overlay(glued, "above", frozenset(free)).terms:
+                row[index[M]] += coeff
+            for M, coeff in pushforward_from_overlay(glued, "below", frozenset(free)).terms:
+                row[index[M]] -= coeff
+            rows.append(row)
     return columns, rows
 
 
 def presentation_betti(n: int, k: int,
                        order: tuple[Matching, ...] | None = None) -> list[int]:
     """Betti numbers as cokernel ranks of the difference-of-inclusions map."""
+    overlays = _arrow_overlays(n, k, order)
     out = []
     for m in range(k + 1):
-        columns, rows = psi_minus_rows(n, k, m, order)
+        columns, rows = _psi_minus_rows(n, k, m, overlays)
         out.append(len(columns) - linalg.rank(rows))
     return out

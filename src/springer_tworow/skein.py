@@ -8,6 +8,15 @@ term, a closed plain circle scales by -2, a closed one-dot circle by +1,
 and the surviving boundary diagram is reread as a dotted matching and
 reduced to the standard basis.
 
+Evaluation folds one crossing layer at a time, top layer first, in the
+manner of Bar-Natan's local evaluation: after each layer the open
+boundary is again a dotted matching with at most one dot per component,
+so equal boundary states merge in one dict, a circle closed by a layer
+becomes a scalar at once, and the number of states stays bounded by the
+number of boundary states instead of doubling with every crossing.
+:func:`expand_resolutions` lists every resolution of the whole tangle; it
+is the full-expansion reference the fold is tested against.
+
 The decoration and coefficient of each smoothing are not dictated by the
 evaluation rules themselves, so they live in a finite convention family
 and are calibrated against the tabloid-oracle action.  The turnback is
@@ -130,12 +139,89 @@ def circle_rule(dots: int) -> int:
 def resolve_evaluate(M: DottedMatching, tangle: FlatTangle,
                      convention: ResolutionConvention | None = None) -> HomClass:
     """Evaluate the tangle glued below M; result in the standard basis."""
-    coeffs: dict[DottedMatching, int] = {}
-    for diagram in expand_resolutions(M, tangle, convention):
-        coeff = diagram.coefficient * diagram.circle_scalar()
-        if coeff:
-            coeffs[diagram.boundary] = coeffs.get(diagram.boundary, 0) + coeff
-    return reduce_class(hom_class(M.n, M.k, coeffs))
+    return reduce_class(hom_class(M.n, M.k, boundary_coefficients(M, tangle, convention)))
+
+
+#: A boundary state: the component label of each boundary point, labels
+#: numbered in order of first occurrence, and (dots, ray) per label.
+_State = tuple[tuple[int, ...], tuple[tuple[int, bool], ...]]
+
+
+def _canonical(labels: list[int], comps: list[tuple[int, bool]]) -> _State:
+    """Relabel components by first occurrence; components off the boundary go."""
+    relabel: dict[int, int] = {}
+    for label in labels:
+        relabel.setdefault(label, len(relabel))
+    return tuple(relabel[label] for label in labels), tuple(comps[old] for old in relabel)
+
+
+def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
+                          convention: ResolutionConvention | None = None
+                          ) -> dict[DottedMatching, int]:
+    """The tangle glued below M as boundary matchings with nonzero coefficients.
+
+    Folds the crossing layers top first over a dict from boundary state to
+    coefficient.  Each state sends its vertical smoothing and its turnback
+    smoothing into the next layer's dict; a closed circle is evaluated at
+    once, a merge reaching two dots is dropped, and zero coefficients are
+    pruned after every layer.  The result is not reduced to the standard
+    basis; it equals the sum of :func:`expand_resolutions` by boundary.
+    """
+    if convention is None:
+        convention = _active_convention
+        if convention is None:
+            raise UncalibratedConvention(
+                "no active resolution convention; run calibrate() or pass one"
+            )
+    c = convention
+    if M.n != tangle.n:
+        raise InternalCheckError(f"matching on {M.n} strands, tangle on {tangle.n}")
+    n = M.n
+    labels = [0] * n
+    comps: list[tuple[int, bool]] = []
+    dotted = set(M.dotted)
+    for arc in M.base.arcs:
+        labels[arc[0] - 1] = labels[arc[1] - 1] = len(comps)
+        comps.append((1 if arc in dotted else 0, False))
+    for ray in M.base.rays:
+        labels[ray - 1] = len(comps)
+        comps.append((1, True))
+    states: dict[_State, int] = {_canonical(labels, comps): 1}
+    cup_c, cap_c = c.dots_for(c.closure_dots)
+    cup_m, cap_m = c.dots_for(c.merge_dots)
+
+    for pos in reversed(tangle.layers):
+        nxt: dict[_State, int] = {}
+        for state, coeff in states.items():
+            nxt[state] = nxt.get(state, 0) + coeff * c.identity_coeff
+            labels, comps = state
+            left, right = labels[pos - 1], labels[pos]
+            if left == right:
+                # the cup closes this component into a circle
+                coeff *= c.closure_coeff * circle_rule(comps[left][0] + cup_c)
+                new_labels = list(labels)
+                new_comps = [*comps, (cap_c, False)]
+            else:
+                dots = comps[left][0] + comps[right][0] + cup_m
+                if dots >= 2:
+                    continue  # a two-dot component kills the term
+                coeff *= c.merge_coeff
+                new_labels = [left if label == right else label for label in labels]
+                new_comps = list(comps)
+                new_comps[left] = (dots, comps[left][1] or comps[right][1])
+                new_comps.append((cap_m, False))
+            new_labels[pos - 1] = new_labels[pos] = len(comps)
+            turned = _canonical(new_labels, new_comps)
+            nxt[turned] = nxt.get(turned, 0) + coeff
+        states = {state: coeff for state, coeff in nxt.items() if coeff}
+
+    out: dict[DottedMatching, int] = {}
+    for (labels, comps), coeff in states.items():
+        boundary = _reassemble(n, [_Component(d, r) for d, r in comps], (0, *labels))
+        if boundary in out:
+            raise InternalCheckError(f"two boundary states reassemble to {boundary}")
+        out[boundary] = coeff
+    return out
 
 
 def expand_resolutions(M: DottedMatching, tangle: FlatTangle,

@@ -253,3 +253,15 @@ def test_criterion_14_cokernel_betti_reach():
     with budget(14, "cokernel ranks equal basis counts at n = 10", 60):
         for k in range(10 // 2 + 1):
             assert homology.presentation_betti(10, k) == homology.betti(10, k), k
+
+
+def test_criterion_15_skein_reach():
+    with budget(15, "skein evaluation of the longest element at n = 8 and 10", 60):
+        rng = random.Random(15)
+        for n in (8, 10):
+            w0 = Permutation(tuple(range(n, 0, -1)))
+            for k in range(n // 2 + 1):
+                basis = standard_dotted_matchings(n, k)
+                for M in rng.sample(basis, min(20, len(basis))):
+                    got = skein.skein_act(w0, M, skein.CALIBRATED_CONVENTION)
+                    assert got == action.act(w0, HomClass.of(M)), (n, M)

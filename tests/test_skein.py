@@ -3,15 +3,24 @@ import random
 import pytest
 
 from springer_tworow import errors
-from springer_tworow.action import act
-from springer_tworow.homology import HomClass
-from springer_tworow.matchings import parse_matching, standard_dotted_matchings
+from springer_tworow.action import act, act_word
+from springer_tworow.homology import HomClass, hom_class, reduce_class
+from springer_tworow.matchings import (
+    all_dotted_matchings,
+    parse_matching,
+    standard_dotted_matchings,
+)
 from springer_tworow.permutations import Permutation, from_word, parse_permutation
 from springer_tworow.skein import (
     CALIBRATED_CONVENTION,
     ResolutionConvention,
+    _anchor_ok,
+    boundary_coefficients,
     calibrate,
+    convention_family,
+    expand_resolutions,
     flatten,
+    random_word,
     resolve_evaluate,
     set_active_convention,
     skein_act,
@@ -140,3 +149,98 @@ def test_nonstandard_input_reduces():
     got = resolve_evaluate(pm("4: u1-4 d2-3"), flatten([], 4), CONV)
     assert all(N.is_standard for N, _ in got.terms)
     assert got == reduce_class(x)
+
+
+# --- the layer fold against the full expansion --------------------------------
+
+def _expanded_coefficients(M, tangle, convention):
+    """Reference route: every resolution of the whole tangle, summed by boundary."""
+    coeffs = {}
+    for diagram in expand_resolutions(M, tangle, convention):
+        coeff = diagram.coefficient * diagram.circle_scalar()
+        if coeff:
+            coeffs[diagram.boundary] = coeffs.get(diagram.boundary, 0) + coeff
+    return {N: c for N, c in coeffs.items() if c}
+
+
+def _outcome(coefficients, M):
+    """The coefficient dict, or the type of the error the route raises."""
+    try:
+        coeffs = coefficients()
+        hom_class(M.n, M.k, coeffs)
+    except (errors.InternalCheckError, errors.InhomogeneousClass) as exc:
+        return type(exc)
+    return coeffs
+
+
+def test_fold_matches_full_expansion_for_every_convention():
+    matchings = [
+        M
+        for n in range(2, 5)
+        for k in range(0, n // 2 + 1)
+        for m in range(k + 1)
+        for M in all_dotted_matchings(n, k, m)
+    ]
+    rng = random.Random(2024)
+    raised = 0
+    for convention in convention_family():
+        for M in matchings:
+            word = random_word(M.n, 6, rng)
+            tangle = flatten(word, M.n)
+            want = _outcome(lambda: _expanded_coefficients(M, tangle, convention), M)
+            got = _outcome(lambda: boundary_coefficients(M, tangle, convention), M)
+            assert got == want, (convention, M, word)
+            raised += isinstance(want, type)
+    assert raised  # some conventions give inhomogeneous results
+
+
+def test_calibrate_at_depth_4():
+    assert calibrate(4) == CONV
+
+
+def _expanded_agrees_at_2(convention):
+    for k in (0, 1):
+        for M in standard_dotted_matchings(2, k):
+            try:
+                coeffs = _expanded_coefficients(M, flatten((1,), 2), convention)
+                got = reduce_class(hom_class(2, k, coeffs))
+            except (errors.InhomogeneousClass, errors.InternalCheckError):
+                return False
+            if got != act_word([1], HomClass.of(M)):
+                return False
+    return True
+
+
+def test_underconstrained_fits_match_full_expansion():
+    with pytest.raises(errors.MultipleConventionsFit) as info:
+        calibrate(2)
+    want = [c for c in convention_family() if _anchor_ok(c) and _expanded_agrees_at_2(c)]
+    assert info.value.conventions == want
+
+
+def _random_longest_word(n, rng):
+    """A random reduced word of the longest element: a random maximal chain."""
+    images = list(range(1, n + 1))
+    word = []
+    while True:
+        ascents = [i for i in range(1, n) if images[i - 1] < images[i]]
+        if not ascents:
+            return word
+        i = rng.choice(ascents)
+        images[i - 1], images[i] = images[i], images[i - 1]
+        word.append(i)
+
+
+def test_full_length_words_up_to_8():
+    rng = random.Random(8)
+    for n, sample in ((6, None), (7, 8), (8, 8)):
+        w0 = Permutation(tuple(range(n, 0, -1)))
+        words = [list(w0.word())] + [_random_longest_word(n, rng) for _ in range(2)]
+        for word in words:
+            assert len(word) == n * (n - 1) // 2 and from_word(word, n) == w0
+        for k in range(0, n // 2 + 1):
+            basis = standard_dotted_matchings(n, k)
+            chosen = basis if sample is None else rng.sample(basis, min(sample, len(basis)))
+            for M in chosen:
+                for word in words:
+                    assert skein_matches_action(word, M, CONV), (word, M)
