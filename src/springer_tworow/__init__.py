@@ -3,62 +3,80 @@
 Matchings, overlay diagrams, component subspaces, cell decompositions, the
 homology presentation with its standard basis, the tabloid model, the
 symmetric-group action (oracle, pole-flip, and skein routes), and a CLI.
-"""
-from .matchings import (
-    DottedMatching,
-    Matching,
-    StandardTableau,
-    complete,
-    complete_dotted,
-    enumerate_matchings,
-    format_matching,
-    matching_of,
-    parse_matching,
-    restrict,
-    restrict_dotted,
-    standard_dotted_matchings,
-    standard_layout,
-    tableau_of,
-    validate,
-)
-from .diagrams import (
-    compatible,
-    arrow_successors,
-    distance,
-    glue,
-    linear_order,
-    meet,
-    minimal_sequence,
-)
-from .subspaces import SignedPartitionSubspace, subspace_of
-from .homology import (
-    HomClass,
-    betti,
-    hom_class,
-    presentation_betti,
-    pushforward_inclusion,
-    reduce_class,
-    relation_instances,
-)
-from .tabloids import (
-    TabloidVector,
-    f_embed,
-    irr_character,
-    matching_vector,
-    modules_equal,
-    permute,
-    polytabloid,
-    zeta,
-)
-from .action import act, act_via_gamma, character_table_check, derive_chart, rep_matrix
-from .skein import (
-    ResolutionConvention,
-    calibrate,
-    flatten,
-    resolve_evaluate,
-    skein_act,
-)
-from .permutations import Permutation, parse_permutation
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+Importing the package loads no submodule.  Each name in ``__all__`` is
+looked up in its defining submodule on every access (PEP 562), importing
+that submodule on first use, so a caller pays only for what it touches.
+"""
+import importlib
+
+_EXPORTS = {
+    "matchings": (
+        "DottedMatching",
+        "Matching",
+        "StandardTableau",
+        "complete",
+        "complete_dotted",
+        "enumerate_matchings",
+        "format_matching",
+        "matching_of",
+        "parse_matching",
+        "restrict",
+        "restrict_dotted",
+        "standard_dotted_matchings",
+        "standard_layout",
+        "tableau_of",
+        "validate",
+    ),
+    "diagrams": (
+        "compatible",
+        "arrow_successors",
+        "distance",
+        "glue",
+        "linear_order",
+        "meet",
+        "minimal_sequence",
+    ),
+    "subspaces": ("SignedPartitionSubspace", "subspace_of"),
+    "homology": (
+        "HomClass",
+        "betti",
+        "hom_class",
+        "presentation_betti",
+        "pushforward_inclusion",
+        "reduce_class",
+        "relation_instances",
+    ),
+    "tabloids": (
+        "TabloidVector",
+        "f_embed",
+        "irr_character",
+        "matching_vector",
+        "modules_equal",
+        "permute",
+        "polytabloid",
+        "zeta",
+    ),
+    "action": ("act", "act_via_gamma", "character_table_check", "derive_chart", "rep_matrix"),
+    "skein": ("ResolutionConvention", "calibrate", "flatten", "resolve_evaluate", "skein_act"),
+    "permutations": ("Permutation", "parse_permutation"),
+}
+_SUBMODULES = (*_EXPORTS, "errors", "linalg")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_HOME, *_SUBMODULES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Never bound into the package namespace, so a later rebinding in the
+    # defining module (a test's monkeypatch, a tracing wrapper) shows here.
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 usage error, 2 domain error (invalid matching,
 bad permutation, ...), 3 verification failure.  Output is deterministic:
 identical invocations produce identical bytes.
+
+Start-up is most of a small command's cost, so each subcommand imports
+only what it uses: a new ``cmd_*`` function imports its modules inside
+its own body.  Only what argument parsing and ``parse_class`` /
+``format_class`` need stays at the top: ``homology``, ``matchings``,
+``permutations`` and ``errors``.
 """
 from __future__ import annotations
 
@@ -11,8 +17,7 @@ import json
 import re
 import sys
 
-from . import action, diagrams, homology, render, skein, subspaces, verify
-from .cache import RepMatrixCache
+from . import homology
 from .errors import SpringerError
 from .homology import HomClass, format_class, hom_class
 from .matchings import (
@@ -24,6 +29,7 @@ from .matchings import (
     matching_of,
     parse_matching,
     restrict_dotted,
+    standard_dotted_matchings,
     tableau_of,
 )
 from .permutations import parse_permutation
@@ -127,6 +133,8 @@ def cmd_matching(args) -> int:
 
 
 def cmd_glue(args) -> int:
+    from . import diagrams
+
     a = parse_matching(args.a).base
     b = parse_matching(args.b).base
     glued = diagrams.glue(a, b)
@@ -154,6 +162,8 @@ def cmd_glue(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from . import diagrams
+
     a = parse_matching(args.a).base
     b = parse_matching(args.b).base
     print(diagrams.distance(a, b))
@@ -161,12 +171,16 @@ def cmd_distance(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from . import diagrams
+
     for m in diagrams.linear_order(args.n, args.k, args.variant):
         print(format_matching(DottedMatching(m, ())))
     return 0
 
 
 def cmd_sequence(args) -> int:
+    from . import diagrams
+
     a = parse_matching(args.a).base
     b = parse_matching(args.b).base
     seq = diagrams.minimal_sequence(a, b)
@@ -179,6 +193,8 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_meet(args) -> int:
+    from . import diagrams
+
     a = parse_matching(args.a).base
     b = parse_matching(args.b).base
     print(format_matching(DottedMatching(diagrams.meet(a, b), ())))
@@ -186,6 +202,8 @@ def cmd_meet(args) -> int:
 
 
 def cmd_intersect(args) -> int:
+    from . import subspaces
+
     variant = "primed" if args.primed else "plain"
     space = None
     for text in args.matchings:
@@ -240,6 +258,8 @@ def cmd_relations(args) -> int:
 
 
 def cmd_act(args) -> int:
+    from . import action
+
     x = parse_class(args.cls)
     sigma = parse_permutation(args.sigma, x.n)
     print(format_class(action.act(sigma, x)))
@@ -247,11 +267,13 @@ def cmd_act(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from . import action
+    from .cache import RepMatrixCache
+
     sigma = parse_permutation(args.sigma, args.n)
     cache = RepMatrixCache(args.cache_dir) if args.cache_dir or args.cached else None
     mat = action.rep_matrix(sigma, args.n, args.k, args.m, cache)
     if args.json:
-        from .matchings import standard_dotted_matchings
         basis = [format_matching(M) for M in standard_dotted_matchings(args.n, args.k, args.m)]
         _print_json({
             "n": str(args.n), "k": str(args.k), "m": str(args.m),
@@ -265,6 +287,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_character(args) -> int:
+    from . import action
+
     report = action.character_table_check(args.n, args.k)
     for m, mu, trace, expected in report.rows:
         status = "ok" if trace == expected else "FAIL"
@@ -274,6 +298,8 @@ def cmd_character(args) -> int:
 
 
 def cmd_chart(args) -> int:
+    from . import action
+
     chart = action.derive_chart(args.n, args.k)
     seen: set[tuple[int, str]] = set()
     for row in chart.rows:
@@ -290,6 +316,8 @@ def cmd_chart(args) -> int:
 
 
 def cmd_skein(args) -> int:
+    from . import skein
+
     x = parse_matching(args.matching)
     convention = skein.active_convention()
     if convention is None:
@@ -301,6 +329,8 @@ def cmd_skein(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import skein
+
     convention = skein.calibrate(args.nmax)
     print(
         f"identity={convention.identity_coeff} "
@@ -311,6 +341,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     ok, results = verify.run_all(args.nmax, seed=args.seed, names=args.only or None)
     for name, passed, message in results:
         line = f"{'PASS' if passed else 'FAIL'} {name}"
@@ -321,6 +353,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import render
+
     try:
         x = parse_class(args.cls)
     except SpringerError:

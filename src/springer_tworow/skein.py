@@ -229,9 +229,12 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
                        ) -> list[ResolvedDiagram]:
     """All surviving resolutions of the tangle under M.
 
-    Terms killed structurally (a component reaching two dots, or a circle
-    already worth zero) are dropped; circles that remain are deferred as
-    dot counts on the ResolvedDiagram.
+    A term is dropped only when its coefficient is 0, a merge gives a
+    component two dots, or a turnback would close a ray into a circle.
+    Every closed circle is deferred as a dot count on the ResolvedDiagram,
+    also a circle already worth zero: such a term is kept, and its
+    ``circle_scalar()`` is 0.  This is the full-expansion reference for
+    :func:`boundary_coefficients`, which evaluates each circle at once.
     """
     if convention is None:
         convention = _active_convention

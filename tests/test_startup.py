@@ -1,0 +1,163 @@
+"""What a cold start loads, and that a cold start answers like a warm one.
+
+The package import is lazy and every ``springer`` subcommand imports only
+the modules it uses.  These tests pin both import sets, pin the package's
+public names, and run every subcommand once in a fresh interpreter, so a
+module a command forgets to import fails here rather than for a user.
+"""
+import argparse
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import springer_tworow
+from springer_tworow import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PUBLIC_NAMES = [
+    "DottedMatching", "HomClass", "Matching", "Permutation", "ResolutionConvention",
+    "SignedPartitionSubspace", "StandardTableau", "TabloidVector", "act", "act_via_gamma",
+    "action", "arrow_successors", "betti", "calibrate", "character_table_check",
+    "compatible", "complete", "complete_dotted", "derive_chart", "diagrams", "distance",
+    "enumerate_matchings", "errors", "f_embed", "flatten", "format_matching", "glue",
+    "hom_class", "homology", "irr_character", "linalg", "linear_order", "matching_of",
+    "matching_vector", "matchings", "meet", "minimal_sequence", "modules_equal",
+    "parse_matching", "parse_permutation", "permutations", "permute", "polytabloid",
+    "presentation_betti", "pushforward_inclusion", "reduce_class", "relation_instances",
+    "rep_matrix", "resolve_evaluate", "restrict", "restrict_dotted", "skein", "skein_act",
+    "standard_dotted_matchings", "standard_layout", "subspace_of", "subspaces",
+    "tableau_of", "tabloids", "validate", "zeta",
+]
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONIOENCODING"] = "utf-8"
+    return env
+
+
+def _loaded_after(statement: str) -> set[str]:
+    """The ``springer_tworow`` submodules a fresh interpreter holds after STATEMENT."""
+    probe = (f"import sys\n{statement}\n"
+             "print(' '.join(m for m in sys.modules if m.startswith('springer_tworow.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_env(), timeout=60, check=True)
+    return {name.removeprefix("springer_tworow.") for name in proc.stdout.split()}
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import springer_tworow") == set()
+
+
+def test_cli_import_loads_only_what_parsing_needs():
+    assert _loaded_after("import springer_tworow.cli") == {
+        "cli", "errors", "homology", "linalg", "matchings", "diagrams", "permutations",
+    }
+
+
+def test_public_names_are_unchanged():
+    assert springer_tworow.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(springer_tworow))
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_public_name_is_its_defining_modules_object(name):
+    value = getattr(springer_tworow, name)
+    if isinstance(value, type(sys)):
+        assert value is importlib.import_module(f"springer_tworow.{name}")
+    else:
+        assert value.__module__.startswith("springer_tworow.")
+        assert value is getattr(sys.modules[value.__module__], name)
+
+
+def test_names_follow_a_rebinding_in_the_defining_module(monkeypatch):
+    from springer_tworow import homology
+
+    def stand_in(n, k):
+        return []
+
+    monkeypatch.setattr(homology, "betti", stand_in)
+    assert springer_tworow.betti is stand_in
+    monkeypatch.undo()
+    assert springer_tworow.betti is homology.betti
+    assert "betti" not in vars(springer_tworow)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from springer_tworow import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert namespace["rep_matrix"] is springer_tworow.action.rep_matrix
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        springer_tworow.no_such_name
+    with pytest.raises(ImportError):
+        exec("from springer_tworow import no_such_name", {})
+
+
+# One small valid input per subcommand; "{cache}" becomes a fresh directory.
+SMOKE = [
+    ["enumerate", "-n", "4", "-k", "1", "--json"],
+    ["validate", "4: u1-2 d3-4"],
+    ["complete", "6: u1-2 r3 u4-5 r6"],
+    ["restrict", "8: d1-8 d2-5 u3-4 u6-7", "--pad", "2"],
+    ["tableau", "7: r1 u2-3 d4-7 u5-6"],
+    ["matching", "--top", "1,2,4,5,7", "--bottom", "3,6", "-k", "3"],
+    ["glue", "5: r1 u2-3 u4-5", "5: u1-2 u3-4 r5"],
+    ["distance", "4: u1-2 r3 r4", "4: r1 r2 u3-4"],
+    ["order", "-n", "5", "-k", "2"],
+    ["sequence", "4: u1-2 u3-4", "4: u1-4 u2-3"],
+    ["meet", "4: u1-2 r3 r4", "4: r1 r2 u3-4"],
+    ["intersect", "4: u1-2 r3 r4", "4: r1 u2-3 r4"],
+    ["betti", "-n", "6", "-k", "3", "--method", "both"],
+    ["reduce", "4: u1-4 d2-3"],
+    ["relations", "-n", "4", "-k", "2", "-m", "0"],
+    ["act", "--sigma", "(1 3)", "--class", "1·(4: u1-2 u3-4) - 2·(4: u1-4 u2-3)"],
+    ["matrix", "-n", "5", "-k", "2", "-m", "1", "--sigma", "(1 2 3)", "--json",
+     "--cached", "--cache-dir", "{cache}"],
+    ["character", "-n", "4", "-k", "2"],
+    ["chart", "-n", "4", "-k", "2"],
+    ["skein", "--sigma", "(1 2 3)", "--matching", "3: u1-2 r3"],
+    ["calibrate", "--nmax", "3"],
+    ["verify", "--all", "-nmax", "3"],
+    ["render", "1·(4: u1-2 u3-4) - 1·(4: u1-4 u2-3)"],
+]
+USAGE_ERROR, DOMAIN_ERROR = ["enumerate", "-n", "4"], ["validate", "4: u1-3 r2 r4"]
+
+
+def test_smoke_cases_cover_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in SMOKE} == set(sub.choices)
+
+
+def _in_process(argv, capsys) -> tuple[bytes, int]:
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse reports a usage error by exiting
+        code = exc.code
+    return capsys.readouterr().out.encode("utf-8"), code
+
+
+@pytest.mark.parametrize("argv, expected", [
+    *((argv, 0) for argv in SMOKE), (USAGE_ERROR, 1), (DOMAIN_ERROR, 2),
+], ids=lambda case: " ".join(case[:3]) if isinstance(case, list) else None)
+def test_cold_run_matches_in_process_run(argv, expected, tmp_path, capsys):
+    cold_argv = [a.replace("{cache}", str(tmp_path / "cold")) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "springer_tworow.cli", *cold_argv],
+                          capture_output=True, cwd=tmp_path, env=_env(), timeout=120)
+    warm_argv = [a.replace("{cache}", str(tmp_path / "warm")) for a in argv]
+    out, code = _in_process(warm_argv, capsys)
+    assert proc.returncode == code, proc.stderr.decode("utf-8", "replace")
+    assert proc.stdout == out
+    assert code == expected
+    assert bool(out) == (expected == 0)
