@@ -21,7 +21,6 @@ no Fraction is built on this path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -40,6 +39,7 @@ from .permutations import (
     class_representative,
     partitions,
 )
+from .records import Record
 from .tabloids import irr_character, matching_terms, tabloid_index, tabloid_keys
 
 
@@ -126,15 +126,18 @@ def _is_identity(mat: list[list[int]]) -> bool:
 
 # --- line-diagram route ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class LineDiagramClass:
+class LineDiagramClass(Record, frozen=True):
     """Integer combination of coordinate cells of the ambient sphere power.
 
     Keys are the sets of free (sphere) positions; all keys share one size.
     """
 
-    n: int
-    terms: tuple[tuple[frozenset[int], int], ...]
+    __slots__ = _fields = ("n", "terms")
+
+    def __init__(self, n: int, terms: tuple[tuple[frozenset[int], int], ...]):
+        set_n, set_terms = self._setters
+        set_n(self, n)
+        set_terms(self, terms)
 
     @property
     def as_dict(self) -> dict[frozenset[int], int]:
@@ -230,20 +233,25 @@ def classify_case(M: DottedMatching, i: int) -> int:
     return {0: 4, 1: 3, 2: 1}[dots]
 
 
-@dataclass
-class ChartRow:
-    case: int
-    matching: DottedMatching
-    position: int
-    output: HomClass
+class ChartRow(Record):
+    __slots__ = _fields = ("case", "matching", "position", "output")
+
+    def __init__(self, case: int, matching: DottedMatching, position: int, output: HomClass):
+        self.case = case
+        self.matching = matching
+        self.position = position
+        self.output = output
 
 
-@dataclass
-class Chart:
-    n: int
-    k: int
-    rows: list[ChartRow] = field(default_factory=list)
-    anchor_failures: list[str] = field(default_factory=list)
+class Chart(Record):
+    __slots__ = _fields = ("n", "k", "rows", "anchor_failures")
+
+    def __init__(self, n: int, k: int, rows: list[ChartRow] | None = None,
+                 anchor_failures: list[str] | None = None):
+        self.n = n
+        self.k = k
+        self.rows = [] if rows is None else rows
+        self.anchor_failures = [] if anchor_failures is None else anchor_failures
 
     @property
     def ok(self) -> bool:
@@ -288,13 +296,17 @@ def derive_chart(n: int, k: int) -> Chart:
 
 # --- character verification ---------------------------------------------------------
 
-@dataclass
-class CharacterReport:
-    n: int
-    k: int
-    rows: list[tuple[int, tuple[int, ...], int, int]] = field(default_factory=list)
-    coxeter_ok: bool = True
-    failures: list[str] = field(default_factory=list)
+class CharacterReport(Record):
+    __slots__ = _fields = ("n", "k", "rows", "coxeter_ok", "failures")
+
+    def __init__(self, n: int, k: int,
+                 rows: list[tuple[int, tuple[int, ...], int, int]] | None = None,
+                 coxeter_ok: bool = True, failures: list[str] | None = None):
+        self.n = n
+        self.k = k
+        self.rows = [] if rows is None else rows
+        self.coxeter_ok = coxeter_ok
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

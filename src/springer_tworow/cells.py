@@ -13,21 +13,25 @@ with the dotted matchings over the given matching (dotted = not in I).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .diagrams import is_arrow
 from .errors import NotAnArrowPair
 from .matchings import Arc, DottedMatching, Matching
+from .records import Record
 from .subspaces import SignedPartitionSubspace, from_constraints, subspace_of
 
 ForestElement = tuple  # ("edge", parent_arc, child_arc) | ("root", arc)
 
 
-@dataclass(frozen=True)
-class ArcForest:
-    matching: Matching
-    edges: tuple[tuple[Arc, Arc], ...]  # (parent, child) pairs
-    roots: tuple[Arc, ...]
+class ArcForest(Record, frozen=True):
+    __slots__ = _fields = ("matching", "edges", "roots")
+
+    def __init__(self, matching: Matching, edges: tuple[tuple[Arc, Arc], ...],
+                 roots: tuple[Arc, ...]):
+        set_matching, set_edges, set_roots = self._setters
+        set_matching(self, matching)
+        set_edges(self, edges)  # (parent, child) pairs
+        set_roots(self, roots)
 
     @property
     def elements(self) -> tuple[ForestElement, ...]:

@@ -8,7 +8,10 @@ Start-up is most of a small command's cost, so each subcommand imports
 only what it uses: a new ``cmd_*`` function imports its modules inside
 its own body.  Only what argument parsing and ``parse_class`` /
 ``format_class`` need stays at the top: ``homology``, ``matchings``,
-``permutations`` and ``errors``.
+``permutations`` and ``errors``.  No module of the package uses the
+standard library's generated record classes, whose import alone brings
+``inspect`` along: a record class is a ``__slots__`` class on the shared
+base ``records.Record``, with its own ``__init__``.
 """
 from __future__ import annotations
 

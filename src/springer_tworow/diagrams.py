@@ -15,27 +15,34 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CycleDetected, InternalCheckError, NotFound, TypeMismatch
 from .matchings import Arc, Matching, complete, enumerate_matchings, restrict
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Component:
-    kind: str                        # "circle" | "line"
-    vertices: frozenset[int]
-    ends: tuple[tuple[int, str], ...]  # for lines: ((vertex, "up"|"down"), ...)
-    arcs_above: tuple[Arc, ...]      # arcs of a on this component
-    arcs_below: tuple[Arc, ...]      # arcs of b on this component
+class Component(Record, frozen=True):
+    __slots__ = _fields = ("kind", "vertices", "ends", "arcs_above", "arcs_below")
+
+    def __init__(self, kind: str, vertices: frozenset[int], ends: tuple[tuple[int, str], ...],
+                 arcs_above: tuple[Arc, ...], arcs_below: tuple[Arc, ...]):
+        set_kind, set_vertices, set_ends, set_arcs_above, set_arcs_below = self._setters
+        set_kind(self, kind)                # "circle" | "line"
+        set_vertices(self, vertices)
+        set_ends(self, ends)                # lines: ((vertex, "up"|"down"), ...)
+        set_arcs_above(self, arcs_above)    # arcs of a on this component
+        set_arcs_below(self, arcs_below)    # arcs of b on this component
 
 
-@dataclass(frozen=True)
-class GluedOneManifold:
-    a: Matching
-    b: Matching
-    components: tuple[Component, ...]
+class GluedOneManifold(Record, frozen=True):
+    __slots__ = _fields = ("a", "b", "components")
+
+    def __init__(self, a: Matching, b: Matching, components: tuple[Component, ...]):
+        set_a, set_b, set_components = self._setters
+        set_a(self, a)
+        set_b(self, b)
+        set_components(self, components)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -167,11 +174,14 @@ def is_arrow(a: Matching, b: Matching) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ArrowGraph:
-    nodes: tuple[Matching, ...]
-    successors: dict
-    predecessors: dict
+class ArrowGraph(Record, frozen=True):
+    __slots__ = _fields = ("nodes", "successors", "predecessors")
+
+    def __init__(self, nodes: tuple[Matching, ...], successors: dict, predecessors: dict):
+        set_nodes, set_successors, set_predecessors = self._setters
+        set_nodes(self, nodes)
+        set_successors(self, successors)
+        set_predecessors(self, predecessors)
 
 
 @lru_cache(maxsize=None)
@@ -299,11 +309,14 @@ FORWARD = "->"
 BACKWARD = "<-"
 
 
-@dataclass(frozen=True)
-class MoveSequence:
-    steps: tuple[Matching, ...]
-    tags: tuple[str, ...]
-    certified: bool
+class MoveSequence(Record, frozen=True):
+    __slots__ = _fields = ("steps", "tags", "certified")
+
+    def __init__(self, steps: tuple[Matching, ...], tags: tuple[str, ...], certified: bool):
+        set_steps, set_tags, set_certified = self._setters
+        set_steps(self, steps)
+        set_tags(self, tags)
+        set_certified(self, certified)
 
     def __len__(self) -> int:
         return len(self.tags)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
@@ -32,19 +31,25 @@ from .matchings import (
     DottedMatching,
     Matching,
     all_dotted_matchings,
+    check_type,
+    count_matchings,
     format_matching,
     sort_key,
     standard_dotted_matchings,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class HomClass:
+class HomClass(Record, frozen=True):
     """An integer formal sum of dotted matchings, homogeneous in grading."""
 
-    n: int
-    k: int
-    terms: tuple[tuple[DottedMatching, int], ...]
+    __slots__ = _fields = ("n", "k", "terms")
+
+    def __init__(self, n: int, k: int, terms: tuple[tuple[DottedMatching, int], ...]):
+        set_n, set_k, set_terms = self._setters
+        set_n(self, n)
+        set_k(self, k)
+        set_terms(self, terms)
 
     @staticmethod
     def of(M: DottedMatching, coeff: int = 1) -> "HomClass":
@@ -331,8 +336,17 @@ def reduce_by_rewriting(x: HomClass, rng: random.Random | None = None) -> HomCla
 # --- Betti numbers -------------------------------------------------------------
 
 def betti(n: int, k: int) -> list[int]:
-    """Rank of each H_{2m}, m = 0..k, as standard-basis counts."""
-    return [len(standard_dotted_matchings(n, k, m)) for m in range(k + 1)]
+    """Rank of each H_{2m}, m = 0..k, as standard-basis counts, in closed form.
+
+    The standard dotted matchings with m undotted arcs are in bijection
+    with the standard tableaux of shape (n-m, m), whose number is
+    ``count_matchings(n, m)``.  The ``homology.betti-both-ways`` invariant
+    compares these counts with the enumerated standard basis and with the
+    cokernel ranks.  A negative k has no degrees and returns [].
+    """
+    if k >= 0:
+        check_type(n, k)
+    return [count_matchings(n, m) for m in range(k + 1)]
 
 
 # --- inclusion pushforward ------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -40,17 +39,26 @@ from .errors import (
     ShapeMismatch,
     VertexReuse,
 )
+from .records import Record
 
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True, order=True)
-class Matching:
+class Matching(Record, frozen=True, order=True):
     """A noncrossing matching of type (n-k, k); immutable and hashable."""
 
-    n: int
-    arcs: tuple[Arc, ...]
-    rays: tuple[int, ...]
+    _fields = ("n", "arcs", "rays")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, n: int, arcs: tuple[Arc, ...], rays: tuple[int, ...]):
+        set_n, set_arcs, set_rays, set_hash = self._setters
+        set_n(self, n)
+        set_arcs(self, arcs)
+        set_rays(self, rays)
+        set_hash(self, hash((n, arcs, rays)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def k(self) -> int:
@@ -69,12 +77,20 @@ class Matching:
         return format_matching(DottedMatching(self, ()))
 
 
-@dataclass(frozen=True, order=True)
-class DottedMatching:
+class DottedMatching(Record, frozen=True, order=True):
     """A matching with a subset of its arcs dotted (pinned)."""
 
-    base: Matching
-    dotted: tuple[Arc, ...]
+    _fields = ("base", "dotted")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, base: Matching, dotted: tuple[Arc, ...]):
+        set_base, set_dotted, set_hash = self._setters
+        set_base(self, base)
+        set_dotted(self, dotted)
+        set_hash(self, hash((base, dotted)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -108,12 +124,20 @@ class DottedMatching:
         return format_matching(self)
 
 
-@dataclass(frozen=True, order=True)
-class StandardTableau:
+class StandardTableau(Record, frozen=True, order=True):
     """A standard two-row tableau, rows strictly increasing left to right."""
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    _fields = ("top", "bottom")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, top: tuple[int, ...], bottom: tuple[int, ...]):
+        set_top, set_bottom, set_hash = self._setters
+        set_top(self, top)
+        set_bottom(self, bottom)
+        set_hash(self, hash((top, bottom)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -188,6 +212,12 @@ def validate(n: int, arcs: Iterable[Arc], rays: Iterable[int] = (),
 
 # --- enumeration -----------------------------------------------------------
 
+def check_type(n: int, k: int) -> None:
+    """Raise DomainError unless matchings of type (n-k, k) exist."""
+    if n < 0 or k < 0 or 2 * k > n:
+        raise DomainError(f"no matchings of type ({n - k},{k}) on {n} vertices")
+
+
 @lru_cache(maxsize=None)
 def enumerate_matchings(n: int, k: int) -> tuple[Matching, ...]:
     """All noncrossing matchings of type (n-k, k), sorted by arc list.
@@ -197,8 +227,7 @@ def enumerate_matchings(n: int, k: int) -> tuple[Matching, ...]:
     >>> len(enumerate_matchings(6, 3))
     5
     """
-    if n < 0 or k < 0 or 2 * k > n:
-        raise DomainError(f"no matchings of type ({n - k},{k}) on {n} vertices")
+    check_type(n, k)
     out: list[Matching] = []
     arcs: list[Arc] = []
     stack: list[int] = []

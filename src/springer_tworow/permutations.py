@@ -8,15 +8,23 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, SizeMismatch
+from .records import Record
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    images: tuple[int, ...]  # images[i-1] = sigma(i)
+class Permutation(Record, frozen=True, order=True):
+    _fields = ("images",)
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, images: tuple[int, ...]):
+        set_images, set_hash = self._setters
+        set_images(self, images)  # images[i-1] = sigma(i)
+        set_hash(self, hash((images,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

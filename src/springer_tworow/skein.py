@@ -28,7 +28,6 @@ through a dotted arc must survive).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .action import act_word
 from .errors import (
@@ -41,21 +40,23 @@ from .errors import (
 from .homology import HomClass, hom_class, reduce_class
 from .matchings import DottedMatching, standard_dotted_matchings, validate
 from .permutations import Permutation
+from .records import Record
 
 PLACEMENTS = ("none", "upperArc", "lowerArc", "both")
 
 
-@dataclass(frozen=True)
-class FlatTangle:
+class FlatTangle(Record, frozen=True):
     """Crossing layers, listed bottom to top; layer value = strand position."""
 
-    n: int
-    layers: tuple[int, ...]
+    __slots__ = _fields = ("n", "layers")
 
-    def __post_init__(self):
-        for i in self.layers:
-            if not 1 <= i <= self.n - 1:
-                raise InternalCheckError(f"crossing position {i} outside 1..{self.n - 1}")
+    def __init__(self, n: int, layers: tuple[int, ...]):
+        set_n, set_layers = self._setters
+        set_n(self, n)
+        set_layers(self, layers)
+        for i in layers:
+            if not 1 <= i <= n - 1:
+                raise InternalCheckError(f"crossing position {i} outside 1..{n - 1}")
 
 
 def flatten(word: list[int] | tuple[int, ...], n: int) -> FlatTangle:
@@ -63,13 +64,20 @@ def flatten(word: list[int] | tuple[int, ...], n: int) -> FlatTangle:
     return FlatTangle(n, tuple(word))
 
 
-@dataclass(frozen=True, order=True)
-class ResolutionConvention:
-    identity_coeff: int = 1
-    closure_coeff: int = -2
-    closure_dots: str = "upperArc"
-    merge_coeff: int = -1
-    merge_dots: str = "none"
+class ResolutionConvention(Record, frozen=True, order=True):
+    __slots__ = _fields = ("identity_coeff", "closure_coeff", "closure_dots", "merge_coeff",
+                           "merge_dots")
+
+    def __init__(self, identity_coeff: int = 1, closure_coeff: int = -2,
+                 closure_dots: str = "upperArc", merge_coeff: int = -1,
+                 merge_dots: str = "none"):
+        (set_identity_coeff, set_closure_coeff, set_closure_dots, set_merge_coeff,
+         set_merge_dots) = self._setters
+        set_identity_coeff(self, identity_coeff)
+        set_closure_coeff(self, closure_coeff)
+        set_closure_dots(self, closure_dots)
+        set_merge_coeff(self, merge_coeff)
+        set_merge_dots(self, merge_dots)
 
     def dots_for(self, placement: str) -> tuple[int, int]:
         """(dots added to the cup side, dots added to the cap side)."""
@@ -101,14 +109,15 @@ def set_active_convention(c: ResolutionConvention | None) -> None:
     _active_convention = c
 
 
-@dataclass
-class _Component:
-    dots: int
-    ray: bool
+class _Component(Record):
+    __slots__ = _fields = ("dots", "ray")
+
+    def __init__(self, dots: int, ray: bool):
+        self.dots = dots
+        self.ray = ray
 
 
-@dataclass(frozen=True)
-class ResolvedDiagram:
+class ResolvedDiagram(Record, frozen=True):
     """One fully resolved term: open boundary part plus closed circles.
 
     ``coefficient`` collects the smoothing coefficients only; the circles
@@ -116,9 +125,14 @@ class ResolvedDiagram:
     (and in any order, since they are multiplicative).
     """
 
-    coefficient: int
-    circle_dots: tuple[int, ...]
-    boundary: DottedMatching
+    __slots__ = _fields = ("coefficient", "circle_dots", "boundary")
+
+    def __init__(self, coefficient: int, circle_dots: tuple[int, ...],
+                 boundary: DottedMatching):
+        set_coefficient, set_circle_dots, set_boundary = self._setters
+        set_coefficient(self, coefficient)
+        set_circle_dots(self, circle_dots)
+        set_boundary(self, boundary)
 
     def circle_scalar(self) -> int:
         value = 1
@@ -216,8 +230,10 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
         states = {state: coeff for state, coeff in nxt.items() if coeff}
 
     out: dict[DottedMatching, int] = {}
+    validated: dict = {}
     for (labels, comps), coeff in states.items():
-        boundary = _reassemble(n, [_Component(d, r) for d, r in comps], (0, *labels))
+        boundary = _reassemble(n, [_Component(d, r) for d, r in comps], (0, *labels),
+                               validated)
         if boundary in out:
             raise InternalCheckError(f"two boundary states reassemble to {boundary}")
         out[boundary] = coeff
@@ -260,6 +276,7 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
         next_id += 1
 
     out: list[ResolvedDiagram] = []
+    validated: dict = {}
     cup_c, cap_c = c.dots_for(c.closure_dots)
     cup_m, cap_m = c.dots_for(c.merge_dots)
 
@@ -267,7 +284,8 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
         if coeff == 0:
             return
         if layer_idx < 0:
-            out.append(ResolvedDiagram(coeff, circles, _reassemble(n, comps, boundary)))
+            out.append(ResolvedDiagram(coeff, circles,
+                                       _reassemble(n, comps, boundary, validated)))
             return
         pos = tangle.layers[layer_idx]
         # vertical smoothing
@@ -307,7 +325,13 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
     return out
 
 
-def _reassemble(n: int, comps, boundary) -> DottedMatching:
+def _reassemble(n: int, comps, boundary, validated: dict) -> DottedMatching:
+    """Read a boundary off the components; VALIDATED memoizes ``validate``.
+
+    The component checks run for every call.  ``validate`` runs once per
+    distinct (arcs, rays, dotted) within one VALIDATED dict, which the
+    caller keeps for one evaluation.
+    """
     positions: dict[int, list[int]] = {}
     for v in range(1, n + 1):
         positions.setdefault(boundary[v], []).append(v)
@@ -331,7 +355,11 @@ def _reassemble(n: int, comps, boundary) -> DottedMatching:
             rays.append(vs[0])
         else:
             raise InternalCheckError(f"component with {len(vs)} boundary ends")
-    return validate(n, arcs, rays, dotted)
+    key = (tuple(arcs), tuple(rays), tuple(dotted))
+    boundary_matching = validated.get(key)
+    if boundary_matching is None:
+        boundary_matching = validated[key] = validate(n, arcs, rays, dotted)
+    return boundary_matching
 
 
 def skein_act(sigma: Permutation, M: DottedMatching,

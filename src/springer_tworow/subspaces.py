@@ -15,22 +15,26 @@ subspace to a canonical empty value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from .errors import PadSizeMismatch, SizeMismatch
 from .matchings import Matching
+from .records import Record
 
 Relation = tuple[int, int, int]   # (i, j, s): x_i = s * x_j
 Pin = tuple[int, int]             # (i, s):    x_i = s * p
 
 
-@dataclass(frozen=True)
-class SignedPartitionSubspace:
-    n: int
-    assignment: tuple[tuple[int, int], ...]  # slot -> (representative, sign)
-    pins: tuple[Pin, ...]                    # (representative, sign)
-    empty: bool
+class SignedPartitionSubspace(Record, frozen=True):
+    __slots__ = _fields = ("n", "assignment", "pins", "empty")
+
+    def __init__(self, n: int, assignment: tuple[tuple[int, int], ...],
+                 pins: tuple[Pin, ...], empty: bool):
+        set_n, set_assignment, set_pins, set_empty = self._setters
+        set_n(self, n)
+        set_assignment(self, assignment)  # slot -> (representative, sign)
+        set_pins(self, pins)              # (representative, sign)
+        set_empty(self, empty)
 
     # -- queries ---------------------------------------------------------
 

@@ -16,7 +16,6 @@ tableau.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,17 +23,21 @@ from .errors import DomainError, SizeMismatch, SolveFailed
 from .homology import HomClass
 from .matchings import DottedMatching, StandardTableau, complete_dotted
 from .permutations import Permutation
+from .records import Record
 
 TabloidKey = frozenset
 
 
-@dataclass(frozen=True)
-class TabloidVector:
+class TabloidVector(Record, frozen=True):
     """Exact-rational vector over m-subset tabloids (bottom-row sets)."""
 
-    n: int
-    m: int
-    coords: tuple[tuple[TabloidKey, Fraction], ...]
+    __slots__ = _fields = ("n", "m", "coords")
+
+    def __init__(self, n: int, m: int, coords: tuple[tuple[TabloidKey, Fraction], ...]):
+        set_n, set_m, set_coords = self._setters
+        set_n(self, n)
+        set_m(self, m)
+        set_coords(self, coords)
 
     @property
     def as_dict(self) -> dict[TabloidKey, Fraction]:
@@ -177,13 +180,17 @@ def completion_vector(M: DottedMatching) -> TabloidVector:
     return matching_vector(complete_dotted(M))
 
 
-@dataclass
-class ModuleComparison:
-    equal: bool
-    tableau_rows: list
-    matching_rows: list
-    tableau_in_matching: list | None  # row i: e_T(i) over the e_M basis
-    matching_in_tableau: list | None  # row i: e_M(i) over the e_T basis
+class ModuleComparison(Record):
+    __slots__ = _fields = ("equal", "tableau_rows", "matching_rows", "tableau_in_matching",
+                           "matching_in_tableau")
+
+    def __init__(self, equal: bool, tableau_rows: list, matching_rows: list,
+                 tableau_in_matching: list | None, matching_in_tableau: list | None):
+        self.equal = equal
+        self.tableau_rows = tableau_rows
+        self.matching_rows = matching_rows
+        self.tableau_in_matching = tableau_in_matching  # row i: e_T(i) over the e_M basis
+        self.matching_in_tableau = matching_in_tableau  # row i: e_M(i) over the e_T basis
 
 
 def modules_equal(n: int, m: int, k: int) -> ModuleComparison:

@@ -65,6 +65,8 @@ def test_criterion_01_betti_both_ways():
             expected = [
                 math.comb(n, m) - math.comb(n, m - 1) if m else 1 for m in range(k + 1)
             ]
+            enumerated = [len(standard_dotted_matchings(n, k, m)) for m in range(k + 1)]
+            assert enumerated == expected, (n, k)
             assert homology.betti(n, k) == expected, (n, k)
             assert homology.presentation_betti(n, k) == expected, (n, k)
 

@@ -20,6 +20,7 @@ from springer_tworow.matchings import (
     all_dotted_matchings,
     count_matchings,
     parse_matching,
+    standard_dotted_matchings,
 )
 
 pm = parse_matching
@@ -93,6 +94,7 @@ def test_betti_both_ways_up_to_8():
     for n in range(1, 9):
         for k in range(0, n // 2 + 1):
             expected = [count_matchings(n, m) for m in range(k + 1)]
+            assert [len(standard_dotted_matchings(n, k, m)) for m in range(k + 1)] == expected
             assert betti(n, k) == expected
             assert presentation_betti(n, k) == expected
 

@@ -4,6 +4,9 @@ The package import is lazy and every ``springer`` subcommand imports only
 the modules it uses.  These tests pin both import sets, pin the package's
 public names, and run every subcommand once in a fresh interpreter, so a
 module a command forgets to import fails here rather than for a user.
+No import path may load ``dataclasses`` or ``inspect``: the package's
+records are slot classes on ``records.Record``, and those two modules
+alone cost a small command a large share of its start-up.
 """
 import argparse
 import importlib
@@ -42,23 +45,42 @@ def _env() -> dict:
     return env
 
 
-def _loaded_after(statement: str) -> set[str]:
-    """The ``springer_tworow`` submodules a fresh interpreter holds after STATEMENT."""
-    probe = (f"import sys\n{statement}\n"
-             "print(' '.join(m for m in sys.modules if m.startswith('springer_tworow.')))")
+# Modules whose import alone is a large share of a small command's start-up.
+UNWANTED = {"dataclasses", "inspect"}
+SUBMODULES = sorted(p.stem for p in (SRC / "springer_tworow").glob("*.py")
+                    if p.stem != "__init__")
+
+
+def _modules_after(statement: str) -> set[str]:
+    """Every module a fresh interpreter holds after STATEMENT."""
+    probe = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=_env(), timeout=60, check=True)
-    return {name.removeprefix("springer_tworow.") for name in proc.stdout.split()}
+    return set(proc.stdout.split())
+
+
+def _submodules(modules: set[str]) -> set[str]:
+    return {name.removeprefix("springer_tworow.") for name in modules
+            if name.startswith("springer_tworow.")}
 
 
 def test_package_import_loads_no_submodule():
-    assert _loaded_after("import springer_tworow") == set()
+    assert _submodules(_modules_after("import springer_tworow")) == set()
 
 
 def test_cli_import_loads_only_what_parsing_needs():
-    assert _loaded_after("import springer_tworow.cli") == {
+    loaded = _modules_after("import springer_tworow.cli")
+    assert _submodules(loaded) == {
         "cli", "errors", "homology", "linalg", "matchings", "diagrams", "permutations",
+        "records",
     }
+    assert not loaded & UNWANTED
+
+
+def test_no_submodule_imports_dataclasses_or_inspect():
+    loaded = _modules_after("\n".join(f"import springer_tworow.{m}" for m in SUBMODULES))
+    assert _submodules(loaded) == set(SUBMODULES)
+    assert not loaded & UNWANTED
 
 
 def test_public_names_are_unchanged():
@@ -139,6 +161,17 @@ def test_smoke_cases_cover_every_subcommand():
     assert {argv[0] for argv in SMOKE} == set(sub.choices)
 
 
+def _imports(stderr: bytes) -> tuple[set[str], str]:
+    """Split ``-X importtime`` stderr into the imported module names and the rest."""
+    names, rest = set(), []
+    for line in stderr.decode("utf-8", "replace").splitlines():
+        if line.startswith("import time:"):
+            names.add(line.rsplit("|", 1)[1].strip())
+        else:
+            rest.append(line)
+    return names, "\n".join(rest)
+
+
 def _in_process(argv, capsys) -> tuple[bytes, int]:
     capsys.readouterr()
     try:
@@ -153,11 +186,14 @@ def _in_process(argv, capsys) -> tuple[bytes, int]:
 ], ids=lambda case: " ".join(case[:3]) if isinstance(case, list) else None)
 def test_cold_run_matches_in_process_run(argv, expected, tmp_path, capsys):
     cold_argv = [a.replace("{cache}", str(tmp_path / "cold")) for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "springer_tworow.cli", *cold_argv],
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "springer_tworow.cli",
+                           *cold_argv],
                           capture_output=True, cwd=tmp_path, env=_env(), timeout=120)
+    imported, stderr = _imports(proc.stderr)
     warm_argv = [a.replace("{cache}", str(tmp_path / "warm")) for a in argv]
     out, code = _in_process(warm_argv, capsys)
-    assert proc.returncode == code, proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == code, stderr
+    assert not imported & UNWANTED
     assert proc.stdout == out
     assert code == expected
     assert bool(out) == (expected == 0)
