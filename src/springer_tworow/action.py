@@ -10,13 +10,25 @@ presentation pin the representation exactly.
 
 Both routes share one cached solver factory, ``_solver(expand, n, k, m)``,
 keyed by the integer expansion map (``matching_terms`` or
-``line_diagram_terms``), and one helper, ``_image_coords``, that expands
-a class, moves its keys by sigma and solves.  The standard columns of
-either expansion are unit-triangular: the lexicographically last key of
-the column of M is the bottom row of ``tableau_of(M)``, with entry +-1
-(the ``action.unit-triangular`` verify invariant).  So every solve is
-integer back-substitution that certifies itself by a zero residual, and
-no Fraction is built on this path.
+``line_diagram_terms``).  It expands each standard basis element once and
+keeps the ``{row: int}`` columns, a position map from basis element to
+column, and the factored solver over those columns.  One helper,
+``_image_coords``, moves a class by sigma and solves: a standard term
+reuses its stored column, and only any other term (a nonstandard one,
+say) is expanded afresh.  Rows are moved through a memo of
+row -> sigma(row) that lives for one sigma; ``rep_matrix`` shares one
+memo across all its columns, so each tabloid row is moved at most once
+per matrix.  The standard columns of either expansion are
+unit-triangular: the lexicographically last key of the column of M is
+the bottom row of ``tableau_of(M)``, with entry +-1 (the
+``action.unit-triangular`` verify invariant).  So every solve is integer
+back-substitution that certifies itself by a zero residual, and no
+Fraction is built on this path.
+
+``character_table_check`` checks the Coxeter relations (s_i^2,
+(s_i s_{i+1})^3, commuting pairs) on sparse columns of the generator
+matrices: it applies each relation word to every unit vector e_j and
+compares the result with e_j, so no matrix product is formed.
 """
 from __future__ import annotations
 
@@ -45,30 +57,45 @@ from .tabloids import irr_character, matching_terms, tabloid_index, tabloid_keys
 
 @lru_cache(maxsize=None)
 def _solver(expand, n: int, k: int, m: int):
-    """Standard basis of (n, k, m), the tabloid rows and the factored columns.
+    """Standard basis of (n, k, m), its expanded columns and their factored solver.
 
     ``expand`` maps a dotted matching to its integer terms over m-subsets.
+    Returns (basis, index, columns, position, solver): the standard basis,
+    the tabloid row of each m-subset, each basis element's column as
+    ``{row: int}``, the column number of each basis element, and the
+    ``ColumnSolver`` over the columns.
     """
     basis = standard_dotted_matchings(n, k, m)
     index = tabloid_index(n, m)
     columns = [{index[key]: v for key, v in expand(M).items()} for M in basis]
-    return basis, index, ColumnSolver(columns)
+    position = {M: j for j, M in enumerate(basis)}
+    return basis, index, columns, position, ColumnSolver(columns)
 
 
-def _image_coords(sigma: Permutation, terms, expand, n: int, k: int, m: int) -> list[int]:
+def _image_coords(sigma: Permutation, terms, expand, n: int, k: int, m: int,
+                  moved: dict[int, int]) -> list[int]:
     """Coordinates of sigma applied to the class sum(c * M), over the standard basis.
 
-    Expands each (M, c) of ``terms`` through ``expand``, moves the keys by
-    sigma and solves; raises SolveFailed if the image leaves the span.
+    Takes the stored column of each standard M of ``terms`` and expands any
+    other M through ``expand``, moves the rows by sigma and solves; raises
+    SolveFailed if the image leaves the span.  ``moved`` memoises
+    row -> moved row for this one sigma at (n, m): a caller may share it
+    between calls with the same sigma and m, never across two sigmas.
     """
     if sigma.n != n:
         raise SizeMismatch(f"permutation on {sigma.n} letters, class on {n}")
-    _, index, solver = _solver(expand, n, k, m)
+    _, index, columns, position, solver = _solver(expand, n, k, m)
+    keys = tabloid_keys(n, m)
     target: dict[int, int] = {}
     for M, c in terms:
-        for key, v in expand(M).items():
-            row = index[sigma.apply_to_set(key)]
-            target[row] = target.get(row, 0) + c * v
+        j = position.get(M)
+        column = columns[j] if j is not None else {
+            index[key]: v for key, v in expand(M).items()}
+        for r, v in column.items():
+            s = moved.get(r)
+            if s is None:
+                s = moved[r] = index[sigma.apply_to_set(keys[r])]
+            target[s] = target.get(s, 0) + c * v
     try:
         return solver.solve(target)
     except SolveFailed as exc:
@@ -83,7 +110,7 @@ def act(sigma: Permutation, x: HomClass) -> HomClass:
     if x.is_zero:
         return x
     m = x.grading
-    coords = _image_coords(sigma, x.terms, matching_terms, x.n, x.k, m)
+    coords = _image_coords(sigma, x.terms, matching_terms, x.n, x.k, m, {})
     basis = _solver(matching_terms, x.n, x.k, m)[0]
     return hom_class(x.n, x.k, dict(zip(basis, coords)))
 
@@ -98,30 +125,12 @@ def rep_matrix(sigma: Permutation, n: int, k: int, m: int,
         if hit is not None:
             return hit
     basis = _solver(matching_terms, n, k, m)[0]
-    cols = [_image_coords(sigma, ((M, 1),), matching_terms, n, k, m) for M in basis]
+    moved: dict[int, int] = {}
+    cols = [_image_coords(sigma, ((M, 1),), matching_terms, n, k, m, moved) for M in basis]
     matrix = [list(row) for row in zip(*cols)]
     if cache is not None:
         cache.store(sigma, n, k, m, matrix)
     return matrix
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Integer matrix product, summing over the nonzero entries only."""
-    width = len(b[0]) if b else 0
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * width
-        for t, x in enumerate(row):
-            if x:
-                for j, y in b_rows[t]:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
-
-
-def _is_identity(mat: list[list[int]]) -> bool:
-    return all(mat[i][j] == (1 if i == j else 0) for i in range(len(mat)) for j in range(len(mat)))
 
 
 # --- line-diagram route ---------------------------------------------------------
@@ -188,7 +197,7 @@ def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
         return x
     m = x.grading
     try:
-        coords = _image_coords(sigma, x.terms, line_diagram_terms, x.n, x.k, m)
+        coords = _image_coords(sigma, x.terms, line_diagram_terms, x.n, x.k, m, {})
     except SolveFailed as exc:
         raise PullbackFailed(str(exc)) from exc
     basis = _solver(line_diagram_terms, x.n, x.k, m)[0]
@@ -313,6 +322,35 @@ class CharacterReport(Record):
         return self.coxeter_ok and not self.failures
 
 
+def _sparse_columns(mat: list[list[int]]) -> list[dict[int, int]]:
+    """The columns of a square integer matrix as sparse ``{row: value}`` dicts."""
+    cols: list[dict[int, int]] = [{} for _ in mat]
+    for i, row in enumerate(mat):
+        for j, v in enumerate(row):
+            if v:
+                cols[j][i] = v
+    return cols
+
+
+def _word_is_identity(word: tuple[list[dict[int, int]], ...]) -> bool:
+    """Whether the product of sparse-column matrices in ``word`` is the identity.
+
+    Applies the word to each unit vector e_j, rightmost factor first, and
+    compares the result with e_j; stops at the first column that differs.
+    """
+    for j in range(len(word[0])):
+        v = {j: 1}
+        for g in reversed(word):
+            out: dict[int, int] = {}
+            for t, x in v.items():
+                for i, y in g[t].items():
+                    out[i] = out.get(i, 0) + x * y
+            v = {i: x for i, x in out.items() if x}
+        if v != {j: 1}:
+            return False
+    return True
+
+
 def character_table_check(n: int, k: int) -> CharacterReport:
     """Traces against the two-row irreducible characters, plus Coxeter laws."""
     report = CharacterReport(n, k)
@@ -327,20 +365,18 @@ def character_table_check(n: int, k: int) -> CharacterReport:
                 report.failures.append(
                     f"m={m}, class {mu}: trace {trace} != character {expected}"
                 )
-        gens = [rep_matrix(adjacent(n, i), n, k, m) for i in range(1, n)]
+        gens = [_sparse_columns(rep_matrix(adjacent(n, i), n, k, m)) for i in range(1, n)]
         for i, g in enumerate(gens, start=1):
-            if not _is_identity(_mat_mul(g, g)):
+            if not _word_is_identity((g, g)):
                 report.coxeter_ok = False
                 report.failures.append(f"m={m}: s{i}^2 != 1")
         for i in range(1, n - 1):
-            braid = _mat_mul(gens[i - 1], gens[i])
-            if not _is_identity(_mat_mul(braid, _mat_mul(braid, braid))):
+            if not _word_is_identity((gens[i - 1], gens[i]) * 3):
                 report.coxeter_ok = False
                 report.failures.append(f"m={m}: (s{i} s{i + 1})^3 != 1")
         for i in range(1, n - 1):
             for j in range(i + 2, n):
-                comm = _mat_mul(gens[i - 1], gens[j - 1])
-                if not _is_identity(_mat_mul(comm, comm)):
+                if not _word_is_identity((gens[i - 1], gens[j - 1]) * 2):
                     report.coxeter_ok = False
                     report.failures.append(f"m={m}: s{i} and s{j} do not commute")
     return report

@@ -342,10 +342,10 @@ def betti(n: int, k: int) -> list[int]:
     with the standard tableaux of shape (n-m, m), whose number is
     ``count_matchings(n, m)``.  The ``homology.betti-both-ways`` invariant
     compares these counts with the enumerated standard basis and with the
-    cokernel ranks.  A negative k has no degrees and returns [].
+    cokernel ranks.  Raises DomainError unless matchings of type (n-k, k)
+    exist, a negative k included.
     """
-    if k >= 0:
-        check_type(n, k)
+    check_type(n, k)
     return [count_matchings(n, m) for m in range(k + 1)]
 
 

@@ -305,6 +305,7 @@ def all_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMa
     return tuple(sorted(out, key=sort_key))
 
 
+@lru_cache(maxsize=None)
 def standard_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMatching, ...]:
     return tuple(M for M in all_dotted_matchings(n, k, m) if M.is_standard)
 

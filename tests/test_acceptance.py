@@ -267,3 +267,10 @@ def test_criterion_15_skein_reach():
                 for M in rng.sample(basis, min(20, len(basis))):
                     got = skein.skein_act(w0, M, skein.CALIBRATED_CONVENTION)
                     assert got == action.act(w0, HomClass.of(M)), (n, M)
+
+
+def test_criterion_16_character_table_reach():
+    with budget(16, "character table and Coxeter presentation at (12, 6)", 60):
+        report = action.character_table_check(12, 6)
+        assert report.coxeter_ok and report.ok, report.failures
+        assert len(report.rows) == 7 * 77  # every class trace, m = 0..6

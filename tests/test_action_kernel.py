@@ -1,0 +1,245 @@
+"""Differential tests of the action kernel against the route it replaced.
+
+The kernel reuses the factored standard columns, moves each tabloid row
+once per sigma and checks Coxeter words on sparse columns.  The
+references below are the plain route: expand every term, move every key
+by sigma, look it up and solve; multiply dense generator matrices.  They
+must agree exactly over every (n, k, m) with n <= 8.
+"""
+import random
+from functools import lru_cache
+
+import pytest
+
+from springer_tworow import action
+from springer_tworow.action import (
+    act,
+    act_via_gamma,
+    character_table_check,
+    line_diagram_terms,
+    rep_matrix,
+)
+from springer_tworow.errors import PullbackFailed, SolveFailed
+from springer_tworow.homology import HomClass, hom_class
+from springer_tworow.linalg import ColumnSolver
+from springer_tworow.matchings import all_dotted_matchings, standard_dotted_matchings
+from springer_tworow.permutations import (
+    Permutation,
+    adjacent,
+    class_representative,
+    partitions,
+)
+from springer_tworow.tabloids import irr_character, matching_terms, tabloid_index
+
+NMAX = 8
+
+
+def shapes(n):
+    return [(k, m) for k in range(n // 2 + 1) for m in range(k + 1)]
+
+
+def seeded_sigma(n, k, m):
+    return Permutation(tuple(random.Random(f"kernel-{n}-{k}-{m}").sample(range(1, n + 1), n)))
+
+
+# --- reference: the replaced route ---------------------------------------------
+
+@lru_cache(maxsize=None)
+def reference_solver(expand, n, k, m):
+    index = tabloid_index(n, m)
+    basis = standard_dotted_matchings(n, k, m)
+    return ColumnSolver([{index[key]: v for key, v in expand(M).items()} for M in basis])
+
+
+def reference_coords(sigma, terms, expand, n, k, m):
+    """Expand each term, move each key by sigma, look it up, solve."""
+    index = tabloid_index(n, m)
+    target = {}
+    for M, c in terms:
+        for key, v in expand(M).items():
+            row = index[sigma.apply_to_set(key)]
+            target[row] = target.get(row, 0) + c * v
+    return reference_solver(expand, n, k, m).solve(target)
+
+
+def reference_matrix(sigma, n, k, m):
+    basis = standard_dotted_matchings(n, k, m)
+    cols = [reference_coords(sigma, ((M, 1),), matching_terms, n, k, m) for M in basis]
+    return [list(row) for row in zip(*cols)]
+
+
+def reference_class(sigma, x, expand):
+    basis = standard_dotted_matchings(x.n, x.k, x.grading)
+    coords = reference_coords(sigma, x.terms, expand, x.n, x.k, x.grading)
+    return hom_class(x.n, x.k, dict(zip(basis, coords)))
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]) if b else 0)]
+            for i in range(len(a))]
+
+
+def is_identity(mat):
+    return all(mat[i][j] == (i == j) for i in range(len(mat)) for j in range(len(mat)))
+
+
+def reference_character_failures(n, k):
+    """The failures of ``character_table_check`` by dense matrix products."""
+    failures = []
+    for m in range(k + 1):
+        for mu in partitions(n):
+            mat = action.rep_matrix(class_representative(mu, n), n, k, m)
+            trace = sum(mat[i][i] for i in range(len(mat)))
+            expected = irr_character((n - m, m), mu)
+            if trace != expected:
+                failures.append(f"m={m}, class {mu}: trace {trace} != character {expected}")
+        gens = [action.rep_matrix(adjacent(n, i), n, k, m) for i in range(1, n)]
+        for i, g in enumerate(gens, start=1):
+            if not is_identity(mat_mul(g, g)):
+                failures.append(f"m={m}: s{i}^2 != 1")
+        for i in range(1, n - 1):
+            braid = mat_mul(gens[i - 1], gens[i])
+            if not is_identity(mat_mul(braid, mat_mul(braid, braid))):
+                failures.append(f"m={m}: (s{i} s{i + 1})^3 != 1")
+        for i in range(1, n - 1):
+            for j in range(i + 2, n):
+                comm = mat_mul(gens[i - 1], gens[j - 1])
+                if not is_identity(mat_mul(comm, comm)):
+                    failures.append(f"m={m}: s{i} and s{j} do not commute")
+    return failures
+
+
+# --- the kernel against the reference ------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, NMAX + 1))
+def test_rep_matrix_matches_reference(n):
+    for k, m in shapes(n):
+        sigmas = [adjacent(n, i) for i in range(1, n)] + [seeded_sigma(n, k, m)]
+        for sigma in sigmas:
+            assert rep_matrix(sigma, n, k, m) == reference_matrix(sigma, n, k, m), \
+                (sigma.images, n, k, m)
+
+
+@pytest.mark.parametrize("n", range(1, NMAX + 1))
+def test_act_via_gamma_matches_reference(n):
+    for k, m in shapes(n):
+        sigmas = [adjacent(n, i) for i in range(1, n)] + [seeded_sigma(n, k, m)]
+        for sigma in sigmas:
+            for M in standard_dotted_matchings(n, k, m):
+                want = reference_class(sigma, HomClass.of(M), line_diagram_terms)
+                assert act_via_gamma(sigma, M) == want, (sigma.images, M)
+
+
+def mixed_classes(n, k, m, rng):
+    """Seeded classes over (n, k, m) that each hold at least one nonstandard term."""
+    basis = standard_dotted_matchings(n, k, m)
+    others = [M for M in all_dotted_matchings(n, k, m) if not M.is_standard]
+    for _ in range(min(3, len(others))):
+        coeffs = {M: rng.choice((-3, -1, 1, 2)) for M in rng.sample(others, min(2, len(others)))}
+        for M in rng.sample(basis, min(2, len(basis))):
+            coeffs[M] = coeffs.get(M, 0) + rng.choice((-2, 1, 3))
+        yield hom_class(n, k, coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, NMAX + 1))
+def test_act_on_nonstandard_terms_matches_reference(n):
+    rng = random.Random(f"kernel-mixed-{n}")
+    seen = 0
+    for k, m in shapes(n):
+        for x in mixed_classes(n, k, m, rng):
+            seen += 1
+            for sigma in (adjacent(n, rng.randint(1, n - 1)), seeded_sigma(n, k, m)):
+                assert act(sigma, x) == reference_class(sigma, x, matching_terms), \
+                    (sigma.images, x)
+                try:
+                    want = reference_class(sigma, x, line_diagram_terms)
+                except SolveFailed:
+                    with pytest.raises(PullbackFailed):
+                        act_via_gamma(sigma, x)
+                else:
+                    assert act_via_gamma(sigma, x) == want, (sigma.images, x)
+    assert seen or n < 4
+
+
+@pytest.mark.parametrize("n", range(2, NMAX + 1))
+def test_sparse_coxeter_words_match_dense_products(n):
+    for k, m in shapes(n):
+        dense = [rep_matrix(adjacent(n, i), n, k, m) for i in range(1, n)]
+        sparse = [action._sparse_columns(g) for g in dense]
+        words = [(i,) * 2 for i in range(n - 1)]
+        words += [(i, i + 1) * 3 for i in range(n - 2)]
+        words += [(i, j) * 2 for i in range(n - 1) for j in range(i + 2, n - 1)]
+        # words that are not the identity, so the False answer is compared too
+        words += [(i,) for i in range(n - 1)] + [(i, i + 1) * 2 for i in range(n - 2)]
+        for word in words:
+            product = dense[word[0]]
+            for letter in word[1:]:
+                product = mat_mul(product, dense[letter])
+            got = action._word_is_identity(tuple(sparse[t] for t in word))
+            assert got == is_identity(product), (n, k, m, word)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_character_check_matches_dense_reference(n):
+    for k in range(n // 2 + 1):
+        report = character_table_check(n, k)
+        assert report.ok
+        assert report.failures == reference_character_failures(n, k) == []
+
+
+# --- broken generators: both checks must fail the same way ----------------------
+
+N, K = 6, 3
+
+
+def patch_s1(monkeypatch, replacement):
+    """Make rep_matrix return ``replacement(real, k, m)`` for s1 on N letters."""
+    real, s1 = action.rep_matrix, adjacent(N, 1)
+
+    def patched(sigma, n, k, m, cache=None):
+        return replacement(real, k, m) if sigma == s1 else real(sigma, n, k, m, cache)
+
+    monkeypatch.setattr(action, "rep_matrix", patched)
+
+
+def generator(real, i, k, m):
+    return real(adjacent(N, i), N, k, m)
+
+
+def broken_report():
+    report = character_table_check(N, K)
+    assert not report.coxeter_ok
+    assert report.failures == reference_character_failures(N, K)
+    return report
+
+
+def relations_broken(report):
+    """Which Coxeter relations the report's failures name (trace lines aside)."""
+    texts = {"square": "^2 != 1", "braid": ")^3 != 1", "commute": "do not commute"}
+    return {name for name, text in texts.items() if any(text in f for f in report.failures)}
+
+
+def test_broken_square_fails_like_the_reference(monkeypatch):
+    # s1 -> s1 s2, a 3-cycle: not an involution once m >= 1
+    patch_s1(monkeypatch, lambda real, k, m: mat_mul(generator(real, 1, k, m),
+                                                      generator(real, 2, k, m)))
+    report = broken_report()
+    assert "m=1: s1^2 != 1" in report.failures
+    assert "m=0: s1^2 != 1" not in report.failures
+
+
+def test_broken_braid_fails_like_the_reference(monkeypatch):
+    # s1 -> 1: still an involution commuting with every s_j, but (1 s2)^3 = s2
+    patch_s1(monkeypatch, lambda real, k, m: [[int(i == j) for j in range(len(g))]
+                                              for i, g in enumerate(generator(real, 1, k, m))])
+    report = broken_report()
+    assert relations_broken(report) == {"braid"}
+    assert "m=1: (s1 s2)^3 != 1" in report.failures
+
+
+def test_broken_commutation_fails_like_the_reference(monkeypatch):
+    # s1 -> s3: (s3 s2)^3 = 1 still holds, but s3 and s4 do not commute
+    patch_s1(monkeypatch, lambda real, k, m: generator(real, 3, k, m))
+    report = broken_report()
+    assert relations_broken(report) == {"commute"}
+    assert "m=1: s1 and s4 do not commute" in report.failures

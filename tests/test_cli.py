@@ -48,6 +48,12 @@ def test_domain_error_exit_code(capsys):
     assert code == 2 and "ray 2" in err
 
 
+def test_betti_negative_k_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "betti", "-n", "3", "-k", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: no matchings of type (4,-1) on 3 vertices\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["enumerate", "-n", "4"])

@@ -90,6 +90,12 @@ def test_betti_examples():
     assert presentation_betti(5, 0) == [1]
 
 
+def test_betti_refuses_impossible_types():
+    for n, k in ((3, -1), (0, -1), (4, 3), (-1, 0)):
+        with pytest.raises(errors.DomainError, match="no matchings of type"):
+            betti(n, k)
+
+
 def test_betti_both_ways_up_to_8():
     for n in range(1, 9):
         for k in range(0, n // 2 + 1):

@@ -153,6 +153,7 @@ SMOKE = [
     ["render", "1·(4: u1-2 u3-4) - 1·(4: u1-4 u2-3)"],
 ]
 USAGE_ERROR, DOMAIN_ERROR = ["enumerate", "-n", "4"], ["validate", "4: u1-3 r2 r4"]
+NEGATIVE_K = ["betti", "-n", "3", "-k", "-1"]
 
 
 def test_smoke_cases_cover_every_subcommand():
@@ -182,7 +183,7 @@ def _in_process(argv, capsys) -> tuple[bytes, int]:
 
 
 @pytest.mark.parametrize("argv, expected", [
-    *((argv, 0) for argv in SMOKE), (USAGE_ERROR, 1), (DOMAIN_ERROR, 2),
+    *((argv, 0) for argv in SMOKE), (USAGE_ERROR, 1), (DOMAIN_ERROR, 2), (NEGATIVE_K, 2),
 ], ids=lambda case: " ".join(case[:3]) if isinstance(case, list) else None)
 def test_cold_run_matches_in_process_run(argv, expected, tmp_path, capsys):
     cold_argv = [a.replace("{cache}", str(tmp_path / "cold")) for a in argv]
