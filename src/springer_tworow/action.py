@@ -37,7 +37,6 @@ from functools import lru_cache
 
 from .errors import (
     DomainError,
-    InternalCheckError,
     PullbackFailed,
     SizeMismatch,
     SolveFailed,
@@ -52,7 +51,14 @@ from .permutations import (
     partitions,
 )
 from .records import Record
-from .tabloids import irr_character, matching_terms, tabloid_index, tabloid_keys
+from .tabloids import (
+    TabloidVector,
+    irr_character,
+    matching_terms,
+    tabloid_index,
+    tabloid_keys,
+    tabloid_vector,
+)
 
 
 @lru_cache(maxsize=None)
@@ -135,38 +141,6 @@ def rep_matrix(sigma: Permutation, n: int, k: int, m: int,
 
 # --- line-diagram route ---------------------------------------------------------
 
-class LineDiagramClass(Record, frozen=True):
-    """Integer combination of coordinate cells of the ambient sphere power.
-
-    Keys are the sets of free (sphere) positions; all keys share one size.
-    """
-
-    __slots__ = _fields = ("n", "terms")
-
-    def __init__(self, n: int, terms: tuple[tuple[frozenset[int], int], ...]):
-        set_n, set_terms = self._setters
-        set_n(self, n)
-        set_terms(self, terms)
-
-    @property
-    def as_dict(self) -> dict[frozenset[int], int]:
-        return dict(self.terms)
-
-    def to_row(self, m: int) -> list[int]:
-        lookup = self.as_dict
-        return [lookup.get(key, 0) for key in tabloid_keys(self.n, m)]
-
-
-def line_diagram_class(n: int, coeffs: dict[frozenset[int], int]) -> LineDiagramClass:
-    sizes = {len(key) for key, c in coeffs.items() if c != 0}
-    if len(sizes) > 1:
-        raise InternalCheckError(f"mixed free-set sizes {sorted(sizes)}")
-    terms = tuple(
-        (key, c) for key, c in sorted(coeffs.items(), key=lambda t: sorted(t[0])) if c != 0
-    )
-    return LineDiagramClass(n, terms)
-
-
 S_ODD = -1  # orientation of the free factor at the odd endpoint of an arc
 
 
@@ -180,13 +154,14 @@ def line_diagram_terms(M: DottedMatching) -> dict[frozenset[int], int]:
     return out
 
 
-def line_diagram_expand(M: DottedMatching) -> LineDiagramClass:
+def line_diagram_expand(M: DottedMatching) -> TabloidVector:
     """Pole-flip image of a dotted matching in the ambient sphere power.
 
     Every undotted arc contributes S_ODD * [free at odd endpoint] +
     [free at even endpoint]; dotted arcs and rays pin their positions.
+    The result is a tabloid vector keyed by the sets of free positions.
     """
-    return line_diagram_class(M.n, line_diagram_terms(M))
+    return tabloid_vector(M.n, M.m, line_diagram_terms(M))
 
 
 def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:

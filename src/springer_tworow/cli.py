@@ -362,11 +362,10 @@ def cmd_render(args) -> int:
         x = parse_class(args.cls)
     except SpringerError:
         x = HomClass.of(parse_matching(args.cls))
+    single = len(x.terms) == 1 and x.terms[0][1] == 1
     if args.format == "svg":
-        single = len(x.terms) == 1 and x.terms[0][1] == 1
         text = render.render_svg(x.terms[0][0]) if single else render.render_class_svg(x)
     else:
-        single = len(x.terms) == 1 and x.terms[0][1] == 1
         text = render.render_ascii(x.terms[0][0]) if single else render.render_class_ascii(x)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -483,7 +482,8 @@ def build_parser() -> _Parser:
     p.add_argument("--nmax", type=int, default=4)
 
     p = add("verify", cmd_verify, help="run the module invariant suites")
-    p.add_argument("--all", action="store_true")
+    p.add_argument("--all", action="store_true",
+                   help="no effect: every suite runs unless --only is given")
     p.add_argument("-nmax", "--nmax", dest="nmax", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", nargs="*", default=None)

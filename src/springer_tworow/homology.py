@@ -98,10 +98,6 @@ def hom_class(n: int, k: int, coeffs: dict[DottedMatching, int]) -> HomClass:
     return cls
 
 
-def zero_class(n: int, k: int) -> HomClass:
-    return HomClass(n, k, ())
-
-
 def format_class(x: HomClass) -> str:
     if x.is_zero:
         return "0"
@@ -212,7 +208,7 @@ def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> Ho
     if all(M.is_standard for M, _ in x.terms):
         return x
     if method == "rewrite":
-        return _reduce_by_rewriting(x)
+        return reduce_by_rewriting(x)
     return _reduce_linear(x)
 
 
@@ -236,17 +232,6 @@ def _reduce_linear(x: HomClass, order: tuple[Matching, ...] | None = None) -> Ho
             raise InternalCheckError(f"non-integer reduced coordinate {value}")
         coeffs[columns[i]] = value
     return hom_class(x.n, x.k, coeffs)
-
-
-def _nesting_violation(M: DottedMatching) -> Arc | None:
-    """A dotted arc nested beneath some arc (deepest first), or None."""
-    worst = None
-    worst_depth = 0
-    for d in M.dotted:
-        depth = sum(1 for i, j in M.base.arcs if i < d[0] and d[1] < j)
-        if depth > worst_depth:
-            worst, worst_depth = d, depth
-    return worst
 
 
 def _ray_violation(M: DottedMatching) -> tuple[Arc, int] | None:
@@ -310,7 +295,11 @@ def rewrite_step(M: DottedMatching, rng: random.Random | None = None) -> HomClas
     return candidates[0] if rng is None else rng.choice(candidates)
 
 
-def _reduce_by_rewriting(x: HomClass, rng: random.Random | None = None) -> HomClass:
+def reduce_by_rewriting(x: HomClass, rng: random.Random | None = None) -> HomClass:
+    """Reduce x to the standard basis by repeated ``rewrite_step``.
+
+    With an rng, terms and rewrites are picked at random (confluence testing).
+    """
     done: dict[DottedMatching, int] = {}
     work = x.coeffs
     while work:
@@ -327,10 +316,6 @@ def _reduce_by_rewriting(x: HomClass, rng: random.Random | None = None) -> HomCl
         for N, cn in step.terms:
             work[N] = work.get(N, 0) + c * cn
     return hom_class(x.n, x.k, done)
-
-
-def reduce_by_rewriting(x: HomClass, rng: random.Random | None = None) -> HomClass:
-    return _reduce_by_rewriting(x, rng)
 
 
 # --- Betti numbers -------------------------------------------------------------

@@ -6,9 +6,7 @@ of adjacent transpositions applied right to left, matching the convention
 """
 from __future__ import annotations
 
-import itertools
 import re
-from functools import lru_cache
 
 from .errors import DomainError, SizeMismatch
 from .records import Record
@@ -39,16 +37,6 @@ class Permutation(Record, frozen=True, order=True):
             raise SizeMismatch(f"sizes {self.n} and {other.n} differ")
         return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(self(i) == i for i in range(1, self.n + 1))
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
         out = []
@@ -71,9 +59,6 @@ class Permutation(Record, frozen=True, order=True):
         lengths = sorted((len(c) for c in self.cycles()), reverse=True)
         fixed = self.n - sum(lengths)
         return tuple(lengths) + (1,) * fixed
-
-    def sign(self) -> int:
-        return (-1) ** sum(len(c) - 1 for c in self.cycles())
 
     def apply_to_set(self, s: frozenset[int]) -> frozenset[int]:
         return frozenset(self(v) for v in s)
@@ -169,11 +154,6 @@ def parse_permutation(text: str, n: int) -> Permutation:
             raise DomainError(f"generator s{a} outside s1..s{n - 1}")
         word.append(a)
     return from_word(word, n)
-
-
-@lru_cache(maxsize=None)
-def symmetric_group(n: int) -> tuple[Permutation, ...]:
-    return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
 def partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:

@@ -150,15 +150,6 @@ class SignedPartitionSubspace(Record, frozen=True):
         new_pins += [(t, -sign) for t in range(1, pad + 1)]
         return from_constraints(target_n, new_rels, new_pins)
 
-    def apply_pointmap(self, name: str, target_n: int | None = None) -> "SignedPartitionSubspace":
-        if name == "gamma":
-            return self.apply_gamma()
-        if name == "eta":
-            return self.apply_eta(target_n)
-        if name == "iota":
-            return self.apply_iota(target_n)
-        raise ValueError(f"unknown point map {name!r}")
-
 
 def _check_pad(n: int, target_n: int) -> int:
     pad = target_n - n

@@ -16,12 +16,11 @@ tableau.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, SizeMismatch, SolveFailed
 from .homology import HomClass
-from .matchings import DottedMatching, StandardTableau, complete_dotted
+from .matchings import DottedMatching, StandardTableau
 from .permutations import Permutation
 from .records import Record
 
@@ -29,18 +28,18 @@ TabloidKey = frozenset
 
 
 class TabloidVector(Record, frozen=True):
-    """Exact-rational vector over m-subset tabloids (bottom-row sets)."""
+    """Integer vector over m-subset tabloids (bottom-row sets)."""
 
     __slots__ = _fields = ("n", "m", "coords")
 
-    def __init__(self, n: int, m: int, coords: tuple[tuple[TabloidKey, Fraction], ...]):
+    def __init__(self, n: int, m: int, coords: tuple[tuple[TabloidKey, int], ...]):
         set_n, set_m, set_coords = self._setters
         set_n(self, n)
         set_m(self, m)
         set_coords(self, coords)
 
     @property
-    def as_dict(self) -> dict[TabloidKey, Fraction]:
+    def as_dict(self) -> dict[TabloidKey, int]:
         return dict(self.coords)
 
     @property
@@ -52,19 +51,19 @@ class TabloidVector(Record, frozen=True):
             raise SizeMismatch("tabloid shapes differ")
         out = self.as_dict
         for key, c in other.coords:
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return tabloid_vector(self.n, self.m, out)
 
     def __sub__(self, other: "TabloidVector") -> "TabloidVector":
         return self + other.scale(-1)
 
     def scale(self, c) -> "TabloidVector":
-        return tabloid_vector(self.n, self.m, {k: Fraction(c) * v for k, v in self.coords})
+        return tabloid_vector(self.n, self.m, {k: c * v for k, v in self.coords})
 
-    def to_row(self) -> list[Fraction]:
+    def to_row(self) -> list[int]:
         """Dense coordinates over all m-subsets of 1..n, sorted."""
         lookup = self.as_dict
-        return [lookup.get(key, Fraction(0)) for key in tabloid_keys(self.n, self.m)]
+        return [lookup.get(key, 0) for key in tabloid_keys(self.n, self.m)]
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -82,7 +81,6 @@ def tabloid_vector(n: int, m: int, coords: dict) -> TabloidVector:
         key = frozenset(key)
         if len(key) != m:
             raise SizeMismatch(f"key {sorted(key)} is not an {m}-subset")
-        c = Fraction(c)
         if c != 0:
             clean[key] = c
     ordered = tuple(sorted(clean.items(), key=lambda t: sorted(t[0])))
@@ -154,10 +152,11 @@ def matching_vector(M: DottedMatching) -> TabloidVector:
 def zeta(x: HomClass) -> TabloidVector:
     """Linear extension of the matching-vector map to formal sums."""
     m = x.grading
-    out = tabloid_vector(x.n, m, {})
+    out: dict[TabloidKey, int] = {}
     for M, c in x.terms:
-        out = out + matching_vector(M).scale(c)
-    return out
+        for key, v in matching_terms(M).items():
+            out[key] = out.get(key, 0) + c * v
+    return tabloid_vector(x.n, m, out)
 
 
 def f_embed(v: TabloidVector, pad: int) -> TabloidVector:
@@ -173,11 +172,6 @@ def shifted_permutation(sigma: Permutation, pad: int) -> Permutation:
     """The permutation fixing 1..pad and acting as sigma beyond it."""
     images = list(range(1, pad + 1)) + [sigma(i) + pad for i in range(1, sigma.n + 1)]
     return Permutation(tuple(images))
-
-
-def completion_vector(M: DottedMatching) -> TabloidVector:
-    """Matching vector of the completion, dots carried along."""
-    return matching_vector(complete_dotted(M))
 
 
 class ModuleComparison(Record):

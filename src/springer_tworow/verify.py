@@ -3,6 +3,10 @@
 Each check raises AssertionError (with context) on failure; run_all
 collects results.  Depth caps below are the exhaustive bounds at which
 each property is asserted; the CLI's -nmax lowers them uniformly.
+
+The unit tests and acceptance criteria call these checks, each at its
+own depth and seed, instead of restating them, so every invariant is
+written only here.
 """
 from __future__ import annotations
 

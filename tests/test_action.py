@@ -2,33 +2,22 @@ import random
 
 import pytest
 
-from springer_tworow import errors
+from springer_tworow import errors, verify
 from springer_tworow.action import (
     CASE_LABELS,
     act,
-    act_via_gamma,
     act_word,
     character_table_check,
     classify_case,
     derive_chart,
     line_diagram_expand,
+    line_diagram_terms,
     rep_matrix,
 )
-from springer_tworow.homology import HomClass, hom_class, reduce_class
-from springer_tworow.matchings import (
-    complete_dotted,
-    parse_matching,
-    standard_dotted_matchings,
-)
-from springer_tworow.permutations import (
-    adjacent,
-    from_word,
-    identity,
-    parse_permutation,
-    partitions,
-    class_representative,
-)
-from springer_tworow.tabloids import irr_character
+from springer_tworow.homology import HomClass, hom_class
+from springer_tworow.matchings import all_dotted_matchings, parse_matching
+from springer_tworow.permutations import adjacent, identity, parse_permutation
+from springer_tworow.tabloids import tabloid_vector
 
 pm = parse_matching
 
@@ -74,37 +63,28 @@ def test_s1_matrix_422():
 
 
 def test_action_is_graded_and_respects_words():
-    rng = random.Random(5)
-    for n in range(2, 6):
-        for k in range(0, n // 2 + 1):
-            for m in range(k + 1):
-                basis = standard_dotted_matchings(n, k, m)
-                for _ in range(4):
-                    w1 = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 4))]
-                    w2 = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 4))]
-                    x = HomClass.of(rng.choice(basis))
-                    lhs = act(from_word(w1, n) * from_word(w2, n), x)
-                    rhs = act(from_word(w1, n), act(from_word(w2, n), x))
-                    assert lhs == rhs
-                    assert lhs.is_zero or lhs.grading == m
+    verify.check_action_graded_and_group(5, random.Random(5))
 
 
 def test_line_diagram_expansion():
-    terms = dict(line_diagram_expand(pm("2: u1-2")).terms)
+    terms = line_diagram_expand(pm("2: u1-2")).as_dict
     assert terms == {frozenset({1}): -1, frozenset({2}): 1}
-    terms3 = dict(line_diagram_expand(pm("3: r1 u2-3")).terms)
+    terms3 = line_diagram_expand(pm("3: r1 u2-3")).as_dict
     assert terms3 == {frozenset({2}): 1, frozenset({3}): -1}
-    point = dict(line_diagram_expand(pm("3: r1 d2-3")).terms)
+    point = line_diagram_expand(pm("3: r1 d2-3")).as_dict
     assert point == {frozenset(): 1}
 
 
-def test_gamma_route_agrees():
-    for n in range(2, 6):
+def test_line_diagram_expand_is_the_tabloid_vector_of_its_terms():
+    for n in range(1, 7):
         for k in range(0, n // 2 + 1):
-            for M in standard_dotted_matchings(n, k):
-                for i in range(1, n):
-                    sigma = adjacent(n, i)
-                    assert act_via_gamma(sigma, M) == act(sigma, HomClass.of(M))
+            for M in all_dotted_matchings(n, k):
+                want = tabloid_vector(M.n, M.m, line_diagram_terms(M))
+                assert line_diagram_expand(M) == want, M
+
+
+def test_gamma_route_agrees():
+    verify.check_gamma_agreement(5, random.Random(0))
 
 
 def test_classify_cases():
@@ -120,11 +100,11 @@ def test_classify_cases():
 
 
 def test_chart_anchors():
+    verify.check_chart_anchors(5, random.Random(0))
     seen = set()
     for n in range(2, 6):
         for k in range(0, n // 2 + 1):
             chart = derive_chart(n, k)
-            assert chart.ok, chart.anchor_failures
             seen |= chart.cases_present()
             for row in chart.rows:
                 if row.case in (1, 5, 6):
@@ -146,52 +126,16 @@ def test_character_table_422():
 
 
 def test_character_tables_up_to_6():
-    for n in range(2, 7):
-        for k in range(0, n // 2 + 1):
-            report = character_table_check(n, k)
-            assert report.ok, report.failures
+    verify.check_characters(6, random.Random(0))
 
 
 def test_traces_match_for_all_classes():
-    for n in range(2, 7):
-        for k in range(0, n // 2 + 1):
-            for m in range(k + 1):
-                for mu in partitions(n):
-                    sigma = class_representative(mu, n)
-                    mat = rep_matrix(sigma, n, k, m)
-                    assert sum(mat[i][i] for i in range(len(mat))) == irr_character(
-                        (n - m, m), mu
-                    )
+    verify.check_characters(6, random.Random(0))
 
 
 def test_eta_image_stability():
     # adjacent transpositions fixing the pad stabilize the completion span
-    from springer_tworow.linalg import in_row_space
-
-    for n in range(2, 6):
-        for k in range(0, n // 2 + 1):
-            pad = n - 2 * k
-            if pad == 0:
-                continue
-            n2, k2 = 2 * (n - k), n - k
-            for m in range(k + 1):
-                images = [
-                    reduce_class(HomClass.of(complete_dotted(M)))
-                    for M in standard_dotted_matchings(n, k, m)
-                ]
-                basis = standard_dotted_matchings(n2, k2, m)
-                index = {M: i for i, M in enumerate(basis)}
-
-                def row(x):
-                    out = [0] * len(basis)
-                    for M, c in x.terms:
-                        out[index[M]] = c
-                    return out
-
-                span = [row(x) for x in images]
-                for x in images:
-                    for i in range(pad + 1, n2):
-                        assert in_row_space(row(act(adjacent(n2, i), x)), span)
+    verify.check_image_stability(5, random.Random(0))
 
 
 def test_act_size_mismatch():

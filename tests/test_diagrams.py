@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from springer_tworow import errors
+from springer_tworow import errors, verify
 from springer_tworow.diagrams import (
     arrow_graph,
     arrow_successors,
@@ -13,7 +14,6 @@ from springer_tworow.diagrams import (
     linear_order,
     meet,
     minimal_sequence,
-    reachable,
 )
 from springer_tworow.matchings import enumerate_matchings, parse_matching
 
@@ -119,13 +119,7 @@ def test_distance_examples():
 
 
 def test_distance_formula_exhaustive():
-    for n in range(1, 9):
-        for k in range(0, n // 2 + 1):
-            ms = enumerate_matchings(n, k)
-            for a in ms:
-                for b in ms:
-                    if compatible(a, b):
-                        assert distance(a, b) == n - k - len(glue(a, b))
+    verify.check_distance_formula(8, random.Random(0))
 
 
 def test_minimal_sequence_examples():
@@ -165,27 +159,15 @@ def test_minimal_sequences_split_components():
 
 
 def test_component_count_bound():
+    verify.check_component_steps(7, random.Random(0))
     for n in range(2, 8):
         for k in range(0, n // 2 + 1):
-            ms = enumerate_matchings(n, k)
-            for a in ms:
-                for b in ms:
-                    assert len(glue(a, b)) <= n - k
+            for a in enumerate_matchings(n, k):
                 assert len(glue(a, a)) == n - k
 
 
 def test_ray_pairing():
-    for n in range(2, 9):
-        for k in range(0, n // 2 + 1):
-            ms = enumerate_matchings(n, k)
-            for a in ms:
-                for b in ms:
-                    if not compatible(a, b):
-                        continue
-                    g = glue(a, b)
-                    for ra, rb in zip(a.rays, b.rays):
-                        comp = next(c for c in g.lines if ra in c.vertices)
-                        assert rb in comp.vertices
+    verify.check_ray_pairing(8, random.Random(0))
 
 
 def test_meet_examples():
@@ -196,40 +178,11 @@ def test_meet_examples():
 
 
 def test_meet_properties():
-    for n in range(2, 8):
-        for k in range(0, n // 2 + 1):
-            ms = enumerate_matchings(n, k)
-            for a in ms:
-                for b in ms:
-                    if not compatible(a, b):
-                        continue
-                    c = meet(a, b)
-                    assert reachable(c, a) and reachable(c, b)
-                    assert distance(a, c) + distance(c, b) == distance(a, b)
+    verify.check_meet(7, random.Random(0))
 
 
 def test_winding_parity():
-    for n in range(2, 9):
-        for k in range(0, n // 2 + 1):
-            ms = enumerate_matchings(n, k)
-            for a in ms:
-                for b in ms:
-                    for comp in glue(a, b).circles:
-                        arcs = comp.arcs_above
-                        for (i, l) in arcs:
-                            for (j, kk) in arcs:
-                                if not (i < j and kk < l):
-                                    continue
-                                if any(
-                                    i < x < j and kk < y < l
-                                    for x, y in arcs
-                                    if (x, y) not in ((i, l), (j, kk))
-                                ):
-                                    continue
-                                between = sum(
-                                    1 for x, y in a.arcs if i < x < j and kk < y < l
-                                )
-                                assert between % 2 == 0
+    verify.check_winding_parity(8, random.Random(0))
 
 
 def test_arrow_graph_cached_and_acyclic():

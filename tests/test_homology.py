@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from springer_tworow import errors, linalg
+from springer_tworow import errors, verify
 from springer_tworow.diagrams import linear_order
 from springer_tworow.homology import (
     HomClass,
@@ -11,17 +11,11 @@ from springer_tworow.homology import (
     hom_class,
     presentation_betti,
     pushforward_inclusion,
-    reduce_by_rewriting,
     reduce_class,
     reduce_class_ordered,
     relation_instances,
 )
-from springer_tworow.matchings import (
-    all_dotted_matchings,
-    count_matchings,
-    parse_matching,
-    standard_dotted_matchings,
-)
+from springer_tworow.matchings import all_dotted_matchings, parse_matching
 
 pm = parse_matching
 
@@ -47,10 +41,7 @@ def test_relation_instances_examples():
 
 
 def test_relations_are_homogeneous():
-    for n in range(2, 8):
-        for k in range(0, n // 2 + 1):
-            for rel in relation_instances(n, k):
-                rel.grading
+    verify.check_relation_homogeneity(7, random.Random(0))
 
 
 def test_reduce_examples():
@@ -63,22 +54,11 @@ def test_reduce_examples():
 
 
 def test_reduce_routes_agree():
-    rng = random.Random(11)
-    for n in range(2, 8):
-        for k in range(0, n // 2 + 1):
-            for M in all_dotted_matchings(n, k):
-                x = HomClass.of(M)
-                linear = reduce_class(x)
-                assert all(N.is_standard for N, _ in linear.terms)
-                assert reduce_by_rewriting(x) == linear
-                assert reduce_by_rewriting(x, random.Random(rng.random())) == linear
+    verify.check_reduce_agreement(7, random.Random(11))
 
 
 def test_reduce_kills_relations():
-    for n in range(2, 8):
-        for k in range(0, n // 2 + 1):
-            for rel in relation_instances(n, k):
-                assert reduce_class(rel).is_zero
+    verify.check_relations_die(7, random.Random(0))
 
 
 def test_betti_examples():
@@ -97,12 +77,8 @@ def test_betti_refuses_impossible_types():
 
 
 def test_betti_both_ways_up_to_8():
-    for n in range(1, 9):
-        for k in range(0, n // 2 + 1):
-            expected = [count_matchings(n, m) for m in range(k + 1)]
-            assert [len(standard_dotted_matchings(n, k, m)) for m in range(k + 1)] == expected
-            assert betti(n, k) == expected
-            assert presentation_betti(n, k) == expected
+    verify.check_tableau_bijection(8, random.Random(0))
+    verify.check_betti_both_ways(8, random.Random(0))
 
 
 def test_pushforward_examples():
@@ -119,29 +95,14 @@ def test_pushforward_examples():
 
 
 def test_relation_span_equals_boundary_image():
-    for n in range(2, 8):
-        for k in range(0, n // 2 + 1):
-            for m in range(k + 1):
-                from springer_tworow.homology import psi_minus_rows
-
-                columns, rows = psi_minus_rows(n, k, m)
-                index = {M: i for i, M in enumerate(columns)}
-                rel_rows = []
-                for rel in relation_instances(n, k, m):
-                    row = [0] * len(columns)
-                    for M, c in rel.terms:
-                        row[index[M]] = c
-                    rel_rows.append(row)
-                assert linalg.row_space_equal(rows, rel_rows)
+    verify.check_relation_span_matches_boundary(7, random.Random(0))
 
 
 def test_presentation_order_independent():
+    verify.check_order_independence(7, random.Random(0))
     for n in range(2, 8):
         for k in range(0, n // 2 + 1):
-            baseline = presentation_betti(n, k)
-            for variant in (0, 1, 2):
-                order = linear_order(n, k, variant)
-                assert presentation_betti(n, k, order) == baseline
+            assert presentation_betti(n, k, linear_order(n, k)) == presentation_betti(n, k)
 
 
 def test_ordered_reduce_matches():

@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from springer_tworow import errors
+from springer_tworow import errors, verify
 from springer_tworow.matchings import (
     DottedMatching,
     StandardTableau,
@@ -16,7 +17,6 @@ from springer_tworow.matchings import (
     matching_of,
     parse_matching,
     restrict,
-    standard_dotted_matchings,
     standard_layout,
     tableau_of,
     validate,
@@ -97,10 +97,7 @@ def test_enumerate_counts_cross_checked(n):
 
 
 def test_arcs_join_opposite_parities():
-    for n in range(1, 11):
-        for k in range(0, n // 2 + 1):
-            for a in enumerate_matchings(n, k):
-                assert all((i + j) % 2 == 1 for i, j in a.arcs)
+    verify.check_arc_parity(10, random.Random(0))
 
 
 def test_complete_worked_example():
@@ -127,18 +124,7 @@ def test_restrict_errors():
 
 
 def test_completion_bijective_up_to_8():
-    for n in range(1, 9):
-        for k in range(0, n // 2 + 1):
-            pad = n - 2 * k
-            images = set()
-            for a in enumerate_matchings(n, k):
-                c = complete(a)
-                assert c not in images
-                images.add(c)
-                assert restrict(c, pad) == a
-            for b in enumerate_matchings(2 * (n - k), n - k):
-                if all(arc[1] > pad for arc in b.arcs):
-                    assert complete(restrict(b, pad)) == b
+    verify.check_completion_restriction(8, random.Random(0))
 
 
 TYPE43 = "7: r1 u2-3 d4-7 u5-6"
@@ -167,13 +153,7 @@ def test_matching_of_examples():
 
 
 def test_bijection_exhaustive():
-    for n in range(1, 10):
-        for k in range(0, n // 2 + 1):
-            for m in range(k + 1):
-                standards = standard_dotted_matchings(n, k, m)
-                assert len(standards) == count_matchings(n, m)
-                for M in standards:
-                    assert matching_of(tableau_of(M), k) == M
+    verify.check_tableau_bijection(9, random.Random(0))
 
 
 def test_standard_layout_examples():
@@ -187,11 +167,7 @@ def test_standard_layout_examples():
 
 
 def test_standard_layout_matches_bijection():
-    for n in range(1, 9):
-        for k in range(0, n // 2 + 1):
-            for M in standard_dotted_matchings(n, k):
-                built = standard_layout(M.undotted, n, k)
-                assert built == M and built.is_standard
+    verify.check_standard_layout(8, random.Random(0))
 
 
 def test_codec_examples():
@@ -208,10 +184,9 @@ def test_codec_examples():
 
 
 def test_codec_roundtrip_exhaustive():
-    for n in range(0, 8):
-        for k in range(0, n // 2 + 1):
-            for M in all_dotted_matchings(n, k):
-                assert parse_matching(format_matching(M)) == M
+    verify.check_codec_roundtrip(7, random.Random(0))
+    (M,) = all_dotted_matchings(0, 0)
+    assert parse_matching(format_matching(M)) == M
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())

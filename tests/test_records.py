@@ -12,7 +12,6 @@ import operator
 import pickle
 import random
 from dataclasses import make_dataclass
-from fractions import Fraction
 
 import pytest
 
@@ -30,7 +29,6 @@ FLAGS = {
     ("matchings", "StandardTableau"): (True, True),
     ("permutations", "Permutation"): (True, True),
     ("skein", "ResolutionConvention"): (True, True),
-    ("action", "LineDiagramClass"): (True, False),
     ("cells", "ArcForest"): (True, False),
     ("diagrams", "Component"): (True, False),
     ("diagrams", "GluedOneManifold"): (True, False),
@@ -63,8 +61,6 @@ POOLS = {
     "ResolutionConvention": {"identity_coeff": (1, -1), "closure_coeff": (-2, 0),
                              "closure_dots": ("none", "upperArc"), "merge_coeff": (-1, 2),
                              "merge_dots": ("none", "both")},
-    "LineDiagramClass": {"n": (2, 3), "terms": ((), ((frozenset({1}), 1),),
-                                                ((frozenset({1}), -1),))},
     "ArcForest": {"matching": (M1, M2), "edges": ((), (((1, 4), (2, 3)),)), "roots": ARCS},
     "Component": {"kind": ("circle", "line"), "vertices": (frozenset({1, 2}), frozenset({3})),
                   "ends": ((), ((3, "up"),)), "arcs_above": ARCS, "arcs_below": ARCS},
@@ -80,7 +76,7 @@ POOLS = {
     "SignedPartitionSubspace": {"n": (2,), "assignment": (((1, 1), (1, -1)), ((1, 1), (2, 1))),
                                 "pins": ((), ((1, 1),)), "empty": (False, True)},
     "TabloidVector": {"n": (3,), "m": (1,),
-                      "coords": ((), ((frozenset({1}), Fraction(1, 2)),))},
+                      "coords": ((), ((frozenset({1}), -2),))},
     "ChartRow": {"case": (1, 2), "matching": (D1, D2), "position": (1,), "output": TERMS},
     "Chart": {"n": (2,), "k": (1,), "rows": ([], [1]), "anchor_failures": ([], ["x"])},
     "CharacterReport": {"n": (4,), "k": (2,), "rows": ([], [(1, (1, 1), 2, 2)]),

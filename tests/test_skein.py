@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from springer_tworow import errors
+from springer_tworow import errors, verify
 from springer_tworow.action import act, act_word
 from springer_tworow.homology import HomClass, hom_class, reduce_class
 from springer_tworow.matchings import (
@@ -93,22 +93,11 @@ def test_calibrate_underconstrained_at_2():
 
 
 def test_agreement_all_generators_up_to_5():
-    for n in range(2, 6):
-        for k in range(0, n // 2 + 1):
-            for M in standard_dotted_matchings(n, k):
-                for i in range(1, n):
-                    assert skein_matches_action([i], M, CONV), (M, i)
+    verify.check_skein_agreement(5, random.Random(0))
 
 
 def test_agreement_random_words():
-    rng = random.Random(99)
-    for n in range(2, 5):
-        for k in range(0, n // 2 + 1):
-            basis = standard_dotted_matchings(n, k)
-            for _ in range(100):
-                word = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))]
-                M = rng.choice(basis)
-                assert skein_matches_action(word, M, CONV), (word, M)
+    verify.check_skein_random_words(4, random.Random(99))
 
 
 def test_word_invariance():
@@ -195,7 +184,7 @@ def test_fold_matches_full_expansion_for_every_convention():
 
 
 def test_calibrate_at_depth_4():
-    assert calibrate(4) == CONV
+    verify.check_skein_calibration(4, random.Random(0))
 
 
 def _expanded_agrees_at_2(convention):

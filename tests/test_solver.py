@@ -47,7 +47,7 @@ def random_sigma(n, k, m):
 
 
 def gamma_row(M, sigma):
-    moved = {sigma.apply_to_set(key): v for key, v in line_diagram_expand(M).terms}
+    moved = {sigma.apply_to_set(key): v for key, v in line_diagram_expand(M).coords}
     return [moved.get(key, 0) for key in tabloid_keys(M.n, M.m)]
 
 
@@ -72,7 +72,7 @@ def test_act_via_gamma_matches_dense_reference(n):
     for k, m in shapes(n):
         sigma = random_sigma(n, k, m)
         basis = standard_dotted_matchings(n, k, m)
-        a_cols = [line_diagram_expand(M).to_row(m) for M in basis]
+        a_cols = [line_diagram_expand(M).to_row() for M in basis]
         x = reference_solve(a_cols, [gamma_row(M, sigma) for M in basis])
         assert x is not None, (n, k, m)
         for M, coords in zip(basis, x):

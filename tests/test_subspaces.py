@@ -1,7 +1,8 @@
+import random
+
 import pytest
 
-from springer_tworow import errors
-from springer_tworow.diagrams import compatible, distance, glue
+from springer_tworow import errors, verify
 from springer_tworow.matchings import enumerate_matchings, parse_matching
 from springer_tworow.subspaces import from_constraints, full_space, subspace_of
 
@@ -46,17 +47,7 @@ def test_intersection_idempotent_and_dimension():
 
 
 def test_fung_criterion_and_circle_count():
-    for n in range(1, 9):
-        for k in range(0, n // 2 + 1):
-            ms = enumerate_matchings(n, k)
-            spaces = {a: subspace_of(a) for a in ms}
-            for a in ms:
-                for b in ms:
-                    inter = spaces[a].intersect(spaces[b])
-                    if compatible(a, b):
-                        assert inter.free_class_count == len(glue(a, b).circles)
-                    else:
-                        assert inter.empty
+    verify.check_fung_and_circles(8, random.Random(0))
 
 
 def test_contains():
@@ -78,21 +69,11 @@ def test_sign_conflict_collapses():
 
 
 def test_gamma_is_primed_involution():
-    for n in range(1, 7):
-        for k in range(0, n // 2 + 1):
-            for a in enumerate_matchings(n, k):
-                S = subspace_of(a)
-                assert S.apply_gamma() == subspace_of(a, "primed")
-                assert S.apply_gamma().apply_gamma() == S
+    verify.check_pointmaps(6, random.Random(0))
 
 
 def test_commuting_square():
-    for n in range(1, 7):
-        for k in range(0, n // 2 + 1):
-            target = 2 * (n - k)
-            for a in enumerate_matchings(n, k):
-                S = subspace_of(a)
-                assert S.apply_eta(target).apply_gamma() == S.apply_gamma().apply_iota(target)
+    verify.check_pointmaps(6, random.Random(0))
 
 
 def test_eta_lands_in_completion_component():
@@ -135,16 +116,4 @@ def test_intersection_algebra_random():
 
 
 def test_triple_intersection_lemma():
-    for n in range(2, 8):
-        for k in range(0, n // 2 + 1):
-            ms = enumerate_matchings(n, k)
-            spaces = {a: subspace_of(a) for a in ms}
-            for a in ms:
-                for b in ms:
-                    if not compatible(a, b):
-                        continue
-                    dab = distance(a, b)
-                    for c in ms:
-                        if distance(a, c) == dab + distance(b, c):
-                            lhs = spaces[a].intersect(spaces[c])
-                            assert lhs == lhs.intersect(spaces[b])
+    verify.check_intersect_triple(7, random.Random(0))

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from springer_tworow import errors, linalg
-from springer_tworow.homology import HomClass, reduce_class, relation_instances
+from springer_tworow import errors, linalg, verify
+from springer_tworow.action import line_diagram_expand
+from springer_tworow.homology import HomClass, hom_class
 from springer_tworow.matchings import (
     StandardTableau,
     all_dotted_matchings,
@@ -87,18 +88,11 @@ def test_matching_vector_ignores_dots_and_rays():
 
 
 def test_zeta_kills_all_relations():
-    for n in range(2, 8):
-        for k in range(0, n // 2 + 1):
-            for rel in relation_instances(n, k):
-                assert zeta(rel).is_zero
+    verify.check_zeta_kills_relations(7, random.Random(0))
 
 
 def test_zeta_factors_through_reduction():
-    for n in range(2, 8):
-        for k in range(0, n // 2 + 1):
-            for M in all_dotted_matchings(n, k):
-                x = HomClass.of(M)
-                assert zeta(x) == zeta(reduce_class(x))
+    verify.check_zeta_reduce_compatible(7, random.Random(0))
 
 
 def test_zeta_sign_representation():
@@ -138,16 +132,30 @@ def test_f_embed_intertwines():
                 )
 
 
-def test_spanning_sets_and_module_equality():
-    for n in range(1, 8):
+def test_package_vectors_have_int_coordinates():
+    def integral(v):
+        return all(type(c) is int for c in v.as_dict.values())
+
+    for n in range(1, 7):
+        sigma = Permutation(tuple(random.Random(n).sample(range(1, n + 1), n)))
         for k in range(0, n // 2 + 1):
+            pad = n - 2 * k
             for m in range(k + 1):
-                standards = standard_dotted_matchings(n, k, m)
-                t_rows = [polytabloid(tableau_of(M)).to_row() for M in standards]
-                m_rows = [matching_vector(M).to_row() for M in standards]
-                assert linalg.rank(t_rows) == len(standards) == count_matchings(n, m)
-                assert linalg.rank(m_rows) == len(standards)
-                assert modules_equal(n, m, k).equal
+                ms = all_dotted_matchings(n, k, m)
+                x = hom_class(n, k, {M: j - 2 for j, M in enumerate(ms)})
+                assert integral(zeta(x)), (n, k, m)
+                for M in ms:
+                    v = matching_vector(M)
+                    assert integral(v) and integral(line_diagram_expand(M)), M
+                    assert integral(permute(sigma, v)) and integral(f_embed(v, pad)), M
+                for M in standard_dotted_matchings(n, k, m):
+                    assert integral(polytabloid(tableau_of(M))), M
+
+
+def test_spanning_sets_and_module_equality():
+    verify.check_tableau_bijection(7, random.Random(0))
+    verify.check_spanning_sets_independent(7, random.Random(0))
+    verify.check_modules_equal(7, random.Random(0))
 
 
 def test_modules_equal_examples():
