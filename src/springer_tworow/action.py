@@ -8,6 +8,15 @@ minus-free-at-the-odd-end plus-free-at-the-even-end), permute coordinates
 there, and solve back.  The two must agree; characters and the Coxeter
 presentation pin the representation exactly.
 
+The two expansions differ by a global sign only: for a dotted matching M
+of grading m on n points, ``line_diagram_terms(M)`` is (-1)^(m*(n mod 2))
+times ``matching_terms(M)``, because the orientations of an undotted arc
+agree exactly when n is even (tested for every dotted matching with
+n <= 10).  The sign is the same on every column and on the target, so
+``act_via_gamma`` is the solve of ``act`` and the
+``action.gamma-agreement`` check certifies the orientation convention,
+not an independent route.
+
 Both routes share one cached solver factory, ``_solver(expand, n, k, m)``,
 keyed by the integer expansion map (``matching_terms`` or
 ``line_diagram_terms``).  It expands each standard basis element once and

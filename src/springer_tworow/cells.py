@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .diagrams import is_arrow
+from .diagrams import arrow_move
 from .errors import NotAnArrowPair
 from .matchings import Arc, DottedMatching, Matching
 from .records import Record
@@ -99,18 +99,6 @@ def dotted_matching_of_cell(a: Matching, free: frozenset[Arc]) -> DottedMatching
     return DottedMatching(a, tuple(sorted(set(a.arcs) - free)))
 
 
-def _classify_move(b: Matching, a: Matching):
-    """For b -> a, return ("quad", i, j, k, l) or ("triple", i, j, k)."""
-    if not is_arrow(b, a):
-        raise NotAnArrowPair(f"{b} -> {a} is not an arrow move")
-    if set(b.rays) == set(a.rays):
-        (i, j), (k, l) = sorted(set(b.arcs) - set(a.arcs))
-        return ("quad", i, j, k, l)
-    (j, k), = set(b.arcs) - set(a.arcs)
-    (i,) = set(b.rays) - set(a.rays)
-    return ("triple", i, j, k)
-
-
 def subcomplex_cells(a: Matching, b: Matching) -> list[tuple[frozenset[ForestElement], int]]:
     """The forest cells of a whose union is the intersection with b's space.
 
@@ -118,14 +106,15 @@ def subcomplex_cells(a: Matching, b: Matching) -> list[tuple[frozenset[ForestEle
     edge between the two rearranged arcs, or the root created next to the
     shifted ray); the subcomplex consists of the cells containing it.
     """
-    move = _classify_move(b, a)
-    forest = arc_forest(a)
-    if move[0] == "quad":
-        _, i, j, k, l = move
+    move = arrow_move(b, a)
+    if move is None:
+        raise NotAnArrowPair(f"{b} -> {a} is not an arrow move")
+    if len(move) == 4:
+        i, j, k, l = move
         designated = ("edge", (i, l), (j, k))
     else:
-        _, i, j, k = move
+        i, j, _ = move
         designated = ("root", (i, j))
-    if designated not in forest.elements:
+    if designated not in arc_forest(a).elements:
         raise NotAnArrowPair(f"move {move} does not match the forest of {a}")
     return [(J, dim) for J, dim in forest_cells(a) if designated in J]

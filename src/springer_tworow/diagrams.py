@@ -152,26 +152,33 @@ def arrow_successors(a: Matching) -> tuple[Matching, ...]:
     return tuple(sorted(set(out), key=lambda m: (m.arcs, m.rays)))
 
 
+def arrow_move(a: Matching, b: Matching) -> tuple[int, ...] | None:
+    """The vertices of the arrow move a -> b; None if a -> b is not one.
+
+    (i, j, k, l) when the unnested arcs (i, j), (k, l) of a become the
+    nested (i, l), (j, k) of b; (r, j, k) when the ray r and arc (j, k) of
+    a become the arc (r, j) and ray k of b.
+    """
+    if a.n != b.n or a.k != b.k:
+        return None
+    arcs_a, arcs_b = set(a.arcs), set(b.arcs)
+    lost, gained = arcs_a - arcs_b, arcs_b - arcs_a
+    rays_a, rays_b = set(a.rays), set(b.rays)
+    if rays_a == rays_b:
+        if len(lost) != 2 or len(gained) != 2:
+            return None
+        (i, j), (k, l) = sorted(lost)
+        return (i, j, k, l) if j < k and gained == {(i, l), (j, k)} else None
+    ray_lost, ray_gained = rays_a - rays_b, rays_b - rays_a
+    if len(lost) == len(gained) == len(ray_lost) == len(ray_gained) == 1:
+        ((j, k),), (r,) = lost, ray_lost
+        return (r, j, k) if r < j and gained == {(r, j)} and ray_gained == {k} else None
+    return None
+
+
 def is_arrow(a: Matching, b: Matching) -> bool:
     """True iff a -> b is a single arrow move."""
-    if a.n != b.n or a.k != b.k or a == b:
-        return False
-    diff_a = set(a.arcs) - set(b.arcs)
-    diff_b = set(b.arcs) - set(a.arcs)
-    if set(a.rays) == set(b.rays):
-        if len(diff_a) != 2 or len(diff_b) != 2:
-            return False
-        (i, j), (p, q) = sorted(diff_a)
-        return j < p and diff_b == {(i, q), (j, p)}
-    ray_a = set(a.rays) - set(b.rays)
-    ray_b = set(b.rays) - set(a.rays)
-    if len(diff_a) == len(diff_b) == 1 and len(ray_a) == len(ray_b) == 1:
-        (j, kk), = diff_a
-        (i2, j2), = diff_b
-        (r,) = ray_a
-        (s,) = ray_b
-        return r < j and (i2, j2) == (r, j) and s == kk
-    return False
+    return arrow_move(a, b) is not None
 
 
 class ArrowGraph(Record, frozen=True):
@@ -230,24 +237,37 @@ def linear_order(n: int, k: int, variant: int = 0) -> tuple[Matching, ...]:
     return tuple(out)
 
 
+def _bfs_path(a: Matching, b: Matching, step) -> list[Matching] | None:
+    """A shortest path [a, ..., b] along the neighbour function step; None if none."""
+    prev = {a: a}
+    frontier = deque([a])
+    while frontier and b not in prev:
+        x = frontier.popleft()
+        for y in step(x):
+            if y not in prev:
+                prev[y] = x
+                frontier.append(y)
+    if b not in prev:
+        return None
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
 def reachable(a: Matching, b: Matching) -> bool:
     """True iff a == b or there is an arrow chain a -> ... -> b (a ⪯ b)."""
     _require_same_type(a, b)
-    graph = arrow_graph(a.n, a.k)
-    frontier = deque([a])
-    seen = {a}
-    while frontier:
-        x = frontier.popleft()
-        if x == b:
-            return True
-        for y in graph.successors[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return False
+    return _bfs_path(a, b, arrow_graph(a.n, a.k).successors.__getitem__) is not None
 
 
 # --- distance ----------------------------------------------------------------
+
+def _undirected(n: int, k: int):
+    """The neighbour function of the arrow graph of type (n, k), both directions."""
+    graph = arrow_graph(n, k)
+    return lambda x: graph.successors[x] + graph.predecessors[x]
+
 
 def distance(a: Matching, b: Matching) -> int | float:
     """BFS distance in the undirected arrow graph; math.inf if disconnected.
@@ -256,7 +276,8 @@ def distance(a: Matching, b: Matching) -> int | float:
     count formula n - k - |overlay|.
     """
     _require_same_type(a, b)
-    d = _bfs_distance(a, b)
+    path = _bfs_path(a, b, _undirected(a.n, a.k))
+    d = math.inf if path is None else len(path) - 1
     if compatible(a, b):
         formula = a.n - a.k - len(glue(a, b))
         if d != formula:
@@ -264,43 +285,6 @@ def distance(a: Matching, b: Matching) -> int | float:
                 f"BFS distance {d} != component formula {formula} for {a}, {b}"
             )
     return d
-
-
-def _bfs_distance(a: Matching, b: Matching) -> int | float:
-    if a == b:
-        return 0
-    graph = arrow_graph(a.n, a.k)
-    dist = {a: 0}
-    frontier = deque([a])
-    while frontier:
-        x = frontier.popleft()
-        for y in graph.successors[x] + graph.predecessors[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == b:
-                    return dist[y]
-                frontier.append(y)
-    return math.inf
-
-
-def _bfs_path(a: Matching, b: Matching) -> list[Matching]:
-    graph = arrow_graph(a.n, a.k)
-    prev: dict[Matching, Matching] = {}
-    dist = {a: 0}
-    frontier = deque([a])
-    while frontier and b not in dist:
-        x = frontier.popleft()
-        for y in graph.successors[x] + graph.predecessors[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                prev[y] = x
-                frontier.append(y)
-    if b not in dist:
-        raise NotFound(f"{a} and {b} are in different components")
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return list(reversed(path))
 
 
 # --- minimal sequences ---------------------------------------------------------
@@ -367,7 +351,9 @@ def minimal_sequence(a: Matching, b: Matching) -> MoveSequence:
     if a == b:
         return MoveSequence((a,), (), True)
     if not compatible(a, b):
-        path = _bfs_path(a, b)
+        path = _bfs_path(a, b, _undirected(a.n, a.k))
+        if path is None:
+            raise NotFound(f"{a} and {b} are in different components")
         tags = tuple(_tag(x, y) for x, y in zip(path, path[1:]))
         return MoveSequence(tuple(path), tags, False)
     pad = a.n - 2 * a.k

@@ -24,7 +24,7 @@ import random
 from functools import lru_cache
 
 from . import linalg
-from .diagrams import GluedOneManifold, arrow_graph, glue, is_arrow
+from .diagrams import GluedOneManifold, arrow_graph, arrow_move, glue, is_arrow
 from .errors import InhomogeneousClass, InternalCheckError, NotAnArrowPair
 from .matchings import (
     Arc,
@@ -128,9 +128,10 @@ def relation_instances(n: int, k: int, m: int | None = None,
     graph = arrow_graph(n, k)
     for a in (order if order is not None else graph.nodes):
         for b in graph.successors[a]:
+            move = arrow_move(a, b)
             shared = tuple(sorted(set(a.arcs) & set(b.arcs)))
-            if set(a.rays) == set(b.rays):
-                (i, j), (kk, l) = sorted(set(a.arcs) - set(b.arcs))
+            if len(move) == 4:
+                i, j, kk, l = move
                 nested_out, nested_in = (i, l), (j, kk)
                 for r in range(len(shared) + 1):
                     for D in itertools.combinations(shared, r):
@@ -149,8 +150,7 @@ def relation_instances(n: int, k: int, m: int | None = None,
                                 _dotted(b, dots | {nested_out, nested_in}): -1,
                             }))
             else:
-                (j, kk), = set(a.arcs) - set(b.arcs)
-                (i2, j2), = set(b.arcs) - set(a.arcs)
+                ray, j, kk = move
                 for r in range(len(shared) + 1):
                     for D in itertools.combinations(shared, r):
                         if m is not None and m != len(shared) - len(D):
@@ -158,7 +158,7 @@ def relation_instances(n: int, k: int, m: int | None = None,
                         dots = set(D)
                         out.append(hom_class(n, k, {
                             _dotted(a, dots | {(j, kk)}): 1,
-                            _dotted(b, dots | {(i2, j2)}): -1,
+                            _dotted(b, dots | {(ray, j)}): -1,
                         }))
     return out
 

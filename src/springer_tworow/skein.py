@@ -15,7 +15,10 @@ so equal boundary states merge in one dict, a circle closed by a layer
 becomes a scalar at once, and the number of states stays bounded by the
 number of boundary states instead of doubling with every crossing.
 :func:`expand_resolutions` lists every resolution of the whole tangle; it
-is the full-expansion reference the fold is tested against.
+is the full-expansion reference the fold is tested against.  The two
+share only the set-up (convention lookup and M's boundary state) and the
+read-off of a final boundary; the reference never relabels, merges or
+prunes states and defers every circle, so it checks the fold's merging.
 
 The decoration and coefficient of each smoothing are not dictated by the
 evaluation rules themselves, so they live in a finite convention family
@@ -109,14 +112,6 @@ def set_active_convention(c: ResolutionConvention | None) -> None:
     _active_convention = c
 
 
-class _Component(Record):
-    __slots__ = _fields = ("dots", "ray")
-
-    def __init__(self, dots: int, ray: bool):
-        self.dots = dots
-        self.ray = ray
-
-
 class ResolvedDiagram(Record, frozen=True):
     """One fully resolved term: open boundary part plus closed circles.
 
@@ -161,6 +156,33 @@ def resolve_evaluate(M: DottedMatching, tangle: FlatTangle,
 _State = tuple[tuple[int, ...], tuple[tuple[int, bool], ...]]
 
 
+def _start(M: DottedMatching, tangle: FlatTangle, convention: ResolutionConvention | None
+           ) -> tuple[ResolutionConvention, list[int], list[tuple[int, bool]]]:
+    """The convention in force and M's boundary state as (labels, comps) lists.
+
+    ``labels[v - 1]`` is the component of boundary point v and
+    ``comps[label]`` its (dots, ray); a ray carries its intrinsic dot.
+    """
+    if convention is None:
+        convention = _active_convention
+        if convention is None:
+            raise UncalibratedConvention(
+                "no active resolution convention; run calibrate() or pass one"
+            )
+    if M.n != tangle.n:
+        raise InternalCheckError(f"matching on {M.n} strands, tangle on {tangle.n}")
+    labels = [0] * M.n
+    comps: list[tuple[int, bool]] = []
+    dotted = set(M.dotted)
+    for arc in M.base.arcs:
+        labels[arc[0] - 1] = labels[arc[1] - 1] = len(comps)
+        comps.append((1 if arc in dotted else 0, False))
+    for ray in M.base.rays:
+        labels[ray - 1] = len(comps)
+        comps.append((1, True))
+    return convention, labels, comps
+
+
 def _canonical(labels: list[int], comps: list[tuple[int, bool]]) -> _State:
     """Relabel components by first occurrence; components off the boundary go."""
     relabel: dict[int, int] = {}
@@ -181,25 +203,7 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
     pruned after every layer.  The result is not reduced to the standard
     basis; it equals the sum of :func:`expand_resolutions` by boundary.
     """
-    if convention is None:
-        convention = _active_convention
-        if convention is None:
-            raise UncalibratedConvention(
-                "no active resolution convention; run calibrate() or pass one"
-            )
-    c = convention
-    if M.n != tangle.n:
-        raise InternalCheckError(f"matching on {M.n} strands, tangle on {tangle.n}")
-    n = M.n
-    labels = [0] * n
-    comps: list[tuple[int, bool]] = []
-    dotted = set(M.dotted)
-    for arc in M.base.arcs:
-        labels[arc[0] - 1] = labels[arc[1] - 1] = len(comps)
-        comps.append((1 if arc in dotted else 0, False))
-    for ray in M.base.rays:
-        labels[ray - 1] = len(comps)
-        comps.append((1, True))
+    c, labels, comps = _start(M, tangle, convention)
     states: dict[_State, int] = {_canonical(labels, comps): 1}
     cup_c, cap_c = c.dots_for(c.closure_dots)
     cup_m, cap_m = c.dots_for(c.merge_dots)
@@ -232,8 +236,7 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
     out: dict[DottedMatching, int] = {}
     validated: dict = {}
     for (labels, comps), coeff in states.items():
-        boundary = _reassemble(n, [_Component(d, r) for d, r in comps], (0, *labels),
-                               validated)
+        boundary = _reassemble(M.n, labels, comps, validated)
         if boundary in out:
             raise InternalCheckError(f"two boundary states reassemble to {boundary}")
         out[boundary] = coeff
@@ -250,107 +253,76 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
     Every closed circle is deferred as a dot count on the ResolvedDiagram,
     also a circle already worth zero: such a term is kept, and its
     ``circle_scalar()`` is 0.  This is the full-expansion reference for
-    :func:`boundary_coefficients`, which evaluates each circle at once.
+    :func:`boundary_coefficients`, which evaluates each circle at once; a
+    closed component stays in ``comps`` with no label pointing at it.
     """
-    if convention is None:
-        convention = _active_convention
-        if convention is None:
-            raise UncalibratedConvention(
-                "no active resolution convention; run calibrate() or pass one"
-            )
-    c = convention
-    if M.n != tangle.n:
-        raise InternalCheckError(f"matching on {M.n} strands, tangle on {tangle.n}")
-    n = M.n
-    comps: dict[int, _Component] = {}
-    boundary: list[int] = [0] * (n + 1)
-    next_id = 0
-    dotted = set(M.dotted)
-    for arc in M.base.arcs:
-        comps[next_id] = _Component(dots=1 if arc in dotted else 0, ray=False)
-        boundary[arc[0]] = boundary[arc[1]] = next_id
-        next_id += 1
-    for ray in M.base.rays:
-        comps[next_id] = _Component(dots=1, ray=True)
-        boundary[ray] = next_id
-        next_id += 1
-
+    c, labels, comps = _start(M, tangle, convention)
     out: list[ResolvedDiagram] = []
     validated: dict = {}
     cup_c, cap_c = c.dots_for(c.closure_dots)
     cup_m, cap_m = c.dots_for(c.merge_dots)
 
-    def recurse(layer_idx, comps, boundary, next_id, coeff, circles):
+    def recurse(layer_idx, labels, comps, coeff, circles):
         if coeff == 0:
             return
         if layer_idx < 0:
             out.append(ResolvedDiagram(coeff, circles,
-                                       _reassemble(n, comps, boundary, validated)))
+                                       _reassemble(M.n, labels, comps, validated)))
             return
         pos = tangle.layers[layer_idx]
         # vertical smoothing
-        recurse(layer_idx - 1, comps, boundary, next_id,
-                coeff * c.identity_coeff, circles)
+        recurse(layer_idx - 1, labels, comps, coeff * c.identity_coeff, circles)
         # turnback smoothing
-        left, right = boundary[pos], boundary[pos + 1]
-        comps2 = {cid: _Component(comp.dots, comp.ray) for cid, comp in comps.items()}
-        boundary2 = list(boundary)
+        left, right = labels[pos - 1], labels[pos]
+        (left_dots, left_ray), (right_dots, right_ray) = comps[left], comps[right]
         if left == right:
-            if comps2[left].ray:
+            if left_ray:
                 return  # cannot close a ray component into a circle
-            circle = comps2[left].dots + cup_c
-            del comps2[left]
-            comps2[next_id] = _Component(dots=cap_c, ray=False)
-            boundary2[pos] = boundary2[pos + 1] = next_id
-            recurse(layer_idx - 1, comps2, boundary2, next_id + 1,
-                    coeff * c.closure_coeff, circles + (circle,))
+            labels2 = list(labels)
+            comps2 = [*comps, (cap_c, False)]
+            circles += (left_dots + cup_c,)
+            coeff *= c.closure_coeff
         else:
-            merged = _Component(
-                dots=comps2[left].dots + comps2[right].dots + cup_m,
-                ray=comps2[left].ray or comps2[right].ray,
-            )
-            if merged.dots >= 2:
+            merged = left_dots + right_dots + cup_m
+            if merged >= 2:
                 return  # a two-dot component kills the term
-            del comps2[right]
-            comps2[left] = merged
-            for v in range(1, n + 1):
-                if boundary2[v] == right:
-                    boundary2[v] = left
-            comps2[next_id] = _Component(dots=cap_m, ray=False)
-            boundary2[pos] = boundary2[pos + 1] = next_id
-            recurse(layer_idx - 1, comps2, boundary2, next_id + 1,
-                    coeff * c.merge_coeff, circles)
+            labels2 = [left if label == right else label for label in labels]
+            comps2 = [*comps, (cap_m, False)]
+            comps2[left] = (merged, left_ray or right_ray)
+            coeff *= c.merge_coeff
+        labels2[pos - 1] = labels2[pos] = len(comps)
+        recurse(layer_idx - 1, labels2, comps2, coeff, circles)
 
-    recurse(len(tangle.layers) - 1, comps, boundary, next_id, 1, ())
+    recurse(len(tangle.layers) - 1, labels, comps, 1, ())
     return out
 
 
-def _reassemble(n: int, comps, boundary, validated: dict) -> DottedMatching:
-    """Read a boundary off the components; VALIDATED memoizes ``validate``.
+def _reassemble(n: int, labels, comps, validated: dict) -> DottedMatching:
+    """Read a boundary off a (labels, comps) state; VALIDATED memoizes ``validate``.
 
     The component checks run for every call.  ``validate`` runs once per
     distinct (arcs, rays, dotted) within one VALIDATED dict, which the
     caller keeps for one evaluation.
     """
     positions: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        positions.setdefault(boundary[v], []).append(v)
+    for v, label in enumerate(labels, 1):
+        positions.setdefault(label, []).append(v)
     arcs = []
     rays = []
     dotted = []
-    for cid, vs in positions.items():
-        comp = comps[cid]
+    for label, vs in positions.items():
+        dots, ray = comps[label]
         if len(vs) == 2:
-            if comp.ray:
+            if ray:
                 raise InternalCheckError("two boundary ends on a ray component")
             arc = (vs[0], vs[1])
             arcs.append(arc)
-            if comp.dots == 1:
+            if dots == 1:
                 dotted.append(arc)
-            elif comp.dots >= 2:
+            elif dots >= 2:
                 raise InternalCheckError("doubly dotted component survived")
         elif len(vs) == 1:
-            if not comp.ray:
+            if not ray:
                 raise InternalCheckError("open non-ray component at the boundary")
             rays.append(vs[0])
         else:

@@ -128,7 +128,7 @@ def check_distance_formula(n_max: int, rng) -> None:
 
 
 def check_component_steps(n_max: int, rng) -> None:
-    for n, k in _types(min(n_max, 7)):
+    for n, k in _types(min(n_max, 8)):
         ms = enumerate_matchings(n, k)
         graph = diagrams.arrow_graph(n, k)
         for a in ms:
@@ -407,7 +407,7 @@ def check_matching_vector_depends_on_undotted(n_max: int, rng) -> None:
 
 
 def check_f_embed(n_max: int, rng) -> None:
-    for n, k in _types(min(n_max, 5)):
+    for n, k in _types(min(n_max, 6)):
         pad = n - 2 * k
         for m in range(k + 1):
             for M in standard_dotted_matchings(n, k, m):

@@ -12,15 +12,7 @@ import time
 from contextlib import contextmanager
 
 from springer_tworow import action, homology, skein, verify
-from springer_tworow.diagrams import (
-    compatible,
-    distance,
-    glue,
-    linear_order,
-    meet,
-    minimal_sequence,
-    reachable,
-)
+from springer_tworow.diagrams import distance, linear_order, meet, reachable
 from springer_tworow.homology import HomClass, reduce_class, reduce_class_ordered
 from springer_tworow.matchings import (
     enumerate_matchings,
@@ -85,16 +77,7 @@ def test_criterion_02_x31_reproduction():
 def test_criterion_03_distance():
     with budget(3, "BFS distance equals the component-count formula, n <= 8", 120):
         verify.check_distance_formula(8, random.Random(0))
-        for n, k in types(8):
-            ms = enumerate_matchings(n, k)
-            for a in ms:
-                for b in ms:
-                    if a == b or not compatible(a, b):
-                        continue
-                    seq = minimal_sequence(a, b)
-                    assert len(seq) == distance(a, b) and seq.certified
-                    for x, y in zip(seq.steps, seq.steps[1:]):
-                        assert len(glue(x, b)) == len(glue(y, b)) - 1
+        verify.check_component_steps(8, random.Random(0))
 
 
 def test_criterion_04_meets():

@@ -42,7 +42,6 @@ FLAGS = {
     ("action", "ChartRow"): (False, False),
     ("action", "Chart"): (False, False),
     ("action", "CharacterReport"): (False, False),
-    ("skein", "_Component"): (False, False),
     ("tabloids", "ModuleComparison"): (False, False),
     ("verify", "Check"): (False, False),
 }
@@ -81,7 +80,6 @@ POOLS = {
     "Chart": {"n": (2,), "k": (1,), "rows": ([], [1]), "anchor_failures": ([], ["x"])},
     "CharacterReport": {"n": (4,), "k": (2,), "rows": ([], [(1, (1, 1), 2, 2)]),
                         "coxeter_ok": (True, False), "failures": ([], ["f"])},
-    "_Component": {"dots": (0, 1), "ray": (False, True)},
     "ModuleComparison": {"equal": (True, False), "tableau_rows": ([], [[1]]),
                          "matching_rows": ([[1]],), "tableau_in_matching": (None, [[1]]),
                          "matching_in_tableau": (None,)},
@@ -199,9 +197,6 @@ def test_constructor_defaults_and_keywords():
     r, s = action.CharacterReport(3, 1), action.CharacterReport(3, 1)
     assert (r.rows, r.coxeter_ok, r.failures) == ([], True, [])
     assert r.rows is not s.rows and r.failures is not s.failures
-    comp = skein._Component(dots=1, ray=True)
-    comp.dots = 0
-    assert comp == skein._Component(0, True)
     line = diagrams.Component(kind="line", vertices=frozenset({1}), ends=((1, "up"),),
                               arcs_above=(), arcs_below=())
     assert line.kind == "line"

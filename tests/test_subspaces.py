@@ -72,10 +72,6 @@ def test_gamma_is_primed_involution():
     verify.check_pointmaps(6, random.Random(0))
 
 
-def test_commuting_square():
-    verify.check_pointmaps(6, random.Random(0))
-
-
 def test_eta_lands_in_completion_component():
     from springer_tworow.matchings import complete
 

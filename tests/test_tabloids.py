@@ -10,7 +10,6 @@ from springer_tworow.homology import HomClass, hom_class
 from springer_tworow.matchings import (
     StandardTableau,
     all_dotted_matchings,
-    complete_dotted,
     count_matchings,
     parse_matching,
     standard_dotted_matchings,
@@ -30,7 +29,6 @@ from springer_tworow.tabloids import (
     modules_equal,
     permute,
     polytabloid,
-    shifted_permutation,
     tabloid_vector,
     zeta,
 )
@@ -108,28 +106,11 @@ def test_f_embed_examples():
 
 
 def test_f_embed_completion_compatibility():
-    for n in range(1, 7):
-        for k in range(0, n // 2 + 1):
-            pad = n - 2 * k
-            for M in standard_dotted_matchings(n, k):
-                assert f_embed(matching_vector(M), pad) == matching_vector(complete_dotted(M))
+    verify.check_f_embed(6, random.Random(0))
 
 
 def test_f_embed_intertwines():
-    rng = random.Random(3)
-    for n in range(2, 7):
-        for k in range(0, n // 2 + 1):
-            pad = n - 2 * k
-            for _ in range(5):
-                m = rng.randint(0, k)
-                from springer_tworow.tabloids import tabloid_keys
-
-                keys = list(tabloid_keys(n, m))
-                v = tabloid_vector(n, m, {rng.choice(keys): Fraction(rng.randint(-3, 3))})
-                sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
-                assert f_embed(permute(sigma, v), pad) == permute(
-                    shifted_permutation(sigma, pad), f_embed(v, pad)
-                )
+    verify.check_f_embed(6, random.Random(3))
 
 
 def test_package_vectors_have_int_coordinates():
