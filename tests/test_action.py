@@ -16,8 +16,14 @@ from springer_tworow.action import (
 )
 from springer_tworow.homology import HomClass, hom_class
 from springer_tworow.matchings import all_dotted_matchings, parse_matching
-from springer_tworow.permutations import adjacent, identity, parse_permutation
-from springer_tworow.tabloids import matching_terms, tabloid_vector
+from springer_tworow.permutations import (
+    adjacent,
+    class_representative,
+    identity,
+    parse_permutation,
+    partitions,
+)
+from springer_tworow.tabloids import irr_character, matching_terms, tabloid_vector
 
 pm = parse_matching
 
@@ -140,6 +146,18 @@ def test_character_table_422():
 
 def test_character_tables_up_to_6():
     verify.check_characters(6, random.Random(0))
+
+
+def test_traces_match_for_all_classes():
+    for n in range(2, 7):
+        for k in range(0, n // 2 + 1):
+            for m in range(k + 1):
+                for mu in partitions(n):
+                    sigma = class_representative(mu, n)
+                    mat = rep_matrix(sigma, n, k, m)
+                    assert sum(mat[i][i] for i in range(len(mat))) == irr_character(
+                        (n - m, m), mu
+                    )
 
 
 def test_eta_image_stability():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from springer_tworow.cells import (
     forest_cells,
     subcomplex_cells,
 )
+from springer_tworow.diagrams import arrow_graph
 from springer_tworow.matchings import enumerate_matchings, parse_matching
 from springer_tworow.subspaces import subspace_of
 
@@ -56,6 +58,18 @@ def test_cell_dimensions():
     assert sorted(d for _, d in unnested) == [0, 2, 2, 4]
 
 
+def test_poincare_polynomial():
+    for n in range(0, 9):
+        for k in range(0, n // 2 + 1):
+            for a in enumerate_matchings(n, k):
+                for cells in (forest_cells(a), cartesian_cells(a)):
+                    assert len(cells) == 2 ** k
+                    by_dim = {}
+                    for _, dim in cells:
+                        by_dim[dim] = by_dim.get(dim, 0) + 1
+                    assert by_dim == {2 * j: math.comb(k, j) for j in range(k + 1)}
+
+
 def test_cartesian_cells_are_dotted_matchings():
     a = m("4: u1-2 u3-4")
     cells = cartesian_cells(a)
@@ -79,6 +93,20 @@ def test_subcomplex_triple_move():
 
 def test_subcomplex_generating_function():
     verify.check_subcomplexes(7, random.Random(0))
+
+
+def test_subcomplex_contained_in_intersection():
+    for n in range(2, 8):
+        for k in range(1, n // 2 + 1):
+            graph = arrow_graph(n, k)
+            for b in graph.nodes:
+                for a in graph.successors[b]:
+                    inter = subspace_of(a).intersect(subspace_of(b))
+                    sub = subcomplex_cells(a, b)
+                    for J, _ in sub:
+                        assert inter.contains(forest_cell_subspace(a, J))
+                    minimal = min(sub, key=lambda t: len(t[0]))[0]
+                    assert forest_cell_subspace(a, minimal) == inter
 
 
 def test_not_an_arrow_pair():

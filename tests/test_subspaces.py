@@ -72,6 +72,15 @@ def test_gamma_is_primed_involution():
     verify.check_pointmaps(6, random.Random(0))
 
 
+def test_commuting_square():
+    for n in range(1, 7):
+        for k in range(0, n // 2 + 1):
+            target = 2 * (n - k)
+            for a in enumerate_matchings(n, k):
+                S = subspace_of(a)
+                assert S.apply_eta(target).apply_gamma() == S.apply_gamma().apply_iota(target)
+
+
 def test_eta_lands_in_completion_component():
     from springer_tworow.matchings import complete
 
