@@ -15,17 +15,26 @@ Reduction to the standard basis is implemented twice: by exact row
 reduction of the relation span and by a terminating rewriting system, and
 the two must agree.  The row reduction and the cokernel ranks of the
 difference-of-inclusions map both run on the sparse exact elimination
-kernel of :mod:`linalg`; the relation rows go to it sparse.
+kernel of :mod:`linalg`.  Both row families are assembled index-keyed:
+:func:`_relation_keys` (the relation rules) and :func:`_pushforward_keys`
+(the pushforward rule) yield each term as a (base, dotted) key, which a
+column table turns into a sparse ``{column: int}`` row, so no dotted
+matching or class is built per term.  The relation rows go to the kernel
+sparse; the boundary rows are densified only for the rank call of
+:func:`presentation_betti` and for the callers of :func:`psi_minus_rows`.
+:func:`relation_instances` and :func:`pushforward_from_overlay` wrap the
+same generators into classes.
 """
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from . import linalg
-from .diagrams import GluedOneManifold, arrow_graph, arrow_move, glue, is_arrow
-from .errors import InhomogeneousClass, InternalCheckError, NotAnArrowPair
+from .diagrams import Component, GluedOneManifold, arrow_graph, arrow_move, glue, is_arrow
+from .errors import DomainError, InhomogeneousClass, InternalCheckError, NotAnArrowPair
 from .matchings import (
     Arc,
     DottedMatching,
@@ -113,6 +122,51 @@ def format_class(x: HomClass) -> str:
 
 # --- relation instances -------------------------------------------------------
 
+#: A dotted matching as the pair of its fields (base, sorted dotted arcs).
+Key = tuple[Matching, tuple[Arc, ...]]
+
+
+def _check_grading(n: int, k: int, m: int | None) -> None:
+    """Raise DomainError unless type (n-k, k) exists and m is None or in 0..k."""
+    check_type(n, k)
+    if m is not None and not 0 <= m <= k:
+        raise DomainError(f"grading m={m} outside 0..{k}")
+
+
+def _relation_keys(n: int, k: int, m: int | None = None,
+                   order: tuple[Matching, ...] | None = None
+                   ) -> Iterator[list[tuple[Key, int]]]:
+    """Every local relation as a list of ((base, dotted), coeff) terms.
+
+    Each arrow pair a -> b gives one relation per rule and per set D of
+    dots on the s arcs common to a and b.  A rule of excess e has grading
+    s - |D| + e (e = 1 for type I, 0 for types II and III), so with m
+    given only |D| = s + e - m is enumerated.
+    """
+    graph = arrow_graph(n, k)
+    for a in (order if order is not None else graph.nodes):
+        for b in graph.successors[a]:
+            move = arrow_move(a, b)
+            if len(move) == 4:
+                i, j, kk, l = move
+                rules = ((1, ((a, ((i, j),), 1), (a, ((kk, l),), 1),
+                              (b, ((i, l),), -1), (b, ((j, kk),), -1))),
+                         (0, ((a, ((i, j), (kk, l)), 1), (b, ((i, l), (j, kk)), -1))))
+            else:
+                ray, j, kk = move
+                rules = ((0, ((a, ((j, kk),), 1), (b, ((ray, j),), -1))),)
+            shared = tuple(sorted(set(a.arcs) & set(b.arcs)))
+            s = len(shared)
+            sizes = range(s + 1) if m is None else range(
+                max(s - m, 0), min(s + max(e for e, _ in rules) - m, s) + 1)
+            for r in sizes:
+                for D in itertools.combinations(shared, r):
+                    for e, terms in rules:
+                        if m is None or m == s - r + e:
+                            yield [((side, tuple(sorted(D + arcs))), c)
+                                   for side, arcs, c in terms]
+
+
 def _dotted(base: Matching, dotted: set[Arc]) -> DottedMatching:
     return DottedMatching(base, tuple(sorted(dotted)))
 
@@ -122,45 +176,11 @@ def relation_instances(n: int, k: int, m: int | None = None,
     """Every local relation, optionally restricted to grading m.
 
     ``order`` only affects the listing order (used by order-independence
-    diagnostics), never the span.
+    diagnostics), never the span.  Raises DomainError for m outside 0..k.
     """
-    out: list[HomClass] = []
-    graph = arrow_graph(n, k)
-    for a in (order if order is not None else graph.nodes):
-        for b in graph.successors[a]:
-            move = arrow_move(a, b)
-            shared = tuple(sorted(set(a.arcs) & set(b.arcs)))
-            if len(move) == 4:
-                i, j, kk, l = move
-                nested_out, nested_in = (i, l), (j, kk)
-                for r in range(len(shared) + 1):
-                    for D in itertools.combinations(shared, r):
-                        base_m = len(shared) - len(D)
-                        dots = set(D)
-                        if m is None or m == base_m + 1:
-                            out.append(hom_class(n, k, {
-                                _dotted(a, dots | {(i, j)}): 1,
-                                _dotted(a, dots | {(kk, l)}): 1,
-                                _dotted(b, dots | {nested_out}): -1,
-                                _dotted(b, dots | {nested_in}): -1,
-                            }))
-                        if m is None or m == base_m:
-                            out.append(hom_class(n, k, {
-                                _dotted(a, dots | {(i, j), (kk, l)}): 1,
-                                _dotted(b, dots | {nested_out, nested_in}): -1,
-                            }))
-            else:
-                ray, j, kk = move
-                for r in range(len(shared) + 1):
-                    for D in itertools.combinations(shared, r):
-                        if m is not None and m != len(shared) - len(D):
-                            continue
-                        dots = set(D)
-                        out.append(hom_class(n, k, {
-                            _dotted(a, dots | {(j, kk)}): 1,
-                            _dotted(b, dots | {(ray, j)}): -1,
-                        }))
-    return out
+    _check_grading(n, k, m)
+    return [hom_class(n, k, {DottedMatching(*key): c for key, c in terms})
+            for terms in _relation_keys(n, k, m, order)]
 
 
 # --- reduction to the standard basis -----------------------------------------
@@ -169,16 +189,17 @@ def relation_instances(n: int, k: int, m: int | None = None,
 def _reduction_data(n: int, k: int, m: int, order: tuple[Matching, ...] | None = None):
     """Echelonized relation span with nonstandard columns leading.
 
-    The relation rows are built sparse and echelonized by the kernel in
-    :mod:`linalg`; ``order`` is the node order they are assembled in (see
-    :func:`relation_instances`), which must not change any reduction.
+    The relation terms of :func:`_relation_keys` go to the elimination
+    kernel of :mod:`linalg` as sparse integer rows, through a column table
+    keyed by (base, dotted); ``order`` is the node order they are
+    assembled in, which must not change any reduction.
     """
     nonstandard = [M for M in all_dotted_matchings(n, k, m) if not M.is_standard]
     standard = list(standard_dotted_matchings(n, k, m))
     columns = nonstandard + standard
-    index = {M: i for i, M in enumerate(columns)}
-    basis = linalg.Echelon({index[M]: c for M, c in rel.terms}
-                           for rel in relation_instances(n, k, m, order=order))
+    index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
+    basis = linalg.Echelon({index[key]: c for key, c in terms}
+                           for terms in _relation_keys(n, k, m, order))
     if any(p >= len(nonstandard) for p in basis.rows):
         raise InternalCheckError("relation pivot landed on a standard generator")
     if len(basis.rows) != len(nonstandard):
@@ -225,7 +246,7 @@ def _reduce_linear(x: HomClass, order: tuple[Matching, ...] | None = None) -> Ho
     """Reduce x against the relation echelon of its grading, assembled in ``order``."""
     columns, index, basis, n_nonstd = _reduction_data(x.n, x.k, x.grading, order)
     coeffs = {}
-    for i, value in basis.reduce({index[M]: c for M, c in x.terms}).items():
+    for i, value in basis.reduce({index[M.base, M.dotted]: c for M, c in x.terms}).items():
         if i < n_nonstd:
             raise InternalCheckError("reduction left a nonstandard coordinate")
         if not isinstance(value, int):
@@ -354,27 +375,32 @@ def pushforward_inclusion(a: Matching, b: Matching,
 
 def pushforward_from_overlay(glued: GluedOneManifold, side: str,
                              free_circles: frozenset[int] | set[int]) -> HomClass:
-    target = glued.a if side == "above" else glued.b
     circles = glued.circles
     bad = set(free_circles) - set(range(len(circles)))
     if bad:
         raise InternalCheckError(f"free circle indices {sorted(bad)} out of range")
-    pinned_arcs: set[Arc] = set()
-    free_groups: list[tuple[Arc, ...]] = []
-    for idx, comp in enumerate(circles):
-        arcs = comp.arcs_above if side == "above" else comp.arcs_below
-        if idx in free_circles:
-            free_groups.append(arcs)
-        else:
-            pinned_arcs |= set(arcs)
-    for comp in glued.lines:
-        pinned_arcs |= set(comp.arcs_above if side == "above" else comp.arcs_below)
+    free = [comp for idx, comp in enumerate(circles) if idx in free_circles]
     coeffs: dict[DottedMatching, int] = {}
-    for choice in itertools.product(*free_groups) if free_groups else [()]:
-        dotted = set(target.arcs) - set(choice)
-        M = _dotted(target, dotted)
+    for key in _pushforward_keys(glued, side, free):
+        M = DottedMatching(*key)
         coeffs[M] = coeffs.get(M, 0) + 1
-    return hom_class(target.n, target.k, coeffs)
+    return hom_class(glued.a.n, glued.a.k, coeffs)
+
+
+def _pushforward_keys(glued: GluedOneManifold, side: str,
+                      free: Sequence[Component]) -> Iterator[Key]:
+    """The (base, dotted) key of each term of a pushforward; every coefficient is 1.
+
+    The base is a (``side`` "above") or b of the overlay, and dotted is its
+    arcs minus one chosen arc on each circle of ``free``: pinned circles
+    and lines keep all their arcs dotted.
+    """
+    if side == "above":
+        target, groups = glued.a, [comp.arcs_above for comp in free]
+    else:
+        target, groups = glued.b, [comp.arcs_below for comp in free]
+    for choice in itertools.product(*groups):
+        yield target, tuple(arc for arc in target.arcs if arc not in choice)
 
 
 # --- presentation via the boundary map ------------------------------------------
@@ -385,9 +411,13 @@ def psi_minus_rows(n: int, k: int, m: int,
 
     Returns (columns, rows) where columns enumerate all dotted matchings
     of grading m and each row is the image of one basis class of one
-    arrow-pair intersection.
+    arrow-pair intersection.  The rows are assembled sparse, keyed by
+    column index, and densified here for the caller.  Raises DomainError
+    for m outside 0..k.
     """
-    return _psi_minus_rows(n, k, m, _arrow_overlays(n, k, order))
+    _check_grading(n, k, m)
+    columns, rows = _psi_minus_rows(n, k, m, _arrow_overlays(n, k, order))
+    return columns, [linalg._dense(row, len(columns)) for row in rows]
 
 
 def _arrow_overlays(n: int, k: int,
@@ -399,27 +429,32 @@ def _arrow_overlays(n: int, k: int,
 
 
 def _psi_minus_rows(n: int, k: int, m: int,
-                    overlays: list[GluedOneManifold]) -> tuple[list, list]:
+                    overlays: list[GluedOneManifold]) -> tuple[list, list[dict[int, int]]]:
+    """(columns, sparse {column: int} rows) of the degree-2m block."""
     columns = list(all_dotted_matchings(n, k, m))
-    index = {M: i for i, M in enumerate(columns)}
+    index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
     rows = []
     for glued in overlays:
-        for free in itertools.combinations(range(len(glued.circles)), m):
-            row = [0] * len(columns)
-            for M, coeff in pushforward_from_overlay(glued, "above", frozenset(free)).terms:
-                row[index[M]] += coeff
-            for M, coeff in pushforward_from_overlay(glued, "below", frozenset(free)).terms:
-                row[index[M]] -= coeff
+        for free in itertools.combinations(glued.circles, m):
+            row: dict[int, int] = {}
+            for side, sign in (("above", 1), ("below", -1)):
+                for key in _pushforward_keys(glued, side, free):
+                    c = index[key]
+                    row[c] = row.get(c, 0) + sign
             rows.append(row)
     return columns, rows
 
 
 def presentation_betti(n: int, k: int,
                        order: tuple[Matching, ...] | None = None) -> list[int]:
-    """Betti numbers as cokernel ranks of the difference-of-inclusions map."""
+    """Betti numbers as cokernel ranks of the difference-of-inclusions map.
+
+    The boundary rows are assembled sparse and densified only for the
+    rank call.
+    """
     overlays = _arrow_overlays(n, k, order)
     out = []
     for m in range(k + 1):
         columns, rows = _psi_minus_rows(n, k, m, overlays)
-        out.append(len(columns) - linalg.rank(rows))
+        out.append(len(columns) - linalg.rank([linalg._dense(row, len(columns)) for row in rows]))
     return out

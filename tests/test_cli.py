@@ -4,7 +4,8 @@ import os
 import pytest
 
 from springer_tworow.cli import main, parse_class
-from springer_tworow.homology import HomClass
+from springer_tworow.errors import DomainError
+from springer_tworow.homology import HomClass, psi_minus_rows
 from springer_tworow.matchings import parse_matching
 
 
@@ -110,6 +111,15 @@ def test_order_and_relations(capsys):
     code, out, _ = run(capsys, "relations", "-n", "4", "-k", "2", "-m", "0")
     assert code == 0
     assert out.strip() == "1·(4: d1-2 d3-4) - 1·(4: d1-4 d2-3)"
+
+
+def test_relations_refuse_a_grading_outside_0_to_k(capsys):
+    for m in ("5", "-1"):
+        code, out, err = run(capsys, "relations", "-n", "4", "-k", "2", "-m", m)
+        assert code == 2 and out == ""
+        assert err == f"error: grading m={m} outside 0..2\n"
+    with pytest.raises(DomainError, match="grading m=-1 outside 0..2"):
+        psi_minus_rows(4, 2, -1)
 
 
 def test_reduce_command(capsys):

@@ -10,15 +10,33 @@ fractional results occur.  The linear reduction to the standard basis
 must agree with the rewriting route on every nonstandard generator with
 n <= 8, and a relation list that lost a necessary row, or gained a
 standard generator, must be refused.
+
+``reference_relations`` and ``reference_psi_rows`` are the assembly the
+index-keyed one replaced: every relation and boundary row built as a
+``HomClass`` of dotted matchings, each dot-set size filtered by m.  The
+relation and boundary rows, the relation echelon and the cokernel ranks
+must equal theirs in value and order.
 """
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from springer_tworow import errors, homology, linalg
-from springer_tworow.homology import HomClass, psi_minus_rows, reduce_class, relation_instances
-from springer_tworow.matchings import all_dotted_matchings, standard_dotted_matchings
+from springer_tworow.diagrams import arrow_graph, arrow_move, glue, linear_order
+from springer_tworow.homology import (
+    HomClass,
+    hom_class,
+    psi_minus_rows,
+    reduce_class,
+    relation_instances,
+)
+from springer_tworow.matchings import (
+    DottedMatching,
+    all_dotted_matchings,
+    standard_dotted_matchings,
+)
 
 
 def reference_rref(rows):
@@ -46,6 +64,52 @@ def reference_reduce(vector, echelon, pivots):
             f = v[c]
             v = [a - f * b for a, b in zip(v, row)]
     return v
+
+
+def dotted(base, arcs):
+    return DottedMatching(base, tuple(sorted(arcs)))
+
+
+def reference_relations(n, k, m=None, order=None):
+    out, graph = [], arrow_graph(n, k)
+    for a in order if order is not None else graph.nodes:
+        for b in graph.successors[a]:
+            move, shared = arrow_move(a, b), sorted(set(a.arcs) & set(b.arcs))
+            for r in range(len(shared) + 1):
+                for D in itertools.combinations(shared, r):
+                    free = len(shared) - r
+                    if len(move) == 4:
+                        i, j, kk, l = move
+                        rels = [(free + 1, {dotted(a, D + ((i, j),)): 1,
+                                            dotted(a, D + ((kk, l),)): 1,
+                                            dotted(b, D + ((i, l),)): -1,
+                                            dotted(b, D + ((j, kk),)): -1}),
+                                (free, {dotted(a, D + ((i, j), (kk, l))): 1,
+                                        dotted(b, D + ((i, l), (j, kk))): -1})]
+                    else:
+                        ray, j, kk = move
+                        rels = [(free, {dotted(a, D + ((j, kk),)): 1,
+                                        dotted(b, D + ((ray, j),)): -1})]
+                    out += [hom_class(n, k, rel) for grading, rel in rels if m in (None, grading)]
+    return out
+
+
+def reference_psi_rows(n, k, m):
+    columns, graph, rows = list(all_dotted_matchings(n, k, m)), arrow_graph(n, k), []
+    index = {M: i for i, M in enumerate(columns)}
+    for b in graph.nodes:
+        for c in graph.successors[b]:
+            circles = glue(b, c).circles
+            for free in itertools.combinations(range(len(circles)), m):
+                image = HomClass(n, k, ())
+                for sign, target, side in ((1, b, "arcs_above"), (-1, c, "arcs_below")):
+                    for choice in itertools.product(*(getattr(circles[i], side) for i in free)):
+                        image += HomClass.of(dotted(target, set(target.arcs) - set(choice)), sign)
+                row = [0] * len(columns)
+                for M, coeff in image.terms:
+                    row[index[M]] = coeff
+                rows.append(row)
+    return columns, rows
 
 
 def shapes(n):
@@ -138,19 +202,67 @@ def test_linear_reduction_matches_rewriting(n):
                 assert reduce_class(x, "linear") == reduce_class(x, "rewrite"), M
 
 
+def echelon_items(basis):
+    return {p: sorted(row.items()) for p, row in basis.rows.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_index_keyed_assembly_matches_the_hom_class_reference(n):
+    for k in range(n // 2 + 1):
+        columns = all_dotted_matchings(n, k)
+        index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
+        for m in [None, *range(k + 1)]:
+            want = reference_relations(n, k, m)
+            assert relation_instances(n, k, m) == want, (n, k, m)
+            rows = [{index[key]: c for key, c in terms}
+                    for terms in homology._relation_keys(n, k, m)]
+            assert rows == [{index[M.base, M.dotted]: c for M, c in rel.terms} for rel in want]
+            if n <= 7:
+                for variant in (0, 1, 2):
+                    order = linear_order(n, k, variant)
+                    assert (relation_instances(n, k, m, order)
+                            == reference_relations(n, k, m, order)), (n, k, m, variant)
+            if m is None:
+                continue
+            assert psi_minus_rows(n, k, m) == reference_psi_rows(n, k, m), (n, k, m)
+            _, graded, basis, _ = homology._reduction_data.__wrapped__(n, k, m, None)
+            expected = linalg.Echelon({graded[M.base, M.dotted]: c for M, c in rel.terms}
+                                      for rel in want)
+            assert echelon_items(basis) == echelon_items(expected), (n, k, m)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cokernel_ranks_match_the_hom_class_reference(n):
+    for k in range(n // 2 + 1):
+        want = []
+        for m in range(k + 1):
+            columns, rows = reference_psi_rows(n, k, m)
+            want.append(len(columns) - linalg.rank(rows))
+        assert homology.presentation_betti(n, k) == want, (n, k)
+
+
+def test_presentation_assembly_builds_no_hom_class(monkeypatch):
+    calls = []
+    build = homology.hom_class
+    monkeypatch.setattr(homology, "hom_class", lambda *args: calls.append(args) or build(*args))
+    homology.presentation_betti(8, 4)
+    homology._reduction_data.__wrapped__(8, 4, 2, None)
+    assert calls == []
+
+
 def shape_with_a_necessary_relation():
-    """An (n, k, m), its relations and the index of one whose removal lowers the rank."""
+    """An (n, k, m), its relation terms and the index of a row whose removal lowers the rank."""
     n, k, m = 5, 2, 1
-    rels = relation_instances(n, k, m)
+    rels = list(homology._relation_keys(n, k, m))
     columns = list(all_dotted_matchings(n, k, m))
-    index = {M: i for i, M in enumerate(columns)}
+    index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
 
     def dense(rel_list):
         rows = []
-        for rel in rel_list:
+        for terms in rel_list:
             row = [0] * len(columns)
-            for M, c in rel.terms:
-                row[index[M]] = c
+            for key, c in terms:
+                row[index[key]] = c
             rows.append(row)
         return rows
 
@@ -162,8 +274,8 @@ def shape_with_a_necessary_relation():
 
 def test_reduction_data_refuses_a_relation_list_missing_a_row(monkeypatch):
     (n, k, m), rels, drop = shape_with_a_necessary_relation()
-    monkeypatch.setattr(homology, "relation_instances",
-                        lambda *args, **kw: rels[:drop] + rels[drop + 1:])
+    monkeypatch.setattr(homology, "_relation_keys",
+                        lambda *args, **kw: iter(rels[:drop] + rels[drop + 1:]))
     with pytest.raises(errors.InternalCheckError, match="relation rank"):
         homology._reduction_data.__wrapped__(n, k, m, None)
 
@@ -171,7 +283,7 @@ def test_reduction_data_refuses_a_relation_list_missing_a_row(monkeypatch):
 def test_reduction_data_refuses_a_pivot_on_a_standard_generator(monkeypatch):
     (n, k, m), rels, _ = shape_with_a_necessary_relation()
     standard = standard_dotted_matchings(n, k, m)[0]
-    monkeypatch.setattr(homology, "relation_instances",
-                        lambda *args, **kw: rels + [HomClass.of(standard)])
+    monkeypatch.setattr(homology, "_relation_keys",
+                        lambda *args, **kw: iter(rels + [[((standard.base, standard.dotted), 1)]]))
     with pytest.raises(errors.InternalCheckError, match="standard generator"):
         homology._reduction_data.__wrapped__(n, k, m, None)
