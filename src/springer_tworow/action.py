@@ -11,23 +11,24 @@ presentation pin the representation exactly.
 The two expansions differ by a global sign only: for a dotted matching M
 of grading m on n points, ``line_diagram_terms(M)`` is (-1)^(m*(n mod 2))
 times ``matching_terms(M)``, because the orientations of an undotted arc
-agree exactly when n is even (tested for every dotted matching with
-n <= 10).  The sign is the same on every column and on the target, so
-``act_via_gamma`` is the solve of ``act`` and the
-``action.gamma-agreement`` check certifies the orientation convention,
-not an independent route.
+agree exactly when n is even (the ``action.gamma-agreement`` verify
+invariant, over every dotted matching with n <= 10).  So the validation
+route certifies the orientation convention, not an independent solve:
+``act_via_gamma`` expands every term by ``line_diagram_terms``, moves it
+by sigma, multiplies the target by that sign and solves against the
+matching factor.
 
-Both routes share one cached solver factory, ``_solver(expand, n, k, m)``,
-keyed by the integer expansion map (``matching_terms`` or
-``line_diagram_terms``).  It expands each standard basis element once and
+Every caller solves against one cached factor per shape,
+``tabloids._solver(n, k, m)``, which ``tabloids.modules_equal`` shares.
+It expands each standard basis element once by ``matching_terms`` and
 keeps the ``{row: int}`` columns, a position map from basis element to
 column, and the factored solver over those columns.  One helper,
-``_image_coords``, moves a class by sigma and solves: a standard term
-reuses its stored column, and only any other term (a nonstandard one,
-say) is expanded afresh.  Rows are moved through a memo of
-row -> sigma(row) that lives for one sigma; ``rep_matrix`` shares one
-memo across all its columns, so each tabloid row is moved at most once
-per matrix.  The standard columns of either expansion are
+``_image_coords``, moves a weighted sum of columns by sigma and solves:
+``act`` and ``rep_matrix`` reuse the stored column of a standard term,
+and only any other term (a nonstandard one, say) is expanded afresh.
+Rows are moved through a memo of row -> sigma(row) that lives for one
+sigma; ``rep_matrix`` shares one memo across all its columns, so each
+tabloid row is moved at most once per matrix.  The standard columns are
 unit-triangular: the lexicographically last key of the column of M is
 the bottom row of ``tableau_of(M)``, with entry +-1 (the
 ``action.unit-triangular`` verify invariant).  So every solve is integer
@@ -42,7 +43,6 @@ compares the result with e_j, so no matrix product is formed.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import (
     DomainError,
@@ -51,7 +51,6 @@ from .errors import (
     SolveFailed,
 )
 from .homology import HomClass, hom_class
-from .linalg import ColumnSolver
 from .matchings import DottedMatching, standard_dotted_matchings
 from .permutations import (
     Permutation,
@@ -62,50 +61,32 @@ from .permutations import (
 from .records import Record
 from .tabloids import (
     TabloidVector,
+    _column,
+    _solver,
     irr_character,
     matching_terms,
-    tabloid_index,
     tabloid_keys,
     tabloid_vector,
 )
 
 
-@lru_cache(maxsize=None)
-def _solver(expand, n: int, k: int, m: int):
-    """Standard basis of (n, k, m), its expanded columns and their factored solver.
-
-    ``expand`` maps a dotted matching to its integer terms over m-subsets.
-    Returns (basis, index, columns, position, solver): the standard basis,
-    the tabloid row of each m-subset, each basis element's column as
-    ``{row: int}``, the column number of each basis element, and the
-    ``ColumnSolver`` over the columns.
-    """
-    basis = standard_dotted_matchings(n, k, m)
-    index = tabloid_index(n, m)
-    columns = [{index[key]: v for key, v in expand(M).items()} for M in basis]
-    position = {M: j for j, M in enumerate(basis)}
-    return basis, index, columns, position, ColumnSolver(columns)
-
-
-def _image_coords(sigma: Permutation, terms, expand, n: int, k: int, m: int,
+def _image_coords(sigma: Permutation, n: int, k: int, m: int, columns,
                   moved: dict[int, int]) -> list[int]:
-    """Coordinates of sigma applied to the class sum(c * M), over the standard basis.
+    """Coordinates of sigma applied to sum(c * column), over the standard basis.
 
-    Takes the stored column of each standard M of ``terms`` and expands any
-    other M through ``expand``, moves the rows by sigma and solves; raises
-    SolveFailed if the image leaves the span.  ``moved`` memoises
-    row -> moved row for this one sigma at (n, m): a caller may share it
-    between calls with the same sigma and m, never across two sigmas.
+    ``columns`` yields (c, column) pairs, each column a ``{row: int}`` over
+    the tabloid rows of (n, m).  Moves the rows by sigma and solves against
+    the shared factor ``_solver(n, k, m)``; raises SolveFailed if the image
+    leaves the span.  ``moved`` memoises row -> moved row for this one
+    sigma at (n, m): a caller may share it between calls with the same
+    sigma and m, never across two sigmas.
     """
     if sigma.n != n:
         raise SizeMismatch(f"permutation on {sigma.n} letters, class on {n}")
-    _, index, columns, position, solver = _solver(expand, n, k, m)
+    _, index, _, _, solver = _solver(n, k, m)
     keys = tabloid_keys(n, m)
     target: dict[int, int] = {}
-    for M, c in terms:
-        j = position.get(M)
-        column = columns[j] if j is not None else {
-            index[key]: v for key, v in expand(M).items()}
+    for c, column in columns:
         for r, v in column.items():
             s = moved.get(r)
             if s is None:
@@ -119,14 +100,20 @@ def _image_coords(sigma: Permutation, terms, expand, n: int, k: int, m: int,
 
 
 def act(sigma: Permutation, x: HomClass) -> HomClass:
-    """The action of sigma on a homogeneous class, in the standard basis."""
+    """The action of sigma on a homogeneous class, in the standard basis.
+
+    A standard term reuses its stored column; any other term (a
+    nonstandard one, say) is expanded by ``matching_terms``.
+    """
     if sigma.n != x.n:
         raise SizeMismatch(f"permutation on {sigma.n} letters, class on {x.n}")
     if x.is_zero:
         return x
     m = x.grading
-    coords = _image_coords(sigma, x.terms, matching_terms, x.n, x.k, m, {})
-    basis = _solver(matching_terms, x.n, x.k, m)[0]
+    basis, index, columns, position, _ = _solver(x.n, x.k, m)
+    terms = ((c, columns[position[M]] if M in position else _column(index, matching_terms(M)))
+             for M, c in x.terms)
+    coords = _image_coords(sigma, x.n, x.k, m, terms, {})
     return hom_class(x.n, x.k, dict(zip(basis, coords)))
 
 
@@ -139,9 +126,9 @@ def rep_matrix(sigma: Permutation, n: int, k: int, m: int,
         hit = cache.load(sigma, n, k, m)
         if hit is not None:
             return hit
-    basis = _solver(matching_terms, n, k, m)[0]
+    columns = _solver(n, k, m)[2]
     moved: dict[int, int] = {}
-    cols = [_image_coords(sigma, ((M, 1),), matching_terms, n, k, m, moved) for M in basis]
+    cols = [_image_coords(sigma, n, k, m, ((1, column),), moved) for column in columns]
     matrix = [list(row) for row in zip(*cols)]
     if cache is not None:
         cache.store(sigma, n, k, m, matrix)
@@ -174,17 +161,25 @@ def line_diagram_expand(M: DottedMatching) -> TabloidVector:
 
 
 def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
-    """The action computed through the ambient coordinate permutation."""
+    """The action computed through the ambient coordinate permutation.
+
+    Every term is expanded by ``line_diagram_terms`` and moved by sigma.
+    The pole-flip columns are the matching columns times
+    s = (-1)^(m*(n mod 2)), so the moved image times s is solved against
+    the shared matching factor and no pole-flip solver is built.
+    """
     if isinstance(x, DottedMatching):
         x = HomClass.of(x)
     if x.is_zero:
         return x
     m = x.grading
+    basis, index, _, _, _ = _solver(x.n, x.k, m)
+    s = (-1) ** (m * (x.n % 2))
+    terms = ((s * c, _column(index, line_diagram_terms(M))) for M, c in x.terms)
     try:
-        coords = _image_coords(sigma, x.terms, line_diagram_terms, x.n, x.k, m, {})
+        coords = _image_coords(sigma, x.n, x.k, m, terms, {})
     except SolveFailed as exc:
         raise PullbackFailed(str(exc)) from exc
-    basis = _solver(line_diagram_terms, x.n, x.k, m)[0]
     return hom_class(x.n, x.k, dict(zip(basis, coords)))
 
 

@@ -307,7 +307,32 @@ def all_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMa
 
 @lru_cache(maxsize=None)
 def standard_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMatching, ...]:
-    return tuple(M for M in all_dotted_matchings(n, k, m) if M.is_standard)
+    """Every standard dotted matching of type (n-k, k); optionally fixed grading m.
+
+    A dotted matching is standard when each dotted arc lies under no arc
+    and to the right of every ray, so the standard ones of a base are its
+    subsets of such "dottable" arcs, of size k - m.  Same tuple, in the
+    same order, as filtering :func:`all_dotted_matchings` by
+    ``is_standard`` (the ``matching.standard-enumeration`` verify invariant).
+    """
+    out = []
+    for base in enumerate_matchings(n, k):
+        # Arcs run by left end; no arc encloses a ray, so an arc is dottable
+        # exactly when it reaches past the last ray and every earlier arc.
+        reach = max(base.rays, default=0)
+        dottable = []
+        for arc in base.arcs:
+            if arc[1] > reach:
+                dottable.append(arc)
+                reach = arc[1]
+        if m is None:
+            sizes = range(len(dottable) + 1)
+        else:
+            sizes = (k - m,) if m <= k else ()
+        for r in sizes:
+            for dotted in itertools.combinations(dottable, r):
+                out.append(DottedMatching(base, dotted))
+    return tuple(sorted(out, key=sort_key))
 
 
 def sort_key(M: DottedMatching):

@@ -20,7 +20,8 @@ from functools import lru_cache
 
 from .errors import DomainError, SizeMismatch, SolveFailed
 from .homology import HomClass
-from .matchings import DottedMatching, StandardTableau
+from .linalg import ColumnSolver
+from .matchings import DottedMatching, StandardTableau, standard_dotted_matchings, tableau_of
 from .permutations import Permutation
 from .records import Record
 
@@ -136,6 +137,29 @@ def matching_terms(M: DottedMatching) -> dict[TabloidKey, int]:
     return out
 
 
+def _column(index: dict[TabloidKey, int], terms: dict[TabloidKey, int]) -> dict[int, int]:
+    """Integer terms over m-subsets as a ``{row: int}`` column."""
+    return {index[key]: v for key, v in terms.items()}
+
+
+@lru_cache(maxsize=None)
+def _solver(n: int, k: int, m: int):
+    """Standard basis of (n, k, m), its matching columns and their factored solver.
+
+    Returns (basis, index, columns, position, solver): the standard basis,
+    the tabloid row of each m-subset, each basis element's
+    ``matching_terms`` column as ``{row: int}``, the column number of each
+    basis element, and the ``ColumnSolver`` over the columns.  This is the
+    one factor per shape: the action, its pole-flip route and
+    ``modules_equal`` all solve against it, and none of them changes it.
+    """
+    basis = standard_dotted_matchings(n, k, m)
+    index = tabloid_index(n, m)
+    columns = [_column(index, matching_terms(M)) for M in basis]
+    position = {M: j for j, M in enumerate(basis)}
+    return basis, index, columns, position, ColumnSolver(columns)
+
+
 def matching_vector(M: DottedMatching) -> TabloidVector:
     """Signed tabloid expansion of the undotted arcs.
 
@@ -192,26 +216,21 @@ def modules_equal(n: int, m: int, k: int) -> ModuleComparison:
 
     The rows are dense tabloid coordinates of the polytabloids of
     standard (n-m, m) tableaux and of the matching vectors of standard
-    dotted matchings of type (n-k, k) with grading m.  Both sets are
-    factored by the unit-triangular ``ColumnSolver``; the spans coincide
+    dotted matchings of type (n-k, k) with grading m.  The matching side
+    is the shared factor of ``_solver(n, k, m)``, read and not changed;
+    only the polytabloid side is expanded and factored here.  Both
+    factors are unit-triangular ``ColumnSolver``s; the spans coincide
     exactly when every vector of each set solves in the other, and those
     certified solves are the two integer change-of-basis matrices.
     """
-    from .linalg import ColumnSolver
-    from .matchings import standard_dotted_matchings, tableau_of
-
     if m > k:
         raise DomainError(f"m={m} exceeds k={k}")
-    ms = standard_dotted_matchings(n, k, m)
-    t_terms = [polytabloid_terms(tableau_of(M)) for M in ms]
-    m_terms = [matching_terms(M) for M in ms]
-    keys = tabloid_keys(n, m)
-    t_rows = [[terms.get(key, 0) for key in keys] for terms in t_terms]
-    m_rows = [[terms.get(key, 0) for key in keys] for terms in m_terms]
-    index = tabloid_index(n, m)
-    t_cols = [{index[key]: v for key, v in terms.items()} for terms in t_terms]
-    m_cols = [{index[key]: v for key, v in terms.items()} for terms in m_terms]
-    m_solver, t_solver = ColumnSolver(m_cols), ColumnSolver(t_cols)
+    basis, index, m_cols, _, m_solver = _solver(n, k, m)
+    t_cols = [_column(index, polytabloid_terms(tableau_of(M))) for M in basis]
+    rows = range(len(index))
+    t_rows = [[col.get(r, 0) for r in rows] for col in t_cols]
+    m_rows = [[col.get(r, 0) for r in rows] for col in m_cols]
+    t_solver = ColumnSolver(t_cols)
     try:
         t_in_m = [m_solver.solve(col) for col in t_cols]
         m_in_t = [t_solver.solve(col) for col in m_cols]

@@ -90,6 +90,14 @@ def check_tableau_bijection(n_max: int, rng) -> None:
             assert len(tableaux) == len(standards)
 
 
+def check_standard_enumeration(n_max: int, rng) -> None:
+    """The direct enumeration of the standard basis is the ``is_standard`` filter."""
+    for n, k in _types(min(n_max, 10)):
+        for m in (None, *range(k + 1)):
+            want = tuple(M for M in all_dotted_matchings(n, k, m) if M.is_standard)
+            assert standard_dotted_matchings(n, k, m) == want, (n, k, m)
+
+
 def check_standard_layout(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 8)):
         for m in range(k + 1):
@@ -472,13 +480,29 @@ def check_action_graded_and_group(n_max: int, rng) -> None:
                 assert lhs.is_zero or lhs.grading == m
 
 
-def check_gamma_agreement(n_max: int, rng) -> None:
+def check_gamma_agreement(n_max: int, rng) -> int:
+    """Pole-flip terms are matching terms times (-1)^(m*(n mod 2)), and both routes act alike.
+
+    The term identity is checked on every dotted matching with n up to
+    min(n_max, 10), the agreement of ``act`` and ``act_via_gamma`` on the
+    standard generators under every adjacent transposition up to
+    min(n_max, 5).  Returns the number of dotted matchings whose terms
+    were compared.
+    """
+    count = 0
+    for n, k in _types(min(n_max, 10)):
+        for M in all_dotted_matchings(n, k):
+            sign = (-1) ** (M.m * (n % 2))
+            want = {key: sign * v for key, v in tabloids.matching_terms(M).items()}
+            assert action.line_diagram_terms(M) == want, (n, k, str(M))
+            count += 1
     for n, k in _types(min(n_max, 5), n_min=2):
         for m in range(k + 1):
             for M in standard_dotted_matchings(n, k, m):
                 for i in range(1, n):
                     sigma = adjacent(n, i)
                     assert action.act(sigma, HomClass.of(M)) == action.act_via_gamma(sigma, M)
+    return count
 
 
 def check_eta_transport(n_max: int, rng) -> None:
@@ -615,6 +639,7 @@ CHECKS: list[Check] = [
     Check("matching.arc-parity", check_arc_parity),
     Check("matching.completion-restriction", check_completion_restriction),
     Check("matching.tableau-bijection", check_tableau_bijection),
+    Check("matching.standard-enumeration", check_standard_enumeration),
     Check("matching.standard-layout", check_standard_layout),
     Check("matching.codec-roundtrip", check_codec_roundtrip),
     Check("diagram.ray-pairing", check_ray_pairing),

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from springer_tworow import errors, verify
+from springer_tworow import errors, linalg, tabloids, verify
 from springer_tworow.action import (
     CASE_LABELS,
     act,
+    act_via_gamma,
     act_word,
     character_table_check,
     classify_case,
@@ -15,7 +16,7 @@ from springer_tworow.action import (
     rep_matrix,
 )
 from springer_tworow.homology import HomClass, hom_class
-from springer_tworow.matchings import all_dotted_matchings, parse_matching
+from springer_tworow.matchings import all_dotted_matchings, parse_matching, standard_dotted_matchings
 from springer_tworow.permutations import (
     adjacent,
     class_representative,
@@ -23,7 +24,7 @@ from springer_tworow.permutations import (
     parse_permutation,
     partitions,
 )
-from springer_tworow.tabloids import irr_character, matching_terms, tabloid_vector
+from springer_tworow.tabloids import irr_character, modules_equal, tabloid_vector
 
 pm = parse_matching
 
@@ -91,15 +92,29 @@ def test_line_diagram_expand_is_the_tabloid_vector_of_its_terms():
 
 def test_pole_flip_terms_are_matching_terms_up_to_a_global_sign():
     # The two orientations differ exactly when n is odd, once per undotted arc.
-    count = 0
-    for n in range(1, 11):
-        for k in range(0, n // 2 + 1):
-            for M in all_dotted_matchings(n, k):
-                sign = (-1) ** (M.m * (n % 2))
-                want = {key: sign * v for key, v in matching_terms(M).items()}
-                assert line_diagram_terms(M) == want, M
-                count += 1
-    assert count == 5588
+    assert verify.check_gamma_agreement(10, random.Random(0)) == 5588
+
+
+def test_one_factor_serves_every_caller(monkeypatch):
+    # One matching factor for the shape; modules_equal adds its polytabloid factor.
+    factored = []
+    original = linalg.ColumnSolver.__init__
+
+    def counting(self, columns):
+        factored.append(len(columns))
+        original(self, columns)
+
+    tabloids._solver.cache_clear()
+    monkeypatch.setattr(linalg.ColumnSolver, "__init__", counting)
+    sigma = parse_permutation("(1 3 4 7 6 2)", 7)
+    basis = standard_dotted_matchings(7, 3, 2)
+    rep_matrix(sigma, 7, 3, 2)
+    act(sigma, HomClass.of(basis[0]) - HomClass.of(basis[-1]))
+    act_via_gamma(sigma, basis[1])
+    assert modules_equal(7, 2, 3).equal
+    info = tabloids._solver.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert factored == [len(basis)] * 2
 
 
 def test_gamma_route_agrees():

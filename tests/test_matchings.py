@@ -156,6 +156,10 @@ def test_bijection_exhaustive():
     verify.check_tableau_bijection(9, random.Random(0))
 
 
+def test_standard_enumeration_is_the_is_standard_filter():
+    verify.check_standard_enumeration(10, random.Random(0))
+
+
 def test_standard_layout_examples():
     assert format_matching(standard_layout([(2, 3), (5, 6)], 7, 3)) == TYPE43
     assert format_matching(standard_layout([], 4, 1)) == "4: r1 r2 d3-4"

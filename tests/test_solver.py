@@ -133,7 +133,7 @@ def test_unit_triangular_invariant_to_n10():
 def test_action_path_builds_no_fraction(monkeypatch):
     import fractions
 
-    from springer_tworow import action
+    from springer_tworow import action, tabloids
 
     built = []
     original = fractions.Fraction.__new__
@@ -142,7 +142,7 @@ def test_action_path_builds_no_fraction(monkeypatch):
         built.append(args)
         return original(cls, *args, **kwargs)
 
-    action._solver.cache_clear()
+    tabloids._solver.cache_clear()
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
     sigma = random_sigma(7, 3, 2)
     basis = standard_dotted_matchings(7, 3, 2)
