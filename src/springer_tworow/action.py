@@ -8,7 +8,7 @@ minus-free-at-the-odd-end plus-free-at-the-even-end), permute coordinates
 there, and solve back.  The two must agree; characters and the Coxeter
 presentation pin the representation exactly.
 
-The two expansions differ by a global sign only: for a dotted matching M
+The two expansions differ by an overall sign only: for a dotted matching M
 of grading m on n points, ``line_diagram_terms(M)`` is (-1)^(m*(n mod 2))
 times ``matching_terms(M)``, because the orientations of an undotted arc
 agree exactly when n is even (the ``action.gamma-agreement`` verify
@@ -46,7 +46,6 @@ import itertools
 
 from .errors import (
     DomainError,
-    PullbackFailed,
     SizeMismatch,
     SolveFailed,
 )
@@ -176,10 +175,7 @@ def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
     basis, index, _, _, _ = _solver(x.n, x.k, m)
     s = (-1) ** (m * (x.n % 2))
     terms = ((s * c, _column(index, line_diagram_terms(M))) for M, c in x.terms)
-    try:
-        coords = _image_coords(sigma, x.n, x.k, m, terms, {})
-    except SolveFailed as exc:
-        raise PullbackFailed(str(exc)) from exc
+    coords = _image_coords(sigma, x.n, x.k, m, terms, {})
     return hom_class(x.n, x.k, dict(zip(basis, coords)))
 
 

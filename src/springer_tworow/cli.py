@@ -322,12 +322,8 @@ def cmd_skein(args) -> int:
     from . import skein
 
     x = parse_matching(args.matching)
-    convention = skein.active_convention()
-    if convention is None:
-        convention = skein.calibrate(args.calibrate_nmax)
     sigma = parse_permutation(args.sigma, x.n)
-    result = skein.skein_act(sigma, x, convention)
-    print(format_class(result))
+    print(format_class(skein.skein_act(sigma, x)))
     return 0
 
 
@@ -449,8 +445,6 @@ def build_parser() -> _Parser:
     p.add_argument("-m", type=int, default=None)
 
     p = add("act", cmd_act, help="apply a permutation to a class")
-    p.add_argument("-n", type=int, default=None, help="(unused; size from the class)")
-    p.add_argument("-k", type=int, default=None)
     p.add_argument("--sigma", required=True)
     p.add_argument("--class", dest="cls", required=True)
 
@@ -476,7 +470,6 @@ def build_parser() -> _Parser:
     p = add("skein", cmd_skein, help="act by skein evaluation")
     p.add_argument("--sigma", required=True)
     p.add_argument("--matching", required=True)
-    p.add_argument("--calibrate-nmax", type=int, default=3)
 
     p = add("calibrate", cmd_calibrate, help="search the resolution-convention family")
     p.add_argument("--nmax", type=int, default=4)

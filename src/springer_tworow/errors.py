@@ -100,15 +100,7 @@ class SolveFailed(SpringerError):
     """A linear solve guaranteed by theory failed (implementation bug)."""
 
 
-class PullbackFailed(SpringerError):
-    """A permuted line-diagram class left the solvable span."""
-
-
 # --- skein -----------------------------------------------------------------
-
-class UncalibratedConvention(SpringerError):
-    """Skein evaluation requested before a resolution convention is active."""
-
 
 class NoConventionFits(SpringerError):
     """Calibration found no convention matching the oracle action."""

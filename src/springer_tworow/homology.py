@@ -234,15 +234,6 @@ def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> Ho
     return _reduce_linear(x)
 
 
-def reduce_class_ordered(x: HomClass, order: tuple[Matching, ...]) -> HomClass:
-    """Reduce with the relation matrix assembled in the given node order.
-
-    Diagnostic path for order-independence checks; mathematically the
-    answer must match :func:`reduce_class`.
-    """
-    return _reduce_linear(x, order)
-
-
 def _reduce_linear(x: HomClass, order: tuple[Matching, ...] | None = None) -> HomClass:
     """Reduce x against the relation echelon of its grading, assembled in ``order``."""
     columns, index, basis, n_nonstd = _reduction_data(x.n, x.k, x.grading, order)

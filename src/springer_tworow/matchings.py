@@ -415,9 +415,8 @@ def matching_of(T: StandardTableau, k: int) -> DottedMatching:
     """Inverse bijection at arc count k: returns a standard dotted matching.
 
     Undotted arcs are drawn smallest bottom entry first, right endpoint at
-    the entry and left endpoint at the nearest free vertex to its left.
-    Rays fill the leftmost remaining positions; what is left pairs up into
-    unnested dotted arcs.
+    the entry and left endpoint at the nearest free vertex to its left;
+    :func:`standard_layout` places the rays and dotted arcs around them.
     """
     T.check()
     n = T.n
@@ -432,14 +431,7 @@ def matching_of(T: StandardTableau, k: int) -> DottedMatching:
             raise ShapeMismatch(f"no free vertex left of bottom entry {b}")
         occupied.update((left, b))
         undotted.append((left, b))
-    free = [v for v in range(1, n + 1) if v not in occupied]
-    rays = tuple(free[: n - 2 * k])
-    leftover = free[n - 2 * k:]
-    dotted = tuple((leftover[i], leftover[i + 1]) for i in range(0, len(leftover), 2))
-    M = validate(n, tuple(undotted) + dotted, rays, dotted)
-    if not M.is_standard:
-        raise ShapeMismatch(f"tableau {T} yields non-standard matching {M}")
-    return M
+    return standard_layout(undotted, n, k)
 
 
 def standard_layout(undotted_arcs: Iterable[Arc], n: int, k: int) -> DottedMatching:

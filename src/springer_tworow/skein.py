@@ -16,17 +16,20 @@ becomes a scalar at once, and the number of states stays bounded by the
 number of boundary states instead of doubling with every crossing.
 :func:`expand_resolutions` lists every resolution of the whole tangle; it
 is the full-expansion reference the fold is tested against.  The two
-share only the set-up (convention lookup and M's boundary state) and the
-read-off of a final boundary; the reference never relabels, merges or
-prunes states and defers every circle, so it checks the fold's merging.
+share only the set-up (M's boundary state) and the read-off of a final
+boundary; the reference never relabels, merges or prunes states and
+defers every circle, so it checks the fold's merging.
 
 The decoration and coefficient of each smoothing are not dictated by the
-evaluation rules themselves, so they live in a finite convention family
-and are calibrated against the tabloid-oracle action.  The turnback is
+evaluation rules themselves; they are fixed once as
+:data:`CALIBRATED_CONVENTION`, which every evaluator uses unless handed
+another member of the finite convention family.  The turnback is
 decorated separately according to whether its cup closes one component
 into a circle or merges two components: the two topologies provably
 cannot share one decoration (closing a dotted cap must die while merging
-through a dotted arc must survive).
+through a dotted arc must survive).  :func:`calibrate` is a check, not
+set-up: it searches the family for the conventions that agree with the
+tabloid-oracle action and changes nothing.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ from .errors import (
     InternalCheckError,
     MultipleConventionsFit,
     NoConventionFits,
-    UncalibratedConvention,
 )
 from .homology import HomClass, hom_class, reduce_class
 from .matchings import DottedMatching, standard_dotted_matchings, validate
@@ -92,24 +94,12 @@ class ResolutionConvention(Record, frozen=True, order=True):
         }[placement]
 
 
-#: The convention singled out by :func:`calibrate`; kept as the module
-#: default so evaluation works out of the box, with provenance recorded in
-#: its docstring-level derivation: closing a plain component must scale by
-#: -2 with the dot landing on the circle (undotted cap -> -2 undotted cap,
-#: dotted cap -> 0), and merging must pass dots through unscathed with
-#: coefficient -1.
+#: The convention every evaluator uses by default, the unique fit that
+#: :func:`calibrate` finds from n = 3 on: closing a plain component must
+#: scale by -2 with the dot landing on the circle (undotted cap -> -2
+#: undotted cap, dotted cap -> 0), and merging must pass dots through
+#: unscathed with coefficient -1.
 CALIBRATED_CONVENTION = ResolutionConvention(1, -2, "upperArc", -1, "none")
-
-_active_convention: ResolutionConvention | None = None
-
-
-def active_convention() -> ResolutionConvention | None:
-    return _active_convention
-
-
-def set_active_convention(c: ResolutionConvention | None) -> None:
-    global _active_convention
-    _active_convention = c
 
 
 class ResolvedDiagram(Record, frozen=True):
@@ -146,7 +136,7 @@ def circle_rule(dots: int) -> int:
 
 
 def resolve_evaluate(M: DottedMatching, tangle: FlatTangle,
-                     convention: ResolutionConvention | None = None) -> HomClass:
+                     convention: ResolutionConvention = CALIBRATED_CONVENTION) -> HomClass:
     """Evaluate the tangle glued below M; result in the standard basis."""
     return reduce_class(hom_class(M.n, M.k, boundary_coefficients(M, tangle, convention)))
 
@@ -156,19 +146,12 @@ def resolve_evaluate(M: DottedMatching, tangle: FlatTangle,
 _State = tuple[tuple[int, ...], tuple[tuple[int, bool], ...]]
 
 
-def _start(M: DottedMatching, tangle: FlatTangle, convention: ResolutionConvention | None
-           ) -> tuple[ResolutionConvention, list[int], list[tuple[int, bool]]]:
-    """The convention in force and M's boundary state as (labels, comps) lists.
+def _start(M: DottedMatching, tangle: FlatTangle) -> tuple[list[int], list[tuple[int, bool]]]:
+    """M's boundary state as (labels, comps) lists.
 
     ``labels[v - 1]`` is the component of boundary point v and
     ``comps[label]`` its (dots, ray); a ray carries its intrinsic dot.
     """
-    if convention is None:
-        convention = _active_convention
-        if convention is None:
-            raise UncalibratedConvention(
-                "no active resolution convention; run calibrate() or pass one"
-            )
     if M.n != tangle.n:
         raise InternalCheckError(f"matching on {M.n} strands, tangle on {tangle.n}")
     labels = [0] * M.n
@@ -180,7 +163,7 @@ def _start(M: DottedMatching, tangle: FlatTangle, convention: ResolutionConventi
     for ray in M.base.rays:
         labels[ray - 1] = len(comps)
         comps.append((1, True))
-    return convention, labels, comps
+    return labels, comps
 
 
 def _canonical(labels: list[int], comps: list[tuple[int, bool]]) -> _State:
@@ -192,7 +175,7 @@ def _canonical(labels: list[int], comps: list[tuple[int, bool]]) -> _State:
 
 
 def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
-                          convention: ResolutionConvention | None = None
+                          convention: ResolutionConvention = CALIBRATED_CONVENTION
                           ) -> dict[DottedMatching, int]:
     """The tangle glued below M as boundary matchings with nonzero coefficients.
 
@@ -203,7 +186,8 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
     pruned after every layer.  The result is not reduced to the standard
     basis; it equals the sum of :func:`expand_resolutions` by boundary.
     """
-    c, labels, comps = _start(M, tangle, convention)
+    c = convention
+    labels, comps = _start(M, tangle)
     states: dict[_State, int] = {_canonical(labels, comps): 1}
     cup_c, cap_c = c.dots_for(c.closure_dots)
     cup_m, cap_m = c.dots_for(c.merge_dots)
@@ -244,7 +228,7 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
 
 
 def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
-                       convention: ResolutionConvention | None = None
+                       convention: ResolutionConvention = CALIBRATED_CONVENTION
                        ) -> list[ResolvedDiagram]:
     """All surviving resolutions of the tangle under M.
 
@@ -256,7 +240,8 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
     :func:`boundary_coefficients`, which evaluates each circle at once; a
     closed component stays in ``comps`` with no label pointing at it.
     """
-    c, labels, comps = _start(M, tangle, convention)
+    c = convention
+    labels, comps = _start(M, tangle)
     out: list[ResolvedDiagram] = []
     validated: dict = {}
     cup_c, cap_c = c.dots_for(c.closure_dots)
@@ -334,11 +319,9 @@ def _reassemble(n: int, labels, comps, validated: dict) -> DottedMatching:
     return boundary_matching
 
 
-def skein_act(sigma: Permutation, M: DottedMatching,
-              convention: ResolutionConvention | None = None) -> HomClass:
+def skein_act(sigma: Permutation, M: DottedMatching) -> HomClass:
     """Action of sigma on M computed by skein evaluation of a reduced word."""
-    word = sigma.word()
-    return resolve_evaluate(M, flatten(word, M.n), convention)
+    return resolve_evaluate(M, flatten(sigma.word(), M.n))
 
 
 # --- calibration -------------------------------------------------------------
@@ -392,7 +375,7 @@ def convention_family() -> list[ResolutionConvention]:
 def calibrate(n_max: int) -> ResolutionConvention:
     """Search the convention family for agreement with the oracle action.
 
-    Returns the unique fitting convention and marks it active.  Raises
+    Returns the unique fitting convention and changes nothing.  Raises
     NoConventionFits when the family is empty of fits at this depth and
     MultipleConventionsFit (all fits attached, least first) when the depth
     under-constrains the family.
@@ -405,7 +388,6 @@ def calibrate(n_max: int) -> ResolutionConvention:
         raise NoConventionFits(f"no convention matches the action up to n={n_max}")
     if len(fits) > 1:
         raise MultipleConventionsFit(fits)
-    set_active_convention(fits[0])
     return fits[0]
 
 
@@ -414,8 +396,5 @@ def random_word(n: int, max_len: int, rng: random.Random) -> list[int]:
     return [rng.randint(1, n - 1) for _ in range(length)]
 
 
-def skein_matches_action(word: list[int], M: DottedMatching,
-                         convention: ResolutionConvention | None = None) -> bool:
-    got = resolve_evaluate(M, flatten(word, M.n), convention)
-    want = act_word(word, HomClass.of(M))
-    return got == want
+def skein_matches_action(word: list[int], M: DottedMatching) -> bool:
+    return resolve_evaluate(M, flatten(word, M.n)) == act_word(word, HomClass.of(M))

@@ -565,32 +565,29 @@ def check_skein_calibration(n_max: int, rng) -> None:
 
 
 def check_skein_agreement(n_max: int, rng) -> None:
-    convention = skein.CALIBRATED_CONVENTION
     for n, k in _types(min(n_max, 5), n_min=2):
         for m in range(k + 1):
             for M in standard_dotted_matchings(n, k, m):
                 for i in range(1, n):
-                    assert skein.skein_matches_action([i], M, convention)
+                    assert skein.skein_matches_action([i], M)
 
 
 def check_skein_random_words(n_max: int, rng) -> None:
-    convention = skein.CALIBRATED_CONVENTION
     for n, k in _types(min(n_max, 4), n_min=2):
         basis = standard_dotted_matchings(n, k)
         for _ in range(100):
             word = skein.random_word(n, 6, rng)
             M = basis[rng.randrange(len(basis))]
-            assert skein.skein_matches_action(word, M, convention)
+            assert skein.skein_matches_action(word, M)
 
 
 def check_skein_circle_confluence(n_max: int, rng) -> None:
-    convention = skein.CALIBRATED_CONVENTION
     for n, k in _types(min(n_max, 4), n_min=2):
         for M in standard_dotted_matchings(n, k)[:3]:
             for _ in range(5):
                 word = skein.random_word(n, 5, rng)
                 tangle = skein.flatten(word, n)
-                for diagram in skein.expand_resolutions(M, tangle, convention):
+                for diagram in skein.expand_resolutions(M, tangle):
                     base = diagram.circle_scalar()
                     dots = list(diagram.circle_dots)
                     for _ in range(3):
@@ -602,25 +599,19 @@ def check_skein_circle_confluence(n_max: int, rng) -> None:
 
 
 def check_skein_word_invariance(n_max: int, rng) -> None:
-    convention = skein.CALIBRATED_CONVENTION
+    """Every reduced word one commuting swap away evaluates like sigma's own word."""
     for n, k in _types(min(n_max, 4), n_min=2):
         for _ in range(20):
             sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
-            words = {tuple(sigma.word())}
-            # another reduced word: conjugate the bubble sort by reversing ties
-            alt = list(sigma.word())
-            for i in range(len(alt) - 1):
-                a, b = alt[i], alt[i + 1]
+            word = sigma.word()
+            words = {word}
+            for i in range(len(word) - 1):
+                a, b = word[i], word[i + 1]
                 if abs(a - b) >= 2:
-                    alt[i], alt[i + 1] = b, a
-                    break
-            words.add(tuple(alt))
+                    words.add(word[:i] + (b, a) + word[i + 2:])
+            assert all(from_word(w, n) == sigma for w in words), sigma
             for M in standard_dotted_matchings(n, k)[:4]:
-                results = {
-                    str(skein.resolve_evaluate(M, skein.flatten(w, n), convention))
-                    for w in words
-                    if from_word(w, n) == sigma
-                }
+                results = {str(skein.resolve_evaluate(M, skein.flatten(w, n))) for w in words}
                 assert len(results) == 1, (sigma, M)
 
 

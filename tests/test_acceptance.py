@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 from springer_tworow import action, homology, skein, verify
 from springer_tworow.diagrams import distance, linear_order, meet, reachable
-from springer_tworow.homology import HomClass, reduce_class, reduce_class_ordered
+from springer_tworow.homology import HomClass, reduce_class
 from springer_tworow.matchings import (
     enumerate_matchings,
     parse_matching,
@@ -74,10 +74,9 @@ def test_criterion_02_x31_reproduction():
         assert homology.betti(4, 1) == [1, 3]
 
 
-def test_criterion_03_distance():
+def test_criterion_03_distance(component_steps_n8):
     with budget(3, "BFS distance equals the component-count formula, n <= 8", 120):
         verify.check_distance_formula(8, random.Random(0))
-        verify.check_component_steps(8, random.Random(0))
 
 
 def test_criterion_04_meets():
@@ -124,7 +123,7 @@ def test_criterion_09_skein():
         verify.check_skein_random_words(4, random.Random(20260809))
         M = parse_matching("3: u1-2 r3")
         sigma = parse_permutation("(1 2 3)", 3)
-        got = skein.skein_act(sigma, M, skein.CALIBRATED_CONVENTION)
+        got = skein.skein_act(sigma, M)
         assert got == action.act(sigma, HomClass.of(M))
 
 
@@ -160,7 +159,7 @@ def test_criterion_12_order_independence():
                 sigma = adjacent(n, 1) if n >= 2 else None
                 base_act = action.act(sigma, x) if sigma else None
                 for order in orders:
-                    reduced = reduce_class_ordered(x, order)
+                    reduced = homology._reduce_linear(x, order)
                     assert reduced == base
                     if sigma:
                         assert action.act(sigma, reduced) == base_act
@@ -192,7 +191,7 @@ def test_criterion_15_skein_reach():
             for k in range(n // 2 + 1):
                 basis = standard_dotted_matchings(n, k)
                 for M in rng.sample(basis, min(20, len(basis))):
-                    got = skein.skein_act(w0, M, skein.CALIBRATED_CONVENTION)
+                    got = skein.skein_act(w0, M)
                     assert got == action.act(w0, HomClass.of(M)), (n, M)
 
 

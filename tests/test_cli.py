@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +187,25 @@ def test_skein_and_calibrate(capsys):
         capsys, "skein", "--sigma", "(1 2 3)", "--matching", "3: u1-2 r3"
     )
     assert code == 0 and out.strip() == "-1·(3: r1 u2-3)"
+
+
+def test_skein_command_does_not_calibrate():
+    """``springer skein`` evaluates under the fixed convention and never searches."""
+    probe = (
+        "import sys\n"
+        "from springer_tworow import cli, skein\n"
+        "def refuse(n_max):\n"
+        "    raise AssertionError('calibrate called')\n"
+        "skein.calibrate = refuse\n"
+        "sys.exit(cli.main(['skein', '--sigma', '(1 2 3)', '--matching', '3: u1-2 r3']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "-1·(3: r1 u2-3)\n"
 
 
 def test_render_deterministic(tmp_path, capsys):

@@ -168,8 +168,7 @@ def test_minimal_sequence_incompatible_falls_back():
         assert is_arrow(x, y) or is_arrow(y, x)
 
 
-def test_minimal_sequences_split_components():
-    verify.check_component_steps(8, random.Random(0))
+def test_minimal_sequences_split_components(component_steps_n8):
     for n in range(2, 9):
         for k in range(1, n // 2 + 1):
             ms = enumerate_matchings(n, k)
@@ -180,8 +179,7 @@ def test_minimal_sequences_split_components():
                         assert seq.steps[0] == a and seq.steps[-1] == b
 
 
-def test_component_count_bound():
-    verify.check_component_steps(7, random.Random(0))
+def test_component_count_bound(component_steps_n8):
     for n in range(2, 8):
         for k in range(0, n // 2 + 1):
             for a in enumerate_matchings(n, k):

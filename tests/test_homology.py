@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from springer_tworow import errors, verify
+from springer_tworow import errors, homology, verify
 from springer_tworow.diagrams import linear_order
 from springer_tworow.homology import (
     HomClass,
@@ -12,7 +12,6 @@ from springer_tworow.homology import (
     presentation_betti,
     pushforward_inclusion,
     reduce_class,
-    reduce_class_ordered,
     relation_instances,
 )
 from springer_tworow.matchings import all_dotted_matchings, parse_matching
@@ -113,7 +112,7 @@ def test_ordered_reduce_matches():
                 if M.is_standard:
                     continue
                 x = HomClass.of(M)
-                assert reduce_class_ordered(x, order) == reduce_class(x)
+                assert homology._reduce_linear(x, order) == reduce_class(x)
 
 
 def test_format_class():

@@ -22,13 +22,11 @@ from springer_tworow.skein import (
     flatten,
     random_word,
     resolve_evaluate,
-    set_active_convention,
     skein_act,
     skein_matches_action,
 )
 
 pm = parse_matching
-CONV = CALIBRATED_CONVENTION
 
 
 def test_flatten():
@@ -40,44 +38,48 @@ def test_flatten():
 
 def test_identity_tangle_fixes():
     M = pm("4: r1 u2-3 r4")
-    assert resolve_evaluate(M, flatten([], 4), CONV) == HomClass.of(M)
+    assert resolve_evaluate(M, flatten([], 4)) == HomClass.of(M)
 
 
 def test_single_crossing_anchors():
-    assert resolve_evaluate(pm("2: u1-2"), flatten([1], 2), CONV) == HomClass.of(
+    assert resolve_evaluate(pm("2: u1-2"), flatten([1], 2)) == HomClass.of(
         pm("2: u1-2")
     ).scale(-1)
-    assert resolve_evaluate(pm("2: d1-2"), flatten([1], 2), CONV) == HomClass.of(
+    assert resolve_evaluate(pm("2: d1-2"), flatten([1], 2)) == HomClass.of(
         pm("2: d1-2")
     )
 
 
 def test_double_crossing_is_identity():
     M = pm("2: u1-2")
-    assert resolve_evaluate(M, flatten([1, 1], 2), CONV) == HomClass.of(M)
+    assert resolve_evaluate(M, flatten([1, 1], 2)) == HomClass.of(M)
 
 
 def test_worked_example_three_cycle():
     M = pm("3: u1-2 r3")
     sigma = parse_permutation("(1 2 3)", 3)
-    got = skein_act(sigma, M, CONV)
+    got = skein_act(sigma, M)
     assert got == HomClass.of(pm("3: r1 u2-3")).scale(-1)
     assert got == act(sigma, HomClass.of(M))
 
 
-def test_uncalibrated_raises():
-    set_active_convention(None)
-    with pytest.raises(errors.UncalibratedConvention):
-        resolve_evaluate(pm("2: u1-2"), flatten([1], 2))
+def test_evaluators_default_to_the_calibrated_convention():
+    rng = random.Random(12)
+    for n in range(2, 6):
+        for M in all_dotted_matchings(n, n // 2):
+            tangle = flatten(random_word(n, 5, rng), n)
+            assert resolve_evaluate(M, tangle) == resolve_evaluate(M, tangle,
+                                                                   CALIBRATED_CONVENTION)
+            assert boundary_coefficients(M, tangle) == boundary_coefficients(
+                M, tangle, CALIBRATED_CONVENTION)
+            assert expand_resolutions(M, tangle) == expand_resolutions(
+                M, tangle, CALIBRATED_CONVENTION)
 
 
 def test_calibrate_finds_unique_convention():
     conv = calibrate(3)
-    assert conv == CONV
+    assert conv == CALIBRATED_CONVENTION
     assert conv == ResolutionConvention(1, -2, "upperArc", -1, "none")
-    from springer_tworow.skein import active_convention
-
-    assert active_convention() == conv
 
 
 def test_calibrate_underconstrained_at_2():
@@ -101,24 +103,7 @@ def test_agreement_random_words():
 
 
 def test_word_invariance():
-    rng = random.Random(4)
-    for n in range(2, 5):
-        for _ in range(25):
-            sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
-            word = list(sigma.word())
-            variants = [tuple(word)]
-            for i in range(len(word) - 1):
-                a, b = word[i], word[i + 1]
-                if abs(a - b) >= 2:
-                    alt = word[:i] + [b, a] + word[i + 2:]
-                    variants.append(tuple(alt))
-            variants = [w for w in variants if from_word(w, n) == sigma]
-            for k in range(0, n // 2 + 1):
-                for M in standard_dotted_matchings(n, k)[:3]:
-                    results = {
-                        str(resolve_evaluate(M, flatten(w, n), CONV)) for w in variants
-                    }
-                    assert len(results) == 1
+    verify.check_skein_word_invariance(4, random.Random(4))
 
 
 def test_braid_relation_via_skein():
@@ -126,8 +111,8 @@ def test_braid_relation_via_skein():
         for k in range(0, n // 2 + 1):
             for M in standard_dotted_matchings(n, k):
                 for i in range(1, n - 1):
-                    lhs = resolve_evaluate(M, flatten([i, i + 1, i], n), CONV)
-                    rhs = resolve_evaluate(M, flatten([i + 1, i, i + 1], n), CONV)
+                    lhs = resolve_evaluate(M, flatten([i, i + 1, i], n))
+                    rhs = resolve_evaluate(M, flatten([i + 1, i, i + 1], n))
                     assert lhs == rhs
 
 
@@ -135,7 +120,7 @@ def test_nonstandard_input_reduces():
     from springer_tworow.homology import reduce_class
 
     x = HomClass.of(pm("4: u1-4 d2-3"))
-    got = resolve_evaluate(pm("4: u1-4 d2-3"), flatten([], 4), CONV)
+    got = resolve_evaluate(pm("4: u1-4 d2-3"), flatten([], 4))
     assert all(N.is_standard for N, _ in got.terms)
     assert got == reduce_class(x)
 
@@ -232,4 +217,4 @@ def test_full_length_words_up_to_8():
             chosen = basis if sample is None else rng.sample(basis, min(sample, len(basis)))
             for M in chosen:
                 for word in words:
-                    assert skein_matches_action(word, M, CONV), (word, M)
+                    assert skein_matches_action(word, M), (word, M)
