@@ -42,14 +42,12 @@ compares the result with e_j, so no matrix product is formed.
 """
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     DomainError,
     SizeMismatch,
     SolveFailed,
 )
-from .homology import HomClass, hom_class
+from .homology import HomClass, _check_grading, hom_class
 from .matchings import DottedMatching, standard_dotted_matchings
 from .permutations import (
     Permutation,
@@ -61,6 +59,7 @@ from .records import Record
 from .tabloids import (
     TabloidVector,
     _column,
+    _pair_terms,
     _solver,
     irr_character,
     matching_terms,
@@ -119,8 +118,7 @@ def act(sigma: Permutation, x: HomClass) -> HomClass:
 def rep_matrix(sigma: Permutation, n: int, k: int, m: int,
                cache=None) -> list[list[int]]:
     """Matrix of the action over the standard basis; columns are images."""
-    if not 0 <= m <= k:
-        raise DomainError(f"grading m={m} outside 0..{k}")
+    _check_grading(n, k, m)
     if cache is not None:
         hit = cache.load(sigma, n, k, m)
         if hit is not None:
@@ -136,24 +134,16 @@ def rep_matrix(sigma: Permutation, n: int, k: int, m: int,
 
 # --- line-diagram route ---------------------------------------------------------
 
-S_ODD = -1  # orientation of the free factor at the odd endpoint of an arc
-
-
 def line_diagram_terms(M: DottedMatching) -> dict[frozenset[int], int]:
     """Integer terms of the pole-flip image of M (see ``line_diagram_expand``)."""
-    ends = [(i, j) if i % 2 == 0 else (j, i) for i, j in M.undotted]
-    out: dict[frozenset[int], int] = {}
-    for picks in itertools.product((0, 1), repeat=len(ends)):
-        key = frozenset(odd if p else even for p, (even, odd) in zip(picks, ends))
-        out[key] = out.get(key, 0) + S_ODD ** sum(picks)
-    return out
+    return _pair_terms([(i, j) if i % 2 == 0 else (j, i) for i, j in M.undotted])
 
 
 def line_diagram_expand(M: DottedMatching) -> TabloidVector:
     """Pole-flip image of a dotted matching in the ambient sphere power.
 
-    Every undotted arc contributes S_ODD * [free at odd endpoint] +
-    [free at even endpoint]; dotted arcs and rays pin their positions.
+    Every undotted arc contributes [free at even endpoint] - [free at odd
+    endpoint]; dotted arcs and rays pin their positions.
     The result is a tabloid vector keyed by the sets of free positions.
     """
     return tabloid_vector(M.n, M.m, line_diagram_terms(M))

@@ -40,20 +40,12 @@ class ArcForest(Record, frozen=True):
         )
 
 
-def _immediate_parent(arc: Arc, arcs: tuple[Arc, ...]) -> Arc | None:
-    i, j = arc
-    candidates = [(p, q) for p, q in arcs if p < i and j < q]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda a: a[1] - a[0])
-
-
 def arc_forest(a: Matching) -> ArcForest:
     """The nesting forest of a's arcs; |edges| + |roots| = k."""
     edges = []
     roots = []
     for arc in a.arcs:
-        parent = _immediate_parent(arc, a.arcs)
+        parent = a.parent(arc)
         if parent is None:
             roots.append(arc)
         else:

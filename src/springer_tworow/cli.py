@@ -354,10 +354,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     from . import render
 
-    try:
-        x = parse_class(args.cls)
-    except SpringerError:
-        x = HomClass.of(parse_matching(args.cls))
+    x = parse_class(args.cls)
     single = len(x.terms) == 1 and x.terms[0][1] == 1
     if args.format == "svg":
         text = render.render_svg(x.terms[0][0]) if single else render.render_class_svg(x)

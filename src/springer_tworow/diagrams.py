@@ -17,8 +17,15 @@ import random
 from collections import deque
 from functools import lru_cache
 
-from .errors import CycleDetected, InternalCheckError, NotFound, TypeMismatch
-from .matchings import Arc, Matching, complete, enumerate_matchings, restrict
+from .errors import (
+    CrossingArcs,
+    CycleDetected,
+    InternalCheckError,
+    NotFound,
+    RayUnderArc,
+    TypeMismatch,
+)
+from .matchings import Arc, Matching, _check_noncrossing, complete, enumerate_matchings, restrict
 from .records import Record
 
 
@@ -121,14 +128,11 @@ def compatible(a: Matching, b: Matching) -> bool:
 # --- arrow moves -------------------------------------------------------------
 
 def _try_build(n: int, arcs: set[Arc], rays: set[int]) -> Matching | None:
-    for (i, j) in arcs:
-        for (p, q) in arcs:
-            if (i, j) < (p, q) and (i < p < j < q or p < i < q < j):
-                return None
-    for r in rays:
-        for (i, j) in arcs:
-            if i < r < j:
-                return None
+    """The matching with these arcs and rays; None if two arcs cross or a ray lies under an arc."""
+    try:
+        _check_noncrossing(arcs, rays)
+    except (CrossingArcs, RayUnderArc):
+        return None
     return Matching(n, tuple(sorted(arcs)), tuple(sorted(rays)))
 
 
@@ -377,7 +381,8 @@ def meet(a: Matching, b: Matching) -> Matching:
     Constructive route: walk to arrow-predecessors of the current element
     while that shortens the distance to b; when no predecessor helps, an
     all-forward minimal sequence exists and the current element works.
-    Falls back to exhaustive search (and NotFound) if verification fails.
+    Raises InternalCheckError if the element the walk stops at is not a
+    meet.
     """
     _require_same_type(a, b)
     current = a
@@ -391,12 +396,10 @@ def meet(a: Matching, b: Matching) -> Matching:
         if nxt is None:
             break
         current, d = nxt, d - 1
-    if _is_meet(a, b, current):
-        return current
-    for c in graph.nodes:
-        if _is_meet(a, b, c):
-            return c
-    raise NotFound(f"no meet element for {a}, {b}")
+    if not _is_meet(a, b, current):
+        raise InternalCheckError(f"the meet walk from {a} towards {b} stopped at {current}, "
+                                 "which is not a meet")
+    return current
 
 
 def _is_meet(a: Matching, b: Matching, c: Matching) -> bool:

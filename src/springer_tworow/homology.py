@@ -22,7 +22,7 @@ column table turns into a sparse ``{column: int}`` row, so no dotted
 matching or class is built per term.  The relation rows go to the kernel
 sparse; the boundary rows are densified only for the rank call of
 :func:`presentation_betti` and for the callers of :func:`psi_minus_rows`.
-:func:`relation_instances` and :func:`pushforward_from_overlay` wrap the
+:func:`relation_instances` and :func:`pushforward_inclusion` wrap the
 same generators into classes.
 """
 from __future__ import annotations
@@ -269,10 +269,10 @@ def rewrite_step(M: DottedMatching, rng: random.Random | None = None) -> HomClas
     candidates = []
     dotted = set(M.dotted)
     for child in M.dotted:
-        parents = [(i, j) for i, j in M.base.arcs if i < child[0] and child[1] < j]
-        if not parents:
+        parent = M.base.parent(child)
+        if parent is None:
             continue
-        i, l = min(parents, key=lambda a: a[1] - a[0])
+        i, l = parent
         j, kk = child
         unnested = {(i, j), (kk, l)}
         rest = dotted - {child} - {(i, l)}
@@ -363,21 +363,16 @@ def pushforward_inclusion(a: Matching, b: Matching,
     if not (is_arrow(b, a) or is_arrow(a, b)):
         raise NotAnArrowPair(f"{a} and {b} are not one arrow move apart")
     glued = glue(a, b)
-    return pushforward_from_overlay(glued, "above", free_circles)
-
-
-def pushforward_from_overlay(glued: GluedOneManifold, side: str,
-                             free_circles: frozenset[int] | set[int]) -> HomClass:
     circles = glued.circles
     bad = set(free_circles) - set(range(len(circles)))
     if bad:
         raise InternalCheckError(f"free circle indices {sorted(bad)} out of range")
     free = [comp for idx, comp in enumerate(circles) if idx in free_circles]
     coeffs: dict[DottedMatching, int] = {}
-    for key in _pushforward_keys(glued, side, free):
+    for key in _pushforward_keys(glued, "above", free):
         M = DottedMatching(*key)
         coeffs[M] = coeffs.get(M, 0) + 1
-    return hom_class(glued.a.n, glued.a.k, coeffs)
+    return hom_class(a.n, a.k, coeffs)
 
 
 def _pushforward_keys(glued: GluedOneManifold, side: str,

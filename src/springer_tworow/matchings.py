@@ -73,6 +73,12 @@ class Matching(Record, frozen=True, order=True):
                 return i
         return None
 
+    def parent(self, arc: Arc) -> Arc | None:
+        """The innermost arc enclosing ``arc``, or None if no arc encloses it."""
+        i, j = arc
+        return min(((p, q) for p, q in self.arcs if p < i and j < q),
+                   key=lambda a: a[1] - a[0], default=None)
+
     def __str__(self) -> str:
         return format_matching(DottedMatching(self, ()))
 

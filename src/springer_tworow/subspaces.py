@@ -5,7 +5,9 @@ sign s in {+1, -1}, and pins ``x_i = s * p`` where p is the north pole.
 Every space handled by the package (components, their intersections, and
 images under the pole-flip maps) has this form, so equality, containment
 and emptiness are decided exactly on the symbolic level; no point of the
-sphere is ever sampled.
+sphere is ever sampled.  Containment is equality of canonical forms:
+``other`` lies in ``self`` exactly when ``self.intersect(other)`` equals
+``other``.
 
 Canonical form: slots are grouped into classes; each class is named by its
 least slot with sign +1, every other slot stores its sign relative to the
@@ -84,37 +86,9 @@ class SignedPartitionSubspace(Record, frozen=True):
         r2, p2 = other.constraints()
         return from_constraints(self.n, r1 + r2, p1 + p2)
 
-    def entails_relation(self, i: int, j: int, s: int) -> bool:
-        if self.empty:
-            return True
-        ri, si = self.rep(i)
-        rj, sj = self.rep(j)
-        if ri == rj:
-            return si * sj == s
-        pins = self.pin_map
-        if ri in pins and rj in pins:
-            return si * pins[ri] == s * sj * pins[rj]
-        return False
-
-    def entails_pin(self, i: int, s: int) -> bool:
-        if self.empty:
-            return True
-        ri, si = self.rep(i)
-        pins = self.pin_map
-        return ri in pins and si * pins[ri] == s
-
     def contains(self, other: "SignedPartitionSubspace") -> bool:
-        """True iff ``other`` is a subset of ``self``."""
-        if self.n != other.n:
-            raise SizeMismatch(f"slot counts {self.n} and {other.n} differ")
-        if other.empty:
-            return True
-        if self.empty:
-            return False
-        rels, pins = self.constraints()
-        return all(other.entails_relation(i, j, s) for i, j, s in rels) and all(
-            other.entails_pin(i, s) for i, s in pins
-        )
+        """True iff ``other`` is a subset of ``self``: ``self`` cuts nothing off it."""
+        return self.intersect(other) == other
 
     # -- point maps -----------------------------------------------------------
 

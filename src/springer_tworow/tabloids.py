@@ -19,7 +19,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import DomainError, SizeMismatch, SolveFailed
-from .homology import HomClass
+from .homology import HomClass, _check_grading
 from .linalg import ColumnSolver
 from .matchings import DottedMatching, StandardTableau, standard_dotted_matchings, tableau_of
 from .permutations import Permutation
@@ -105,15 +105,23 @@ def permute(sigma: Permutation, v: TabloidVector) -> TabloidVector:
     return tabloid_vector(v.n, v.m, {sigma.apply_to_set(k): c for k, c in v.coords})
 
 
+def _pair_terms(pairs) -> dict[TabloidKey, int]:
+    """Expand the product of (plus - minus) over disjoint (plus, minus) vertex pairs.
+
+    Each term picks one vertex from every pair; its key is the set of
+    picks and its sign is -1 to the number of minus picks.  The pairing
+    and orientation are the caller's: a tableau column, an oriented arc.
+    """
+    out: dict[TabloidKey, int] = {}
+    for picks in itertools.product((0, 1), repeat=len(pairs)):
+        out[frozenset(pair[p] for p, pair in zip(picks, pairs))] = (-1) ** sum(picks)
+    return out
+
+
 def polytabloid_terms(T: StandardTableau) -> dict[TabloidKey, int]:
     """Integer terms of the polytabloid: alternating sum over the column stabilizer."""
     T.check()
-    columns = list(zip(T.top, T.bottom))
-    out: dict[TabloidKey, int] = {}
-    for swaps in itertools.product((False, True), repeat=len(columns)):
-        key = frozenset(t if s else b for s, (t, b) in zip(swaps, columns))
-        out[key] = out.get(key, 0) + (-1) ** sum(swaps)
-    return out
+    return _pair_terms(tuple(zip(T.bottom, T.top)))
 
 
 def polytabloid(T: StandardTableau) -> TabloidVector:
@@ -130,11 +138,7 @@ def matching_terms(M: DottedMatching) -> dict[TabloidKey, int]:
             raise DomainError(f"arc ({i},{j}) joins two vertices of equal parity")
         plus, minus = (i, j) if i % 2 == n % 2 else (j, i)
         oriented.append((plus, minus))
-    out: dict[TabloidKey, int] = {}
-    for picks in itertools.product((0, 1), repeat=len(oriented)):
-        key = frozenset(mi if p else pl for p, (pl, mi) in zip(picks, oriented))
-        out[key] = out.get(key, 0) + (-1) ** sum(picks)
-    return out
+    return _pair_terms(oriented)
 
 
 def _column(index: dict[TabloidKey, int], terms: dict[TabloidKey, int]) -> dict[int, int]:
@@ -199,14 +203,11 @@ def shifted_permutation(sigma: Permutation, pad: int) -> Permutation:
 
 
 class ModuleComparison(Record):
-    __slots__ = _fields = ("equal", "tableau_rows", "matching_rows", "tableau_in_matching",
-                           "matching_in_tableau")
+    __slots__ = _fields = ("equal", "tableau_in_matching", "matching_in_tableau")
 
-    def __init__(self, equal: bool, tableau_rows: list, matching_rows: list,
-                 tableau_in_matching: list | None, matching_in_tableau: list | None):
+    def __init__(self, equal: bool, tableau_in_matching: list | None,
+                 matching_in_tableau: list | None):
         self.equal = equal
-        self.tableau_rows = tableau_rows
-        self.matching_rows = matching_rows
         self.tableau_in_matching = tableau_in_matching  # row i: e_T(i) over the e_M basis
         self.matching_in_tableau = matching_in_tableau  # row i: e_M(i) over the e_T basis
 
@@ -214,29 +215,25 @@ class ModuleComparison(Record):
 def modules_equal(n: int, m: int, k: int) -> ModuleComparison:
     """Span comparison of the tableau and matching spanning sets.
 
-    The rows are dense tabloid coordinates of the polytabloids of
-    standard (n-m, m) tableaux and of the matching vectors of standard
-    dotted matchings of type (n-k, k) with grading m.  The matching side
+    The spanning sets are the polytabloids of standard (n-m, m) tableaux
+    and the matching vectors of standard dotted matchings of type
+    (n-k, k) with grading m, as sparse tabloid columns.  The matching side
     is the shared factor of ``_solver(n, k, m)``, read and not changed;
     only the polytabloid side is expanded and factored here.  Both
     factors are unit-triangular ``ColumnSolver``s; the spans coincide
     exactly when every vector of each set solves in the other, and those
     certified solves are the two integer change-of-basis matrices.
     """
-    if m > k:
-        raise DomainError(f"m={m} exceeds k={k}")
+    _check_grading(n, k, m)
     basis, index, m_cols, _, m_solver = _solver(n, k, m)
     t_cols = [_column(index, polytabloid_terms(tableau_of(M))) for M in basis]
-    rows = range(len(index))
-    t_rows = [[col.get(r, 0) for r in rows] for col in t_cols]
-    m_rows = [[col.get(r, 0) for r in rows] for col in m_cols]
     t_solver = ColumnSolver(t_cols)
     try:
         t_in_m = [m_solver.solve(col) for col in t_cols]
         m_in_t = [t_solver.solve(col) for col in m_cols]
     except SolveFailed:
-        return ModuleComparison(False, t_rows, m_rows, None, None)
-    return ModuleComparison(True, t_rows, m_rows, t_in_m, m_in_t)
+        return ModuleComparison(False, None, None)
+    return ModuleComparison(True, t_in_m, m_in_t)
 
 
 # --- characters ----------------------------------------------------------------

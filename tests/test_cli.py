@@ -218,6 +218,11 @@ def test_render_deterministic(tmp_path, capsys):
     assert ascii_code == 0 and "1" in ascii_out and "2" in ascii_out
 
 
+def test_render_rejects_an_unclosed_class(capsys):
+    code, out, err = run(capsys, "render", "(4: u1-2")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_verify_subset(capsys):
     code, out, _ = run(
         capsys, "verify", "--all", "-nmax", "4", "--only",

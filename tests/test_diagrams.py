@@ -201,6 +201,16 @@ def test_meet_properties():
     verify.check_meet(7, random.Random(0))
 
 
+def test_meet_refuses_a_walk_that_misses(monkeypatch):
+    from springer_tworow import diagrams
+
+    a, b = m("4: u1-2 r3 r4"), m("4: r1 r2 u3-4")
+    monkeypatch.setattr(diagrams, "_is_meet", lambda *_: False)
+    stop = r"from 4: u1-2 r3 r4 towards 4: r1 r2 u3-4 stopped at 4: r1 r2 u3-4"
+    with pytest.raises(errors.InternalCheckError, match=stop):
+        meet(a, b)
+
+
 def test_winding_parity():
     verify.check_winding_parity(8, random.Random(0))
 

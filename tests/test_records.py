@@ -80,8 +80,7 @@ POOLS = {
     "Chart": {"n": (2,), "k": (1,), "rows": ([], [1]), "anchor_failures": ([], ["x"])},
     "CharacterReport": {"n": (4,), "k": (2,), "rows": ([], [(1, (1, 1), 2, 2)]),
                         "coxeter_ok": (True, False), "failures": ([], ["f"])},
-    "ModuleComparison": {"equal": (True, False), "tableau_rows": ([], [[1]]),
-                         "matching_rows": ([[1]],), "tableau_in_matching": (None, [[1]]),
+    "ModuleComparison": {"equal": (True, False), "tableau_in_matching": (None, [[1]]),
                          "matching_in_tableau": (None,)},
     "Check": {"name": ("a", "b"), "fn": (len, abs)},
 }

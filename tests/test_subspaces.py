@@ -3,6 +3,7 @@ import random
 import pytest
 
 from springer_tworow import errors, verify
+from springer_tworow.cells import forest_cell_subspace, forest_cells
 from springer_tworow.matchings import enumerate_matchings, parse_matching
 from springer_tworow.subspaces import from_constraints, full_space, subspace_of
 
@@ -57,6 +58,57 @@ def test_contains():
     assert full_space(4).contains(Sa)
     assert Sb.contains(Sa.intersect(Sc))      # empty set in anything
     assert not Sa.contains(Sb)
+
+
+def _entails_relation(space, i, j, s):
+    """Reference: x_i = s * x_j holds on all of ``space``."""
+    if space.empty:
+        return True
+    ri, si = space.rep(i)
+    rj, sj = space.rep(j)
+    if ri == rj:
+        return si * sj == s
+    pins = space.pin_map
+    if ri in pins and rj in pins:
+        return si * pins[ri] == s * sj * pins[rj]
+    return False
+
+
+def _entails_pin(space, i, s):
+    """Reference: x_i = s * p holds on all of ``space``."""
+    if space.empty:
+        return True
+    ri, si = space.rep(i)
+    pins = space.pin_map
+    return ri in pins and si * pins[ri] == s
+
+
+def _entails_contains(big, small):
+    """Reference containment: ``small`` entails each canonical constraint of ``big``."""
+    if small.empty:
+        return True
+    if big.empty:
+        return False
+    rels, pins = big.constraints()
+    return all(_entails_relation(small, i, j, s) for i, j, s in rels) and all(
+        _entails_pin(small, i, s) for i, s in pins
+    )
+
+
+def test_contains_agrees_with_constraint_entailment():
+    # Components (plain, primed and their gamma images), forest-cell
+    # subspaces and all their pairwise intersections, every ordered pair.
+    for n in range(1, 7):
+        family = set()
+        for k in range(n // 2 + 1):
+            for a in enumerate_matchings(n, k):
+                plain, primed = subspace_of(a), subspace_of(a, "primed")
+                family |= {plain, primed, plain.apply_gamma(), primed.apply_gamma()}
+                family |= {forest_cell_subspace(a, J) for J, _ in forest_cells(a)}
+        spaces = family | {x.intersect(y) for x in family for y in family}
+        for x in spaces:
+            for y in spaces:
+                assert x.contains(y) == _entails_contains(x, y), (x, y)
 
 
 def test_sign_conflict_collapses():

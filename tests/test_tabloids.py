@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from springer_tworow import errors, linalg, verify
-from springer_tworow.action import line_diagram_expand
+from springer_tworow.action import line_diagram_expand, line_diagram_terms, rep_matrix
 from springer_tworow.homology import HomClass, hom_class
 from springer_tworow.matchings import (
     StandardTableau,
@@ -25,10 +26,12 @@ from springer_tworow.permutations import (
 from springer_tworow.tabloids import (
     f_embed,
     irr_character,
+    matching_terms,
     matching_vector,
     modules_equal,
     permute,
     polytabloid,
+    polytabloid_terms,
     tabloid_vector,
     zeta,
 )
@@ -79,6 +82,46 @@ def test_matching_vector_examples():
     assert matching_vector(pm("4: r1 r2 d3-4")) == tv(4, 0, {(): 1})
     got = matching_vector(pm("4: u1-4 u2-3"))
     assert got == tv(4, 2, {(2, 4): 1, (3, 4): -1, (1, 2): -1, (1, 3): 1})
+
+
+def _reference_matching_terms(M):
+    oriented = [(i, j) if i % 2 == M.n % 2 else (j, i) for i, j in M.undotted]
+    out = {}
+    for picks in itertools.product((0, 1), repeat=len(oriented)):
+        key = frozenset(mi if p else pl for p, (pl, mi) in zip(picks, oriented))
+        out[key] = out.get(key, 0) + (-1) ** sum(picks)
+    return out
+
+
+def _reference_polytabloid_terms(T):
+    columns = list(zip(T.top, T.bottom))
+    out = {}
+    for swaps in itertools.product((False, True), repeat=len(columns)):
+        key = frozenset(t if s else b for s, (t, b) in zip(swaps, columns))
+        out[key] = out.get(key, 0) + (-1) ** sum(swaps)
+    return out
+
+
+def _reference_line_diagram_terms(M):
+    ends = [(i, j) if i % 2 == 0 else (j, i) for i, j in M.undotted]
+    out = {}
+    for picks in itertools.product((0, 1), repeat=len(ends)):
+        key = frozenset(odd if p else even for p, (even, odd) in zip(picks, ends))
+        out[key] = out.get(key, 0) + (-1) ** sum(picks)
+    return out
+
+
+def test_term_families_match_their_own_expansion_loops():
+    # Each reference expands its family's signed pairs in a loop of its own;
+    # the shared expansion must reproduce all three to n = 10.
+    for n in range(11):
+        for k in range(n // 2 + 1):
+            for M in all_dotted_matchings(n, k):
+                assert matching_terms(M) == _reference_matching_terms(M), M
+                assert line_diagram_terms(M) == _reference_line_diagram_terms(M), M
+                if M.is_standard:
+                    T = tableau_of(M)
+                    assert polytabloid_terms(T) == _reference_polytabloid_terms(T), M
 
 
 def test_matching_vector_ignores_dots_and_rays():
@@ -139,9 +182,19 @@ def test_spanning_sets_and_module_equality():
     verify.check_modules_equal(7, random.Random(0))
 
 
+@pytest.mark.parametrize("m", [-1, 3])
+def test_grading_outside_range_is_a_domain_error(m):
+    with pytest.raises(errors.DomainError):
+        modules_equal(5, m, 2)
+    with pytest.raises(errors.DomainError):
+        rep_matrix(identity(5), 5, 2, m)
+
+
 def test_modules_equal_examples():
     result = modules_equal(4, 2, 2)
-    assert result.equal and linalg.rank(result.tableau_rows) == 2
+    basis = standard_dotted_matchings(4, 2, 2)
+    tableau_rows = [polytabloid(tableau_of(M)).to_row() for M in basis]
+    assert result.equal and linalg.rank(tableau_rows) == 2
     # change-of-basis matrices invert each other exactly
     from fractions import Fraction
     t_in_m, m_in_t = result.tableau_in_matching, result.matching_in_tableau
