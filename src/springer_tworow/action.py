@@ -35,7 +35,12 @@ the bottom row of ``tableau_of(M)``, with entry +-1 (the
 back-substitution that certifies itself by a zero residual, and no
 Fraction is built on this path.
 
-``character_table_check`` checks the Coxeter relations (s_i^2,
+``character_table_check`` works one grading at a time.  It first solves
+the n - 1 generator matrices through ``rep_matrix``: every column is a
+full solve certified by a zero residual, which proves that the standard
+span is stable under S_n.  Only then does it read each class
+representative's trace off the factor (``ColumnSolver.trace``, with no
+solve and no matrix).  It checks the Coxeter relations (s_i^2,
 (s_i s_{i+1})^3, commuting pairs) on sparse columns of the generator
 matrices: it applies each relation word to every unit vector e_j and
 compares the result with e_j, so no matrix product is formed.
@@ -48,7 +53,7 @@ from .errors import (
     SolveFailed,
 )
 from .homology import HomClass, _check_grading, hom_class
-from .matchings import DottedMatching, standard_dotted_matchings
+from .matchings import DottedMatching, check_type, standard_dotted_matchings
 from .permutations import (
     Permutation,
     adjacent,
@@ -242,6 +247,7 @@ def derive_chart(n: int, k: int) -> Chart:
     dotted/dotted, ray/ray and ray-dotted cases return a single term; the
     mixed-arc, undotted-arc-pair and ray-undotted cases return two terms.
     """
+    check_type(n, k)
     chart = Chart(n, k)
     for m in range(k + 1):
         for M in standard_dotted_matchings(n, k, m):
@@ -302,10 +308,16 @@ def _word_is_identity(word: tuple[list[dict[int, int]], ...]) -> bool:
 
     Applies the word to each unit vector e_j, rightmost factor first, and
     compares the result with e_j; stops at the first column that differs.
+    A one-term vector c * e_t goes through a letter as its column t, read
+    as it is when c is 1.
     """
     for j in range(len(word[0])):
         v = {j: 1}
         for g in reversed(word):
+            if len(v) == 1:
+                (t, x), = v.items()
+                v = g[t] if x == 1 else {i: x * y for i, y in g[t].items()}
+                continue
             out: dict[int, int] = {}
             for t, x in v.items():
                 for i, y in g[t].items():
@@ -316,21 +328,41 @@ def _word_is_identity(word: tuple[list[dict[int, int]], ...]) -> bool:
     return True
 
 
+def _factor_trace(sigma: Permutation, n: int, k: int, m: int) -> int:
+    """The trace of ``rep_matrix(sigma, n, k, m)``, read off the shared factor.
+
+    Row p of the moved vector is the entry of row index[sigma^-1(keys[p])],
+    so ``ColumnSolver.trace`` sums the dual basis there with no solve.
+    Valid only once the span is known to be S_n-stable.
+    """
+    _, index, _, _, solver = _solver(n, k, m)
+    keys = tabloid_keys(n, m)
+    inverse = [0] * (n + 1)
+    for i, image in enumerate(sigma.images, start=1):
+        inverse[image] = i
+    return solver.trace(lambda p: index[frozenset(inverse[v] for v in keys[p])])
+
+
 def character_table_check(n: int, k: int) -> CharacterReport:
-    """Traces against the two-row irreducible characters, plus Coxeter laws."""
+    """Traces against the two-row irreducible characters, plus Coxeter laws.
+
+    In each grading the generator matrices are solved and certified
+    first, through ``rep_matrix``; the class traces are then read off the
+    factor by ``_factor_trace``.  Rows and failures keep the order
+    traces, then relations, grading by grading.
+    """
+    check_type(n, k)
     report = CharacterReport(n, k)
     for m in range(k + 1):
+        gens = [_sparse_columns(rep_matrix(adjacent(n, i), n, k, m)) for i in range(1, n)]
         for mu in partitions(n):
-            sigma = class_representative(mu, n)
-            mat = rep_matrix(sigma, n, k, m)
-            trace = sum(mat[i][i] for i in range(len(mat)))
+            trace = _factor_trace(class_representative(mu, n), n, k, m)
             expected = irr_character((n - m, m), mu)
             report.rows.append((m, mu, trace, expected))
             if trace != expected:
                 report.failures.append(
                     f"m={m}, class {mu}: trace {trace} != character {expected}"
                 )
-        gens = [_sparse_columns(rep_matrix(adjacent(n, i), n, k, m)) for i in range(1, n)]
         for i, g in enumerate(gens, start=1):
             if not _word_is_identity((g, g)):
                 report.coxeter_ok = False

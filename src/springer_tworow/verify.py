@@ -32,7 +32,14 @@ from .matchings import (
     format_matching,
     parse_matching,
 )
-from .permutations import Permutation, adjacent, from_word, identity
+from .permutations import (
+    Permutation,
+    adjacent,
+    class_representative,
+    from_word,
+    identity,
+    partitions,
+)
 from .records import Record
 from .tabloids import f_embed, matching_vector, permute, polytabloid, shifted_permutation, zeta
 
@@ -543,6 +550,25 @@ def check_image_stability(n_max: int, rng) -> None:
                     assert in_row_space(row_of(moved), span), (n, k, m, i)
 
 
+def check_trace_agreement(n_max: int, rng) -> None:
+    """``ColumnSolver.trace`` is the diagonal sum of ``rep_matrix``.
+
+    Compared for every class representative and one seeded random
+    permutation, at every (n, k, m) with n up to min(n_max, 10).
+    ``character_table_check`` reads its class traces off the factor this
+    way, after its generator solves have proved the span S_n-stable.
+    """
+    for n, k in _types(min(n_max, 10)):
+        for m in range(k + 1):
+            sigmas = [class_representative(mu, n) for mu in partitions(n)]
+            sigmas.append(Permutation(tuple(rng.sample(range(1, n + 1), n))))
+            for sigma in sigmas:
+                mat = action.rep_matrix(sigma, n, k, m)
+                diagonal = sum(mat[i][i] for i in range(len(mat)))
+                got = action._factor_trace(sigma, n, k, m)
+                assert got == diagonal, ((n, k, m), sigma.images, got, diagonal)
+
+
 def check_characters(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 6), n_min=2):
         report = action.character_table_check(n, k)
@@ -662,6 +688,7 @@ CHECKS: list[Check] = [
     Check("action.gamma-agreement", check_gamma_agreement),
     Check("action.eta-transport", check_eta_transport),
     Check("action.image-stability", check_image_stability),
+    Check("action.trace-agreement", check_trace_agreement),
     Check("action.characters", check_characters),
     Check("action.chart-anchors", check_chart_anchors),
     Check("skein.calibration", check_skein_calibration),

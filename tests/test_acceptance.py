@@ -200,3 +200,10 @@ def test_criterion_16_character_table_reach():
         report = action.character_table_check(12, 6)
         assert report.coxeter_ok and report.ok, report.failures
         assert len(report.rows) == 7 * 77  # every class trace, m = 0..6
+
+
+def test_criterion_17_character_table_at_14():
+    with budget(17, "character table and Coxeter presentation at (14, 7)", 60):
+        report = action.character_table_check(14, 7)
+        assert report.coxeter_ok and report.ok, report.failures
+        assert len(report.rows) == 8 * 135  # every class trace, m = 0..7

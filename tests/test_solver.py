@@ -8,6 +8,7 @@ seeded random permutation, ``act_via_gamma`` on every standard basis
 vector for that permutation, and both ``modules_equal`` change-of-basis
 matrices.
 """
+import itertools
 import random
 
 import pytest
@@ -124,6 +125,31 @@ def test_non_unit_pivot_raises():
         ColumnSolver([{0: 1}, {0: 1, 1: 2}])
     with pytest.raises(errors.InternalCheckError, match="column 0 is zero"):
         ColumnSolver([{0: 0}])
+
+
+def test_trace_reads_the_dual_basis():
+    # three columns spanning the sum-zero vectors of Z^4, pivots at rows 1, 2, 3
+    columns = [{0: 1, 1: -1}, {0: 1, 2: -1}, {1: 2, 2: -1, 3: -1}]
+    solver = ColumnSolver(columns)
+    assert solver._dual_basis() == [(1, {0: -1, 1: 1}), (2, {0: -1, 2: 1}),
+                                    (3, {0: -1, 3: 1})]
+    # every row permutation keeps the span, acting as the standard
+    # representation of S_4, whose character is (fixed points - 1)
+    for images in itertools.permutations(range(4)):
+        source = images.__getitem__
+        solved = [solver.solve({r: col.get(source(r), 0) for r in range(4)})
+                  for col in columns]
+        diagonal = sum(solved[j][j] for j in range(3))
+        fixed = sum(source(r) == r for r in range(4))
+        assert solver.trace(source) == diagonal == fixed - 1, images
+
+
+def test_dual_basis_checks_its_unit_vectors():
+    solver = ColumnSolver([{0: 1}, {0: 2, 1: -1}])
+    p, unit, j, items = solver._steps[0]
+    solver._steps[0] = (p, -unit, j, items)  # a wrong pivot entry on record
+    with pytest.raises(errors.InternalCheckError, match=r"dual basis: column 1 .*row 1"):
+        solver.trace(lambda r: r)
 
 
 def test_unit_triangular_invariant_to_n10():
