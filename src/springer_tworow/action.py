@@ -2,48 +2,30 @@
 
 Normative route: push a class through the tabloid model (zeta), permute,
 and solve back in the span of the standard-basis images.  Validation
-route: expand each standard generator as a line-diagram class of the
-ambient sphere product via the pole-flip map (every undotted arc becomes
-minus-free-at-the-odd-end plus-free-at-the-even-end), permute coordinates
-there, and solve back.  The two must agree; characters and the Coxeter
-presentation pin the representation exactly.
-
-The two expansions differ by an overall sign only: for a dotted matching M
-of grading m on n points, ``line_diagram_terms(M)`` is (-1)^(m*(n mod 2))
-times ``matching_terms(M)``, because the orientations of an undotted arc
-agree exactly when n is even (the ``action.gamma-agreement`` verify
-invariant, over every dotted matching with n <= 10).  So the validation
-route certifies the orientation convention, not an independent solve:
-``act_via_gamma`` expands every term by ``line_diagram_terms``, moves it
-by sigma, multiplies the target by that sign and solves against the
-matching factor.
+route: expand through the pole-flip map into line-diagram classes of the
+ambient sphere product, permute there and solve back.  Characters and
+the Coxeter presentation pin the representation exactly.  The pole-flip
+terms of a dotted matching are its tabloid terms times (-1)^(m*(n mod 2))
+(the ``action.gamma-agreement`` verify invariant, n <= 10), so that
+route certifies the orientation convention, not an independent solve.
 
 Every caller solves against one cached factor per shape,
-``tabloids._solver(n, k, m)``, which ``tabloids.modules_equal`` shares.
-It expands each standard basis element once by ``matching_terms`` and
-keeps the ``{row: int}`` columns, a position map from basis element to
-column, and the factored solver over those columns.  One helper,
-``_image_coords``, moves a weighted sum of columns by sigma and solves:
-``act`` and ``rep_matrix`` reuse the stored column of a standard term,
-and only any other term (a nonstandard one, say) is expanded afresh.
-Rows are moved through a memo of row -> sigma(row) that lives for one
-sigma; ``rep_matrix`` shares one memo across all its columns, so each
-tabloid row is moved at most once per matrix.  The standard columns are
-unit-triangular: the lexicographically last key of the column of M is
-the bottom row of ``tableau_of(M)``, with entry +-1 (the
-``action.unit-triangular`` verify invariant).  So every solve is integer
-back-substitution that certifies itself by a zero residual, and no
-Fraction is built on this path.
+``tabloids._solver(n, k, m)``, and coordinates are sparse ``{column: int}``
+dicts from end to end.  ``_image_coords`` moves a weighted sum of columns
+through ``_RowMap``, the one memo of row -> sigma(row), and solves.
+``act`` and ``act_via_gamma`` share one body and differ only in how a
+term becomes a column.  ``_solved_columns`` solves the image of every
+standard column with one row map, so each tabloid row is moved at most
+once per matrix; ``rep_matrix`` is its dense view.  The standard columns
+are unit-triangular (the ``action.unit-triangular`` verify invariant), so
+every solve is integer back-substitution certified by a zero residual,
+and no Fraction is built on this path.
 
-``character_table_check`` works one grading at a time.  It first solves
-the n - 1 generator matrices through ``rep_matrix``: every column is a
-full solve certified by a zero residual, which proves that the standard
-span is stable under S_n.  Only then does it read each class
-representative's trace off the factor (``ColumnSolver.trace``, with no
-solve and no matrix).  It checks the Coxeter relations (s_i^2,
-(s_i s_{i+1})^3, commuting pairs) on sparse columns of the generator
-matrices: it applies each relation word to every unit vector e_j and
-compares the result with e_j, so no matrix product is formed.
+``character_table_check`` works one grading at a time.  It solves the
+n - 1 generators through ``_solved_columns`` first, which proves the
+standard span S_n-stable.  Only then does it build the factor's dual
+basis, read every class trace off it with no solve, and drop it.  The
+Coxeter relations are checked on the sparse generator columns.
 """
 from __future__ import annotations
 
@@ -53,6 +35,7 @@ from .errors import (
     SolveFailed,
 )
 from .homology import HomClass, _check_grading, hom_class
+from .linalg import ColumnSolver
 from .matchings import DottedMatching, check_type, standard_dotted_matchings
 from .permutations import (
     Permutation,
@@ -68,70 +51,93 @@ from .tabloids import (
     _solver,
     irr_character,
     matching_terms,
+    tabloid_index,
     tabloid_keys,
     tabloid_vector,
 )
 
 
-def _image_coords(sigma: Permutation, n: int, k: int, m: int, columns,
-                  moved: dict[int, int]) -> list[int]:
-    """Coordinates of sigma applied to sum(c * column), over the standard basis.
+class _RowMap(dict):
+    """Tabloid row r -> the row of sigma(keys[r]) at (n, m), moved on first lookup."""
 
-    ``columns`` yields (c, column) pairs, each column a ``{row: int}`` over
-    the tabloid rows of (n, m).  Moves the rows by sigma and solves against
-    the shared factor ``_solver(n, k, m)``; raises SolveFailed if the image
-    leaves the span.  ``moved`` memoises row -> moved row for this one
-    sigma at (n, m): a caller may share it between calls with the same
-    sigma and m, never across two sigmas.
+    def __init__(self, sigma: Permutation, n: int, m: int):
+        if sigma.n != n:
+            raise SizeMismatch(f"permutation on {sigma.n} letters, class on {n}")
+        self.images = (0, *sigma.images)  # images[v] = sigma(v)
+        self.index, self.keys = tabloid_index(n, m), tabloid_keys(n, m)
+
+    def __missing__(self, r: int) -> int:
+        images = self.images
+        s = self[r] = self.index[frozenset(images[v] for v in self.keys[r])]
+        return s
+
+
+def _image_coords(sigma: Permutation, n: int, k: int, m: int, columns,
+                  moved: _RowMap) -> dict[int, int]:
+    """Sparse coordinates of sigma applied to sum(c * column) for (c, column) in ``columns``.
+
+    Raises SolveFailed if the image, moved through ``moved``, leaves the span.
     """
-    if sigma.n != n:
-        raise SizeMismatch(f"permutation on {sigma.n} letters, class on {n}")
-    _, index, _, _, solver = _solver(n, k, m)
-    keys = tabloid_keys(n, m)
     target: dict[int, int] = {}
     for c, column in columns:
         for r, v in column.items():
-            s = moved.get(r)
-            if s is None:
-                s = moved[r] = index[sigma.apply_to_set(keys[r])]
+            s = moved[r]
             target[s] = target.get(s, 0) + c * v
     try:
-        return solver.solve(target)
+        return _solver(n, k, m)[4].solve(target)
     except SolveFailed as exc:
         raise SolveFailed(f"action of {sigma.images} at (n, k, m) = ({n}, {k}, {m}) "
                           f"left the standard span: {exc}") from exc
 
 
-def act(sigma: Permutation, x: HomClass) -> HomClass:
-    """The action of sigma on a homogeneous class, in the standard basis.
+def _act(sigma: Permutation, x: HomClass, weighted_column) -> HomClass:
+    """sigma applied to a homogeneous class, in the standard basis.
 
-    A standard term reuses its stored column; any other term (a
-    nonstandard one, say) is expanded by ``matching_terms``.
+    ``weighted_column(M, c, factor)`` turns c * M into (coefficient,
+    ``{row: int}`` column) over ``factor = _solver(n, k, m)``.
     """
-    if sigma.n != x.n:
-        raise SizeMismatch(f"permutation on {sigma.n} letters, class on {x.n}")
+    m = x.grading
+    moved = _RowMap(sigma, x.n, m)
     if x.is_zero:
         return x
-    m = x.grading
-    basis, index, columns, position, _ = _solver(x.n, x.k, m)
-    terms = ((c, columns[position[M]] if M in position else _column(index, matching_terms(M)))
-             for M, c in x.terms)
-    coords = _image_coords(sigma, x.n, x.k, m, terms, {})
-    return hom_class(x.n, x.k, dict(zip(basis, coords)))
+    factor = _solver(x.n, x.k, m)
+    terms = (weighted_column(M, c, factor) for M, c in x.terms)
+    coords = _image_coords(sigma, x.n, x.k, m, terms, moved)
+    return hom_class(x.n, x.k, {factor[0][j]: c for j, c in coords.items()})
+
+
+def _matching_column(M: DottedMatching, c: int, factor) -> tuple[int, dict[int, int]]:
+    """c and the stored column of a standard M, or the expanded column of any other M."""
+    _, index, columns, position, _ = factor
+    j = position.get(M)
+    return c, _column(index, matching_terms(M)) if j is None else columns[j]
+
+
+def act(sigma: Permutation, x: HomClass) -> HomClass:
+    """The action of sigma on a homogeneous class, in the standard basis."""
+    return _act(sigma, x, _matching_column)
+
+
+def _solved_columns(sigma: Permutation, n: int, k: int, m: int) -> list[dict[int, int]]:
+    """Sparse coordinates of sigma on each standard basis element, each a certified solve."""
+    moved = _RowMap(sigma, n, m)
+    return [_image_coords(sigma, n, k, m, ((1, column),), moved)
+            for column in _solver(n, k, m)[2]]
 
 
 def rep_matrix(sigma: Permutation, n: int, k: int, m: int,
                cache=None) -> list[list[int]]:
-    """Matrix of the action over the standard basis; columns are images."""
+    """Matrix of the action over the standard basis: ``_solved_columns`` written dense."""
     _check_grading(n, k, m)
     if cache is not None:
         hit = cache.load(sigma, n, k, m)
         if hit is not None:
             return hit
-    columns = _solver(n, k, m)[2]
-    moved: dict[int, int] = {}
-    cols = [_image_coords(sigma, n, k, m, ((1, column),), moved) for column in columns]
-    matrix = [list(row) for row in zip(*cols)]
+    columns = _solved_columns(sigma, n, k, m)
+    matrix = [[0] * len(columns) for _ in columns]
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            matrix[i][j] = v
     if cache is not None:
         cache.store(sigma, n, k, m, matrix)
     return matrix
@@ -154,24 +160,19 @@ def line_diagram_expand(M: DottedMatching) -> TabloidVector:
     return tabloid_vector(M.n, M.m, line_diagram_terms(M))
 
 
+def _pole_flip_column(M: DottedMatching, c: int, factor) -> tuple[int, dict[int, int]]:
+    """c times (-1)^(m*(n mod 2)), the sign from matching to pole-flip terms, and M's column."""
+    return (-1) ** (M.m * (M.n % 2)) * c, _column(factor[1], line_diagram_terms(M))
+
+
 def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
     """The action computed through the ambient coordinate permutation.
 
-    Every term is expanded by ``line_diagram_terms`` and moved by sigma.
-    The pole-flip columns are the matching columns times
-    s = (-1)^(m*(n mod 2)), so the moved image times s is solved against
-    the shared matching factor and no pole-flip solver is built.
+    Every term is expanded by ``line_diagram_terms``; no pole-flip solver is built.
     """
     if isinstance(x, DottedMatching):
         x = HomClass.of(x)
-    if x.is_zero:
-        return x
-    m = x.grading
-    basis, index, _, _, _ = _solver(x.n, x.k, m)
-    s = (-1) ** (m * (x.n % 2))
-    terms = ((s * c, _column(index, line_diagram_terms(M))) for M, c in x.terms)
-    coords = _image_coords(sigma, x.n, x.k, m, terms, {})
-    return hom_class(x.n, x.k, dict(zip(basis, coords)))
+    return _act(sigma, x, _pole_flip_column)
 
 
 # --- action chart -----------------------------------------------------------------
@@ -293,16 +294,6 @@ class CharacterReport(Record):
         return self.coxeter_ok and not self.failures
 
 
-def _sparse_columns(mat: list[list[int]]) -> list[dict[int, int]]:
-    """The columns of a square integer matrix as sparse ``{row: value}`` dicts."""
-    cols: list[dict[int, int]] = [{} for _ in mat]
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            if v:
-                cols[j][i] = v
-    return cols
-
-
 def _word_is_identity(word: tuple[list[dict[int, int]], ...]) -> bool:
     """Whether the product of sparse-column matrices in ``word`` is the identity.
 
@@ -328,54 +319,49 @@ def _word_is_identity(word: tuple[list[dict[int, int]], ...]) -> bool:
     return True
 
 
-def _factor_trace(sigma: Permutation, n: int, k: int, m: int) -> int:
-    """The trace of ``rep_matrix(sigma, n, k, m)``, read off the shared factor.
+def _coxeter_failures(gens: list[list[dict[int, int]]]) -> list[str]:
+    """The Coxeter relations broken by sparse generator columns, ``gens[i - 1]`` for s_i."""
+    g, r = gens, len(gens)
+    relations = [((g[i],) * 2, "s{}^2 != 1", i, i) for i in range(r)]
+    relations += [((g[i], g[i + 1]) * 3, "(s{} s{})^3 != 1", i, i + 1) for i in range(r - 1)]
+    relations += [((g[i], g[j]) * 2, "s{} and s{} do not commute", i, j)
+                  for i in range(r - 1) for j in range(i + 2, r)]
+    return [text.format(i + 1, j + 1) for word, text, i, j in relations
+            if not _word_is_identity(word)]
 
-    Row p of the moved vector is the entry of row index[sigma^-1(keys[p])],
-    so ``ColumnSolver.trace`` sums the dual basis there with no solve.
+
+def _factor_trace(sigma: Permutation, n: int, m: int, dual) -> int:
+    """The trace of ``rep_matrix(sigma, n, k, m)``, off its factor's ``dual_basis()``.
+
+    Row p of the moved vector is row sigma^-1(p), so no solve runs.
     Valid only once the span is known to be S_n-stable.
     """
-    _, index, _, _, solver = _solver(n, k, m)
-    keys = tabloid_keys(n, m)
-    inverse = [0] * (n + 1)
-    for i, image in enumerate(sigma.images, start=1):
-        inverse[image] = i
-    return solver.trace(lambda p: index[frozenset(inverse[v] for v in keys[p])])
+    inverse = Permutation(tuple(sorted(range(1, n + 1), key=sigma)))
+    return ColumnSolver.trace(dual, _RowMap(inverse, n, m).__getitem__)
 
 
 def character_table_check(n: int, k: int) -> CharacterReport:
     """Traces against the two-row irreducible characters, plus Coxeter laws.
 
-    In each grading the generator matrices are solved and certified
-    first, through ``rep_matrix``; the class traces are then read off the
-    factor by ``_factor_trace``.  Rows and failures keep the order
-    traces, then relations, grading by grading.
+    In each grading the generators are solved and certified first; the
+    dual basis is then built, read by ``_factor_trace`` and dropped.  Rows
+    and failures keep the order traces, then relations, grading by grading.
     """
     check_type(n, k)
     report = CharacterReport(n, k)
     for m in range(k + 1):
-        gens = [_sparse_columns(rep_matrix(adjacent(n, i), n, k, m)) for i in range(1, n)]
+        gens = [_solved_columns(adjacent(n, i), n, k, m) for i in range(1, n)]
+        dual = _solver(n, k, m)[4].dual_basis()
         for mu in partitions(n):
-            trace = _factor_trace(class_representative(mu, n), n, k, m)
+            trace = _factor_trace(class_representative(mu, n), n, m, dual)
             expected = irr_character((n - m, m), mu)
             report.rows.append((m, mu, trace, expected))
             if trace != expected:
-                report.failures.append(
-                    f"m={m}, class {mu}: trace {trace} != character {expected}"
-                )
-        for i, g in enumerate(gens, start=1):
-            if not _word_is_identity((g, g)):
-                report.coxeter_ok = False
-                report.failures.append(f"m={m}: s{i}^2 != 1")
-        for i in range(1, n - 1):
-            if not _word_is_identity((gens[i - 1], gens[i]) * 3):
-                report.coxeter_ok = False
-                report.failures.append(f"m={m}: (s{i} s{i + 1})^3 != 1")
-        for i in range(1, n - 1):
-            for j in range(i + 2, n):
-                if not _word_is_identity((gens[i - 1], gens[j - 1]) * 2):
-                    report.coxeter_ok = False
-                    report.failures.append(f"m={m}: s{i} and s{j} do not commute")
+                report.failures.append(f"m={m}, class {mu}: trace {trace} != character {expected}")
+        del dual
+        for text in _coxeter_failures(gens):
+            report.coxeter_ok = False
+            report.failures.append(f"m={m}: {text}")
     return report
 
 

@@ -128,8 +128,11 @@ def cmd_tableau(args) -> int:
 
 
 def cmd_matching(args) -> int:
-    top = tuple(int(x) for x in args.top.replace(",", " ").split())
-    bottom = tuple(int(x) for x in args.bottom.replace(",", " ").split())
+    try:
+        top = tuple(int(x) for x in args.top.replace(",", " ").split())
+        bottom = tuple(int(x) for x in args.bottom.replace(",", " ").split())
+    except ValueError as exc:
+        raise SpringerError(f"tableau rows take integers: {exc}") from None
     M = matching_of(StandardTableau(top, bottom), args.k)
     print(format_matching(M))
     return 0

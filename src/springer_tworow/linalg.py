@@ -21,15 +21,17 @@ the integer solve of the action: its columns are sparse and must be
 unit-triangular (each column's last nonzero row is a pivot of its own,
 with entry +-1), which it checks when it factors, so back-substitution
 stays in the integers and each solve certifies itself by leaving a zero
-residual.  No floats anywhere.
+residual; ``solve`` returns the nonzero coordinates as ``{column: int}``.
 
 ``ColumnSolver.trace`` reads the trace of x -> solve(P x), for a row map
 P, off the integer dual basis B = A U^-1 of the factor, where U is the
 +-1 unit-triangular block of A on its pivot rows: column b_j is 1 at its
 own pivot row p_j and 0 at every other pivot row, so the trace is
-sum_j b_j[source(p_j)] and no solve runs.  Its precondition is that P
-keeps the column span; the caller proves that with certified solves
-first, because a map that leaves the span still gets a number.
+sum_j b_j[source(p_j)] and no solve runs.  ``dual_basis`` builds B for
+its caller and keeps nothing, so a cached factor never grows.  P must
+keep the column span; the caller proves that with certified solves
+first, because a map that leaves the span still gets a number.  No
+floats anywhere.
 """
 from __future__ import annotations
 
@@ -243,8 +245,9 @@ class ColumnSolver:
     fallback.  ``nrows`` is one past the highest pivot row.
     """
 
+    __slots__ = ("nrows", "_steps")
+
     def __init__(self, columns: Sequence[Mapping[int, int]]):
-        self.ncols = len(columns)
         owner: dict[int, int] = {}
         for j, col in enumerate(columns):
             rows = [r for r, v in col.items() if v]
@@ -267,16 +270,15 @@ class ColumnSolver:
             for p, j in sorted(owner.items(), reverse=True)
         ]
         self.nrows = self._steps[0][0] + 1 if self._steps else 0
-        self._dual: list[tuple[int, dict[int, int]]] | None = None
 
-    def solve(self, b: Mapping[int, int]) -> list[int]:
-        """Return the integer x with A x = b, or raise SolveFailed.
+    def solve(self, b: Mapping[int, int]) -> dict[int, int]:
+        """Return the nonzero coordinates of the integer x with A x = b, or raise SolveFailed.
 
         Back-substitutes in decreasing pivot order on a sparse residual;
         a residual left over at the end proves b is outside the span.
         """
         residual = {r: v for r, v in b.items() if v}
-        x = [0] * self.ncols
+        x: dict[int, int] = {}
         for p, unit, j, items in self._steps:
             if not residual:
                 break
@@ -297,44 +299,43 @@ class ColumnSolver:
             )
         return x
 
-    def _dual_basis(self) -> list[tuple[int, dict[int, int]]]:
+    def dual_basis(self) -> list[tuple[int, dict[int, int]]]:
         """(p_j, b_j) for every column j, lowest pivot first: the columns of A U^-1.
 
         b_j is the integer vector of the column span that is 1 at the pivot
-        row p_j of column j and 0 at every other pivot row.  Built on first
-        use and kept: lowest pivot first, b_j is a_j minus a_j[p_i] * b_i
+        row p_j of column j and 0 at every other pivot row.  Built afresh
+        and not kept: lowest pivot first, b_j is a_j minus a_j[p_i] * b_i
         over the pivot rows p_i below p_j, times the pivot entry of a_j.
         Raises InternalCheckError if a column comes out other than that
         unit vector on the pivot rows.
         """
-        if self._dual is None:
-            dual: dict[int, dict[int, int]] = {}
-            for p, unit, j, items in reversed(self._steps):
-                b = dict(items)
-                for r, v in items:
-                    for s, w in dual.get(r, {}).items():
-                        y = b.get(s, 0) - v * w
-                        if y:
-                            b[s] = y
-                        else:
-                            del b[s]
-                dual[p] = b if unit == 1 else {s: -w for s, w in b.items()}
-            for p, _, j, _ in self._steps:
-                on_pivots = {r: x for r, x in dual[p].items() if r in dual}
-                if on_pivots != {p: 1}:
-                    raise InternalCheckError(
-                        f"dual basis: column {j} is {on_pivots} on the pivot rows, "
-                        f"not 1 at its pivot row {p} alone"
-                    )
-            self._dual = list(dual.items())
-        return self._dual
+        dual: dict[int, dict[int, int]] = {}
+        for p, unit, j, items in reversed(self._steps):
+            b = dict(items)
+            for r, v in items:
+                for s, w in dual.get(r, {}).items():
+                    y = b.get(s, 0) - v * w
+                    if y:
+                        b[s] = y
+                    else:
+                        del b[s]
+            dual[p] = b if unit == 1 else {s: -w for s, w in b.items()}
+        for p, _, j, _ in self._steps:
+            on_pivots = {r: x for r, x in dual[p].items() if r in dual}
+            if on_pivots != {p: 1}:
+                raise InternalCheckError(
+                    f"dual basis: column {j} is {on_pivots} on the pivot rows, "
+                    f"not 1 at its pivot row {p} alone"
+                )
+        return list(dual.items())
 
-    def trace(self, source: Callable[[int], int]) -> int:
+    @staticmethod
+    def trace(dual: list[tuple[int, dict[int, int]]], source: Callable[[int], int]) -> int:
         """The trace of x -> solve(P x), where (P v)[r] = v[source(r)].
 
-        Reads sum_j b_j[source(p_j)] off ``_dual_basis``, with no solve.
+        Reads sum_j b_j[source(p_j)] off ``dual_basis()``, with no solve.
         Valid only if P maps the column span into itself; the trace does
         not check that, so prove it first (certified solves of the images
         of a generating set, say).
         """
-        return sum(b.get(source(p), 0) for p, b in self._dual_basis())
+        return sum(b.get(source(p), 0) for p, b in dual)

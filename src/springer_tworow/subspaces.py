@@ -87,7 +87,8 @@ class SignedPartitionSubspace(Record, frozen=True):
         return from_constraints(self.n, r1 + r2, p1 + p2)
 
     def contains(self, other: "SignedPartitionSubspace") -> bool:
-        """True iff ``other`` is a subset of ``self``: ``self`` cuts nothing off it."""
+        """True iff ``other`` (read in canonical form) is a subset of ``self``."""
+        other = other.intersect(full_space(other.n))
         return self.intersect(other) == other
 
     # -- point maps -----------------------------------------------------------

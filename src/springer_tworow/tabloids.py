@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import DomainError, SizeMismatch, SolveFailed
 from .homology import HomClass, _check_grading
-from .linalg import ColumnSolver
+from .linalg import ColumnSolver, _dense
 from .matchings import DottedMatching, StandardTableau, standard_dotted_matchings, tableau_of
 from .permutations import Permutation
 from .records import Record
@@ -229,8 +229,8 @@ def modules_equal(n: int, m: int, k: int) -> ModuleComparison:
     t_cols = [_column(index, polytabloid_terms(tableau_of(M))) for M in basis]
     t_solver = ColumnSolver(t_cols)
     try:
-        t_in_m = [m_solver.solve(col) for col in t_cols]
-        m_in_t = [t_solver.solve(col) for col in m_cols]
+        t_in_m = [_dense(m_solver.solve(col), len(basis)) for col in t_cols]
+        m_in_t = [_dense(t_solver.solve(col), len(basis)) for col in m_cols]
     except SolveFailed:
         return ModuleComparison(False, None, None)
     return ModuleComparison(True, t_in_m, m_in_t)

@@ -16,6 +16,7 @@ import random
 from typing import Callable
 
 from . import action, cells, diagrams, homology, skein, subspaces, tabloids
+from .errors import DomainError
 from .homology import HomClass
 from .matchings import (
     all_dotted_matchings,
@@ -562,10 +563,11 @@ def check_trace_agreement(n_max: int, rng) -> None:
         for m in range(k + 1):
             sigmas = [class_representative(mu, n) for mu in partitions(n)]
             sigmas.append(Permutation(tuple(rng.sample(range(1, n + 1), n))))
+            dual = tabloids._solver(n, k, m)[4].dual_basis()
             for sigma in sigmas:
                 mat = action.rep_matrix(sigma, n, k, m)
                 diagonal = sum(mat[i][i] for i in range(len(mat)))
-                got = action._factor_trace(sigma, n, k, m)
+                got = action._factor_trace(sigma, n, m, dual)
                 assert got == diagonal, ((n, k, m), sigma.images, got, diagonal)
 
 
@@ -700,7 +702,10 @@ CHECKS: list[Check] = [
 
 
 def run_all(n_max: int, seed: int = 0, names: list[str] | None = None):
-    """Run the suites; returns (all_ok, [(name, ok, message)])."""
+    """Run the suites; returns (all_ok, [(name, ok, message)]).  Unknown names raise first."""
+    unknown = sorted(set(names or ()) - {check.name for check in CHECKS})
+    if unknown:
+        raise DomainError(f"unknown checks: {', '.join(unknown)}")
     results = []
     ok_all = True
     for check in CHECKS:

@@ -1,11 +1,12 @@
 """Differential tests of the action kernel against the route it replaced.
 
 The kernel reuses the factored standard columns, moves each tabloid row
-once per sigma, checks Coxeter words on sparse columns and reads class
-traces off the factor's dual basis.  The references below are the plain
-route: expand every term, move every key by sigma, look it up and solve;
-take traces of solved matrices; multiply dense generator matrices.  They
-must agree exactly over every (n, k, m) with n <= 8, the traces to n = 10.
+once per sigma, checks Coxeter words on the sparse solved columns and
+reads class traces off the factor's dual basis.  The references below
+are the plain route: expand every term, move every key by sigma, look it
+up and solve, written out dense; take traces of solved matrices;
+multiply dense generator matrices.  They must agree exactly over every
+(n, k, m) with n <= 8, the traces to n = 10.
 """
 import random
 from functools import lru_cache
@@ -53,14 +54,20 @@ def reference_solver(expand, n, k, m):
 
 
 def reference_coords(sigma, terms, expand, n, k, m):
-    """Expand each term, move each key by sigma, look it up, solve."""
+    """Expand each term, move each key by sigma, look it up, solve; dense coordinates."""
     index = tabloid_index(n, m)
     target = {}
     for M, c in terms:
         for key, v in expand(M).items():
             row = index[sigma.apply_to_set(key)]
             target[row] = target.get(row, 0) + c * v
-    return reference_solver(expand, n, k, m).solve(target)
+    width = len(standard_dotted_matchings(n, k, m))
+    return dense(reference_solver(expand, n, k, m).solve(target), width)
+
+
+def dense(coords, width):
+    """A sparse ``{column: int}`` solution written out as a list."""
+    return [coords.get(j, 0) for j in range(width)]
 
 
 def reference_matrix(sigma, n, k, m):
@@ -88,8 +95,8 @@ def reference_character_failures(n, k):
     """The failures of ``character_table_check`` by dense matrix products.
 
     Class traces come from ``reference_matrix``, generators from
-    ``action.rep_matrix``, so a patched generator changes only the
-    relation lines.
+    ``action.rep_matrix``, the dense view of ``action._solved_columns``,
+    so a patched generator changes only the relation lines.
     """
     failures = []
     for m in range(k + 1):
@@ -170,17 +177,21 @@ def test_act_on_nonstandard_terms_matches_reference(n):
 @pytest.mark.parametrize("n", range(2, NMAX + 1))
 def test_sparse_coxeter_words_match_dense_products(n):
     for k, m in shapes(n):
-        dense = [rep_matrix(adjacent(n, i), n, k, m) for i in range(1, n)]
-        sparse = [action._sparse_columns(g) for g in dense]
+        matrices = [rep_matrix(adjacent(n, i), n, k, m) for i in range(1, n)]
+        sparse = [action._solved_columns(adjacent(n, i), n, k, m) for i in range(1, n)]
+        for columns, mat in zip(sparse, matrices):
+            # the seam keeps only nonzero coordinates, and rep_matrix writes them out
+            assert all(v for column in columns for v in column.values())
+            assert [[c.get(i, 0) for c in columns] for i in range(len(mat))] == mat
         words = [(i,) * 2 for i in range(n - 1)]
         words += [(i, i + 1) * 3 for i in range(n - 2)]
         words += [(i, j) * 2 for i in range(n - 1) for j in range(i + 2, n - 1)]
         # words that are not the identity, so the False answer is compared too
         words += [(i,) for i in range(n - 1)] + [(i, i + 1) * 2 for i in range(n - 2)]
         for word in words:
-            product = dense[word[0]]
+            product = matrices[word[0]]
             for letter in word[1:]:
-                product = mat_mul(product, dense[letter])
+                product = mat_mul(product, matrices[letter])
             got = action._word_is_identity(tuple(sparse[t] for t in word))
             assert got == is_identity(product), (n, k, m, word)
 
@@ -198,25 +209,25 @@ def test_character_check_matches_dense_reference(n):
 
 
 def test_character_check_solves_generators_before_reading_traces(monkeypatch):
-    # per grading: the n - 1 generator matrices, then one factor trace per
-    # class and no rep_matrix call for a class representative
+    # per grading: the n - 1 generator solves, then one factor trace per
+    # class and no solve for a class representative
     n, k, calls = 6, 3, []
-    real_rep, real_trace = action.rep_matrix, action._factor_trace
+    real_solve, real_trace = action._solved_columns, action._factor_trace
 
-    def rep(sigma, n, k, m, cache=None):
-        calls.append(("rep_matrix", sigma, m))
-        return real_rep(sigma, n, k, m, cache)
+    def solve(sigma, n, k, m):
+        calls.append(("_solved_columns", sigma, m))
+        return real_solve(sigma, n, k, m)
 
-    def trace(sigma, n, k, m):
+    def trace(sigma, n, m, dual):
         calls.append(("trace", sigma, m))
-        return real_trace(sigma, n, k, m)
+        return real_trace(sigma, n, m, dual)
 
-    monkeypatch.setattr(action, "rep_matrix", rep)
+    monkeypatch.setattr(action, "_solved_columns", solve)
     monkeypatch.setattr(action, "_factor_trace", trace)
     assert character_table_check(n, k).ok
     want = []
     for m in range(k + 1):
-        want += [("rep_matrix", adjacent(n, i), m) for i in range(1, n)]
+        want += [("_solved_columns", adjacent(n, i), m) for i in range(1, n)]
         want += [("trace", class_representative(mu, n), m) for mu in partitions(n)]
     assert calls == want
 
@@ -227,13 +238,24 @@ N, K = 6, 3
 
 
 def patch_s1(monkeypatch, replacement):
-    """Make rep_matrix return ``replacement(real, k, m)`` for s1 on N letters."""
-    real, s1 = action.rep_matrix, adjacent(N, 1)
+    """Make the solved columns of s1 on N letters those of ``replacement(real, k, m)``.
 
-    def patched(sigma, n, k, m, cache=None):
-        return replacement(real, k, m) if sigma == s1 else real(sigma, n, k, m, cache)
+    ``real`` gives the unpatched generator matrices, and the patched seam
+    also changes ``rep_matrix``, its dense view.
+    """
+    real_solve, s1 = action._solved_columns, adjacent(N, 1)
 
-    monkeypatch.setattr(action, "rep_matrix", patched)
+    def real(sigma, n, k, m):
+        columns = real_solve(sigma, n, k, m)
+        return [[column.get(i, 0) for column in columns] for i in range(len(columns))]
+
+    def patched(sigma, n, k, m):
+        if sigma != s1:
+            return real_solve(sigma, n, k, m)
+        mat = replacement(real, k, m)
+        return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(len(mat))]
+
+    monkeypatch.setattr(action, "_solved_columns", patched)
 
 
 def generator(real, i, k, m):
@@ -283,8 +305,8 @@ def test_broken_trace_fails_with_its_class(monkeypatch):
     # one class trace off by 1: exactly its trace line fails, no relation does
     real, bad = action._factor_trace, class_representative((3, 2, 1), N)
 
-    def patched(sigma, n, k, m):
-        return real(sigma, n, k, m) + (sigma == bad and m == 2)
+    def patched(sigma, n, m, dual):
+        return real(sigma, n, m, dual) + (sigma == bad and m == 2)
 
     monkeypatch.setattr(action, "_factor_trace", patched)
     report = character_table_check(N, K)

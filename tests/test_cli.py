@@ -245,6 +245,21 @@ def test_verify_subset(capsys):
     ]
 
 
+@pytest.mark.parametrize("names", [("nosuch",), ("nosuch", "matching.arc-parity", "zz")])
+def test_verify_refuses_unknown_check_names(capsys, names):
+    # a misspelt name must not pass by checking nothing, nor run the rest
+    code, out, err = run(capsys, "verify", "--only", *names)
+    assert code == 2 and out == ""
+    unknown = ", ".join(sorted(set(names) - {"matching.arc-parity"}))
+    assert err == f"error: unknown checks: {unknown}\n"
+
+
+def test_matching_refuses_a_non_integer_tableau_entry(capsys):
+    code, out, err = run(capsys, "matching", "--top", "1,x", "--bottom", "3,4", "-k", "2")
+    assert code == 2 and out == ""
+    assert err == "error: tableau rows take integers: invalid literal for int() with base 10: 'x'\n"
+
+
 def test_verify_all_nmax6_passes(capsys):
     code, out, _ = run(capsys, "verify", "--all", "-nmax", "6")
     assert code == 0, [line for line in out.splitlines() if line.startswith("FAIL")]

@@ -42,6 +42,11 @@ def reference_solve(a_cols, b_cols):
     return [[echelon[r][ncols + j] for r in range(ncols)] for j in range(len(b_cols))]
 
 
+def dense(coords, width):
+    """A sparse ``{column: int}`` solution written out as a list."""
+    return [coords.get(j, 0) for j in range(width)]
+
+
 def random_sigma(n, k, m):
     """The seeded random permutation of the shape (n, k, m)."""
     return Permutation(tuple(random.Random(f"{n}-{k}-{m}").sample(range(1, n + 1), n)))
@@ -97,7 +102,13 @@ def test_modules_equal_change_of_basis_matches_dense_reference(n):
 
 def test_solutions_are_ints():
     x = ColumnSolver([{0: 1}, {0: 2, 1: -1}]).solve({0: 4, 1: 3})
-    assert x == [10, -3] and all(type(v) is int for v in x)
+    assert dense(x, 2) == [10, -3] and all(type(v) is int for v in x.values())
+
+
+def test_solutions_hold_only_nonzero_coordinates():
+    solver = ColumnSolver([{0: 1}, {0: 2, 1: -1}, {0: 1, 2: 1}])
+    assert solver.solve({0: 2, 1: -1}) == {1: 1}
+    assert solver.solve({}) == {}
 
 
 def test_rhs_outside_span_raises():
@@ -131,17 +142,29 @@ def test_trace_reads_the_dual_basis():
     # three columns spanning the sum-zero vectors of Z^4, pivots at rows 1, 2, 3
     columns = [{0: 1, 1: -1}, {0: 1, 2: -1}, {1: 2, 2: -1, 3: -1}]
     solver = ColumnSolver(columns)
-    assert solver._dual_basis() == [(1, {0: -1, 1: 1}), (2, {0: -1, 2: 1}),
-                                    (3, {0: -1, 3: 1})]
+    dual = solver.dual_basis()
+    assert dual == [(1, {0: -1, 1: 1}), (2, {0: -1, 2: 1}), (3, {0: -1, 3: 1})]
     # every row permutation keeps the span, acting as the standard
     # representation of S_4, whose character is (fixed points - 1)
     for images in itertools.permutations(range(4)):
         source = images.__getitem__
-        solved = [solver.solve({r: col.get(source(r), 0) for r in range(4)})
+        solved = [dense(solver.solve({r: col.get(source(r), 0) for r in range(4)}), 3)
                   for col in columns]
         diagonal = sum(solved[j][j] for j in range(3))
         fixed = sum(source(r) == r for r in range(4))
-        assert solver.trace(source) == diagonal == fixed - 1, images
+        assert solver.trace(dual, source) == diagonal == fixed - 1, images
+
+
+def test_the_factor_keeps_no_dual_basis():
+    # a factor holds its columns and nothing else: no attribute can be
+    # assigned after __init__, and each caller gets a dual basis of its own
+    solver = ColumnSolver([{0: 1, 1: -1}, {0: 1, 2: -1}])
+    assert ColumnSolver.__slots__ == ("nrows", "_steps")
+    assert not hasattr(solver, "__dict__")
+    with pytest.raises(AttributeError):
+        solver._dual = []
+    first = solver.dual_basis()
+    assert first == solver.dual_basis() and first is not solver.dual_basis()
 
 
 def test_dual_basis_checks_its_unit_vectors():
@@ -149,7 +172,7 @@ def test_dual_basis_checks_its_unit_vectors():
     p, unit, j, items = solver._steps[0]
     solver._steps[0] = (p, -unit, j, items)  # a wrong pivot entry on record
     with pytest.raises(errors.InternalCheckError, match=r"dual basis: column 1 .*row 1"):
-        solver.trace(lambda r: r)
+        solver.dual_basis()
 
 
 def test_unit_triangular_invariant_to_n10():

@@ -5,7 +5,12 @@ import pytest
 from springer_tworow import errors, verify
 from springer_tworow.cells import forest_cell_subspace, forest_cells
 from springer_tworow.matchings import enumerate_matchings, parse_matching
-from springer_tworow.subspaces import from_constraints, full_space, subspace_of
+from springer_tworow.subspaces import (
+    SignedPartitionSubspace,
+    from_constraints,
+    full_space,
+    subspace_of,
+)
 
 
 def m(text):
@@ -58,6 +63,14 @@ def test_contains():
     assert full_space(4).contains(Sa)
     assert Sb.contains(Sa.intersect(Sc))      # empty set in anything
     assert not Sa.contains(Sb)
+
+
+def test_contains_reads_a_hand_built_value_as_its_set():
+    # x1 = x2 with slot 2 as representative: not the canonical form of the set
+    hand_built = SignedPartitionSubspace(2, ((2, 1), (2, 1)), (), False)
+    assert full_space(2).contains(hand_built)
+    assert from_constraints(2, [(1, 2, 1)], []).contains(hand_built)
+    assert not from_constraints(2, [(1, 2, -1)], []).contains(hand_built)
 
 
 def _entails_relation(space, i, j, s):
