@@ -11,14 +11,17 @@ reduced to the standard basis.
 Evaluation folds one crossing layer at a time, top layer first, in the
 manner of Bar-Natan's local evaluation: after each layer the open
 boundary is again a dotted matching with at most one dot per component,
-so equal boundary states merge in one dict, a circle closed by a layer
-becomes a scalar at once, and the number of states stays bounded by the
-number of boundary states instead of doubling with every crossing.
+held as a partner array (each boundary point's partner, or "ray", and
+the dots of its component).  A turnback rewrites at most four entries
+and leaves the array canonical, so equal boundary states merge in one
+dict with no relabelling, a circle closed by a layer becomes a scalar at
+once, and the number of states stays bounded by the number of boundary
+states instead of doubling with every crossing.
 :func:`expand_resolutions` lists every resolution of the whole tangle; it
-is the full-expansion reference the fold is tested against.  The two
-share only the set-up (M's boundary state) and the read-off of a final
-boundary; the reference never relabels, merges or prunes states and
-defers every circle, so it checks the fold's merging.
+is the full-expansion reference the fold is tested against.  It keeps
+its own component-label states and shares only ``validate`` with the
+fold; it never merges or prunes states and defers every circle, so it
+checks the fold's rewriting and merging.
 
 The decoration and coefficient of each smoothing are not dictated by the
 evaluation rules themselves; they are fixed once as
@@ -141,11 +144,6 @@ def resolve_evaluate(M: DottedMatching, tangle: FlatTangle,
     return reduce_class(hom_class(M.n, M.k, boundary_coefficients(M, tangle, convention)))
 
 
-#: A boundary state: the component label of each boundary point, labels
-#: numbered in order of first occurrence, and (dots, ray) per label.
-_State = tuple[tuple[int, ...], tuple[tuple[int, bool], ...]]
-
-
 def _start(M: DottedMatching, tangle: FlatTangle) -> tuple[list[int], list[tuple[int, bool]]]:
     """M's boundary state as (labels, comps) lists.
 
@@ -166,12 +164,8 @@ def _start(M: DottedMatching, tangle: FlatTangle) -> tuple[list[int], list[tuple
     return labels, comps
 
 
-def _canonical(labels: list[int], comps: list[tuple[int, bool]]) -> _State:
-    """Relabel components by first occurrence; components off the boundary go."""
-    relabel: dict[int, int] = {}
-    for label in labels:
-        relabel.setdefault(label, len(relabel))
-    return tuple(relabel[label] for label in labels), tuple(comps[old] for old in relabel)
+#: The partner of a boundary point whose component runs off as a ray.
+_RAY = -1
 
 
 def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
@@ -179,50 +173,89 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
                           ) -> dict[DottedMatching, int]:
     """The tangle glued below M as boundary matchings with nonzero coefficients.
 
-    Folds the crossing layers top first over a dict from boundary state to
-    coefficient.  Each state sends its vertical smoothing and its turnback
-    smoothing into the next layer's dict; a closed circle is evaluated at
-    once, a merge reaching two dots is dropped, and zero coefficients are
-    pruned after every layer.  The result is not reduced to the standard
-    basis; it equals the sum of :func:`expand_resolutions` by boundary.
+    Folds the crossing layers top first over a dict from partner state to
+    coefficient.  A partner state holds one (partner, dots) entry per
+    boundary point v, 0-based: the other boundary end of v's component,
+    or ``_RAY`` when the component runs off as a ray, and the dots on the
+    component (a ray's intrinsic dot included).  Every surviving component
+    has one boundary end or two, so the tuple is the open boundary as a
+    dotted matching, already canonical.  A state passes its vertical
+    smoothing on unchanged.  Its turnback rewrites at most four entries: a
+    cup on the two ends of one arc closes a circle, which is evaluated at
+    once; a cup on two components joins their outer ends, and a join
+    reaching two dots is dropped.  Zero coefficients are pruned after
+    every layer.  The result is not reduced to the standard basis; it
+    equals the sum of :func:`expand_resolutions` by boundary.
     """
     c = convention
-    labels, comps = _start(M, tangle)
-    states: dict[_State, int] = {_canonical(labels, comps): 1}
+    n = M.n
+    if n != tangle.n:
+        raise InternalCheckError(
+            f"{M} has {n} strands but the tangle of word {tangle.layers} has {tangle.n}")
+    start: list[tuple[int, int]] = [(_RAY, 1)] * n
+    dotted = set(M.dotted)
+    for arc in M.base.arcs:
+        dots = 1 if arc in dotted else 0
+        start[arc[0] - 1] = (arc[1] - 1, dots)
+        start[arc[1] - 1] = (arc[0] - 1, dots)
+    states: dict[tuple[tuple[int, int], ...], int] = {tuple(start): 1}
     cup_c, cap_c = c.dots_for(c.closure_dots)
     cup_m, cap_m = c.dots_for(c.merge_dots)
 
     for pos in reversed(tangle.layers):
-        nxt: dict[_State, int] = {}
+        a, b = pos - 1, pos
+        closed_a, closed_b = (b, cap_c), (a, cap_c)
+        merged_a, merged_b = (b, cap_m), (a, cap_m)
+        nxt: dict[tuple[tuple[int, int], ...], int] = {}
         for state, coeff in states.items():
             nxt[state] = nxt.get(state, 0) + coeff * c.identity_coeff
-            labels, comps = state
-            left, right = labels[pos - 1], labels[pos]
-            if left == right:
-                # the cup closes this component into a circle
-                coeff *= c.closure_coeff * circle_rule(comps[left][0] + cup_c)
-                new_labels = list(labels)
-                new_comps = [*comps, (cap_c, False)]
+            (partner_a, dots_a), (partner_b, dots_b) = state[a], state[b]
+            turned = list(state)
+            if partner_a == b:
+                # the cup closes this arc's component into a circle
+                coeff *= c.closure_coeff * circle_rule(dots_a + cup_c)
+                turned[a], turned[b] = closed_a, closed_b
             else:
-                dots = comps[left][0] + comps[right][0] + cup_m
+                dots = dots_a + dots_b + cup_m
                 if dots >= 2:
                     continue  # a two-dot component kills the term
+                # the cup joins the two components at their outer ends; two
+                # rays hold two dots, so a ray-ray join here is a dot miscount
+                if partner_a == _RAY:
+                    if partner_b == _RAY:
+                        raise InternalCheckError(
+                            f"{M} under word {tangle.layers}: two ray ends merge at crossing {pos}")
+                    turned[partner_b] = (_RAY, dots)
+                elif partner_b == _RAY:
+                    turned[partner_a] = (_RAY, dots)
+                else:
+                    turned[partner_a], turned[partner_b] = (partner_b, dots), (partner_a, dots)
                 coeff *= c.merge_coeff
-                new_labels = [left if label == right else label for label in labels]
-                new_comps = list(comps)
-                new_comps[left] = (dots, comps[left][1] or comps[right][1])
-                new_comps.append((cap_m, False))
-            new_labels[pos - 1] = new_labels[pos] = len(comps)
-            turned = _canonical(new_labels, new_comps)
-            nxt[turned] = nxt.get(turned, 0) + coeff
+                turned[a], turned[b] = merged_a, merged_b
+            key = tuple(turned)
+            nxt[key] = nxt.get(key, 0) + coeff
         states = {state: coeff for state, coeff in nxt.items() if coeff}
 
+    # Distinct states read off to distinct (arcs, rays, dotted), so
+    # ``validate`` runs once per distinct boundary.
     out: dict[DottedMatching, int] = {}
-    validated: dict = {}
-    for (labels, comps), coeff in states.items():
-        boundary = _reassemble(M.n, labels, comps, validated)
+    for state, coeff in states.items():
+        arcs, rays, dotted_arcs = [], [], []
+        for v, (partner, dots) in enumerate(state):
+            if dots >= 2:
+                raise InternalCheckError(
+                    f"{M} under word {tangle.layers}: doubly dotted component survived")
+            if partner == _RAY:
+                rays.append(v + 1)
+            elif v < partner:
+                arc = (v + 1, partner + 1)
+                arcs.append(arc)
+                if dots:
+                    dotted_arcs.append(arc)
+        boundary = validate(n, arcs, rays, dotted_arcs)
         if boundary in out:
-            raise InternalCheckError(f"two boundary states reassemble to {boundary}")
+            raise InternalCheckError(
+                f"{M} under word {tangle.layers}: two boundary states read off to {boundary}")
         out[boundary] = coeff
     return out
 

@@ -13,7 +13,10 @@ Canonical form: slots are grouped into classes; each class is named by its
 least slot with sign +1, every other slot stores its sign relative to the
 representative, and pinned classes record the pole value at the
 representative.  A sign conflict or pin conflict collapses the whole
-subspace to a canonical empty value.
+subspace to a canonical empty value.  Every value is held in canonical
+form: :func:`from_constraints` builds it directly, and the public
+constructor closes whatever fields it is handed, so ``==`` and ``hash``
+compare sets.
 """
 from __future__ import annotations
 
@@ -32,11 +35,23 @@ class SignedPartitionSubspace(Record, frozen=True):
 
     def __init__(self, n: int, assignment: tuple[tuple[int, int], ...],
                  pins: tuple[Pin, ...], empty: bool):
+        """The set the fields describe, stored in canonical form.
+
+        ``assignment[i - 1] = (r, s)`` reads as x_i = s * x_r and a pin
+        ``(i, s)`` as x_i = s * p, whether or not they are canonical.
+        """
+        if empty:
+            canonical = _empty(n)
+        else:
+            if len(assignment) != n:
+                raise SizeMismatch(f"{len(assignment)} assigned slots for {n} slots")
+            relations = [(i, r, s) for i, (r, s) in enumerate(assignment, 1)]
+            canonical = from_constraints(n, relations, pins)
         set_n, set_assignment, set_pins, set_empty = self._setters
         set_n(self, n)
-        set_assignment(self, assignment)  # slot -> (representative, sign)
-        set_pins(self, pins)              # (representative, sign)
-        set_empty(self, empty)
+        set_assignment(self, canonical.assignment)  # slot -> (representative, sign)
+        set_pins(self, canonical.pins)              # (representative, sign)
+        set_empty(self, canonical.empty)
 
     # -- queries ---------------------------------------------------------
 
@@ -87,8 +102,7 @@ class SignedPartitionSubspace(Record, frozen=True):
         return from_constraints(self.n, r1 + r2, p1 + p2)
 
     def contains(self, other: "SignedPartitionSubspace") -> bool:
-        """True iff ``other`` (read in canonical form) is a subset of ``self``."""
-        other = other.intersect(full_space(other.n))
+        """True iff ``other`` is a subset of ``self``."""
         return self.intersect(other) == other
 
     # -- point maps -----------------------------------------------------------
@@ -135,8 +149,20 @@ def _check_pad(n: int, target_n: int) -> int:
     return pad
 
 
+def _canonical(n: int, assignment: tuple[tuple[int, int], ...], pins: tuple[Pin, ...],
+               empty: bool) -> SignedPartitionSubspace:
+    """A subspace from fields already in canonical form, not closed again."""
+    space = object.__new__(SignedPartitionSubspace)
+    set_n, set_assignment, set_pins, set_empty = SignedPartitionSubspace._setters
+    set_n(space, n)
+    set_assignment(space, assignment)
+    set_pins(space, pins)
+    set_empty(space, empty)
+    return space
+
+
 def _empty(n: int) -> SignedPartitionSubspace:
-    return SignedPartitionSubspace(n, (), (), True)
+    return _canonical(n, (), (), True)
 
 
 def from_constraints(n: int, relations: Iterable[Relation],
@@ -194,7 +220,7 @@ def from_constraints(n: int, relations: Iterable[Relation],
         for v in vs:
             _, sv = find(v)
             assignment[v - 1] = (lead, sv * lead_sign)
-    return SignedPartitionSubspace(n, tuple(assignment), tuple(sorted(canon_pins)), False)
+    return _canonical(n, tuple(assignment), tuple(sorted(canon_pins)), False)
 
 
 def full_space(n: int) -> SignedPartitionSubspace:

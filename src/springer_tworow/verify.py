@@ -468,6 +468,28 @@ def check_modules_equal(n_max: int, rng) -> None:
             assert tabloids.modules_equal(n, m, k).equal, (n, m, k)
 
 
+def check_young_rule(n_max: int, rng) -> None:
+    """Young's rule: sum over m <= k of irr_character((n - m, m), mu) counts fixed k-subsets.
+
+    The permutation module on k-subsets is the sum of the two-row
+    irreducibles with m <= k, so its character at sigma, the number of
+    k-subsets sigma fixes, is counted here as the number of ways to pick
+    cycles of sigma with total length k, sharing no formula with the
+    border-strip recursion.
+    """
+    for n in range(1, min(n_max, 14) + 1):
+        half = n // 2
+        for mu in partitions(n):
+            fixed = [1] + [0] * half  # fixed[s]: sets of cycles of total length s
+            for length in mu:
+                for s in range(half, length - 1, -1):
+                    fixed[s] += fixed[s - length]
+            total = 0
+            for k in range(half + 1):
+                total += tabloids.irr_character((n - k, k), mu)
+                assert total == fixed[k], (n, mu, k, total, fixed[k])
+
+
 # --- springer-action -------------------------------------------------------------------
 
 def check_action_graded_and_group(n_max: int, rng) -> None:
@@ -590,6 +612,26 @@ def check_skein_calibration(n_max: int, rng) -> None:
     assert convention == skein.CALIBRATED_CONVENTION
 
 
+def expanded_coefficients(M, tangle, convention=skein.CALIBRATED_CONVENTION) -> dict:
+    """Reference route: every resolution of the whole tangle, summed by boundary."""
+    coeffs: dict = {}
+    for diagram in skein.expand_resolutions(M, tangle, convention):
+        coeff = diagram.coefficient * diagram.circle_scalar()
+        if coeff:
+            coeffs[diagram.boundary] = coeffs.get(diagram.boundary, 0) + coeff
+    return {N: c for N, c in coeffs.items() if c}
+
+
+def check_skein_fold_agreement(n_max: int, rng) -> None:
+    """The layer fold equals the full expansion summed by boundary, for every dotted matching."""
+    for n, k in _types(min(n_max, 7), n_min=2):
+        for M in all_dotted_matchings(n, k):
+            word = skein.random_word(n, 8, rng)
+            tangle = skein.flatten(word, n)
+            got = skein.boundary_coefficients(M, tangle)
+            assert got == expanded_coefficients(M, tangle), (str(M), word)
+
+
 def check_skein_agreement(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 5), n_min=2):
         for m in range(k + 1):
@@ -685,6 +727,7 @@ CHECKS: list[Check] = [
     Check("tabloid.undotted-dependence", check_matching_vector_depends_on_undotted),
     Check("tabloid.f-embed", check_f_embed),
     Check("tabloid.modules-equal", check_modules_equal),
+    Check("tabloids.young-rule", check_young_rule),
     Check("action.unit-triangular", check_unit_triangular),
     Check("action.graded-group-laws", check_action_graded_and_group),
     Check("action.gamma-agreement", check_gamma_agreement),
@@ -694,6 +737,7 @@ CHECKS: list[Check] = [
     Check("action.characters", check_characters),
     Check("action.chart-anchors", check_chart_anchors),
     Check("skein.calibration", check_skein_calibration),
+    Check("skein.fold-agreement", check_skein_fold_agreement),
     Check("skein.agreement", check_skein_agreement),
     Check("skein.random-words", check_skein_random_words),
     Check("skein.circle-confluence", check_skein_circle_confluence),

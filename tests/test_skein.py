@@ -127,16 +127,6 @@ def test_nonstandard_input_reduces():
 
 # --- the layer fold against the full expansion --------------------------------
 
-def _expanded_coefficients(M, tangle, convention):
-    """Reference route: every resolution of the whole tangle, summed by boundary."""
-    coeffs = {}
-    for diagram in expand_resolutions(M, tangle, convention):
-        coeff = diagram.coefficient * diagram.circle_scalar()
-        if coeff:
-            coeffs[diagram.boundary] = coeffs.get(diagram.boundary, 0) + coeff
-    return {N: c for N, c in coeffs.items() if c}
-
-
 def _outcome(coefficients, M):
     """The coefficient dict, or the type of the error the route raises."""
     try:
@@ -161,11 +151,20 @@ def test_fold_matches_full_expansion_for_every_convention():
         for M in matchings:
             word = random_word(M.n, 6, rng)
             tangle = flatten(word, M.n)
-            want = _outcome(lambda: _expanded_coefficients(M, tangle, convention), M)
+            want = _outcome(lambda: verify.expanded_coefficients(M, tangle, convention), M)
             got = _outcome(lambda: boundary_coefficients(M, tangle, convention), M)
             assert got == want, (convention, M, word)
             raised += isinstance(want, type)
     assert raised  # some conventions give inhomogeneous results
+
+
+def test_fold_errors_name_the_matching_and_the_word():
+    with pytest.raises(errors.InternalCheckError, match=r"2: u1-2 .*\(1, 2\)"):
+        boundary_coefficients(pm("2: u1-2"), flatten([1, 2], 3))
+
+
+def test_fold_agreement_at_depth_7():
+    verify.check_skein_fold_agreement(7, random.Random(7))
 
 
 def test_calibrate_at_depth_4():
@@ -176,7 +175,7 @@ def _expanded_agrees_at_2(convention):
     for k in (0, 1):
         for M in standard_dotted_matchings(2, k):
             try:
-                coeffs = _expanded_coefficients(M, flatten((1,), 2), convention)
+                coeffs = verify.expanded_coefficients(M, flatten((1,), 2), convention)
                 got = reduce_class(hom_class(2, k, coeffs))
             except (errors.InhomogeneousClass, errors.InternalCheckError):
                 return False

@@ -73,6 +73,25 @@ def test_contains_reads_a_hand_built_value_as_its_set():
     assert not from_constraints(2, [(1, 2, -1)], []).contains(hand_built)
 
 
+def test_a_hand_built_value_equals_its_canonical_form():
+    # x1 = x2 with slot 2 as representative: not the canonical form of the set
+    hand_built = SignedPartitionSubspace(2, ((2, 1), (2, 1)), (), False)
+    closed = from_constraints(2, [(1, 2, 1)], [])
+    assert hand_built == closed
+    assert hash(hand_built) == hash(closed)
+    assert hand_built.assignment == ((1, 1), (1, 1))
+    with pytest.raises(errors.SizeMismatch):
+        SignedPartitionSubspace(3, ((1, 1), (1, 1)), (), False)
+
+
+def test_the_constructor_keeps_canonical_fields():
+    for space in (from_constraints(4, [(1, 3, -1), (2, 4, 1)], [(4, -1)]),
+                  from_constraints(3, [(1, 2, 1), (1, 2, -1)], []),
+                  full_space(3)):
+        rebuilt = SignedPartitionSubspace(space.n, space.assignment, space.pins, space.empty)
+        assert rebuilt == space
+
+
 def _entails_relation(space, i, j, s):
     """Reference: x_i = s * x_j holds on all of ``space``."""
     if space.empty:

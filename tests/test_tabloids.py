@@ -227,6 +227,10 @@ def test_characters_examples():
             assert irr_character((n - m, m), (1,) * n) == count_matchings(n, m)
 
 
+def test_young_rule_up_to_14():
+    verify.check_young_rule(14, random.Random(0))
+
+
 def test_character_orthogonality_row():
     import math
 
