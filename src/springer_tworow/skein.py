@@ -221,15 +221,13 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
                     continue  # a two-dot component kills the term
                 # the cup joins the two components at their outer ends; two
                 # rays hold two dots, so a ray-ray join here is a dot miscount
-                if partner_a == _RAY:
-                    if partner_b == _RAY:
-                        raise InternalCheckError(
-                            f"{M} under word {tangle.layers}: two ray ends merge at crossing {pos}")
-                    turned[partner_b] = (_RAY, dots)
-                elif partner_b == _RAY:
-                    turned[partner_a] = (_RAY, dots)
-                else:
-                    turned[partner_a], turned[partner_b] = (partner_b, dots), (partner_a, dots)
+                if partner_a == partner_b == _RAY:
+                    raise InternalCheckError(
+                        f"{M} under word {tangle.layers}: two ray ends merge at crossing {pos}")
+                if partner_a != _RAY:
+                    turned[partner_a] = (partner_b, dots)
+                if partner_b != _RAY:
+                    turned[partner_b] = (partner_a, dots)
                 coeff *= c.merge_coeff
                 turned[a], turned[b] = merged_a, merged_b
             key = tuple(turned)
