@@ -125,21 +125,14 @@ def _solved_columns(sigma: Permutation, n: int, k: int, m: int) -> list[dict[int
             for column in _solver(n, k, m)[2]]
 
 
-def rep_matrix(sigma: Permutation, n: int, k: int, m: int,
-               cache=None) -> list[list[int]]:
+def rep_matrix(sigma: Permutation, n: int, k: int, m: int) -> list[list[int]]:
     """Matrix of the action over the standard basis: ``_solved_columns`` written dense."""
     _check_grading(n, k, m)
-    if cache is not None:
-        hit = cache.load(sigma, n, k, m)
-        if hit is not None:
-            return hit
     columns = _solved_columns(sigma, n, k, m)
     matrix = [[0] * len(columns) for _ in columns]
     for j, column in enumerate(columns):
         for i, v in column.items():
             matrix[i][j] = v
-    if cache is not None:
-        cache.store(sigma, n, k, m, matrix)
     return matrix
 
 

@@ -7,11 +7,13 @@ identical invocations produce identical bytes.
 Start-up is most of a small command's cost, so each subcommand imports
 only what it uses: a new ``cmd_*`` function imports its modules inside
 its own body.  Only what argument parsing and ``parse_class`` /
-``format_class`` need stays at the top: ``homology``, ``matchings``,
-``permutations`` and ``errors``.  No module of the package uses the
-standard library's generated record classes, whose import alone brings
-``inspect`` along: a record class is a ``__slots__`` class on the shared
-base ``records.Record``, with its own ``__init__``.
+``format_class`` need stays at the top: ``homology`` (with ``linalg``),
+``matchings``, ``errors`` and ``records``; ``diagrams`` and
+``permutations`` load on first use.  ``main`` builds only the invoked
+command's subparser from the one table ``COMMANDS``.  No module of the
+package uses the standard library's generated record classes, whose
+import alone brings ``inspect`` along: a record class is a ``__slots__``
+class on the shared base ``records.Record``, with its own ``__init__``.
 """
 from __future__ import annotations
 
@@ -21,12 +23,13 @@ import re
 import sys
 
 from . import homology
-from .errors import SpringerError
+from .errors import DomainError, SpringerError
 from .homology import HomClass, format_class, hom_class
 from .matchings import (
     DottedMatching,
     StandardTableau,
     complete_dotted,
+    count_matchings,
     enumerate_matchings,
     format_matching,
     matching_of,
@@ -35,11 +38,13 @@ from .matchings import (
     standard_dotted_matchings,
     tableau_of,
 )
-from .permutations import parse_permutation
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 VERIFY_EXIT = 3
+
+#: The most matchings ``enumerate`` lists: (26, 13) has 742,900, (28, 14) 2,674,440.
+ENUMERATE_CAP = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,6 +94,10 @@ def _print_json(data) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    count = count_matchings(args.n, args.k)
+    if count > ENUMERATE_CAP:
+        raise DomainError(f"enumerate -n {args.n} -k {args.k} would list {count} matchings, "
+                          f"more than the cap of {ENUMERATE_CAP}")
     ms = enumerate_matchings(args.n, args.k)
     lines = [format_matching(DottedMatching(m, ())) for m in ms]
     if args.json:
@@ -265,6 +274,7 @@ def cmd_relations(args) -> int:
 
 def cmd_act(args) -> int:
     from . import action
+    from .permutations import parse_permutation
 
     x = parse_class(args.cls)
     sigma = parse_permutation(args.sigma, x.n)
@@ -273,12 +283,23 @@ def cmd_act(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    from . import action
-    from .cache import RepMatrixCache
+    from .permutations import parse_permutation
 
     sigma = parse_permutation(args.sigma, args.n)
-    cache = RepMatrixCache(args.cache_dir) if args.cache_dir or args.cached else None
-    mat = action.rep_matrix(sigma, args.n, args.k, args.m, cache)
+    mat = cache = None
+    if args.cache_dir or args.cached:
+        # The one place the cache is consulted: a hit never loads the action layer.
+        from .cache import RepMatrixCache
+
+        homology._check_grading(args.n, args.k, args.m)
+        cache = RepMatrixCache(args.cache_dir)
+        mat = cache.load(sigma, args.n, args.k, args.m)
+    if mat is None:
+        from . import action
+
+        mat = action.rep_matrix(sigma, args.n, args.k, args.m)
+        if cache is not None:
+            cache.store(sigma, args.n, args.k, args.m, mat)
     if args.json:
         basis = [format_matching(M) for M in standard_dotted_matchings(args.n, args.k, args.m)]
         _print_json({
@@ -323,6 +344,7 @@ def cmd_chart(args) -> int:
 
 def cmd_skein(args) -> int:
     from . import skein
+    from .permutations import parse_permutation
 
     x = parse_matching(args.matching)
     sigma = parse_permutation(args.sigma, x.n)
@@ -371,126 +393,94 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_N, _K = _arg("-n", type=int, required=True), _arg("-k", type=int, required=True)
+_JSON = _arg("--json", action="store_true")
+_MATCHING, _A, _B = _arg("matching"), _arg("a"), _arg("b")
+_SIGMA = _arg("--sigma", required=True)
+
+#: The one command table: name -> (function, help, arguments).
+COMMANDS = {
+    "enumerate": (cmd_enumerate, "list all matchings of a type", (_N, _K, _JSON)),
+    "validate": (cmd_validate, "check a matching string", (_MATCHING,)),
+    "complete": (cmd_complete, "anchor rays to new left vertices", (_MATCHING,)),
+    "restrict": (cmd_restrict, "remove a left prefix, cutting arcs to rays",
+                 (_MATCHING, _arg("--pad", type=int, required=True))),
+    "tableau": (cmd_tableau, "standard tableau of a standard matching", (_MATCHING, _JSON)),
+    "matching": (cmd_matching, "standard matching of a tableau",
+                 (_arg("--top", required=True), _arg("--bottom", required=True), _K)),
+    "glue": (cmd_glue, "overlay two matchings", (_A, _B, _JSON)),
+    "distance": (cmd_distance, "move distance between matchings", (_A, _B)),
+    "order": (cmd_order, "a linear extension of the arrow order",
+              (_N, _K, _arg("--variant", type=int, default=0))),
+    "sequence": (cmd_sequence, "a minimal move sequence", (_A, _B)),
+    "meet": (cmd_meet, "a common lower bound realizing the distance", (_A, _B)),
+    "intersect": (cmd_intersect, "intersect component subspaces",
+                  (_arg("matchings", nargs="+"), _arg("--primed", action="store_true"))),
+    "betti": (cmd_betti, "homology ranks by degree",
+              (_N, _K, _arg("--method", choices=("standard", "cokernel", "both"),
+                            default="standard"), _JSON)),
+    "reduce": (cmd_reduce, "express a class in the standard basis",
+               (_arg("cls", metavar="class"),)),
+    "relations": (cmd_relations, "list local relation instances",
+                  (_N, _K, _arg("-m", type=int, default=None))),
+    "act": (cmd_act, "apply a permutation to a class",
+            (_SIGMA, _arg("--class", dest="cls", required=True))),
+    "matrix": (cmd_matrix, "representation matrix on the standard basis",
+               (_N, _K, _arg("-m", type=int, required=True), _SIGMA, _JSON,
+                _arg("--cached", action="store_true",
+                     help="use the matrix cache (SPRINGER_CACHE_DIR or ./cache)"),
+                _arg("--cache-dir", default=None))),
+    "character": (cmd_character, "trace and Coxeter verification", (_N, _K)),
+    "chart": (cmd_chart, "derive the local action chart",
+              (_N, _K, _arg("--full", action="store_true"))),
+    "skein": (cmd_skein, "act by skein evaluation",
+              (_SIGMA, _arg("--matching", required=True))),
+    "calibrate": (cmd_calibrate, "search the resolution-convention family",
+                  (_arg("--nmax", type=int, default=4),)),
+    "verify": (cmd_verify, "run the module invariant suites",
+               (_arg("--all", action="store_true",
+                     help="no effect: every suite runs unless --only is given"),
+                _arg("-nmax", "--nmax", dest="nmax", type=int, default=5),
+                _arg("--seed", type=int, default=0),
+                _arg("--only", nargs="*", default=None))),
+    "render": (cmd_render, "draw a matching or class",
+               (_arg("cls", metavar="matching_or_class"),
+                _arg("--format", choices=("ascii", "svg"), default="ascii"),
+                _arg("-o", "--out", default=None))),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``springer`` parser, or with COMMAND one holding only that subparser.
+
+    The one-subparser parser answers every argument list that starts with
+    COMMAND byte for byte as the full one does: its usage line still lists
+    every command, and no error it can raise names the command argument.
+    """
     parser = _Parser(prog="springer", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    names = COMMANDS if command is None else (command,)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        fn, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("enumerate", cmd_enumerate, help="list all matchings of a type")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("validate", cmd_validate, help="check a matching string")
-    p.add_argument("matching")
-
-    p = add("complete", cmd_complete, help="anchor rays to new left vertices")
-    p.add_argument("matching")
-
-    p = add("restrict", cmd_restrict, help="remove a left prefix, cutting arcs to rays")
-    p.add_argument("matching")
-    p.add_argument("--pad", type=int, required=True)
-
-    p = add("tableau", cmd_tableau, help="standard tableau of a standard matching")
-    p.add_argument("matching")
-    p.add_argument("--json", action="store_true")
-
-    p = add("matching", cmd_matching, help="standard matching of a tableau")
-    p.add_argument("--top", required=True)
-    p.add_argument("--bottom", required=True)
-    p.add_argument("-k", type=int, required=True)
-
-    p = add("glue", cmd_glue, help="overlay two matchings")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--json", action="store_true")
-
-    p = add("distance", cmd_distance, help="move distance between matchings")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("order", cmd_order, help="a linear extension of the arrow order")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--variant", type=int, default=0)
-
-    p = add("sequence", cmd_sequence, help="a minimal move sequence")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("meet", cmd_meet, help="a common lower bound realizing the distance")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("intersect", cmd_intersect, help="intersect component subspaces")
-    p.add_argument("matchings", nargs="+")
-    p.add_argument("--primed", action="store_true")
-
-    p = add("betti", cmd_betti, help="homology ranks by degree")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--method", choices=("standard", "cokernel", "both"), default="standard")
-    p.add_argument("--json", action="store_true")
-
-    p = add("reduce", cmd_reduce, help="express a class in the standard basis")
-    p.add_argument("cls", metavar="class")
-
-    p = add("relations", cmd_relations, help="list local relation instances")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-m", type=int, default=None)
-
-    p = add("act", cmd_act, help="apply a permutation to a class")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--class", dest="cls", required=True)
-
-    p = add("matrix", cmd_matrix, help="representation matrix on the standard basis")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cached", action="store_true",
-                   help="use the matrix cache (SPRINGER_CACHE_DIR or ./cache)")
-    p.add_argument("--cache-dir", default=None)
-
-    p = add("character", cmd_character, help="trace and Coxeter verification")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-
-    p = add("chart", cmd_chart, help="derive the local action chart")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--full", action="store_true")
-
-    p = add("skein", cmd_skein, help="act by skein evaluation")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--matching", required=True)
-
-    p = add("calibrate", cmd_calibrate, help="search the resolution-convention family")
-    p.add_argument("--nmax", type=int, default=4)
-
-    p = add("verify", cmd_verify, help="run the module invariant suites")
-    p.add_argument("--all", action="store_true",
-                   help="no effect: every suite runs unless --only is given")
-    p.add_argument("-nmax", "--nmax", dest="nmax", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--only", nargs="*", default=None)
-
-    p = add("render", cmd_render, help="draw a matching or class")
-    p.add_argument("cls", metavar="matching_or_class")
-    p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    p.add_argument("-o", "--out", default=None)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A known command needs only its own subparser; anything else gets the
+    # full parser, whose usage and errors list every command.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except SpringerError as exc:

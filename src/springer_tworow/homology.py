@@ -24,6 +24,11 @@ sparse; the boundary rows are densified only for the rank call of
 :func:`presentation_betti` and for the callers of :func:`psi_minus_rows`.
 :func:`relation_instances` and :func:`pushforward_inclusion` wrap the
 same generators into classes.
+
+:mod:`diagrams` loads on first use: :func:`_relation_keys`,
+:func:`_arrow_overlays` and :func:`pushforward_inclusion` import it at
+entry, so a command that only reads or prints classes (and the CLI's
+own import) never pays for it.
 """
 from __future__ import annotations
 
@@ -31,9 +36,9 @@ import itertools
 import random
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from . import linalg
-from .diagrams import Component, GluedOneManifold, arrow_graph, arrow_move, glue, is_arrow
 from .errors import DomainError, InhomogeneousClass, InternalCheckError, NotAnArrowPair
 from .matchings import (
     Arc,
@@ -47,6 +52,9 @@ from .matchings import (
     standard_dotted_matchings,  # noqa: F401  (perfbench/test_harness.py traces it under this name)
 )
 from .records import Record
+
+if TYPE_CHECKING:
+    from .diagrams import Component, GluedOneManifold
 
 
 class HomClass(Record, frozen=True):
@@ -143,6 +151,8 @@ def _relation_keys(n: int, k: int, m: int | None = None,
     s - |D| + e (e = 1 for type I, 0 for types II and III), so with m
     given only |D| = s + e - m is enumerated.
     """
+    from .diagrams import arrow_graph, arrow_move
+
     graph = arrow_graph(n, k)
     for a in (order if order is not None else graph.nodes):
         for b in graph.successors[a]:
@@ -360,6 +370,8 @@ def pushforward_inclusion(a: Matching, b: Matching,
     over its arcs of (that arc undotted, its circle-mates dotted); lines
     are always pinned.
     """
+    from .diagrams import glue, is_arrow
+
     if not (is_arrow(b, a) or is_arrow(a, b)):
         raise NotAnArrowPair(f"{a} and {b} are not one arrow move apart")
     glued = glue(a, b)
@@ -411,6 +423,8 @@ def psi_minus_rows(n: int, k: int, m: int,
 def _arrow_overlays(n: int, k: int,
                     order: tuple[Matching, ...] | None) -> list[GluedOneManifold]:
     """glue(b, c) for every arrow b -> c, sources in node order."""
+    from .diagrams import arrow_graph, glue
+
     graph = arrow_graph(n, k)
     nodes = order if order is not None else graph.nodes
     return [glue(b, c) for b in nodes for c in graph.successors[b]]

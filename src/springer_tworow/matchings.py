@@ -268,7 +268,8 @@ def enumerate_matchings(n: int, k: int) -> tuple[Matching, ...]:
 
 
 def count_matchings(n: int, k: int) -> int:
-    """Closed form for |enumerate_matchings(n, k)|."""
+    """Closed form for |enumerate_matchings(n, k)|; DomainError where that raises one."""
+    check_type(n, k)
     if k == 0:
         return 1
     return math.comb(n, k) - math.comb(n, k - 1)

@@ -150,8 +150,7 @@ def _start(M: DottedMatching, tangle: FlatTangle) -> tuple[list[int], list[tuple
     ``labels[v - 1]`` is the component of boundary point v and
     ``comps[label]`` its (dots, ray); a ray carries its intrinsic dot.
     """
-    if M.n != tangle.n:
-        raise InternalCheckError(f"matching on {M.n} strands, tangle on {tangle.n}")
+    _check_strands(M, tangle)
     labels = [0] * M.n
     comps: list[tuple[int, bool]] = []
     dotted = set(M.dotted)
@@ -162,6 +161,17 @@ def _start(M: DottedMatching, tangle: FlatTangle) -> tuple[list[int], list[tuple
         labels[ray - 1] = len(comps)
         comps.append((1, True))
     return labels, comps
+
+
+def _check_strands(M: DottedMatching, tangle: FlatTangle) -> None:
+    if M.n != tangle.n:
+        raise InternalCheckError(
+            f"{M} has {M.n} strands but the tangle of word {tangle.layers} has {tangle.n}")
+
+
+def _state_error(M: DottedMatching, tangle: FlatTangle, what: str) -> InternalCheckError:
+    """A failed state check of M under TANGLE, naming both."""
+    return InternalCheckError(f"{M} under word {tangle.layers}: {what}")
 
 
 #: The partner of a boundary point whose component runs off as a ray.
@@ -188,10 +198,8 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
     equals the sum of :func:`expand_resolutions` by boundary.
     """
     c = convention
+    _check_strands(M, tangle)
     n = M.n
-    if n != tangle.n:
-        raise InternalCheckError(
-            f"{M} has {n} strands but the tangle of word {tangle.layers} has {tangle.n}")
     start: list[tuple[int, int]] = [(_RAY, 1)] * n
     dotted = set(M.dotted)
     for arc in M.base.arcs:
@@ -222,8 +230,7 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
                 # the cup joins the two components at their outer ends; two
                 # rays hold two dots, so a ray-ray join here is a dot miscount
                 if partner_a == partner_b == _RAY:
-                    raise InternalCheckError(
-                        f"{M} under word {tangle.layers}: two ray ends merge at crossing {pos}")
+                    raise _state_error(M, tangle, f"two ray ends merge at crossing {pos}")
                 if partner_a != _RAY:
                     turned[partner_a] = (partner_b, dots)
                 if partner_b != _RAY:
@@ -241,8 +248,7 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
         arcs, rays, dotted_arcs = [], [], []
         for v, (partner, dots) in enumerate(state):
             if dots >= 2:
-                raise InternalCheckError(
-                    f"{M} under word {tangle.layers}: doubly dotted component survived")
+                raise _state_error(M, tangle, "doubly dotted component survived")
             if partner == _RAY:
                 rays.append(v + 1)
             elif v < partner:
@@ -252,8 +258,7 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
                     dotted_arcs.append(arc)
         boundary = validate(n, arcs, rays, dotted_arcs)
         if boundary in out:
-            raise InternalCheckError(
-                f"{M} under word {tangle.layers}: two boundary states read off to {boundary}")
+            raise _state_error(M, tangle, f"two boundary states read off to {boundary}")
         out[boundary] = coeff
     return out
 
@@ -283,7 +288,7 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
             return
         if layer_idx < 0:
             out.append(ResolvedDiagram(coeff, circles,
-                                       _reassemble(M.n, labels, comps, validated)))
+                                       _reassemble(M, tangle, labels, comps, validated)))
             return
         pos = tangle.layers[layer_idx]
         # vertical smoothing
@@ -313,10 +318,12 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
     return out
 
 
-def _reassemble(n: int, labels, comps, validated: dict) -> DottedMatching:
-    """Read a boundary off a (labels, comps) state; VALIDATED memoizes ``validate``.
+def _reassemble(M: DottedMatching, tangle: FlatTangle, labels, comps,
+                validated: dict) -> DottedMatching:
+    """Read a boundary off a (labels, comps) state of M under TANGLE.
 
-    The component checks run for every call.  ``validate`` runs once per
+    VALIDATED memoizes ``validate``.  The component checks run for every
+    call, and a failed one names M and the word.  ``validate`` runs once per
     distinct (arcs, rays, dotted) within one VALIDATED dict, which the
     caller keeps for one evaluation.
     """
@@ -330,23 +337,23 @@ def _reassemble(n: int, labels, comps, validated: dict) -> DottedMatching:
         dots, ray = comps[label]
         if len(vs) == 2:
             if ray:
-                raise InternalCheckError("two boundary ends on a ray component")
+                raise _state_error(M, tangle, "two boundary ends on a ray component")
             arc = (vs[0], vs[1])
             arcs.append(arc)
             if dots == 1:
                 dotted.append(arc)
             elif dots >= 2:
-                raise InternalCheckError("doubly dotted component survived")
+                raise _state_error(M, tangle, "doubly dotted component survived")
         elif len(vs) == 1:
             if not ray:
-                raise InternalCheckError("open non-ray component at the boundary")
+                raise _state_error(M, tangle, "open non-ray component at the boundary")
             rays.append(vs[0])
         else:
-            raise InternalCheckError(f"component with {len(vs)} boundary ends")
+            raise _state_error(M, tangle, f"component with {len(vs)} boundary ends")
     key = (tuple(arcs), tuple(rays), tuple(dotted))
     boundary_matching = validated.get(key)
     if boundary_matching is None:
-        boundary_matching = validated[key] = validate(n, arcs, rays, dotted)
+        boundary_matching = validated[key] = validate(M.n, arcs, rays, dotted)
     return boundary_matching
 
 

@@ -4,6 +4,7 @@ import shutil
 
 from springer_tworow.action import rep_matrix
 from springer_tworow.cache import RepMatrixCache
+from springer_tworow.cli import main
 from springer_tworow.permutations import adjacent, identity
 
 
@@ -40,7 +41,20 @@ def test_entry_copied_under_another_key_is_rejected(tmp_path):
     target = cache._path(s2, 4, 2, 2)
     shutil.copy(source, target)
     assert cache.load(s2, 4, 2, 2) is None
-    assert rep_matrix(s2, 4, 2, 2, cache) != rep_matrix(ident, 4, 2, 2)
+    assert rep_matrix(s2, 4, 2, 2) != cache.load(ident, 4, 2, 2)
+
+
+def test_cli_recomputes_and_replaces_a_rejected_entry(tmp_path, capsys):
+    cache = RepMatrixCache(str(tmp_path))
+    ident, s2 = identity(4), adjacent(4, 2)
+    shutil.copy(cache.store(ident, 4, 2, 2, rep_matrix(ident, 4, 2, 2)),
+                cache._path(s2, 4, 2, 2))
+    argv = ["matrix", "-n", "4", "-k", "2", "-m", "2", "--sigma", "s2", "--cache-dir",
+            str(tmp_path)]
+    assert main(argv) == 0
+    want = rep_matrix(s2, 4, 2, 2)
+    assert capsys.readouterr().out.splitlines() == [" ".join(map(str, row)) for row in want]
+    assert cache.load(s2, 4, 2, 2) == want
 
 
 def test_old_version_entry_is_a_miss(tmp_path):

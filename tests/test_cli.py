@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from springer_tworow import cli
 from springer_tworow.cli import main, parse_class
 from springer_tworow.errors import DomainError
 from springer_tworow.homology import HomClass, psi_minus_rows
@@ -65,6 +66,18 @@ def test_betti_negative_k_is_a_domain_error(capsys):
 ])
 def test_character_and_chart_refuse_impossible_types(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
+
+
+def test_enumerate_refuses_past_its_cap_without_enumerating(capsys, monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("enumerate_matchings was called")
+
+    monkeypatch.setattr(cli, "enumerate_matchings", refuse)
+    code, out, err = run(capsys, "enumerate", "-n", "40", "-k", "20")
+    assert (code, out) == (2, "")
+    assert err == ("error: enumerate -n 40 -k 20 would list 6564120420 matchings, "
+                   f"more than the cap of {cli.ENUMERATE_CAP}\n")
+    assert cli.count_matchings(26, 13) <= cli.ENUMERATE_CAP < cli.count_matchings(28, 14)
 
 
 def test_usage_error_exit_code(capsys):

@@ -82,8 +82,10 @@ def test_enumerate_b31():
 def test_enumerate_small_counts():
     assert len(enumerate_matchings(5, 0)) == 1
     assert len(enumerate_matchings(6, 3)) == 5  # Catalan number C_3
-    with pytest.raises(errors.DomainError):
-        enumerate_matchings(4, 3)
+    for n, k in ((4, 3), (3, -1)):
+        for count in (enumerate_matchings, count_matchings):
+            with pytest.raises(errors.DomainError):
+                count(n, k)
 
 
 @pytest.mark.parametrize("n", range(0, 11))

@@ -15,6 +15,7 @@ from springer_tworow.skein import (
     CALIBRATED_CONVENTION,
     ResolutionConvention,
     _anchor_ok,
+    _reassemble,
     boundary_coefficients,
     calibrate,
     convention_family,
@@ -161,6 +162,20 @@ def test_fold_matches_full_expansion_for_every_convention():
 def test_fold_errors_name_the_matching_and_the_word():
     with pytest.raises(errors.InternalCheckError, match=r"2: u1-2 .*\(1, 2\)"):
         boundary_coefficients(pm("2: u1-2"), flatten([1, 2], 3))
+
+
+def test_reference_errors_name_the_matching_and_the_word():
+    M, tangle = pm("2: u1-2"), flatten([1, 2], 3)
+    messages = []
+    for route in (expand_resolutions, boundary_coefficients):
+        with pytest.raises(errors.InternalCheckError, match=r"2: u1-2 .*\(1, 2\)") as info:
+            route(M, tangle)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    # A ray component with two boundary ends cannot arise; read it off by hand.
+    with pytest.raises(errors.InternalCheckError,
+                       match=r"^2: u1-2 under word \(1,\): two boundary ends on a ray"):
+        _reassemble(M, flatten([1], 2), [0, 0], [(1, True)], {})
 
 
 def test_fold_agreement_at_depth_7():

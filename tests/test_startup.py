@@ -70,10 +70,7 @@ def test_package_import_loads_no_submodule():
 
 def test_cli_import_loads_only_what_parsing_needs():
     loaded = _modules_after("import springer_tworow.cli")
-    assert _submodules(loaded) == {
-        "cli", "errors", "homology", "linalg", "matchings", "diagrams", "permutations",
-        "records",
-    }
+    assert _submodules(loaded) == {"cli", "errors", "homology", "linalg", "matchings", "records"}
     assert not loaded & UNWANTED
 
 
@@ -171,6 +168,84 @@ def _imports(stderr: bytes) -> tuple[set[str], str]:
         else:
             rest.append(line)
     return names, "\n".join(rest)
+
+
+# ``-X importtime`` does not list a submodule loaded by ``from . import name``,
+# so the cold probes below read ``sys.modules`` at exit instead.
+_COLD_PROBE = ("import sys\nfrom springer_tworow import cli\ncode = cli.main(sys.argv[1:])\n"
+               "sys.stderr.write(' '.join(sys.modules))\nsys.exit(code)")
+
+
+def _cold(argv, cwd) -> tuple[set[str], bytes]:
+    """Package submodules a cold ``springer ARGV`` loads, and its stdout."""
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, *argv], capture_output=True,
+                          cwd=cwd, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return _submodules(set(proc.stderr.decode().split())), proc.stdout
+
+
+def test_cold_betti_loads_neither_diagrams_nor_permutations(tmp_path):
+    loaded, out = _cold(["betti", "-n", "4", "-k", "1"], tmp_path)
+    assert out == b"1 3\n"
+    assert not loaded & {"diagrams", "permutations"}
+
+
+def test_cold_cache_hit_loads_no_action_layer(tmp_path):
+    argv = ["matrix", "-n", "5", "-k", "2", "-m", "1", "--sigma", "(1 2 3)", "--cached",
+            "--cache-dir", str(tmp_path / "cache")]
+    miss, miss_out = _cold(argv, tmp_path)
+    hit, hit_out = _cold(argv, tmp_path)
+    assert "action" in miss
+    assert not hit & {"action", "tabloids", "diagrams"}
+    assert hit_out == miss_out and miss_out
+
+
+def _parse(parser, argv, capsys) -> tuple[str, str, object, dict | None]:
+    """Stdout, stderr, exit code and parsed namespace of PARSER on ARGV."""
+    capsys.readouterr()
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    out, err = capsys.readouterr()
+    return out, err, code, namespace
+
+
+def _main_exit(argv, capsys) -> tuple[str, str, object, None]:
+    """``_parse``'s tuple for ``cli.main(ARGV)``, whose parse exits."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    return out, err, info.value.code, None
+
+
+# Per command: -h, the bare command (a missing required argument where it
+# has one), and a valid call with an unrecognised extra argument.
+PARSE_CASES = [[name, *case] for name in cli.COMMANDS for case in (["-h"], [])]
+PARSE_CASES += [[*argv, "--no-such-option"] for argv in SMOKE]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_one_subparser_parse_is_byte_identical(argv, capsys):
+    full = _parse(cli.build_parser(), argv, capsys)
+    assert _parse(cli.build_parser(argv[0]), argv, capsys) == full
+    if full[2] is not None:
+        assert _main_exit(argv, capsys) == full
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]], ids=repr)
+def test_main_without_a_known_command_answers_as_the_full_parser(argv, capsys):
+    assert _main_exit(argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+
+
+def test_main_builds_only_the_invoked_subparser(monkeypatch, capsys):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or build(command))
+    for argv in (["enumerate", "-h"], ["-h"], ["bogus"]):
+        _main_exit(argv, capsys)
+    assert built == ["enumerate", None, None]
 
 
 def _in_process(argv, capsys) -> tuple[bytes, int]:
