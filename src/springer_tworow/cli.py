@@ -1,24 +1,19 @@
-"""Command-line surface.
+"""Command-line surface; ``springer -h`` shows ``DESCRIPTION``, not this text.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (invalid matching,
-bad permutation, ...), 3 verification failure.  Output is deterministic:
-identical invocations produce identical bytes.
-
-Start-up is most of a small command's cost, so each subcommand imports
-only what it uses: a new ``cmd_*`` function imports its modules inside
-its own body.  Only what argument parsing and ``parse_class`` /
-``format_class`` need stays at the top: ``homology`` (with ``linalg``),
-``matchings``, ``errors`` and ``records``; ``diagrams`` and
-``permutations`` load on first use.  ``main`` builds only the invoked
-command's subparser from the one table ``COMMANDS``.  No module of the
-package uses the standard library's generated record classes, whose
-import alone brings ``inspect`` along: a record class is a ``__slots__``
-class on the shared base ``records.Record``, with its own ``__init__``.
+Output is deterministic: identical invocations produce identical bytes.
+Start-up is most of a small command's cost, so each ``cmd_*`` function
+imports what it uses in its own body; only ``homology`` (with
+``linalg``), ``matchings``, ``errors`` and ``records`` load at the top,
+and ``main`` builds only the invoked command's subparser from the one
+table ``COMMANDS``.  Record classes are ``__slots__`` classes on
+``records.Record``: the standard library's generated ones import
+``inspect``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -45,6 +40,11 @@ VERIFY_EXIT = 3
 
 #: The most matchings ``enumerate`` lists: (26, 13) has 742,900, (28, 14) 2,674,440.
 ENUMERATE_CAP = 10**6
+#: The most dotted-matching columns (of the gradings asked for) ``betti --method
+#: cokernel|both`` and ``relations`` assemble: (14, 6) has 64,064, (15, 7) 183,040.
+COLUMN_CAP = 10**5
+DESCRIPTION = ("Two-row Springer varieties: noncrossing matchings, homology and the S_n action.  "
+               "Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,9 +242,18 @@ def cmd_intersect(args) -> int:
     return 0
 
 
+def _check_columns(command: str, n: int, k: int, m: int | None = None) -> None:
+    """Refuse a type whose dotted matchings of grading m (or of all) exceed COLUMN_CAP."""
+    width = count_matchings(n, k) * (2**k if m is None else math.comb(k, m))
+    if width > COLUMN_CAP:
+        raise DomainError(f"{command} -n {n} -k {k} would assemble {width} dotted-matching "
+                          f"columns, more than the cap of {COLUMN_CAP}")
+
+
 def cmd_betti(args) -> int:
     standard = homology.betti(args.n, args.k)
     if args.method in ("cokernel", "both"):
+        _check_columns("betti", args.n, args.k)
         cok = homology.presentation_betti(args.n, args.k)
         if args.method == "both" and cok != standard:
             print(f"mismatch: standard={standard} cokernel={cok}", file=sys.stderr)
@@ -266,6 +275,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    homology._check_grading(args.n, args.k, args.m)
+    _check_columns("relations", args.n, args.k, args.m)
     rels = homology.relation_instances(args.n, args.k, args.m)
     for rel in rels:
         print(format_class(rel))
@@ -461,7 +472,7 @@ def build_parser(command: str | None = None) -> _Parser:
     COMMAND byte for byte as the full one does: its usage line still lists
     every command, and no error it can raise names the command argument.
     """
-    parser = _Parser(prog="springer", description=__doc__)
+    parser = _Parser(prog="springer", description=DESCRIPTION)
     names = COMMANDS if command is None else (command,)
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)

@@ -186,19 +186,36 @@ def is_arrow(a: Matching, b: Matching) -> bool:
 
 
 class ArrowGraph(Record, frozen=True):
-    __slots__ = _fields = ("nodes", "successors", "predecessors")
+    """The arrow relation on the matchings of one type.
+
+    ``arrows`` is the arrow-move table: for each source a, one
+    (b, arrow_move(a, b), arcs shared by a and b, sorted) per successor b,
+    in ``successors`` order.  It is derived from the fields at
+    construction, so it is a slot but not a field.
+    """
+
+    _fields = ("nodes", "successors", "predecessors")
+    __slots__ = _fields + ("arrows",)
 
     def __init__(self, nodes: tuple[Matching, ...], successors: dict, predecessors: dict):
-        set_nodes, set_successors, set_predecessors = self._setters
+        set_nodes, set_successors, set_predecessors, set_arrows = self._setters
         set_nodes(self, nodes)
         set_successors(self, successors)
         set_predecessors(self, predecessors)
+        set_arrows(self, {
+            a: tuple((b, arrow_move(a, b), tuple(sorted(set(a.arcs) & set(b.arcs))))
+                     for b in bs)
+            for a, bs in successors.items()
+        })
 
 
 @lru_cache(maxsize=None)
 def arrow_graph(n: int, k: int) -> ArrowGraph:
     nodes = enumerate_matchings(n, k)
-    succ = {a: arrow_successors(a) for a in nodes}
+    # Successors are the node objects themselves, so dict lookups keyed by
+    # them match by identity, without a field-by-field comparison.
+    node = {a: a for a in nodes}
+    succ = {a: tuple(map(node.__getitem__, arrow_successors(a))) for a in nodes}
     pred: dict[Matching, list[Matching]] = {a: [] for a in nodes}
     for a, bs in succ.items():
         for b in bs:

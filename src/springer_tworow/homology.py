@@ -11,24 +11,18 @@ unnested configuration):
 - Type III: a dotted arc and the ray it exchanges with under the triple
             move give equal diagrams.
 
-Reduction to the standard basis is implemented twice: by exact row
-reduction of the relation span and by a terminating rewriting system, and
-the two must agree.  The row reduction and the cokernel ranks of the
-difference-of-inclusions map both run on the sparse exact elimination
-kernel of :mod:`linalg`.  Both row families are assembled index-keyed:
-:func:`_relation_keys` (the relation rules) and :func:`_pushforward_keys`
-(the pushforward rule) yield each term as a (base, dotted) key, which a
-column table turns into a sparse ``{column: int}`` row, so no dotted
-matching or class is built per term.  The relation rows go to the kernel
-sparse; the boundary rows are densified only for the rank call of
-:func:`presentation_betti` and for the callers of :func:`psi_minus_rows`.
+Reduction to the standard basis is implemented twice, by row reduction
+of the relation span and by a terminating rewriting system, and the two
+must agree.  The relation rows and the rows of the difference-of-
+inclusions map ψ₋ are read off the arrow-move table that
+``diagrams.arrow_graph`` builds once per type, with no overlay glued:
+:func:`_arrow_circles` takes each arrow's circles from its move (see
+there).  Each term is a (base, dotted) key that a column table turns into
+a sparse ``{column: int}`` row for the kernel of :mod:`linalg`.
 :func:`relation_instances` and :func:`pushforward_inclusion` wrap the
-same generators into classes.
-
-:mod:`diagrams` loads on first use: :func:`_relation_keys`,
-:func:`_arrow_overlays` and :func:`pushforward_inclusion` import it at
-entry, so a command that only reads or prints classes (and the CLI's
-own import) never pays for it.
+same generators into classes; the latter glues with ``diagrams.glue``,
+the reference of the ``homology.arrow-overlays`` invariant.
+:mod:`diagrams` loads on first use.
 """
 from __future__ import annotations
 
@@ -36,7 +30,6 @@ import itertools
 import random
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from . import linalg
 from .errors import DomainError, InhomogeneousClass, InternalCheckError, NotAnArrowPair
@@ -52,9 +45,6 @@ from .matchings import (
     standard_dotted_matchings,  # noqa: F401  (perfbench/test_harness.py traces it under this name)
 )
 from .records import Record
-
-if TYPE_CHECKING:
-    from .diagrams import Component, GluedOneManifold
 
 
 class HomClass(Record, frozen=True):
@@ -149,14 +139,14 @@ def _relation_keys(n: int, k: int, m: int | None = None,
     Each arrow pair a -> b gives one relation per rule and per set D of
     dots on the s arcs common to a and b.  A rule of excess e has grading
     s - |D| + e (e = 1 for type I, 0 for types II and III), so with m
-    given only |D| = s + e - m is enumerated.
+    given only |D| = s + e - m is enumerated; only a nesting move
+    (len(move) == 4) has a type I rule.
     """
-    from .diagrams import arrow_graph, arrow_move
+    from .diagrams import arrow_graph
 
     graph = arrow_graph(n, k)
     for a in (order if order is not None else graph.nodes):
-        for b in graph.successors[a]:
-            move = arrow_move(a, b)
+        for b, move, shared in graph.arrows[a]:
             if len(move) == 4:
                 i, j, kk, l = move
                 rules = ((1, ((a, ((i, j),), 1), (a, ((kk, l),), 1),
@@ -165,10 +155,9 @@ def _relation_keys(n: int, k: int, m: int | None = None,
             else:
                 ray, j, kk = move
                 rules = ((0, ((a, ((j, kk),), 1), (b, ((ray, j),), -1))),)
-            shared = tuple(sorted(set(a.arcs) & set(b.arcs)))
             s = len(shared)
             sizes = range(s + 1) if m is None else range(
-                max(s - m, 0), min(s + max(e for e, _ in rules) - m, s) + 1)
+                max(s - m, 0), min(s + len(move) - 3 - m, s) + 1)
             for r in sizes:
                 for D in itertools.combinations(shared, r):
                     for e, terms in rules:
@@ -374,89 +363,85 @@ def pushforward_inclusion(a: Matching, b: Matching,
 
     if not (is_arrow(b, a) or is_arrow(a, b)):
         raise NotAnArrowPair(f"{a} and {b} are not one arrow move apart")
-    glued = glue(a, b)
-    circles = glued.circles
+    circles = glue(a, b).circles
     bad = set(free_circles) - set(range(len(circles)))
     if bad:
         raise InternalCheckError(f"free circle indices {sorted(bad)} out of range")
-    free = [comp for idx, comp in enumerate(circles) if idx in free_circles]
-    coeffs: dict[DottedMatching, int] = {}
-    for key in _pushforward_keys(glued, "above", free):
-        M = DottedMatching(*key)
-        coeffs[M] = coeffs.get(M, 0) + 1
-    return hom_class(a.n, a.k, coeffs)
+    groups = [comp.arcs_above for idx, comp in enumerate(circles) if idx in free_circles]
+    # One chosen arc per circle: distinct choices give distinct terms.
+    return hom_class(a.n, a.k, {DottedMatching(*key): 1 for key in _pushforward_keys(a, groups)})
 
 
-def _pushforward_keys(glued: GluedOneManifold, side: str,
-                      free: Sequence[Component]) -> Iterator[Key]:
+def _pushforward_keys(target: Matching, groups: Sequence[tuple[Arc, ...]]) -> Iterator[Key]:
     """The (base, dotted) key of each term of a pushforward; every coefficient is 1.
 
-    The base is a (``side`` "above") or b of the overlay, and dotted is its
-    arcs minus one chosen arc on each circle of ``free``: pinned circles
-    and lines keep all their arcs dotted.
+    ``groups`` holds the arcs of ``target`` on each free circle; dotted is
+    every arc of ``target`` but one chosen arc per group, since pinned
+    circles and lines keep all their arcs dotted.
     """
-    if side == "above":
-        target, groups = glued.a, [comp.arcs_above for comp in free]
-    else:
-        target, groups = glued.b, [comp.arcs_below for comp in free]
+    arcs = target.arcs
     for choice in itertools.product(*groups):
-        yield target, tuple(arc for arc in target.arcs if arc not in choice)
+        yield target, tuple([arc for arc in arcs if arc not in choice])
 
 
 # --- presentation via the boundary map ------------------------------------------
 
 def psi_minus_rows(n: int, k: int, m: int,
                    order: tuple[Matching, ...] | None = None) -> tuple[list, list]:
-    """Rows of the degree-2m block of the difference-of-inclusions map.
+    """(columns, dense rows) of the degree-2m block of ψ₋; DomainError for m outside 0..k.
 
-    Returns (columns, rows) where columns enumerate all dotted matchings
-    of grading m and each row is the image of one basis class of one
-    arrow-pair intersection.  The rows are assembled sparse, keyed by
-    column index, and densified here for the caller.  Raises DomainError
-    for m outside 0..k.
+    Columns are all dotted matchings of grading m; each row is the image
+    of one basis class of one arrow-pair intersection.
     """
     _check_grading(n, k, m)
-    columns, rows = _psi_minus_rows(n, k, m, _arrow_overlays(n, k, order))
+    columns, rows = _psi_minus_rows(n, k, m, _arrow_circles(n, k, order))
     return columns, [linalg._dense(row, len(columns)) for row in rows]
 
 
-def _arrow_overlays(n: int, k: int,
-                    order: tuple[Matching, ...] | None) -> list[GluedOneManifold]:
-    """glue(b, c) for every arrow b -> c, sources in node order."""
-    from .diagrams import arrow_graph, glue
+def _arrow_circles(n: int, k: int, order: tuple[Matching, ...] | None) -> list[tuple]:
+    """(a, b, circles) for every arrow a -> b, sources in node order.
+
+    ``circles`` is ``glue(a, b).circles`` as (arcs of a, arcs of b), lowest
+    vertex first: each shared arc is a circle, a nesting move (i, j, k, l)
+    adds (i, j), (k, l) over (i, l), (j, k), and a ray move only a line.
+    """
+    from .diagrams import arrow_graph
 
     graph = arrow_graph(n, k)
-    nodes = order if order is not None else graph.nodes
-    return [glue(b, c) for b in nodes for c in graph.successors[b]]
+    out = []
+    for a in (order if order is not None else graph.nodes):
+        for b, move, shared in graph.arrows[a]:
+            circles = [((arc,), (arc,)) for arc in shared]
+            if len(move) == 4:
+                i, j, kk, l = move
+                below = sum(1 for x, _ in shared if x < i)
+                circles.insert(below, (((i, j), (kk, l)), ((i, l), (j, kk))))
+            out.append((a, b, circles))
+    return out
 
 
 def _psi_minus_rows(n: int, k: int, m: int,
-                    overlays: list[GluedOneManifold]) -> tuple[list, list[dict[int, int]]]:
+                    arrows: list[tuple]) -> tuple[list, list[dict[int, int]]]:
     """(columns, sparse {column: int} rows) of the degree-2m block."""
     columns = list(all_dotted_matchings(n, k, m))
     index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
     rows = []
-    for glued in overlays:
-        for free in itertools.combinations(glued.circles, m):
-            row: dict[int, int] = {}
-            for side, sign in (("above", 1), ("below", -1)):
-                for key in _pushforward_keys(glued, side, free):
-                    c = index[key]
-                    row[c] = row.get(c, 0) + sign
+    for a, b, circles in arrows:
+        for free in itertools.combinations(circles, m):
+            row: dict[int, int] = {}  # keys are distinct: a != b, one choice per circle
+            for target, side, sign in ((a, 0, 1), (b, 1, -1)):
+                for key in _pushforward_keys(target, [circle[side] for circle in free]):
+                    row[index[key]] = sign
             rows.append(row)
     return columns, rows
 
 
 def presentation_betti(n: int, k: int,
                        order: tuple[Matching, ...] | None = None) -> list[int]:
-    """Betti numbers as cokernel ranks of the difference-of-inclusions map.
-
-    The boundary rows are assembled sparse and densified only for the
-    rank call.
-    """
-    overlays = _arrow_overlays(n, k, order)
+    """Betti numbers as cokernel ranks of ψ₋; the rows are densified only for the rank."""
+    arrows = _arrow_circles(n, k, order)
     out = []
     for m in range(k + 1):
-        columns, rows = _psi_minus_rows(n, k, m, overlays)
+        columns, rows = _psi_minus_rows(n, k, m, arrows)
         out.append(len(columns) - linalg.rank([linalg._dense(row, len(columns)) for row in rows]))
     return out

@@ -1,37 +1,27 @@
 """Exact linear algebra: one sparse elimination kernel and a unit-triangular solve.
 
-``Echelon`` is the one row-elimination routine.  Rows are sparse
-``{column: value}`` dicts, and a row's pivot is its leading (lowest)
-column.  Elimination runs on integers: a row is scaled to a primitive
-integer vector (coprime entries, positive leading entry) before it takes
-a pivot.  A row led by 1 takes its pivot at once, while a row led by any
-other value waits until every row has been offered, so a unit row takes
-a pivot ahead of a non-unit one.  While every pivot is 1 a clearing step
-is a plain subtraction; against a non-unit pivot the row being cleared
-is first multiplied by pivot / gcd, so no step divides.
-fractions.Fraction appears only in results that divide by a non-unit
-pivot: the normalised rows of ``rref`` and the remainders of ``reduce``.
-This is sparse exact elimination in the spirit of Dumas, Saunders and
-Villard (J. Symbolic Comput. 32, 2001).
+``Echelon`` is the one row-elimination routine, and ``_eliminate`` its
+one loop, run both to build a basis and by ``reduce``.  Rows are sparse
+``{column: value}`` dicts; a row's pivot is its lowest column.  Rows are
+made primitive integer vectors (coprime entries, positive lead) before
+they take a pivot.  A row led by 1 takes its pivot at once; one led by
+any other value waits until every row has been offered, so unit rows
+take pivots first.  Against a unit pivot a clearing step is a plain
+subtraction; against a non-unit one the row is first multiplied by
+pivot / gcd, so no step divides.  A row of at most ``_SHORT`` entries
+(almost every relation and boundary row: 2-4 entries of +-1) finds its
+next column by a scan, a longer one from a heap.  Fraction appears only
+in results that divide by a non-unit pivot: the rows of ``rref`` and the
+remainders of ``reduce``.  This is sparse exact elimination in the
+spirit of Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001).
 
 ``rref``, ``rank``, ``row_space_equal``, ``in_row_space`` and
 ``reduce_against`` are thin adapters over the kernel for dense lists of
 lists; ``rank(rows)`` is ``len(rref(rows)[1])``.  ``ColumnSolver`` is
-the integer solve of the action: its columns are sparse and must be
-unit-triangular (each column's last nonzero row is a pivot of its own,
-with entry +-1), which it checks when it factors, so back-substitution
-stays in the integers and each solve certifies itself by leaving a zero
-residual; ``solve`` returns the nonzero coordinates as ``{column: int}``.
-
-``ColumnSolver.trace`` reads the trace of x -> solve(P x), for a row map
-P, off the integer dual basis B = A U^-1 of the factor, where U is the
-+-1 unit-triangular block of A on its pivot rows: column b_j is 1 at its
-own pivot row p_j and 0 at every other pivot row, so the trace is
-sum_j b_j[source(p_j)] and no solve runs.  ``dual_basis`` builds B for
-its caller and keeps nothing, so a cached factor never grows.  P must
-keep the column span; the caller proves that with certified solves
-first, because a map that leaves the span still gets a number.  No
-floats anywhere.
+the integer solve of the action on sparse, unit-triangular columns,
+which it checks when it factors; each solve certifies itself by leaving
+a zero residual, and ``trace`` reads traces off the integer dual basis
+of the factor, with no solve.  No floats anywhere.
 """
 from __future__ import annotations
 
@@ -45,6 +35,8 @@ from .errors import InternalCheckError, SolveFailed
 
 Number = Union[int, Fraction]
 SparseRow = dict[int, Number]
+
+_SHORT = 8
 
 
 class Echelon:
@@ -78,30 +70,37 @@ class Echelon:
             waiting = left
 
     def _eliminate(self, v: dict[int, int], full: bool) -> tuple[int | None, int]:
-        """Clear pivot columns of v in place, lowest column first.
+        """Clear pivot columns of v in place, lowest first; return (lead, scale).
 
-        Returns (lead, scale).  With ``full`` every pivot column is
-        cleared and lead is None; otherwise elimination stops at v's
-        leading column once no pivot owns it and returns that column
-        (None when v becomes zero).  ``scale`` is the integer v was
-        multiplied by on the way.  A pivot row only has entries right of
-        its pivot, so a column once passed is never filled again.
+        With ``full`` every pivot column is cleared and lead is None; else
+        elimination stops at v's first column that no pivot owns and
+        returns it (None when v becomes zero).  v was multiplied by
+        ``scale`` on the way.  A pivot row has entries right of its pivot
+        only, so a passed column never fills again.
         """
-        heap = list(v)
-        heapq.heapify(heap)
-        rows = self.rows
-        scale = 1
-        while heap:
-            c = heapq.heappop(heap)
-            if not v.get(c):
-                continue
+        rows, scale, c, heap = self.rows, 1, -1, None
+        while True:
+            if heap is None and len(v) > _SHORT:
+                heap = [j for j in v if j > c]
+                heapq.heapify(heap)
+            if heap is None:
+                # Unless full, every passed column was cleared out of v.
+                later = [j for j in v if j > c] if full else v
+                if not later:
+                    return None, scale
+                c = min(later)
+            elif not heap:
+                return None, scale
+            else:
+                c = heapq.heappop(heap)
+                if not v.get(c):
+                    continue
             row = rows.get(c)
             if row is None:
                 if full:
                     continue
                 return c, scale
             scale *= _clear(v, c, row, heap)
-        return None, scale
 
     def reduce(self, vector: Mapping[int, Number]) -> SparseRow:
         """The remainder of vector after clearing every pivot column.
@@ -154,15 +153,19 @@ def _clear(v: dict[int, int], c: int, row: dict[int, int], heap: list | None) ->
 
 def _integral(row: Mapping[int, Number]) -> tuple[dict[int, int], int]:
     """(w, d): w is an integer row and d a positive int with row == w / d."""
-    values = [x for x in row.values() if x]
-    if all(type(x) is int for x in values):
-        return {c: x for c, x in row.items() if x}, 1
-    d = lcm(*(Fraction(x).denominator for x in values))
-    return {c: int(x * d) for c, x in row.items() if x}, d
+    w = {c: x for c, x in row.items() if x}
+    if set(map(type, w.values())) <= {int}:
+        return w, 1
+    d = lcm(*(Fraction(x).denominator for x in w.values()))
+    return {c: int(x * d) for c, x in w.items()}, d
 
 
 def _primitive(v: dict[int, int], lead: int) -> dict[int, int]:
     """v divided by the gcd of its entries, signed so that v[lead] > 0."""
+    if v[lead] == 1:
+        return v
+    if v[lead] == -1:
+        return {c: -x for c, x in v.items()}
     g = gcd(*v.values())
     if v[lead] < 0:
         g = -g
@@ -200,8 +203,9 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Number]], list[int]]:
     width = len(rows[0])
     out = []
     for p in pivots:
-        row = basis.rows[p]
-        out.append(_dense({c: _quotient(x, row[p]) for c, x in row.items()}, width))
+        row = basis.rows[p]  # primitive, so normalised already when led by 1
+        row = row if row[p] == 1 else {c: _quotient(x, row[p]) for c, x in row.items()}
+        out.append(_dense(row, width))
     return out, pivots
 
 

@@ -355,6 +355,28 @@ def check_relation_span_matches_boundary(n_max: int, rng) -> None:
             assert linalg.row_space_equal(rows, rel_rows), (n, k, m)
 
 
+def check_arrow_overlays(n_max: int, rng) -> None:
+    """The arrow-move table and the overlay circles read off it agree with ``glue``.
+
+    For every arrow a -> b with n up to min(n_max, 10): the table lists
+    the successors in order, its move is ``arrow_move(a, b)``, and
+    ``homology._arrow_circles`` gives ``glue(a, b).circles`` as (arcs of a,
+    arcs of b), in order.  The ψ₋ rows are built from those circles and
+    the relation rows from the same table, so this keeps
+    ``homology.relation-span`` an independent check.
+    """
+    for n, k in _types(min(n_max, 10)):
+        graph = diagrams.arrow_graph(n, k)
+        arrows = iter(homology._arrow_circles(n, k, None))
+        for a in graph.nodes:
+            assert tuple(b for b, _, _ in graph.arrows[a]) == graph.successors[a], (n, k, str(a))
+            for b, move, _ in graph.arrows[a]:
+                assert move == diagrams.arrow_move(a, b), (str(a), str(b), move)
+                glued = [(c.arcs_above, c.arcs_below) for c in diagrams.glue(a, b).circles]
+                assert next(arrows) == (a, b, glued), (str(a), str(b))
+        assert next(arrows, None) is None, (n, k)
+
+
 def check_betti_both_ways(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 8)):
         expected = [len(standard_dotted_matchings(n, k, m)) for m in range(k + 1)]
@@ -718,6 +740,7 @@ CHECKS: list[Check] = [
     Check("homology.reduce-agreement", check_reduce_agreement),
     Check("homology.relations-die", check_relations_die),
     Check("homology.relation-span", check_relation_span_matches_boundary),
+    Check("homology.arrow-overlays", check_arrow_overlays),
     Check("homology.betti-both-ways", check_betti_both_ways),
     Check("homology.order-independence", check_order_independence),
     Check("zeta.kills-relations", check_zeta_kills_relations),

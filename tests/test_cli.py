@@ -80,6 +80,54 @@ def test_enumerate_refuses_past_its_cap_without_enumerating(capsys, monkeypatch)
     assert cli.count_matchings(26, 13) <= cli.ENUMERATE_CAP < cli.count_matchings(28, 14)
 
 
+@pytest.mark.parametrize("argv, width", [
+    (("betti", "-n", "30", "-k", "15", "--method", "both"), 9694845 * 2**15),
+    (("betti", "-n", "30", "-k", "15", "--method", "cokernel"), 9694845 * 2**15),
+    (("relations", "-n", "30", "-k", "15"), 9694845 * 2**15),
+    (("relations", "-n", "20", "-k", "10", "-m", "5"), 16796 * 252),
+    (("betti", "-n", "15", "-k", "7", "--method", "both"), 1430 * 2**7),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value))
+def test_homology_commands_refuse_past_the_column_cap_without_enumerating(
+        capsys, monkeypatch, argv, width):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the homology layer was called")
+
+    for name in ("presentation_betti", "relation_instances", "all_dotted_matchings"):
+        monkeypatch.setattr(cli.homology, name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {argv[0]} -n {argv[2]} -k {argv[4]} would assemble {width} "
+                   f"dotted-matching columns, more than the cap of {cli.COLUMN_CAP}\n")
+
+
+def test_the_column_cap_admits_every_type_to_n_14():
+    assert all(cli.count_matchings(n, k) * 2**k <= cli.COLUMN_CAP
+               for n in range(15) for k in range(n // 2 + 1))
+    assert cli.count_matchings(15, 7) * 2**7 > cli.COLUMN_CAP
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("relations", "-n", "30", "-k", "15", "-m", "16"), "error: grading m=16 outside 0..15\n"),
+    (("relations", "-n", "30", "-k", "-1"), "error: no matchings of type (31,-1) on 30 vertices\n"),
+    (("betti", "-n", "3", "-k", "-1", "--method", "both"),
+     "error: no matchings of type (4,-1) on 3 vertices\n"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+def test_the_column_cap_keeps_the_domain_errors_it_precedes(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_help_shows_the_description_not_the_module_docstring(capsys, monkeypatch):
+    def help_text():
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        return capsys.readouterr().out
+
+    before = help_text()
+    monkeypatch.setattr(cli, "__doc__", "Edited implementation notes.")
+    assert help_text() == before
+    assert "Exit codes: 0 success" in before and "Start-up" not in before
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["enumerate", "-n", "4"])

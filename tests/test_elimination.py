@@ -13,9 +13,11 @@ standard generator, must be refused.
 
 ``reference_relations`` and ``reference_psi_rows`` are the assembly the
 index-keyed one replaced: every relation and boundary row built as a
-``HomClass`` of dotted matchings, each dot-set size filtered by m.  The
-relation and boundary rows, the relation echelon and the cokernel ranks
-must equal theirs in value and order.
+``HomClass`` of dotted matchings, each dot-set size filtered by m, and
+every overlay glued with ``diagrams.glue``.  The relation and boundary
+rows (to n = 9), the relation echelon and the cokernel ranks must equal
+theirs in value and order.  ``Echelon`` must give the same rows whether
+each row's columns are walked by a scan or from a heap.
 """
 import itertools
 import random
@@ -180,6 +182,38 @@ def test_random_matrices_match_reference(seed):
     assert fractional, "no trial needed a non-unit pivot"
 
 
+@pytest.mark.parametrize("short", [0, 10**9], ids=["heap", "scan"])
+def test_echelon_rows_match_reference_on_either_column_walk(monkeypatch, short):
+    """Rows of at most ``_SHORT`` entries are walked by a scan, longer ones by a heap.
+
+    Forcing either walk on every row gives the rows of the default mix,
+    which back-substituted and normalised are the Fraction reference's,
+    and the same remainders as the reference.
+    """
+    rng = random.Random(5)
+    cases = [rows for _, _, psi, rel in blocks(6) for rows in (psi, rel)]
+    for _ in range(40):
+        ncols = rng.randint(1, 14)
+        cases.append([[rng.choice([0, 0, 0, 1, -1, 1, 2, -3]) for _ in range(ncols)]
+                      for _ in range(rng.randint(1, 12))])
+    for dense in cases:
+        if not dense:
+            continue
+        default = echelon_items(linalg.Echelon(map(linalg._sparse, dense)))
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_SHORT", short)
+            basis = linalg.Echelon(map(linalg._sparse, dense))
+            assert echelon_items(basis) == default
+            want = reference_rref(dense)
+            probe = [rng.choice([0, 1, -1, 2]) for _ in dense[0]]
+            remainder = basis.reduce(linalg._sparse(probe))
+            assert linalg._dense(remainder, len(probe)) == reference_reduce(probe, *want)
+            basis.back_substitute()
+        got = [[Fraction(x, row[p]) for x in linalg._dense(row, len(dense[0]))]
+               for p, row in sorted(basis.rows.items())]
+        assert (got, sorted(basis.rows)) == want
+
+
 def test_integer_rows_stay_integer_and_unit_rows_take_the_pivot():
     rng = random.Random(7)
     rows = [{c: rng.choice([2, -3, 4, 1, -1]) for c in rng.sample(range(12), 4)}
@@ -224,11 +258,18 @@ def test_index_keyed_assembly_matches_the_hom_class_reference(n):
                             == reference_relations(n, k, m, order)), (n, k, m, variant)
             if m is None:
                 continue
-            assert psi_minus_rows(n, k, m) == reference_psi_rows(n, k, m), (n, k, m)
             _, graded, basis, _ = homology._reduction_data.__wrapped__(n, k, m, None)
             expected = linalg.Echelon({graded[M.base, M.dotted]: c for M, c in rel.terms}
                                       for rel in want)
             assert echelon_items(basis) == echelon_items(expected), (n, k, m)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_glue_free_boundary_rows_match_the_glued_reference(n):
+    # psi_minus_rows reads each arrow's overlay circles off the arrow-move
+    # table; reference_psi_rows glues every overlay with diagrams.glue.
+    for k, m in shapes(n):
+        assert psi_minus_rows(n, k, m) == reference_psi_rows(n, k, m), (n, k, m)
 
 
 @pytest.mark.parametrize("n", range(1, 10))

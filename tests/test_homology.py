@@ -97,6 +97,10 @@ def test_relation_span_equals_boundary_image():
     verify.check_relation_span_matches_boundary(7, random.Random(0))
 
 
+def test_arrow_table_circles_equal_the_glued_overlays():
+    verify.check_arrow_overlays(10, random.Random(0))
+
+
 def test_presentation_order_independent():
     verify.check_order_independence(7, random.Random(0))
     for n in range(2, 8):
