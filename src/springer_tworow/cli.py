@@ -43,6 +43,9 @@ ENUMERATE_CAP = 10**6
 #: The most dotted-matching columns (of the gradings asked for) ``betti --method
 #: cokernel|both`` and ``relations`` assemble: (14, 6) has 64,064, (15, 7) 183,040.
 COLUMN_CAP = 10**5
+#: The most tabloid rows (C(n, m) in the largest grading asked for) the tabloid route
+#: of ``matrix``, ``character`` and ``chart`` factors: (16, 8) has 12,870, (17, 8) 24,310.
+TABLOID_CAP = 2 * 10**4
 DESCRIPTION = ("Two-row Springer varieties: noncrossing matchings, homology and the S_n action.  "
                "Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.")
 
@@ -250,6 +253,23 @@ def _check_columns(command: str, n: int, k: int, m: int | None = None) -> None:
                           f"columns, more than the cap of {COLUMN_CAP}")
 
 
+def _check_tabloids(command: str, n: int, k: int, m: int | None = None) -> None:
+    """Refuse a type with more matchings than ENUMERATE_CAP or tabloid rows than TABLOID_CAP.
+
+    The tabloid route enumerates every matching of type (n-k, k) and
+    factors C(n, m) tabloid rows in grading m; over all m <= k <= n/2 (m
+    None) the most is C(n, k).
+    """
+    count = count_matchings(n, k)
+    if count > ENUMERATE_CAP:
+        raise DomainError(f"{command} -n {n} -k {k} would enumerate {count} matchings, "
+                          f"more than the cap of {ENUMERATE_CAP}")
+    rows = math.comb(n, k if m is None else m)
+    if rows > TABLOID_CAP:
+        raise DomainError(f"{command} -n {n} -k {k} would factor {rows} tabloid rows, "
+                          f"more than the cap of {TABLOID_CAP}")
+
+
 def cmd_betti(args) -> int:
     standard = homology.betti(args.n, args.k)
     if args.method in ("cokernel", "both"):
@@ -297,12 +317,13 @@ def cmd_matrix(args) -> int:
     from .permutations import parse_permutation
 
     sigma = parse_permutation(args.sigma, args.n)
+    homology._check_grading(args.n, args.k, args.m)
+    _check_tabloids("matrix", args.n, args.k, args.m)
     mat = cache = None
     if args.cache_dir or args.cached:
         # The one place the cache is consulted: a hit never loads the action layer.
         from .cache import RepMatrixCache
 
-        homology._check_grading(args.n, args.k, args.m)
         cache = RepMatrixCache(args.cache_dir)
         mat = cache.load(sigma, args.n, args.k, args.m)
     if mat is None:
@@ -327,6 +348,7 @@ def cmd_matrix(args) -> int:
 def cmd_character(args) -> int:
     from . import action
 
+    _check_tabloids("character", args.n, args.k)
     report = action.character_table_check(args.n, args.k)
     for m, mu, trace, expected in report.rows:
         status = "ok" if trace == expected else "FAIL"
@@ -338,6 +360,7 @@ def cmd_character(args) -> int:
 def cmd_chart(args) -> int:
     from . import action
 
+    _check_tabloids("chart", args.n, args.k)
     chart = action.derive_chart(args.n, args.k)
     seen: set[tuple[int, str]] = set()
     for row in chart.rows:

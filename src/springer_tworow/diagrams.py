@@ -7,7 +7,11 @@ components and the distance between matchings.
 The arrow relation ``a -> b`` replaces two unnested arcs of ``a`` by the
 nested pair on the same four vertices, or shifts a ray one arc to the
 right; its reflexive-transitive closure is the partial order used for the
-homology presentation.
+homology presentation.  One scan per matching finds each arc's parent
+and reads every arrow off the nesting directly (:func:`_arrow_scan`), so
+no candidate matching is built or validated; ``arrow_graph`` keeps the
+resulting move table, with arc positions as bit masks, for the homology
+rows.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import heapq
 import math
 import random
 from collections import deque
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .errors import (
@@ -136,24 +141,84 @@ def _try_build(n: int, arcs: set[Arc], rays: set[int]) -> Matching | None:
     return Matching(n, tuple(sorted(arcs)), tuple(sorted(rays)))
 
 
+def _code(a: Matching) -> int:
+    """Bit i for each left end i and bit n + j for each right end j; it determines a."""
+    return sum((1 << i) | (1 << (a.n + j)) for i, j in a.arcs)
+
+
+def _arrow_scan(a: Matching) -> Iterator[tuple[int, tuple[int, ...], int, int, int]]:
+    """(flip, move, x, y, t) of every arrow a -> b, from one nesting scan over 1..n.
+
+    Two arcs (i, j), (p, q) with j < p nest to (i, q), (j, p) when they
+    have the same parent arc, or when neither has one and no ray lies
+    between j and p.  A top-level arc (j, l) with a ray to its left moves
+    with the nearest such ray r to the arc (r, j) and the ray l.  No other
+    move keeps the arcs noncrossing and the rays outside every arc.
+
+    ``_code(b) == _code(a) ^ flip``.  x and y are the positions in
+    ``a.arcs`` of the arcs that move (x == y for a ray move); in b the new
+    arc on a's left end i keeps position x, the other new arc takes
+    position t, and the shared arcs at positions t <= u < y move up by one.
+    """
+    n = a.n
+    nest = (1 << n) + 1
+    right = dict(a.arcs)
+    stack: list[tuple[int, int]] = []       # (left end, position) of each open arc
+    siblings: list[list[tuple[int, int, int]]] = [[]]  # closed arcs under each open arc
+    ray = ray_t = opened = 0
+    for v in range(1, n + 1):
+        if v in right:
+            stack.append((v, opened))
+            siblings.append([])
+            opened += 1
+        elif stack:  # v closes the innermost open arc
+            i, y = stack.pop()
+            siblings.pop()
+            for p, q, x in siblings[-1]:
+                yield ((1 << q) | (1 << i)) * nest, (p, q, i, v), x, y, x + 1 + (q - p) // 2
+            siblings[-1].append((i, v, y))
+            if ray and not stack:
+                yield (1 << i | 1 << ray) | (1 << v | 1 << i) << n, (ray, i, v), y, y, ray_t
+        else:  # a ray: top-level arcs on either side of it never nest
+            ray, ray_t = v, opened
+            siblings[0] = []
+
+
+def _arrow_table(nodes: tuple[Matching, ...]) -> dict:
+    """The arrow-move table of a type's nodes; see :class:`ArrowGraph`."""
+    codes = [_code(a) for a in nodes]
+    index = {code: i for i, code in enumerate(codes)}
+    table = {}
+    for a, code in zip(nodes, codes):
+        entries = []
+        for ib, move, x, y, t in sorted((index[code ^ flip], *rest)
+                                        for flip, *rest in _arrow_scan(a)):
+            keep = [u for u in range(a.k) if u != x and u != y]
+            moved = ((1 << x, 1 << y), (1 << x, 1 << t)) if len(move) == 4 else ((1 << x,), (1 << t,))
+            entries.append((nodes[ib], move, tuple(a.arcs[u] for u in keep),
+                            tuple(1 << u for u in keep) + moved[0],
+                            tuple(1 << (u + (t <= u < y)) for u in keep) + moved[1]))
+        table[a] = tuple(entries)
+    return table
+
+
 def arrow_successors(a: Matching) -> tuple[Matching, ...]:
-    """All b with a -> b: unnest->nest on two arcs, or ray shifted right."""
+    """All b with a -> b, in node order: unnest->nest on two arcs, or ray shifted right.
+
+    Each b is a's move from :func:`_arrow_scan` applied, so no other
+    matching of the type is enumerated.
+    """
     out = []
-    arcs = set(a.arcs)
-    rays = set(a.rays)
-    for (i, j) in a.arcs:
-        for (p, q) in a.arcs:
-            if j < p:  # unnested pair (i,j), (p,q) -> nested (i,q), (j,p)
-                cand = _try_build(a.n, arcs - {(i, j), (p, q)} | {(i, q), (j, p)}, rays)
-                if cand is not None:
-                    out.append(cand)
-    for r in a.rays:
-        for (j, kk) in a.arcs:
-            if r < j:  # ray r + arc (j,kk) -> arc (r,j) + ray kk
-                cand = _try_build(a.n, arcs - {(j, kk)} | {(r, j)}, rays - {r} | {kk})
-                if cand is not None:
-                    out.append(cand)
-    return tuple(sorted(set(out), key=lambda m: (m.arcs, m.rays)))
+    for _, move, *_ in _arrow_scan(a):
+        rays = a.rays
+        if len(move) == 4:
+            i, j, k, l = move
+            arcs = set(a.arcs) - {(i, j), (k, l)} | {(i, l), (j, k)}
+        else:
+            r, j, k = move
+            arcs, rays = set(a.arcs) - {(j, k)} | {(r, j)}, sorted(set(rays) - {r} | {k})
+        out.append(Matching(a.n, tuple(sorted(arcs)), tuple(rays)))
+    return tuple(sorted(out, key=lambda b: (b.arcs, b.rays)))
 
 
 def arrow_move(a: Matching, b: Matching) -> tuple[int, ...] | None:
@@ -188,40 +253,41 @@ def is_arrow(a: Matching, b: Matching) -> bool:
 class ArrowGraph(Record, frozen=True):
     """The arrow relation on the matchings of one type.
 
-    ``arrows`` is the arrow-move table: for each source a, one
-    (b, arrow_move(a, b), arcs shared by a and b, sorted) per successor b,
-    in ``successors`` order.  It is derived from the fields at
-    construction, so it is a slot but not a field.
+    ``arrows`` is the arrow-move table that :func:`_arrow_scan` reads off
+    each source a: one (b, arrow_move(a, b), shared, a_bits, b_bits) per
+    successor b, in ``successors`` order.  ``shared`` lists the arcs a and
+    b have in common, sorted; ``a_bits`` holds ``1 << p`` for the position
+    p in ``a.arcs`` of each shared arc and then of each arc of a that
+    moves ((i, j), (k, l) of a nesting move, (j, k) of a ray move), and
+    ``b_bits`` the same in ``b.arcs`` for the shared arcs and then (i, l),
+    (j, k), or (r, j).  The table is a slot but not a field; a graph built
+    from its three fields alone scans its nodes for it.
     """
 
     _fields = ("nodes", "successors", "predecessors")
     __slots__ = _fields + ("arrows",)
 
-    def __init__(self, nodes: tuple[Matching, ...], successors: dict, predecessors: dict):
+    def __init__(self, nodes: tuple[Matching, ...], successors: dict, predecessors: dict,
+                 arrows: dict | None = None):
         set_nodes, set_successors, set_predecessors, set_arrows = self._setters
         set_nodes(self, nodes)
         set_successors(self, successors)
         set_predecessors(self, predecessors)
-        set_arrows(self, {
-            a: tuple((b, arrow_move(a, b), tuple(sorted(set(a.arcs) & set(b.arcs))))
-                     for b in bs)
-            for a, bs in successors.items()
-        })
+        set_arrows(self, _arrow_table(nodes) if arrows is None else arrows)
 
 
 @lru_cache(maxsize=None)
 def arrow_graph(n: int, k: int) -> ArrowGraph:
     nodes = enumerate_matchings(n, k)
+    arrows = _arrow_table(nodes)
     # Successors are the node objects themselves, so dict lookups keyed by
     # them match by identity, without a field-by-field comparison.
-    node = {a: a for a in nodes}
-    succ = {a: tuple(map(node.__getitem__, arrow_successors(a))) for a in nodes}
+    succ = {a: tuple(entry[0] for entry in entries) for a, entries in arrows.items()}
     pred: dict[Matching, list[Matching]] = {a: [] for a in nodes}
-    for a, bs in succ.items():
-        for b in bs:
+    for a in nodes:  # in node order, so each predecessor list is too
+        for b in succ[a]:
             pred[b].append(a)
-    pred = {a: tuple(sorted(v, key=lambda m: (m.arcs, m.rays))) for a, v in pred.items()}
-    return ArrowGraph(nodes, succ, pred)
+    return ArrowGraph(nodes, succ, {a: tuple(v) for a, v in pred.items()}, arrows)
 
 
 def linear_order(n: int, k: int, variant: int = 0) -> tuple[Matching, ...]:

@@ -13,22 +13,25 @@ unnested configuration):
 
 Reduction to the standard basis is implemented twice, by row reduction
 of the relation span and by a terminating rewriting system, and the two
-must agree.  The relation rows and the rows of the difference-of-
-inclusions map ψ₋ are read off the arrow-move table that
-``diagrams.arrow_graph`` builds once per type, with no overlay glued:
-:func:`_arrow_circles` takes each arrow's circles from its move (see
-there).  Each term is a (base, dotted) key that a column table turns into
-a sparse ``{column: int}`` row for the kernel of :mod:`linalg`.
-:func:`relation_instances` and :func:`pushforward_inclusion` wrap the
-same generators into classes; the latter glues with ``diagrams.glue``,
-the reference of the ``homology.arrow-overlays`` invariant.
-:mod:`diagrams` loads on first use.
+must agree.  Both the relation rows and the rows of the difference-of-
+inclusions map ψ₋ are sparse ``{column: int}`` rows for the kernel of
+:mod:`linalg`, built with integer arithmetic only.  A column is the
+closed-form position of a dotted matching in ``all_dotted_matchings``
+(:func:`_column_numbers`), and the dots and overlay circles of each arrow
+are bit masks of arc positions, read off the arrow-move table that
+``diagrams.arrow_graph`` builds once per type; no overlay is glued and no
+dotted matching is built per term.  :func:`relation_instances` and
+:func:`psi_minus_rows` map the columns back through
+``all_dotted_matchings``; :func:`pushforward_inclusion` glues with
+``diagrams.glue``, the reference of the ``homology.arrow-overlays``
+invariant.  :mod:`diagrams` loads on first use.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from functools import lru_cache
 
 from . import linalg
@@ -120,10 +123,6 @@ def format_class(x: HomClass) -> str:
 
 # --- relation instances -------------------------------------------------------
 
-#: A dotted matching as the pair of its fields (base, sorted dotted arcs).
-Key = tuple[Matching, tuple[Arc, ...]]
-
-
 def _check_grading(n: int, k: int, m: int | None) -> None:
     """Raise DomainError unless type (n-k, k) exists and m is None or in 0..k."""
     check_type(n, k)
@@ -131,39 +130,62 @@ def _check_grading(n: int, k: int, m: int | None) -> None:
         raise DomainError(f"grading m={m} outside 0..{k}")
 
 
-def _relation_keys(n: int, k: int, m: int | None = None,
-                   order: tuple[Matching, ...] | None = None
-                   ) -> Iterator[list[tuple[Key, int]]]:
-    """Every local relation as a list of ((base, dotted), coeff) terms.
+def _column_numbers(k: int, m: int | None) -> tuple[int, list]:
+    """(width, rank): the column numbers of ``all_dotted_matchings(n, k, m)``.
+
+    The dotted matching on the i-th base of ``enumerate_matchings(n, k)``
+    whose dotted arcs sit at the positions set in the mask d (bit p for
+    ``base.arcs[p]``) is column ``i * width + rank[d]``.  width is C(k, m)
+    (2^k for m None), and rank[d] is the lexicographic rank of d's
+    positions among the (k - m)-subsets of 0..k-1 (among all subsets for
+    m None); masks of another size have no rank.
+    """
+    sizes = range(k + 1) if m is None else (k - m,)
+    subsets = sorted(c for r in sizes for c in itertools.combinations(range(k), r))
+    rank = [None] * (1 << k)
+    for i, positions in enumerate(subsets):
+        rank[sum(1 << p for p in positions)] = i
+    return len(subsets), rank
+
+
+def _relation_rows(n: int, k: int, m: int | None = None,
+                   order: tuple[Matching, ...] | None = None) -> Iterator[dict[int, int]]:
+    """Every local relation as a sparse row over the columns of grading m.
 
     Each arrow pair a -> b gives one relation per rule and per set D of
     dots on the s arcs common to a and b.  A rule of excess e has grading
     s - |D| + e (e = 1 for type I, 0 for types II and III), so with m
     given only |D| = s + e - m is enumerated; only a nesting move
-    (len(move) == 4) has a type I rule.
+    (len(move) == 4) has a type I rule.  Dots are masks of arc positions
+    taken from the arrow-move table, and columns are
+    :func:`_column_numbers`.
     """
     from .diagrams import arrow_graph
 
     graph = arrow_graph(n, k)
+    width, rank = _column_numbers(k, m)
+    start = {a: i * width for i, a in enumerate(graph.nodes)}
     for a in (order if order is not None else graph.nodes):
-        for b, move, shared in graph.arrows[a]:
-            if len(move) == 4:
-                i, j, kk, l = move
-                rules = ((1, ((a, ((i, j),), 1), (a, ((kk, l),), 1),
-                              (b, ((i, l),), -1), (b, ((j, kk),), -1))),
-                         (0, ((a, ((i, j), (kk, l)), 1), (b, ((i, l), (j, kk)), -1))))
-            else:
-                ray, j, kk = move
-                rules = ((0, ((a, ((j, kk),), 1), (b, ((ray, j),), -1))),)
-            s = len(shared)
+        oa = start[a]
+        for b, move, shared, a_bits, b_bits in graph.arrows[a]:
+            ob, s = start[b], len(shared)
+            # the moved arcs: (i, j), (k, l) over (i, l), (j, k), or (j, k) over (r, j)
+            x, y, x2, y2 = a_bits[s], b_bits[s], a_bits[-1], b_bits[-1]
             sizes = range(s + 1) if m is None else range(
                 max(s - m, 0), min(s + len(move) - 3 - m, s) + 1)
             for r in sizes:
-                for D in itertools.combinations(shared, r):
-                    for e, terms in rules:
-                        if m is None or m == s - r + e:
-                            yield [((side, tuple(sorted(D + arcs))), c)
-                                   for side, arcs, c in terms]
+                for da, db in zip(itertools.combinations(a_bits[:s], r),
+                                  itertools.combinations(b_bits[:s], r)):
+                    da, db = sum(da), sum(db)
+                    if len(move) == 3:  # type III
+                        if m is None or m == s - r:
+                            yield {oa + rank[da | x]: 1, ob + rank[db | y]: -1}
+                        continue
+                    if m is None or m == s - r + 1:  # type I
+                        yield {oa + rank[da | x]: 1, oa + rank[da | x2]: 1,
+                               ob + rank[db | y]: -1, ob + rank[db | y2]: -1}
+                    if m is None or m == s - r:  # type II
+                        yield {oa + rank[da | x | x2]: 1, ob + rank[db | y | y2]: -1}
 
 
 def _dotted(base: Matching, dotted: set[Arc]) -> DottedMatching:
@@ -178,8 +200,9 @@ def relation_instances(n: int, k: int, m: int | None = None,
     diagnostics), never the span.  Raises DomainError for m outside 0..k.
     """
     _check_grading(n, k, m)
-    return [hom_class(n, k, {DottedMatching(*key): c for key, c in terms})
-            for terms in _relation_keys(n, k, m, order)]
+    columns = all_dotted_matchings(n, k, m)
+    return [hom_class(n, k, {columns[c]: v for c, v in row.items()})
+            for row in _relation_rows(n, k, m, order)]
 
 
 # --- reduction to the standard basis -----------------------------------------
@@ -188,25 +211,27 @@ def relation_instances(n: int, k: int, m: int | None = None,
 def _reduction_data(n: int, k: int, m: int, order: tuple[Matching, ...] | None = None):
     """Echelonized relation span with nonstandard columns leading.
 
-    The relation terms of :func:`_relation_keys` go to the elimination
-    kernel of :mod:`linalg` as sparse integer rows, through a column table
-    keyed by (base, dotted); ``order`` is the node order they are
+    The rows of :func:`_relation_rows` go to the elimination kernel of
+    :mod:`linalg` through one list that moves each column to its place in
+    the nonstandard-first order; ``order`` is the node order they are
     assembled in, which must not change any reduction.
     """
-    nonstandard, standard = [], []
-    for M in all_dotted_matchings(n, k, m):
-        (standard if M.is_standard else nonstandard).append(M)
-    columns = nonstandard + standard
+    dotted = all_dotted_matchings(n, k, m)
+    standard = [M.is_standard for M in dotted]
+    ranked = sorted(range(len(dotted)), key=standard.__getitem__)  # stable: nonstandard first
+    place = [0] * len(dotted)
+    for i, c in enumerate(ranked):
+        place[c] = i
+    columns = [dotted[c] for c in ranked]
     index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
-    basis = linalg.Echelon({index[key]: c for key, c in terms}
-                           for terms in _relation_keys(n, k, m, order))
-    if any(p >= len(nonstandard) for p in basis.rows):
+    n_nonstd = standard.count(False)
+    basis = linalg.Echelon({place[c]: v for c, v in row.items()}
+                           for row in _relation_rows(n, k, m, order))
+    if any(p >= n_nonstd for p in basis.rows):
         raise InternalCheckError("relation pivot landed on a standard generator")
-    if len(basis.rows) != len(nonstandard):
-        raise InternalCheckError(
-            f"relation rank {len(basis.rows)} != nonstandard count {len(nonstandard)}"
-        )
-    return columns, index, basis, len(nonstandard)
+    if len(basis.rows) != n_nonstd:
+        raise InternalCheckError(f"relation rank {len(basis.rows)} != nonstandard count {n_nonstd}")
+    return columns, index, basis, n_nonstd
 
 
 def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> HomClass:
@@ -368,20 +393,12 @@ def pushforward_inclusion(a: Matching, b: Matching,
     if bad:
         raise InternalCheckError(f"free circle indices {sorted(bad)} out of range")
     groups = [comp.arcs_above for idx, comp in enumerate(circles) if idx in free_circles]
-    # One chosen arc per circle: distinct choices give distinct terms.
-    return hom_class(a.n, a.k, {DottedMatching(*key): 1 for key in _pushforward_keys(a, groups)})
-
-
-def _pushforward_keys(target: Matching, groups: Sequence[tuple[Arc, ...]]) -> Iterator[Key]:
-    """The (base, dotted) key of each term of a pushforward; every coefficient is 1.
-
-    ``groups`` holds the arcs of ``target`` on each free circle; dotted is
-    every arc of ``target`` but one chosen arc per group, since pinned
-    circles and lines keep all their arcs dotted.
-    """
-    arcs = target.arcs
-    for choice in itertools.product(*groups):
-        yield target, tuple([arc for arc in arcs if arc not in choice])
+    # Pinned circles and lines keep all their arcs dotted; each free circle
+    # undots one chosen arc, and distinct choices give distinct terms.
+    return hom_class(a.n, a.k, {
+        DottedMatching(a, tuple(arc for arc in a.arcs if arc not in choice)): 1
+        for choice in itertools.product(*groups)
+    })
 
 
 # --- presentation via the boundary map ------------------------------------------
@@ -394,54 +411,62 @@ def psi_minus_rows(n: int, k: int, m: int,
     of one basis class of one arrow-pair intersection.
     """
     _check_grading(n, k, m)
-    columns, rows = _psi_minus_rows(n, k, m, _arrow_circles(n, k, order))
+    columns = list(all_dotted_matchings(n, k, m))
+    rows = _psi_minus_rows(k, m, _circle_bits(n, k, order))
     return columns, [linalg._dense(row, len(columns)) for row in rows]
 
 
-def _arrow_circles(n: int, k: int, order: tuple[Matching, ...] | None) -> list[tuple]:
-    """(a, b, circles) for every arrow a -> b, sources in node order.
+def _circle_bits(n: int, k: int, order: tuple[Matching, ...] | None) -> list[tuple]:
+    """(index of a, index of b, circles) for every arrow a -> b, sources in node order.
 
-    ``circles`` is ``glue(a, b).circles`` as (arcs of a, arcs of b), lowest
-    vertex first: each shared arc is a circle, a nesting move (i, j, k, l)
-    adds (i, j), (k, l) over (i, l), (j, k), and a ray move only a line.
+    ``circles`` is ``glue(a, b).circles`` as (bits of a's arcs, bits of
+    b's arcs) from the arrow-move table, lowest vertex first: each shared
+    arc is a circle, a nesting move (i, j, k, l) adds (i, j), (k, l) over
+    (i, l), (j, k), and a ray move only a line.
     """
     from .diagrams import arrow_graph
 
     graph = arrow_graph(n, k)
+    index = {a: i for i, a in enumerate(graph.nodes)}
     out = []
     for a in (order if order is not None else graph.nodes):
-        for b, move, shared in graph.arrows[a]:
-            circles = [((arc,), (arc,)) for arc in shared]
+        for b, move, shared, a_bits, b_bits in graph.arrows[a]:
+            s = len(shared)
+            circles = [((x,), (y,)) for x, y in zip(a_bits[:s], b_bits[:s])]
             if len(move) == 4:
-                i, j, kk, l = move
-                below = sum(1 for x, _ in shared if x < i)
-                circles.insert(below, (((i, j), (kk, l)), ((i, l), (j, kk))))
-            out.append((a, b, circles))
+                below = sum(1 for x, _ in shared if x < move[0])
+                circles.insert(below, (a_bits[s:], b_bits[s:]))
+            out.append((index[a], index[b], circles))
     return out
 
 
-def _psi_minus_rows(n: int, k: int, m: int,
-                    arrows: list[tuple]) -> tuple[list, list[dict[int, int]]]:
-    """(columns, sparse {column: int} rows) of the degree-2m block."""
-    columns = list(all_dotted_matchings(n, k, m))
-    index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
+def _psi_minus_rows(k: int, m: int, arrows: list[tuple]) -> list[dict[int, int]]:
+    """Sparse {column: int} rows of the degree-2m block, columns as :func:`_column_numbers`.
+
+    A target's term dots every arc but one chosen arc per free circle.
+    """
+    width, rank = _column_numbers(k, m)
+    full = (1 << k) - 1
     rows = []
-    for a, b, circles in arrows:
+    for ia, ib, circles in arrows:
+        oa, ob = ia * width, ib * width
         for free in itertools.combinations(circles, m):
-            row: dict[int, int] = {}  # keys are distinct: a != b, one choice per circle
-            for target, side, sign in ((a, 0, 1), (b, 1, -1)):
-                for key in _pushforward_keys(target, [circle[side] for circle in free]):
-                    row[index[key]] = sign
+            # keys are distinct: a != b, one choice per circle
+            row = {oa + rank[full ^ sum(choice)]: 1
+                   for choice in itertools.product(*(above for above, _ in free))}
+            for choice in itertools.product(*(below for _, below in free)):
+                row[ob + rank[full ^ sum(choice)]] = -1
             rows.append(row)
-    return columns, rows
+    return rows
 
 
 def presentation_betti(n: int, k: int,
                        order: tuple[Matching, ...] | None = None) -> list[int]:
     """Betti numbers as cokernel ranks of ψ₋; the rows are densified only for the rank."""
-    arrows = _arrow_circles(n, k, order)
+    arrows = _circle_bits(n, k, order)
     out = []
     for m in range(k + 1):
-        columns, rows = _psi_minus_rows(n, k, m, arrows)
-        out.append(len(columns) - linalg.rank([linalg._dense(row, len(columns)) for row in rows]))
+        width = count_matchings(n, k) * math.comb(k, m)
+        rows = _psi_minus_rows(k, m, arrows)
+        out.append(width - linalg.rank([linalg._dense(row, width) for row in rows]))
     return out

@@ -189,6 +189,54 @@ def check_winding_parity(n_max: int, rng) -> None:
                         assert between_all % 2 == 0, (a, b, (i, l), (j, kk))
 
 
+def _reference_successors(a) -> list:
+    """Every b with a -> b, by building and validating each candidate move.
+
+    Each pair of unnested arcs is nested and each ray is paired with each
+    arc to its right; a candidate survives if no two of its arcs cross and
+    no ray lies under an arc.
+    """
+    out = []
+    arcs, rays = set(a.arcs), set(a.rays)
+    for (i, j) in a.arcs:
+        for (p, q) in a.arcs:
+            if j < p:
+                out.append(diagrams._try_build(a.n, arcs - {(i, j), (p, q)} | {(i, q), (j, p)},
+                                               rays))
+    for r in a.rays:
+        for (j, l) in a.arcs:
+            if r < j:
+                out.append(diagrams._try_build(a.n, arcs - {(j, l)} | {(r, j)}, rays - {r} | {l}))
+    return sorted({b for b in out if b is not None}, key=lambda b: (b.arcs, b.rays))
+
+
+def check_arrow_table(n_max: int, rng) -> None:
+    """The nesting scan's arrow graph equals the generate-and-validate reference.
+
+    For every (n, k) with n up to min(n_max, 12): successors in order (in
+    the graph and from ``arrow_successors``) and predecessors in node
+    order, and for each arrow a -> b its move is
+    ``arrow_move(a, b)``, its shared arcs are the sorted common arcs, and
+    its position masks decode to those arcs and then to the arcs that move.
+    """
+    for n, k in _types(min(n_max, 12), n_min=0):
+        graph = diagrams.arrow_graph(n, k)
+        predecessors = {a: [] for a in graph.nodes}
+        for a in graph.nodes:
+            successors = _reference_successors(a)
+            assert list(graph.successors[a]) == successors, (n, k, str(a))
+            assert list(diagrams.arrow_successors(a)) == successors, (n, k, str(a))
+            for b, move, shared, a_bits, b_bits in graph.arrows[a]:
+                predecessors[b].append(a)
+                assert move == diagrams.arrow_move(a, b), (str(a), str(b), move)
+                assert shared == tuple(sorted(set(a.arcs) & set(b.arcs))), (str(a), str(b))
+                s = len(shared)
+                assert _arcs(a, a_bits[:s]) == _arcs(b, b_bits[:s]) == shared, (str(a), str(b))
+                assert set(_arcs(a, a_bits[s:])) == set(a.arcs) - set(shared), (str(a), str(b))
+                assert set(_arcs(b, b_bits[s:])) == set(b.arcs) - set(shared), (str(a), str(b))
+        assert {a: list(v) for a, v in graph.predecessors.items()} == predecessors, (n, k)
+
+
 def check_linear_extension(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 8)):
         for variant in (0, 1, 2):
@@ -356,25 +404,48 @@ def check_relation_span_matches_boundary(n_max: int, rng) -> None:
 
 
 def check_arrow_overlays(n_max: int, rng) -> None:
-    """The arrow-move table and the overlay circles read off it agree with ``glue``.
+    """The overlay circles read off the arrow-move table agree with ``glue``.
 
-    For every arrow a -> b with n up to min(n_max, 10): the table lists
-    the successors in order, its move is ``arrow_move(a, b)``, and
-    ``homology._arrow_circles`` gives ``glue(a, b).circles`` as (arcs of a,
-    arcs of b), in order.  The ψ₋ rows are built from those circles and
-    the relation rows from the same table, so this keeps
+    For every arrow a -> b with n up to min(n_max, 10),
+    ``homology._circle_bits`` gives the node indices of a and b and masks
+    of arc positions that, decoded back to arcs, are ``glue(a, b).circles``
+    as (arcs of a, arcs of b), in order.  The ψ₋ rows are built from those
+    masks and the relation rows from the same table, so this keeps
     ``homology.relation-span`` an independent check.
     """
     for n, k in _types(min(n_max, 10)):
         graph = diagrams.arrow_graph(n, k)
-        arrows = iter(homology._arrow_circles(n, k, None))
+        arrows = iter(homology._circle_bits(n, k, None))
         for a in graph.nodes:
-            assert tuple(b for b, _, _ in graph.arrows[a]) == graph.successors[a], (n, k, str(a))
-            for b, move, _ in graph.arrows[a]:
-                assert move == diagrams.arrow_move(a, b), (str(a), str(b), move)
+            for b in graph.successors[a]:
+                ia, ib, circles = next(arrows)
+                assert (graph.nodes[ia], graph.nodes[ib]) == (a, b), (str(a), str(b))
+                decoded = [(_arcs(a, above), _arcs(b, below)) for above, below in circles]
                 glued = [(c.arcs_above, c.arcs_below) for c in diagrams.glue(a, b).circles]
-                assert next(arrows) == (a, b, glued), (str(a), str(b))
+                assert decoded == glued, (str(a), str(b))
         assert next(arrows, None) is None, (n, k)
+
+
+def _arcs(a, bits) -> tuple:
+    """The arcs of a at the positions of single-bit masks."""
+    return tuple(a.arcs[bit.bit_length() - 1] for bit in bits)
+
+
+def check_column_numbers(n_max: int, rng) -> None:
+    """``homology._column_numbers`` gives each dotted matching its position.
+
+    For every (n, k) with n up to min(n_max, 10) and every m, None
+    included, the closed form (index of the base) * width + rank[mask of
+    the dotted arcs' positions] is the position in
+    ``all_dotted_matchings(n, k, m)``, which sorts the matchings itself.
+    """
+    for n, k in _types(min(n_max, 10)):
+        base = {a: i for i, a in enumerate(enumerate_matchings(n, k))}
+        for m in [None, *range(k + 1)]:
+            width, rank = homology._column_numbers(k, m)
+            for column, M in enumerate(all_dotted_matchings(n, k, m)):
+                mask = sum(1 << M.base.arcs.index(arc) for arc in M.dotted)
+                assert base[M.base] * width + rank[mask] == column, (n, k, m, str(M))
 
 
 def check_betti_both_ways(n_max: int, rng) -> None:
@@ -727,6 +798,7 @@ CHECKS: list[Check] = [
     Check("diagram.distance-formula", check_distance_formula),
     Check("diagram.component-steps", check_component_steps),
     Check("diagram.winding-parity", check_winding_parity),
+    Check("diagram.arrow-table", check_arrow_table),
     Check("diagram.linear-extension", check_linear_extension),
     Check("diagram.meet", check_meet),
     Check("subspace.fung-and-circles", check_fung_and_circles),
@@ -741,6 +813,7 @@ CHECKS: list[Check] = [
     Check("homology.relations-die", check_relations_die),
     Check("homology.relation-span", check_relation_span_matches_boundary),
     Check("homology.arrow-overlays", check_arrow_overlays),
+    Check("homology.column-numbers", check_column_numbers),
     Check("homology.betti-both-ways", check_betti_both_ways),
     Check("homology.order-independence", check_order_independence),
     Check("zeta.kills-relations", check_zeta_kills_relations),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -106,7 +107,41 @@ def test_the_column_cap_admits_every_type_to_n_14():
     assert cli.count_matchings(15, 7) * 2**7 > cli.COLUMN_CAP
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("character", "-n", "30", "-k", "15"), "enumerate 9694845 matchings"),
+    (("character", "-n", "18", "-k", "9"), "factor 48620 tabloid rows"),
+    (("chart", "-n", "30", "-k", "15"), "enumerate 9694845 matchings"),
+    (("chart", "-n", "17", "-k", "8", "--full"), "factor 24310 tabloid rows"),
+    (("matrix", "-n", "40", "-k", "20", "-m", "3", "--sigma", "s1"),
+     "enumerate 6564120420 matchings"),
+    (("matrix", "-n", "20", "-k", "10", "-m", "10", "--sigma", "s1", "--cached"),
+     "factor 184756 tabloid rows"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+def test_tabloid_commands_refuse_past_their_caps_without_enumerating(
+        capsys, monkeypatch, tmp_path, argv, reason):
+    from springer_tworow import action, cache
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the action layer was called")
+
+    for name in ("rep_matrix", "character_table_check", "derive_chart"):
+        monkeypatch.setattr(action, name, refuse)
+    monkeypatch.setattr(cache.RepMatrixCache, "load", refuse)
+    monkeypatch.setattr(cli, "standard_dotted_matchings", refuse)
+    monkeypatch.chdir(tmp_path)
+    cap = cli.ENUMERATE_CAP if "enumerate" in reason else cli.TABLOID_CAP
+    assert run(capsys, *argv) == (2, "", f"error: {argv[0]} -n {argv[2]} -k {argv[4]} would "
+                                         f"{reason}, more than the cap of {cap}\n")
+
+
+def test_the_tabloid_cap_admits_every_type_to_n_16():
+    assert math.comb(16, 8) <= cli.TABLOID_CAP < math.comb(17, 8)
+    assert cli.count_matchings(16, 8) <= cli.ENUMERATE_CAP
+
+
 @pytest.mark.parametrize("argv, err", [
+    (("matrix", "-n", "3", "-k", "1", "-m", "2", "--sigma", "s1"),
+     "error: grading m=2 outside 0..1\n"),
     (("relations", "-n", "30", "-k", "15", "-m", "16"), "error: grading m=16 outside 0..15\n"),
     (("relations", "-n", "30", "-k", "-1"), "error: no matchings of type (31,-1) on 30 vertices\n"),
     (("betti", "-n", "3", "-k", "-1", "--method", "both"),

@@ -84,6 +84,10 @@ def test_arrow_successors_examples():
     assert arrow_successors(m("4: u1-2 r3 r4")) == ()
 
 
+def test_nesting_scan_equals_the_generate_and_validate_reference():
+    verify.check_arrow_table(10, random.Random(0))
+
+
 def test_arrow_move_blocked_by_container():
     # nesting (2,3) with (5,6) would produce (2,6), crossing (1,4); the only
     # legal move nests (1,4)'s pair... i.e. rearranges (1,4) and (5,6)

@@ -12,11 +12,12 @@ n <= 8, and a relation list that lost a necessary row, or gained a
 standard generator, must be refused.
 
 ``reference_relations`` and ``reference_psi_rows`` are the assembly the
-index-keyed one replaced: every relation and boundary row built as a
+integer one replaced: every relation and boundary row built as a
 ``HomClass`` of dotted matchings, each dot-set size filtered by m, and
-every overlay glued with ``diagrams.glue``.  The relation and boundary
-rows (to n = 9), the relation echelon and the cokernel ranks must equal
-theirs in value and order.  ``Echelon`` must give the same rows whether
+every overlay glued with ``diagrams.glue``.  The integer relation rows
+(for every m and three node orders), the boundary rows (to n = 9), the
+relation echelon and the cokernel ranks must equal theirs in value and
+order.  ``Echelon`` must give the same rows whether
 each row's columns are walked by a scan or from a heap.
 """
 import itertools
@@ -243,21 +244,17 @@ def echelon_items(basis):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_index_keyed_assembly_matches_the_hom_class_reference(n):
     for k in range(n // 2 + 1):
-        columns = all_dotted_matchings(n, k)
-        index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
+        orders = [None] + ([linear_order(n, k, variant) for variant in (0, 1, 2)] if n <= 7 else [])
         for m in [None, *range(k + 1)]:
-            want = reference_relations(n, k, m)
-            assert relation_instances(n, k, m) == want, (n, k, m)
-            rows = [{index[key]: c for key, c in terms}
-                    for terms in homology._relation_keys(n, k, m)]
-            assert rows == [{index[M.base, M.dotted]: c for M, c in rel.terms} for rel in want]
-            if n <= 7:
-                for variant in (0, 1, 2):
-                    order = linear_order(n, k, variant)
-                    assert (relation_instances(n, k, m, order)
-                            == reference_relations(n, k, m, order)), (n, k, m, variant)
+            index = {M: i for i, M in enumerate(all_dotted_matchings(n, k, m))}
+            for order in orders:
+                want = reference_relations(n, k, m, order)
+                assert (list(homology._relation_rows(n, k, m, order))
+                        == [{index[M]: c for M, c in rel.terms} for rel in want]), (n, k, m)
+                assert relation_instances(n, k, m, order) == want, (n, k, m)
             if m is None:
                 continue
+            want = reference_relations(n, k, m)
             _, graded, basis, _ = homology._reduction_data.__wrapped__(n, k, m, None)
             expected = linalg.Echelon({graded[M.base, M.dotted]: c for M, c in rel.terms}
                                       for rel in want)
@@ -292,20 +289,13 @@ def test_presentation_assembly_builds_no_hom_class(monkeypatch):
 
 
 def shape_with_a_necessary_relation():
-    """An (n, k, m), its relation terms and the index of a row whose removal lowers the rank."""
+    """An (n, k, m), its relation rows and the index of a row whose removal lowers the rank."""
     n, k, m = 5, 2, 1
-    rels = list(homology._relation_keys(n, k, m))
-    columns = list(all_dotted_matchings(n, k, m))
-    index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
+    rels = list(homology._relation_rows(n, k, m))
+    width = len(all_dotted_matchings(n, k, m))
 
     def dense(rel_list):
-        rows = []
-        for terms in rel_list:
-            row = [0] * len(columns)
-            for key, c in terms:
-                row[index[key]] = c
-            rows.append(row)
-        return rows
+        return [linalg._dense(row, width) for row in rel_list]
 
     full = len(reference_rref(dense(rels))[1])
     drop = next(i for i in range(len(rels))
@@ -315,7 +305,7 @@ def shape_with_a_necessary_relation():
 
 def test_reduction_data_refuses_a_relation_list_missing_a_row(monkeypatch):
     (n, k, m), rels, drop = shape_with_a_necessary_relation()
-    monkeypatch.setattr(homology, "_relation_keys",
+    monkeypatch.setattr(homology, "_relation_rows",
                         lambda *args, **kw: iter(rels[:drop] + rels[drop + 1:]))
     with pytest.raises(errors.InternalCheckError, match="relation rank"):
         homology._reduction_data.__wrapped__(n, k, m, None)
@@ -324,7 +314,8 @@ def test_reduction_data_refuses_a_relation_list_missing_a_row(monkeypatch):
 def test_reduction_data_refuses_a_pivot_on_a_standard_generator(monkeypatch):
     (n, k, m), rels, _ = shape_with_a_necessary_relation()
     standard = standard_dotted_matchings(n, k, m)[0]
-    monkeypatch.setattr(homology, "_relation_keys",
-                        lambda *args, **kw: iter(rels + [[((standard.base, standard.dotted), 1)]]))
+    column = all_dotted_matchings(n, k, m).index(standard)
+    monkeypatch.setattr(homology, "_relation_rows",
+                        lambda *args, **kw: iter(rels + [{column: 1}]))
     with pytest.raises(errors.InternalCheckError, match="standard generator"):
         homology._reduction_data.__wrapped__(n, k, m, None)

@@ -101,6 +101,19 @@ def test_arrow_table_circles_equal_the_glued_overlays():
     verify.check_arrow_overlays(10, random.Random(0))
 
 
+def test_closed_form_column_numbers_are_the_enumeration_positions():
+    verify.check_column_numbers(10, random.Random(0))
+
+
+def test_presentation_betti_builds_no_dotted_matching(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dotted matching was built")
+
+    monkeypatch.setattr(homology, "all_dotted_matchings", refuse)
+    monkeypatch.setattr(homology, "DottedMatching", refuse)
+    assert presentation_betti(9, 4) == betti(9, 4)
+
+
 def test_presentation_order_independent():
     verify.check_order_independence(7, random.Random(0))
     for n in range(2, 8):
