@@ -15,12 +15,13 @@ Reduction to the standard basis is implemented twice, by row reduction
 of the relation span and by a terminating rewriting system, and the two
 must agree.  Both the relation rows and the rows of the difference-of-
 inclusions map ψ₋ are sparse ``{column: int}`` rows for the kernel of
-:mod:`linalg`, built with integer arithmetic only.  A column is the
-closed-form position of a dotted matching in ``all_dotted_matchings``
-(:func:`_column_numbers`), and the dots and overlay circles of each arrow
-are bit masks of arc positions, read off the arrow-move table that
-``diagrams.arrow_graph`` builds once per type; no overlay is glued and no
-dotted matching is built per term.  :func:`relation_instances` and
+:mod:`linalg`, built with integer arithmetic only.  Columns are numbered
+by ``matchings._column_numbers``, the one column order, and the dots and
+overlay circles of each arrow are bit masks of arc positions, read off
+the arrow-move table that ``diagrams.arrow_graph`` builds once per type;
+no overlay is glued and no dotted matching is built per term.  The
+reduction reads standardness off each base's ``dottable`` mask and builds
+only the standard dotted matchings.  :func:`relation_instances` and
 :func:`psi_minus_rows` map the columns back through
 ``all_dotted_matchings``; :func:`pushforward_inclusion` glues with
 ``diagrams.glue``, the reference of the ``homology.arrow-overlays``
@@ -40,12 +41,14 @@ from .matchings import (
     Arc,
     DottedMatching,
     Matching,
+    _column_numbers,
     all_dotted_matchings,
     check_type,
     count_matchings,
+    enumerate_matchings,
     format_matching,
     sort_key,
-    standard_dotted_matchings,  # noqa: F401  (perfbench/test_harness.py traces it under this name)
+    standard_dotted_matchings,
 )
 from .records import Record
 
@@ -130,24 +133,6 @@ def _check_grading(n: int, k: int, m: int | None) -> None:
         raise DomainError(f"grading m={m} outside 0..{k}")
 
 
-def _column_numbers(k: int, m: int | None) -> tuple[int, list]:
-    """(width, rank): the column numbers of ``all_dotted_matchings(n, k, m)``.
-
-    The dotted matching on the i-th base of ``enumerate_matchings(n, k)``
-    whose dotted arcs sit at the positions set in the mask d (bit p for
-    ``base.arcs[p]``) is column ``i * width + rank[d]``.  width is C(k, m)
-    (2^k for m None), and rank[d] is the lexicographic rank of d's
-    positions among the (k - m)-subsets of 0..k-1 (among all subsets for
-    m None); masks of another size have no rank.
-    """
-    sizes = range(k + 1) if m is None else (k - m,)
-    subsets = sorted(c for r in sizes for c in itertools.combinations(range(k), r))
-    rank = [None] * (1 << k)
-    for i, positions in enumerate(subsets):
-        rank[sum(1 << p for p in positions)] = i
-    return len(subsets), rank
-
-
 def _relation_rows(n: int, k: int, m: int | None = None,
                    order: tuple[Matching, ...] | None = None) -> Iterator[dict[int, int]]:
     """Every local relation as a sparse row over the columns of grading m.
@@ -158,13 +143,13 @@ def _relation_rows(n: int, k: int, m: int | None = None,
     given only |D| = s + e - m is enumerated; only a nesting move
     (len(move) == 4) has a type I rule.  Dots are masks of arc positions
     taken from the arrow-move table, and columns are
-    :func:`_column_numbers`.
+    :func:`matchings._column_numbers`.
     """
     from .diagrams import arrow_graph
 
     graph = arrow_graph(n, k)
-    width, rank = _column_numbers(k, m)
-    start = {a: i * width for i, a in enumerate(graph.nodes)}
+    masks, rank = _column_numbers(k, m)
+    start = {a: i * len(masks) for i, a in enumerate(graph.nodes)}
     for a in (order if order is not None else graph.nodes):
         oa = start[a]
         for b, move, shared, a_bits, b_bits in graph.arrows[a]:
@@ -209,29 +194,35 @@ def relation_instances(n: int, k: int, m: int | None = None,
 
 @lru_cache(maxsize=None)
 def _reduction_data(n: int, k: int, m: int, order: tuple[Matching, ...] | None = None):
-    """Echelonized relation span with nonstandard columns leading.
+    """(standard, place, basis, n_nonstd): the relation span echelonized, nonstandard first.
 
-    The rows of :func:`_relation_rows` go to the elimination kernel of
-    :mod:`linalg` through one list that moves each column to its place in
-    the nonstandard-first order; ``order`` is the node order they are
-    assembled in, which must not change any reduction.
+    A mask that dots an arc outside its base's ``dottable`` mask is
+    nonstandard; those columns of :func:`matchings._column_numbers` take
+    the first n_nonstd places, in column order, and the standard ones
+    follow in the order of ``standard = standard_dotted_matchings(n, k, m)``.
+    ``place(M)`` is the place of dotted matching M.  The rows of
+    :func:`_relation_rows` are assembled in node order ``order``, which
+    must not change any reduction.
     """
-    dotted = all_dotted_matchings(n, k, m)
-    standard = [M.is_standard for M in dotted]
-    ranked = sorted(range(len(dotted)), key=standard.__getitem__)  # stable: nonstandard first
-    place = [0] * len(dotted)
-    for i, c in enumerate(ranked):
-        place[c] = i
-    columns = [dotted[c] for c in ranked]
-    index = {(M.base, M.dotted): i for i, M in enumerate(columns)}
-    n_nonstd = standard.count(False)
-    basis = linalg.Echelon({place[c]: v for c, v in row.items()}
+    bases = enumerate_matchings(n, k)
+    masks, rank = _column_numbers(k, m)
+    standard = standard_dotted_matchings(n, k, m)
+    n_nonstd = len(bases) * len(masks) - len(standard)
+    nonstd, std = itertools.count(), itertools.count(n_nonstd)
+    places = [next(nonstd if d & ~dottable else std)
+              for dottable in [base.dottable for base in bases] for d in masks]
+    start = {base: i * len(masks) for i, base in enumerate(bases)}
+
+    def place(M: DottedMatching) -> int:
+        return places[start[M.base] + rank[M.mask]]
+
+    basis = linalg.Echelon({places[c]: v for c, v in row.items()}
                            for row in _relation_rows(n, k, m, order))
     if any(p >= n_nonstd for p in basis.rows):
         raise InternalCheckError("relation pivot landed on a standard generator")
     if len(basis.rows) != n_nonstd:
         raise InternalCheckError(f"relation rank {len(basis.rows)} != nonstandard count {n_nonstd}")
-    return columns, index, basis, n_nonstd
+    return standard, place, basis, n_nonstd
 
 
 def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> HomClass:
@@ -260,14 +251,14 @@ def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> Ho
 
 def _reduce_linear(x: HomClass, order: tuple[Matching, ...] | None = None) -> HomClass:
     """Reduce x against the relation echelon of its grading, assembled in ``order``."""
-    columns, index, basis, n_nonstd = _reduction_data(x.n, x.k, x.grading, order)
+    standard, place, basis, n_nonstd = _reduction_data(x.n, x.k, x.grading, order)
     coeffs = {}
-    for i, value in basis.reduce({index[M.base, M.dotted]: c for M, c in x.terms}).items():
+    for i, value in basis.reduce({place(M): c for M, c in x.terms}).items():
         if i < n_nonstd:
             raise InternalCheckError("reduction left a nonstandard coordinate")
         if not isinstance(value, int):
             raise InternalCheckError(f"non-integer reduced coordinate {value}")
-        coeffs[columns[i]] = value
+        coeffs[standard[i - n_nonstd]] = value
     return hom_class(x.n, x.k, coeffs)
 
 
@@ -441,11 +432,12 @@ def _circle_bits(n: int, k: int, order: tuple[Matching, ...] | None) -> list[tup
 
 
 def _psi_minus_rows(k: int, m: int, arrows: list[tuple]) -> list[dict[int, int]]:
-    """Sparse {column: int} rows of the degree-2m block, columns as :func:`_column_numbers`.
+    """Sparse {column: int} rows of the degree-2m block, columns numbered by ``_column_numbers``.
 
     A target's term dots every arc but one chosen arc per free circle.
     """
-    width, rank = _column_numbers(k, m)
+    masks, rank = _column_numbers(k, m)
+    width = len(masks)
     full = (1 << k) - 1
     rows = []
     for ia, ib, circles in arrows:

@@ -24,7 +24,7 @@ import itertools
 import math
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     BadCounts,
@@ -79,6 +79,21 @@ class Matching(Record, frozen=True, order=True):
         return min(((p, q) for p, q in self.arcs if p < i and j < q),
                    key=lambda a: a[1] - a[0], default=None)
 
+    @property
+    def dottable(self) -> int:
+        """Bit mask of the arcs a standard dotted matching may dot (bit p for ``arcs[p]``).
+
+        Those lie under no arc and right of every ray: arcs run by left end
+        and no arc encloses a ray, so they reach past the last ray and every
+        earlier arc.
+        """
+        reach, mask = self.rays[-1] if self.rays else 0, 0
+        for p, (_, j) in enumerate(self.arcs):
+            if j > reach:
+                mask |= 1 << p
+                reach = j
+        return mask
+
     def __str__(self) -> str:
         return format_matching(DottedMatching(self, ()))
 
@@ -117,7 +132,13 @@ class DottedMatching(Record, frozen=True, order=True):
         return self.k - len(self.dotted)
 
     @property
+    def mask(self) -> int:
+        """Bit mask of the dotted arcs' positions in ``base.arcs``."""
+        return sum(1 << self.base.arcs.index(arc) for arc in self.dotted)
+
+    @property
     def is_standard(self) -> bool:
+        """The paper's definition; the enumerators read ``base.dottable`` instead."""
         for x, y in self.dotted:
             for i, j in self.base.arcs:
                 if i < x and y < j:
@@ -275,71 +296,52 @@ def count_matchings(n: int, k: int) -> int:
     return math.comb(n, k) - math.comb(n, k - 1)
 
 
-def brute_force_matchings(n: int, k: int) -> set[Matching]:
-    """Independent oracle: try every pairing of every 2k-subset, filter."""
-    result: set[Matching] = set()
-    for support in itertools.combinations(range(1, n + 1), 2 * k):
-        rays = tuple(v for v in range(1, n + 1) if v not in support)
-        for arcs in _all_pairings(list(support)):
-            try:
-                _check_noncrossing(arcs, rays)
-            except (CrossingArcs, RayUnderArc):
-                continue
-            result.add(Matching(n, tuple(sorted(arcs)), rays))
-    return result
+def _column_numbers(k: int, m: int | None) -> tuple[list[int], list]:
+    """(masks, rank): the one column order of the dotted matchings of type (n-k, k), grading m.
+
+    ``masks`` are the masks of dotted arc positions (``DottedMatching.mask``)
+    of grading m, in lexicographic order of their position tuples, and
+    rank[d] is d's place there (None for masks of another size).  The
+    matching on the i-th base of ``enumerate_matchings(n, k)`` with mask d
+    is column ``i * len(masks) + rank[d]``, its position in
+    :func:`all_dotted_matchings`.
+    """
+    sizes = range(k + 1) if m is None else (k - m,) if m <= k else ()
+    subsets = sorted(c for r in sizes for c in itertools.combinations(range(k), r))
+    masks = [sum(1 << p for p in positions) for positions in subsets]
+    rank = [None] * (1 << k)
+    for i, d in enumerate(masks):
+        rank[d] = i
+    return masks, rank
 
 
-def _all_pairings(vertices: list[int]) -> Iterator[list[Arc]]:
-    if not vertices:
-        yield []
-        return
-    first, rest = vertices[0], vertices[1:]
-    for idx, other in enumerate(rest):
-        sub = rest[:idx] + rest[idx + 1:]
-        for tail in _all_pairings(sub):
-            yield [(first, other)] + tail
+def _dotted_matchings(n: int, k: int, m: int | None, standard: bool) -> tuple[DottedMatching, ...]:
+    """The bases in order, each with its masks in rank order; ``standard`` keeps ``dottable`` ones."""
+    bases = enumerate_matchings(n, k)
+    masks, _ = _column_numbers(k, m)
+    positions = [(d, tuple(p for p in range(k) if d >> p & 1)) for d in masks]
+    out = []
+    for base in bases:
+        dottable = base.dottable if standard else -1
+        out += (DottedMatching(base, tuple(map(base.arcs.__getitem__, ps)))
+                for d, ps in positions if not d & ~dottable)
+    return tuple(out)
 
 
 def all_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMatching, ...]:
-    """Every dotted matching of type (n-k, k); optionally fixed grading m."""
-    out = []
-    for base in enumerate_matchings(n, k):
-        for r in range(k + 1):
-            if m is not None and k - r != m:
-                continue
-            for dotted in itertools.combinations(base.arcs, r):
-                out.append(DottedMatching(base, tuple(sorted(dotted))))
-    return tuple(sorted(out, key=sort_key))
+    """Every dotted matching of type (n-k, k), optionally of grading m, in column order."""
+    return _dotted_matchings(n, k, m, False)
 
 
 @lru_cache(maxsize=None)
 def standard_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMatching, ...]:
     """Every standard dotted matching of type (n-k, k); optionally fixed grading m.
 
-    A dotted matching is standard when each dotted arc lies under no arc
-    and to the right of every ray, so the standard ones of a base are its
-    subsets of such "dottable" arcs, of size k - m.  Same tuple, in the
-    same order, as filtering :func:`all_dotted_matchings` by
-    ``is_standard`` (the ``matching.standard-enumeration`` verify invariant).
+    Listed in column order, so this is the same tuple as filtering
+    :func:`all_dotted_matchings` by ``is_standard`` (the
+    ``matching.standard-enumeration`` verify invariant).
     """
-    out = []
-    for base in enumerate_matchings(n, k):
-        # Arcs run by left end; no arc encloses a ray, so an arc is dottable
-        # exactly when it reaches past the last ray and every earlier arc.
-        reach = max(base.rays, default=0)
-        dottable = []
-        for arc in base.arcs:
-            if arc[1] > reach:
-                dottable.append(arc)
-                reach = arc[1]
-        if m is None:
-            sizes = range(len(dottable) + 1)
-        else:
-            sizes = (k - m,) if m <= k else ()
-        for r in sizes:
-            for dotted in itertools.combinations(dottable, r):
-                out.append(DottedMatching(base, dotted))
-    return tuple(sorted(out, key=sort_key))
+    return _dotted_matchings(n, k, m, True)
 
 
 def sort_key(M: DottedMatching):

@@ -113,14 +113,15 @@ def from_word(word: list[int] | tuple[int, ...], n: int) -> Permutation:
 
 
 def from_cycles(cycles: list[tuple[int, ...]], n: int) -> Permutation:
-    images = list(range(1, n + 1))
+    """The product of disjoint cycles; DomainError names an entry that appears twice."""
+    images, seen = list(range(1, n + 1)), set()
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if a in seen:
+                raise DomainError(f"cycle entry {a} appears twice in {cycles}")
+            seen.add(a)
             images[a - 1] = b
-    sigma = Permutation(tuple(images))
-    if sorted(sigma.images) != list(range(1, n + 1)):
-        raise DomainError(f"cycles {cycles} are not disjoint")
-    return sigma
+    return Permutation(tuple(images))
 
 
 _CYCLE = re.compile(r"\(([^()]*)\)")

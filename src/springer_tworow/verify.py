@@ -2,7 +2,8 @@
 
 Each check raises AssertionError (with context) on failure; run_all
 collects results.  Depth caps below are the exhaustive bounds at which
-each property is asserted; the CLI's -nmax lowers them uniformly.
+each property is asserted; the CLI's -nmax lowers them uniformly, down to
+``MIN_DEPTH``, the least depth at which every suite asserts something.
 
 The unit tests and acceptance criteria call these checks, each at its
 own depth and seed, instead of restating them, so every invariant is
@@ -13,20 +14,24 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import action, cells, diagrams, homology, skein, subspaces, tabloids
-from .errors import DomainError
+from .errors import CrossingArcs, DomainError, RayUnderArc
 from .homology import HomClass
 from .matchings import (
+    DottedMatching,
+    Matching,
+    _check_noncrossing,
+    _column_numbers,
     all_dotted_matchings,
-    brute_force_matchings,
     complete,
     complete_dotted,
     count_matchings,
     enumerate_matchings,
     matching_of,
     restrict,
+    sort_key,
     standard_dotted_matchings,
     standard_layout,
     tableau_of,
@@ -53,13 +58,47 @@ def _types(n_max: int, n_min: int = 1):
 
 # --- matching-core ------------------------------------------------------------
 
+def _reference_matchings(n: int, k: int) -> set[Matching]:
+    """Independent oracle: try every pairing of every 2k-subset, filter."""
+    result: set[Matching] = set()
+    for support in itertools.combinations(range(1, n + 1), 2 * k):
+        rays = tuple(v for v in range(1, n + 1) if v not in support)
+        for arcs in _all_pairings(list(support)):
+            try:
+                _check_noncrossing(arcs, rays)
+            except (CrossingArcs, RayUnderArc):
+                continue
+            result.add(Matching(n, tuple(sorted(arcs)), rays))
+    return result
+
+
+def _all_pairings(vertices: list[int]) -> Iterator[list[tuple[int, int]]]:
+    if not vertices:
+        yield []
+        return
+    first, rest = vertices[0], vertices[1:]
+    for idx, other in enumerate(rest):
+        sub = rest[:idx] + rest[idx + 1:]
+        for tail in _all_pairings(sub):
+            yield [(first, other)] + tail
+
+
+def _reference_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple:
+    """Every dotted matching of type (n-k, k) of grading m, built, then sorted by ``sort_key``."""
+    out = [DottedMatching(base, dotted)
+           for base in enumerate_matchings(n, k)
+           for r in range(k + 1) if m is None or k - r == m
+           for dotted in itertools.combinations(base.arcs, r)]
+    return tuple(sorted(out, key=sort_key))
+
+
 def check_enumeration_counts(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 10)):
         got = enumerate_matchings(n, k)
         assert len(got) == count_matchings(n, k), (n, k)
         assert len(set(got)) == len(got), (n, k)
         if n <= min(n_max, 8):
-            assert set(got) == brute_force_matchings(n, k), (n, k)
+            assert set(got) == _reference_matchings(n, k), (n, k)
 
 
 def check_arc_parity(n_max: int, rng) -> None:
@@ -99,10 +138,16 @@ def check_tableau_bijection(n_max: int, rng) -> None:
 
 
 def check_standard_enumeration(n_max: int, rng) -> None:
-    """The direct enumeration of the standard basis is the ``is_standard`` filter."""
-    for n, k in _types(min(n_max, 10)):
+    """The enumeration of the standard basis is the ``is_standard`` filter of the reference.
+
+    For every (n, k) with n up to min(n_max, 12) and every m, None
+    included, ``standard_dotted_matchings``, which reads standardness off
+    ``Matching.dottable``, lists the dotted matchings of
+    :func:`_reference_dotted_matchings` that satisfy the paper's definition.
+    """
+    for n, k in _types(min(n_max, 12)):
         for m in (None, *range(k + 1)):
-            want = tuple(M for M in all_dotted_matchings(n, k, m) if M.is_standard)
+            want = tuple(M for M in _reference_dotted_matchings(n, k, m) if M.is_standard)
             assert standard_dotted_matchings(n, k, m) == want, (n, k, m)
 
 
@@ -367,7 +412,7 @@ def check_subcomplexes(n_max: int, rng) -> None:
 def check_relation_homogeneity(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 7)):
         for rel in homology.relation_instances(n, k):
-            rel.grading  # raises if mixed
+            assert len({M.m for M, _ in rel.terms}) == 1, (n, k, str(rel))
 
 
 def check_reduce_agreement(n_max: int, rng) -> None:
@@ -432,20 +477,21 @@ def _arcs(a, bits) -> tuple:
 
 
 def check_column_numbers(n_max: int, rng) -> None:
-    """``homology._column_numbers`` gives each dotted matching its position.
+    """``matchings._column_numbers`` gives each dotted matching its sorted position.
 
-    For every (n, k) with n up to min(n_max, 10) and every m, None
-    included, the closed form (index of the base) * width + rank[mask of
-    the dotted arcs' positions] is the position in
-    ``all_dotted_matchings(n, k, m)``, which sorts the matchings itself.
+    For every (n, k) with n up to min(n_max, 12) and every m, None
+    included, ``all_dotted_matchings(n, k, m)`` is the build-then-sort
+    :func:`_reference_dotted_matchings`, and the closed form (index of the
+    base) * len(masks) + rank[M.mask] is each matching's position there.
     """
-    for n, k in _types(min(n_max, 10)):
+    for n, k in _types(min(n_max, 12)):
         base = {a: i for i, a in enumerate(enumerate_matchings(n, k))}
         for m in [None, *range(k + 1)]:
-            width, rank = homology._column_numbers(k, m)
-            for column, M in enumerate(all_dotted_matchings(n, k, m)):
-                mask = sum(1 << M.base.arcs.index(arc) for arc in M.dotted)
-                assert base[M.base] * width + rank[mask] == column, (n, k, m, str(M))
+            masks, rank = _column_numbers(k, m)
+            want = _reference_dotted_matchings(n, k, m)
+            assert all_dotted_matchings(n, k, m) == want, (n, k, m)
+            for column, M in enumerate(want):
+                assert base[M.base] * len(masks) + rank[M.mask] == column, (n, k, m, str(M))
 
 
 def check_betti_both_ways(n_max: int, rng) -> None:
@@ -841,11 +887,19 @@ CHECKS: list[Check] = [
 ]
 
 
+MIN_DEPTH = 4
+
+
 def run_all(n_max: int, seed: int = 0, names: list[str] | None = None):
-    """Run the suites; returns (all_ok, [(name, ok, message)]).  Unknown names raise first."""
+    """Run the suites; returns (all_ok, [(name, ok, message)]).
+
+    Unknown names, then a depth below ``MIN_DEPTH``, raise DomainError first.
+    """
     unknown = sorted(set(names or ()) - {check.name for check in CHECKS})
     if unknown:
         raise DomainError(f"unknown checks: {', '.join(unknown)}")
+    if n_max < MIN_DEPTH:
+        raise DomainError(f"depth {n_max} is below {MIN_DEPTH}, where some suites check nothing")
     results = []
     ok_all = True
     for check in CHECKS:

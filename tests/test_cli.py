@@ -42,6 +42,12 @@ def test_act_command(capsys):
     assert out.strip() == "1·(4: u1-2 u3-4) - 1·(4: u1-4 u2-3)"
 
 
+def test_act_refuses_a_repeated_cycle_entry(capsys):
+    code, out, err = run(capsys, "act", "--sigma", "(1 1)", "--class", "2: u1-2")
+    assert (code, out) == (2, "")
+    assert err == "error: cycle entry 1 appears twice in [(1, 1)]\n"
+
+
 def test_parse_class_sum_syntax():
     x = parse_class("1·(4: u1-2 u3-4) - 1·(4: u1-4 u2-3)")
     assert len(x.terms) == 2
@@ -326,6 +332,14 @@ def test_render_deterministic(tmp_path, capsys):
 def test_render_rejects_an_unclosed_class(capsys):
     code, out, err = run(capsys, "render", "(4: u1-2")
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("depth, code", [(3, 2), (4, 0)])
+def test_verify_refuses_a_depth_where_suites_check_nothing(capsys, depth, code):
+    got, out, err = run(capsys, "verify", "--all", "-nmax", str(depth))
+    assert got == code
+    if code:
+        assert out == "" and err == "error: depth 3 is below 4, where some suites check nothing\n"
 
 
 def test_verify_subset(capsys):

@@ -32,6 +32,7 @@ from springer_tworow.homology import (
     HomClass,
     hom_class,
     psi_minus_rows,
+    reduce_by_rewriting,
     reduce_class,
     relation_instances,
 )
@@ -255,10 +256,36 @@ def test_index_keyed_assembly_matches_the_hom_class_reference(n):
             if m is None:
                 continue
             want = reference_relations(n, k, m)
-            _, graded, basis, _ = homology._reduction_data.__wrapped__(n, k, m, None)
-            expected = linalg.Echelon({graded[M.base, M.dotted]: c for M, c in rel.terms}
-                                      for rel in want)
+            _, place, basis, _ = homology._reduction_data.__wrapped__(n, k, m, None)
+            expected = linalg.Echelon({place(M): c for M, c in rel.terms} for rel in want)
             assert echelon_items(basis) == echelon_items(expected), (n, k, m)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reduction_reads_standardness_off_the_dottable_masks(n, monkeypatch):
+    # The reference: every column of all_dotted_matchings, nonstandard ones
+    # first by the paper's is_standard, and the rewriting route.
+    want = {}
+    for k, m in shapes(n):
+        ranked = sorted(all_dotted_matchings(n, k, m), key=lambda M: M.is_standard)
+        place = {M: i for i, M in enumerate(ranked)}
+        expected = linalg.Echelon({place[M]: c for M, c in rel.terms}
+                                  for rel in relation_instances(n, k, m))
+        nonstandard = [HomClass.of(M) for M in ranked if not M.is_standard]
+        want[k, m] = ranked, expected, nonstandard, [reduce_by_rewriting(x) for x in nonstandard]
+
+    def refuse(*args):
+        raise AssertionError("the reduction built every dotted matching or tested one")
+
+    monkeypatch.setattr(DottedMatching, "is_standard", property(refuse))
+    monkeypatch.setattr(homology, "all_dotted_matchings", refuse)
+    homology._reduction_data.cache_clear()
+    for (k, m), (ranked, expected, nonstandard, reduced) in want.items():
+        standard, place, basis, n_nonstd = homology._reduction_data.__wrapped__(n, k, m, None)
+        assert standard == tuple(ranked[n_nonstd:]), (n, k, m)
+        assert [place(M) for M in ranked] == list(range(len(ranked))), (n, k, m)
+        assert echelon_items(basis) == echelon_items(expected), (n, k, m)
+        assert [homology._reduce_linear(x) for x in nonstandard] == reduced, (n, k, m)
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -9,7 +9,6 @@ from springer_tworow.matchings import (
     DottedMatching,
     StandardTableau,
     all_dotted_matchings,
-    brute_force_matchings,
     complete,
     count_matchings,
     enumerate_matchings,
@@ -95,7 +94,7 @@ def test_enumerate_counts_cross_checked(n):
         assert len(ms) == count_matchings(n, k)
         assert len(ms) == interval_count(n, k)
         if n <= 8:
-            assert set(ms) == brute_force_matchings(n, k)
+            assert set(ms) == verify._reference_matchings(n, k)
 
 
 def test_arcs_join_opposite_parities():

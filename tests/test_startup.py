@@ -146,7 +146,7 @@ SMOKE = [
     ["chart", "-n", "4", "-k", "2"],
     ["skein", "--sigma", "(1 2 3)", "--matching", "3: u1-2 r3"],
     ["calibrate", "--nmax", "3"],
-    ["verify", "--all", "-nmax", "3"],
+    ["verify", "--all", "-nmax", "4"],
     ["render", "1·(4: u1-2 u3-4) - 1·(4: u1-4 u2-3)"],
 ]
 USAGE_ERROR, DOMAIN_ERROR = ["enumerate", "-n", "4"], ["validate", "4: u1-3 r2 r4"]

@@ -52,6 +52,13 @@ def test_permutation_parsing_and_words():
         parse_permutation("(1 6)", 4)
 
 
+@pytest.mark.parametrize("text, entry", [("(1 1)", 1), ("(1 2)(1 2)", 1), ("(1 2)(3 2)", 2)])
+def test_parse_permutation_refuses_a_repeated_cycle_entry(text, entry):
+    # "(1 1)" once parsed as the identity and "(1 2)(1 2)" as (1 2)
+    with pytest.raises(errors.DomainError, match=f"cycle entry {entry} appears twice"):
+        parse_permutation(text, 3)
+
+
 @given(st.permutations(range(1, 7)))
 @settings(max_examples=50)
 def test_word_roundtrip(images):
