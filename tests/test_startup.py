@@ -224,6 +224,8 @@ def _main_exit(argv, capsys) -> tuple[str, str, object, None]:
 # has one), and a valid call with an unrecognised extra argument.
 PARSE_CASES = [[name, *case] for name in cli.COMMANDS for case in (["-h"], [])]
 PARSE_CASES += [[*argv, "--no-such-option"] for argv in SMOKE]
+# A depth below 4 parses; only verify.run_all refuses it, after the parse.
+PARSE_CASES += [["verify", "--all", "-nmax", "3", "--no-such-option"]]
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
