@@ -290,6 +290,8 @@ def cmd_betti(args) -> int:
 
 def cmd_reduce(args) -> int:
     x = parse_class(args.cls)
+    if not all(M.is_standard for M, _ in x.terms):
+        _check_columns("reduce", x.n, x.k, x.grading)
     print(format_class(homology.reduce_class(x, check=True)))
     return 0
 
@@ -308,6 +310,7 @@ def cmd_act(args) -> int:
     from .permutations import parse_permutation
 
     x = parse_class(args.cls)
+    _check_tabloids("act", x.n, x.k, x.grading)
     sigma = parse_permutation(args.sigma, x.n)
     print(format_class(action.act(sigma, x)))
     return 0

@@ -11,10 +11,10 @@ unnested configuration):
 - Type III: a dotted arc and the ray it exchanges with under the triple
             move give equal diagrams.
 
-Reduction to the standard basis is implemented twice, by row reduction
-of the relation span and by a terminating rewriting system, and the two
-must agree.  Both the relation rows and the rows of the difference-of-
-inclusions map ψ₋ are sparse ``{column: int}`` rows for the kernel of
+Reduction to the standard basis is implemented twice, by the normal
+forms of the relation rows and by a terminating rewriting system, and
+the two must agree.  Both the relation rows and the rows of the
+difference-of-inclusions map ψ₋ are sparse ``{column: int}`` rows for
 :mod:`linalg`, built with integer arithmetic only.  Columns are numbered
 by ``matchings._column_numbers``, the one column order, and the dots and
 overlay circles of each arrow are bit masks of arc positions, read off
@@ -194,41 +194,27 @@ def relation_instances(n: int, k: int, m: int | None = None,
 
 @lru_cache(maxsize=None)
 def _reduction_data(n: int, k: int, m: int, order: tuple[Matching, ...] | None = None):
-    """(standard, place, basis, n_nonstd): the relation span echelonized, nonstandard first.
+    """(column, forms, standard): the normal forms of the relation rows of grading m.
 
-    A mask that dots an arc outside its base's ``dottable`` mask is
-    nonstandard; those columns of :func:`matchings._column_numbers` take
-    the first n_nonstd places, in column order, and the standard ones
-    follow in the order of ``standard = standard_dotted_matchings(n, k, m)``.
-    ``place(M)`` is the place of dotted matching M.  The rows of
-    :func:`_relation_rows` are assembled in node order ``order``, which
-    must not change any reduction.
+    ``forms`` is ``linalg.normal_forms`` of :func:`_relation_rows` in node order
+    ``order`` (which must not change a form), with the nonstandard columns (masks
+    outside ``dottable``) as pivots; ``column(M)`` is M's column number, and
+    ``standard`` maps each other column to its dotted matching.
     """
     bases = enumerate_matchings(n, k)
     masks, rank = _column_numbers(k, m)
-    standard = standard_dotted_matchings(n, k, m)
-    n_nonstd = len(bases) * len(masks) - len(standard)
-    nonstd, std = itertools.count(), itertools.count(n_nonstd)
-    places = [next(nonstd if d & ~dottable else std)
-              for dottable in [base.dottable for base in bases] for d in masks]
     start = {base: i * len(masks) for i, base in enumerate(bases)}
-
-    def place(M: DottedMatching) -> int:
-        return places[start[M.base] + rank[M.mask]]
-
-    basis = linalg.Echelon({places[c]: v for c, v in row.items()}
-                           for row in _relation_rows(n, k, m, order))
-    if any(p >= n_nonstd for p in basis.rows):
-        raise InternalCheckError("relation pivot landed on a standard generator")
-    if len(basis.rows) != n_nonstd:
-        raise InternalCheckError(f"relation rank {len(basis.rows)} != nonstandard count {n_nonstd}")
-    return standard, place, basis, n_nonstd
+    forms = linalg.normal_forms(_relation_rows(n, k, m, order), [
+        start[base] + r for base in bases for r, d in enumerate(masks) if d & ~base.dottable])
+    standard = dict(zip((c for c in range(len(bases) * len(masks)) if c not in forms),
+                        standard_dotted_matchings(n, k, m)))
+    return (lambda M: start[M.base] + rank[M.mask]), forms, standard
 
 
 def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> HomClass:
     """Coordinates of x over the standard basis of its grading.
 
-    ``method`` is "linear" (row reduction of the relation span) or
+    ``method`` is "linear" (the normal forms of the relation rows) or
     "rewrite" (oriented local rewriting); both give the same answer, and
     ``check=True`` runs both and asserts the agreement.
     """
@@ -250,16 +236,10 @@ def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> Ho
 
 
 def _reduce_linear(x: HomClass, order: tuple[Matching, ...] | None = None) -> HomClass:
-    """Reduce x against the relation echelon of its grading, assembled in ``order``."""
-    standard, place, basis, n_nonstd = _reduction_data(x.n, x.k, x.grading, order)
-    coeffs = {}
-    for i, value in basis.reduce({place(M): c for M, c in x.terms}).items():
-        if i < n_nonstd:
-            raise InternalCheckError("reduction left a nonstandard coordinate")
-        if not isinstance(value, int):
-            raise InternalCheckError(f"non-integer reduced coordinate {value}")
-        coeffs[standard[i - n_nonstd]] = value
-    return hom_class(x.n, x.k, coeffs)
+    """The sum of c * NF(M) over the terms c * M of x, relations assembled in ``order``."""
+    column, forms, standard = _reduction_data(x.n, x.k, x.grading, order)
+    reduced = linalg._image({column(M): c for M, c in x.terms}, forms)
+    return hom_class(x.n, x.k, {standard[s]: v for s, v in reduced.items()})
 
 
 def _ray_violation(M: DottedMatching) -> tuple[Arc, int] | None:

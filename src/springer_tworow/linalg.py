@@ -17,11 +17,15 @@ spirit of Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001).
 
 ``rref``, ``rank``, ``row_space_equal``, ``in_row_space`` and
 ``reduce_against`` are thin adapters over the kernel for dense lists of
-lists; ``rank(rows)`` is ``len(rref(rows)[1])``.  ``ColumnSolver`` is
-the integer solve of the action on sparse, unit-triangular columns,
-which it checks when it factors; each solve certifies itself by leaving
-a zero residual, and ``trace`` reads traces off the integer dual basis
-of the factor, with no solve.  No floats anywhere.
+lists; ``rank(rows)`` is ``len(rref(rows)[1])``.  ``normal_forms`` is
+the one unit-triangular certificate: it peels rows with one open +-1
+pivot entry, only adds and multiplies integers and never falls back;
+the reduction to the standard basis and ``ColumnSolver.dual_basis`` run
+on it.  ``ColumnSolver`` is the integer solve of the action on sparse,
+unit-triangular columns, which it checks when it factors; each solve
+certifies itself by leaving a zero residual, and ``trace`` reads traces
+off the integer dual basis of the factor, with no solve.  No floats
+anywhere.
 """
 from __future__ import annotations
 
@@ -238,6 +242,54 @@ def in_row_space(vector: Sequence, rows: Sequence[Sequence]) -> bool:
     return not Echelon(map(_sparse, rows)).reduce(_sparse(vector))
 
 
+def normal_forms(rows: Iterable[Mapping[int, int]],
+                 pivots: Iterable[int]) -> dict[int, dict[int, int]]:
+    """{c: NF(c)} for every pivot column c, modulo the span of integer rows with no zero entry.
+
+    A row peels when exactly one of its pivot columns c has no form yet
+    and its entry u there is +-1: NF(c) = -u * sum_{j != c} r_j * NF(j),
+    with NF(j) = {j: 1} for j outside ``pivots``.  Every other row must
+    map to zero; then the span is the kernel of NF, and the forms do not
+    depend on the row order.  Raises InternalCheckError when a pivot never
+    peels (naming the least) or a leftover row does not map to zero.
+    """
+    rows = list(rows)
+    users: dict[int, list[int]] = {c: [] for c in pivots}  # the pivots with no form yet
+    count = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for c in row:
+            if c in users:
+                users[c].append(i)
+                count[i] += 1
+    ready = [i for i, x in enumerate(count) if x == 1]
+    forms: dict[int, dict[int, int]] = {}
+    while ready:
+        row = rows[i := ready.pop()]
+        c = next((j for j in row if j in users), None)
+        if c is not None and row[c] in (1, -1):  # else wait, to be checked as left over
+            forms[c] = {s: -row[c] * x for s, x in _image(row, forms).items() if s != c}
+            for user in users.pop(c):
+                count[user] -= 1
+                if count[user] == 1:
+                    ready.append(user)
+            count[i] = -1  # peeled, so it maps to zero by construction
+    if users:
+        raise InternalCheckError(f"normal forms: pivot {min(users)} never peels")
+    for i, row in enumerate(rows):
+        if count[i] == 0 and (left := _image(row, forms)):
+            raise InternalCheckError(f"normal forms: row {i} is left over and maps to {left}")
+    return forms
+
+
+def _image(row: Mapping[int, int], forms: Mapping[int, Mapping[int, int]]) -> dict[int, int]:
+    """sum_j row[j] * NF(j), NF(j) = {j: 1} for a column j with no form, without zeros."""
+    out: dict[int, int] = {}
+    for j, x in row.items():
+        for s, y in forms.get(j, {j: 1}).items():
+            out[s] = out.get(s, 0) + x * y
+    return {s: y for s, y in out.items() if y}
+
+
 class ColumnSolver:
     """Solve A x = b exactly over the integers for a unit-triangular A.
 
@@ -307,31 +359,13 @@ class ColumnSolver:
         """(p_j, b_j) for every column j, lowest pivot first: the columns of A U^-1.
 
         b_j is the integer vector of the column span that is 1 at the pivot
-        row p_j of column j and 0 at every other pivot row.  Built afresh
-        and not kept: lowest pivot first, b_j is a_j minus a_j[p_i] * b_i
-        over the pivot rows p_i below p_j, times the pivot entry of a_j.
-        Raises InternalCheckError if a column comes out other than that
-        unit vector on the pivot rows.
+        row p_j of column j and 0 at every other pivot row: e_{p_j} minus
+        the ``normal_forms`` of row p_j over the columns, with the pivot
+        rows as pivots.  Built afresh and not kept.
         """
-        dual: dict[int, dict[int, int]] = {}
-        for p, unit, j, items in reversed(self._steps):
-            b = dict(items)
-            for r, v in items:
-                for s, w in dual.get(r, {}).items():
-                    y = b.get(s, 0) - v * w
-                    if y:
-                        b[s] = y
-                    else:
-                        del b[s]
-            dual[p] = b if unit == 1 else {s: -w for s, w in b.items()}
-        for p, _, j, _ in self._steps:
-            on_pivots = {r: x for r, x in dual[p].items() if r in dual}
-            if on_pivots != {p: 1}:
-                raise InternalCheckError(
-                    f"dual basis: column {j} is {on_pivots} on the pivot rows, "
-                    f"not 1 at its pivot row {p} alone"
-                )
-        return list(dual.items())
+        forms = normal_forms((dict(items) for *_, items in self._steps),
+                             [p for p, *_ in self._steps])
+        return [(p, {p: 1, **{r: -x for r, x in forms[p].items()}}) for p in sorted(forms)]
 
     @staticmethod
     def trace(dual: list[tuple[int, dict[int, int]]], source: Callable[[int], int]) -> int:

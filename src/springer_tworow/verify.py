@@ -16,7 +16,7 @@ import math
 import random
 from typing import Callable, Iterator
 
-from . import action, cells, diagrams, homology, skein, subspaces, tabloids
+from . import action, cells, diagrams, homology, linalg, skein, subspaces, tabloids
 from .errors import CrossingArcs, DomainError, RayUnderArc
 from .homology import HomClass
 from .matchings import (
@@ -434,18 +434,13 @@ def check_relations_die(n_max: int, rng) -> None:
 
 
 def check_relation_span_matches_boundary(n_max: int, rng) -> None:
-    from . import linalg
-    for n, k in _types(min(n_max, 7)):
+    """The ψ₋ rows have the normal forms of the relation rows, so the same span."""
+    for n, k in _types(min(n_max, 11)):
+        arrows = homology._circle_bits(n, k, None)
         for m in range(k + 1):
-            columns, rows = homology.psi_minus_rows(n, k, m)
-            index = {M: i for i, M in enumerate(columns)}
-            rel_rows = []
-            for rel in homology.relation_instances(n, k, m):
-                row = [0] * len(columns)
-                for M, c in rel.terms:
-                    row[index[M]] = c
-                rel_rows.append(row)
-            assert linalg.row_space_equal(rows, rel_rows), (n, k, m)
+            forms = homology._reduction_data(n, k, m)[1]
+            rows = homology._psi_minus_rows(k, m, arrows)
+            assert linalg.normal_forms(rows, forms) == forms, (n, k, m)
 
 
 def check_arrow_overlays(n_max: int, rng) -> None:
@@ -526,7 +521,6 @@ def check_zeta_reduce_compatible(n_max: int, rng) -> None:
 # --- specht-tabloids ------------------------------------------------------------------
 
 def check_spanning_sets_independent(n_max: int, rng) -> None:
-    from . import linalg
     for n, k in _types(min(n_max, 8)):
         for m in range(k + 1):
             standards = standard_dotted_matchings(n, k, m)
@@ -685,7 +679,6 @@ def check_eta_transport(n_max: int, rng) -> None:
 
 
 def check_image_stability(n_max: int, rng) -> None:
-    from .linalg import in_row_space
     for n, k in _types(min(n_max, 5), n_min=2):
         if k == n // 2 and n % 2 == 0:
             continue  # eta is the identity there
@@ -709,7 +702,7 @@ def check_image_stability(n_max: int, rng) -> None:
             for cls in images:
                 for i in range(pad + 1, n2):
                     moved = action.act(adjacent(n2, i), cls)
-                    assert in_row_space(row_of(moved), span), (n, k, m, i)
+                    assert linalg.in_row_space(row_of(moved), span), (n, k, m, i)
 
 
 def check_trace_agreement(n_max: int, rng) -> None:

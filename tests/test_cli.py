@@ -140,6 +140,33 @@ def test_tabloid_commands_refuse_past_their_caps_without_enumerating(
                                          f"{reason}, more than the cap of {cap}\n")
 
 
+ALL_DOTTED_30 = "30: " + " ".join(f"d{i}-{i + 1}" for i in range(1, 30, 2))
+NESTED_30 = "30: u1-4 d2-3 " + " ".join(f"u{i}-{i + 1}" for i in range(5, 30, 2))
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("act", "--sigma", "(1 2)", "--class", ALL_DOTTED_30),
+     f"act -n 30 -k 15 would enumerate 9694845 matchings, more than the cap of {cli.ENUMERATE_CAP}"),
+    (("reduce", NESTED_30),
+     f"reduce -n 30 -k 15 would assemble {9694845 * 15} dotted-matching columns, "
+     f"more than the cap of {cli.COLUMN_CAP}"),
+], ids=["act", "reduce"])
+def test_act_and_reduce_refuse_past_their_caps_without_reducing(capsys, monkeypatch, argv, reason):
+    from springer_tworow import action
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class was reduced or acted on")
+
+    monkeypatch.setattr(action, "act", refuse)
+    monkeypatch.setattr(cli.homology, "reduce_class", refuse)
+    assert run(capsys, *argv) == (2, "", f"error: {reason}\n")
+
+
+def test_reduce_keeps_an_all_standard_class_past_the_column_cap(capsys):
+    standard = "30: " + " ".join(f"u{i}-{i + 1}" for i in range(1, 30, 2))
+    assert run(capsys, "reduce", standard) == (0, f"1·({standard})\n", "")
+
+
 def test_the_tabloid_cap_admits_every_type_to_n_16():
     assert math.comb(16, 8) <= cli.TABLOID_CAP < math.comb(17, 8)
     assert cli.count_matchings(16, 8) <= cli.ENUMERATE_CAP

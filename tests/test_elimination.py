@@ -6,17 +6,19 @@ rows, kept here as the independent reference.  The kernel-backed
 ``reduce_against`` must agree with it on every difference-of-inclusions
 block and every relation block with n <= 8, and on seeded random
 matrices whose entries are not all units, so that non-unit pivots and
-fractional results occur.  The linear reduction to the standard basis
-must agree with the rewriting route on every nonstandard generator with
-n <= 8, and a relation list that lost a necessary row, or gained a
-standard generator, must be refused.
+fractional results occur.  The linear reduction to the standard basis,
+on the ``linalg.normal_forms`` peel, must agree with the rewriting
+route on every nonstandard generator with n <= 8 and with ``Echelon``
+over the relation rows with n <= 9, must build no Fraction, and must
+refuse a relation list that lost a necessary row (a pivot never peels)
+or gained a standard generator (a leftover row does not vanish).
 
 ``reference_relations`` and ``reference_psi_rows`` are the assembly the
 integer one replaced: every relation and boundary row built as a
 ``HomClass`` of dotted matchings, each dot-set size filtered by m, and
 every overlay glued with ``diagrams.glue``.  The integer relation rows
 (for every m and three node orders), the boundary rows (to n = 9), the
-relation echelon and the cokernel ranks must equal theirs in value and
+relation normal forms and the cokernel ranks must equal theirs in value and
 order.  ``Echelon`` must give the same rows whether
 each row's columns are walked by a scan or from a heap.
 """
@@ -242,6 +244,15 @@ def echelon_items(basis):
     return {p: sorted(row.items()) for p, row in basis.rows.items()}
 
 
+def nonstandard_forms(n, k, m, rels):
+    """(column numbers, nonstandard columns by the paper's is_standard, normal forms of rels)."""
+    columns = all_dotted_matchings(n, k, m)
+    index = {M: i for i, M in enumerate(columns)}
+    pivots = [index[M] for M in columns if not M.is_standard]
+    return index, pivots, linalg.normal_forms(
+        ({index[M]: c for M, c in rel.terms} for rel in rels), pivots)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_index_keyed_assembly_matches_the_hom_class_reference(n):
     for k in range(n // 2 + 1):
@@ -255,24 +266,22 @@ def test_index_keyed_assembly_matches_the_hom_class_reference(n):
                 assert relation_instances(n, k, m, order) == want, (n, k, m)
             if m is None:
                 continue
-            want = reference_relations(n, k, m)
-            _, place, basis, _ = homology._reduction_data.__wrapped__(n, k, m, None)
-            expected = linalg.Echelon({place(M): c for M, c in rel.terms} for rel in want)
-            assert echelon_items(basis) == echelon_items(expected), (n, k, m)
+            expected = nonstandard_forms(n, k, m, reference_relations(n, k, m))[2]
+            _, forms, _ = homology._reduction_data.__wrapped__(n, k, m, None)
+            assert forms == expected, (n, k, m)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_reduction_reads_standardness_off_the_dottable_masks(n, monkeypatch):
     # The reference: every column of all_dotted_matchings, nonstandard ones
-    # first by the paper's is_standard, and the rewriting route.
+    # by the paper's is_standard, and the rewriting route.
     want = {}
     for k, m in shapes(n):
-        ranked = sorted(all_dotted_matchings(n, k, m), key=lambda M: M.is_standard)
-        place = {M: i for i, M in enumerate(ranked)}
-        expected = linalg.Echelon({place[M]: c for M, c in rel.terms}
-                                  for rel in relation_instances(n, k, m))
-        nonstandard = [HomClass.of(M) for M in ranked if not M.is_standard]
-        want[k, m] = ranked, expected, nonstandard, [reduce_by_rewriting(x) for x in nonstandard]
+        index, pivots, expected = nonstandard_forms(n, k, m, relation_instances(n, k, m))
+        nonstandard = [HomClass.of(M) for M in index if not M.is_standard]
+        standard = {i: M for M, i in index.items() if M.is_standard}
+        want[k, m] = (index, pivots, expected, standard, nonstandard,
+                      [reduce_by_rewriting(x) for x in nonstandard])
 
     def refuse(*args):
         raise AssertionError("the reduction built every dotted matching or tested one")
@@ -280,12 +289,78 @@ def test_reduction_reads_standardness_off_the_dottable_masks(n, monkeypatch):
     monkeypatch.setattr(DottedMatching, "is_standard", property(refuse))
     monkeypatch.setattr(homology, "all_dotted_matchings", refuse)
     homology._reduction_data.cache_clear()
-    for (k, m), (ranked, expected, nonstandard, reduced) in want.items():
-        standard, place, basis, n_nonstd = homology._reduction_data.__wrapped__(n, k, m, None)
-        assert standard == tuple(ranked[n_nonstd:]), (n, k, m)
-        assert [place(M) for M in ranked] == list(range(len(ranked))), (n, k, m)
-        assert echelon_items(basis) == echelon_items(expected), (n, k, m)
+    for (k, m), (index, pivots, expected, standard, nonstandard, reduced) in want.items():
+        column, forms, named = homology._reduction_data.__wrapped__(n, k, m, None)
+        assert named == standard, (n, k, m)
+        assert [column(M) for M in index] == list(index.values()), (n, k, m)
+        assert forms == expected and sorted(forms) == pivots, (n, k, m)
         assert [homology._reduce_linear(x) for x in nonstandard] == reduced, (n, k, m)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_linear_reduction_matches_the_echelon_route(n):
+    # The route the normal forms replaced: Echelon over the relation rows
+    # with the nonstandard columns numbered first, so they take the pivots
+    # and the remainder of M lies on the standard columns.
+    for k, m in shapes(n):
+        ranked = sorted(all_dotted_matchings(n, k, m), key=lambda M: M.is_standard)
+        place = {M: i for i, M in enumerate(ranked)}
+        basis = linalg.Echelon({place[M]: c for M, c in rel.terms}
+                               for rel in relation_instances(n, k, m))
+        for M in ranked:
+            if M.is_standard:
+                break
+            want = hom_class(n, k, {ranked[i]: v for i, v in basis.reduce({place[M]: 1}).items()})
+            assert homology._reduce_linear(HomClass.of(M)) == want, M
+
+
+def test_linear_reduction_builds_no_fraction(monkeypatch):
+    import fractions
+
+    built = []
+    original = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    homology._reduction_data.cache_clear()
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
+    for M in all_dotted_matchings(8, 4, 2)[::7]:
+        reduce_class(HomClass.of(M), "linear")
+    assert built == []
+    monkeypatch.undo()
+    assert fractions.Fraction(1, 2) * 2 == 1
+
+
+def test_normal_forms_do_not_depend_on_the_row_order():
+    rng = random.Random(3)
+    for n, k, m in [(6, 3, 1), (7, 3, 2), (8, 4, 2)]:
+        pivots = list(homology._reduction_data(n, k, m)[1])
+        rows = list(homology._relation_rows(n, k, m))
+        want = linalg.normal_forms(rows, pivots)
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert linalg.normal_forms(rows, reversed(pivots)) == want, (n, k, m)
+
+
+def test_normal_forms_peel_unit_entries_only():
+    # both pivots of the one row stay open, so neither peels
+    with pytest.raises(errors.InternalCheckError, match="pivot 0 never peels"):
+        linalg.normal_forms([{0: 1, 1: 1, 2: 1}], [1, 0])
+    # the only open entry is 2: the row never peels
+    with pytest.raises(errors.InternalCheckError, match="pivot 3 never peels"):
+        linalg.normal_forms([{0: 1, 4: 1}, {3: 2, 4: 1}], [3, 0])
+    # it is left over once a unit row peels its column, and maps to zero
+    assert linalg.normal_forms([{0: 2, 1: 2}, {0: 1, 1: 1}], [0]) == {0: {1: -1}}
+    assert linalg.normal_forms([{0: -1, 1: 1, 2: 3}], [0]) == {0: {1: 1, 2: 3}}
+
+
+def test_normal_forms_refuse_a_leftover_row_that_does_not_vanish():
+    with pytest.raises(errors.InternalCheckError, match=r"row \d is left over and maps to"):
+        linalg.normal_forms([{0: 1, 2: 1}, {0: 1, 2: 2}], [0])
+    with pytest.raises(errors.InternalCheckError, match="row 1 is left over and maps to {2: 1}"):
+        linalg.normal_forms([{0: 1, 2: 1}, {2: 1}], [0])
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -334,7 +409,7 @@ def test_reduction_data_refuses_a_relation_list_missing_a_row(monkeypatch):
     (n, k, m), rels, drop = shape_with_a_necessary_relation()
     monkeypatch.setattr(homology, "_relation_rows",
                         lambda *args, **kw: iter(rels[:drop] + rels[drop + 1:]))
-    with pytest.raises(errors.InternalCheckError, match="relation rank"):
+    with pytest.raises(errors.InternalCheckError, match="never peels"):
         homology._reduction_data.__wrapped__(n, k, m, None)
 
 
@@ -344,5 +419,6 @@ def test_reduction_data_refuses_a_pivot_on_a_standard_generator(monkeypatch):
     column = all_dotted_matchings(n, k, m).index(standard)
     monkeypatch.setattr(homology, "_relation_rows",
                         lambda *args, **kw: iter(rels + [{column: 1}]))
-    with pytest.raises(errors.InternalCheckError, match="standard generator"):
+    with pytest.raises(errors.InternalCheckError,
+                       match=f"row {len(rels)} is left over and maps to {{{column}: 1}}"):
         homology._reduction_data.__wrapped__(n, k, m, None)

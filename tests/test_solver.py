@@ -170,9 +170,23 @@ def test_the_factor_keeps_no_dual_basis():
 def test_dual_basis_checks_its_unit_vectors():
     solver = ColumnSolver([{0: 1}, {0: 2, 1: -1}])
     p, unit, j, items = solver._steps[0]
-    solver._steps[0] = (p, -unit, j, items)  # a wrong pivot entry on record
-    with pytest.raises(errors.InternalCheckError, match=r"dual basis: column 1 .*row 1"):
+    solver._steps[0] = (p, unit, j, [(r, 2 * v) for r, v in items])  # a non-unit pivot on record
+    with pytest.raises(errors.InternalCheckError, match="pivot 1 never peels"):
         solver.dual_basis()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dual_basis_vectors_solve_to_unit_vectors_on_the_pivot_rows(n):
+    from springer_tworow import tabloids
+
+    for k, m in shapes(n):
+        solver = tabloids._solver(n, k, m)[4]
+        dual = solver.dual_basis()
+        pivots = [p for p, _ in dual]
+        assert pivots == sorted(step[0] for step in solver._steps), (n, k, m)
+        for p, b in dual:
+            solver.solve(b)  # raises SolveFailed outside the column span
+            assert {r: x for r, x in b.items() if r in pivots} == {p: 1}, (n, k, m, p)
 
 
 def test_unit_triangular_invariant_to_n10():
