@@ -24,8 +24,16 @@ and no Fraction is built on this path.
 ``character_table_check`` works one grading at a time.  It solves the
 n - 1 generators through ``_solved_columns`` first, which proves the
 standard span S_n-stable.  Only then does it build the factor's dual
-basis, read every class trace off it with no solve, and drop it.  The
-Coxeter relations are checked on the sparse generator columns.
+basis, read every class trace off it with no solve, and drop it.  Each
+Coxeter relation w^e = 1 is checked on sparse products: w (s_i, or
+s_i s_j composed once from the generator columns) is raised to the
+power e and compared with the identity.
+
+Tabloid rows are keyed by integer bit masks, not frozensets (see
+``tabloids``): ``_RowMap`` moves a row by sending each set bit of
+its mask through sigma and looking up the result, and every expanded
+term (a nonstandard matching, a pole-flip image) becomes a
+``{row: int}`` column by ``tabloids._pair_column``.
 """
 from __future__ import annotations
 
@@ -46,29 +54,35 @@ from .permutations import (
 from .records import Record
 from .tabloids import (
     TabloidVector,
-    _column,
+    _arc_pairs,
+    _mask_rows,
+    _pair_column,
     _pair_terms,
     _solver,
     irr_character,
-    matching_terms,
-    tabloid_index,
-    tabloid_keys,
     tabloid_vector,
 )
 
 
 class _RowMap(dict):
-    """Tabloid row r -> the row of sigma(keys[r]) at (n, m), moved on first lookup."""
+    """Tabloid row r -> the row of sigma(r) at (n, m), moved on first lookup.
+
+    A row moves as its bit mask: each set bit v goes to bit sigma(v).
+    """
 
     def __init__(self, sigma: Permutation, n: int, m: int):
         if sigma.n != n:
             raise SizeMismatch(f"permutation on {sigma.n} letters, class on {n}")
-        self.images = (0, *sigma.images)  # images[v] = sigma(v)
-        self.index, self.keys = tabloid_index(n, m), tabloid_keys(n, m)
+        self.image = {1 << v: 1 << s for v, s in enumerate(sigma.images, 1)}
+        self.masks, self.row = _mask_rows(n, m)
 
     def __missing__(self, r: int) -> int:
-        images = self.images
-        s = self[r] = self.index[frozenset(images[v] for v in self.keys[r])]
+        x, out, image = self.masks[r], 0, self.image
+        while x:
+            bit = x & -x
+            out |= image[bit]
+            x ^= bit
+        s = self[r] = self.row[out]
         return s
 
 
@@ -108,9 +122,9 @@ def _act(sigma: Permutation, x: HomClass, weighted_column) -> HomClass:
 
 def _matching_column(M: DottedMatching, c: int, factor) -> tuple[int, dict[int, int]]:
     """c and the stored column of a standard M, or the expanded column of any other M."""
-    _, index, columns, position, _ = factor
+    _, row, columns, position, _ = factor
     j = position.get(M)
-    return c, _column(index, matching_terms(M)) if j is None else columns[j]
+    return c, _pair_column(_arc_pairs(M), row) if j is None else columns[j]
 
 
 def act(sigma: Permutation, x: HomClass) -> HomClass:
@@ -138,9 +152,14 @@ def rep_matrix(sigma: Permutation, n: int, k: int, m: int) -> list[list[int]]:
 
 # --- line-diagram route ---------------------------------------------------------
 
+def _line_pairs(M: DottedMatching) -> list[tuple[int, int]]:
+    """The undotted arcs of M as (plus, minus), plus the even endpoint."""
+    return [(i, j) if i % 2 == 0 else (j, i) for i, j in M.undotted]
+
+
 def line_diagram_terms(M: DottedMatching) -> dict[frozenset[int], int]:
     """Integer terms of the pole-flip image of M (see ``line_diagram_expand``)."""
-    return _pair_terms([(i, j) if i % 2 == 0 else (j, i) for i, j in M.undotted])
+    return _pair_terms(_line_pairs(M))
 
 
 def line_diagram_expand(M: DottedMatching) -> TabloidVector:
@@ -155,13 +174,14 @@ def line_diagram_expand(M: DottedMatching) -> TabloidVector:
 
 def _pole_flip_column(M: DottedMatching, c: int, factor) -> tuple[int, dict[int, int]]:
     """c times (-1)^(m*(n mod 2)), the sign from matching to pole-flip terms, and M's column."""
-    return (-1) ** (M.m * (M.n % 2)) * c, _column(factor[1], line_diagram_terms(M))
+    return (-1) ** (M.m * (M.n % 2)) * c, _pair_column(_line_pairs(M), factor[1])
 
 
 def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
     """The action computed through the ambient coordinate permutation.
 
-    Every term is expanded by ``line_diagram_terms``; no pole-flip solver is built.
+    Every term is expanded by its pole-flip pairs (``line_diagram_terms``
+    on masks); no pole-flip solver is built.
     """
     if isinstance(x, DottedMatching):
         x = HomClass.of(x)
@@ -287,40 +307,48 @@ class CharacterReport(Record):
         return self.coxeter_ok and not self.failures
 
 
-def _word_is_identity(word: tuple[list[dict[int, int]], ...]) -> bool:
-    """Whether the product of sparse-column matrices in ``word`` is the identity.
+def _compose(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The sparse columns of the product a b: column t is a applied to column t of b.
 
-    Applies the word to each unit vector e_j, rightmost factor first, and
-    compares the result with e_j; stops at the first column that differs.
-    A one-term vector c * e_t goes through a letter as its column t, read
-    as it is when c is 1.
+    A one-term column c * e_t of b becomes column t of a, read as it is
+    when c is 1.
     """
-    for j in range(len(word[0])):
-        v = {j: 1}
-        for g in reversed(word):
-            if len(v) == 1:
-                (t, x), = v.items()
-                v = g[t] if x == 1 else {i: x * y for i, y in g[t].items()}
-                continue
-            out: dict[int, int] = {}
-            for t, x in v.items():
-                for i, y in g[t].items():
-                    out[i] = out.get(i, 0) + x * y
-            v = {i: x for i, x in out.items() if x}
-        if v != {j: 1}:
-            return False
-    return True
+    out = []
+    for v in b:
+        if len(v) == 1:
+            (t, x), = v.items()
+            out.append(a[t] if x == 1 else {i: x * y for i, y in a[t].items()})
+            continue
+        w: dict[int, int] = {}
+        for t, x in v.items():
+            for i, y in a[t].items():
+                w[i] = w.get(i, 0) + x * y
+        out.append({i: x for i, x in w.items() if x})
+    return out
+
+
+def _power(p: list[dict[int, int]], e: int) -> list[dict[int, int]]:
+    """The sparse columns of p^e, for e >= 1."""
+    q = p
+    for _ in range(e - 1):
+        q = _compose(p, q)
+    return q
 
 
 def _coxeter_failures(gens: list[list[dict[int, int]]]) -> list[str]:
-    """The Coxeter relations broken by sparse generator columns, ``gens[i - 1]`` for s_i."""
+    """The Coxeter relations broken by sparse generator columns, ``gens[i - 1]`` for s_i.
+
+    Each relation w^e = 1 is checked on w built once, s_i or the product
+    s_i s_j, raised to the power e and compared with the identity.
+    """
     g, r = gens, len(gens)
-    relations = [((g[i],) * 2, "s{}^2 != 1", i, i) for i in range(r)]
-    relations += [((g[i], g[i + 1]) * 3, "(s{} s{})^3 != 1", i, i + 1) for i in range(r - 1)]
-    relations += [((g[i], g[j]) * 2, "s{} and s{} do not commute", i, j)
+    identity = [{j: 1} for j in range(len(g[0]) if g else 0)]
+    relations = [(i, i, 2, "s{}^2 != 1") for i in range(r)]
+    relations += [(i, i + 1, 3, "(s{} s{})^3 != 1") for i in range(r - 1)]
+    relations += [(i, j, 2, "s{} and s{} do not commute")
                   for i in range(r - 1) for j in range(i + 2, r)]
-    return [text.format(i + 1, j + 1) for word, text, i, j in relations
-            if not _word_is_identity(word)]
+    return [text.format(i + 1, j + 1) for i, j, e, text in relations
+            if _power(g[i] if i == j else _compose(g[i], g[j]), e) != identity]
 
 
 def _factor_trace(sigma: Permutation, n: int, m: int, dual) -> int:
@@ -342,11 +370,13 @@ def character_table_check(n: int, k: int) -> CharacterReport:
     """
     check_type(n, k)
     report = CharacterReport(n, k)
+    generators = [adjacent(n, i) for i in range(1, n)]
+    classes = [(mu, class_representative(mu, n)) for mu in partitions(n)]
     for m in range(k + 1):
-        gens = [_solved_columns(adjacent(n, i), n, k, m) for i in range(1, n)]
+        gens = [_solved_columns(sigma, n, k, m) for sigma in generators]
         dual = _solver(n, k, m)[4].dual_basis()
-        for mu in partitions(n):
-            trace = _factor_trace(class_representative(mu, n), n, m, dual)
+        for mu, sigma in classes:
+            trace = _factor_trace(sigma, n, m, dual)
             expected = irr_character((n - m, m), mu)
             report.rows.append((m, mu, trace, expected))
             if trace != expected:

@@ -12,6 +12,20 @@ coordinate-permutation action, and commutes with completion.  For even n
 and undotted arcs (1,2), (3,4), ... it reduces to right minus left and
 the matching vector coincides with the polytabloid of the associated
 tableau.
+
+Two keys name one tabloid.  The reference API (``matching_terms``,
+``polytabloid_terms``, ``TabloidVector``, ``tabloid_index``,
+``tabloid_keys``) keys it by its bottom-row ``frozenset``.  The hot path
+keys it by an integer bit mask, bit v for each bottom-row vertex v: the
+one cached ``_mask_rows(n, m)`` table gives the masks in row order and
+the row of each mask, in the same lexicographic order as
+``tabloid_index``.  ``_pair_column`` expands a product of (plus - minus)
+vertex pairs by doubling a list of masks, one pair at a time, and emits
+the ``{row: int}`` column directly; ``_solver``'s matching columns,
+``modules_equal``'s polytabloid side and the action's expanded terms are
+all built this way, and no frozenset is made on that path.  The
+``tabloids.integer-rows`` verify invariant checks the two keyings
+against each other.
 """
 from __future__ import annotations
 
@@ -99,6 +113,17 @@ def tabloid_index(n: int, m: int) -> dict[TabloidKey, int]:
     return {key: i for i, key in enumerate(tabloid_keys(n, m))}
 
 
+@lru_cache(maxsize=None)
+def _mask_rows(n: int, m: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """(masks in row order, {mask: row}) for the m-subset tabloids of 1..n.
+
+    The mask of a bottom-row set has bit v for each vertex v; rows run in
+    the order of ``tabloid_index``.
+    """
+    masks = tuple(sum(1 << v for v in c) for c in itertools.combinations(range(1, n + 1), m))
+    return masks, {mask: r for r, mask in enumerate(masks)}
+
+
 def permute(sigma: Permutation, v: TabloidVector) -> TabloidVector:
     if sigma.n != v.n:
         raise SizeMismatch(f"permutation on {sigma.n} letters, vector on {v.n}")
@@ -111,6 +136,7 @@ def _pair_terms(pairs) -> dict[TabloidKey, int]:
     Each term picks one vertex from every pair; its key is the set of
     picks and its sign is -1 to the number of minus picks.  The pairing
     and orientation are the caller's: a tableau column, an oriented arc.
+    This is the frozenset reference of ``_pair_column``.
     """
     out: dict[TabloidKey, int] = {}
     for picks in itertools.product((0, 1), repeat=len(pairs)):
@@ -118,10 +144,40 @@ def _pair_terms(pairs) -> dict[TabloidKey, int]:
     return out
 
 
+def _pair_column(pairs, row: dict[int, int]) -> dict[int, int]:
+    """``_pair_terms(pairs)`` as a ``{row: int}`` column, over the masks of ``row``.
+
+    Doubles a list of masks once per pair, last pair first, so the terms
+    come in the order of ``_pair_terms``.
+    """
+    masks, signs = [0], [1]
+    for plus, minus in reversed(pairs):
+        p, q = 1 << plus, 1 << minus
+        masks = [x | p for x in masks] + [x | q for x in masks]
+        signs += [-s for s in signs]
+    return {row[x]: s for x, s in zip(masks, signs)}
+
+
+def _tableau_pairs(T: StandardTableau) -> tuple[tuple[int, int], ...]:
+    """The (bottom, top) column pairs of a checked tableau: the polytabloid's pairs."""
+    T.check()
+    return tuple(zip(T.bottom, T.top))
+
+
+def _arc_pairs(M: DottedMatching) -> list[tuple[int, int]]:
+    """The undotted arcs of M as (plus, minus), plus the endpoint with the parity of n."""
+    n = M.n
+    oriented = []
+    for i, j in M.undotted:
+        if (i + j) % 2 == 0:
+            raise DomainError(f"arc ({i},{j}) joins two vertices of equal parity")
+        oriented.append((i, j) if i % 2 == n % 2 else (j, i))
+    return oriented
+
+
 def polytabloid_terms(T: StandardTableau) -> dict[TabloidKey, int]:
     """Integer terms of the polytabloid: alternating sum over the column stabilizer."""
-    T.check()
-    return _pair_terms(tuple(zip(T.bottom, T.top)))
+    return _pair_terms(_tableau_pairs(T))
 
 
 def polytabloid(T: StandardTableau) -> TabloidVector:
@@ -131,37 +187,26 @@ def polytabloid(T: StandardTableau) -> TabloidVector:
 
 def matching_terms(M: DottedMatching) -> dict[TabloidKey, int]:
     """Integer terms of the matching vector of M (see ``matching_vector``)."""
-    n = M.n
-    oriented = []
-    for i, j in M.undotted:
-        if (i + j) % 2 == 0:
-            raise DomainError(f"arc ({i},{j}) joins two vertices of equal parity")
-        plus, minus = (i, j) if i % 2 == n % 2 else (j, i)
-        oriented.append((plus, minus))
-    return _pair_terms(oriented)
-
-
-def _column(index: dict[TabloidKey, int], terms: dict[TabloidKey, int]) -> dict[int, int]:
-    """Integer terms over m-subsets as a ``{row: int}`` column."""
-    return {index[key]: v for key, v in terms.items()}
+    return _pair_terms(_arc_pairs(M))
 
 
 @lru_cache(maxsize=None)
 def _solver(n: int, k: int, m: int):
     """Standard basis of (n, k, m), its matching columns and their factored solver.
 
-    Returns (basis, index, columns, position, solver): the standard basis,
-    the tabloid row of each m-subset, each basis element's
-    ``matching_terms`` column as ``{row: int}``, the column number of each
-    basis element, and the ``ColumnSolver`` over the columns.  This is the
+    Returns (basis, row, columns, position, solver): the standard basis,
+    the tabloid row of each bit mask (``_mask_rows``), each basis
+    element's matching column as ``{row: int}`` (``matching_terms`` built
+    on masks), the column number of each basis element, and the
+    ``ColumnSolver`` over the columns.  This is the
     one factor per shape: the action, its pole-flip route and
     ``modules_equal`` all solve against it, and none of them changes it.
     """
     basis = standard_dotted_matchings(n, k, m)
-    index = tabloid_index(n, m)
-    columns = [_column(index, matching_terms(M)) for M in basis]
+    row = _mask_rows(n, m)[1]
+    columns = [_pair_column(_arc_pairs(M), row) for M in basis]
     position = {M: j for j, M in enumerate(basis)}
-    return basis, index, columns, position, ColumnSolver(columns)
+    return basis, row, columns, position, ColumnSolver(columns)
 
 
 def matching_vector(M: DottedMatching) -> TabloidVector:
@@ -217,16 +262,17 @@ def modules_equal(n: int, m: int, k: int) -> ModuleComparison:
 
     The spanning sets are the polytabloids of standard (n-m, m) tableaux
     and the matching vectors of standard dotted matchings of type
-    (n-k, k) with grading m, as sparse tabloid columns.  The matching side
-    is the shared factor of ``_solver(n, k, m)``, read and not changed;
-    only the polytabloid side is expanded and factored here.  Both
-    factors are unit-triangular ``ColumnSolver``s; the spans coincide
-    exactly when every vector of each set solves in the other, and those
-    certified solves are the two integer change-of-basis matrices.
+    (n-k, k) with grading m, as sparse tabloid columns built on masks.
+    The matching side is the shared factor of ``_solver(n, k, m)``, read
+    and not changed; only the polytabloid side is expanded and factored
+    here.  Both factors are unit-triangular ``ColumnSolver``s; the spans
+    coincide exactly when every vector of each set solves in the other,
+    and those certified solves are the two integer change-of-basis
+    matrices.
     """
     _check_grading(n, k, m)
-    basis, index, m_cols, _, m_solver = _solver(n, k, m)
-    t_cols = [_column(index, polytabloid_terms(tableau_of(M))) for M in basis]
+    basis, row, m_cols, _, m_solver = _solver(n, k, m)
+    t_cols = [_pair_column(_tableau_pairs(tableau_of(M)), row) for M in basis]
     t_solver = ColumnSolver(t_cols)
     try:
         t_in_m = [_dense(m_solver.solve(col), len(basis)) for col in t_cols]

@@ -571,6 +571,55 @@ def check_f_embed(n_max: int, rng) -> None:
             assert lhs == rhs
 
 
+def check_integer_rows(n_max: int, rng) -> None:
+    """The action layer's bit-mask rows agree with the frozenset reference.
+
+    At every (n, m) with n up to min(n_max, 10): ``_mask_rows`` lists the
+    mask of each ``tabloid_keys`` entry in row order, and for a seeded
+    sigma, ``action._RowMap`` sends every row r to
+    ``tabloid_index[sigma.apply_to_set(keys[r])]``.  For every dotted
+    matching M, standard or not, the ``_pair_column`` of its arc pairs and
+    of its pole-flip pairs equal ``matching_terms`` and
+    ``line_diagram_terms`` looked up in ``tabloid_index``; for a standard
+    M so does the column of ``tableau_of(M)``'s pairs against
+    ``polytabloid_terms``, and ``_solver``'s stored columns are those of
+    its basis.
+    """
+    for n in range(1, min(n_max, 10) + 1):
+        for m in range(n // 2 + 1):
+            index, keys = tabloids.tabloid_index(n, m), tabloids.tabloid_keys(n, m)
+            masks, row = tabloids._mask_rows(n, m)
+            assert masks == tuple(sum(1 << v for v in key) for key in keys), (n, m)
+            assert row == {mask: r for r, mask in enumerate(masks)}, (n, m)
+            sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            moved = action._RowMap(sigma, n, m)
+            for r, key in enumerate(keys):
+                assert moved[r] == index[sigma.apply_to_set(key)], (n, m, sigma.images, r)
+        for k in range(n // 2 + 1):
+            for m in range(k + 1):
+                index, row = tabloids.tabloid_index(n, m), tabloids._mask_rows(n, m)[1]
+
+                def reference(terms):
+                    return {index[key]: v for key, v in terms.items()}
+
+                standard = []
+                for M in all_dotted_matchings(n, k, m):
+                    families = [
+                        ("matching", tabloids._arc_pairs(M), tabloids.matching_terms(M)),
+                        ("pole-flip", action._line_pairs(M), action.line_diagram_terms(M)),
+                    ]
+                    if M.is_standard:
+                        T = tableau_of(M)
+                        families.append(("polytabloid", tabloids._tableau_pairs(T),
+                                         tabloids.polytabloid_terms(T)))
+                        standard.append(reference(tabloids.matching_terms(M)))
+                    for family, pairs, terms in families:
+                        got = tabloids._pair_column(pairs, row)
+                        assert got == reference(terms), ((n, k, m), str(M), family)
+                factor = tabloids._solver(n, k, m)
+                assert factor[1] is row and factor[2] == standard, (n, k, m)
+
+
 def check_unit_triangular(n_max: int, rng) -> None:
     """Standard columns are unit-triangular on their tableau bottom rows.
 
@@ -863,6 +912,7 @@ CHECKS: list[Check] = [
     Check("tabloid.f-embed", check_f_embed),
     Check("tabloid.modules-equal", check_modules_equal),
     Check("tabloids.young-rule", check_young_rule),
+    Check("tabloids.integer-rows", check_integer_rows),
     Check("action.unit-triangular", check_unit_triangular),
     Check("action.graded-group-laws", check_action_graded_and_group),
     Check("action.gamma-agreement", check_gamma_agreement),

@@ -1,12 +1,13 @@
 """Differential tests of the action kernel against the route it replaced.
 
 The kernel reuses the factored standard columns, moves each tabloid row
-once per sigma, checks Coxeter words on the sparse solved columns and
-reads class traces off the factor's dual basis.  The references below
-are the plain route: expand every term, move every key by sigma, look it
-up and solve, written out dense; take traces of solved matrices;
-multiply dense generator matrices.  They must agree exactly over every
-(n, k, m) with n <= 8, the traces to n = 10.
+once per sigma as a bit mask, checks each Coxeter relation on composed
+sparse products and reads class traces off the factor's dual basis.  The
+references below are the plain route: expand every term, move every key
+by sigma, look it up and solve, written out dense; take traces of solved
+matrices; multiply dense generator matrices; push every unit vector
+through every letter of a relation word.  They must agree exactly over
+every (n, k, m) with n <= 8, the traces to n = 10.
 """
 import random
 from functools import lru_cache
@@ -89,6 +90,36 @@ def mat_mul(a, b):
 
 def is_identity(mat):
     return all(mat[i][j] == (i == j) for i in range(len(mat)) for j in range(len(mat)))
+
+
+def reference_word_is_identity(word):
+    """Whether the product of sparse-column matrices in ``word`` is the identity.
+
+    Applies the word to each unit vector e_j, rightmost factor first, and
+    compares the result with e_j; stops at the first column that differs.
+    """
+    for j in range(len(word[0])):
+        v = {j: 1}
+        for g in reversed(word):
+            out = {}
+            for t, x in v.items():
+                for i, y in g[t].items():
+                    out[i] = out.get(i, 0) + x * y
+            v = {i: x for i, x in out.items() if x}
+        if v != {j: 1}:
+            return False
+    return True
+
+
+def reference_coxeter_failures(gens):
+    """The Coxeter relations broken by sparse generators, checked word by word."""
+    g, r = gens, len(gens)
+    relations = [((g[i],) * 2, "s{}^2 != 1", i, i) for i in range(r)]
+    relations += [((g[i], g[i + 1]) * 3, "(s{} s{})^3 != 1", i, i + 1) for i in range(r - 1)]
+    relations += [((g[i], g[j]) * 2, "s{} and s{} do not commute", i, j)
+                  for i in range(r - 1) for j in range(i + 2, r)]
+    return [text.format(i + 1, j + 1) for word, text, i, j in relations
+            if not reference_word_is_identity(word)]
 
 
 def reference_character_failures(n, k):
@@ -183,17 +214,57 @@ def test_sparse_coxeter_words_match_dense_products(n):
             # the seam keeps only nonzero coordinates, and rep_matrix writes them out
             assert all(v for column in columns for v in column.values())
             assert [[c.get(i, 0) for c in columns] for i in range(len(mat))] == mat
-        words = [(i,) * 2 for i in range(n - 1)]
-        words += [(i, i + 1) * 3 for i in range(n - 2)]
-        words += [(i, j) * 2 for i in range(n - 1) for j in range(i + 2, n - 1)]
+        # each word is a base (one letter or two) raised to a power
+        words = [((i,), 2) for i in range(n - 1)]
+        words += [((i, i + 1), 3) for i in range(n - 2)]
+        words += [((i, j), 2) for i in range(n - 1) for j in range(i + 2, n - 1)]
         # words that are not the identity, so the False answer is compared too
-        words += [(i,) for i in range(n - 1)] + [(i, i + 1) * 2 for i in range(n - 2)]
-        for word in words:
+        words += [((i,), 1) for i in range(n - 1)] + [((i, i + 1), 2) for i in range(n - 2)]
+        for base, e in words:
+            word = base * e
             product = matrices[word[0]]
             for letter in word[1:]:
                 product = mat_mul(product, matrices[letter])
-            got = action._word_is_identity(tuple(sparse[t] for t in word))
-            assert got == is_identity(product), (n, k, m, word)
+            want = is_identity(product)
+            assert reference_word_is_identity(tuple(sparse[t] for t in word)) == want
+            p = sparse[base[0]]
+            if len(base) == 2:
+                p = action._compose(p, sparse[base[1]])
+            identity = [{j: 1} for j in range(len(p))]
+            assert (action._power(p, e) == identity) == want, (n, k, m, word)
+
+
+def corrupted_generators(gens):
+    """Seeded corruptions of sparse generators: (name, generators) pairs.
+
+    Negate one column of s2, swap s1 and s3, drop one term of a column
+    of s1; a corruption that the shape cannot carry is left out.
+    """
+    yield "clean", gens
+    if len(gens) >= 2 and gens[1]:
+        s2 = list(gens[1])
+        s2[len(s2) // 2] = {i: -x for i, x in s2[len(s2) // 2].items()}
+        yield "negated column of s2", [gens[0], s2, *gens[2:]]
+    if len(gens) >= 3:
+        yield "s1 and s3 swapped", [gens[2], gens[1], gens[0], *gens[3:]]
+    longest = max(range(len(gens[0])), key=lambda t: len(gens[0][t]), default=None)
+    if longest is not None:
+        s1 = list(gens[0])
+        s1[longest] = dict(list(s1[longest].items())[:-1])
+        yield "dropped term of s1", [s1, *gens[1:]]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_composed_coxeter_check_fails_like_the_word_by_word_reference(n):
+    failing = 0
+    for k, m in shapes(n):
+        gens = [action._solved_columns(adjacent(n, i), n, k, m) for i in range(1, n)]
+        for name, broken in corrupted_generators(gens):
+            got = action._coxeter_failures(broken)
+            assert got == reference_coxeter_failures(broken), (n, k, m, name)
+            assert name != "clean" or got == []
+            failing += bool(got)
+    assert failing
 
 
 def test_factor_traces_match_rep_matrix_diagonals():

@@ -167,6 +167,35 @@ def test_reduce_keeps_an_all_standard_class_past_the_column_cap(capsys):
     assert run(capsys, "reduce", standard) == (0, f"1·({standard})\n", "")
 
 
+PAIRED_22 = "22: " + " ".join(f"u{i}-{i + 1}" for i in range(1, 22, 2))
+NESTED_22 = "22: u1-22 " + " ".join(f"u{i}-{i + 1}" for i in range(2, 21, 2))
+
+
+@pytest.mark.parametrize("argv", [
+    ("order", "-n", "22", "-k", "11"),
+    ("distance", PAIRED_22, NESTED_22),
+    ("sequence", PAIRED_22, NESTED_22),
+    ("meet", PAIRED_22, NESTED_22),
+], ids=lambda argv: argv[0])
+def test_arrow_graph_commands_refuse_past_their_cap_without_building_it(
+        capsys, monkeypatch, argv):
+    from springer_tworow import diagrams
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the arrow graph was built or walked")
+
+    for name in ("arrow_graph", "linear_order", "distance", "minimal_sequence", "meet"):
+        monkeypatch.setattr(diagrams, name, refuse)
+    count = cli.count_matchings(22, 11)
+    assert run(capsys, *argv) == (2, "", f"error: {argv[0]} -n 22 -k 11 would build an arrow "
+                                         f"graph on {count} matchings, more than the cap of "
+                                         f"{cli.ARROW_GRAPH_CAP}\n")
+
+
+def test_the_arrow_graph_cap_admits_20_10():
+    assert cli.count_matchings(20, 10) <= cli.ARROW_GRAPH_CAP < cli.count_matchings(20, 9)
+
+
 def test_the_tabloid_cap_admits_every_type_to_n_16():
     assert math.comb(16, 8) <= cli.TABLOID_CAP < math.comb(17, 8)
     assert cli.count_matchings(16, 8) <= cli.ENUMERATE_CAP

@@ -215,3 +215,43 @@ def test_action_path_builds_no_fraction(monkeypatch):
     assert built == []
     monkeypatch.undo()
     assert fractions.Fraction(1, 2) * 2 == 1
+
+
+def test_cold_action_path_builds_no_frozenset_table(monkeypatch):
+    # The action layer keys tabloid rows by bit masks: with both caches
+    # cold and every frozenset route raising wherever the package binds
+    # it, each caller still gives the answer it gave before.
+    import sys
+
+    from springer_tworow import action, tabloids
+    from springer_tworow.matchings import all_dotted_matchings
+
+    n, k, m = 6, 3, 2
+    sigma = random_sigma(n, k, m)
+    basis = standard_dotted_matchings(n, k, m)
+    other = next(M for M in all_dotted_matchings(n, k, m) if not M.is_standard)
+    x = HomClass.of(other) - HomClass.of(basis[0])
+
+    def run():
+        return (rep_matrix(sigma, n, k, m), action.act(sigma, x), act_via_gamma(sigma, basis[1]),
+                modules_equal(n, m, k), action.character_table_check(n, k))
+
+    want = run()
+    names = ("tabloid_index", "tabloid_keys", "_pair_terms", "matching_terms", "polytabloid_terms")
+    originals = {name: getattr(tabloids, name) for name in names}
+    tabloids._solver.cache_clear()
+    tabloids._mask_rows.cache_clear()
+    patched = []
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("springer_tworow"):
+            continue
+        for name, original in originals.items():
+            if vars(module).get(name) is original:
+                def refuse(*args, name=name):
+                    raise AssertionError(f"the action path called {name}")
+                monkeypatch.setattr(module, name, refuse)
+                patched.append((module.__name__, name))
+    assert {name for _, name in patched} == set(names)
+    got = run()
+    assert got[:4] == want[:4]
+    assert got[4].ok and got[4].rows == want[4].rows

@@ -234,6 +234,10 @@ def test_characters_examples():
             assert irr_character((n - m, m), (1,) * n) == count_matchings(n, m)
 
 
+def test_integer_rows_agree_with_the_frozenset_reference():
+    verify.check_integer_rows(8, random.Random(0))
+
+
 def test_young_rule_up_to_14():
     verify.check_young_rule(14, random.Random(0))
 
