@@ -9,6 +9,7 @@ looked up in its defining submodule on every access (PEP 562), importing
 that submodule on first use, so a caller pays only for what it touches.
 """
 import importlib
+import sys
 
 _EXPORTS = {
     "matchings": (
@@ -76,6 +77,19 @@ def __getattr__(name: str):
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def clear_caches() -> None:
+    """Empty every per-shape table: the ``lru_cache`` of each loaded submodule.
+
+    Imports nothing; a submodule not loaded yet has no table to empty.
+    Tests that patch the action layer, or need its factors cold, call it.
+    """
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{__name__}."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 def __dir__() -> list[str]:

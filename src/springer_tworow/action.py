@@ -9,10 +9,16 @@ terms of a dotted matching are its tabloid terms times (-1)^(m*(n mod 2))
 (the ``action.gamma-agreement`` verify invariant, n <= 10), so that
 route certifies the orientation convention, not an independent solve.
 
-Every caller solves against one cached factor per shape,
-``tabloids._solver(n, k, m)``, and coordinates are sparse ``{column: int}``
-dicts from end to end.  ``_image_coords`` moves a weighted sum of columns
-through ``_RowMap``, the one memo of row -> sigma(row), and solves.
+Every caller solves against one cached factor per (n, m),
+``tabloids._factor(n, m)``, read through its (n, k, m) view
+``tabloids._solver(n, k, m)``.  The view rests on the bijection
+M -> M.undotted from the standard basis of (n, k, m) onto that of
+(n, m, m), along which ``tableau_of`` agrees (the
+``tabloid.graded-module`` verify invariant): the degree-2m piece is the
+same module S^(n-m, m) for every k >= m, and a view only reorders its
+basis.  Coordinates are sparse ``{column: int}`` dicts from end to end.
+``_image_coords`` moves a weighted sum of columns through ``_RowMap``,
+the one memo of row -> sigma(row), and solves.
 ``act`` and ``act_via_gamma`` share one body and differ only in how a
 term becomes a column.  ``_solved_columns`` solves the image of every
 standard column with one row map, so each tabloid row is moved at most
@@ -21,13 +27,16 @@ are unit-triangular (the ``action.unit-triangular`` verify invariant), so
 every solve is integer back-substitution certified by a zero residual,
 and no Fraction is built on this path.
 
-``character_table_check`` works one grading at a time.  It solves the
-n - 1 generators through ``_solved_columns`` first, which proves the
-standard span S_n-stable.  Only then does it build the factor's dual
-basis, read every class trace off it with no solve, and drop it.  Each
-Coxeter relation w^e = 1 is checked on sparse products: w (s_i, or
-s_i s_j composed once from the generator columns) is raised to the
-power e and compared with the identity.
+``character_table_check`` works one grading at a time, and reads each
+grading's ``_certificate`` once per (n, m), since every k >= m has the
+same traces and relations.  A certificate solves the n - 1 generators
+through ``_solved_columns`` first, which proves the standard span
+S_n-stable.  Only then does it build the factor's dual basis, read every
+class trace off it with no solve, and drop it.  Each Coxeter relation
+w^e = 1 is checked on sparse products: w (s_i, or s_i s_j composed once
+from the generator columns) is raised to the power e and compared with
+the identity.  The certificate keeps the report rows and failure
+strings only.
 
 Tabloid rows are keyed by integer bit masks, not frozensets (see
 ``tabloids``): ``_RowMap`` moves a row by sending each set bit of
@@ -36,6 +45,8 @@ term (a nonstandard matching, a pole-flip image) becomes a
 ``{row: int}`` column by ``tabloids._pair_column``.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import (
     DomainError,
@@ -68,12 +79,16 @@ class _RowMap(dict):
     """Tabloid row r -> the row of sigma(r) at (n, m), moved on first lookup.
 
     A row moves as its bit mask: each set bit v goes to bit sigma(v).
+    With ``inverse`` it moves by sigma^-1, the same bit pairs read the
+    other way round, so no inverse permutation is built.
     """
 
-    def __init__(self, sigma: Permutation, n: int, m: int):
+    def __init__(self, sigma: Permutation, n: int, m: int, inverse: bool = False):
         if sigma.n != n:
             raise SizeMismatch(f"permutation on {sigma.n} letters, class on {n}")
-        self.image = {1 << v: 1 << s for v, s in enumerate(sigma.images, 1)}
+        pairs = enumerate(sigma.images, 1)
+        self.image = ({1 << s: 1 << v for v, s in pairs} if inverse
+                      else {1 << v: 1 << s for v, s in pairs})
         self.masks, self.row = _mask_rows(n, m)
 
     def __missing__(self, r: int) -> int:
@@ -122,7 +137,7 @@ def _act(sigma: Permutation, x: HomClass, weighted_column) -> HomClass:
 
 def _matching_column(M: DottedMatching, c: int, factor) -> tuple[int, dict[int, int]]:
     """c and the stored column of a standard M, or the expanded column of any other M."""
-    _, row, columns, position, _ = factor
+    row, columns, position = factor[1:4]
     j = position.get(M)
     return c, _pair_column(_arc_pairs(M), row) if j is None else columns[j]
 
@@ -354,37 +369,55 @@ def _coxeter_failures(gens: list[list[dict[int, int]]]) -> list[str]:
 def _factor_trace(sigma: Permutation, n: int, m: int, dual) -> int:
     """The trace of ``rep_matrix(sigma, n, k, m)``, off its factor's ``dual_basis()``.
 
-    Row p of the moved vector is row sigma^-1(p), so no solve runs.
+    Row p of the moved vector is row sigma^-1(p), read through the
+    inverse row map, so no solve runs and no permutation is inverted.
     Valid only once the span is known to be S_n-stable.
     """
-    inverse = Permutation(tuple(sorted(range(1, n + 1), key=sigma)))
-    return ColumnSolver.trace(dual, _RowMap(inverse, n, m).__getitem__)
+    return ColumnSolver.trace(dual, _RowMap(sigma, n, m, inverse=True).__getitem__)
+
+
+@lru_cache(maxsize=None)
+def _certificate(n: int, m: int) -> tuple[tuple, tuple[str, ...], tuple[str, ...]]:
+    """(rows, trace failures, relation failures) of grading m on n points.
+
+    Worked on the (n, m, m) view: the n - 1 generators are solved and
+    certified first, which proves the span S_n-stable; the dual basis is
+    then built, read by ``_factor_trace`` once per class and dropped;
+    the Coxeter relations come last.  Every (n, k, m) view is the same
+    module with its basis reordered, so its traces and relations are
+    these.  Only the report rows and failure strings are kept.
+    """
+    gens = [_solved_columns(adjacent(n, i), n, m, m) for i in range(1, n)]
+    dual = _solver(n, m, m)[4].dual_basis()
+    rows, failures = [], []
+    for mu in partitions(n):
+        trace = _factor_trace(class_representative(mu, n), n, m, dual)
+        expected = irr_character((n - m, m), mu)
+        rows.append((m, mu, trace, expected))
+        if trace != expected:
+            failures.append(f"m={m}, class {mu}: trace {trace} != character {expected}")
+    del dual
+    relations = tuple(f"m={m}: {text}" for text in _coxeter_failures(gens))
+    return tuple(rows), tuple(failures), relations
 
 
 def character_table_check(n: int, k: int) -> CharacterReport:
     """Traces against the two-row irreducible characters, plus Coxeter laws.
 
-    In each grading the generators are solved and certified first; the
-    dual basis is then built, read by ``_factor_trace`` and dropped.  Rows
-    and failures keep the order traces, then relations, grading by grading.
+    Each grading's ``_certificate`` is computed once per (n, m) and read
+    here; the (n, k, m) view is built (or read) for every m, so the
+    relabelling onto the (n, m, m) basis is proved for this k.  Rows and
+    failures keep the order traces, then relations, grading by grading.
     """
     check_type(n, k)
     report = CharacterReport(n, k)
-    generators = [adjacent(n, i) for i in range(1, n)]
-    classes = [(mu, class_representative(mu, n)) for mu in partitions(n)]
     for m in range(k + 1):
-        gens = [_solved_columns(sigma, n, k, m) for sigma in generators]
-        dual = _solver(n, k, m)[4].dual_basis()
-        for mu, sigma in classes:
-            trace = _factor_trace(sigma, n, m, dual)
-            expected = irr_character((n - m, m), mu)
-            report.rows.append((m, mu, trace, expected))
-            if trace != expected:
-                report.failures.append(f"m={m}, class {mu}: trace {trace} != character {expected}")
-        del dual
-        for text in _coxeter_failures(gens):
+        _solver(n, k, m)
+        rows, traces, relations = _certificate(n, m)
+        report.rows += rows
+        report.failures += traces + relations
+        if relations:
             report.coxeter_ok = False
-            report.failures.append(f"m={m}: {text}")
     return report
 
 

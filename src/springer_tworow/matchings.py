@@ -123,6 +123,8 @@ class DottedMatching(Record, frozen=True, order=True):
 
     @property
     def undotted(self) -> tuple[Arc, ...]:
+        if not self.dotted:
+            return self.base.arcs
         dotted = set(self.dotted)
         return tuple(a for a in self.base.arcs if a not in dotted)
 

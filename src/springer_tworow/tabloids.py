@@ -21,18 +21,28 @@ one cached ``_mask_rows(n, m)`` table gives the masks in row order and
 the row of each mask, in the same lexicographic order as
 ``tabloid_index``.  ``_pair_column`` expands a product of (plus - minus)
 vertex pairs by doubling a list of masks, one pair at a time, and emits
-the ``{row: int}`` column directly; ``_solver``'s matching columns,
+the ``{row: int}`` column directly; ``_factor``'s matching columns,
 ``modules_equal``'s polytabloid side and the action's expanded terms are
 all built this way, and no frozenset is made on that path.  The
 ``tabloids.integer-rows`` verify invariant checks the two keyings
 against each other.
+
+The action layer keeps one factor per (n, m), not per (n, k, m).  The
+map M -> M.undotted is a bijection from the standard dotted matchings of
+(n, k, m) onto those of (n, m, m), and ``tableau_of`` agrees along it
+(the ``tabloid.graded-module`` verify invariant), so the degree-2m piece
+is one module S^(n-m, m) for every k >= m.  A matching column reads only
+n and the undotted arcs, so ``_factor(n, m)`` builds the columns and the
+``ColumnSolver`` of the (n, m, m) basis once, and ``_solver(n, k, m)`` is
+a view of it with the columns renumbered; ``modules_equal`` solves its
+polytabloid side once per (n, m) the same way.
 """
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
 
-from .errors import DomainError, SizeMismatch, SolveFailed
+from .errors import DomainError, InternalCheckError, SizeMismatch, SolveFailed
 from .homology import HomClass, _check_grading
 from .linalg import ColumnSolver, _dense
 from .matchings import DottedMatching, StandardTableau, standard_dotted_matchings, tableau_of
@@ -191,22 +201,60 @@ def matching_terms(M: DottedMatching) -> dict[TabloidKey, int]:
 
 
 @lru_cache(maxsize=None)
-def _solver(n: int, k: int, m: int):
-    """Standard basis of (n, k, m), its matching columns and their factored solver.
+def _factor(n: int, m: int):
+    """The one matching factor of grading m on n points: (place, columns, solver).
 
-    Returns (basis, row, columns, position, solver): the standard basis,
-    the tabloid row of each bit mask (``_mask_rows``), each basis
-    element's matching column as ``{row: int}`` (``matching_terms`` built
-    on masks), the column number of each basis element, and the
-    ``ColumnSolver`` over the columns.  This is the
-    one factor per shape: the action, its pole-flip route and
-    ``modules_equal`` all solve against it, and none of them changes it.
+    Built on the standard basis of (n, m, m), the matchings with no dotted
+    arc.  ``columns`` are their matching columns as ``{row: int}`` dicts
+    over ``_mask_rows(n, m)``, ``solver`` the ``ColumnSolver`` over them,
+    and ``place`` the column number of each tuple of undotted arcs.  A
+    matching column reads only n and the undotted arcs (``_arc_pairs``),
+    so every (n, k, m) view shares these columns and this solver.
     """
-    basis = standard_dotted_matchings(n, k, m)
+    basis = standard_dotted_matchings(n, m, m)
     row = _mask_rows(n, m)[1]
     columns = [_pair_column(_arc_pairs(M), row) for M in basis]
-    position = {M: j for j, M in enumerate(basis)}
-    return basis, row, columns, position, ColumnSolver(columns)
+    return {M.undotted: j for j, M in enumerate(basis)}, columns, ColumnSolver(columns)
+
+
+@lru_cache(maxsize=None)
+def _solver(n: int, k: int, m: int):
+    """The (n, k, m) view of ``_factor(n, m)``, relabelled to the standard basis of (n, k, m).
+
+    Returns (basis, row, columns, position, solver, order): the standard
+    basis, the tabloid row of each bit mask (``_mask_rows``), each basis
+    element's matching column (the shared dict), the column number of
+    each basis element, the shared solver with its columns renumbered
+    (``ColumnSolver.relabelled``, no new factoring), and ``order``, the
+    shared column number of each basis element.  The view rests on the
+    bijection M -> M.undotted from the standard basis of (n, k, m) onto
+    that of (n, m, m), along which ``tableau_of`` agrees (the
+    ``tabloid.graded-module`` verify invariant); it is checked here, and
+    a basis element with no partner or a repeated partner, or a partner
+    left over, raises InternalCheckError.  The action, its pole-flip
+    route and ``modules_equal`` all solve against the view, and none of
+    them changes it.
+    """
+    basis = standard_dotted_matchings(n, k, m)
+    place, shared, solver = _factor(n, m)
+    where = f"graded module at (n, k, m) = ({n}, {k}, {m})"
+    seen: dict[int, int] = {}  # shared column -> basis position, in basis order
+    for i, M in enumerate(basis):
+        j = place.get(M.undotted)
+        if j is None:
+            raise InternalCheckError(f"{where}: no standard matching of ({n}, {m}, {m}) "
+                                     f"has the undotted arcs of {M}")
+        if j in seen:
+            raise InternalCheckError(f"{where}: {M} repeats the undotted arcs of "
+                                     f"{basis[seen[j]]}")
+        seen[j] = i
+    if len(seen) != len(shared):
+        left = next(N for N in standard_dotted_matchings(n, m, m) if place[N.undotted] not in seen)
+        raise InternalCheckError(f"{where}: no basis element has the undotted arcs of {left}")
+    order = tuple(seen)
+    position = {M: i for i, M in enumerate(basis)}
+    row = _mask_rows(n, m)[1]
+    return basis, row, [shared[j] for j in order], position, solver.relabelled(order), order
 
 
 def matching_vector(M: DottedMatching) -> TabloidVector:
@@ -257,28 +305,46 @@ class ModuleComparison(Record):
         self.matching_in_tableau = matching_in_tableau  # row i: e_M(i) over the e_T basis
 
 
+@lru_cache(maxsize=None)
+def _comparison(n: int, m: int):
+    """Both change-of-basis matrices of grading m on n points, or None when the spans differ.
+
+    (tableau in matching, matching in tableau) as sparse rows over the
+    standard basis of (n, m, m): row i holds the certified solve of the
+    i-th polytabloid against the matching factor, or of the i-th matching
+    column against the polytabloid factor, the one factored here.
+    """
+    basis, row, m_cols, _, m_solver, _ = _solver(n, m, m)
+    t_cols = [_pair_column(_tableau_pairs(tableau_of(M)), row) for M in basis]
+    t_solver = ColumnSolver(t_cols)
+    try:
+        return [m_solver.solve(col) for col in t_cols], [t_solver.solve(col) for col in m_cols]
+    except SolveFailed:
+        return None
+
+
 def modules_equal(n: int, m: int, k: int) -> ModuleComparison:
     """Span comparison of the tableau and matching spanning sets.
 
     The spanning sets are the polytabloids of standard (n-m, m) tableaux
     and the matching vectors of standard dotted matchings of type
     (n-k, k) with grading m, as sparse tabloid columns built on masks.
-    The matching side is the shared factor of ``_solver(n, k, m)``, read
-    and not changed; only the polytabloid side is expanded and factored
-    here.  Both factors are unit-triangular ``ColumnSolver``s; the spans
+    Both factors are unit-triangular ``ColumnSolver``s; the spans
     coincide exactly when every vector of each set solves in the other,
     and those certified solves are the two integer change-of-basis
-    matrices.
+    matrices.  They are solved once per (n, m), by ``_comparison`` over
+    the (n, m, m) basis, and written out here with rows and columns in
+    the order of the (n, k, m) view: ``tableau_of`` agrees along the
+    view's bijection, so both bases only change order.
     """
     _check_grading(n, k, m)
-    basis, row, m_cols, _, m_solver = _solver(n, k, m)
-    t_cols = [_pair_column(_tableau_pairs(tableau_of(M)), row) for M in basis]
-    t_solver = ColumnSolver(t_cols)
-    try:
-        t_in_m = [_dense(m_solver.solve(col), len(basis)) for col in t_cols]
-        m_in_t = [_dense(t_solver.solve(col), len(basis)) for col in m_cols]
-    except SolveFailed:
+    order = _solver(n, k, m)[5]
+    solved = _comparison(n, m)
+    if solved is None:
         return ModuleComparison(False, None, None)
+    place = {j: i for i, j in enumerate(order)}
+    t_in_m, m_in_t = ([_dense({place[j]: c for j, c in rows[s].items()}, len(order))
+                       for s in order] for rows in solved)
     return ModuleComparison(True, t_in_m, m_in_t)
 
 

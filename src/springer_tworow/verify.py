@@ -577,9 +577,11 @@ def check_integer_rows(n_max: int, rng) -> None:
     At every (n, m) with n up to min(n_max, 10): ``_mask_rows`` lists the
     mask of each ``tabloid_keys`` entry in row order, and for a seeded
     sigma, ``action._RowMap`` sends every row r to
-    ``tabloid_index[sigma.apply_to_set(keys[r])]``.  For every dotted
-    matching M, standard or not, the ``_pair_column`` of its arc pairs and
-    of its pole-flip pairs equal ``matching_terms`` and
+    ``tabloid_index[sigma.apply_to_set(keys[r])]``, and with ``inverse``
+    to the row of sigma^-1 applied to it (a class trace is the same for
+    sigma and sigma^-1, so the traces cannot tell them apart).  For every
+    dotted matching M, standard or not, the ``_pair_column`` of its arc
+    pairs and of its pole-flip pairs equal ``matching_terms`` and
     ``line_diagram_terms`` looked up in ``tabloid_index``; for a standard
     M so does the column of ``tableau_of(M)``'s pairs against
     ``polytabloid_terms``, and ``_solver``'s stored columns are those of
@@ -592,9 +594,12 @@ def check_integer_rows(n_max: int, rng) -> None:
             assert masks == tuple(sum(1 << v for v in key) for key in keys), (n, m)
             assert row == {mask: r for r, mask in enumerate(masks)}, (n, m)
             sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            inverse = Permutation(tuple(sorted(range(1, n + 1), key=sigma)))
             moved = action._RowMap(sigma, n, m)
+            back = action._RowMap(sigma, n, m, inverse=True)
             for r, key in enumerate(keys):
                 assert moved[r] == index[sigma.apply_to_set(key)], (n, m, sigma.images, r)
+                assert back[r] == index[inverse.apply_to_set(key)], (n, m, sigma.images, r)
         for k in range(n // 2 + 1):
             for m in range(k + 1):
                 index, row = tabloids.tabloid_index(n, m), tabloids._mask_rows(n, m)[1]
@@ -648,6 +653,36 @@ def check_modules_equal(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 7)):
         for m in range(k + 1):
             assert tabloids.modules_equal(n, m, k).equal, (n, m, k)
+
+
+def check_graded_module(n_max: int, rng) -> None:
+    """Every (n, k, m) view is the (n, m, m) graded module with its basis reordered.
+
+    For n up to min(n_max, 12) and every k >= m: M -> M.undotted is a
+    bijection from ``standard_dotted_matchings(n, k, m)`` onto that of
+    (n, m, m); ``tableau_of`` agrees along it; ``matching_of(tableau_of(M),
+    k)`` gives M back; and ``tabloids._solver(n, k, m)`` holds the columns
+    of ``tabloids._factor(n, m)`` themselves, in the bijection's order.
+    The action layer shares one factor per (n, m) on this bijection.
+    """
+    for n in range(1, min(n_max, 12) + 1):
+        for m in range(n // 2 + 1):
+            shared = standard_dotted_matchings(n, m, m)
+            place = {M.undotted: j for j, M in enumerate(shared)}
+            assert len(place) == len(shared), (n, m)
+            columns = tabloids._factor(n, m)[1]
+            for k in range(m, n // 2 + 1):
+                basis = standard_dotted_matchings(n, k, m)
+                order = [place.get(M.undotted) for M in basis]
+                assert None not in order and sorted(order) == list(range(len(shared))), \
+                    ((n, k, m), [str(M) for M, j in zip(basis, order) if j is None])
+                for M, j in zip(basis, order):
+                    T = tableau_of(M)
+                    assert T == tableau_of(shared[j]), ((n, k, m), str(M), str(shared[j]))
+                    assert matching_of(T, k) == M, ((n, k, m), str(M))
+                view = tabloids._solver(n, k, m)
+                assert view[5] == tuple(order), (n, k, m)
+                assert all(c is columns[j] for c, j in zip(view[2], order)), (n, k, m)
 
 
 def check_young_rule(n_max: int, rng) -> None:
@@ -911,6 +946,7 @@ CHECKS: list[Check] = [
     Check("tabloid.undotted-dependence", check_matching_vector_depends_on_undotted),
     Check("tabloid.f-embed", check_f_embed),
     Check("tabloid.modules-equal", check_modules_equal),
+    Check("tabloid.graded-module", check_graded_module),
     Check("tabloids.young-rule", check_young_rule),
     Check("tabloids.integer-rows", check_integer_rows),
     Check("action.unit-triangular", check_unit_triangular),

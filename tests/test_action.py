@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import springer_tworow
 from springer_tworow import errors, linalg, tabloids, verify
 from springer_tworow.action import (
     CASE_LABELS,
@@ -16,7 +17,12 @@ from springer_tworow.action import (
     rep_matrix,
 )
 from springer_tworow.homology import HomClass, hom_class
-from springer_tworow.matchings import all_dotted_matchings, parse_matching, standard_dotted_matchings
+from springer_tworow.matchings import (
+    all_dotted_matchings,
+    count_matchings,
+    parse_matching,
+    standard_dotted_matchings,
+)
 from springer_tworow.permutations import (
     adjacent,
     class_representative,
@@ -96,7 +102,10 @@ def test_pole_flip_terms_are_matching_terms_up_to_a_global_sign():
 
 
 def test_one_factor_serves_every_caller(monkeypatch):
-    # One matching factor for the shape; modules_equal adds its polytabloid factor.
+    # One matching factor per (n, m), shared by every k >= m; modules_equal
+    # adds one polytabloid factor per (n, m).  The character tables read
+    # every grading m' <= k, so each of (8, 0) .. (8, 4) is factored once.
+    n, m = 8, 2
     factored = []
     original = linalg.ColumnSolver.__init__
 
@@ -104,17 +113,19 @@ def test_one_factor_serves_every_caller(monkeypatch):
         factored.append(len(columns))
         original(self, columns)
 
-    tabloids._solver.cache_clear()
+    springer_tworow.clear_caches()
     monkeypatch.setattr(linalg.ColumnSolver, "__init__", counting)
-    sigma = parse_permutation("(1 3 4 7 6 2)", 7)
-    basis = standard_dotted_matchings(7, 3, 2)
-    rep_matrix(sigma, 7, 3, 2)
-    act(sigma, HomClass.of(basis[0]) - HomClass.of(basis[-1]))
-    act_via_gamma(sigma, basis[1])
-    assert modules_equal(7, 2, 3).equal
-    info = tabloids._solver.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    assert factored == [len(basis)] * 2
+    sigma = parse_permutation("(1 3 4 7 6 2)(5 8)", n)
+    for k in range(m, n // 2 + 1):
+        basis = standard_dotted_matchings(n, k, m)
+        rep_matrix(sigma, n, k, m)
+        act(sigma, HomClass.of(basis[0]) - HomClass.of(basis[-1]))
+        act_via_gamma(sigma, basis[1])
+        assert modules_equal(n, m, k).equal
+        assert character_table_check(n, k).ok
+    assert tabloids._factor.cache_info().misses == n // 2 + 1
+    assert sorted(factored) == sorted([count_matchings(n, j) for j in range(n // 2 + 1)]
+                                      + [count_matchings(n, m)])
 
 
 def test_gamma_route_agrees():

@@ -8,13 +8,22 @@ by sigma, look it up and solve, written out dense; take traces of solved
 matrices; multiply dense generator matrices; push every unit vector
 through every letter of a relation word.  They must agree exactly over
 every (n, k, m) with n <= 8, the traces to n = 10.
+
+The kernel keeps one factor per (n, m), and each (n, k, m) is a
+relabelled view of it; ``reference_solver`` factors every (n, k, m) on
+its own.  ``rep_matrix``, ``modules_equal`` and the rows and failures of
+``character_table_check`` are held to that per-shape route for every
+(n, k, m) with n <= 9.  Tests that patch the kernel start and end with
+``springer_tworow.clear_caches()``, so no certificate computed under a
+patch is read by another test.
 """
 import random
 from functools import lru_cache
 
 import pytest
 
-from springer_tworow import action, verify
+import springer_tworow
+from springer_tworow import action, tabloids, verify
 from springer_tworow.action import (
     act,
     act_via_gamma,
@@ -22,19 +31,26 @@ from springer_tworow.action import (
     line_diagram_terms,
     rep_matrix,
 )
-from springer_tworow.errors import SolveFailed
+from springer_tworow.errors import InternalCheckError, SolveFailed
 from springer_tworow.homology import HomClass, hom_class
 from springer_tworow.linalg import ColumnSolver
-from springer_tworow.matchings import all_dotted_matchings, standard_dotted_matchings
+from springer_tworow.matchings import all_dotted_matchings, standard_dotted_matchings, tableau_of
 from springer_tworow.permutations import (
     Permutation,
     adjacent,
     class_representative,
     partitions,
 )
-from springer_tworow.tabloids import irr_character, matching_terms, tabloid_index
+from springer_tworow.tabloids import (
+    irr_character,
+    matching_terms,
+    modules_equal,
+    polytabloid_terms,
+    tabloid_index,
+)
 
 NMAX = 8
+VIEW_NMAX = 9
 
 
 def shapes(n):
@@ -75,6 +91,45 @@ def reference_matrix(sigma, n, k, m):
     basis = standard_dotted_matchings(n, k, m)
     cols = [reference_coords(sigma, ((M, 1),), matching_terms, n, k, m) for M in basis]
     return [list(row) for row in zip(*cols)]
+
+
+def tableau_terms(M):
+    """The polytabloid terms of M's tableau: the tableau side of ``modules_equal``."""
+    return polytabloid_terms(tableau_of(M))
+
+
+def reference_comparison(n, k, m):
+    """Both change-of-basis matrices of (n, k, m), each set solved in the other's own factor."""
+    index = tabloid_index(n, m)
+    basis = standard_dotted_matchings(n, k, m)
+    sides = [(expand, [{index[key]: v for key, v in expand(M).items()} for M in basis])
+             for expand in (tableau_terms, matching_terms)]
+    (t_expand, t_cols), (m_expand, m_cols) = sides
+    return ([dense(reference_solver(m_expand, n, k, m).solve(col), len(basis)) for col in t_cols],
+            [dense(reference_solver(t_expand, n, k, m).solve(col), len(basis)) for col in m_cols])
+
+
+def reference_character_report(n, k):
+    """(rows, failures) of ``character_table_check`` on the per-shape reference route.
+
+    Traces from ``reference_matrix``; relations checked word by word on
+    generator columns solved by ``reference_coords``.
+    """
+    rows, failures = [], []
+    for m in range(k + 1):
+        for mu in partitions(n):
+            mat = reference_matrix(class_representative(mu, n), n, k, m)
+            trace = sum(mat[i][i] for i in range(len(mat)))
+            expected = irr_character((n - m, m), mu)
+            rows.append((m, mu, trace, expected))
+            if trace != expected:
+                failures.append(f"m={m}, class {mu}: trace {trace} != character {expected}")
+        basis = standard_dotted_matchings(n, k, m)
+        gens = [[{r: v for r, v in enumerate(reference_coords(adjacent(n, i), ((M, 1),),
+                                                              matching_terms, n, k, m)) if v}
+                 for M in basis] for i in range(1, n)]
+        failures += [f"m={m}: {text}" for text in reference_coxeter_failures(gens)]
+    return rows, failures
 
 
 def reference_class(sigma, x, expand):
@@ -155,7 +210,15 @@ def reference_character_failures(n, k):
 
 # --- the kernel against the reference ------------------------------------------
 
-@pytest.mark.parametrize("n", range(1, NMAX + 1))
+@pytest.fixture
+def cold_caches():
+    """Every per-shape table empty before the test and again after it."""
+    springer_tworow.clear_caches()
+    yield
+    springer_tworow.clear_caches()
+
+
+@pytest.mark.parametrize("n", range(1, VIEW_NMAX + 1))
 def test_rep_matrix_matches_reference(n):
     for k, m in shapes(n):
         sigmas = [adjacent(n, i) for i in range(1, n)] + [seeded_sigma(n, k, m)]
@@ -267,6 +330,58 @@ def test_composed_coxeter_check_fails_like_the_word_by_word_reference(n):
     assert failing
 
 
+@pytest.mark.parametrize("n", range(1, VIEW_NMAX + 1))
+def test_modules_equal_views_match_the_per_shape_reference(n):
+    for k, m in shapes(n):
+        got = modules_equal(n, m, k)
+        assert got.equal, (n, k, m)
+        want = reference_comparison(n, k, m)
+        assert (got.tableau_in_matching, got.matching_in_tableau) == want, (n, k, m)
+
+
+@pytest.mark.parametrize("n", range(2, VIEW_NMAX + 1))
+def test_character_check_matches_the_per_shape_reference(n):
+    for k in range(n // 2 + 1):
+        report = character_table_check(n, k)
+        rows, failures = reference_character_report(n, k)
+        assert (report.rows, report.failures, report.coxeter_ok) == (rows, failures, True), (n, k)
+
+
+def broken_basis(change, n, k, m):
+    """(basis, matching the error must name) for the (n, k, m) basis broken by ``change``.
+
+    A dropped element is named by its (n, m, m) partner, which is left over.
+    """
+    basis = standard_dotted_matchings(n, k, m)
+    place = tabloids._factor(n, m)[0]
+    if change == "dropped":
+        return basis[:-1], standard_dotted_matchings(n, m, m)[place[basis[-1].undotted]]
+    if change == "duplicated":
+        return basis + basis[-1:], basis[-1]
+    stray = next(M for M in all_dotted_matchings(n, k, m) if M.undotted not in place)
+    return basis[:-1] + (stray,), stray
+
+
+@pytest.mark.usefixtures("cold_caches")
+@pytest.mark.parametrize("change", ["dropped", "duplicated", "nonstandard"])
+def test_a_broken_view_basis_raises_naming_its_shape(monkeypatch, change):
+    n, k, m = 7, 3, 1
+    basis, culprit = broken_basis(change, n, k, m)
+    real = tabloids.standard_dotted_matchings
+
+    def patched(n2, k2, m2=None):
+        return basis if (n2, k2, m2) == (n, k, m) else real(n2, k2, m2)
+
+    monkeypatch.setattr(tabloids, "standard_dotted_matchings", patched)
+    assert character_table_check(n, m).ok  # the shared (7, 1) factor is sound
+    callers = [lambda: rep_matrix(adjacent(n, 1), n, k, m),
+               lambda: modules_equal(n, m, k), lambda: character_table_check(n, k)]
+    for call in callers:
+        with pytest.raises(InternalCheckError, match=r"\(n, k, m\) = \(7, 3, 1\)") as info:
+            call()
+        assert str(culprit) in str(info.value), change
+
+
 def test_factor_traces_match_rep_matrix_diagonals():
     verify.check_trace_agreement(10, random.Random(0))
 
@@ -279,6 +394,7 @@ def test_character_check_matches_dense_reference(n):
         assert report.failures == reference_character_failures(n, k) == []
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_character_check_solves_generators_before_reading_traces(monkeypatch):
     # per grading: the n - 1 generator solves, then one factor trace per
     # class and no solve for a class representative
@@ -346,6 +462,7 @@ def relations_broken(report):
     return {name for name, text in texts.items() if any(text in f for f in report.failures)}
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_broken_square_fails_like_the_reference(monkeypatch):
     # s1 -> s1 s2, a 3-cycle: not an involution once m >= 1
     patch_s1(monkeypatch, lambda real, k, m: mat_mul(generator(real, 1, k, m),
@@ -355,6 +472,7 @@ def test_broken_square_fails_like_the_reference(monkeypatch):
     assert "m=0: s1^2 != 1" not in report.failures
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_broken_braid_fails_like_the_reference(monkeypatch):
     # s1 -> 1: still an involution commuting with every s_j, but (1 s2)^3 = s2
     patch_s1(monkeypatch, lambda real, k, m: [[int(i == j) for j in range(len(g))]
@@ -364,6 +482,7 @@ def test_broken_braid_fails_like_the_reference(monkeypatch):
     assert "m=1: (s1 s2)^3 != 1" in report.failures
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_broken_commutation_fails_like_the_reference(monkeypatch):
     # s1 -> s3: (s3 s2)^3 = 1 still holds, but s3 and s4 do not commute
     patch_s1(monkeypatch, lambda real, k, m: generator(real, 3, k, m))
@@ -372,6 +491,7 @@ def test_broken_commutation_fails_like_the_reference(monkeypatch):
     assert "m=1: s1 and s4 do not commute" in report.failures
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_broken_trace_fails_with_its_class(monkeypatch):
     # one class trace off by 1: exactly its trace line fails, no relation does
     real, bad = action._factor_trace, class_representative((3, 2, 1), N)

@@ -196,7 +196,8 @@ def test_unit_triangular_invariant_to_n10():
 def test_action_path_builds_no_fraction(monkeypatch):
     import fractions
 
-    from springer_tworow import action, tabloids
+    import springer_tworow
+    from springer_tworow import action
 
     built = []
     original = fractions.Fraction.__new__
@@ -205,7 +206,7 @@ def test_action_path_builds_no_fraction(monkeypatch):
         built.append(args)
         return original(cls, *args, **kwargs)
 
-    tabloids._solver.cache_clear()
+    springer_tworow.clear_caches()
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
     sigma = random_sigma(7, 3, 2)
     basis = standard_dotted_matchings(7, 3, 2)
@@ -218,11 +219,12 @@ def test_action_path_builds_no_fraction(monkeypatch):
 
 
 def test_cold_action_path_builds_no_frozenset_table(monkeypatch):
-    # The action layer keys tabloid rows by bit masks: with both caches
+    # The action layer keys tabloid rows by bit masks: with every cache
     # cold and every frozenset route raising wherever the package binds
     # it, each caller still gives the answer it gave before.
     import sys
 
+    import springer_tworow
     from springer_tworow import action, tabloids
     from springer_tworow.matchings import all_dotted_matchings
 
@@ -239,8 +241,7 @@ def test_cold_action_path_builds_no_frozenset_table(monkeypatch):
     want = run()
     names = ("tabloid_index", "tabloid_keys", "_pair_terms", "matching_terms", "polytabloid_terms")
     originals = {name: getattr(tabloids, name) for name in names}
-    tabloids._solver.cache_clear()
-    tabloids._mask_rows.cache_clear()
+    springer_tworow.clear_caches()
     patched = []
     for module in list(sys.modules.values()):
         if not getattr(module, "__name__", "").startswith("springer_tworow"):

@@ -238,6 +238,10 @@ def test_integer_rows_agree_with_the_frozenset_reference():
     verify.check_integer_rows(8, random.Random(0))
 
 
+def test_every_k_reorders_the_graded_module_of_n_m():
+    verify.check_graded_module(8, random.Random(0))
+
+
 def test_young_rule_up_to_14():
     verify.check_young_rule(14, random.Random(0))
 
