@@ -10,13 +10,17 @@ terms of a dotted matching are its tabloid terms times (-1)^(m*(n mod 2))
 route certifies the orientation convention, not an independent solve.
 
 Every caller solves against one cached factor per (n, m),
-``tabloids._factor(n, m)``, read through its (n, k, m) view
-``tabloids._solver(n, k, m)``.  The view rests on the bijection
-M -> M.undotted from the standard basis of (n, k, m) onto that of
-(n, m, m), along which ``tableau_of`` agrees (the
-``tabloid.graded-module`` verify invariant): the degree-2m piece is the
-same module S^(n-m, m) for every k >= m, and a view only reorders its
-basis.  Coordinates are sparse ``{column: int}`` dicts from end to end.
+``tabloids._factor(n, m)``, through its (n, k, m) view
+``tabloids._solver(n, k, m)``: the (order, solver) pair of the shared
+column of each basis element and the shared solver renumbered to the
+(n, k, m) basis.  The view rests on the bijection M -> M.undotted from
+the standard basis of (n, k, m) onto that of (n, m, m), along which
+``tableau_of`` agrees (the ``tabloid.graded-module`` verify invariant):
+the degree-2m piece is the same module S^(n-m, m) for every k >= m, and
+a view only reorders its basis.  A matching column reads only n and the
+undotted arcs, so any term, standard or not, whose undotted arcs are a
+factor column's takes that column as it is; only other terms are
+expanded.  Coordinates are sparse ``{column: int}`` dicts from end to end.
 ``_image_coords`` moves a weighted sum of columns through ``_RowMap``,
 the one memo of row -> sigma(row), and solves.
 ``act`` and ``act_via_gamma`` share one body and differ only in how a
@@ -66,6 +70,7 @@ from .records import Record
 from .tabloids import (
     TabloidVector,
     _arc_pairs,
+    _factor,
     _mask_rows,
     _pair_column,
     _pair_terms,
@@ -113,7 +118,7 @@ def _image_coords(sigma: Permutation, n: int, k: int, m: int, columns,
             s = moved[r]
             target[s] = target.get(s, 0) + c * v
     try:
-        return _solver(n, k, m)[4].solve(target)
+        return _solver(n, k, m)[1].solve(target)
     except SolveFailed as exc:
         raise SolveFailed(f"action of {sigma.images} at (n, k, m) = ({n}, {k}, {m}) "
                           f"left the standard span: {exc}") from exc
@@ -122,24 +127,24 @@ def _image_coords(sigma: Permutation, n: int, k: int, m: int, columns,
 def _act(sigma: Permutation, x: HomClass, weighted_column) -> HomClass:
     """sigma applied to a homogeneous class, in the standard basis.
 
-    ``weighted_column(M, c, factor)`` turns c * M into (coefficient,
-    ``{row: int}`` column) over ``factor = _solver(n, k, m)``.
+    ``weighted_column(M, c)`` turns c * M into (coefficient, ``{row: int}``
+    column) over ``_mask_rows(n, m)``.
     """
     m = x.grading
     moved = _RowMap(sigma, x.n, m)
     if x.is_zero:
         return x
-    factor = _solver(x.n, x.k, m)
-    terms = (weighted_column(M, c, factor) for M, c in x.terms)
+    terms = (weighted_column(M, c) for M, c in x.terms)
     coords = _image_coords(sigma, x.n, x.k, m, terms, moved)
-    return hom_class(x.n, x.k, {factor[0][j]: c for j, c in coords.items()})
+    basis = standard_dotted_matchings(x.n, x.k, m)
+    return hom_class(x.n, x.k, {basis[j]: c for j, c in coords.items()})
 
 
-def _matching_column(M: DottedMatching, c: int, factor) -> tuple[int, dict[int, int]]:
-    """c and the stored column of a standard M, or the expanded column of any other M."""
-    row, columns, position = factor[1:4]
-    j = position.get(M)
-    return c, _pair_column(_arc_pairs(M), row) if j is None else columns[j]
+def _matching_column(M: DottedMatching, c: int) -> tuple[int, dict[int, int]]:
+    """c and the factor column with M's undotted arcs, or M's expanded column if none has them."""
+    place, columns, _ = _factor(M.n, M.m)
+    j = place.get(M.undotted)
+    return c, _pair_column(_arc_pairs(M), _mask_rows(M.n, M.m)[1]) if j is None else columns[j]
 
 
 def act(sigma: Permutation, x: HomClass) -> HomClass:
@@ -150,8 +155,9 @@ def act(sigma: Permutation, x: HomClass) -> HomClass:
 def _solved_columns(sigma: Permutation, n: int, k: int, m: int) -> list[dict[int, int]]:
     """Sparse coordinates of sigma on each standard basis element, each a certified solve."""
     moved = _RowMap(sigma, n, m)
-    return [_image_coords(sigma, n, k, m, ((1, column),), moved)
-            for column in _solver(n, k, m)[2]]
+    columns = _factor(n, m)[1]
+    return [_image_coords(sigma, n, k, m, ((1, columns[j]),), moved)
+            for j in _solver(n, k, m)[0]]
 
 
 def rep_matrix(sigma: Permutation, n: int, k: int, m: int) -> list[list[int]]:
@@ -187,9 +193,9 @@ def line_diagram_expand(M: DottedMatching) -> TabloidVector:
     return tabloid_vector(M.n, M.m, line_diagram_terms(M))
 
 
-def _pole_flip_column(M: DottedMatching, c: int, factor) -> tuple[int, dict[int, int]]:
+def _pole_flip_column(M: DottedMatching, c: int) -> tuple[int, dict[int, int]]:
     """c times (-1)^(m*(n mod 2)), the sign from matching to pole-flip terms, and M's column."""
-    return (-1) ** (M.m * (M.n % 2)) * c, _pair_column(_line_pairs(M), factor[1])
+    return (-1) ** (M.m * (M.n % 2)) * c, _pair_column(_line_pairs(M), _mask_rows(M.n, M.m)[1])
 
 
 def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
@@ -388,7 +394,7 @@ def _certificate(n: int, m: int) -> tuple[tuple, tuple[str, ...], tuple[str, ...
     these.  Only the report rows and failure strings are kept.
     """
     gens = [_solved_columns(adjacent(n, i), n, m, m) for i in range(1, n)]
-    dual = _solver(n, m, m)[4].dual_basis()
+    dual = _factor(n, m)[2].dual_basis()
     rows, failures = [], []
     for mu in partitions(n):
         trace = _factor_trace(class_representative(mu, n), n, m, dual)

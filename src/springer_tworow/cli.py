@@ -100,11 +100,19 @@ def _print_json(data) -> None:
     print(json.dumps(data, separators=(",", ":")))
 
 
+def _refuse_past(count: int, cap: int, command: str, n: int, k: int, phrase: str) -> None:
+    """Refuse ``command -n N -k K`` with a DomainError when count exceeds cap.
+
+    ``phrase`` says what the command would do, with ``{}`` for the count.
+    """
+    if count > cap:
+        raise DomainError(f"{command} -n {n} -k {k} would {phrase.format(count)}, "
+                          f"more than the cap of {cap}")
+
+
 def cmd_enumerate(args) -> int:
-    count = count_matchings(args.n, args.k)
-    if count > ENUMERATE_CAP:
-        raise DomainError(f"enumerate -n {args.n} -k {args.k} would list {count} matchings, "
-                          f"more than the cap of {ENUMERATE_CAP}")
+    _refuse_past(count_matchings(args.n, args.k), ENUMERATE_CAP, "enumerate", args.n, args.k,
+                 "list {} matchings")
     ms = enumerate_matchings(args.n, args.k)
     lines = [format_matching(DottedMatching(m, ())) for m in ms]
     if args.json:
@@ -185,10 +193,8 @@ def cmd_glue(args) -> int:
 
 def _check_arrow_graph(command: str, n: int, k: int) -> None:
     """Refuse a type with more matchings than ARROW_GRAPH_CAP, the nodes of its arrow graph."""
-    count = count_matchings(n, k)
-    if count > ARROW_GRAPH_CAP:
-        raise DomainError(f"{command} -n {n} -k {k} would build an arrow graph on {count} "
-                          f"matchings, more than the cap of {ARROW_GRAPH_CAP}")
+    _refuse_past(count_matchings(n, k), ARROW_GRAPH_CAP, command, n, k,
+                 "build an arrow graph on {} matchings")
 
 
 def _matching_pair(command: str, args):
@@ -263,9 +269,7 @@ def cmd_intersect(args) -> int:
 def _check_columns(command: str, n: int, k: int, m: int | None = None) -> None:
     """Refuse a type whose dotted matchings of grading m (or of all) exceed COLUMN_CAP."""
     width = count_matchings(n, k) * (2**k if m is None else math.comb(k, m))
-    if width > COLUMN_CAP:
-        raise DomainError(f"{command} -n {n} -k {k} would assemble {width} dotted-matching "
-                          f"columns, more than the cap of {COLUMN_CAP}")
+    _refuse_past(width, COLUMN_CAP, command, n, k, "assemble {} dotted-matching columns")
 
 
 def _check_tabloids(command: str, n: int, k: int, m: int | None = None) -> None:
@@ -275,14 +279,9 @@ def _check_tabloids(command: str, n: int, k: int, m: int | None = None) -> None:
     factors C(n, m) tabloid rows in grading m; over all m <= k <= n/2 (m
     None) the most is C(n, k).
     """
-    count = count_matchings(n, k)
-    if count > ENUMERATE_CAP:
-        raise DomainError(f"{command} -n {n} -k {k} would enumerate {count} matchings, "
-                          f"more than the cap of {ENUMERATE_CAP}")
-    rows = math.comb(n, k if m is None else m)
-    if rows > TABLOID_CAP:
-        raise DomainError(f"{command} -n {n} -k {k} would factor {rows} tabloid rows, "
-                          f"more than the cap of {TABLOID_CAP}")
+    _refuse_past(count_matchings(n, k), ENUMERATE_CAP, command, n, k, "enumerate {} matchings")
+    _refuse_past(math.comb(n, k if m is None else m), TABLOID_CAP, command, n, k,
+                 "factor {} tabloid rows")
 
 
 def cmd_betti(args) -> int:

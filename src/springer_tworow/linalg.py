@@ -8,11 +8,11 @@ they take a pivot.  A row led by 1 takes its pivot at once; one led by
 any other value waits until every row has been offered, so unit rows
 take pivots first.  Against a unit pivot a clearing step is a plain
 subtraction; against a non-unit one the row is first multiplied by
-pivot / gcd, so no step divides.  A row of at most ``_SHORT`` entries
-(almost every relation and boundary row: 2-4 entries of +-1) finds its
-next column by a scan, a longer one from a heap.  Fraction appears only
-in results that divide by a non-unit pivot: the rows of ``rref`` and the
-remainders of ``reduce``.  This is sparse exact elimination in the
+pivot / gcd, so no step divides.  Each step finds the row's next
+column by one scan of its entries (almost every relation and boundary
+row has 2-4 entries of +-1).  Fraction appears only in results that
+divide by a non-unit pivot: the rows of ``rref`` and the remainders of
+``reduce``.  This is sparse exact elimination in the
 spirit of Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001).
 
 ``rref``, ``rank``, ``row_space_equal``, ``in_row_space`` and
@@ -30,7 +30,6 @@ anywhere.
 """
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -40,8 +39,6 @@ from .errors import InternalCheckError, SolveFailed
 
 Number = Union[int, Fraction]
 SparseRow = dict[int, Number]
-
-_SHORT = 8
 
 
 class Echelon:
@@ -83,29 +80,19 @@ class Echelon:
         ``scale`` on the way.  A pivot row has entries right of its pivot
         only, so a passed column never fills again.
         """
-        rows, scale, c, heap = self.rows, 1, -1, None
+        rows, scale, c = self.rows, 1, -1
         while True:
-            if heap is None and len(v) > _SHORT:
-                heap = [j for j in v if j > c]
-                heapq.heapify(heap)
-            if heap is None:
-                # Unless full, every passed column was cleared out of v.
-                later = [j for j in v if j > c] if full else v
-                if not later:
-                    return None, scale
-                c = min(later)
-            elif not heap:
+            # Unless full, every passed column was cleared out of v.
+            later = [j for j in v if j > c] if full else v
+            if not later:
                 return None, scale
-            else:
-                c = heapq.heappop(heap)
-                if not v.get(c):
-                    continue
+            c = min(later)
             row = rows.get(c)
             if row is None:
                 if full:
                     continue
                 return c, scale
-            scale *= _clear(v, c, row, heap)
+            scale *= _clear(v, c, row)
 
     def reduce(self, vector: Mapping[int, Number]) -> SparseRow:
         """The remainder of vector after clearing every pivot column.
@@ -127,16 +114,13 @@ class Echelon:
             row = self.rows[p]
             cleared = [j for j in row if j != p and j in self.rows]
             for j in cleared:
-                _clear(row, j, self.rows[j], None)
+                _clear(row, j, self.rows[j])
             if cleared:
                 self.rows[p] = _primitive(row, p)
 
 
-def _clear(v: dict[int, int], c: int, row: dict[int, int], heap: list | None) -> int:
-    """Make v[c] zero with the pivot row led at c; return the factor v was scaled by.
-
-    New columns of v are pushed onto ``heap`` when one is given.
-    """
+def _clear(v: dict[int, int], c: int, row: dict[int, int]) -> int:
+    """Make v[c] zero with the pivot row led at c; return the factor v was scaled by."""
     f, p = v[c], row[c]
     a = 1
     if p != 1:
@@ -148,8 +132,6 @@ def _clear(v: dict[int, int], c: int, row: dict[int, int], heap: list | None) ->
     for j, x in row.items():
         y = v.get(j, 0) - f * x
         if y:
-            if heap is not None and j not in v:
-                heapq.heappush(heap, j)
             v[j] = y
         else:
             del v[j]

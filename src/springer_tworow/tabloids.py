@@ -33,9 +33,13 @@ map M -> M.undotted is a bijection from the standard dotted matchings of
 (the ``tabloid.graded-module`` verify invariant), so the degree-2m piece
 is one module S^(n-m, m) for every k >= m.  A matching column reads only
 n and the undotted arcs, so ``_factor(n, m)`` builds the columns and the
-``ColumnSolver`` of the (n, m, m) basis once, and ``_solver(n, k, m)`` is
-a view of it with the columns renumbered; ``modules_equal`` solves its
-polytabloid side once per (n, m) the same way.
+``ColumnSolver`` of the (n, m, m) basis once.  The view
+``_solver(n, k, m)`` holds only (order, solver): the shared column of
+each (n, k, m) basis element, checked to be a bijection, and the shared
+solver renumbered to that basis.  Its callers read the basis from
+``standard_dotted_matchings``, the rows from ``_mask_rows`` and the
+columns from ``_factor``; ``modules_equal`` solves its polytabloid side
+once per (n, m) against ``_factor`` itself.
 """
 from __future__ import annotations
 
@@ -70,17 +74,6 @@ class TabloidVector(Record, frozen=True):
     @property
     def is_zero(self) -> bool:
         return not self.coords
-
-    def __add__(self, other: "TabloidVector") -> "TabloidVector":
-        if (self.n, self.m) != (other.n, other.m):
-            raise SizeMismatch("tabloid shapes differ")
-        out = self.as_dict
-        for key, c in other.coords:
-            out[key] = out.get(key, 0) + c
-        return tabloid_vector(self.n, self.m, out)
-
-    def __sub__(self, other: "TabloidVector") -> "TabloidVector":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "TabloidVector":
         return tabloid_vector(self.n, self.m, {k: c * v for k, v in self.coords})
@@ -169,8 +162,7 @@ def _pair_column(pairs, row: dict[int, int]) -> dict[int, int]:
 
 
 def _tableau_pairs(T: StandardTableau) -> tuple[tuple[int, int], ...]:
-    """The (bottom, top) column pairs of a checked tableau: the polytabloid's pairs."""
-    T.check()
+    """The (bottom, top) column pairs of a tableau: the polytabloid's pairs."""
     return tuple(zip(T.bottom, T.top))
 
 
@@ -187,6 +179,7 @@ def _arc_pairs(M: DottedMatching) -> list[tuple[int, int]]:
 
 def polytabloid_terms(T: StandardTableau) -> dict[TabloidKey, int]:
     """Integer terms of the polytabloid: alternating sum over the column stabilizer."""
+    T.check()
     return _pair_terms(_tableau_pairs(T))
 
 
@@ -219,21 +212,19 @@ def _factor(n: int, m: int):
 
 @lru_cache(maxsize=None)
 def _solver(n: int, k: int, m: int):
-    """The (n, k, m) view of ``_factor(n, m)``, relabelled to the standard basis of (n, k, m).
+    """The (n, k, m) view of ``_factor(n, m)``: (order, solver).
 
-    Returns (basis, row, columns, position, solver, order): the standard
-    basis, the tabloid row of each bit mask (``_mask_rows``), each basis
-    element's matching column (the shared dict), the column number of
-    each basis element, the shared solver with its columns renumbered
-    (``ColumnSolver.relabelled``, no new factoring), and ``order``, the
-    shared column number of each basis element.  The view rests on the
-    bijection M -> M.undotted from the standard basis of (n, k, m) onto
-    that of (n, m, m), along which ``tableau_of`` agrees (the
-    ``tabloid.graded-module`` verify invariant); it is checked here, and
-    a basis element with no partner or a repeated partner, or a partner
-    left over, raises InternalCheckError.  The action, its pole-flip
-    route and ``modules_equal`` all solve against the view, and none of
-    them changes it.
+    ``order`` is the shared column number of each element of the standard
+    basis of (n, k, m), and ``solver`` the shared solver with its columns
+    renumbered to that basis (``ColumnSolver.relabelled``, no new
+    factoring).  The view rests on the bijection M -> M.undotted from the
+    standard basis of (n, k, m) onto that of (n, m, m), along which
+    ``tableau_of`` agrees (the ``tabloid.graded-module`` verify
+    invariant); it is checked here, and a basis element with no partner
+    or a repeated partner, or a partner left over, raises
+    InternalCheckError.  The action and its pole-flip route solve against
+    the view, ``modules_equal`` reads its order, and none of them changes
+    it.
     """
     basis = standard_dotted_matchings(n, k, m)
     place, shared, solver = _factor(n, m)
@@ -252,9 +243,7 @@ def _solver(n: int, k: int, m: int):
         left = next(N for N in standard_dotted_matchings(n, m, m) if place[N.undotted] not in seen)
         raise InternalCheckError(f"{where}: no basis element has the undotted arcs of {left}")
     order = tuple(seen)
-    position = {M: i for i, M in enumerate(basis)}
-    row = _mask_rows(n, m)[1]
-    return basis, row, [shared[j] for j in order], position, solver.relabelled(order), order
+    return order, solver.relabelled(order)
 
 
 def matching_vector(M: DottedMatching) -> TabloidVector:
@@ -314,8 +303,10 @@ def _comparison(n: int, m: int):
     i-th polytabloid against the matching factor, or of the i-th matching
     column against the polytabloid factor, the one factored here.
     """
-    basis, row, m_cols, _, m_solver, _ = _solver(n, m, m)
-    t_cols = [_pair_column(_tableau_pairs(tableau_of(M)), row) for M in basis]
+    _, m_cols, m_solver = _factor(n, m)
+    row = _mask_rows(n, m)[1]
+    t_cols = [_pair_column(_tableau_pairs(tableau_of(M)), row)
+              for M in standard_dotted_matchings(n, m, m)]
     t_solver = ColumnSolver(t_cols)
     try:
         return [m_solver.solve(col) for col in t_cols], [t_solver.solve(col) for col in m_cols]
@@ -338,7 +329,7 @@ def modules_equal(n: int, m: int, k: int) -> ModuleComparison:
     view's bijection, so both bases only change order.
     """
     _check_grading(n, k, m)
-    order = _solver(n, k, m)[5]
+    order = _solver(n, k, m)[0]
     solved = _comparison(n, m)
     if solved is None:
         return ModuleComparison(False, None, None)

@@ -34,6 +34,13 @@ def test_betti_json(capsys):
     assert code == 0 and out.strip() == "1 4 5"
 
 
+def test_betti_both_exits_3_on_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli.homology, "presentation_betti", lambda n, k: [1, 2])
+    code, out, err = run(capsys, "betti", "-n", "4", "-k", "1", "--method", "both")
+    assert (code, out) == (3, "")
+    assert err == "mismatch: standard=[1, 3] cokernel=[1, 2]\n"
+
+
 def test_act_command(capsys):
     code, out, _ = run(
         capsys, "act", "--sigma", "(2 3)", "--class", "4: u1-2 u3-4"
@@ -254,6 +261,9 @@ def test_intersect(capsys):
     assert out.splitlines()[0] == "x1=-p; x2=-p; x3=-p; x4=+p"
     code, out, _ = run(capsys, "intersect", "4: u1-2 r3 r4", "4: r1 r2 u3-4")
     assert code == 0 and out.strip() == "empty"
+    code, out, _ = run(capsys, "intersect", "4: u1-2 u3-4")
+    assert code == 0
+    assert out.splitlines() == ["x1 free; x2=x1; x3 free; x4=x3", "dimension=4"]
 
 
 def test_tableau_roundtrip(capsys):
@@ -272,6 +282,8 @@ def test_complete_restrict(capsys):
     assert code == 0 and out.strip() == "8: d1-8 d2-5 u3-4 u6-7"
     code, out, _ = run(capsys, "restrict", out.strip(), "--pad", "2")
     assert code == 0 and out.strip() == "6: u1-2 r3 u4-5 r6"
+    code, out, _ = run(capsys, "restrict", "6: u1-6 u2-3 d4-5", "--pad", "1")
+    assert code == 0 and out == "5: u1-2 d3-4 r5\n"
 
 
 def test_order_and_relations(capsys):
@@ -383,6 +395,14 @@ def test_render_deterministic(tmp_path, capsys):
     assert out1.count("<circle") == 2        # one arc dot + one ray dot
     ascii_code, ascii_out, _ = run(capsys, "render", "2: u1-2")
     assert ascii_code == 0 and "1" in ascii_out and "2" in ascii_out
+    path = tmp_path / "out.txt"
+    assert run(capsys, "render", "2: u1-2", "-o", str(path)) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == ascii_out
+    text = "1·(4: u1-2 u3-4) - 1·(4: u1-4 u2-3)"
+    code, out, _ = run(capsys, "render", text, "--format", "svg")
+    assert code == 0 and out.count("<path") == 4 and ">1·<" in out and ">-1·<" in out
+    code, out, _ = run(capsys, "render", "0·(2: u1-2)", "--format", "svg")
+    assert code == 0 and ">0</text>" in out and "<path" not in out
 
 
 def test_render_rejects_an_unclosed_class(capsys):

@@ -19,8 +19,7 @@ integer one replaced: every relation and boundary row built as a
 every overlay glued with ``diagrams.glue``.  The integer relation rows
 (for every m and three node orders), the boundary rows (to n = 9), the
 relation normal forms and the cokernel ranks must equal theirs in value and
-order.  ``Echelon`` must give the same rows whether
-each row's columns are walked by a scan or from a heap.
+order.
 """
 import itertools
 import random
@@ -186,13 +185,11 @@ def test_random_matrices_match_reference(seed):
     assert fractional, "no trial needed a non-unit pivot"
 
 
-@pytest.mark.parametrize("short", [0, 10**9], ids=["heap", "scan"])
-def test_echelon_rows_match_reference_on_either_column_walk(monkeypatch, short):
-    """Rows of at most ``_SHORT`` entries are walked by a scan, longer ones by a heap.
+def test_echelon_rows_match_reference():
+    """Back-substituted and normalised, the ``Echelon`` rows are the Fraction reference's.
 
-    Forcing either walk on every row gives the rows of the default mix,
-    which back-substituted and normalised are the Fraction reference's,
-    and the same remainders as the reference.
+    Its remainders are the reference's too, on boundary and relation
+    blocks and on seeded random rows with non-unit entries.
     """
     rng = random.Random(5)
     cases = [rows for _, _, psi, rel in blocks(6) for rows in (psi, rel)]
@@ -203,16 +200,12 @@ def test_echelon_rows_match_reference_on_either_column_walk(monkeypatch, short):
     for dense in cases:
         if not dense:
             continue
-        default = echelon_items(linalg.Echelon(map(linalg._sparse, dense)))
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "_SHORT", short)
-            basis = linalg.Echelon(map(linalg._sparse, dense))
-            assert echelon_items(basis) == default
-            want = reference_rref(dense)
-            probe = [rng.choice([0, 1, -1, 2]) for _ in dense[0]]
-            remainder = basis.reduce(linalg._sparse(probe))
-            assert linalg._dense(remainder, len(probe)) == reference_reduce(probe, *want)
-            basis.back_substitute()
+        basis = linalg.Echelon(map(linalg._sparse, dense))
+        want = reference_rref(dense)
+        probe = [rng.choice([0, 1, -1, 2]) for _ in dense[0]]
+        remainder = basis.reduce(linalg._sparse(probe))
+        assert linalg._dense(remainder, len(probe)) == reference_reduce(probe, *want)
+        basis.back_substitute()
         got = [[Fraction(x, row[p]) for x in linalg._dense(row, len(dense[0]))]
                for p, row in sorted(basis.rows.items())]
         assert (got, sorted(basis.rows)) == want
@@ -238,10 +231,6 @@ def test_linear_reduction_matches_rewriting(n):
             if not M.is_standard:
                 x = HomClass.of(M)
                 assert reduce_class(x, "linear") == reduce_class(x, "rewrite"), M
-
-
-def echelon_items(basis):
-    return {p: sorted(row.items()) for p, row in basis.rows.items()}
 
 
 def nonstandard_forms(n, k, m, rels):

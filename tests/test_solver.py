@@ -180,7 +180,7 @@ def test_dual_basis_vectors_solve_to_unit_vectors_on_the_pivot_rows(n):
     from springer_tworow import tabloids
 
     for k, m in shapes(n):
-        solver = tabloids._solver(n, k, m)[4]
+        solver = tabloids._solver(n, k, m)[1]
         dual = solver.dual_basis()
         pivots = [p for p, _ in dual]
         assert pivots == sorted(step[0] for step in solver._steps), (n, k, m)

@@ -79,6 +79,8 @@ def test_polytabloid_examples():
     assert polytabloid(StandardTableau((1, 2, 3), ())) == tv(3, 0, {(): 1})
     e2 = polytabloid(StandardTableau((1, 3), (2, 4)))
     assert e2 == tv(4, 2, {(2, 4): 1, (1, 4): -1, (2, 3): -1, (1, 3): 1})
+    with pytest.raises(errors.ShapeMismatch, match="columns must strictly increase"):
+        polytabloid(StandardTableau((2, 3), (1,)))
 
 
 def test_matching_vector_examples():
