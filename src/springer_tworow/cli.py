@@ -50,6 +50,9 @@ TABLOID_CAP = 2 * 10**4
 #: ``meet`` build: (20, 10) has 16,796 (2.2 s, 107 MB), (20, 9) 41,990 (5.6 s, 212 MB),
 #: measured for ``distance`` and ``order`` on two cores with Python 3.11.
 ARROW_GRAPH_CAP = 2 * 10**4
+#: The deepest ``calibrate --nmax`` searches: depth 11 takes 2.4 s, depth 12 6.5 s (each
+#: depth about 2.7 times the one before), measured from the CLI on two cores with Python 3.11.
+CALIBRATE_CAP = 11
 DESCRIPTION = ("Two-row Springer varieties: noncrossing matchings, homology and the S_n action.  "
                "Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.")
 
@@ -406,6 +409,9 @@ def cmd_skein(args) -> int:
 def cmd_calibrate(args) -> int:
     from . import skein
 
+    if args.nmax > CALIBRATE_CAP:
+        raise DomainError(f"calibrate --nmax {args.nmax} would search past the depth cap "
+                          f"of {CALIBRATE_CAP}")
     convention = skein.calibrate(args.nmax)
     print(
         f"identity={convention.identity_coeff} "

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from . import linalg
@@ -192,6 +192,13 @@ def relation_instances(n: int, k: int, m: int | None = None,
 
 # --- reduction to the standard basis -----------------------------------------
 
+def _nonstandard_columns(bases: Sequence[Matching], masks: Sequence[int]) -> list[int]:
+    """Column numbers of the nonstandard dotted matchings: a dot mask outside ``dottable``."""
+    width = len(masks)
+    return [i * width + r for i, base in enumerate(bases)
+            for r, d in enumerate(masks) if d & ~base.dottable]
+
+
 @lru_cache(maxsize=None)
 def _reduction_data(n: int, k: int, m: int, order: tuple[Matching, ...] | None = None):
     """(column, forms, standard): the normal forms of the relation rows of grading m.
@@ -204,8 +211,7 @@ def _reduction_data(n: int, k: int, m: int, order: tuple[Matching, ...] | None =
     bases = enumerate_matchings(n, k)
     masks, rank = _column_numbers(k, m)
     start = {base: i * len(masks) for i, base in enumerate(bases)}
-    forms = linalg.normal_forms(_relation_rows(n, k, m, order), [
-        start[base] + r for base in bases for r, d in enumerate(masks) if d & ~base.dottable])
+    forms = linalg.normal_forms(_relation_rows(n, k, m, order), _nonstandard_columns(bases, masks))
     standard = dict(zip((c for c in range(len(bases) * len(masks)) if c not in forms),
                         standard_dotted_matchings(n, k, m)))
     return (lambda M: start[M.base] + rank[M.mask]), forms, standard

@@ -32,7 +32,11 @@ into a circle or merges two components: the two topologies provably
 cannot share one decoration (closing a dotted cap must die while merging
 through a dotted arc must survive).  :func:`calibrate` is a check, not
 set-up: it searches the family for the conventions that agree with the
-tabloid-oracle action and changes nothing.
+tabloid-oracle action and changes nothing.  The search is pair-major: it
+walks the pairs (standard M, generator s_i) with 2 <= n <= n_max once,
+computes the oracle action at each pair once, and filters the surviving
+candidates there.  Depth 2 is the least that checks a pair, and it leaves
+several fits; depth 3 pins :data:`CALIBRATED_CONVENTION`.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ import random
 
 from .action import act_word
 from .errors import (
+    DomainError,
     InhomogeneousClass,
     InternalCheckError,
     MultipleConventionsFit,
@@ -50,7 +55,9 @@ from .matchings import DottedMatching, standard_dotted_matchings, validate
 from .permutations import Permutation
 from .records import Record
 
-PLACEMENTS = ("none", "upperArc", "lowerArc", "both")
+#: (dots added to the cup side, dots added to the cap side) of each turnback placement.
+_PLACEMENT_DOTS = {"none": (0, 0), "upperArc": (1, 0), "lowerArc": (0, 1), "both": (1, 1)}
+PLACEMENTS = tuple(_PLACEMENT_DOTS)
 
 
 class FlatTangle(Record, frozen=True):
@@ -89,12 +96,7 @@ class ResolutionConvention(Record, frozen=True, order=True):
 
     def dots_for(self, placement: str) -> tuple[int, int]:
         """(dots added to the cup side, dots added to the cap side)."""
-        return {
-            "none": (0, 0),
-            "upperArc": (1, 0),
-            "lowerArc": (0, 1),
-            "both": (1, 1),
-        }[placement]
+        return _PLACEMENT_DOTS[placement]
 
 
 #: The convention every evaluator uses by default, the unique fit that
@@ -380,48 +382,64 @@ def _anchor_ok(c: ResolutionConvention) -> bool:
     )
 
 
-def _agrees(c: ResolutionConvention, n_max: int) -> bool:
+def convention_family() -> list[ResolutionConvention]:
+    """The finite search space for calibration, generated in lexicographic order."""
+    coeffs = range(-2, 3)
+    placements = sorted(PLACEMENTS)
+    return [
+        ResolutionConvention(ic, cc, cd, mc, md)
+        for ic in coeffs
+        for cc in coeffs
+        for cd in placements
+        for mc in coeffs
+        for md in placements
+    ]
+
+
+def _fits(c: ResolutionConvention, M: DottedMatching, tangle: FlatTangle,
+          want: HomClass) -> bool:
+    """Whether c evaluates the tangle under M to WANT; a raising evaluation does not fit."""
+    try:
+        return resolve_evaluate(M, tangle, c) == want
+    except (InhomogeneousClass, InternalCheckError):
+        return False
+
+
+def _generator_pairs(n_max: int):
+    """(M, i) for every standard M with 2 <= n <= N_MAX and every s_i of S_n, in search order."""
     for n in range(2, n_max + 1):
         for k in range(0, n // 2 + 1):
             for m in range(k + 1):
                 for M in standard_dotted_matchings(n, k, m):
                     for i in range(1, n):
-                        try:
-                            got = resolve_evaluate(M, flatten((i,), n), c)
-                        except (InhomogeneousClass, InternalCheckError):
-                            return False
-                        want = act_word([i], HomClass.of(M))
-                        if got != want:
-                            return False
-    return True
-
-
-def convention_family() -> list[ResolutionConvention]:
-    """The finite search space for calibration, lexicographically sorted."""
-    coeffs = range(-2, 3)
-    out = [
-        ResolutionConvention(ic, cc, cd, mc, md)
-        for ic in coeffs
-        for cc in coeffs
-        for cd in PLACEMENTS
-        for mc in coeffs
-        for md in PLACEMENTS
-    ]
-    return sorted(out)
+                        yield M, i
 
 
 def calibrate(n_max: int) -> ResolutionConvention:
     """Search the convention family for agreement with the oracle action.
 
+    One pass over the pairs (M, s_i): every standard dotted matching M
+    with 2 <= n <= N_MAX, by n, k and grading m, and every generator s_i
+    of S_n.  Each pair computes the tabloid-oracle action of s_i on M once
+    and keeps the ``_anchor_ok`` candidates whose single-crossing skein
+    evaluation equals it; the pass stops when none is left.  Depth 2
+    leaves several fits and depth 3 pins one.
+
     Returns the unique fitting convention and changes nothing.  Raises
-    NoConventionFits when the family is empty of fits at this depth and
+    DomainError below depth 2, where no generator acts; NoConventionFits
+    when the family is empty of fits at this depth; and
     MultipleConventionsFit (all fits attached, least first) when the depth
     under-constrains the family.
     """
-    fits = [
-        c for c in convention_family()
-        if _anchor_ok(c) and _agrees(c, n_max)
-    ]
+    if n_max < 2:
+        raise DomainError(f"calibration depth {n_max} is below 2, where no generator acts")
+    fits = [c for c in convention_family() if _anchor_ok(c)]
+    for M, i in _generator_pairs(n_max):
+        if not fits:
+            break
+        tangle = flatten((i,), M.n)
+        want = act_word([i], HomClass.of(M))
+        fits = [c for c in fits if _fits(c, M, tangle, want)]
     if not fits:
         raise NoConventionFits(f"no convention matches the action up to n={n_max}")
     if len(fits) > 1:

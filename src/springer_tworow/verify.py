@@ -443,6 +443,24 @@ def check_relation_span_matches_boundary(n_max: int, rng) -> None:
             assert linalg.normal_forms(rows, forms) == forms, (n, k, m)
 
 
+def check_psi_peel(n_max: int, rng) -> None:
+    """The ψ₋ rows alone prove the standard basis, up to n = min(n_max, 13).
+
+    ``linalg.normal_forms`` of ``_psi_minus_rows``, with the nonstandard
+    columns as pivots, peels every nonstandard column with a ±1 entry and
+    leaves no row that fails to vanish (it raises otherwise).  So the
+    integral cokernel of ψ₋ is free on the standard columns, with no
+    relation side involved.
+    """
+    for n, k in _types(min(n_max, 13)):
+        bases = enumerate_matchings(n, k)
+        arrows = homology._circle_bits(n, k, None)
+        for m in range(k + 1):
+            pivots = homology._nonstandard_columns(bases, _column_numbers(k, m)[0])
+            forms = linalg.normal_forms(homology._psi_minus_rows(k, m, arrows), pivots)
+            assert forms.keys() == set(pivots), (n, k, m)
+
+
 def check_arrow_overlays(n_max: int, rng) -> None:
     """The overlay circles read off the arrow-move table agree with ``glue``.
 
@@ -933,6 +951,7 @@ CHECKS: list[Check] = [
     Check("homology.reduce-agreement", check_reduce_agreement),
     Check("homology.relations-die", check_relations_die),
     Check("homology.relation-span", check_relation_span_matches_boundary),
+    Check("homology.psi-peel", check_psi_peel),
     Check("homology.arrow-overlays", check_arrow_overlays),
     Check("homology.column-numbers", check_column_numbers),
     Check("homology.betti-both-ways", check_betti_both_ways),

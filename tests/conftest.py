@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import springer_tworow
 from springer_tworow import verify
 
 RESULT_LINES: list[str] = []
@@ -11,6 +12,13 @@ RESULT_LINES: list[str] = []
 def component_steps_n8():
     """The ``diagram.component-steps`` invariant at n <= 8, run once per session."""
     verify.check_component_steps(8, random.Random(0))
+
+
+@pytest.fixture(scope="module", autouse=True)
+def cold_caches_after_module():
+    """Empty the per-shape tables after each test module, so no later module inherits them."""
+    yield
+    springer_tworow.clear_caches()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -368,6 +368,24 @@ def test_skein_and_calibrate(capsys):
     assert code == 0 and out.strip() == "-1·(3: r1 u2-3)"
 
 
+def test_calibrate_refuses_depths_outside_its_range_without_searching(capsys, monkeypatch):
+    from springer_tworow import skein
+
+    code, out, err = run(capsys, "calibrate", "--nmax", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: calibration depth 1 is below 2, where no generator acts\n"
+
+    def refuse(n_max):
+        raise AssertionError("calibrate called")
+
+    monkeypatch.setattr(skein, "calibrate", refuse)
+    depth = cli.CALIBRATE_CAP + 1
+    code, out, err = run(capsys, "calibrate", "--nmax", str(depth))
+    assert (code, out) == (2, "")
+    assert err == (f"error: calibrate --nmax {depth} would search past the depth cap "
+                   f"of {cli.CALIBRATE_CAP}\n")
+
+
 def test_skein_command_does_not_calibrate():
     """``springer skein`` evaluates under the fixed convention and never searches."""
     probe = (

@@ -97,6 +97,21 @@ def test_relation_span_equals_boundary_image():
     verify.check_relation_span_matches_boundary(7, random.Random(0))
 
 
+def test_boundary_rows_peel_alone():
+    verify.check_psi_peel(9, random.Random(0))
+
+
+def test_boundary_peel_fails_when_the_target_terms_are_doubled(monkeypatch):
+    rows = homology._psi_minus_rows
+
+    def doubled(k, m, arrows):
+        return [{c: 2 * x if x < 0 else x for c, x in row.items()} for row in rows(k, m, arrows)]
+
+    monkeypatch.setattr(homology, "_psi_minus_rows", doubled)
+    with pytest.raises(errors.InternalCheckError, match="normal forms"):
+        verify.check_psi_peel(4, random.Random(0))
+
+
 def test_arrow_table_circles_equal_the_glued_overlays():
     verify.check_arrow_overlays(10, random.Random(0))
 

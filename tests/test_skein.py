@@ -83,6 +83,76 @@ def test_calibrate_finds_unique_convention():
     assert conv == ResolutionConvention(1, -2, "upperArc", -1, "none")
 
 
+def _candidate_major_calibrate(n_max):
+    """Reference search: each candidate walks the pairs alone and recomputes the oracle."""
+    def agrees(c):
+        for n in range(2, n_max + 1):
+            for k in range(0, n // 2 + 1):
+                for m in range(k + 1):
+                    for M in standard_dotted_matchings(n, k, m):
+                        for i in range(1, n):
+                            try:
+                                got = resolve_evaluate(M, flatten((i,), n), c)
+                            except (errors.InhomogeneousClass, errors.InternalCheckError):
+                                return False
+                            if got != act_word([i], HomClass.of(M)):
+                                return False
+        return True
+
+    fits = [c for c in sorted(convention_family()) if _anchor_ok(c) and agrees(c)]
+    if not fits:
+        raise errors.NoConventionFits(f"no convention matches the action up to n={n_max}")
+    if len(fits) > 1:
+        raise errors.MultipleConventionsFit(fits)
+    return fits[0]
+
+
+def _search_outcome(search, n_max):
+    """A search's convention, or its exception type with the attached conventions."""
+    try:
+        return search(n_max)
+    except (errors.NoConventionFits, errors.MultipleConventionsFit) as exc:
+        return type(exc), getattr(exc, "conventions", None)
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5])
+def test_calibrate_matches_the_candidate_major_search(n_max):
+    assert _search_outcome(calibrate, n_max) == _search_outcome(_candidate_major_calibrate, n_max)
+
+
+def test_convention_family_is_generated_in_order():
+    family = convention_family()
+    assert family == sorted(family)
+    assert len(set(family)) == len(family) == 2000
+
+
+def test_calibrate_calls_the_oracle_once_per_pair(monkeypatch):
+    from springer_tworow import skein
+
+    oracle, evaluations = [], []
+
+    def counted_act_word(word, x):
+        oracle.append((tuple(word), x))
+        return act_word(word, x)
+
+    def counted_resolve_evaluate(M, tangle, convention):
+        evaluations.append((M, tangle.layers))
+        return resolve_evaluate(M, tangle, convention)
+
+    monkeypatch.setattr(skein, "act_word", counted_act_word)
+    monkeypatch.setattr(skein, "resolve_evaluate", counted_resolve_evaluate)
+    assert calibrate(3) == CALIBRATED_CONVENTION
+    assert len(oracle) == len(set(oracle)) == 11
+    assert len(evaluations) == 262
+    assert {(x.terms[0][0], word) for word, x in oracle} == set(evaluations)
+
+
+@pytest.mark.parametrize("n_max", [1, 0, -3])
+def test_calibrate_refuses_a_depth_below_2(n_max):
+    with pytest.raises(errors.DomainError, match=f"depth {n_max} is below 2"):
+        calibrate(n_max)
+
+
 def test_calibrate_underconstrained_at_2():
     with pytest.raises(errors.MultipleConventionsFit) as info:
         calibrate(2)
