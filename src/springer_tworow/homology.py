@@ -133,8 +133,7 @@ def _check_grading(n: int, k: int, m: int | None) -> None:
         raise DomainError(f"grading m={m} outside 0..{k}")
 
 
-def _relation_rows(n: int, k: int, m: int | None = None,
-                   order: tuple[Matching, ...] | None = None) -> Iterator[dict[int, int]]:
+def _relation_rows(n: int, k: int, m: int | None = None) -> Iterator[dict[int, int]]:
     """Every local relation as a sparse row over the columns of grading m.
 
     Each arrow pair a -> b gives one relation per rule and per set D of
@@ -142,15 +141,15 @@ def _relation_rows(n: int, k: int, m: int | None = None,
     s - |D| + e (e = 1 for type I, 0 for types II and III), so with m
     given only |D| = s + e - m is enumerated; only a nesting move
     (len(move) == 4) has a type I rule.  Dots are masks of arc positions
-    taken from the arrow-move table, and columns are
-    :func:`matchings._column_numbers`.
+    taken from the arrow-move table, columns are ``_column_numbers``, and
+    rows come in node order of a, with their +1 entries in a's block.
     """
     from .diagrams import arrow_graph
 
     graph = arrow_graph(n, k)
     masks, rank = _column_numbers(k, m)
     start = {a: i * len(masks) for i, a in enumerate(graph.nodes)}
-    for a in (order if order is not None else graph.nodes):
+    for a in graph.nodes:
         oa = start[a]
         for b, move, shared, a_bits, b_bits in graph.arrows[a]:
             ob, s = start[b], len(shared)
@@ -177,17 +176,12 @@ def _dotted(base: Matching, dotted: set[Arc]) -> DottedMatching:
     return DottedMatching(base, tuple(sorted(dotted)))
 
 
-def relation_instances(n: int, k: int, m: int | None = None,
-                       order: tuple[Matching, ...] | None = None) -> list[HomClass]:
-    """Every local relation, optionally restricted to grading m.
-
-    ``order`` only affects the listing order (used by order-independence
-    diagnostics), never the span.  Raises DomainError for m outside 0..k.
-    """
+def relation_instances(n: int, k: int, m: int | None = None) -> list[HomClass]:
+    """Every local relation, optionally of grading m only; DomainError for m outside 0..k."""
     _check_grading(n, k, m)
     columns = all_dotted_matchings(n, k, m)
     return [hom_class(n, k, {columns[c]: v for c, v in row.items()})
-            for row in _relation_rows(n, k, m, order)]
+            for row in _relation_rows(n, k, m)]
 
 
 # --- reduction to the standard basis -----------------------------------------
@@ -200,18 +194,18 @@ def _nonstandard_columns(bases: Sequence[Matching], masks: Sequence[int]) -> lis
 
 
 @lru_cache(maxsize=None)
-def _reduction_data(n: int, k: int, m: int, order: tuple[Matching, ...] | None = None):
+def _reduction_data(n: int, k: int, m: int):
     """(column, forms, standard): the normal forms of the relation rows of grading m.
 
-    ``forms`` is ``linalg.normal_forms`` of :func:`_relation_rows` in node order
-    ``order`` (which must not change a form), with the nonstandard columns (masks
-    outside ``dottable``) as pivots; ``column(M)`` is M's column number, and
-    ``standard`` maps each other column to its dotted matching.
+    ``forms`` is ``linalg.normal_forms`` of :func:`_relation_rows`, with the
+    nonstandard columns (masks outside ``dottable``) as pivots; ``column(M)``
+    is M's column number, and ``standard`` maps each other column to its
+    dotted matching.
     """
     bases = enumerate_matchings(n, k)
     masks, rank = _column_numbers(k, m)
     start = {base: i * len(masks) for i, base in enumerate(bases)}
-    forms = linalg.normal_forms(_relation_rows(n, k, m, order), _nonstandard_columns(bases, masks))
+    forms = linalg.normal_forms(_relation_rows(n, k, m), _nonstandard_columns(bases, masks))
     standard = dict(zip((c for c in range(len(bases) * len(masks)) if c not in forms),
                         standard_dotted_matchings(n, k, m)))
     return (lambda M: start[M.base] + rank[M.mask]), forms, standard
@@ -241,9 +235,9 @@ def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> Ho
     return _reduce_linear(x)
 
 
-def _reduce_linear(x: HomClass, order: tuple[Matching, ...] | None = None) -> HomClass:
-    """The sum of c * NF(M) over the terms c * M of x, relations assembled in ``order``."""
-    column, forms, standard = _reduction_data(x.n, x.k, x.grading, order)
+def _reduce_linear(x: HomClass) -> HomClass:
+    """The sum of c * NF(M) over the terms c * M of x."""
+    column, forms, standard = _reduction_data(x.n, x.k, x.grading)
     reduced = linalg._image({column(M): c for M, c in x.terms}, forms)
     return hom_class(x.n, x.k, {standard[s]: v for s, v in reduced.items()})
 
@@ -280,9 +274,7 @@ def rewrite_step(M: DottedMatching, rng: random.Random | None = None) -> HomClas
         base_arcs = set(M.base.arcs) - {(i, l), (j, kk)} | unnested
         new_base = Matching(M.n, tuple(sorted(base_arcs)), M.base.rays)
         if (i, l) in dotted:
-            candidates.append(hom_class(M.n, M.k, {
-                _dotted(new_base, rest | unnested): 1,
-            }))
+            candidates.append(HomClass.of(_dotted(new_base, rest | unnested)))
         else:
             candidates.append(hom_class(M.n, M.k, {
                 _dotted(new_base, rest | {(i, j)}): 1,
@@ -301,9 +293,7 @@ def rewrite_step(M: DottedMatching, rng: random.Random | None = None) -> HomClas
                 base_arcs = set(M.base.arcs) - {(x, y)} | {(y, r)}
                 rays = set(M.base.rays) - {r} | {x}
                 new_base = Matching(M.n, tuple(sorted(base_arcs)), tuple(sorted(rays)))
-                candidates.append(hom_class(M.n, M.k, {
-                    _dotted(new_base, dotted - {(x, y)} | {(y, r)}): 1,
-                }))
+                candidates.append(HomClass.of(_dotted(new_base, dotted - {(x, y)} | {(y, r)})))
     if not candidates:
         return None
     return candidates[0] if rng is None else rng.choice(candidates)
@@ -380,8 +370,7 @@ def pushforward_inclusion(a: Matching, b: Matching,
 
 # --- presentation via the boundary map ------------------------------------------
 
-def psi_minus_rows(n: int, k: int, m: int,
-                   order: tuple[Matching, ...] | None = None) -> tuple[list, list]:
+def psi_minus_rows(n: int, k: int, m: int) -> tuple[list, list]:
     """(columns, dense rows) of the degree-2m block of ψ₋; DomainError for m outside 0..k.
 
     Columns are all dotted matchings of grading m; each row is the image
@@ -389,11 +378,11 @@ def psi_minus_rows(n: int, k: int, m: int,
     """
     _check_grading(n, k, m)
     columns = list(all_dotted_matchings(n, k, m))
-    rows = _psi_minus_rows(k, m, _circle_bits(n, k, order))
+    rows = _psi_minus_rows(k, m, _circle_bits(n, k))
     return columns, [linalg._dense(row, len(columns)) for row in rows]
 
 
-def _circle_bits(n: int, k: int, order: tuple[Matching, ...] | None) -> list[tuple]:
+def _circle_bits(n: int, k: int) -> list[tuple]:
     """(index of a, index of b, circles) for every arrow a -> b, sources in node order.
 
     ``circles`` is ``glue(a, b).circles`` as (bits of a's arcs, bits of
@@ -406,7 +395,7 @@ def _circle_bits(n: int, k: int, order: tuple[Matching, ...] | None) -> list[tup
     graph = arrow_graph(n, k)
     index = {a: i for i, a in enumerate(graph.nodes)}
     out = []
-    for a in (order if order is not None else graph.nodes):
+    for a in graph.nodes:
         for b, move, shared, a_bits, b_bits in graph.arrows[a]:
             s = len(shared)
             circles = [((x,), (y,)) for x, y in zip(a_bits[:s], b_bits[:s])]
@@ -420,7 +409,7 @@ def _circle_bits(n: int, k: int, order: tuple[Matching, ...] | None) -> list[tup
 def _psi_minus_rows(k: int, m: int, arrows: list[tuple]) -> list[dict[int, int]]:
     """Sparse {column: int} rows of the degree-2m block, columns numbered by ``_column_numbers``.
 
-    A target's term dots every arc but one chosen arc per free circle.
+    Per arrow a -> b, a term (+1 on a, -1 on b) dots all arcs but one chosen per free circle.
     """
     masks, rank = _column_numbers(k, m)
     width = len(masks)
@@ -438,10 +427,9 @@ def _psi_minus_rows(k: int, m: int, arrows: list[tuple]) -> list[dict[int, int]]
     return rows
 
 
-def presentation_betti(n: int, k: int,
-                       order: tuple[Matching, ...] | None = None) -> list[int]:
+def presentation_betti(n: int, k: int) -> list[int]:
     """Betti numbers as cokernel ranks of ψ₋; the rows are densified only for the rank."""
-    arrows = _circle_bits(n, k, order)
+    arrows = _circle_bits(n, k)
     out = []
     for m in range(k + 1):
         width = count_matchings(n, k) * math.comb(k, m)

@@ -15,9 +15,9 @@ divide by a non-unit pivot: the rows of ``rref`` and the remainders of
 ``reduce``.  This is sparse exact elimination in the
 spirit of Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001).
 
-``rref``, ``rank``, ``row_space_equal``, ``in_row_space`` and
-``reduce_against`` are thin adapters over the kernel for dense lists of
-lists; ``rank(rows)`` is ``len(rref(rows)[1])``.  ``normal_forms`` is
+``rref``, ``rank``, ``row_space_equal`` and ``reduce_against`` are
+thin adapters over the kernel for dense lists of lists; ``rank(rows)``
+is ``len(rref(rows)[1])``.  ``normal_forms`` is
 the one unit-triangular certificate: it peels rows with one open +-1
 pivot entry, only adds and multiplies integers and never falls back;
 the reduction to the standard basis and ``ColumnSolver.dual_basis`` run
@@ -219,10 +219,6 @@ def reduce_against(vector: Sequence, echelon: Sequence[Sequence],
     if sorted(basis.rows) != sorted(pivots):
         raise InternalCheckError(f"echelon pivots {sorted(basis.rows)} != given {list(pivots)}")
     return _dense(basis.reduce(_sparse(vector)), len(vector))
-
-
-def in_row_space(vector: Sequence, rows: Sequence[Sequence]) -> bool:
-    return not Echelon(map(_sparse, rows)).reduce(_sparse(vector))
 
 
 def normal_forms(rows: Iterable[Mapping[int, int]],

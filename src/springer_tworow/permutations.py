@@ -139,7 +139,10 @@ def parse_permutation(text: str, n: int) -> Permutation:
             raise DomainError(f"unparseable permutation text {text!r}")
         cycles = []
         for body in _CYCLE.findall(text):
-            entries = tuple(int(t) for t in body.replace(",", " ").split())
+            try:
+                entries = tuple(int(t) for t in body.replace(",", " ").split())
+            except ValueError as exc:
+                raise DomainError(f"cycle entries take integers: {exc}") from None
             if any(not 1 <= e <= n for e in entries):
                 raise DomainError(f"cycle entry outside 1..{n} in {text!r}")
             if entries:

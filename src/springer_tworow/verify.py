@@ -153,10 +153,9 @@ def check_standard_enumeration(n_max: int, rng) -> None:
 
 def check_standard_layout(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 8)):
-        for m in range(k + 1):
-            for M in standard_dotted_matchings(n, k, m):
-                built = standard_layout(M.undotted, n, k)
-                assert built == M, (M, built)
+        for M in standard_dotted_matchings(n, k):
+            built = standard_layout(M.undotted, n, k)
+            assert built == M, (M, built)
 
 
 def check_codec_roundtrip(n_max: int, rng) -> None:
@@ -436,7 +435,7 @@ def check_relations_die(n_max: int, rng) -> None:
 def check_relation_span_matches_boundary(n_max: int, rng) -> None:
     """The ψ₋ rows have the normal forms of the relation rows, so the same span."""
     for n, k in _types(min(n_max, 11)):
-        arrows = homology._circle_bits(n, k, None)
+        arrows = homology._circle_bits(n, k)
         for m in range(k + 1):
             forms = homology._reduction_data(n, k, m)[1]
             rows = homology._psi_minus_rows(k, m, arrows)
@@ -454,7 +453,7 @@ def check_psi_peel(n_max: int, rng) -> None:
     """
     for n, k in _types(min(n_max, 13)):
         bases = enumerate_matchings(n, k)
-        arrows = homology._circle_bits(n, k, None)
+        arrows = homology._circle_bits(n, k)
         for m in range(k + 1):
             pivots = homology._nonstandard_columns(bases, _column_numbers(k, m)[0])
             forms = linalg.normal_forms(homology._psi_minus_rows(k, m, arrows), pivots)
@@ -473,7 +472,7 @@ def check_arrow_overlays(n_max: int, rng) -> None:
     """
     for n, k in _types(min(n_max, 10)):
         graph = diagrams.arrow_graph(n, k)
-        arrows = iter(homology._circle_bits(n, k, None))
+        arrows = iter(homology._circle_bits(n, k))
         for a in graph.nodes:
             for b in graph.successors[a]:
                 ia, ib, circles = next(arrows)
@@ -515,12 +514,38 @@ def check_betti_both_ways(n_max: int, rng) -> None:
 
 
 def check_order_independence(n_max: int, rng) -> None:
+    """Relisting the rows changes no normal form and no cokernel rank, n up to min(n_max, 7).
+
+    Each :func:`_listings` of an (n, k, m)'s relation rows gives
+    ``_reduction_data``'s forms, and each listing of its ψ₋ rows the rank
+    behind ``presentation_betti``.
+    """
     for n, k in _types(min(n_max, 7)):
-        results = []
-        for variant in (0, 1, 2):
-            order = diagrams.linear_order(n, k, variant)
-            results.append(homology.presentation_betti(n, k, order))
-        assert results[0] == results[1] == results[2], (n, k)
+        betti, arrows = homology.presentation_betti(n, k), homology._circle_bits(n, k)
+        for m in range(k + 1):
+            width, forms = math.comb(k, m), homology._reduction_data(n, k, m)[1]
+            for how, rows in _listings(n, k, width, homology._relation_rows(n, k, m), rng):
+                assert linalg.normal_forms(rows, forms) == forms, (n, k, m, how)
+            total = count_matchings(n, k) * width
+            for how, rows in _listings(n, k, width, homology._psi_minus_rows(k, m, arrows), rng):
+                dense = [linalg._dense(row, total) for row in rows]
+                assert total - linalg.rank(dense) == betti[m], (n, k, m, how)
+
+
+def _listings(n: int, k: int, width: int, rows, rng) -> Iterator[tuple[str, list]]:
+    """(name, rows) along each ``diagrams.linear_order(n, k, v)``, v = 0, 1, 2, then shuffled.
+
+    The rows come in node order of their sources, and a row's source is
+    the node whose block of ``width`` columns holds its +1 entries, so a
+    stable sort by the source's place lists the rows along an extension.
+    """
+    rows, nodes = list(rows), diagrams.arrow_graph(n, k).nodes
+    sources = [nodes[min(c for c, x in row.items() if x == 1) // width] for row in rows]
+    for v in (0, 1, 2):
+        place = {a: i for i, a in enumerate(diagrams.linear_order(n, k, v))}
+        ranked = sorted(range(len(rows)), key=lambda i: place[sources[i]])
+        yield f"extension {v}", [rows[i] for i in ranked]
+    yield "shuffle", rng.sample(rows, len(rows))
 
 
 def check_zeta_kills_relations(n_max: int, rng) -> None:
@@ -574,9 +599,8 @@ def check_matching_vector_depends_on_undotted(n_max: int, rng) -> None:
 def check_f_embed(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 6)):
         pad = n - 2 * k
-        for m in range(k + 1):
-            for M in standard_dotted_matchings(n, k, m):
-                assert f_embed(matching_vector(M), pad) == matching_vector(complete_dotted(M))
+        for M in standard_dotted_matchings(n, k):
+            assert f_embed(matching_vector(M), pad) == matching_vector(complete_dotted(M))
         for _ in range(5):
             m = rng.randint(0, k)
             keys = list(tabloids.tabloid_keys(n, m))
@@ -653,19 +677,18 @@ def check_unit_triangular(n_max: int, rng) -> None:
     solve of the action relies on this.
     """
     for n, k in _types(min(n_max, 10)):
-        for m in range(k + 1):
-            for M in standard_dotted_matchings(n, k, m):
-                T = tableau_of(M)
-                families = (
-                    ("matching vector", tabloids.matching_terms(M)),
-                    ("pole-flip", action.line_diagram_terms(M)),
-                    ("polytabloid", tabloids.polytabloid_terms(T)),
-                )
-                for family, terms in families:
-                    last = max(tuple(sorted(key)) for key, c in terms.items() if c)
-                    entry = terms[frozenset(last)]
-                    assert last == T.bottom and entry in (1, -1), (
-                        (n, k, m), str(M), family, last, entry)
+        for M in standard_dotted_matchings(n, k):
+            T = tableau_of(M)
+            families = (
+                ("matching vector", tabloids.matching_terms(M)),
+                ("pole-flip", action.line_diagram_terms(M)),
+                ("polytabloid", tabloids.polytabloid_terms(T)),
+            )
+            for family, terms in families:
+                last = max(tuple(sorted(key)) for key, c in terms.items() if c)
+                entry = terms[frozenset(last)]
+                assert last == T.bottom and entry in (1, -1), (
+                    (n, k, M.m), str(M), family, last, entry)
 
 
 def check_modules_equal(n_max: int, rng) -> None:
@@ -758,24 +781,22 @@ def check_gamma_agreement(n_max: int, rng) -> int:
             assert action.line_diagram_terms(M) == want, (n, k, str(M))
             count += 1
     for n, k in _types(min(n_max, 5), n_min=2):
-        for m in range(k + 1):
-            for M in standard_dotted_matchings(n, k, m):
-                for i in range(1, n):
-                    sigma = adjacent(n, i)
-                    assert action.act(sigma, HomClass.of(M)) == action.act_via_gamma(sigma, M)
+        for M in standard_dotted_matchings(n, k):
+            for i in range(1, n):
+                sigma = adjacent(n, i)
+                assert action.act(sigma, HomClass.of(M)) == action.act_via_gamma(sigma, M)
     return count
 
 
 def check_eta_transport(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 5), n_min=2):
         pad = n - 2 * k
-        for m in range(k + 1):
-            for M in standard_dotted_matchings(n, k, m):
-                for i in range(1, n):
-                    sigma = adjacent(n, i)
-                    lhs = f_embed(zeta(action.act(sigma, HomClass.of(M))), pad)
-                    rhs = permute(shifted_permutation(sigma, pad), f_embed(zeta(HomClass.of(M)), pad))
-                    assert lhs == rhs, (M, i)
+        for M in standard_dotted_matchings(n, k):
+            for i in range(1, n):
+                sigma = adjacent(n, i)
+                lhs = f_embed(zeta(action.act(sigma, HomClass.of(M))), pad)
+                rhs = permute(shifted_permutation(sigma, pad), f_embed(zeta(HomClass.of(M)), pad))
+                assert lhs == rhs, (M, i)
 
 
 def check_image_stability(n_max: int, rng) -> None:
@@ -789,20 +810,12 @@ def check_image_stability(n_max: int, rng) -> None:
                 homology.reduce_class(HomClass.of(complete_dotted(M)))
                 for M in standard_dotted_matchings(n, k, m)
             ]
-            big_basis = standard_dotted_matchings(n2, k2, m)
-            index = {M: i for i, M in enumerate(big_basis)}
-
-            def row_of(cls: HomClass) -> list[int]:
-                row = [0] * len(big_basis)
-                for M, c in cls.terms:
-                    row[index[M]] = c
-                return row
-
-            span = [row_of(cls) for cls in images]
+            index = {M: i for i, M in enumerate(standard_dotted_matchings(n2, k2, m))}
+            span = linalg.Echelon({index[M]: c for M, c in cls.terms} for cls in images)
             for cls in images:
                 for i in range(pad + 1, n2):
-                    moved = action.act(adjacent(n2, i), cls)
-                    assert linalg.in_row_space(row_of(moved), span), (n, k, m, i)
+                    moved = action.act(adjacent(n2, i), cls).terms
+                    assert not span.reduce({index[M]: c for M, c in moved}), (n, k, m, i)
 
 
 def check_trace_agreement(n_max: int, rng) -> None:
@@ -866,10 +879,9 @@ def check_skein_fold_agreement(n_max: int, rng) -> None:
 
 def check_skein_agreement(n_max: int, rng) -> None:
     for n, k in _types(min(n_max, 5), n_min=2):
-        for m in range(k + 1):
-            for M in standard_dotted_matchings(n, k, m):
-                for i in range(1, n):
-                    assert skein.skein_matches_action([i], M)
+        for M in standard_dotted_matchings(n, k):
+            for i in range(1, n):
+                assert skein.skein_matches_action([i], M)
 
 
 def check_skein_random_words(n_max: int, rng) -> None:

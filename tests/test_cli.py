@@ -464,6 +464,18 @@ def test_matching_refuses_a_non_integer_tableau_entry(capsys):
     assert err == "error: tableau rows take integers: invalid literal for int() with base 10: 'x'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("act", "--class", "4: u1-2 u3-4"),
+    ("matrix", "-n", "4", "-k", "2", "-m", "1"),
+    ("skein", "--matching", "4: u1-2 u3-4"),
+])
+def test_sigma_refuses_a_non_integer_cycle_entry(capsys, argv):
+    code, out, err = run(capsys, *argv, "--sigma", "(1 a)")
+    assert code == 2 and out == ""
+    assert err == ("error: cycle entries take integers: "
+                   "invalid literal for int() with base 10: 'a'\n")
+
+
 def test_verify_all_nmax6_passes(capsys):
     code, out, _ = run(capsys, "verify", "--all", "-nmax", "6")
     assert code == 0, [line for line in out.splitlines() if line.startswith("FAIL")]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from springer_tworow import errors, homology, verify
+from springer_tworow import errors, homology, linalg, verify
 from springer_tworow.diagrams import linear_order
 from springer_tworow.homology import (
     HomClass,
@@ -131,20 +131,36 @@ def test_presentation_betti_builds_no_dotted_matching(monkeypatch):
 
 def test_presentation_order_independent():
     verify.check_order_independence(7, random.Random(0))
-    for n in range(2, 8):
-        for k in range(0, n // 2 + 1):
-            assert presentation_betti(n, k, linear_order(n, k)) == presentation_betti(n, k)
+    # the check sees four distinct listings, none of them the node order
+    rows = list(homology._relation_rows(7, 3, 1))
+    listings = dict(verify._listings(7, 3, 3, rows, random.Random(0))).values()
+    assert len({tuple(map(id, listing)) for listing in [rows, *listings]}) == 5
 
 
-def test_ordered_reduce_matches():
-    for n in range(2, 7):
-        for k in range(0, n // 2 + 1):
-            order = linear_order(n, k, 2)
-            for M in all_dotted_matchings(n, k):
-                if M.is_standard:
-                    continue
-                x = HomClass.of(M)
-                assert homology._reduce_linear(x, order) == reduce_class(x)
+def test_order_independence_fails_when_normal_forms_drop_the_last_row(monkeypatch):
+    # the cached forms are the true ones, so only the relisted rows meet the fault
+    verify.check_order_independence(7, random.Random(0))
+    normal_forms = linalg.normal_forms
+    monkeypatch.setattr(linalg, "normal_forms",
+                        lambda rows, pivots: normal_forms(list(rows)[:-1], pivots))
+    ok, [(name, passed, message)] = verify.run_all(7, names=["homology.order-independence"])
+    assert not ok and not passed and message, name
+
+
+def test_reduction_data_keeps_one_entry_per_shape():
+    homology._reduction_data.cache_clear()
+    M = next(M for M in all_dotted_matchings(7, 3, 1) if not M.is_standard)
+    assert reduce_class(HomClass.of(M)) != HomClass.of(M)
+    homology._reduction_data(7, 3, 1)
+    assert homology._reduction_data.cache_info().currsize == 1
+    verify.check_relation_span_matches_boundary(7, random.Random(0))
+    shapes = sum(k + 1 for n in range(1, 8) for k in range(n // 2 + 1))
+    assert homology._reduction_data.cache_info().currsize == shapes
+
+
+def test_presentation_betti_takes_no_row_order():
+    with pytest.raises(TypeError):
+        presentation_betti(6, 3, linear_order(6, 3)[:2])
 
 
 def test_format_class():
