@@ -540,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
-    except SpringerError as exc:
+    except (SpringerError, OSError) as exc:  # OSError: an unwritable output or cache path
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
 

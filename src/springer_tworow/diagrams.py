@@ -25,6 +25,7 @@ from functools import lru_cache
 from .errors import (
     CrossingArcs,
     CycleDetected,
+    DomainError,
     InternalCheckError,
     NotFound,
     RayUnderArc,
@@ -295,8 +296,11 @@ def linear_order(n: int, k: int, variant: int = 0) -> tuple[Matching, ...]:
 
     ``variant`` selects the tie-break among ready nodes: 0 = ascending arc
     key, 1 = descending, >= 2 = seeded shuffle.  All variants are valid
-    extensions; downstream results must not depend on the choice.
+    extensions; downstream results must not depend on the choice.  A
+    negative variant raises DomainError.
     """
+    if variant < 0:
+        raise DomainError(f"order variant {variant} is negative; use 0, 1 or a seed >= 2")
     graph = arrow_graph(n, k)
     indeg = {a: len(graph.predecessors[a]) for a in graph.nodes}
     keys = {a: (a.arcs, a.rays) for a in graph.nodes}

@@ -19,8 +19,9 @@ once, and the number of states stays bounded by the number of boundary
 states instead of doubling with every crossing.
 :func:`expand_resolutions` lists every resolution of the whole tangle; it
 is the full-expansion reference the fold is tested against.  It keeps
-its own component-label states and shares only ``validate`` with the
-fold; it never merges or prunes states and defers every circle, so it
+its own component-label states and shares only ``validate``, the
+placement table and the circle rule with the fold.  It evaluates each
+circle where it closes, as the fold does, but never merges states, so it
 checks the fold's rewriting and merging.
 
 The decoration and coefficient of each smoothing are not dictated by the
@@ -32,11 +33,13 @@ into a circle or merges two components: the two topologies provably
 cannot share one decoration (closing a dotted cap must die while merging
 through a dotted arc must survive).  :func:`calibrate` is a check, not
 set-up: it searches the family for the conventions that agree with the
-tabloid-oracle action and changes nothing.  The search is pair-major: it
-walks the pairs (standard M, generator s_i) with 2 <= n <= n_max once,
-computes the oracle action at each pair once, and filters the surviving
-candidates there.  Depth 2 is the least that checks a pair, and it leaves
-several fits; depth 3 pins :data:`CALIBRATED_CONVENTION`.
+tabloid-oracle action and changes nothing.  Of the family's 2,000
+members it builds only the 100 whose closure pair passes
+:func:`_anchor_ok`.  The search is pair-major: it walks the pairs
+(standard M, generator s_i) with 2 <= n <= n_max once, computes the
+oracle action at each pair once, and filters the surviving candidates
+there.  Depth 2 is the least that checks a pair, and it leaves several
+fits; depth 3 pins :data:`CALIBRATED_CONVENTION`.
 """
 from __future__ import annotations
 
@@ -57,7 +60,6 @@ from .records import Record
 
 #: (dots added to the cup side, dots added to the cap side) of each turnback placement.
 _PLACEMENT_DOTS = {"none": (0, 0), "upperArc": (1, 0), "lowerArc": (0, 1), "both": (1, 1)}
-PLACEMENTS = tuple(_PLACEMENT_DOTS)
 
 
 class FlatTangle(Record, frozen=True):
@@ -94,10 +96,6 @@ class ResolutionConvention(Record, frozen=True, order=True):
         set_merge_coeff(self, merge_coeff)
         set_merge_dots(self, merge_dots)
 
-    def dots_for(self, placement: str) -> tuple[int, int]:
-        """(dots added to the cup side, dots added to the cap side)."""
-        return _PLACEMENT_DOTS[placement]
-
 
 #: The convention every evaluator uses by default, the unique fit that
 #: :func:`calibrate` finds from n = 3 on: closing a plain component must
@@ -108,27 +106,14 @@ CALIBRATED_CONVENTION = ResolutionConvention(1, -2, "upperArc", -1, "none")
 
 
 class ResolvedDiagram(Record, frozen=True):
-    """One fully resolved term: open boundary part plus closed circles.
+    """One fully resolved term: its coefficient, closed circles included, and its boundary."""
 
-    ``coefficient`` collects the smoothing coefficients only; the circles
-    remain as dot counts so their scalar rules can be applied separately
-    (and in any order, since they are multiplicative).
-    """
+    __slots__ = _fields = ("coefficient", "boundary")
 
-    __slots__ = _fields = ("coefficient", "circle_dots", "boundary")
-
-    def __init__(self, coefficient: int, circle_dots: tuple[int, ...],
-                 boundary: DottedMatching):
-        set_coefficient, set_circle_dots, set_boundary = self._setters
+    def __init__(self, coefficient: int, boundary: DottedMatching):
+        set_coefficient, set_boundary = self._setters
         set_coefficient(self, coefficient)
-        set_circle_dots(self, circle_dots)
         set_boundary(self, boundary)
-
-    def circle_scalar(self) -> int:
-        value = 1
-        for dots in self.circle_dots:
-            value *= circle_rule(dots)
-        return value
 
 
 def circle_rule(dots: int) -> int:
@@ -209,8 +194,8 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
         start[arc[0] - 1] = (arc[1] - 1, dots)
         start[arc[1] - 1] = (arc[0] - 1, dots)
     states: dict[tuple[tuple[int, int], ...], int] = {tuple(start): 1}
-    cup_c, cap_c = c.dots_for(c.closure_dots)
-    cup_m, cap_m = c.dots_for(c.merge_dots)
+    cup_c, cap_c = _PLACEMENT_DOTS[c.closure_dots]
+    cup_m, cap_m = _PLACEMENT_DOTS[c.merge_dots]
 
     for pos in reversed(tangle.layers):
         a, b = pos - 1, pos
@@ -270,41 +255,38 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
                        ) -> list[ResolvedDiagram]:
     """All surviving resolutions of the tangle under M.
 
-    A term is dropped only when its coefficient is 0, a merge gives a
-    component two dots, or a turnback would close a ray into a circle.
-    Every closed circle is deferred as a dot count on the ResolvedDiagram,
-    also a circle already worth zero: such a term is kept, and its
-    ``circle_scalar()`` is 0.  This is the full-expansion reference for
-    :func:`boundary_coefficients`, which evaluates each circle at once; a
-    closed component stays in ``comps`` with no label pointing at it.
+    A term is dropped when its coefficient is 0 or a merge gives a
+    component two dots.  A circle is evaluated by its dots at the turnback
+    that closes it, as in :func:`boundary_coefficients`; the closed
+    component stays in ``comps`` with no label pointing at it.  This is the
+    full-expansion reference for that fold: it never merges states.
     """
     c = convention
     labels, comps = _start(M, tangle)
     out: list[ResolvedDiagram] = []
     validated: dict = {}
-    cup_c, cap_c = c.dots_for(c.closure_dots)
-    cup_m, cap_m = c.dots_for(c.merge_dots)
+    cup_c, cap_c = _PLACEMENT_DOTS[c.closure_dots]
+    cup_m, cap_m = _PLACEMENT_DOTS[c.merge_dots]
 
-    def recurse(layer_idx, labels, comps, coeff, circles):
+    def recurse(layer_idx, labels, comps, coeff):
         if coeff == 0:
             return
         if layer_idx < 0:
-            out.append(ResolvedDiagram(coeff, circles,
-                                       _reassemble(M, tangle, labels, comps, validated)))
+            out.append(ResolvedDiagram(coeff, _reassemble(M, tangle, labels, comps, validated)))
             return
         pos = tangle.layers[layer_idx]
         # vertical smoothing
-        recurse(layer_idx - 1, labels, comps, coeff * c.identity_coeff, circles)
+        recurse(layer_idx - 1, labels, comps, coeff * c.identity_coeff)
         # turnback smoothing
         left, right = labels[pos - 1], labels[pos]
         (left_dots, left_ray), (right_dots, right_ray) = comps[left], comps[right]
         if left == right:
+            # a ray component has one boundary end, so it never closes
             if left_ray:
-                return  # cannot close a ray component into a circle
+                raise _state_error(M, tangle, f"a ray closes into a circle at crossing {pos}")
             labels2 = list(labels)
             comps2 = [*comps, (cap_c, False)]
-            circles += (left_dots + cup_c,)
-            coeff *= c.closure_coeff
+            coeff *= c.closure_coeff * circle_rule(left_dots + cup_c)
         else:
             merged = left_dots + right_dots + cup_m
             if merged >= 2:
@@ -314,9 +296,9 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
             comps2[left] = (merged, left_ray or right_ray)
             coeff *= c.merge_coeff
         labels2[pos - 1] = labels2[pos] = len(comps)
-        recurse(layer_idx - 1, labels2, comps2, coeff, circles)
+        recurse(layer_idx - 1, labels2, comps2, coeff)
 
-    recurse(len(tangle.layers) - 1, labels, comps, 1, ())
+    recurse(len(tangle.layers) - 1, labels, comps, 1)
     return out
 
 
@@ -366,34 +348,16 @@ def skein_act(sigma: Permutation, M: DottedMatching) -> HomClass:
 
 # --- calibration -------------------------------------------------------------
 
-def _anchor_ok(c: ResolutionConvention) -> bool:
+def _anchor_ok(closure_coeff: int, closure_dots: str) -> bool:
     """Turnback-operator constraints read off the two single caps.
 
     The closure branch alone must send the undotted cap to -2 times
     itself (in particular stay undotted) and the dotted cap to zero.  The
     identity coefficient is left to the full n = 2 agreement check.
     """
-    cup, cap = c.dots_for(c.closure_dots)
-    if cap != 0:
-        return False
-    return (
-        c.closure_coeff * circle_rule(cup) == -2
-        and c.closure_coeff * circle_rule(1 + cup) == 0
-    )
-
-
-def convention_family() -> list[ResolutionConvention]:
-    """The finite search space for calibration, generated in lexicographic order."""
-    coeffs = range(-2, 3)
-    placements = sorted(PLACEMENTS)
-    return [
-        ResolutionConvention(ic, cc, cd, mc, md)
-        for ic in coeffs
-        for cc in coeffs
-        for cd in placements
-        for mc in coeffs
-        for md in placements
-    ]
+    cup, cap = _PLACEMENT_DOTS[closure_dots]
+    return (cap == 0 and closure_coeff * circle_rule(cup) == -2
+            and closure_coeff * circle_rule(1 + cup) == 0)
 
 
 def _fits(c: ResolutionConvention, M: DottedMatching, tangle: FlatTangle,
@@ -418,10 +382,12 @@ def _generator_pairs(n_max: int):
 def calibrate(n_max: int) -> ResolutionConvention:
     """Search the convention family for agreement with the oracle action.
 
+    The family takes every coefficient in -2..2 and every placement; the
+    candidates are its ``_anchor_ok`` members, built in lexicographic order.
     One pass over the pairs (M, s_i): every standard dotted matching M
     with 2 <= n <= N_MAX, by n, k and grading m, and every generator s_i
     of S_n.  Each pair computes the tabloid-oracle action of s_i on M once
-    and keeps the ``_anchor_ok`` candidates whose single-crossing skein
+    and keeps the anchored candidates whose single-crossing skein
     evaluation equals it; the pass stops when none is left.  Depth 2
     leaves several fits and depth 3 pins one.
 
@@ -433,7 +399,10 @@ def calibrate(n_max: int) -> ResolutionConvention:
     """
     if n_max < 2:
         raise DomainError(f"calibration depth {n_max} is below 2, where no generator acts")
-    fits = [c for c in convention_family() if _anchor_ok(c)]
+    coeffs, placements = range(-2, 3), sorted(_PLACEMENT_DOTS)
+    fits = [ResolutionConvention(ic, cc, cd, mc, md)
+            for ic in coeffs for cc in coeffs for cd in placements if _anchor_ok(cc, cd)
+            for mc in coeffs for md in placements]
     for M, i in _generator_pairs(n_max):
         if not fits:
             break

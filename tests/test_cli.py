@@ -295,6 +295,12 @@ def test_order_and_relations(capsys):
     assert out.strip() == "1·(4: d1-2 d3-4) - 1·(4: d1-4 d2-3)"
 
 
+def test_order_refuses_a_negative_variant(capsys):
+    code, out, err = run(capsys, "order", "-n", "4", "-k", "1", "--variant", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: order variant -1 is negative; use 0, 1 or a seed >= 2\n"
+
+
 def test_relations_refuse_a_grading_outside_0_to_k(capsys):
     for m in ("5", "-1"):
         code, out, err = run(capsys, "relations", "-n", "4", "-k", "2", "-m", m)
@@ -421,6 +427,30 @@ def test_render_deterministic(tmp_path, capsys):
     assert code == 0 and out.count("<path") == 4 and ">1·<" in out and ">-1·<" in out
     code, out, _ = run(capsys, "render", "0·(2: u1-2)", "--format", "svg")
     assert code == 0 and ">0</text>" in out and "<path" not in out
+
+
+def test_render_ascii_draws_dots_rays_and_the_zero_class(capsys):
+    from springer_tworow.render import render_ascii
+
+    assert render_ascii(parse_matching("7: r1 u2-3 d4-7 u5-6")) == (
+        "|\n"
+        "*            _____*_____\n"
+        "|    ___    |    ___    |\n"
+        "|   |   |   |   |   |   |\n"
+        "1   2   3   4   5   6   7")
+    assert run(capsys, "render", "0·(2: u1-2)") == (0, "0\n", "")
+
+
+def test_unwritable_paths_are_error_exits(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    under = str(blocker / "x")
+    for argv in (("render", "2: u1-2", "-o", under),
+                 ("matrix", "-n", "2", "-k", "1", "-m", "1", "--sigma", "s1",
+                  "--cache-dir", under)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and str(blocker) in err, argv
 
 
 def test_render_rejects_an_unclosed_class(capsys):

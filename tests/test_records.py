@@ -75,8 +75,7 @@ POOLS = {
                      "certified": (True, False)},
     "HomClass": {"n": (2,), "k": (1,), "terms": TERMS},
     "FlatTangle": {"n": (3, 4), "layers": ((), (1,), (2, 1))},
-    "ResolvedDiagram": {"coefficient": (1, -2), "circle_dots": ((), (0,), (1, 0)),
-                        "boundary": (D1, D2)},
+    "ResolvedDiagram": {"coefficient": (1, -2), "boundary": (D1, D2)},
     "SignedPartitionSubspace": {"n": (2,), "assignment": (((1, 1), (1, -1)), ((1, 1), (2, 1))),
                                 "pins": ((), ((1, 1),)), "empty": (False, True)},
     "TabloidVector": {"n": (3,), "m": (1,),

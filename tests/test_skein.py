@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from springer_tworow import errors, verify
+from springer_tworow import errors, skein, verify
 from springer_tworow.action import act, act_word
 from springer_tworow.homology import HomClass, hom_class, reduce_class
 from springer_tworow.matchings import (
@@ -12,13 +13,13 @@ from springer_tworow.matchings import (
 )
 from springer_tworow.permutations import Permutation, from_word, parse_permutation
 from springer_tworow.skein import (
+    _PLACEMENT_DOTS,
     CALIBRATED_CONVENTION,
     ResolutionConvention,
     _anchor_ok,
     _reassemble,
     boundary_coefficients,
     calibrate,
-    convention_family,
     expand_resolutions,
     flatten,
     random_word,
@@ -28,6 +29,17 @@ from springer_tworow.skein import (
 )
 
 pm = parse_matching
+
+#: The full convention family, built here apart from ``calibrate``'s anchored
+#: candidates: every coefficient in -2..2 and every dot placement.
+COEFFS = range(-2, 3)
+PLACEMENTS = ("both", "lowerArc", "none", "upperArc")
+FAMILY = [ResolutionConvention(*fields)
+          for fields in itertools.product(COEFFS, COEFFS, PLACEMENTS, COEFFS, PLACEMENTS)]
+
+
+def _anchored(convention):
+    return _anchor_ok(convention.closure_coeff, convention.closure_dots)
 
 
 def test_flatten():
@@ -99,7 +111,7 @@ def _candidate_major_calibrate(n_max):
                                 return False
         return True
 
-    fits = [c for c in sorted(convention_family()) if _anchor_ok(c) and agrees(c)]
+    fits = [c for c in sorted(FAMILY) if _anchored(c) and agrees(c)]
     if not fits:
         raise errors.NoConventionFits(f"no convention matches the action up to n={n_max}")
     if len(fits) > 1:
@@ -121,14 +133,23 @@ def test_calibrate_matches_the_candidate_major_search(n_max):
 
 
 def test_convention_family_is_generated_in_order():
-    family = convention_family()
-    assert family == sorted(family)
-    assert len(set(family)) == len(family) == 2000
+    assert set(PLACEMENTS) == set(_PLACEMENT_DOTS)
+    assert FAMILY == sorted(FAMILY)
+    assert len(set(FAMILY)) == len(FAMILY) == 2000
+
+
+def test_calibrate_starts_from_the_anchored_family_in_order(monkeypatch):
+    # With no pair to check, every candidate survives and is attached.
+    monkeypatch.setattr(skein, "_generator_pairs", lambda n_max: iter(()))
+    with pytest.raises(errors.MultipleConventionsFit) as info:
+        calibrate(2)
+    want = [c for c in FAMILY if _anchored(c)]
+    assert info.value.conventions == want
+    assert len(want) == 100
+    assert {(c.closure_coeff, c.closure_dots) for c in want} == {(-2, "upperArc")}
 
 
 def test_calibrate_calls_the_oracle_once_per_pair(monkeypatch):
-    from springer_tworow import skein
-
     oracle, evaluations = [], []
 
     def counted_act_word(word, x):
@@ -218,7 +239,7 @@ def test_fold_matches_full_expansion_for_every_convention():
     ]
     rng = random.Random(2024)
     raised = 0
-    for convention in convention_family():
+    for convention in FAMILY:
         for M in matchings:
             word = random_word(M.n, 6, rng)
             tangle = flatten(word, M.n)
@@ -248,6 +269,16 @@ def test_reference_errors_name_the_matching_and_the_word():
         _reassemble(M, flatten([1], 2), [0, 0], [(1, True)], {})
 
 
+def test_reference_refuses_to_close_a_ray(monkeypatch):
+    # A ray has one boundary end, so no turnback closes it; hand the
+    # reference one ray on both points, and prune the vertical smoothing.
+    monkeypatch.setattr(skein, "_start", lambda M, tangle: ([0, 0], [(1, True)]))
+    convention = ResolutionConvention(0, -2, "upperArc", -1, "none")
+    message = r"^2: u1-2 under word \(1,\): a ray closes into a circle at crossing 1$"
+    with pytest.raises(errors.InternalCheckError, match=message):
+        expand_resolutions(pm("2: u1-2"), flatten([1], 2), convention)
+
+
 def test_fold_agreement_at_depth_7():
     verify.check_skein_fold_agreement(7, random.Random(7))
 
@@ -272,7 +303,7 @@ def _expanded_agrees_at_2(convention):
 def test_underconstrained_fits_match_full_expansion():
     with pytest.raises(errors.MultipleConventionsFit) as info:
         calibrate(2)
-    want = [c for c in convention_family() if _anchor_ok(c) and _expanded_agrees_at_2(c)]
+    want = [c for c in FAMILY if _anchored(c) and _expanded_agrees_at_2(c)]
     assert info.value.conventions == want
 
 
