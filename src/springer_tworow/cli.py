@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -37,6 +38,7 @@ from .matchings import (
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 VERIFY_EXIT = 3
+BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE
 
 #: The most matchings ``enumerate`` lists: (26, 13) has 742,900, (28, 14) 2,674,440.
 ENUMERATE_CAP = 10**6
@@ -539,7 +541,15 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a reader gone early shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: stop quietly with the status a SIGPIPE
+        # death gives, and point stdout at devnull so the exit flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
     except (SpringerError, OSError) as exc:  # OSError: an unwritable output or cache path
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT

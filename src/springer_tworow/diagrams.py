@@ -19,7 +19,7 @@ import heapq
 import math
 import random
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .errors import (
@@ -31,7 +31,15 @@ from .errors import (
     RayUnderArc,
     TypeMismatch,
 )
-from .matchings import Arc, Matching, _check_noncrossing, complete, enumerate_matchings, restrict
+from .matchings import (
+    Arc,
+    Matching,
+    _check_noncrossing,
+    _partners,
+    complete,
+    enumerate_matchings,
+    restrict,
+)
 from .records import Record
 
 
@@ -133,13 +141,13 @@ def compatible(a: Matching, b: Matching) -> bool:
 
 # --- arrow moves -------------------------------------------------------------
 
-def _try_build(n: int, arcs: set[Arc], rays: set[int]) -> Matching | None:
-    """The matching with these arcs and rays; None if two arcs cross or a ray lies under an arc."""
+def _try_build(n: int, arcs: Iterable[Arc]) -> Matching | None:
+    """The matching of these arcs, rays elsewhere; None if arcs cross or a ray lies under one."""
     try:
-        _check_noncrossing(arcs, rays)
+        arcs, rays = _check_noncrossing(_partners(n, arcs))
     except (CrossingArcs, RayUnderArc):
         return None
-    return Matching(n, tuple(sorted(arcs)), tuple(sorted(rays)))
+    return Matching(n, arcs, rays)
 
 
 def _code(a: Matching) -> int:
@@ -423,7 +431,7 @@ def _narrowest_leftmost_sequence(a: Matching, b: Matching) -> list[Matching]:
         arcs = set(current.arcs)
         arcs -= {tuple(sorted((i, k2))), tuple(sorted((j, l2)))}
         arcs |= {(i, j), tuple(sorted((k2, l2)))}
-        nxt = _try_build(current.n, arcs, set())
+        nxt = _try_build(current.n, arcs)
         if nxt is None:
             raise InternalCheckError(f"illegal repair move for {current} -> {b}")
         steps.append(nxt)

@@ -24,7 +24,7 @@ import itertools
 import math
 import re
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     BadCounts,
@@ -189,15 +189,54 @@ class StandardTableau(Record, frozen=True, order=True):
                 raise ShapeMismatch("columns must strictly increase downward")
 
 
-def _check_noncrossing(arcs: Iterable[Arc], rays: Iterable[int]) -> None:
-    arcs = list(arcs)
-    for (i, j), (p, q) in itertools.combinations(arcs, 2):
-        if i < p < j < q or p < i < q < j:
-            raise CrossingArcs(f"arcs ({i},{j}) and ({p},{q}) cross")
-    for r in rays:
-        for i, j in arcs:
-            if i < r < j:
-                raise RayUnderArc(f"ray {r} lies beneath arc ({i},{j})")
+def _partners(n: int, arcs: Iterable[Arc]) -> list[int]:
+    """The partner array of these arcs on 1..n; every other vertex is a ray."""
+    partner = [n] * n
+    for i, j in arcs:
+        partner[i - 1], partner[j - 1] = j - 1, i - 1
+    return partner
+
+
+def _check_noncrossing(partner: Sequence[int]) -> tuple[tuple[Arc, ...], tuple[int, ...]]:
+    """The arcs and rays of a partner array, once it is checked to be a matching.
+
+    ``partner[v]`` is the 0-based other end of vertex v + 1's arc, or
+    ``len(partner)`` when v + 1 is a ray; entries lie in 0..len(partner).
+    This is the package's one crossing test: a single left-to-right stack
+    scan.  A left end opens an arc; a right end must close the innermost
+    open arc and be named back by it, else CrossingArcs (the two arcs
+    cross) or VertexReuse (partners are not symmetric); a ray must sit
+    under no open arc, else RayUnderArc, raised only once the scan finds
+    no crossing.  Arcs come back in left-end order and rays ascending, as
+    :class:`Matching` holds them.
+    """
+    n = len(partner)
+    arcs: list[Arc] = []
+    rays: list[int] = []
+    stack: list[int] = []
+    under = None
+    for v, p in enumerate(partner):
+        if p == n:
+            if stack and under is None:
+                under = v, stack[-1]
+            rays.append(v + 1)
+        elif v < p:
+            stack.append(v)
+            arcs.append((v + 1, p + 1))
+        elif p == v or partner[p] != v:
+            raise VertexReuse(f"vertex {v + 1} pairs with {p + 1}, which does not pair back")
+        else:
+            top = stack.pop()  # p opened an arc that only v closes, so it is on the stack
+            if top != p:
+                raise CrossingArcs(
+                    f"arcs ({p + 1},{v + 1}) and ({top + 1},{partner[top] + 1}) cross")
+    if stack:
+        v = stack[-1]
+        raise VertexReuse(f"vertex {v + 1} pairs with {partner[v] + 1}, which does not pair back")
+    if under is not None:
+        r, i = under
+        raise RayUnderArc(f"ray {r + 1} lies beneath arc ({i + 1},{partner[i] + 1})")
+    return tuple(arcs), tuple(rays)
 
 
 def validate(n: int, arcs: Iterable[Arc], rays: Iterable[int] = (),
@@ -230,7 +269,7 @@ def validate(n: int, arcs: Iterable[Arc], rays: Iterable[int] = (),
     if len(seen) != n:
         missing = sorted(set(range(1, n + 1)) - seen)
         raise BadCounts(f"vertices {missing} unused")
-    _check_noncrossing(arcs, rays)
+    _check_noncrossing(_partners(n, arcs))
     dotted = tuple(sorted({tuple(sorted(a)) for a in dotted}))
     arc_set = set(arcs)
     for d in dotted:

@@ -11,18 +11,22 @@ reduced to the standard basis.
 Evaluation folds one crossing layer at a time, top layer first, in the
 manner of Bar-Natan's local evaluation: after each layer the open
 boundary is again a dotted matching with at most one dot per component,
-held as a partner array (each boundary point's partner, or "ray", and
-the dots of its component).  A turnback rewrites at most four entries
-and leaves the array canonical, so equal boundary states merge in one
-dict with no relabelling, a circle closed by a layer becomes a scalar at
-once, and the number of states stays bounded by the number of boundary
-states instead of doubling with every crossing.
+held as a flat tuple of ints, one ``partner << 2 | dots`` entry per
+boundary point (its partner, or n for a ray, and the dots of its
+component).  A turnback rewrites at most four entries and leaves the
+tuple canonical, so equal boundary states merge in one dict with no
+relabelling, a circle closed by a layer becomes a scalar at once, and
+the number of states stays bounded by the number of boundary states
+instead of doubling with every crossing.  Each surviving state is read
+off by one left-to-right stack scan of its partners, the package's one
+crossing test ``matchings._check_noncrossing``.
 :func:`expand_resolutions` lists every resolution of the whole tangle; it
 is the full-expansion reference the fold is tested against.  It keeps
-its own component-label states and shares only ``validate``, the
-placement table and the circle rule with the fold.  It evaluates each
-circle where it closes, as the fold does, but never merges states, so it
-checks the fold's rewriting and merging.
+its own component-label states and shares with the fold only that
+crossing scan (it reads its boundaries off through ``validate``), the
+placement table and the circle rule.  It evaluates each circle where it
+closes, as the fold does, but never merges states, so it checks the
+fold's rewriting and merging.
 
 The decoration and coefficient of each smoothing are not dictated by the
 evaluation rules themselves; they are fixed once as
@@ -50,11 +54,18 @@ from .errors import (
     DomainError,
     InhomogeneousClass,
     InternalCheckError,
+    MatchingError,
     MultipleConventionsFit,
     NoConventionFits,
 )
 from .homology import HomClass, hom_class, reduce_class
-from .matchings import DottedMatching, standard_dotted_matchings, validate
+from .matchings import (
+    DottedMatching,
+    Matching,
+    _check_noncrossing,
+    standard_dotted_matchings,
+    validate,
+)
 from .permutations import Permutation
 from .records import Record
 
@@ -161,93 +172,105 @@ def _state_error(M: DottedMatching, tangle: FlatTangle, what: str) -> InternalCh
     return InternalCheckError(f"{M} under word {tangle.layers}: {what}")
 
 
-#: The partner of a boundary point whose component runs off as a ray.
-_RAY = -1
-
-
 def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
                           convention: ResolutionConvention = CALIBRATED_CONVENTION
                           ) -> dict[DottedMatching, int]:
     """The tangle glued below M as boundary matchings with nonzero coefficients.
 
     Folds the crossing layers top first over a dict from partner state to
-    coefficient.  A partner state holds one (partner, dots) entry per
-    boundary point v, 0-based: the other boundary end of v's component,
-    or ``_RAY`` when the component runs off as a ray, and the dots on the
-    component (a ray's intrinsic dot included).  Every surviving component
-    has one boundary end or two, so the tuple is the open boundary as a
-    dotted matching, already canonical.  A state passes its vertical
-    smoothing on unchanged.  Its turnback rewrites at most four entries: a
-    cup on the two ends of one arc closes a circle, which is evaluated at
-    once; a cup on two components joins their outer ends, and a join
-    reaching two dots is dropped.  Zero coefficients are pruned after
-    every layer.  The result is not reduced to the standard basis; it
-    equals the sum of :func:`expand_resolutions` by boundary.
+    coefficient.  A partner state is a flat tuple of ints, one per boundary
+    point v, 0-based: ``partner << 2 | dots``, where the partner is the
+    other boundary end of v's component, or n when the component runs off
+    as a ray, and the dots are those on the component (a ray's intrinsic
+    dot included).  Every surviving component has one boundary end or two,
+    so the tuple is the open boundary as a dotted matching, already
+    canonical.  A state passes its vertical smoothing on unchanged.  Its
+    turnback rewrites at most four entries: a cup on the two ends of one
+    arc closes a circle, which is evaluated at once; a cup on two
+    components joins their outer ends, and a join reaching two dots is
+    dropped.  Zero coefficients are pruned after every layer, and each
+    surviving state is read off by :func:`_read_off`.  The result is not
+    reduced to the standard basis; it equals the sum of
+    :func:`expand_resolutions` by boundary.
     """
     c = convention
     _check_strands(M, tangle)
     n = M.n
-    start: list[tuple[int, int]] = [(_RAY, 1)] * n
+    start = [n << 2 | 1] * n
     dotted = set(M.dotted)
     for arc in M.base.arcs:
+        i, j = arc[0] - 1, arc[1] - 1
         dots = 1 if arc in dotted else 0
-        start[arc[0] - 1] = (arc[1] - 1, dots)
-        start[arc[1] - 1] = (arc[0] - 1, dots)
-    states: dict[tuple[tuple[int, int], ...], int] = {tuple(start): 1}
+        start[i], start[j] = j << 2 | dots, i << 2 | dots
+    states: dict[tuple[int, ...], int] = {tuple(start): 1}
+    identity = c.identity_coeff
     cup_c, cap_c = _PLACEMENT_DOTS[c.closure_dots]
     cup_m, cap_m = _PLACEMENT_DOTS[c.merge_dots]
 
     for pos in reversed(tangle.layers):
         a, b = pos - 1, pos
-        closed_a, closed_b = (b, cap_c), (a, cap_c)
-        merged_a, merged_b = (b, cap_m), (a, cap_m)
-        nxt: dict[tuple[tuple[int, int], ...], int] = {}
+        closed = (b << 2 | cap_c, a << 2 | cap_c)
+        merged_a, merged_b = b << 2 | cap_m, a << 2 | cap_m
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
         for state, coeff in states.items():
-            nxt[state] = nxt.get(state, 0) + coeff * c.identity_coeff
-            (partner_a, dots_a), (partner_b, dots_b) = state[a], state[b]
-            turned = list(state)
+            nxt[state] = get(state, 0) + coeff * identity
+            end_a, end_b = state[a], state[b]
+            partner_a = end_a >> 2
             if partner_a == b:
                 # the cup closes this arc's component into a circle
-                coeff *= c.closure_coeff * circle_rule(dots_a + cup_c)
-                turned[a], turned[b] = closed_a, closed_b
+                key = state[:a] + closed + state[b + 1:]
+                coeff *= c.closure_coeff * circle_rule((end_a & 3) + cup_c)
             else:
-                dots = dots_a + dots_b + cup_m
+                dots = (end_a & 3) + (end_b & 3) + cup_m
                 if dots >= 2:
                     continue  # a two-dot component kills the term
                 # the cup joins the two components at their outer ends; two
                 # rays hold two dots, so a ray-ray join here is a dot miscount
-                if partner_a == partner_b == _RAY:
+                partner_b = end_b >> 2
+                if partner_a == partner_b == n:
                     raise _state_error(M, tangle, f"two ray ends merge at crossing {pos}")
-                if partner_a != _RAY:
-                    turned[partner_a] = (partner_b, dots)
-                if partner_b != _RAY:
-                    turned[partner_b] = (partner_a, dots)
-                coeff *= c.merge_coeff
+                turned = list(state)
+                if partner_a != n:
+                    turned[partner_a] = partner_b << 2 | dots
+                if partner_b != n:
+                    turned[partner_b] = partner_a << 2 | dots
                 turned[a], turned[b] = merged_a, merged_b
-            key = tuple(turned)
-            nxt[key] = nxt.get(key, 0) + coeff
+                key = tuple(turned)
+                coeff *= c.merge_coeff
+            nxt[key] = get(key, 0) + coeff
         states = {state: coeff for state, coeff in nxt.items() if coeff}
 
-    # Distinct states read off to distinct (arcs, rays, dotted), so
-    # ``validate`` runs once per distinct boundary.
-    out: dict[DottedMatching, int] = {}
-    for state, coeff in states.items():
-        arcs, rays, dotted_arcs = [], [], []
-        for v, (partner, dots) in enumerate(state):
-            if dots >= 2:
-                raise _state_error(M, tangle, "doubly dotted component survived")
-            if partner == _RAY:
-                rays.append(v + 1)
-            elif v < partner:
-                arc = (v + 1, partner + 1)
-                arcs.append(arc)
-                if dots:
-                    dotted_arcs.append(arc)
-        boundary = validate(n, arcs, rays, dotted_arcs)
-        if boundary in out:
-            raise _state_error(M, tangle, f"two boundary states read off to {boundary}")
-        out[boundary] = coeff
-    return out
+    return {_read_off(M, tangle, state): coeff for state, coeff in states.items()}
+
+
+def _read_off(M: DottedMatching, tangle: FlatTangle, state: tuple[int, ...]) -> DottedMatching:
+    """The dotted matching of one fold state of M under TANGLE.
+
+    One scan of the partner array by ``_check_noncrossing`` checks that
+    partners are symmetric, that each arc closes the innermost open arc and
+    that no ray lies under an arc.  The two ends of an arc must carry its
+    dots, at most one, and a ray exactly its intrinsic dot.  A failed check
+    names M and the word.  A state that passes is the encoding of the
+    matching it reads off to, so distinct states give distinct matchings.
+    """
+    try:
+        arcs, rays = _check_noncrossing([end >> 2 for end in state])
+    except MatchingError as exc:
+        raise _state_error(M, tangle, f"boundary state {state}: {exc}") from None
+    dotted = []
+    for arc in arcs:
+        dots = state[arc[0] - 1] & 3
+        if dots != state[arc[1] - 1] & 3:
+            raise _state_error(M, tangle, f"the ends of arc {arc} disagree on its dots")
+        if dots >= 2:
+            raise _state_error(M, tangle, "doubly dotted component survived")
+        if dots:
+            dotted.append(arc)
+    for r in rays:
+        if state[r - 1] & 3 != 1:
+            raise _state_error(M, tangle, f"ray {r} carries {state[r - 1] & 3} dots, not 1")
+    return DottedMatching(Matching(M.n, arcs, rays), tuple(dotted))
 
 
 def expand_resolutions(M: DottedMatching, tangle: FlatTangle,

@@ -17,12 +17,11 @@ import random
 from typing import Callable, Iterator
 
 from . import action, cells, diagrams, homology, linalg, skein, subspaces, tabloids
-from .errors import CrossingArcs, DomainError, RayUnderArc
+from .errors import DomainError
 from .homology import HomClass
 from .matchings import (
     DottedMatching,
     Matching,
-    _check_noncrossing,
     _column_numbers,
     all_dotted_matchings,
     complete,
@@ -62,13 +61,10 @@ def _reference_matchings(n: int, k: int) -> set[Matching]:
     """Independent oracle: try every pairing of every 2k-subset, filter."""
     result: set[Matching] = set()
     for support in itertools.combinations(range(1, n + 1), 2 * k):
-        rays = tuple(v for v in range(1, n + 1) if v not in support)
         for arcs in _all_pairings(list(support)):
-            try:
-                _check_noncrossing(arcs, rays)
-            except (CrossingArcs, RayUnderArc):
-                continue
-            result.add(Matching(n, tuple(sorted(arcs)), rays))
+            b = diagrams._try_build(n, arcs)
+            if b is not None:
+                result.add(b)
     return result
 
 
@@ -241,16 +237,15 @@ def _reference_successors(a) -> list:
     no ray lies under an arc.
     """
     out = []
-    arcs, rays = set(a.arcs), set(a.rays)
+    arcs = set(a.arcs)
     for (i, j) in a.arcs:
         for (p, q) in a.arcs:
             if j < p:
-                out.append(diagrams._try_build(a.n, arcs - {(i, j), (p, q)} | {(i, q), (j, p)},
-                                               rays))
+                out.append(diagrams._try_build(a.n, arcs - {(i, j), (p, q)} | {(i, q), (j, p)}))
     for r in a.rays:
         for (j, l) in a.arcs:
             if r < j:
-                out.append(diagrams._try_build(a.n, arcs - {(j, l)} | {(r, j)}, rays - {r} | {l}))
+                out.append(diagrams._try_build(a.n, arcs - {(j, l)} | {(r, j)}))
     return sorted({b for b in out if b is not None}, key=lambda b: (b.arcs, b.rays))
 
 
@@ -385,7 +380,7 @@ def check_forest_edges_are_moves(n_max: int, rng) -> None:
             forest = cells.arc_forest(a)
             for (i, l), (j, kk) in forest.edges:
                 arcs = set(a.arcs) - {(i, l), (j, kk)} | {(i, j), (kk, l)}
-                b = diagrams._try_build(n, arcs, set(a.rays))
+                b = diagrams._try_build(n, arcs)
                 assert b is not None and diagrams.is_arrow(b, a), (a, (i, l), (j, kk))
 
 

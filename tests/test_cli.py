@@ -453,6 +453,35 @@ def test_unwritable_paths_are_error_exits(tmp_path, capsys):
         assert err.startswith("error: ") and str(blocker) in err, argv
 
 
+def _springer_argv(*argv):
+    """(argv, env) running the CLI from this checkout's source in a subprocess."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return [sys.executable, "-m", "springer_tworow.cli", *argv], env
+
+
+def test_a_reader_closing_early_ends_the_command_quietly():
+    # 4,862 matchings fill about 280 kB, far past a pipe's buffer, so the
+    # command is still writing when the reader stops after one line.
+    argv, env = _springer_argv("enumerate", "-n", "18", "-k", "9")
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.BROKEN_PIPE_EXIT == 141
+    assert first == b"18: u1-2 u3-4 u5-6 u7-8 u9-10 u11-12 u13-14 u15-16 u17-18\n"
+    assert err == b""
+
+
+def test_a_closed_stdout_is_no_error():
+    argv, env = _springer_argv("enumerate", "-n", "4", "-k", "1")
+    proc = subprocess.run(argv, stderr=subprocess.PIPE, env=env, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_render_rejects_an_unclosed_class(capsys):
     code, out, err = run(capsys, "render", "(4: u1-2")
     assert code == 2 and out == "" and err.startswith("error: ")

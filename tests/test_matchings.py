@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,8 @@ from springer_tworow import errors, verify
 from springer_tworow.matchings import (
     DottedMatching,
     StandardTableau,
+    _check_noncrossing,
+    _partners,
     all_dotted_matchings,
     complete,
     count_matchings,
@@ -70,6 +73,64 @@ def test_validate_examples():
         validate(4, [(1, 2)], [3])
     with pytest.raises(errors.DotOnNonArc):
         validate(4, [(1, 2), (3, 4)], (), [(1, 3)])
+
+
+def _pairwise_noncrossing(arcs, rays):
+    """The pairwise crossing test the stack scan replaced, kept as its reference."""
+    for (i, j), (p, q) in itertools.combinations(arcs, 2):
+        if i < p < j < q or p < i < q < j:
+            raise errors.CrossingArcs(f"arcs ({i},{j}) and ({p},{q}) cross")
+    for r in rays:
+        for i, j in arcs:
+            if i < r < j:
+                raise errors.RayUnderArc(f"ray {r} lies beneath arc ({i},{j})")
+
+
+def _arc_sets(n):
+    """Every set of disjoint arcs on 1..n, crossing or not; the other vertices are rays."""
+    def walk(free):
+        if not free:
+            yield []
+            return
+        first, rest = free[0], free[1:]
+        yield from walk(rest)  # first is a ray
+        for idx, other in enumerate(rest):
+            for arcs in walk(rest[:idx] + rest[idx + 1:]):
+                yield [(first, other), *arcs]
+    return walk(list(range(1, n + 1)))
+
+
+def _outcome(check):
+    try:
+        return check()
+    except (errors.CrossingArcs, errors.RayUnderArc) as exc:
+        return type(exc)
+
+
+def test_stack_scan_refuses_exactly_where_the_pairwise_test_does():
+    seen = {errors.CrossingArcs: 0, errors.RayUnderArc: 0}
+    for n in range(9):
+        for arcs in _arc_sets(n):
+            rays = sorted(set(range(1, n + 1)) - {v for arc in arcs for v in arc})
+            want = _outcome(lambda: _pairwise_noncrossing(arcs, rays))
+            got = _outcome(lambda: _check_noncrossing(_partners(n, arcs)))
+            if want is None:
+                assert got == (tuple(sorted(arcs)), tuple(rays)), (n, arcs)
+            else:
+                assert got is want, (n, arcs)
+                seen[want] += 1
+    assert all(seen.values())
+
+
+@pytest.mark.parametrize("partner", [
+    [1, 0, 3, 1],   # vertex 4 names 2, which names 1
+    [1, 2, 3, 2],   # vertex 2 names 3, which names 4
+    [0, 2, 2],      # vertex 1 names itself
+    [5, 0, 2, 3],   # vertex 1 names a vertex past the end
+])
+def test_stack_scan_refuses_asymmetric_partners(partner):
+    with pytest.raises(errors.VertexReuse, match="does not pair back"):
+        _check_noncrossing(partner)
 
 
 def test_enumerate_b31():

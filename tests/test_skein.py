@@ -17,6 +17,7 @@ from springer_tworow.skein import (
     CALIBRATED_CONVENTION,
     ResolutionConvention,
     _anchor_ok,
+    _read_off,
     _reassemble,
     boundary_coefficients,
     calibrate,
@@ -267,6 +268,29 @@ def test_reference_errors_name_the_matching_and_the_word():
     with pytest.raises(errors.InternalCheckError,
                        match=r"^2: u1-2 under word \(1,\): two boundary ends on a ray"):
         _reassemble(M, flatten([1], 2), [0, 0], [(1, True)], {})
+
+
+#: A ray end on four points: partner 4 and the ray's one dot.
+_RAY_END = 4 << 2 | 1
+
+
+def test_read_off_decodes_a_fold_state():
+    state = (1 << 2 | 1, 0 << 2 | 1, _RAY_END, _RAY_END)
+    assert _read_off(pm("4: u1-2 u3-4"), flatten([1], 4), state) == pm("4: d1-2 r3 r4")
+
+
+@pytest.mark.parametrize("state, what", [
+    ((1 << 2, 0 << 2, 3 << 2, 1 << 2), "does not pair back"),
+    ((2 << 2, 3 << 2, 0 << 2, 1 << 2), r"arcs \(1,3\) and \(2,4\) cross"),
+    ((2 << 2, _RAY_END, 0 << 2, _RAY_END), r"ray 2 lies beneath arc \(1,3\)"),
+    ((1 << 2 | 2, 0 << 2 | 2, _RAY_END, _RAY_END), "doubly dotted"),
+    ((1 << 2, 0 << 2, 4 << 2 | 2, _RAY_END), "ray 3 carries 2 dots"),
+    ((1 << 2 | 1, 0 << 2, _RAY_END, _RAY_END), r"ends of arc \(1, 2\) disagree"),
+])
+def test_read_off_refuses_a_broken_state(state, what):
+    with pytest.raises(errors.InternalCheckError,
+                       match=r"^4: u1-2 u3-4 under word \(1, 3\): .*" + what):
+        _read_off(pm("4: u1-2 u3-4"), flatten([1, 3], 4), state)
 
 
 def test_reference_refuses_to_close_a_ray(monkeypatch):
