@@ -3,8 +3,8 @@
 Entries live at ``<root>/rep_{n}_{k}_{m}/{perm-key}.json`` with matrix
 entries serialized as decimal strings.  The cache is an accelerator only:
 an entry is ignored unless its provenance fields, basis listing and
-permutation images match the request and its matrix is square of the
-basis dimension.
+permutation images match the request and its matrix is a square list of
+lists of canonical decimal strings, of the basis dimension.
 """
 from __future__ import annotations
 
@@ -57,11 +57,14 @@ class RepMatrixCache:
             return None
         if data.get("perm") != _images(sigma):
             return None
+        stored = data.get("matrix")
         try:
-            matrix = [[int(entry) for entry in row] for row in data["matrix"]]
-        except (KeyError, ValueError, TypeError):
+            matrix = [[int(entry) for entry in row] for row in stored]
+        except (ValueError, TypeError):
             return None
-        if len(matrix) != len(basis) or any(len(row) != len(basis) for row in matrix):
+        # Only what ``store`` writes: len(basis) lists of len(basis) canonical decimal strings.
+        if ([[str(entry) for entry in row] for row in matrix] != stored
+                or {len(matrix), *map(len, matrix)} != {len(basis)}):
             return None
         return matrix
 

@@ -183,7 +183,7 @@ def cmd_glue(args) -> int:
             for c in glued.components
         ],
         "count": len(glued),
-        "compatible": diagrams.compatible(a, b),
+        "compatible": glued.compatible,
     }
     if args.json:
         _print_json(data)

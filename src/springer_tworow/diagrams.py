@@ -44,16 +44,15 @@ from .records import Record
 
 
 class Component(Record, frozen=True):
-    __slots__ = _fields = ("kind", "vertices", "ends", "arcs_above", "arcs_below")
+    __slots__ = _fields = ("kind", "vertices", "ends", "arcs_above")
 
     def __init__(self, kind: str, vertices: frozenset[int], ends: tuple[tuple[int, str], ...],
-                 arcs_above: tuple[Arc, ...], arcs_below: tuple[Arc, ...]):
-        set_kind, set_vertices, set_ends, set_arcs_above, set_arcs_below = self._setters
+                 arcs_above: tuple[Arc, ...]):
+        set_kind, set_vertices, set_ends, set_arcs_above = self._setters
         set_kind(self, kind)                # "circle" | "line"
         set_vertices(self, vertices)
         set_ends(self, ends)                # lines: ((vertex, "up"|"down"), ...)
         set_arcs_above(self, arcs_above)    # arcs of a on this component
-        set_arcs_below(self, arcs_below)    # arcs of b on this component
 
 
 class GluedOneManifold(Record, frozen=True):
@@ -80,6 +79,11 @@ class GluedOneManifold(Record, frozen=True):
     def vertex_sets(self) -> tuple[frozenset[int], ...]:
         """The collection C_{a,b} of per-component vertex sets."""
         return tuple(c.vertices for c in self.components)
+
+    @property
+    def compatible(self) -> bool:
+        """True iff every line has one up end and one down end."""
+        return all(sorted(d for _, d in line.ends) == ["down", "up"] for line in self.lines)
 
 
 def _require_same_type(a: Matching, b: Matching) -> None:
@@ -122,7 +126,6 @@ def glue(a: Matching, b: Matching) -> GluedOneManifold:
             vertices=frozenset(vertices),
             ends=tuple(ends),
             arcs_above=tuple(arc for arc in a.arcs if arc[0] in vertices),
-            arcs_below=tuple(arc for arc in b.arcs if arc[0] in vertices),
         )
         components.append(comp)
     components.sort(key=lambda c: min(c.vertices))
@@ -131,12 +134,7 @@ def glue(a: Matching, b: Matching) -> GluedOneManifold:
 
 def compatible(a: Matching, b: Matching) -> bool:
     """True iff every line of the overlay has one up end and one down end."""
-    glued = glue(a, b)
-    for line in glued.lines:
-        dirs = sorted(d for _, d in line.ends)
-        if dirs != ["down", "up"]:
-            return False
-    return True
+    return glue(a, b).compatible
 
 
 # --- arrow moves -------------------------------------------------------------
@@ -374,11 +372,15 @@ def distance(a: Matching, b: Matching) -> int | float:
     For compatible pairs the result is cross-checked against the component
     count formula n - k - |overlay|.
     """
-    _require_same_type(a, b)
+    return _checked_distance(a, b, glue(a, b))
+
+
+def _checked_distance(a: Matching, b: Matching, glued: GluedOneManifold) -> int | float:
+    """``distance(a, b)``, with ``glued = glue(a, b)`` for the cross-check."""
     path = _bfs_path(a, b, _undirected(a.n, a.k))
     d = math.inf if path is None else len(path) - 1
-    if compatible(a, b):
-        formula = a.n - a.k - len(glue(a, b))
+    if glued.compatible:
+        formula = a.n - a.k - len(glued)
         if d != formula:
             raise InternalCheckError(
                 f"BFS distance {d} != component formula {formula} for {a}, {b}"
@@ -449,7 +451,8 @@ def minimal_sequence(a: Matching, b: Matching) -> MoveSequence:
     _require_same_type(a, b)
     if a == b:
         return MoveSequence((a,), (), True)
-    if not compatible(a, b):
+    glued = glue(a, b)
+    if not glued.compatible:
         path = _bfs_path(a, b, _undirected(a.n, a.k))
         if path is None:
             raise NotFound(f"{a} and {b} are in different components")
@@ -459,12 +462,12 @@ def minimal_sequence(a: Matching, b: Matching) -> MoveSequence:
     lifted = _narrowest_leftmost_sequence(complete(a), complete(b))
     steps = tuple(restrict(x, pad) for x in lifted)
     tags = tuple(_tag(x, y) for x, y in zip(steps, steps[1:]))
-    d = distance(a, b)
+    d = _checked_distance(a, b, glued)
     if len(tags) != d:
         raise InternalCheckError(f"sequence length {len(tags)} != distance {d}")
-    for x, y in zip(steps, steps[1:]):
-        if len(glue(x, b)) != len(glue(y, b)) - 1:
-            raise InternalCheckError("step does not split an overlay component")
+    sizes = [len(glued)] + [len(glue(x, b)) for x in steps[1:]]
+    if any(x != y - 1 for x, y in zip(sizes, sizes[1:])):
+        raise InternalCheckError("step does not split an overlay component")
     return MoveSequence(steps, tags, True)
 
 

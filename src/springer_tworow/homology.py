@@ -24,8 +24,8 @@ reduction reads standardness off each base's ``dottable`` mask and builds
 only the standard dotted matchings.  :func:`relation_instances` and
 :func:`psi_minus_rows` map the columns back through
 ``all_dotted_matchings``; :func:`pushforward_inclusion` glues with
-``diagrams.glue``, the reference of the ``homology.arrow-overlays``
-invariant.  :mod:`diagrams` loads on first use.
+``diagrams.glue``, the reference of the ``homology.psi-rows`` invariant
+for the ψ₋ rows.  :mod:`diagrams` loads on first use.
 """
 from __future__ import annotations
 
@@ -349,7 +349,8 @@ def pushforward_inclusion(a: Matching, b: Matching,
     ``glue(a, b).circles``) carrying the free sphere factor.  A pinned
     circle dots all its arcs from a; a free circle contributes the sum
     over its arcs of (that arc undotted, its circle-mates dotted); lines
-    are always pinned.
+    are always pinned.  ``glue(b, a)`` lists the same circles, so the ψ₋
+    row of a -> b and F is this class minus ``pushforward_inclusion(b, a, F)``.
     """
     from .diagrams import glue, is_arrow
 
@@ -370,16 +371,14 @@ def pushforward_inclusion(a: Matching, b: Matching,
 
 # --- presentation via the boundary map ------------------------------------------
 
-def psi_minus_rows(n: int, k: int, m: int) -> tuple[list, list]:
-    """(columns, dense rows) of the degree-2m block of ψ₋; DomainError for m outside 0..k.
+def psi_minus_rows(n: int, k: int, m: int) -> tuple[list, list[dict[int, int]]]:
+    """(columns, sparse rows) of the degree-2m block of ψ₋; DomainError for m outside 0..k.
 
-    Columns are all dotted matchings of grading m; each row is the image
-    of one basis class of one arrow-pair intersection.
+    Columns are all dotted matchings of grading m; each ``{column: int}``
+    row is the image of one basis class of one arrow-pair intersection.
     """
     _check_grading(n, k, m)
-    columns = list(all_dotted_matchings(n, k, m))
-    rows = _psi_minus_rows(k, m, _circle_bits(n, k))
-    return columns, [linalg._dense(row, len(columns)) for row in rows]
+    return list(all_dotted_matchings(n, k, m)), _psi_minus_rows(k, m, _circle_bits(n, k))
 
 
 def _circle_bits(n: int, k: int) -> list[tuple]:
@@ -428,7 +427,11 @@ def _psi_minus_rows(k: int, m: int, arrows: list[tuple]) -> list[dict[int, int]]
 
 
 def presentation_betti(n: int, k: int) -> list[int]:
-    """Betti numbers as cokernel ranks of ψ₋; the rows are densified only for the rank."""
+    """Betti numbers as cokernel ranks of ψ₋, the one place ψ₋ rows are densified.
+
+    ``perfbench/test_harness.py`` requires the ``linalg.rref`` that ``linalg.rank`` runs
+    to receive dense rows here.
+    """
     arrows = _circle_bits(n, k)
     out = []
     for m in range(k + 1):

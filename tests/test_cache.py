@@ -1,6 +1,9 @@
 """The matrix cache serves an entry only if it provably matches the request."""
 import json
 import shutil
+from pathlib import Path
+
+import pytest
 
 from springer_tworow.action import rep_matrix
 from springer_tworow.cache import RepMatrixCache
@@ -12,25 +15,21 @@ def test_store_then_load_roundtrip(tmp_path):
     cache = RepMatrixCache(str(tmp_path))
     sigma = adjacent(5, 2)
     matrix = rep_matrix(sigma, 5, 2, 1)
-    path = cache.store(sigma, 5, 2, 1, matrix)
-    with open(path, encoding="utf-8") as fh:
-        assert json.load(fh)["perm"] == ["1", "3", "2", "4", "5"]
+    path = Path(cache.store(sigma, 5, 2, 1, matrix))
+    assert json.loads(path.read_text(encoding="utf-8"))["perm"] == ["1", "3", "2", "4", "5"]
     assert cache.load(sigma, 5, 2, 1) == matrix
 
 
 def test_truncated_matrix_is_rejected(tmp_path):
     cache = RepMatrixCache(str(tmp_path))
     sigma = adjacent(4, 1)
-    path = cache.store(sigma, 4, 2, 2, rep_matrix(sigma, 4, 2, 2))
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    path = Path(cache.store(sigma, 4, 2, 2, rep_matrix(sigma, 4, 2, 2)))
+    data = json.loads(path.read_text(encoding="utf-8"))
     data["matrix"] = [["7"]]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+    path.write_text(json.dumps(data), encoding="utf-8")
     assert cache.load(sigma, 4, 2, 2) is None
     data["matrix"] = [["1", "0"], ["0"]]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+    path.write_text(json.dumps(data), encoding="utf-8")
     assert cache.load(sigma, 4, 2, 2) is None
 
 
@@ -57,14 +56,27 @@ def test_cli_recomputes_and_replaces_a_rejected_entry(tmp_path, capsys):
     assert cache.load(s2, 4, 2, 2) == want
 
 
+# A malformed row in place of each stored one; int() reads every one but the nested lists.
+@pytest.mark.parametrize("row", ["999", [["1"]] * 3, [" 1"] * 3, ["1_0"] * 3],
+                         ids=["string", "nested", "padded", "underscore"])
+def test_cli_recomputes_and_replaces_a_malformed_matrix(tmp_path, capsys, row):
+    argv = ["matrix", "-n", "4", "-k", "2", "-m", "1", "--sigma", "(1 2)", "--cached",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    [path] = tmp_path.glob("rep_4_2_1/*.json")
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**stored, "matrix": [row] * 3}), encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == 2 * "1 0 0\n0 -1 -1\n0 0 1\n"
+    assert json.loads(path.read_text(encoding="utf-8")) == stored
+
+
 def test_old_version_entry_is_a_miss(tmp_path):
     cache = RepMatrixCache(str(tmp_path))
     sigma = adjacent(4, 1)
-    path = cache.store(sigma, 4, 2, 2, rep_matrix(sigma, 4, 2, 2))
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    path = Path(cache.store(sigma, 4, 2, 2, rep_matrix(sigma, 4, 2, 2)))
+    data = json.loads(path.read_text(encoding="utf-8"))
     data["version"] = "1"
     del data["perm"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+    path.write_text(json.dumps(data), encoding="utf-8")
     assert cache.load(sigma, 4, 2, 2) is None

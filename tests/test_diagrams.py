@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from springer_tworow import errors, verify
+from springer_tworow import diagrams, errors, verify
 from springer_tworow.diagrams import (
     arrow_graph,
     arrow_move,
@@ -37,9 +37,7 @@ def test_glue_single_line_pair():
 def test_glue_self():
     a = m("5: r1 u2-3 u4-5")
     g = glue(a, a)
-    assert len(g.circles) == 2 and len(g.lines) == 1
-    for line in g.lines:
-        assert sorted(d for _, d in line.ends) == ["down", "up"]
+    assert len(g.circles) == 2 and [c.ends for c in g.lines] == [((1, "down"), (1, "up"))]
     assert compatible(a, a)
 
 
@@ -147,6 +145,17 @@ def test_distance_examples():
     assert distance(a, m("4: r1 r2 u3-4")) == 2
 
 
+def test_each_overlay_query_glues_each_pair_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(diagrams, "glue", lambda a, b: calls.append((a, b)) or glue(a, b))
+    a, b = m("4: u1-2 u3-4"), m("4: u1-4 u2-3")
+    assert distance(a, b) == 1 and calls == [(a, b)]
+    a, b = m("8: u1-2 u3-4 u5-6 u7-8"), m("8: u1-2 u3-8 u4-5 u6-7")
+    calls.clear()
+    seq = minimal_sequence(a, b)
+    assert len(seq) == 2 and calls == [(x, b) for x in seq.steps]
+
+
 def test_distance_formula_exhaustive():
     verify.check_distance_formula(8, random.Random(0))
 
@@ -206,8 +215,6 @@ def test_meet_properties():
 
 
 def test_meet_refuses_a_walk_that_misses(monkeypatch):
-    from springer_tworow import diagrams
-
     a, b = m("4: u1-2 r3 r4"), m("4: r1 r2 u3-4")
     monkeypatch.setattr(diagrams, "_is_meet", lambda *_: False)
     stop = r"from 4: u1-2 r3 r4 towards 4: r1 r2 u3-4 stopped at 4: r1 r2 u3-4"

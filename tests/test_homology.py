@@ -39,10 +39,6 @@ def test_relation_instances_examples():
     assert "-1·(3: d1-2 r3) + 1·(3: r1 d2-3)" in rels31
 
 
-def test_relations_are_homogeneous():
-    verify.check_relation_homogeneity(7, random.Random(0))
-
-
 def test_reduce_examples():
     x = HomClass.of(pm("4: u1-4 d2-3"))
     want = cls(("4: d1-2 u3-4", 1), ("4: u1-2 d3-4", 1), ("4: d1-4 u2-3", -1))
@@ -112,8 +108,17 @@ def test_boundary_peel_fails_when_the_target_terms_are_doubled(monkeypatch):
         verify.check_psi_peel(4, random.Random(0))
 
 
-def test_arrow_table_circles_equal_the_glued_overlays():
-    verify.check_arrow_overlays(10, random.Random(0))
+def test_psi_rows_equal_the_glued_pushforwards():
+    verify.check_psi_rows(9, random.Random(0))
+
+
+def test_psi_rows_fail_when_a_row_is_negated(monkeypatch):
+    rows = homology._psi_minus_rows
+    monkeypatch.setattr(homology, "_psi_minus_rows", lambda k, m, arrows: [
+        {c: -x for c, x in row.items()} if (k, m, i) == (2, 1, 0) else row
+        for i, row in enumerate(rows(k, m, arrows))])
+    ok, [(_, passed, message)] = verify.run_all(4, names=["homology.psi-rows"])
+    assert (ok, passed, message) == (False, False, "(4, 2, 1)")
 
 
 def test_closed_form_column_numbers_are_the_enumeration_positions():

@@ -67,7 +67,7 @@ POOLS = {
                              "merge_dots": ("none", "both")},
     "ArcForest": {"matching": (M1, M2), "edges": ((), (((1, 4), (2, 3)),)), "roots": ARCS},
     "Component": {"kind": ("circle", "line"), "vertices": (frozenset({1, 2}), frozenset({3})),
-                  "ends": ((), ((3, "up"),)), "arcs_above": ARCS, "arcs_below": ARCS},
+                  "ends": ((), ((3, "up"),)), "arcs_above": ARCS},
     "GluedOneManifold": {"a": (M1, M2), "b": (M1, M2), "components": ((), ("circle",))},
     "ArrowGraph": {"nodes": ((M1,), (M1, M2)), "successors": ({}, {M1: ()}),
                    "predecessors": ({}, {M1: [M2]})},
@@ -203,7 +203,7 @@ def test_constructor_defaults_and_keywords():
     assert (r.rows, r.coxeter_ok, r.failures) == ([], True, [])
     assert r.rows is not s.rows and r.failures is not s.failures
     line = diagrams.Component(kind="line", vertices=frozenset({1}), ends=((1, "up"),),
-                              arcs_above=(), arcs_below=())
+                              arcs_above=())
     assert line.kind == "line"
     assert skein.FlatTangle(3, (1, 2)).layers == (1, 2)
     for bad in ((0,), (3,)):
