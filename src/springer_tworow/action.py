@@ -36,7 +36,9 @@ grading's ``_certificate`` once per (n, m), since every k >= m has the
 same traces and relations.  A certificate solves the n - 1 generators
 through ``_solved_columns`` first, which proves the standard span
 S_n-stable.  Only then does it build the factor's dual basis, read every
-class trace off it with no solve, and drop it.  Each Coxeter relation
+class trace off it with no solve, and drop it.  The forward ``_RowMap``
+reads off the trace of sigma^-1, which is that of sigma, since the two
+are conjugate in S_n.  Each Coxeter relation
 w^e = 1 is checked on sparse products: w (s_i, or s_i s_j composed once
 from the generator columns) is raised to the power e and compared with
 the identity.  The certificate keeps the report rows and failure
@@ -84,16 +86,12 @@ class _RowMap(dict):
     """Tabloid row r -> the row of sigma(r) at (n, m), moved on first lookup.
 
     A row moves as its bit mask: each set bit v goes to bit sigma(v).
-    With ``inverse`` it moves by sigma^-1, the same bit pairs read the
-    other way round, so no inverse permutation is built.
     """
 
-    def __init__(self, sigma: Permutation, n: int, m: int, inverse: bool = False):
+    def __init__(self, sigma: Permutation, n: int, m: int):
         if sigma.n != n:
             raise SizeMismatch(f"permutation on {sigma.n} letters, class on {n}")
-        pairs = enumerate(sigma.images, 1)
-        self.image = ({1 << s: 1 << v for v, s in pairs} if inverse
-                      else {1 << v: 1 << s for v, s in pairs})
+        self.image = {1 << v: 1 << s for v, s in enumerate(sigma.images, 1)}
         self.masks, self.row = _mask_rows(n, m)
 
     def __missing__(self, r: int) -> int:
@@ -375,11 +373,13 @@ def _coxeter_failures(gens: list[list[dict[int, int]]]) -> list[str]:
 def _factor_trace(sigma: Permutation, n: int, m: int, dual) -> int:
     """The trace of ``rep_matrix(sigma, n, k, m)``, off its factor's ``dual_basis()``.
 
-    Row p of the moved vector is row sigma^-1(p), read through the
-    inverse row map, so no solve runs and no permutation is inverted.
-    Valid only once the span is known to be S_n-stable.
+    Reading row p of a vector at row sigma(p), through the forward row
+    map, moves it by sigma^-1, so this is the trace of sigma^-1.  That is
+    the trace of sigma, since sigma^-1 is conjugate to sigma in S_n; no
+    solve runs and no permutation is inverted.  Valid only once the span
+    is known to be S_n-stable.
     """
-    return ColumnSolver.trace(dual, _RowMap(sigma, n, m, inverse=True).__getitem__)
+    return ColumnSolver.trace(dual, _RowMap(sigma, n, m).__getitem__)
 
 
 @lru_cache(maxsize=None)

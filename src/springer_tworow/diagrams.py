@@ -7,11 +7,14 @@ components and the distance between matchings.
 The arrow relation ``a -> b`` replaces two unnested arcs of ``a`` by the
 nested pair on the same four vertices, or shifts a ray one arc to the
 right; its reflexive-transitive closure is the partial order used for the
-homology presentation.  One scan per matching finds each arc's parent
-and reads every arrow off the nesting directly (:func:`_arrow_scan`), so
-no candidate matching is built or validated; ``arrow_graph`` keeps the
-resulting move table, with arc positions as bit masks, for the homology
-rows.
+homology presentation.  The nesting scan :func:`_arrow_scan` is the one
+definition of an arrow move: one pass per matching finds each arc's
+parent and reads every arrow off the nesting directly, so no candidate
+matching is built or validated.  ``arrow_graph`` keeps the resulting
+move table, with arc positions as bit masks, for the homology rows, and
+every arrow query (:func:`arrow_successors`, :func:`arrow_move`,
+:func:`is_arrow`) reads that graph.  ``verify`` holds the table to an
+independent generate-and-validate reference (``diagram.arrow-table``).
 """
 from __future__ import annotations
 
@@ -210,22 +213,8 @@ def _arrow_table(nodes: tuple[Matching, ...]) -> dict:
 
 
 def arrow_successors(a: Matching) -> tuple[Matching, ...]:
-    """All b with a -> b, in node order: unnest->nest on two arcs, or ray shifted right.
-
-    Each b is a's move from :func:`_arrow_scan` applied, so no other
-    matching of the type is enumerated.
-    """
-    out = []
-    for _, move, *_ in _arrow_scan(a):
-        rays = a.rays
-        if len(move) == 4:
-            i, j, k, l = move
-            arcs = set(a.arcs) - {(i, j), (k, l)} | {(i, l), (j, k)}
-        else:
-            r, j, k = move
-            arcs, rays = set(a.arcs) - {(j, k)} | {(r, j)}, sorted(set(rays) - {r} | {k})
-        out.append(Matching(a.n, tuple(sorted(arcs)), tuple(rays)))
-    return tuple(sorted(out, key=lambda b: (b.arcs, b.rays)))
+    """All b with a -> b, in node order: unnest->nest on two arcs, or ray shifted right."""
+    return arrow_graph(a.n, a.k).successors[a]
 
 
 def arrow_move(a: Matching, b: Matching) -> tuple[int, ...] | None:
@@ -233,23 +222,10 @@ def arrow_move(a: Matching, b: Matching) -> tuple[int, ...] | None:
 
     (i, j, k, l) when the unnested arcs (i, j), (k, l) of a become the
     nested (i, l), (j, k) of b; (r, j, k) when the ray r and arc (j, k) of
-    a become the arc (r, j) and ray k of b.
+    a become the arc (r, j) and ray k of b.  Read off a's row of the
+    arrow graph's move table, where a b of another type never appears.
     """
-    if a.n != b.n or a.k != b.k:
-        return None
-    arcs_a, arcs_b = set(a.arcs), set(b.arcs)
-    lost, gained = arcs_a - arcs_b, arcs_b - arcs_a
-    rays_a, rays_b = set(a.rays), set(b.rays)
-    if rays_a == rays_b:
-        if len(lost) != 2 or len(gained) != 2:
-            return None
-        (i, j), (k, l) = sorted(lost)
-        return (i, j, k, l) if j < k and gained == {(i, l), (j, k)} else None
-    ray_lost, ray_gained = rays_a - rays_b, rays_b - rays_a
-    if len(lost) == len(gained) == len(ray_lost) == len(ray_gained) == 1:
-        ((j, k),), (r,) = lost, ray_lost
-        return (r, j, k) if r < j and gained == {(r, j)} and ray_gained == {k} else None
-    return None
+    return next((move for c, move, *_ in arrow_graph(a.n, a.k).arrows[a] if c == b), None)
 
 
 def is_arrow(a: Matching, b: Matching) -> bool:
@@ -261,8 +237,9 @@ class ArrowGraph(Record, frozen=True):
     """The arrow relation on the matchings of one type.
 
     ``arrows`` is the arrow-move table that :func:`_arrow_scan` reads off
-    each source a: one (b, arrow_move(a, b), shared, a_bits, b_bits) per
-    successor b, in ``successors`` order.  ``shared`` lists the arcs a and
+    each source a: one (b, move, shared, a_bits, b_bits) per successor b,
+    in ``successors`` order, where move is (i, j, k, l) or (r, j, k) as
+    :func:`arrow_move` returns it.  ``shared`` lists the arcs a and
     b have in common, sorted; ``a_bits`` holds ``1 << p`` for the position
     p in ``a.arcs`` of each shared arc and then of each arc of a that
     moves ((i, j), (k, l) of a nesting move, (j, k) of a ray move), and
@@ -300,25 +277,21 @@ def arrow_graph(n: int, k: int) -> ArrowGraph:
 def linear_order(n: int, k: int, variant: int = 0) -> tuple[Matching, ...]:
     """A linear extension of the arrow order (Kahn's algorithm).
 
-    ``variant`` selects the tie-break among ready nodes: 0 = ascending arc
-    key, 1 = descending, >= 2 = seeded shuffle.  All variants are valid
-    extensions; downstream results must not depend on the choice.  A
-    negative variant raises DomainError.
+    ``variant`` selects the tie-break among ready nodes: 0 = node order
+    (ascending (arcs, rays) key), 1 = reversed, >= 2 = seeded shuffle.
+    All variants are valid extensions; downstream results must not depend
+    on the choice.  A negative variant raises DomainError.
     """
     if variant < 0:
         raise DomainError(f"order variant {variant} is negative; use 0, 1 or a seed >= 2")
     graph = arrow_graph(n, k)
     indeg = {a: len(graph.predecessors[a]) for a in graph.nodes}
-    keys = {a: (a.arcs, a.rays) for a in graph.nodes}
-    if variant == 1:
-        rank_of = {a: i for i, a in enumerate(sorted(graph.nodes, key=keys.get, reverse=True))}
-    elif variant >= 2:
-        rng = random.Random(variant)
-        shuffled = list(graph.nodes)
-        rng.shuffle(shuffled)
-        rank_of = {a: i for i, a in enumerate(shuffled)}
-    else:
-        rank_of = {a: i for i, a in enumerate(sorted(graph.nodes, key=keys.get))}
+    if variant >= 2:
+        ranked = list(graph.nodes)
+        random.Random(variant).shuffle(ranked)
+    else:  # the nodes are sorted by their distinct (arcs, rays) keys
+        ranked = graph.nodes[::-1] if variant == 1 else graph.nodes
+    rank_of = {a: i for i, a in enumerate(ranked)}
     heap = [(rank_of[a], a) for a in graph.nodes if indeg[a] == 0]
     heapq.heapify(heap)
     out = []

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -97,27 +98,31 @@ def test_arrow_move_blocked_by_container():
 
 
 def test_arrow_move_classifies_exactly_the_successors():
-    pairs = 0
-    for n in range(0, 9):
-        for k in range(0, n // 2 + 1):
-            ms = enumerate_matchings(n, k)
-            for a in ms:
-                successors = arrow_successors(a)
-                for b in ms:
-                    pairs += 1
-                    assert is_arrow(a, b) == (b in successors), (a, b)
-                    move = arrow_move(a, b)
-                    if move is None:
-                        continue
-                    arcs, rays = set(a.arcs), set(a.rays)
-                    if len(move) == 4:
-                        i, j, kk, l = move
-                        arcs = arcs - {(i, j), (kk, l)} | {(i, l), (j, kk)}
-                    else:
-                        r, j, kk = move
-                        arcs, rays = arcs - {(j, kk)} | {(r, j)}, rays - {r} | {kk}
-                    assert (tuple(sorted(arcs)), tuple(sorted(rays))) == (b.arcs, b.rays)
-    assert pairs == 2056
+    # every pair with n <= 8 against the generate-and-validate reference:
+    # non-arrows, reversed arrows, a == b and pairs of different types too
+    ms = [a for n in range(0, 9) for k in range(0, n // 2 + 1) for a in enumerate_matchings(n, k)]
+    same_type = 0
+    for a in ms:
+        moves = dict(verify._reference_successors(a))
+        for b in ms:
+            same_type += (a.n, a.k) == (b.n, b.k)
+            assert arrow_move(a, b) == moves.get(b), (a, b)
+            assert is_arrow(a, b) == (b in moves), (a, b)
+    assert same_type == 2056 and len(ms) ** 2 == 21904
+
+
+def test_arrow_table_check_catches_a_corrupted_move(monkeypatch):
+    built = arrow_graph(6, 3)
+    arrows = dict(built.arrows)
+    a = next(x for x in built.nodes if arrows[x])
+    (b, (i, j, kk, l), *rest), *others = arrows[a]
+    arrows[a] = ((b, (i, kk, j, l), *rest), *others)
+    corrupted = diagrams.ArrowGraph(built.nodes, built.successors, built.predecessors, arrows)
+    monkeypatch.setattr(diagrams, "arrow_graph",
+                        lambda n, k: corrupted if (n, k) == (6, 3) else arrow_graph(n, k))
+    verify.check_arrow_table(5, random.Random(0))  # the corrupted type is past depth 5
+    with pytest.raises(AssertionError, match=re.escape(str(a))):
+        verify.check_arrow_table(6, random.Random(0))
 
 
 def test_linear_order_b31():
@@ -128,14 +133,7 @@ def test_linear_order_b31():
 
 
 def test_linear_order_extends_arrows():
-    for n in range(2, 9):
-        for k in range(0, n // 2 + 1):
-            for variant in (0, 1, 2, 3):
-                order = linear_order(n, k, variant)
-                pos = {a: i for i, a in enumerate(order)}
-                for a in order:
-                    for b in arrow_successors(a):
-                        assert pos[a] < pos[b]
+    verify.check_linear_extension(8, random.Random(0))
 
 
 def test_distance_examples():

@@ -15,7 +15,9 @@ or gained a standard generator (a leftover row does not vanish).
 
 ``reference_relations`` is the assembly the integer one replaced: every
 relation built as a ``HomClass`` of dotted matchings, each dot-set size
-filtered by m.  The integer relation rows (for every m) and the relation
+filtered by m, over the arrows and moves of the generate-and-validate
+reference ``verify._reference_successors``, so it shares nothing with
+the nesting scan.  The integer relation rows (for every m) and the relation
 normal forms must equal theirs in value and order.  The cokernel ranks
 must be those of the public ``psi_minus_rows``, which the
 ``homology.psi-rows`` invariant holds to ``pushforward_inclusion``.
@@ -26,8 +28,7 @@ from fractions import Fraction
 
 import pytest
 
-from springer_tworow import errors, homology, linalg
-from springer_tworow.diagrams import arrow_graph, arrow_move
+from springer_tworow import errors, homology, linalg, verify
 from springer_tworow.homology import (
     HomClass,
     hom_class,
@@ -39,6 +40,7 @@ from springer_tworow.homology import (
 from springer_tworow.matchings import (
     DottedMatching,
     all_dotted_matchings,
+    enumerate_matchings,
     standard_dotted_matchings,
 )
 
@@ -75,10 +77,10 @@ def dotted(base, arcs):
 
 
 def reference_relations(n, k, m=None):
-    out, graph = [], arrow_graph(n, k)
-    for a in graph.nodes:
-        for b in graph.successors[a]:
-            move, shared = arrow_move(a, b), sorted(set(a.arcs) & set(b.arcs))
+    out = []
+    for a in enumerate_matchings(n, k):
+        for b, move in verify._reference_successors(a):
+            shared = sorted(set(a.arcs) & set(b.arcs))
             for r in range(len(shared) + 1):
                 for D in itertools.combinations(shared, r):
                     free = len(shared) - r
