@@ -213,7 +213,12 @@ def _arrow_table(nodes: tuple[Matching, ...]) -> dict:
 
 
 def arrow_successors(a: Matching) -> tuple[Matching, ...]:
-    """All b with a -> b, in node order: unnest->nest on two arcs, or ray shifted right."""
+    """All b with a -> b, in node order: unnest->nest on two arcs, or ray shifted right.
+
+    Builds and keeps the whole :func:`arrow_graph` of a's type, Catalan-many
+    nodes: one call at (20, 10) takes seconds and about 100 MB.  The CLI
+    refuses types past ``cli.ARROW_GRAPH_CAP`` matchings for that reason.
+    """
     return arrow_graph(a.n, a.k).successors[a]
 
 
@@ -224,12 +229,14 @@ def arrow_move(a: Matching, b: Matching) -> tuple[int, ...] | None:
     nested (i, l), (j, k) of b; (r, j, k) when the ray r and arc (j, k) of
     a become the arc (r, j) and ray k of b.  Read off a's row of the
     arrow graph's move table, where a b of another type never appears.
+    Like :func:`arrow_successors`, it builds and keeps the whole graph of
+    a's type, which bounds it in practice by ``cli.ARROW_GRAPH_CAP``.
     """
     return next((move for c, move, *_ in arrow_graph(a.n, a.k).arrows[a] if c == b), None)
 
 
 def is_arrow(a: Matching, b: Matching) -> bool:
-    """True iff a -> b is a single arrow move."""
+    """True iff a -> b is a single arrow move; builds a's graph, as :func:`arrow_move` does."""
     return arrow_move(a, b) is not None
 
 
