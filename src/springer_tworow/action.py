@@ -61,7 +61,7 @@ from .errors import (
 )
 from .homology import HomClass, _check_grading, hom_class
 from .linalg import ColumnSolver
-from .matchings import DottedMatching, check_type, standard_dotted_matchings
+from .matchings import DottedMatching, check_tabloid_route, standard_dotted_matchings
 from .permutations import (
     Permutation,
     adjacent,
@@ -126,9 +126,10 @@ def _act(sigma: Permutation, x: HomClass, weighted_column) -> HomClass:
     """sigma applied to a homogeneous class, in the standard basis.
 
     ``weighted_column(M, c)`` turns c * M into (coefficient, ``{row: int}``
-    column) over ``_mask_rows(n, m)``.
+    column) over ``_mask_rows(n, m)``.  Checks ``check_tabloid_route`` first.
     """
     m = x.grading
+    check_tabloid_route(x.n, x.k, m)
     moved = _RowMap(sigma, x.n, m)
     if x.is_zero:
         return x
@@ -161,6 +162,7 @@ def _solved_columns(sigma: Permutation, n: int, k: int, m: int) -> list[dict[int
 def rep_matrix(sigma: Permutation, n: int, k: int, m: int) -> list[list[int]]:
     """Matrix of the action over the standard basis: ``_solved_columns`` written dense."""
     _check_grading(n, k, m)
+    check_tabloid_route(n, k, m)
     columns = _solved_columns(sigma, n, k, m)
     matrix = [[0] * len(columns) for _ in columns]
     for j, column in enumerate(columns):
@@ -280,7 +282,7 @@ def derive_chart(n: int, k: int) -> Chart:
     dotted/dotted, ray/ray and ray-dotted cases return a single term; the
     mixed-arc, undotted-arc-pair and ray-undotted cases return two terms.
     """
-    check_type(n, k)
+    check_tabloid_route(n, k)
     chart = Chart(n, k)
     for m in range(k + 1):
         for M in standard_dotted_matchings(n, k, m):
@@ -415,7 +417,7 @@ def character_table_check(n: int, k: int) -> CharacterReport:
     relabelling onto the (n, m, m) basis is proved for this k.  Rows and
     failures keep the order traces, then relations, grading by grading.
     """
-    check_type(n, k)
+    check_tabloid_route(n, k)
     report = CharacterReport(n, k)
     for m in range(k + 1):
         _solver(n, k, m)

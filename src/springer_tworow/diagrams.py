@@ -13,8 +13,10 @@ parent and reads every arrow off the nesting directly, so no candidate
 matching is built or validated.  ``arrow_graph`` keeps the resulting
 move table, with arc positions as bit masks, for the homology rows, and
 every arrow query (:func:`arrow_successors`, :func:`arrow_move`,
-:func:`is_arrow`) reads that graph.  ``verify`` holds the table to an
-independent generate-and-validate reference (``diagram.arrow-table``).
+:func:`is_arrow`) reads that graph; past ``ARROW_GRAPH_CAP`` matchings, the
+graph and every query on it raise ``CapExceeded`` before any work.
+``verify`` holds the table to an independent generate-and-validate
+reference (``diagram.arrow-table``).
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .errors import (
     NotFound,
     RayUnderArc,
     TypeMismatch,
+    refuse_past,
 )
 from .matchings import (
     Arc,
@@ -40,6 +43,7 @@ from .matchings import (
     _check_noncrossing,
     _partners,
     complete,
+    count_matchings,
     enumerate_matchings,
     restrict,
 )
@@ -87,6 +91,17 @@ class GluedOneManifold(Record, frozen=True):
     def compatible(self) -> bool:
         """True iff every line has one up end and one down end."""
         return all(sorted(d for _, d in line.ends) == ["down", "up"] for line in self.lines)
+
+
+#: The most matchings (nodes) :func:`arrow_graph` builds on: (20, 10) has 16,796 (2.2 s, 107 MB),
+#: (20, 9) 41,990 (5.6 s, 212 MB), for ``springer distance`` and ``order`` on 2 cores, Python 3.11.
+ARROW_GRAPH_CAP = 2 * 10**4
+
+
+def _check_graph_size(n: int, k: int) -> None:
+    """Raise CapExceeded for a type with more matchings than ARROW_GRAPH_CAP."""
+    refuse_past(count_matchings(n, k), ARROW_GRAPH_CAP,
+                "build an arrow graph on {} matchings", n, k)
 
 
 def _require_same_type(a: Matching, b: Matching) -> None:
@@ -216,8 +231,8 @@ def arrow_successors(a: Matching) -> tuple[Matching, ...]:
     """All b with a -> b, in node order: unnest->nest on two arcs, or ray shifted right.
 
     Builds and keeps the whole :func:`arrow_graph` of a's type, Catalan-many
-    nodes: one call at (20, 10) takes seconds and about 100 MB.  The CLI
-    refuses types past ``cli.ARROW_GRAPH_CAP`` matchings for that reason.
+    nodes: one call at (20, 10) takes seconds and about 100 MB, and a type
+    past ``ARROW_GRAPH_CAP`` matchings raises CapExceeded before any work.
     """
     return arrow_graph(a.n, a.k).successors[a]
 
@@ -230,13 +245,13 @@ def arrow_move(a: Matching, b: Matching) -> tuple[int, ...] | None:
     a become the arc (r, j) and ray k of b.  Read off a's row of the
     arrow graph's move table, where a b of another type never appears.
     Like :func:`arrow_successors`, it builds and keeps the whole graph of
-    a's type, which bounds it in practice by ``cli.ARROW_GRAPH_CAP``.
+    a's type, and raises CapExceeded past ``ARROW_GRAPH_CAP`` matchings.
     """
     return next((move for c, move, *_ in arrow_graph(a.n, a.k).arrows[a] if c == b), None)
 
 
 def is_arrow(a: Matching, b: Matching) -> bool:
-    """True iff a -> b is a single arrow move; builds a's graph, as :func:`arrow_move` does."""
+    """True iff a -> b is one arrow move; builds (or refuses) a's graph as :func:`arrow_move`."""
     return arrow_move(a, b) is not None
 
 
@@ -269,6 +284,7 @@ class ArrowGraph(Record, frozen=True):
 
 @lru_cache(maxsize=None)
 def arrow_graph(n: int, k: int) -> ArrowGraph:
+    _check_graph_size(n, k)
     nodes = enumerate_matchings(n, k)
     arrows = _arrow_table(nodes)
     # Successors are the node objects themselves, so dict lookups keyed by
@@ -289,6 +305,7 @@ def linear_order(n: int, k: int, variant: int = 0) -> tuple[Matching, ...]:
     All variants are valid extensions; downstream results must not depend
     on the choice.  A negative variant raises DomainError.
     """
+    _check_graph_size(n, k)
     if variant < 0:
         raise DomainError(f"order variant {variant} is negative; use 0, 1 or a seed >= 2")
     graph = arrow_graph(n, k)
@@ -352,6 +369,7 @@ def distance(a: Matching, b: Matching) -> int | float:
     For compatible pairs the result is cross-checked against the component
     count formula n - k - |overlay|.
     """
+    _check_graph_size(a.n, a.k)
     return _checked_distance(a, b, glue(a, b))
 
 
@@ -428,6 +446,7 @@ def minimal_sequence(a: Matching, b: Matching) -> MoveSequence:
     component and the result is certified.  Incompatible pairs fall back
     to a BFS shortest path, flagged non-certified.
     """
+    _check_graph_size(a.n, a.k)
     _require_same_type(a, b)
     if a == b:
         return MoveSequence((a,), (), True)
@@ -462,9 +481,8 @@ def meet(a: Matching, b: Matching) -> Matching:
     Raises InternalCheckError if the element the walk stops at is not a
     meet.
     """
-    _require_same_type(a, b)
     current = a
-    d = distance(current, b)
+    d = distance(current, b)  # refuses a type past the cap, then one unlike a's
     graph = arrow_graph(a.n, a.k)
     while d > 0:
         nxt = next(

@@ -14,6 +14,26 @@ class DomainError(SpringerError):
     """Parameters outside the valid (n, k) domain."""
 
 
+class CapExceeded(DomainError):
+    """Work past a size cap, refused before it starts; names its ``shape``, ``count`` and ``cap``.
+
+    ``shape`` holds n and k, m where it matters, or a search ``depth``.
+    """
+
+    def __init__(self, shape: dict[str, int], count: int, cap: int, reason: str):
+        self.shape, self.count, self.cap, self.reason = shape, count, cap, reason
+        where = ", ".join(f"{key}={value}" for key, value in shape.items())
+        super().__init__(f"{where} {reason}")
+
+
+def refuse_past(count: int, cap: int, work: str, n: int, k: int, m: int | None = None) -> None:
+    """Raise CapExceeded if COUNT passes CAP; WORK says what would be done, ``{}`` the count."""
+    if count > cap:
+        shape = {"n": n, "k": k} if m is None else {"n": n, "k": k, "m": m}
+        raise CapExceeded(shape, count, cap,
+                          f"would {work.format(count)}, more than the cap of {cap}")
+
+
 # --- matching validation -------------------------------------------------
 
 class MatchingError(SpringerError):

@@ -36,7 +36,8 @@ from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from . import linalg
-from .errors import DomainError, InhomogeneousClass, InternalCheckError, NotAnArrowPair
+from .errors import (DomainError, InhomogeneousClass, InternalCheckError, NotAnArrowPair,
+                     refuse_past)
 from .matchings import (
     Arc,
     DottedMatching,
@@ -126,11 +127,23 @@ def format_class(x: HomClass) -> str:
 
 # --- relation instances -------------------------------------------------------
 
+#: The most dotted-matching columns, of the gradings asked for, that the relation rows and
+#: the cokernel are assembled over: (14, 6) has 64,064, (15, 7) 183,040.
+COLUMN_CAP = 10**5
+
+
 def _check_grading(n: int, k: int, m: int | None) -> None:
     """Raise DomainError unless type (n-k, k) exists and m is None or in 0..k."""
     check_type(n, k)
     if m is not None and not 0 <= m <= k:
         raise DomainError(f"grading m={m} outside 0..{k}")
+
+
+def _check_columns(n: int, k: int, m: int | None = None) -> None:
+    """``_check_grading``, then CapExceeded past COLUMN_CAP dotted matchings of grading m."""
+    _check_grading(n, k, m)
+    width = count_matchings(n, k) * (2**k if m is None else math.comb(k, m))
+    refuse_past(width, COLUMN_CAP, "assemble {} dotted-matching columns", n, k, m)
 
 
 def _relation_rows(n: int, k: int, m: int | None = None) -> Iterator[dict[int, int]]:
@@ -178,7 +191,7 @@ def _dotted(base: Matching, dotted: set[Arc]) -> DottedMatching:
 
 def relation_instances(n: int, k: int, m: int | None = None) -> list[HomClass]:
     """Every local relation, optionally of grading m only; DomainError for m outside 0..k."""
-    _check_grading(n, k, m)
+    _check_columns(n, k, m)
     columns = all_dotted_matchings(n, k, m)
     return [hom_class(n, k, {columns[c]: v for c, v in row.items()})
             for row in _relation_rows(n, k, m)]
@@ -200,8 +213,9 @@ def _reduction_data(n: int, k: int, m: int):
     ``forms`` is ``linalg.normal_forms`` of :func:`_relation_rows`, with the
     nonstandard columns (masks outside ``dottable``) as pivots; ``column(M)``
     is M's column number, and ``standard`` maps each other column to its
-    dotted matching.
+    dotted matching.  Raises CapExceeded past COLUMN_CAP columns.
     """
+    _check_columns(n, k, m)
     bases = enumerate_matchings(n, k)
     masks, rank = _column_numbers(k, m)
     start = {base: i * len(masks) for i, base in enumerate(bases)}
@@ -430,8 +444,9 @@ def presentation_betti(n: int, k: int) -> list[int]:
     """Betti numbers as cokernel ranks of ψ₋, the one place ψ₋ rows are densified.
 
     ``perfbench/test_harness.py`` requires the ``linalg.rref`` that ``linalg.rank`` runs
-    to receive dense rows here.
+    to receive dense rows here.  Raises CapExceeded past COLUMN_CAP columns.
     """
+    _check_columns(n, k)
     arrows = _circle_bits(n, k)
     out = []
     for m in range(k + 1):

@@ -38,6 +38,7 @@ from .errors import (
     RayUnderArc,
     ShapeMismatch,
     VertexReuse,
+    refuse_past,
 )
 from .records import Record
 
@@ -286,16 +287,23 @@ def check_type(n: int, k: int) -> None:
         raise DomainError(f"no matchings of type ({n - k},{k}) on {n} vertices")
 
 
+#: The most matchings :func:`enumerate_matchings` lists: (26, 13) has 742,900, (28, 14) 2,674,440.
+ENUMERATE_CAP = 10**6
+#: The most tabloid rows, C(n, m) in the largest grading asked for, that the tabloid route
+#: (``action``, ``tabloids``) factors: (16, 8) has 12,870, (17, 8) 24,310.
+TABLOID_CAP = 2 * 10**4
+
+
 @lru_cache(maxsize=None)
 def enumerate_matchings(n: int, k: int) -> tuple[Matching, ...]:
-    """All noncrossing matchings of type (n-k, k), sorted by arc list.
+    """All noncrossing matchings of type (n-k, k), sorted by arc list; CapExceeded past the cap.
 
     >>> [m.arcs for m in enumerate_matchings(4, 1)]
     [((1, 2),), ((2, 3),), ((3, 4),)]
     >>> len(enumerate_matchings(6, 3))
     5
     """
-    check_type(n, k)
+    refuse_past(count_matchings(n, k), ENUMERATE_CAP, "list {} matchings", n, k)
     out: list[Matching] = []
     arcs: list[Arc] = []
     stack: list[int] = []
@@ -335,6 +343,16 @@ def count_matchings(n: int, k: int) -> int:
     if k == 0:
         return 1
     return math.comb(n, k) - math.comb(n, k - 1)
+
+
+def check_tabloid_route(n: int, k: int, m: int | None = None) -> None:
+    """Raise CapExceeded past ENUMERATE_CAP matchings, then past TABLOID_CAP rows, C(n, m).
+
+    The tabloid route's entry points call this first (m None: all m <= k, at most C(n, k)).
+    It lives here, so that a matrix cache hit refuses without loading the tabloid layer.
+    """
+    refuse_past(count_matchings(n, k), ENUMERATE_CAP, "enumerate {} matchings", n, k)
+    refuse_past(math.comb(n, k if m is None else m), TABLOID_CAP, "factor {} tabloid rows", n, k, m)
 
 
 def _column_numbers(k: int, m: int | None) -> tuple[list[int], list]:

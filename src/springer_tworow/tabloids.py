@@ -49,7 +49,8 @@ from functools import lru_cache
 from .errors import DomainError, InternalCheckError, SizeMismatch, SolveFailed
 from .homology import HomClass, _check_grading
 from .linalg import ColumnSolver, _dense
-from .matchings import DottedMatching, StandardTableau, standard_dotted_matchings, tableau_of
+from .matchings import (DottedMatching, StandardTableau, check_tabloid_route,
+                        standard_dotted_matchings, tableau_of)
 from .permutations import Permutation
 from .records import Record
 
@@ -329,6 +330,7 @@ def modules_equal(n: int, m: int, k: int) -> ModuleComparison:
     view's bijection, so both bases only change order.
     """
     _check_grading(n, k, m)
+    check_tabloid_route(n, k, m)
     order = _solver(n, k, m)[0]
     solved = _comparison(n, m)
     if solved is None:

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from springer_tworow import cli
+from springer_tworow import cli, diagrams, homology, matchings, skein
 from springer_tworow.cli import main, parse_class
 from springer_tworow.errors import DomainError
 from springer_tworow.homology import HomClass, psi_minus_rows
@@ -83,15 +82,14 @@ def test_character_and_chart_refuse_impossible_types(capsys, argv, err):
 
 
 def test_enumerate_refuses_past_its_cap_without_enumerating(capsys, monkeypatch):
-    def refuse(n, k):
-        raise AssertionError("enumerate_matchings was called")
+    def refuse(*args):
+        raise AssertionError("the enumeration walk built a matching")
 
-    monkeypatch.setattr(cli, "enumerate_matchings", refuse)
+    monkeypatch.setattr(matchings, "Matching", refuse)
     code, out, err = run(capsys, "enumerate", "-n", "40", "-k", "20")
     assert (code, out) == (2, "")
     assert err == ("error: enumerate -n 40 -k 20 would list 6564120420 matchings, "
-                   f"more than the cap of {cli.ENUMERATE_CAP}\n")
-    assert cli.count_matchings(26, 13) <= cli.ENUMERATE_CAP < cli.count_matchings(28, 14)
+                   f"more than the cap of {matchings.ENUMERATE_CAP}\n")
 
 
 @pytest.mark.parametrize("argv, width", [
@@ -104,20 +102,14 @@ def test_enumerate_refuses_past_its_cap_without_enumerating(capsys, monkeypatch)
 def test_homology_commands_refuse_past_the_column_cap_without_enumerating(
         capsys, monkeypatch, argv, width):
     def refuse(*args, **kwargs):
-        raise AssertionError("the homology layer was called")
+        raise AssertionError("the columns or rows were assembled")
 
-    for name in ("presentation_betti", "relation_instances", "all_dotted_matchings"):
-        monkeypatch.setattr(cli.homology, name, refuse)
+    for name in ("enumerate_matchings", "all_dotted_matchings", "_relation_rows", "_circle_bits"):
+        monkeypatch.setattr(homology, name, refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (f"error: {argv[0]} -n {argv[2]} -k {argv[4]} would assemble {width} "
-                   f"dotted-matching columns, more than the cap of {cli.COLUMN_CAP}\n")
-
-
-def test_the_column_cap_admits_every_type_to_n_14():
-    assert all(cli.count_matchings(n, k) * 2**k <= cli.COLUMN_CAP
-               for n in range(15) for k in range(n // 2 + 1))
-    assert cli.count_matchings(15, 7) * 2**7 > cli.COLUMN_CAP
+                   f"dotted-matching columns, more than the cap of {homology.COLUMN_CAP}\n")
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -135,14 +127,14 @@ def test_tabloid_commands_refuse_past_their_caps_without_enumerating(
     from springer_tworow import action, cache
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the action layer was called")
+        raise AssertionError("the tabloid route started work")
 
-    for name in ("rep_matrix", "character_table_check", "derive_chart"):
+    for name in ("_solver", "_certificate", "_solved_columns", "standard_dotted_matchings"):
         monkeypatch.setattr(action, name, refuse)
     monkeypatch.setattr(cache.RepMatrixCache, "load", refuse)
     monkeypatch.setattr(cli, "standard_dotted_matchings", refuse)
     monkeypatch.chdir(tmp_path)
-    cap = cli.ENUMERATE_CAP if "enumerate" in reason else cli.TABLOID_CAP
+    cap = matchings.ENUMERATE_CAP if "enumerate" in reason else matchings.TABLOID_CAP
     assert run(capsys, *argv) == (2, "", f"error: {argv[0]} -n {argv[2]} -k {argv[4]} would "
                                          f"{reason}, more than the cap of {cap}\n")
 
@@ -153,10 +145,11 @@ NESTED_30 = "30: u1-4 d2-3 " + " ".join(f"u{i}-{i + 1}" for i in range(5, 30, 2)
 
 @pytest.mark.parametrize("argv, reason", [
     (("act", "--sigma", "(1 2)", "--class", ALL_DOTTED_30),
-     f"act -n 30 -k 15 would enumerate 9694845 matchings, more than the cap of {cli.ENUMERATE_CAP}"),
+     "act -n 30 -k 15 would enumerate 9694845 matchings, more than the cap of "
+     f"{matchings.ENUMERATE_CAP}"),
     (("reduce", NESTED_30),
      f"reduce -n 30 -k 15 would assemble {9694845 * 15} dotted-matching columns, "
-     f"more than the cap of {cli.COLUMN_CAP}"),
+     f"more than the cap of {homology.COLUMN_CAP}"),
 ], ids=["act", "reduce"])
 def test_act_and_reduce_refuse_past_their_caps_without_reducing(capsys, monkeypatch, argv, reason):
     from springer_tworow import action
@@ -164,8 +157,9 @@ def test_act_and_reduce_refuse_past_their_caps_without_reducing(capsys, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("the class was reduced or acted on")
 
-    monkeypatch.setattr(action, "act", refuse)
-    monkeypatch.setattr(cli.homology, "reduce_class", refuse)
+    monkeypatch.setattr(action, "_RowMap", refuse)
+    for name in ("enumerate_matchings", "_relation_rows", "reduce_by_rewriting"):
+        monkeypatch.setattr(homology, name, refuse)
     assert run(capsys, *argv) == (2, "", f"error: {reason}\n")
 
 
@@ -183,29 +177,20 @@ NESTED_22 = "22: u1-22 " + " ".join(f"u{i}-{i + 1}" for i in range(2, 21, 2))
     ("distance", PAIRED_22, NESTED_22),
     ("sequence", PAIRED_22, NESTED_22),
     ("meet", PAIRED_22, NESTED_22),
-], ids=lambda argv: argv[0])
+    ("sequence", PAIRED_22, PAIRED_22),
+], ids=["order", "distance", "sequence", "meet", "sequence from a matching to itself"])
 def test_arrow_graph_commands_refuse_past_their_cap_without_building_it(
         capsys, monkeypatch, argv):
-    from springer_tworow import diagrams
-
     def refuse(*args, **kwargs):
         raise AssertionError("the arrow graph was built or walked")
 
-    for name in ("arrow_graph", "linear_order", "distance", "minimal_sequence", "meet"):
+    for name in ("enumerate_matchings", "_arrow_table", "glue", "_bfs_path",
+                 "_narrowest_leftmost_sequence"):
         monkeypatch.setattr(diagrams, name, refuse)
-    count = cli.count_matchings(22, 11)
+    count = matchings.count_matchings(22, 11)
     assert run(capsys, *argv) == (2, "", f"error: {argv[0]} -n 22 -k 11 would build an arrow "
                                          f"graph on {count} matchings, more than the cap of "
-                                         f"{cli.ARROW_GRAPH_CAP}\n")
-
-
-def test_the_arrow_graph_cap_admits_20_10():
-    assert cli.count_matchings(20, 10) <= cli.ARROW_GRAPH_CAP < cli.count_matchings(20, 9)
-
-
-def test_the_tabloid_cap_admits_every_type_to_n_16():
-    assert math.comb(16, 8) <= cli.TABLOID_CAP < math.comb(17, 8)
-    assert cli.count_matchings(16, 8) <= cli.ENUMERATE_CAP
+                                         f"{diagrams.ARROW_GRAPH_CAP}\n")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -375,21 +360,19 @@ def test_skein_and_calibrate(capsys):
 
 
 def test_calibrate_refuses_depths_outside_its_range_without_searching(capsys, monkeypatch):
-    from springer_tworow import skein
+    def refuse(*args):
+        raise AssertionError("the calibration search started")
 
+    monkeypatch.setattr(skein, "_anchor_ok", refuse)
+    monkeypatch.setattr(skein, "_generator_pairs", refuse)
     code, out, err = run(capsys, "calibrate", "--nmax", "1")
     assert (code, out) == (2, "")
     assert err == "error: calibration depth 1 is below 2, where no generator acts\n"
-
-    def refuse(n_max):
-        raise AssertionError("calibrate called")
-
-    monkeypatch.setattr(skein, "calibrate", refuse)
-    depth = cli.CALIBRATE_CAP + 1
+    depth = skein.CALIBRATE_CAP + 1
     code, out, err = run(capsys, "calibrate", "--nmax", str(depth))
     assert (code, out) == (2, "")
     assert err == (f"error: calibrate --nmax {depth} would search past the depth cap "
-                   f"of {cli.CALIBRATE_CAP}\n")
+                   f"of {skein.CALIBRATE_CAP}\n")
 
 
 def test_skein_command_does_not_calibrate():
