@@ -149,13 +149,6 @@ def test_each_library_entry_point_refuses_past_its_cap_before_any_work(
     assert str(count) in str(info.value) and str(cap) in str(info.value)
 
 
-def test_an_all_standard_class_still_reduces_past_the_column_cap(monkeypatch):
-    _plant(monkeypatch, COLUMNS)
-    standard = HomClass.of(parse_matching("30: " + " ".join(f"u{i}-{i + 1}"
-                                                            for i in range(1, 31, 2))))
-    assert homology.reduce_class(standard, check=True) == standard
-
-
 def test_a_refusal_names_the_shape_the_count_and_the_cap():
     with pytest.raises(CapExceeded) as info:
         diagrams.arrow_successors(M22)
