@@ -390,8 +390,9 @@ def psi_minus_rows(n: int, k: int, m: int) -> tuple[list, list[dict[int, int]]]:
 
     Columns are all dotted matchings of grading m; each ``{column: int}``
     row is the image of one basis class of one arrow-pair intersection.
+    Raises CapExceeded past COLUMN_CAP columns.
     """
-    _check_grading(n, k, m)
+    _check_columns(n, k, m)
     return list(all_dotted_matchings(n, k, m)), _psi_minus_rows(k, m, _circle_bits(n, k))
 
 

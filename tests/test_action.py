@@ -128,10 +128,6 @@ def test_one_factor_serves_every_caller(monkeypatch):
                                       + [count_matchings(n, m)])
 
 
-def test_gamma_route_agrees():
-    verify.check_gamma_agreement(5, random.Random(0))
-
-
 def test_classify_cases():
     assert classify_case(pm("4: d1-2 d3-4"), 2) == 1
     assert classify_case(pm("2: d1-2"), 1) == 1
@@ -145,7 +141,6 @@ def test_classify_cases():
 
 
 def test_chart_anchors():
-    verify.check_chart_anchors(5, random.Random(0))
     seen = set()
     for n in range(2, 6):
         for k in range(0, n // 2 + 1):
@@ -168,10 +163,6 @@ def test_character_table_422():
         (3, 1): -1,
         (4,): 0,
     }
-
-
-def test_character_tables_up_to_6():
-    verify.check_characters(6, random.Random(0))
 
 
 def test_traces_match_for_all_classes():

@@ -127,6 +127,7 @@ ENTRY_POINTS = {
     "relation_instances, one grading": (lambda: homology.relation_instances(20, 10, 5), COLUMNS,
                                         16796 * 252, 10**5),
     "presentation_betti": (lambda: homology.presentation_betti(15, 7), COLUMNS, 183040, 10**5),
+    "psi_minus_rows": (lambda: homology.psi_minus_rows(20, 10, 5), COLUMNS, 16796 * 252, 10**5),
     "reduce_class": (lambda: homology.reduce_class(NESTED_30, check=True), COLUMNS,
                      9694845 * 15, 10**5),
     "act": (lambda: action.act(S1, UNDOTTED_17), *TABLOID),

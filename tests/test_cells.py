@@ -91,10 +91,6 @@ def test_subcomplex_triple_move():
     assert cell.pin_vector() == (-1, -1, -1, 1)
 
 
-def test_subcomplex_generating_function():
-    verify.check_subcomplexes(7, random.Random(0))
-
-
 def test_subcomplex_contained_in_intersection():
     for n in range(2, 8):
         for k in range(1, n // 2 + 1):

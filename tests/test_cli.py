@@ -481,22 +481,22 @@ def test_verify_refuses_a_depth_where_suites_check_nothing(capsys, depth, code):
 def test_verify_subset(capsys):
     code, out, _ = run(
         capsys, "verify", "--all", "-nmax", "4", "--only",
-        "matching.arc-parity", "subspace.fung-and-circles",
+        "matching.codec-roundtrip", "subspace.fung-and-circles",
     )
     assert code == 0
     lines = out.splitlines()
     assert lines == [
-        "PASS matching.arc-parity",
+        "PASS matching.codec-roundtrip",
         "PASS subspace.fung-and-circles",
     ]
 
 
-@pytest.mark.parametrize("names", [("nosuch",), ("nosuch", "matching.arc-parity", "zz")])
+@pytest.mark.parametrize("names", [("nosuch",), ("nosuch", "matching.codec-roundtrip", "zz")])
 def test_verify_refuses_unknown_check_names(capsys, names):
     # a misspelt name must not pass by checking nothing, nor run the rest
     code, out, err = run(capsys, "verify", "--only", *names)
     assert code == 2 and out == ""
-    unknown = ", ".join(sorted(set(names) - {"matching.arc-parity"}))
+    unknown = ", ".join(sorted(set(names) - {"matching.codec-roundtrip"}))
     assert err == f"error: unknown checks: {unknown}\n"
 
 

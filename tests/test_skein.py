@@ -187,10 +187,6 @@ def test_calibrate_underconstrained_at_2():
     )
 
 
-def test_agreement_all_generators_up_to_5():
-    verify.check_skein_agreement(5, random.Random(0))
-
-
 def test_agreement_random_words():
     verify.check_skein_random_words(4, random.Random(99))
 
@@ -305,10 +301,6 @@ def test_reference_refuses_to_close_a_ray(monkeypatch):
 
 def test_fold_agreement_at_depth_7():
     verify.check_skein_fold_agreement(7, random.Random(7))
-
-
-def test_calibrate_at_depth_4():
-    verify.check_skein_calibration(4, random.Random(0))
 
 
 def _expanded_agrees_at_2(convention):
