@@ -71,6 +71,24 @@ def test_cli_recomputes_and_replaces_a_malformed_matrix(tmp_path, capsys, row):
     assert json.loads(path.read_text(encoding="utf-8")) == stored
 
 
+def test_cli_stores_each_entry_under_springer_cache_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPRINGER_CACHE_DIR", str(tmp_path))
+    assert main(["matrix", "-n", "4", "-k", "2", "-m", "2", "--sigma", "s1", "--cached"]) == 0
+    stored = json.loads((tmp_path / "rep_4_2_2" / "p2-1-3-4.json").read_text(encoding="utf-8"))
+    assert (stored["generator"], stored["version"]) == ("zeta-oracle", "2")
+    assert stored["basis"] == ["4: u1-2 u3-4", "4: u1-4 u2-3"]
+
+
+def test_entry_from_another_generator_is_a_miss(tmp_path):
+    cache = RepMatrixCache(str(tmp_path))
+    sigma = adjacent(4, 1)
+    path = Path(cache.store(sigma, 4, 2, 2, rep_matrix(sigma, 4, 2, 2)))
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["generator"] = "elsewhere"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cache.load(sigma, 4, 2, 2) is None
+
+
 def test_old_version_entry_is_a_miss(tmp_path):
     cache = RepMatrixCache(str(tmp_path))
     sigma = adjacent(4, 1)

@@ -7,7 +7,7 @@ early, fails the test without doing the work.
 """
 import pytest
 
-from springer_tworow import action, cells, diagrams, homology, matchings, skein, tabloids
+from springer_tworow import action, cache, cells, diagrams, homology, matchings, skein, tabloids
 from springer_tworow.cli import main
 from springer_tworow.errors import CapExceeded
 from springer_tworow.homology import HomClass
@@ -148,6 +148,16 @@ def test_each_library_entry_point_refuses_past_its_cap_before_any_work(
         call()
     assert (info.value.count, info.value.cap) == (count, cap)
     assert str(count) in str(info.value) and str(cap) in str(info.value)
+
+
+def test_matrix_refuses_past_the_tabloid_cap_before_reading_the_cache(
+        monkeypatch, capsys, tmp_path):
+    _plant(monkeypatch, TABLOID_ROUTE + [(cache.RepMatrixCache, "load")])
+    argv = ["matrix", "-n", "20", "-k", "10", "-m", "10", "--sigma", "s1", "--cached",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: matrix -n 20 -k 10 would factor 184756 "
+                                       "tabloid rows, more than the cap of 20000\n")
 
 
 def test_a_refusal_names_the_shape_the_count_and_the_cap():

@@ -10,6 +10,7 @@ from springer_tworow.homology import (
     format_class,
     hom_class,
     presentation_betti,
+    psi_minus_rows,
     pushforward_inclusion,
     reduce_class,
     relation_instances,
@@ -65,6 +66,11 @@ def test_betti_refuses_impossible_types():
     for n, k in ((3, -1), (0, -1), (4, 3), (-1, 0)):
         with pytest.raises(errors.DomainError, match="no matchings of type"):
             betti(n, k)
+
+
+def test_psi_minus_rows_refuses_a_grading_outside_0_to_k():
+    with pytest.raises(errors.DomainError, match="grading m=-1 outside 0..2"):
+        psi_minus_rows(4, 2, -1)
 
 
 def test_pushforward_examples():

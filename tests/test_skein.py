@@ -170,7 +170,12 @@ def test_calibrate_calls_the_oracle_once_per_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("n_max", [1, 0, -3])
-def test_calibrate_refuses_a_depth_below_2(n_max):
+def test_calibrate_refuses_a_depth_below_2(monkeypatch, n_max):
+    def refuse(*args):
+        raise AssertionError("the calibration search started")
+
+    monkeypatch.setattr(skein, "_anchor_ok", refuse)
+    monkeypatch.setattr(skein, "_generator_pairs", refuse)
     with pytest.raises(errors.DomainError, match=f"depth {n_max} is below 2"):
         calibrate(n_max)
 
