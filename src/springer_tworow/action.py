@@ -126,10 +126,9 @@ def _act(sigma: Permutation, x: HomClass, weighted_column) -> HomClass:
     """sigma applied to a homogeneous class, in the standard basis.
 
     ``weighted_column(M, c)`` turns c * M into (coefficient, ``{row: int}``
-    column) over ``_mask_rows(n, m)``.  Checks ``check_tabloid_route`` first.
+    column) over ``_mask_rows(n, m)``.  The caller checks ``check_tabloid_route``.
     """
     m = x.grading
-    check_tabloid_route(x.n, x.k, m)
     moved = _RowMap(sigma, x.n, m)
     if x.is_zero:
         return x
@@ -148,6 +147,7 @@ def _matching_column(M: DottedMatching, c: int) -> tuple[int, dict[int, int]]:
 
 def act(sigma: Permutation, x: HomClass) -> HomClass:
     """The action of sigma on a homogeneous class, in the standard basis."""
+    check_tabloid_route(x.n, x.k, x.grading)
     return _act(sigma, x, _matching_column)
 
 
@@ -206,6 +206,7 @@ def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
     """
     if isinstance(x, DottedMatching):
         x = HomClass.of(x)
+    check_tabloid_route(x.n, x.k, x.grading)
     return _act(sigma, x, _pole_flip_column)
 
 
@@ -288,7 +289,7 @@ def derive_chart(n: int, k: int) -> Chart:
         for M in standard_dotted_matchings(n, k, m):
             for i in range(1, n):
                 case = classify_case(M, i)
-                out = act(adjacent(n, i), HomClass.of(M))
+                out = _act(adjacent(n, i), HomClass.of(M), _matching_column)
                 chart.rows.append(ChartRow(case, M, i, out))
                 terms = len(out.terms)
                 if case == 2:

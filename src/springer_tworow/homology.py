@@ -213,13 +213,17 @@ def _reduction_data(n: int, k: int, m: int):
     ``forms`` is ``linalg.normal_forms`` of :func:`_relation_rows`, with the
     nonstandard columns (masks outside ``dottable``) as pivots; ``column(M)``
     is M's column number, and ``standard`` maps each other column to its
-    dotted matching.  Raises CapExceeded past COLUMN_CAP columns.
+    dotted matching.  Raises CapExceeded past COLUMN_CAP columns, and
+    InternalCheckError, naming (n, k, m), when the rows give no normal forms.
     """
     _check_columns(n, k, m)
     bases = enumerate_matchings(n, k)
     masks, rank = _column_numbers(k, m)
     start = {base: i * len(masks) for i, base in enumerate(bases)}
-    forms = linalg.normal_forms(_relation_rows(n, k, m), _nonstandard_columns(bases, masks))
+    try:
+        forms = linalg.normal_forms(_relation_rows(n, k, m), _nonstandard_columns(bases, masks))
+    except InternalCheckError as exc:
+        raise InternalCheckError(f"relation rows of (n, k, m) = ({n}, {k}, {m}): {exc}") from exc
     standard = dict(zip((c for c in range(len(bases) * len(masks)) if c not in forms),
                         standard_dotted_matchings(n, k, m)))
     return (lambda M: start[M.base] + rank[M.mask]), forms, standard

@@ -150,6 +150,15 @@ def test_each_library_entry_point_refuses_past_its_cap_before_any_work(
     assert str(count) in str(info.value) and str(cap) in str(info.value)
 
 
+def test_derive_chart_checks_its_cap_once(monkeypatch):
+    checks = []
+    check = action.check_tabloid_route
+    monkeypatch.setattr(action, "check_tabloid_route",
+                        lambda *shape: checks.append(shape) or check(*shape))
+    assert action.derive_chart(8, 4).ok
+    assert checks == [(8, 4)]
+
+
 def test_matrix_refuses_past_the_tabloid_cap_before_reading_the_cache(
         monkeypatch, capsys, tmp_path):
     _plant(monkeypatch, TABLOID_ROUTE + [(cache.RepMatrixCache, "load")])

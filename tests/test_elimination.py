@@ -373,7 +373,9 @@ def test_reduction_data_refuses_a_relation_list_missing_a_row(monkeypatch):
     (n, k, m), rels, drop = shape_with_a_necessary_relation()
     monkeypatch.setattr(homology, "_relation_rows",
                         lambda *args, **kw: iter(rels[:drop] + rels[drop + 1:]))
-    with pytest.raises(errors.InternalCheckError, match="never peels"):
+    with pytest.raises(errors.InternalCheckError,
+                       match=rf"\(n, k, m\) = \({n}, {k}, {m}\): normal forms: "
+                             r"pivot \d+ never peels"):
         homology._reduction_data.__wrapped__(n, k, m)
 
 
@@ -384,5 +386,6 @@ def test_reduction_data_refuses_a_pivot_on_a_standard_generator(monkeypatch):
     monkeypatch.setattr(homology, "_relation_rows",
                         lambda *args, **kw: iter(rels + [{column: 1}]))
     with pytest.raises(errors.InternalCheckError,
-                       match=f"row {len(rels)} is left over and maps to {{{column}: 1}}"):
+                       match=rf"\(n, k, m\) = \({n}, {k}, {m}\): normal forms: "
+                             rf"row {len(rels)} is left over and maps to {{{column}: 1}}"):
         homology._reduction_data.__wrapped__(n, k, m)
