@@ -6,7 +6,7 @@ The transcript is a list of blocks separated by blank lines, one per call::
     ~ fault NAME                (optional: run with the stand-in FAULTS[NAME] planted)
     $ springer ARGV...          (shell-quoted)
     exit CODE
-    | a line of stdout          (or ``stdout sha256 HEX, N bytes`` when stdout is long)
+    | a line of stdout
     ! a line of stderr
 
 A ``\\ no newline`` line follows output that does not end in a newline.
@@ -25,7 +25,6 @@ of each call with the code in the checkout.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import os
 import shlex
@@ -38,7 +37,6 @@ import pytest
 from springer_tworow import cli, homology
 
 TRANSCRIPT = Path(__file__).resolve().parent / "transcript.txt"
-LONG = 1000  # bytes of stdout past which only its sha256 is recorded
 PROMPT = "$ springer"
 
 
@@ -87,13 +85,8 @@ def replay(header: list[str], tmp: str) -> str:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse reports a usage error or -h by exiting
             code = exc.code
-    stdout = out.getvalue().encode("utf-8")
-    lines = [*header, f"exit {code}"]
-    if len(stdout) > LONG:
-        lines.append(f"stdout sha256 {hashlib.sha256(stdout).hexdigest()}, {len(stdout)} bytes")
-    else:
-        lines += _quoted("|", out.getvalue())
-    return "\n".join(lines + _quoted("!", err.getvalue()))
+    lines = [*header, f"exit {code}", *_quoted("|", out.getvalue()), *_quoted("!", err.getvalue())]
+    return "\n".join(lines)
 
 
 BLOCKS = _blocks()
