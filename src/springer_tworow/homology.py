@@ -39,9 +39,11 @@ from . import linalg
 from .errors import (DomainError, InhomogeneousClass, InternalCheckError, NotAnArrowPair,
                      refuse_past)
 from .matchings import (
+    COLUMN_CAP,
     Arc,
     DottedMatching,
     Matching,
+    _column_count,
     _column_numbers,
     all_dotted_matchings,
     check_type,
@@ -127,11 +129,6 @@ def format_class(x: HomClass) -> str:
 
 # --- relation instances -------------------------------------------------------
 
-#: The most dotted-matching columns, of the gradings asked for, that the relation rows and
-#: the cokernel are assembled over: (14, 6) has 64,064, (15, 7) 183,040.
-COLUMN_CAP = 10**5
-
-
 def _check_grading(n: int, k: int, m: int | None) -> None:
     """Raise DomainError unless type (n-k, k) exists and m is None or in 0..k."""
     check_type(n, k)
@@ -142,8 +139,8 @@ def _check_grading(n: int, k: int, m: int | None) -> None:
 def _check_columns(n: int, k: int, m: int | None = None) -> None:
     """``_check_grading``, then CapExceeded past COLUMN_CAP dotted matchings of grading m."""
     _check_grading(n, k, m)
-    width = count_matchings(n, k) * (2**k if m is None else math.comb(k, m))
-    refuse_past(width, COLUMN_CAP, "assemble {} dotted-matching columns", n, k, m)
+    refuse_past(_column_count(n, k, m), COLUMN_CAP, "assemble {} dotted-matching columns",
+                n, k, m)
 
 
 def _relation_rows(n: int, k: int, m: int | None = None) -> Iterator[dict[int, int]]:

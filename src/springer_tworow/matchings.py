@@ -387,8 +387,22 @@ def _dotted_matchings(n: int, k: int, m: int | None, standard: bool) -> tuple[Do
     return tuple(out)
 
 
+#: The most dotted matchings, of the gradings asked for, that :func:`all_dotted_matchings`
+#: lists and the homology layer assembles columns over: (14, 6) has 64,064, (15, 7) 183,040.
+COLUMN_CAP = 10**5
+
+
+def _column_count(n: int, k: int, m: int | None) -> int:
+    """len(all_dotted_matchings(n, k, m)): 2**k dot sets per base, or C(k, m) of grading m."""
+    return count_matchings(n, k) * (2**k if m is None else math.comb(k, m) if m >= 0 else 0)
+
+
 def all_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMatching, ...]:
-    """Every dotted matching of type (n-k, k), optionally of grading m, in column order."""
+    """Every dotted matching of type (n-k, k), optionally of grading m, in column order.
+
+    Raises CapExceeded past COLUMN_CAP of them, before listing any.
+    """
+    refuse_past(_column_count(n, k, m), COLUMN_CAP, "list {} dotted matchings", n, k, m)
     return _dotted_matchings(n, k, m, False)
 
 
@@ -398,7 +412,9 @@ def standard_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[Dot
 
     Listed in column order, so this is the same tuple as filtering
     :func:`all_dotted_matchings` by ``is_standard`` (the
-    ``matching.standard-enumeration`` verify invariant).
+    ``matching.standard-enumeration`` verify invariant).  Only
+    ``ENUMERATE_CAP`` bounds it: it keeps the standard candidates as it
+    walks them, and (16, 8, 4) walks 1,430 * 70 = 100,100 of them.
     """
     return _dotted_matchings(n, k, m, True)
 

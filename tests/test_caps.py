@@ -46,6 +46,7 @@ NESTED_30 = HomClass.of(parse_matching(
     "30: u1-4 d2-3 " + " ".join(f"u{i}-{i + 1}" for i in range(5, 31, 2))))
 
 ENUMERATION = [(matchings, "Matching")]
+DOTTED = [(matchings, name) for name in ("enumerate_matchings", "_dotted_matchings")]
 ARROW_GRAPH = [(diagrams, name) for name in ("enumerate_matchings", "_arrow_table", "glue",
                                              "_bfs_path", "_narrowest_leftmost_sequence")]
 COLUMNS = [(homology, name) for name in ("enumerate_matchings", "all_dotted_matchings",
@@ -110,6 +111,10 @@ S1 = adjacent(17, 1)
 ENTRY_POINTS = {
     "enumerate_matchings": (lambda: matchings.enumerate_matchings(28, 14), ENUMERATION,
                             2674440, 10**6),
+    "all_dotted_matchings": (lambda: matchings.all_dotted_matchings(24, 12), DOTTED,
+                             208012 * 4096, 10**5),
+    "all_dotted_matchings, one grading": (lambda: matchings.all_dotted_matchings(16, 8, 4),
+                                          DOTTED, 1430 * 70, 10**5),
     "arrow_graph": (lambda: diagrams.arrow_graph(20, 9), *ARROW),
     "arrow_successors": (lambda: diagrams.arrow_successors(M20_9), *ARROW),
     "arrow_move": (lambda: diagrams.arrow_move(M20_9, M20_9), *ARROW),
