@@ -1,45 +1,26 @@
-"""The integer unit-triangular ColumnSolver against dense rational elimination.
+"""The integer unit-triangular ColumnSolver: solves, refusals, the dual basis and traces.
 
-The reference solves A X = B by ``linalg.rref`` of the augmented matrix
-[A | B]: with A of full column rank, the pivots fall in the first
-columns and the solution is read off the B block.  Every (n, k, m) with
-n <= 8 is compared: ``rep_matrix`` for each adjacent generator and one
-seeded random permutation, ``act_via_gamma`` on every standard basis
-vector for that permutation, and both ``modules_equal`` change-of-basis
-matrices.
+The action layer's answers are held to a dense solve in
+``test_action_kernel.py``; here the solver itself is checked on small
+columns, on every factor to n = 10, and on the action path's use of it,
+which builds no Fraction and no frozenset table.
 """
 import itertools
 import random
 
 import pytest
 
-from springer_tworow import errors, linalg, verify
-from springer_tworow.action import act_via_gamma, line_diagram_expand, rep_matrix
+from springer_tworow import errors, verify
+from springer_tworow.action import act_via_gamma, rep_matrix
 from springer_tworow.homology import HomClass
 from springer_tworow.linalg import ColumnSolver
-from springer_tworow.matchings import standard_dotted_matchings, tableau_of
-from springer_tworow.permutations import Permutation, adjacent
-from springer_tworow.tabloids import (
-    matching_vector,
-    modules_equal,
-    permute,
-    polytabloid,
-    tabloid_keys,
-)
+from springer_tworow.matchings import standard_dotted_matchings
+from springer_tworow.permutations import Permutation
+from springer_tworow.tabloids import matching_vector, modules_equal, tabloid_keys
 
 
 def shapes(n):
     return [(k, m) for k in range(n // 2 + 1) for m in range(k + 1)]
-
-
-def reference_solve(a_cols, b_cols):
-    """Columns x_j with A x_j = b_j, by rref of [A | B]; None if inconsistent."""
-    nrows, ncols = len(a_cols[0]), len(a_cols)
-    aug = [[col[i] for col in a_cols] + [col[i] for col in b_cols] for i in range(nrows)]
-    echelon, pivots = linalg.rref(aug)
-    if pivots[:ncols] != list(range(ncols)) or any(c >= ncols for c in pivots):
-        return None
-    return [[echelon[r][ncols + j] for r in range(ncols)] for j in range(len(b_cols))]
 
 
 def dense(coords, width):
@@ -50,54 +31,6 @@ def dense(coords, width):
 def random_sigma(n, k, m):
     """The seeded random permutation of the shape (n, k, m)."""
     return Permutation(tuple(random.Random(f"{n}-{k}-{m}").sample(range(1, n + 1), n)))
-
-
-def gamma_row(M, sigma):
-    moved = {sigma.apply_to_set(key): v for key, v in line_diagram_expand(M).coords}
-    return [moved.get(key, 0) for key in tabloid_keys(M.n, M.m)]
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_rep_matrix_matches_dense_reference(n):
-    for k, m in shapes(n):
-        basis = standard_dotted_matchings(n, k, m)
-        a_cols = [matching_vector(M).to_row() for M in basis]
-        sigmas = [adjacent(n, i) for i in range(1, n)] + [random_sigma(n, k, m)]
-        b_cols = [permute(s, matching_vector(M)).to_row() for s in sigmas for M in basis]
-        x = reference_solve(a_cols, b_cols)
-        assert x is not None, (n, k, m)
-        d = len(basis)
-        for idx, sigma in enumerate(sigmas):
-            cols = x[idx * d:(idx + 1) * d]
-            want = [[cols[j][i] for j in range(d)] for i in range(d)]
-            assert rep_matrix(sigma, n, k, m) == want, (n, k, m, sigma.images)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_act_via_gamma_matches_dense_reference(n):
-    for k, m in shapes(n):
-        sigma = random_sigma(n, k, m)
-        basis = standard_dotted_matchings(n, k, m)
-        a_cols = [line_diagram_expand(M).to_row() for M in basis]
-        x = reference_solve(a_cols, [gamma_row(M, sigma) for M in basis])
-        assert x is not None, (n, k, m)
-        for M, coords in zip(basis, x):
-            want = {N: c for N, c in zip(basis, coords) if c}
-            assert act_via_gamma(sigma, M).coeffs == want, (n, k, m, M)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_modules_equal_change_of_basis_matches_dense_reference(n):
-    for k, m in shapes(n):
-        basis = standard_dotted_matchings(n, k, m)
-        t_rows = [polytabloid(tableau_of(M)).to_row() for M in basis]
-        m_rows = [matching_vector(M).to_row() for M in basis]
-        got = modules_equal(n, m, k)
-        assert got.equal
-        for matrix in (got.tableau_in_matching, got.matching_in_tableau):
-            assert all(type(v) is int for row in matrix for v in row)
-        assert got.tableau_in_matching == reference_solve(m_rows, t_rows), (n, k, m)
-        assert got.matching_in_tableau == reference_solve(t_rows, m_rows), (n, k, m)
 
 
 def test_solutions_are_ints():
