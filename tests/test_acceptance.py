@@ -117,7 +117,9 @@ def test_criterion_07_chart_anchors():
 
 def test_criterion_08_oracle_triangulation():
     with budget(8, "tabloid route = ambient route; class map kills relations", 60):
-        verify.check_gamma_agreement(5, random.Random(0))
+        # pole-flip terms are matching terms up to a global sign, on all 5,588 dotted
+        # matchings with n <= 10; the two orientations differ once per undotted arc for odd n
+        assert verify.check_gamma_agreement(10, random.Random(0)) == 5588
         verify.check_zeta_kills_relations(7, random.Random(0))
 
 
@@ -133,13 +135,13 @@ def test_criterion_09_skein():
 
 def test_criterion_10_embedding_coherence():
     with budget(10, "completion compatibility of vectors and point maps", 30):
-        verify.check_f_embed(5, random.Random(0))
-        verify.check_pointmaps(5, random.Random(0))
+        verify.check_f_embed(6, random.Random(0))
+        verify.check_pointmaps(6, random.Random(0))
 
 
 def test_criterion_11_cell_decompositions():
     with budget(11, "forest-cell polynomials and subcomplex containment", 30):
-        verify.check_cell_counts(7, random.Random(0))
+        verify.check_cell_counts(8, random.Random(0))
         verify.check_subcomplexes(7, random.Random(0))
 
 

@@ -96,11 +96,6 @@ def test_line_diagram_expand_is_the_tabloid_vector_of_its_terms():
                 assert line_diagram_expand(M) == want, M
 
 
-def test_pole_flip_terms_are_matching_terms_up_to_a_global_sign():
-    # The two orientations differ exactly when n is odd, once per undotted arc.
-    assert verify.check_gamma_agreement(10, random.Random(0)) == 5588
-
-
 def test_one_factor_serves_every_caller(monkeypatch):
     # One matching factor per (n, m), shared by every k >= m; modules_equal
     # adds one polytabloid factor per (n, m).  The character tables read

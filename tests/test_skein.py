@@ -192,10 +192,6 @@ def test_calibrate_underconstrained_at_2():
     )
 
 
-def test_agreement_random_words():
-    verify.check_skein_random_words(4, random.Random(99))
-
-
 def test_word_invariance():
     verify.check_skein_word_invariance(4, random.Random(4))
 

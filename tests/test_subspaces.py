@@ -152,10 +152,6 @@ def test_sign_conflict_collapses():
     assert not S3.empty and S3.dimension == 0
 
 
-def test_gamma_is_primed_involution():
-    verify.check_pointmaps(6, random.Random(0))
-
-
 def test_commuting_square():
     for n in range(1, 7):
         for k in range(0, n // 2 + 1):

@@ -153,14 +153,6 @@ def test_f_embed_examples():
     assert f_embed(tv(4, 0, {(): 1}), 2) == tv(6, 0, {(): 1})
 
 
-def test_f_embed_completion_compatibility():
-    verify.check_f_embed(6, random.Random(0))
-
-
-def test_f_embed_intertwines():
-    verify.check_f_embed(6, random.Random(3))
-
-
 def test_package_vectors_have_int_coordinates():
     def integral(v):
         return all(type(c) is int for c in v.as_dict.values())
@@ -228,10 +220,6 @@ def test_characters_examples():
 
 def test_integer_rows_agree_with_the_frozenset_reference():
     verify.check_integer_rows(8, random.Random(0))
-
-
-def test_every_k_reorders_the_graded_module_of_n_m():
-    verify.check_graded_module(8, random.Random(0))
 
 
 def test_young_rule_up_to_14():
