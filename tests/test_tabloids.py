@@ -137,10 +137,6 @@ def test_matching_vector_ignores_dots_and_rays():
     assert matching_vector(pm("4: u1-2 d3-4")) == matching_vector(pm("4: u1-2 r3 r4"))
 
 
-def test_zeta_factors_through_reduction():
-    verify.check_zeta_reduce_compatible(7, random.Random(0))
-
-
 def test_zeta_sign_representation():
     e = zeta(HomClass.of(pm("2: u1-2")))
     swapped = permute(parse_permutation("(1 2)", 2), e)

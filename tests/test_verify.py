@@ -180,14 +180,6 @@ def _zeta_without_last_term(real):
     return zeta
 
 
-def _zeta_ignoring_coefficients(real):
-    def zeta(x):
-        if x.n == 5:
-            x = homology.hom_class(x.n, x.k, {M: 1 for M, _ in x.terms})
-        return real(x)
-    return zeta
-
-
 def _first_entry_negated(real):
     def column(pairs, row):
         out = real(pairs, row)
@@ -327,10 +319,6 @@ FAULTS = {
         5, tabloids, "zeta",
         _zeta_without_last_term,
         "(5, 1, '-1·(5: d1-2 r3 r4 r5)"),
-    "zeta.reduce-compatible": Fault(
-        5, tabloids, "zeta",
-        _zeta_ignoring_coefficients,
-        "(5, 2, '5: u1-4 d2-3 r5')"),
     "tabloid.permute-action": Fault(
         4, tabloids, "permute",
         lambda real: lambda sigma, v: real(_inverse(sigma), v),
@@ -371,11 +359,6 @@ FAULTS = {
         4, action, "_pole_flip_column",
         lambda real: lambda M, c: (c, real(M, c)[1]),
         "(3, 1, '3: u1-2 r3', 1)"),
-    "action.eta-transport": Fault(
-        4, action, "act",
-        _when(lambda sigma, x: x.n == 3 and sigma == permutations.adjacent(3, 1),
-              lambda y, *args: -y),
-        "(3, 0, '3: r1 r2 r3', 1)"),
     "action.image-stability": Fault(
         4, matchings, "complete_dotted",
         _one_completion,
