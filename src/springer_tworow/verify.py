@@ -528,9 +528,10 @@ def check_f_embed(n_max: int, rng) -> None:
     For n up to min(n_max, 6): f_embed of each standard matching vector is
     the vector of its completion, and f_embed(s_i v) is the shifted s_i
     applied to f_embed(v) for every tabloid v and every adjacent s_i.
-    With the certified solve of ``act`` and ``tabloids.integer-rows``,
-    which make zeta(s_i x) = s_i zeta(x), this carries the action through
-    the completion embedding (eta) on every class.
+    With the certified solve of ``act``, ``tabloids.integer-rows`` and
+    ``tabloid.graded-module``, which make zeta(s_i x) = s_i zeta(x), this
+    carries the action through the completion embedding (eta) on every
+    class.
     """
     for n, k in _types(min(n_max, 6)):
         pad = n - 2 * k
