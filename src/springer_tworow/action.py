@@ -9,11 +9,11 @@ terms of a dotted matching are its tabloid terms times (-1)^(m*(n mod 2))
 (the ``action.gamma-agreement`` verify invariant, n <= 10), so that
 route certifies the orientation convention, not an independent solve.
 
-Every caller solves against one cached factor per (n, m),
-``tabloids._factor(n, m)``, through its (n, k, m) view
-``tabloids._solver(n, k, m)``: the (order, solver) pair of the shared
-column of each basis element and the shared solver renumbered to the
-(n, k, m) basis.  The view rests on the bijection M -> M.undotted from
+Every solve runs against one cached factor per (n, m),
+``tabloids._factor(n, m)``, in its own column numbering, and k only
+decides where a result is written.  The (n, k, m) view is the position
+table ``tabloids._positions(n, k, m)``: the place of each factor column
+in the (n, k, m) basis.  It rests on the bijection M -> M.undotted from
 the standard basis of (n, k, m) onto that of (n, m, m), along which
 ``tableau_of`` agrees (the ``tabloid.graded-module`` verify invariant):
 the degree-2m piece is the same module S^(n-m, m) for every k >= m, and
@@ -22,18 +22,20 @@ undotted arcs, so any term, standard or not, whose undotted arcs are a
 factor column's takes that column as it is; only other terms are
 expanded.  Coordinates are sparse ``{column: int}`` dicts from end to end.
 ``_image_coords`` moves a weighted sum of columns through ``_RowMap``,
-the one memo of row -> sigma(row), and solves.
+the one memo of row -> sigma(row), and solves in the factor.
 ``act`` and ``act_via_gamma`` share one body and differ only in how a
 term becomes a column.  ``_solved_columns`` solves the image of every
-standard column with one row map, so each tabloid row is moved at most
-once per matrix; ``rep_matrix`` is its dense view.  The standard columns
-are unit-triangular (the ``action.unit-triangular`` verify invariant), so
+factor column with one row map, so each tabloid row is moved at most
+once per matrix; ``rep_matrix`` writes it out dense at the view's
+positions, one lookup per nonzero entry.  The factor columns are
+unit-triangular (the ``action.unit-triangular`` verify invariant), so
 every solve is integer back-substitution certified by a zero residual,
 and no Fraction is built on this path.
 
-``character_table_check`` works one grading at a time, and reads each
-grading's ``_certificate`` once per (n, m), since every k >= m has the
-same traces and relations.  A certificate solves the n - 1 generators
+``character_table_check`` works one grading at a time, checks each
+(n, k, m) view's position table, and reads each grading's
+``_certificate`` once per (n, m), since every k >= m has the same traces
+and relations.  A certificate solves the n - 1 generators
 through ``_solved_columns`` first, which proves the standard span
 S_n-stable.  Only then does it build the factor's dual basis, read every
 class trace off it with no solve, and drop it.  The forward ``_RowMap``
@@ -76,7 +78,7 @@ from .tabloids import (
     _mask_rows,
     _pair_column,
     _pair_terms,
-    _solver,
+    _positions,
     irr_character,
     tabloid_vector,
 )
@@ -106,9 +108,10 @@ class _RowMap(dict):
 
 def _image_coords(sigma: Permutation, n: int, k: int, m: int, columns,
                   moved: _RowMap) -> dict[int, int]:
-    """Sparse coordinates of sigma applied to sum(c * column) for (c, column) in ``columns``.
+    """Factor coordinates of sigma applied to sum(c * column) for (c, column) in ``columns``.
 
-    Raises SolveFailed if the image, moved through ``moved``, leaves the span.
+    Solved against ``_factor(n, m)``; raises SolveFailed, naming sigma and
+    (n, k, m), if the image, moved through ``moved``, leaves the span.
     """
     target: dict[int, int] = {}
     for c, column in columns:
@@ -116,7 +119,7 @@ def _image_coords(sigma: Permutation, n: int, k: int, m: int, columns,
             s = moved[r]
             target[s] = target.get(s, 0) + c * v
     try:
-        return _solver(n, k, m)[1].solve(target)
+        return _factor(n, m)[2].solve(target)
     except SolveFailed as exc:
         raise SolveFailed(f"action of {sigma.images} at (n, k, m) = ({n}, {k}, {m}) "
                           f"left the standard span: {exc}") from exc
@@ -134,8 +137,8 @@ def _act(sigma: Permutation, x: HomClass, weighted_column) -> HomClass:
         return x
     terms = (weighted_column(M, c) for M, c in x.terms)
     coords = _image_coords(sigma, x.n, x.k, m, terms, moved)
-    basis = standard_dotted_matchings(x.n, x.k, m)
-    return hom_class(x.n, x.k, {basis[j]: c for j, c in coords.items()})
+    basis, positions = standard_dotted_matchings(x.n, x.k, m), _positions(x.n, x.k, m)
+    return hom_class(x.n, x.k, {basis[positions[j]]: c for j, c in coords.items()})
 
 
 def _matching_column(M: DottedMatching, c: int) -> tuple[int, dict[int, int]]:
@@ -151,23 +154,22 @@ def act(sigma: Permutation, x: HomClass) -> HomClass:
     return _act(sigma, x, _matching_column)
 
 
-def _solved_columns(sigma: Permutation, n: int, k: int, m: int) -> list[dict[int, int]]:
-    """Sparse coordinates of sigma on each standard basis element, each a certified solve."""
+def _solved_columns(sigma: Permutation, n: int, m: int) -> list[dict[int, int]]:
+    """Factor coordinates of sigma on each column of ``_factor(n, m)``, each a certified solve."""
     moved = _RowMap(sigma, n, m)
-    columns = _factor(n, m)[1]
-    return [_image_coords(sigma, n, k, m, ((1, columns[j]),), moved)
-            for j in _solver(n, k, m)[0]]
+    return [_image_coords(sigma, n, m, m, ((1, column),), moved) for column in _factor(n, m)[1]]
 
 
 def rep_matrix(sigma: Permutation, n: int, k: int, m: int) -> list[list[int]]:
-    """Matrix of the action over the standard basis: ``_solved_columns`` written dense."""
+    """Matrix of the action over the standard basis: ``_solved_columns`` at its ``_positions``."""
     _check_grading(n, k, m)
     check_tabloid_route(n, k, m)
-    columns = _solved_columns(sigma, n, k, m)
+    positions = _positions(n, k, m)
+    columns = _solved_columns(sigma, n, m)
     matrix = [[0] * len(columns) for _ in columns]
-    for j, column in enumerate(columns):
+    for j, column in zip(positions, columns):
         for i, v in column.items():
-            matrix[i][j] = v
+            matrix[positions[i]][j] = v
     return matrix
 
 
@@ -389,14 +391,14 @@ def _factor_trace(sigma: Permutation, n: int, m: int, dual) -> int:
 def _certificate(n: int, m: int) -> tuple[tuple, tuple[str, ...], tuple[str, ...]]:
     """(rows, trace failures, relation failures) of grading m on n points.
 
-    Worked on the (n, m, m) view: the n - 1 generators are solved and
+    Worked in the factor's numbering: the n - 1 generators are solved and
     certified first, which proves the span S_n-stable; the dual basis is
     then built, read by ``_factor_trace`` once per class and dropped;
     the Coxeter relations come last.  Every (n, k, m) view is the same
     module with its basis reordered, so its traces and relations are
     these.  Only the report rows and failure strings are kept.
     """
-    gens = [_solved_columns(adjacent(n, i), n, m, m) for i in range(1, n)]
+    gens = [_solved_columns(adjacent(n, i), n, m) for i in range(1, n)]
     dual = _factor(n, m)[2].dual_basis()
     rows, failures = [], []
     for mu in partitions(n):
@@ -414,14 +416,14 @@ def character_table_check(n: int, k: int) -> CharacterReport:
     """Traces against the two-row irreducible characters, plus Coxeter laws.
 
     Each grading's ``_certificate`` is computed once per (n, m) and read
-    here; the (n, k, m) view is built (or read) for every m, so the
-    relabelling onto the (n, m, m) basis is proved for this k.  Rows and
+    here; the position table of the (n, k, m) view is built (or read) for
+    every m, so the bijection onto the (n, m, m) basis is proved for this k.  Rows and
     failures keep the order traces, then relations, grading by grading.
     """
     check_tabloid_route(n, k)
     report = CharacterReport(n, k)
     for m in range(k + 1):
-        _solver(n, k, m)
+        _positions(n, k, m)
         rows, traces, relations = _certificate(n, m)
         report.rows += rows
         report.failures += traces + relations

@@ -231,8 +231,11 @@ def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> Ho
 
     ``method`` is "linear" (the normal forms of the relation rows) or
     "rewrite" (oriented local rewriting); both give the same answer, and
-    ``check=True`` runs both and asserts the agreement.
+    ``check=True`` runs both and asserts the agreement.  Any other method
+    raises DomainError.
     """
+    if method not in ("linear", "rewrite"):
+        raise DomainError(f"unknown reduction method {method!r}; expected 'linear' or 'rewrite'")
     if x.is_zero:
         return x
     if check:

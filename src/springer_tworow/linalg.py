@@ -23,9 +23,9 @@ pivot entry, only adds and multiplies integers and never falls back;
 the reduction to the standard basis and ``ColumnSolver.dual_basis`` run
 on it.  ``ColumnSolver`` is the integer solve of the action on sparse,
 unit-triangular columns, which it checks when it factors; each solve
-certifies itself by leaving a zero residual, ``relabelled`` renumbers
-the columns of a factor without factoring again, and ``trace`` reads
-traces off the integer dual basis of the factor, with no solve.  No floats
+certifies itself by leaving a zero residual, and ``trace`` reads traces
+off the integer dual basis of the factor, with no solve.  A solver
+answers in the numbering of the columns it was factored on.  No floats
 anywhere.
 """
 from __future__ import annotations
@@ -333,19 +333,6 @@ class ColumnSolver:
                 f"right-hand side outside the column span ({len(residual)} rows left)"
             )
         return x
-
-    def relabelled(self, order: Sequence[int]) -> "ColumnSolver":
-        """The solver of the columns in ``order``: column order[i] becomes column i.
-
-        The same steps, shared and not copied, with their column indices
-        renumbered; nothing is factored or checked again.  ``order`` must
-        list every column once.
-        """
-        place = {j: i for i, j in enumerate(order)}
-        view = ColumnSolver.__new__(ColumnSolver)
-        view.nrows = self.nrows
-        view._steps = [(p, unit, place[j], items) for p, unit, j, items in self._steps]
-        return view
 
     def dual_basis(self) -> list[tuple[int, dict[int, int]]]:
         """(p_j, b_j) for every column j, lowest pivot first: the columns of A U^-1.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Literal
 
-from .errors import PadSizeMismatch, SizeMismatch
+from .errors import DomainError, PadSizeMismatch, SizeMismatch
 from .matchings import Matching
 from .records import Record
 
@@ -240,5 +240,5 @@ def subspace_of(a: Matching, variant: Literal["plain", "primed"] = "plain") -> S
         rels = [(i, j, -1) for i, j in a.arcs]
         pins = [(r, 1) for r in a.rays]
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise DomainError(f"unknown variant {variant!r}; expected 'plain' or 'primed'")
     return from_constraints(a.n, rels, pins)

@@ -33,13 +33,12 @@ map M -> M.undotted is a bijection from the standard dotted matchings of
 (the ``tabloid.graded-module`` verify invariant), so the degree-2m piece
 is one module S^(n-m, m) for every k >= m.  A matching column reads only
 n and the undotted arcs, so ``_factor(n, m)`` builds the columns and the
-``ColumnSolver`` of the (n, m, m) basis once.  The view
-``_solver(n, k, m)`` holds only (order, solver): the shared column of
-each (n, k, m) basis element, checked to be a bijection, and the shared
-solver renumbered to that basis.  Its callers read the basis from
-``standard_dotted_matchings``, the rows from ``_mask_rows`` and the
-columns from ``_factor``; ``modules_equal`` solves its polytabloid side
-once per (n, m) against ``_factor`` itself.
+``ColumnSolver`` of the (n, m, m) basis once, and every solve runs in its
+column numbering.  An (n, k, m) view is only the position table
+``_positions(n, k, m)``: where each factor column sits in the (n, k, m)
+basis, checked to be a bijection.  It decides where a result is written
+and nothing else; ``modules_equal`` solves once per (n, m) in
+``_comparison`` and writes the answer out through it.
 """
 from __future__ import annotations
 
@@ -203,7 +202,7 @@ def _factor(n: int, m: int):
     over ``_mask_rows(n, m)``, ``solver`` the ``ColumnSolver`` over them,
     and ``place`` the column number of each tuple of undotted arcs.  A
     matching column reads only n and the undotted arcs (``_arc_pairs``),
-    so every (n, k, m) view shares these columns and this solver.
+    so every (n, k, m) solves against these columns in this numbering.
     """
     basis = standard_dotted_matchings(n, m, m)
     row = _mask_rows(n, m)[1]
@@ -212,25 +211,22 @@ def _factor(n: int, m: int):
 
 
 @lru_cache(maxsize=None)
-def _solver(n: int, k: int, m: int):
-    """The (n, k, m) view of ``_factor(n, m)``: (order, solver).
+def _positions(n: int, k: int, m: int) -> tuple[int, ...]:
+    """The (n, k, m) view of ``_factor(n, m)``: the basis position of each factor column.
 
-    ``order`` is the shared column number of each element of the standard
-    basis of (n, k, m), and ``solver`` the shared solver with its columns
-    renumbered to that basis (``ColumnSolver.relabelled``, no new
-    factoring).  The view rests on the bijection M -> M.undotted from the
-    standard basis of (n, k, m) onto that of (n, m, m), along which
-    ``tableau_of`` agrees (the ``tabloid.graded-module`` verify
-    invariant); it is checked here, and a basis element with no partner
-    or a repeated partner, or a partner left over, raises
-    InternalCheckError.  The action and its pole-flip route solve against
-    the view, ``modules_equal`` reads its order, and none of them changes
-    it.
+    Entry j is the position, in the standard basis of (n, k, m), of the
+    element with the undotted arcs of factor column j.  The view rests on
+    the bijection M -> M.undotted from that basis onto the standard basis
+    of (n, m, m), along which ``tableau_of`` agrees (the
+    ``tabloid.graded-module`` verify invariant); it is checked here, and a
+    basis element with no partner or a repeated partner, or a partner left
+    over, raises InternalCheckError.  Every solve runs in the factor's
+    numbering; the callers map its answers through this table.
     """
     basis = standard_dotted_matchings(n, k, m)
-    place, shared, solver = _factor(n, m)
+    place, shared, _ = _factor(n, m)
     where = f"graded module at (n, k, m) = ({n}, {k}, {m})"
-    seen: dict[int, int] = {}  # shared column -> basis position, in basis order
+    seen: dict[int, int] = {}  # shared column -> basis position
     for i, M in enumerate(basis):
         j = place.get(M.undotted)
         if j is None:
@@ -243,8 +239,7 @@ def _solver(n: int, k: int, m: int):
     if len(seen) != len(shared):
         left = next(N for N in standard_dotted_matchings(n, m, m) if place[N.undotted] not in seen)
         raise InternalCheckError(f"{where}: no basis element has the undotted arcs of {left}")
-    order = tuple(seen)
-    return order, solver.relabelled(order)
+    return tuple(seen[j] for j in range(len(shared)))
 
 
 def matching_vector(M: DottedMatching) -> TabloidVector:
@@ -325,18 +320,18 @@ def modules_equal(n: int, m: int, k: int) -> ModuleComparison:
     coincide exactly when every vector of each set solves in the other,
     and those certified solves are the two integer change-of-basis
     matrices.  They are solved once per (n, m), by ``_comparison`` over
-    the (n, m, m) basis, and written out here with rows and columns in
-    the order of the (n, k, m) view: ``tableau_of`` agrees along the
-    view's bijection, so both bases only change order.
+    the (n, m, m) basis, and written out here with rows and columns at
+    their ``_positions`` in the (n, k, m) basis: ``tableau_of`` agrees
+    along the view's bijection, so both bases only change order.
     """
     _check_grading(n, k, m)
     check_tabloid_route(n, k, m)
-    order = _solver(n, k, m)[0]
+    positions = _positions(n, k, m)
     solved = _comparison(n, m)
     if solved is None:
         return ModuleComparison(False, None, None)
-    place = {j: i for i, j in enumerate(order)}
-    t_in_m, m_in_t = ([_dense({place[j]: c for j, c in rows[s].items()}, len(order))
+    order = sorted(range(len(positions)), key=positions.__getitem__)  # factor column by position
+    t_in_m, m_in_t = ([_dense({positions[j]: c for j, c in rows[s].items()}, len(order))
                        for s in order] for rows in solved)
     return ModuleComparison(True, t_in_m, m_in_t)
 

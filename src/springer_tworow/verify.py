@@ -449,7 +449,7 @@ def check_column_numbers(n_max: int, rng) -> None:
 
 
 def check_betti_both_ways(n_max: int, rng) -> None:
-    for n, k in _types(min(n_max, 8)):
+    for n, k in _types(min(n_max, 9)):
         expected = [len(matchings.standard_dotted_matchings(n, k, m)) for m in range(k + 1)]
         assert homology.betti(n, k) == expected, (n, k)
         assert homology.presentation_betti(n, k) == expected, (n, k)
@@ -561,8 +561,8 @@ def check_integer_rows(n_max: int, rng) -> None:
     pairs and of its pole-flip pairs equal ``matching_terms`` and
     ``line_diagram_terms`` looked up in ``tabloid_index``; for a standard
     M so does the column of ``tableau_of(M)``'s pairs against
-    ``polytabloid_terms``, and the ``_factor`` columns in ``_solver``'s
-    order are those of its basis.
+    ``polytabloid_terms``, and each ``_factor`` column is the column of the
+    basis element at its ``_positions`` entry.
     """
     for n in range(1, min(n_max, 10) + 1):
         for m in range(n // 2 + 1):
@@ -597,8 +597,8 @@ def check_integer_rows(n_max: int, rng) -> None:
                         got = tabloids._pair_column(pairs, row)
                         assert got == reference(terms), ((n, k, m), str(M), family)
                 columns = tabloids._factor(n, m)[1]
-                order = tabloids._solver(n, k, m)[0]
-                assert [columns[j] for j in order] == standard, (n, k, m)
+                positions = tabloids._positions(n, k, m)
+                assert [standard[i] for i in positions] == columns, (n, k, m)
 
 
 def check_unit_triangular(n_max: int, rng) -> None:
@@ -639,8 +639,8 @@ def check_graded_module(n_max: int, rng) -> None:
     ``standard_dotted_matchings(n, k, m)`` onto that basis; ``tableau_of``
     agrees along it; ``matching_of(tableau_of(M), k)`` gives M back, so
     ``tableau_of`` is injective and ``standard_layout`` rebuilds M from its
-    undotted arcs; and the order of ``tabloids._solver(n, k, m)`` is the
-    bijection's.  The action layer shares one factor per (n, m),
+    undotted arcs; and ``tabloids._positions(n, k, m)`` is the
+    bijection's inverse.  The action layer shares one factor per (n, m),
     ``tabloids._factor(n, m)``, on this bijection.
     """
     for n in range(1, min(n_max, 12) + 1):
@@ -658,7 +658,8 @@ def check_graded_module(n_max: int, rng) -> None:
                     partner = matchings.tableau_of(shared[j])
                     assert T == partner, ((n, k, m), str(M), str(shared[j]))
                     assert matchings.matching_of(T, k) == M, ((n, k, m), str(M))
-                assert tabloids._solver(n, k, m)[0] == tuple(order), (n, k, m)
+                positions = tabloids._positions(n, k, m)
+                assert [positions[j] for j in order] == list(range(len(basis))), (n, k, m)
 
 
 def check_young_rule(n_max: int, rng) -> None:
@@ -751,21 +752,22 @@ def check_trace_agreement(n_max: int, rng) -> None:
     """``ColumnSolver.trace`` is the diagonal sum of ``rep_matrix``.
 
     Compared for every class representative and one seeded random
-    permutation, at every (n, k, m) with n up to min(n_max, 10).
+    permutation, at every (n, k, m) with n up to min(n_max, 10), against
+    one dual basis per (n, m): every k >= m reads the same factor.
     ``character_table_check`` reads its class traces off the factor this
     way, after its generator solves have proved the span S_n-stable.
     """
-    for n, k in _types(min(n_max, 10)):
-        for m in range(k + 1):
-            sigmas = [permutations.class_representative(mu, n)
-                      for mu in permutations.partitions(n)]
-            sigmas.append(permutations.Permutation(tuple(rng.sample(range(1, n + 1), n))))
-            dual = tabloids._solver(n, k, m)[1].dual_basis()
-            for sigma in sigmas:
-                mat = action.rep_matrix(sigma, n, k, m)
-                diagonal = sum(mat[i][i] for i in range(len(mat)))
-                got = action._factor_trace(sigma, n, m, dual)
-                assert got == diagonal, ((n, k, m), sigma.images, got, diagonal)
+    for n in range(1, min(n_max, 10) + 1):
+        classes = [permutations.class_representative(mu, n) for mu in permutations.partitions(n)]
+        for m in range(n // 2 + 1):
+            dual = tabloids._factor(n, m)[2].dual_basis()
+            for k in range(m, n // 2 + 1):
+                seeded = permutations.Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                for sigma in classes + [seeded]:
+                    mat = action.rep_matrix(sigma, n, k, m)
+                    diagonal = sum(mat[i][i] for i in range(len(mat)))
+                    got = action._factor_trace(sigma, n, m, dual)
+                    assert got == diagonal, ((n, k, m), sigma.images, got, diagonal)
 
 
 def check_characters(n_max: int, rng) -> None:

@@ -51,8 +51,8 @@ def types(n_max, n_min=1):
 
 def test_criterion_01_betti_both_ways():
     with budget(1, "Betti numbers match the two-row rank formula both ways", 60):
-        verify.check_betti_both_ways(8, random.Random(0))
-        for n, k in types(8):
+        verify.check_betti_both_ways(9, random.Random(0))
+        for n, k in types(9):
             expected = [
                 math.comb(n, m) - math.comb(n, m - 1) if m else 1 for m in range(k + 1)
             ]

@@ -1,9 +1,10 @@
 """Differential tests of the action kernel against a dense solve.
 
-The kernel keeps one factor per (n, m) and views it from each (n, k, m),
-moves each tabloid row once per sigma as a bit mask, checks each Coxeter
-relation on composed sparse products and reads class traces off the
-factor's dual basis.  The reference shares none of that.
+The kernel solves in one factor per (n, m), in the factor's own column
+numbering, and writes each answer at the positions of the (n, k, m)
+basis; it moves each tabloid row once per sigma as a bit mask, checks
+each Coxeter relation on composed sparse products and reads class traces
+off the factor's dual basis.  The reference shares none of that.
 ``reference_solve`` takes ``linalg.rref`` of the dense augmented matrix
 [A | B] of one (n, k, m) on its own, with columns built by the frozenset
 route (``matching_vector``, ``polytabloid``, ``line_diagram_expand``,
@@ -11,7 +12,9 @@ route (``matching_vector``, ``polytabloid``, ``line_diagram_expand``,
 relations dense matrix products.  ``rep_matrix``, ``modules_equal`` and
 the rows and failures of ``character_table_check`` are held to it for
 every (n, k, m) with n <= 9; ``act`` and ``act_via_gamma`` on standard
-and mixed classes for n <= 8.  Tests that patch the kernel start and end
+and mixed classes for n <= 8, whose pole-flip images always solve; a
+planted row map that leaves the span must make both raise SolveFailed
+naming sigma and the (n, k, m).  Tests that patch the kernel start and end
 with ``springer_tworow.clear_caches()``, so no certificate computed under
 a patch is read by another test.
 """
@@ -29,8 +32,9 @@ from springer_tworow.action import (
     rep_matrix,
 )
 from springer_tworow.errors import InternalCheckError, SolveFailed
-from springer_tworow.homology import hom_class
-from springer_tworow.matchings import all_dotted_matchings, standard_dotted_matchings, tableau_of
+from springer_tworow.homology import HomClass, hom_class
+from springer_tworow.matchings import (all_dotted_matchings, parse_matching,
+                                       standard_dotted_matchings, tableau_of)
 from springer_tworow.permutations import (
     Permutation,
     adjacent,
@@ -204,13 +208,29 @@ def test_act_on_nonstandard_terms_matches_reference(n):
             for sigma in (adjacent(n, rng.randint(1, n - 1)), seeded_sigma(n, k, m)):
                 assert act(sigma, x) == reference_class(sigma, x, matching_vector), \
                     (sigma.images, x)
+                # pole-flip terms are matching terms up to a global sign, so
+                # the image stays in the span (action.gamma-agreement)
                 want = reference_class(sigma, x, line_diagram_expand)
-                if want is None:
-                    with pytest.raises(SolveFailed):
-                        act_via_gamma(sigma, x)
-                else:
-                    assert act_via_gamma(sigma, x) == want, (sigma.images, x)
+                assert want is not None, (sigma.images, x)
+                assert act_via_gamma(sigma, x) == want, (sigma.images, x)
     assert seen or n < 4
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_an_image_outside_the_span_raises_naming_sigma_and_the_shape(monkeypatch):
+    # a row map that sends tabloid row 0 to row 1 is no permutation of the
+    # rows, and it moves this class out of the standard span
+    class Stray(action._RowMap):
+        def __init__(self, sigma, n, m):
+            super().__init__(sigma, n, m)
+            self[0] = 1
+
+    monkeypatch.setattr(action, "_RowMap", Stray)
+    sigma, x = adjacent(6, 1), HomClass.of(parse_matching("6: u1-4 u2-3 d5-6"))
+    for route in (act, act_via_gamma):
+        with pytest.raises(SolveFailed, match=r"^action of \(2, 1, 3, 4, 5, 6\) at "
+                                              r"\(n, k, m\) = \(6, 3, 2\) left the standard span"):
+            route(sigma, x)
 
 
 def corrupted_generators(gens):
@@ -236,9 +256,10 @@ def corrupted_generators(gens):
 @pytest.mark.parametrize("n", range(2, NMAX + 1))
 def test_sparse_coxeter_words_match_dense_products(n):
     failing = 0
-    for k, m in shapes(n):
-        matrices = [rep_matrix(adjacent(n, i), n, k, m) for i in range(1, n)]
-        sparse = [action._solved_columns(adjacent(n, i), n, k, m) for i in range(1, n)]
+    for m in range(n // 2 + 1):
+        # the factor is the (n, m, m) basis, which its own view leaves in place
+        matrices = [rep_matrix(adjacent(n, i), n, m, m) for i in range(1, n)]
+        sparse = [action._solved_columns(adjacent(n, i), n, m) for i in range(1, n)]
         for columns, mat in zip(sparse, matrices):
             # the seam keeps only nonzero coordinates, and rep_matrix writes them out
             assert all(v for column in columns for v in column.values())
@@ -258,11 +279,11 @@ def test_sparse_coxeter_words_match_dense_products(n):
             if len(base) == 2:
                 p = action._compose(p, sparse[base[1]])
             identity = [{j: 1} for j in range(len(p))]
-            assert (action._power(p, e) == identity) == is_identity(product), (n, k, m, word)
+            assert (action._power(p, e) == identity) == is_identity(product), (n, m, word)
         # the composed relation check fails as dense products do, on corrupted generators
         for name, broken in corrupted_generators(sparse):
             got = action._coxeter_failures(broken)
-            assert got == coxeter_failures([dense_matrix(g) for g in broken]), (n, k, m, name)
+            assert got == coxeter_failures([dense_matrix(g) for g in broken]), (n, m, name)
             assert name != "clean" or got == []
             failing += bool(got)
     assert failing
@@ -325,8 +346,17 @@ def test_a_broken_view_basis_raises_naming_its_shape(monkeypatch, change):
         assert str(culprit) in str(info.value), change
 
 
-def test_factor_traces_match_rep_matrix_diagonals():
+def test_factor_traces_match_rep_matrix_diagonals(monkeypatch):
+    # one dual basis per (n, m), n <= 10: every k >= m reads the same factor
+    built, real = [], linalg.ColumnSolver.dual_basis
+
+    def counted(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(linalg.ColumnSolver, "dual_basis", counted)
     verify.check_trace_agreement(10, random.Random(0))
+    assert len(built) == sum(n // 2 + 1 for n in range(1, 11)) == 35
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -336,9 +366,9 @@ def test_character_check_solves_generators_before_reading_traces(monkeypatch):
     n, k, calls = 6, 3, []
     real_solve, real_trace = action._solved_columns, action._factor_trace
 
-    def solve(sigma, n, k, m):
+    def solve(sigma, n, m):
         calls.append(("_solved_columns", sigma, m))
-        return real_solve(sigma, n, k, m)
+        return real_solve(sigma, n, m)
 
     def trace(sigma, n, m, dual):
         calls.append(("trace", sigma, m))
@@ -360,28 +390,28 @@ N, K = 6, 3
 
 
 def patch_s1(monkeypatch, replacement):
-    """Make the solved columns of s1 on N letters those of ``replacement(real, k, m)``.
+    """Make the solved columns of s1 on N letters those of ``replacement(real, m)``.
 
-    ``real`` gives the unpatched generator matrices, and the patched seam
-    also changes ``rep_matrix``, its dense view.
+    ``real`` gives the unpatched generator matrices in the factor's
+    numbering, and the patched seam also changes ``rep_matrix``, which
+    writes them out at each view's positions.
     """
     real_solve, s1 = action._solved_columns, adjacent(N, 1)
 
-    def real(sigma, n, k, m):
-        columns = real_solve(sigma, n, k, m)
-        return [[column.get(i, 0) for column in columns] for i in range(len(columns))]
+    def real(sigma, n, m):
+        return dense_matrix(real_solve(sigma, n, m))
 
-    def patched(sigma, n, k, m):
+    def patched(sigma, n, m):
         if sigma != s1:
-            return real_solve(sigma, n, k, m)
-        mat = replacement(real, k, m)
+            return real_solve(sigma, n, m)
+        mat = replacement(real, m)
         return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(len(mat))]
 
     monkeypatch.setattr(action, "_solved_columns", patched)
 
 
-def generator(real, i, k, m):
-    return real(adjacent(N, i), N, k, m)
+def generator(real, i, m):
+    return real(adjacent(N, i), N, m)
 
 
 def broken_report():
@@ -401,8 +431,7 @@ def relations_broken(report):
 @pytest.mark.usefixtures("cold_caches")
 def test_broken_square_fails_like_the_reference(monkeypatch):
     # s1 -> s1 s2, a 3-cycle: not an involution once m >= 1
-    patch_s1(monkeypatch, lambda real, k, m: mat_mul(generator(real, 1, k, m),
-                                                      generator(real, 2, k, m)))
+    patch_s1(monkeypatch, lambda real, m: mat_mul(generator(real, 1, m), generator(real, 2, m)))
     report = broken_report()
     assert "m=1: s1^2 != 1" in report.failures
     assert "m=0: s1^2 != 1" not in report.failures
@@ -411,8 +440,8 @@ def test_broken_square_fails_like_the_reference(monkeypatch):
 @pytest.mark.usefixtures("cold_caches")
 def test_broken_braid_fails_like_the_reference(monkeypatch):
     # s1 -> 1: still an involution commuting with every s_j, but (1 s2)^3 = s2
-    patch_s1(monkeypatch, lambda real, k, m: [[int(i == j) for j in range(len(g))]
-                                              for i, g in enumerate(generator(real, 1, k, m))])
+    patch_s1(monkeypatch, lambda real, m: [[int(i == j) for j in range(len(g))]
+                                           for i, g in enumerate(generator(real, 1, m))])
     report = broken_report()
     assert relations_broken(report) == {"braid"}
     assert "m=1: (s1 s2)^3 != 1" in report.failures
@@ -421,7 +450,7 @@ def test_broken_braid_fails_like_the_reference(monkeypatch):
 @pytest.mark.usefixtures("cold_caches")
 def test_broken_commutation_fails_like_the_reference(monkeypatch):
     # s1 -> s3: (s3 s2)^3 = 1 still holds, but s3 and s4 do not commute
-    patch_s1(monkeypatch, lambda real, k, m: generator(real, 3, k, m))
+    patch_s1(monkeypatch, lambda real, m: generator(real, 3, m))
     report = broken_report()
     assert relations_broken(report) == {"commute"}
     assert "m=1: s1 and s4 do not commute" in report.failures

@@ -51,9 +51,9 @@ ARROW_GRAPH = [(diagrams, name) for name in ("enumerate_matchings", "_arrow_tabl
                                              "_bfs_path", "_narrowest_leftmost_sequence")]
 COLUMNS = [(homology, name) for name in ("enumerate_matchings", "all_dotted_matchings",
                                          "_relation_rows", "_circle_bits", "reduce_by_rewriting")]
-TABLOID_ROUTE = [(action, name) for name in ("_RowMap", "_solver", "_solved_columns",
+TABLOID_ROUTE = [(action, name) for name in ("_RowMap", "_positions", "_solved_columns",
                                              "standard_dotted_matchings")]
-TABLOID_ROUTE += [(tabloids, "_solver"), (tabloids, "_comparison")]
+TABLOID_ROUTE += [(tabloids, "_positions"), (tabloids, "_comparison")]
 CALIBRATION = [(skein, "_anchor_ok"), (skein, "_generator_pairs")]
 
 # One row per cap: the first shape past it and the last shape under it, through

@@ -8,10 +8,10 @@ block and every relation block with n <= 8, and on seeded random
 matrices whose entries are not all units, so that non-unit pivots and
 fractional results occur.  The linear reduction to the standard basis,
 on the ``linalg.normal_forms`` peel, must agree with the rewriting
-route on every nonstandard generator with n <= 8 and with ``Echelon``
-over the relation rows with n <= 9, must build no Fraction, and must
-refuse a relation list that lost a necessary row (a pivot never peels)
-or gained a standard generator (a leftover row does not vanish).
+route on every nonstandard generator with n <= 9, must build no
+Fraction, and must refuse a relation list that lost a necessary row (a
+pivot never peels) or gained a standard generator (a leftover row does
+not vanish).
 
 ``reference_relations`` is the assembly the integer one replaced: every
 relation built as a ``HomClass`` of dotted matchings, each dot-set size
@@ -232,7 +232,7 @@ def test_index_keyed_assembly_matches_the_hom_class_reference(n):
             assert forms == expected, (n, k, m)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_reduction_reads_standardness_off_the_dottable_masks(n, monkeypatch):
     # The reference: every column of all_dotted_matchings, nonstandard ones
     # by the paper's is_standard, and the rewriting route.
@@ -256,23 +256,6 @@ def test_reduction_reads_standardness_off_the_dottable_masks(n, monkeypatch):
         assert [column(M) for M in index] == list(index.values()), (n, k, m)
         assert forms == expected and sorted(forms) == pivots, (n, k, m)
         assert [homology._reduce_linear(x) for x in nonstandard] == reduced, (n, k, m)
-
-
-@pytest.mark.parametrize("n", range(1, 10))
-def test_linear_reduction_matches_the_echelon_route(n):
-    # The route the normal forms replaced: Echelon over the relation rows
-    # with the nonstandard columns numbered first, so they take the pivots
-    # and the remainder of M lies on the standard columns.
-    for k, m in shapes(n):
-        ranked = sorted(all_dotted_matchings(n, k, m), key=lambda M: M.is_standard)
-        place = {M: i for i, M in enumerate(ranked)}
-        basis = linalg.Echelon({place[M]: c for M, c in rel.terms}
-                               for rel in relation_instances(n, k, m))
-        for M in ranked:
-            if M.is_standard:
-                break
-            want = hom_class(n, k, {ranked[i]: v for i, v in basis.reduce({place[M]: 1}).items()})
-            assert homology._reduce_linear(HomClass.of(M)) == want, M
 
 
 def test_linear_reduction_builds_no_fraction(monkeypatch):

@@ -49,6 +49,17 @@ def test_reduce_examples():
     assert reduce_class(HomClass.of(pm("3: d1-2 r3"))) == HomClass.of(pm("3: r1 d2-3"))
 
 
+def test_reduce_refuses_an_unknown_method_before_any_work(monkeypatch):
+    def refuse(x):
+        raise AssertionError("a reduction route ran")
+
+    monkeypatch.setattr(homology, "_reduce_linear", refuse)
+    monkeypatch.setattr(homology, "reduce_by_rewriting", refuse)
+    for x in (HomClass.of(pm("4: u1-4 d2-3")), hom_class(4, 2, {})):
+        with pytest.raises(errors.DomainError, match="'Rewrite'; expected 'linear' or 'rewrite'"):
+            reduce_class(x, "Rewrite")
+
+
 def test_reduce_routes_agree():
     verify.check_reduce_agreement(7, random.Random(11))
 

@@ -37,6 +37,11 @@ def test_primed_variant():
     assert rels == [(2, 1, -1)]
 
 
+def test_unknown_variant_is_refused():
+    with pytest.raises(errors.DomainError, match="'Primed'; expected 'plain' or 'primed'"):
+        subspace_of(m("4: u1-2 r3 r4"), "Primed")
+
+
 def test_no_rays_no_pins():
     a = m("4: u1-2 u3-4")
     S = subspace_of(a)

@@ -336,8 +336,8 @@ FAULTS = {
         _when(lambda n, m: (n, m) == (5, 2), lambda out, n, m: None),
         "(5, 2, 2)"),
     "tabloid.graded-module": Fault(
-        6, tabloids, "_solver",
-        _when(lambda n, k, m: n == 6 and k > m, lambda out, n, k, m: (out[0][::-1], out[1])),
+        6, tabloids, "_positions",
+        _when(lambda n, k, m: n == 6 and k > m, lambda out, n, k, m: out[::-1]),
         "(6, 2, 1)"),
     "tabloids.young-rule": Fault(
         5, tabloids, "irr_character",
