@@ -351,11 +351,11 @@ def cmd_render(args) -> int:
     from . import render
 
     x = parse_class(args.cls)
-    single = len(x.terms) == 1 and x.terms[0][1] == 1
-    if args.format == "svg":
+    if args.format == "svg":  # one diagram is laid out apart from a class
+        single = len(x.terms) == 1 and x.terms[0][1] == 1
         text = render.render_svg(x.terms[0][0]) if single else render.render_class_svg(x)
     else:
-        text = render.render_ascii(x.terms[0][0]) if single else render.render_class_ascii(x)
+        text = render.render_class_ascii(x)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

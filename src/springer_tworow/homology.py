@@ -11,21 +11,26 @@ unnested configuration):
 - Type III: a dotted arc and the ray it exchanges with under the triple
             move give equal diagrams.
 
-Reduction to the standard basis is implemented twice, by the normal
-forms of the relation rows and by a terminating rewriting system, and
-the two must agree.  Both the relation rows and the rows of the
-difference-of-inclusions map ψ₋ are sparse ``{column: int}`` rows for
-:mod:`linalg`, built with integer arithmetic only.  Columns are numbered
-by ``matchings._column_numbers``, the one column order, and the dots and
-overlay circles of each arrow are bit masks of arc positions, read off
-the arrow-move table that ``diagrams.arrow_graph`` builds once per type;
-no overlay is glued and no dotted matching is built per term.  The
-reduction reads standardness off each base's ``dottable`` mask and builds
-only the standard dotted matchings.  :func:`relation_instances` and
-:func:`psi_minus_rows` map the columns back through
+Each relation is a row of the difference-of-inclusions map ψ₋: type I
+is the row of a nesting arrow whose moved circle is free, type II the
+same row with that circle pinned, and type III the row of a ray arrow,
+whose line is always pinned.  So :func:`_relation_rows` is the one list
+of presentation rows, read by the reduction, by the cokernel ranks and
+by :func:`psi_minus_rows`.  Reduction to the standard basis is
+implemented twice, by the normal forms of those rows and by a terminating
+rewriting system, and the two must agree.  The rows are sparse
+``{column: int}`` rows for :mod:`linalg`, built with integer arithmetic
+only.  Columns are numbered by ``matchings._column_numbers``, the one
+column order, and the dots of each arrow are bit masks of arc positions,
+read off the arrow-move table that ``diagrams.arrow_graph`` builds once
+per type; no overlay is glued and no dotted matching is built per term.
+The reduction reads standardness off each base's ``dottable`` mask and
+builds only the standard dotted matchings.  :func:`relation_instances`
+and :func:`psi_minus_rows` map the columns back through
 ``all_dotted_matchings``; :func:`pushforward_inclusion` glues with
-``diagrams.glue``, the reference of the ``homology.psi-rows`` invariant
-for the ψ₋ rows.  :mod:`diagrams` loads on first use.
+``diagrams.glue``, the reference of the ``homology.psi-rows`` invariant,
+which holds every row to the difference of its two glued pushforwards.
+:mod:`diagrams` loads on first use.
 """
 from __future__ import annotations
 
@@ -144,7 +149,7 @@ def _check_columns(n: int, k: int, m: int | None = None) -> None:
 
 
 def _relation_rows(n: int, k: int, m: int | None = None) -> Iterator[dict[int, int]]:
-    """Every local relation as a sparse row over the columns of grading m.
+    """Every local relation as a sparse row over the columns of grading m: the ψ₋ rows.
 
     Each arrow pair a -> b gives one relation per rule and per set D of
     dots on the s arcs common to a and b.  A rule of excess e has grading
@@ -392,70 +397,25 @@ def pushforward_inclusion(a: Matching, b: Matching,
 def psi_minus_rows(n: int, k: int, m: int) -> tuple[list, list[dict[int, int]]]:
     """(columns, sparse rows) of the degree-2m block of ψ₋; DomainError for m outside 0..k.
 
-    Columns are all dotted matchings of grading m; each ``{column: int}``
-    row is the image of one basis class of one arrow-pair intersection.
-    Raises CapExceeded past COLUMN_CAP columns.
+    Columns are all dotted matchings of grading m, and the rows are the
+    local relation rows: each ``{column: int}`` row is the image of one
+    basis class of one arrow-pair intersection.  Raises CapExceeded past
+    COLUMN_CAP columns.
     """
     _check_columns(n, k, m)
-    return list(all_dotted_matchings(n, k, m)), _psi_minus_rows(k, m, _circle_bits(n, k))
-
-
-def _circle_bits(n: int, k: int) -> list[tuple]:
-    """(index of a, index of b, circles) for every arrow a -> b, sources in node order.
-
-    ``circles`` is ``glue(a, b).circles`` as (bits of a's arcs, bits of
-    b's arcs) from the arrow-move table, lowest vertex first: each shared
-    arc is a circle, a nesting move (i, j, k, l) adds (i, j), (k, l) over
-    (i, l), (j, k), and a ray move only a line.
-    """
-    from .diagrams import arrow_graph
-
-    graph = arrow_graph(n, k)
-    index = {a: i for i, a in enumerate(graph.nodes)}
-    out = []
-    for a in graph.nodes:
-        for b, move, shared, a_bits, b_bits in graph.arrows[a]:
-            s = len(shared)
-            circles = [((x,), (y,)) for x, y in zip(a_bits[:s], b_bits[:s])]
-            if len(move) == 4:
-                below = sum(1 for x, _ in shared if x < move[0])
-                circles.insert(below, (a_bits[s:], b_bits[s:]))
-            out.append((index[a], index[b], circles))
-    return out
-
-
-def _psi_minus_rows(k: int, m: int, arrows: list[tuple]) -> list[dict[int, int]]:
-    """Sparse {column: int} rows of the degree-2m block, columns numbered by ``_column_numbers``.
-
-    Per arrow a -> b, a term (+1 on a, -1 on b) dots all arcs but one chosen per free circle.
-    """
-    masks, rank = _column_numbers(k, m)
-    width = len(masks)
-    full = (1 << k) - 1
-    rows = []
-    for ia, ib, circles in arrows:
-        oa, ob = ia * width, ib * width
-        for free in itertools.combinations(circles, m):
-            # keys are distinct: a != b, one choice per circle
-            row = {oa + rank[full ^ sum(choice)]: 1
-                   for choice in itertools.product(*(above for above, _ in free))}
-            for choice in itertools.product(*(below for _, below in free)):
-                row[ob + rank[full ^ sum(choice)]] = -1
-            rows.append(row)
-    return rows
+    return list(all_dotted_matchings(n, k, m)), list(_relation_rows(n, k, m))
 
 
 def presentation_betti(n: int, k: int) -> list[int]:
-    """Betti numbers as cokernel ranks of ψ₋, the one place ψ₋ rows are densified.
+    """Betti numbers as cokernel ranks of ψ₋, the one place its rows are densified.
 
     ``perfbench/test_harness.py`` requires the ``linalg.rref`` that ``linalg.rank`` runs
     to receive dense rows here.  Raises CapExceeded past COLUMN_CAP columns.
     """
     _check_columns(n, k)
-    arrows = _circle_bits(n, k)
     out = []
     for m in range(k + 1):
         width = count_matchings(n, k) * math.comb(k, m)
-        rows = _psi_minus_rows(k, m, arrows)
-        out.append(width - linalg.rank([linalg._dense(row, width) for row in rows]))
+        rows = [linalg._dense(row, width) for row in _relation_rows(n, k, m)]
+        out.append(width - linalg.rank(rows))
     return out

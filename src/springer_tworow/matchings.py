@@ -173,10 +173,6 @@ class StandardTableau(Record, frozen=True, order=True):
     def n(self) -> int:
         return len(self.top) + len(self.bottom)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.top), len(self.bottom))
-
     def check(self) -> None:
         n = self.n
         if sorted(self.top + self.bottom) != list(range(1, n + 1)):

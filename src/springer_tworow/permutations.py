@@ -81,12 +81,6 @@ class Permutation(Record, frozen=True, order=True):
                     changed = True
         return tuple(reversed(rev))
 
-    def __str__(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "id"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
-
 
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))

@@ -83,15 +83,6 @@ class TabloidVector(Record, frozen=True):
         lookup = self.as_dict
         return [lookup.get(key, 0) for key in tabloid_keys(self.n, self.m)]
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for key, c in self.coords:
-            name = "{" + ",".join(map(str, sorted(key))) + "}"
-            parts.append(f"{c}*{name}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def tabloid_vector(n: int, m: int, coords: dict) -> TabloidVector:
     clean = {}

@@ -3,10 +3,10 @@
 ``reference_rref`` is plain Gaussian elimination over Fraction on dense
 rows, kept here as the independent reference.  The kernel-backed
 ``rref``, ``rank``, ``row_space_equal``, ``reduce_against`` and
-``Echelon.reduce`` must agree with it on every difference-of-inclusions
-block and every relation block with n <= 8, and on seeded random
-matrices whose entries are not all units, so that non-unit pivots and
-fractional results occur.  The linear reduction to the standard basis,
+``Echelon.reduce`` must agree with it on every block of relation rows,
+which are the difference-of-inclusions rows, with n <= 8, and on seeded
+random matrices whose entries are not all units, so that non-unit
+pivots and fractional results occur.  The linear reduction to the standard basis,
 on the ``linalg.normal_forms`` peel, must agree with the rewriting
 route on every nonstandard generator with n <= 9, must build no
 Fraction, and must refuse a relation list that lost a necessary row (a
@@ -17,8 +17,9 @@ not vanish).
 relation built as a ``HomClass`` of dotted matchings, each dot-set size
 filtered by m, over the arrows and moves of the generate-and-validate
 reference ``verify._reference_successors``, so it shares nothing with
-the nesting scan.  The integer relation rows (for every m) and the relation
-normal forms must equal theirs in value and order.
+the nesting scan.  The integer relation rows (for every m), the ψ₋ rows
+that ``psi_minus_rows`` lists and the relation normal forms must equal
+theirs in value and order.
 """
 import itertools
 import random
@@ -103,18 +104,10 @@ def shapes(n):
 
 
 def blocks(n):
-    """(difference-of-inclusions rows, relation rows) of every (k, m), on shared columns."""
+    """The dense ψ₋ rows, which are the relation rows, of every (k, m), with their columns."""
     for k, m in shapes(n):
         columns, rows = psi_minus_rows(n, k, m)
-        rows = [linalg._dense(row, len(columns)) for row in rows]
-        index = {M: i for i, M in enumerate(columns)}
-        rel_rows = []
-        for rel in relation_instances(n, k, m):
-            row = [0] * len(columns)
-            for M, c in rel.terms:
-                row[index[M]] = c
-            rel_rows.append(row)
-        yield (n, k, m), columns, rows, rel_rows
+        yield (n, k, m), columns, [linalg._dense(row, len(columns)) for row in rows]
 
 
 def check_against_reference(rows, probes):
@@ -132,17 +125,15 @@ def check_against_reference(rows, probes):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_homology_blocks_match_reference(n):
     rng = random.Random(n)
-    for shape, columns, rows, rel_rows in blocks(n):
+    for shape, columns, rows in blocks(n):
         width = len(columns)
         units = [[int(i == j) for i in range(width)] for j in rng.sample(range(width), min(width, 6))]
-        want = check_against_reference(rows, units)
-        want_rel = check_against_reference(rel_rows, units + rel_rows[:3])
-        assert linalg.row_space_equal(rows, rel_rows), shape
+        want = check_against_reference(rows, units + rows[:3])
         assert width - len(want[1]) == homology.betti(n, shape[1])[shape[2]], shape
-        if rel_rows:
-            fewer = rel_rows[1:]
-            same = reference_rref(fewer)[0] == want_rel[0]
-            assert linalg.row_space_equal(fewer, rel_rows) == same, shape
+        if rows:
+            fewer = rows[1:]
+            same = reference_rref(fewer)[0] == want[0]
+            assert linalg.row_space_equal(fewer, rows) == same, shape
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -171,11 +162,10 @@ def test_random_matrices_match_reference(seed):
 def test_echelon_rows_match_reference():
     """Back-substituted and normalised, the ``Echelon`` rows are the Fraction reference's.
 
-    Its remainders are the reference's too, on boundary and relation
-    blocks and on seeded random rows with non-unit entries.
+    Its remainders are the reference's too, on the relation blocks and on seeded random rows with non-unit entries.
     """
     rng = random.Random(5)
-    cases = [rows for _, _, psi, rel in blocks(6) for rows in (psi, rel)]
+    cases = [rows for _, _, rows in blocks(6)]
     for _ in range(40):
         ncols = rng.randint(1, 14)
         cases.append([[rng.choice([0, 0, 0, 1, -1, 1, 2, -3]) for _ in range(ncols)]
@@ -222,12 +212,13 @@ def test_index_keyed_assembly_matches_the_hom_class_reference(n):
         for m in [None, *range(k + 1)]:
             index = {M: i for i, M in enumerate(all_dotted_matchings(n, k, m))}
             want = reference_relations(n, k, m)
-            assert (list(homology._relation_rows(n, k, m))
-                    == [{index[M]: c for M, c in rel.terms} for rel in want]), (n, k, m)
+            rows = [{index[M]: c for M, c in rel.terms} for rel in want]
+            assert list(homology._relation_rows(n, k, m)) == rows, (n, k, m)
             assert relation_instances(n, k, m) == want, (n, k, m)
             if m is None:
                 continue
-            expected = nonstandard_forms(n, k, m, reference_relations(n, k, m))[2]
+            assert psi_minus_rows(n, k, m) == (list(index), rows), (n, k, m)
+            expected = nonstandard_forms(n, k, m, want)[2]
             _, forms, _ = homology._reduction_data.__wrapped__(n, k, m)
             assert forms == expected, (n, k, m)
 

@@ -97,10 +97,6 @@ def test_pushforward_examples():
         pushforward_inclusion(a, a, set())
 
 
-def test_relation_span_equals_boundary_image():
-    verify.check_relation_span_matches_boundary(7, random.Random(0))
-
-
 def test_boundary_rows_peel_alone():
     verify.check_psi_peel(9, random.Random(0))
 

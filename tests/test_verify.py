@@ -13,6 +13,7 @@ with a message naming the shape or the input, and without it PASS.
 
 ``PYTHONPATH=src python tests/test_verify.py`` prints the kill matrix:
 every fault run against every suite, and the suites that catch it.
+``tests/kill_matrix.txt`` is its record, and CI diffs a fresh run against it.
 """
 import ast
 import contextlib
@@ -147,24 +148,16 @@ def _one_completion(real):
     return lambda M: real(matchings.standard_dotted_matchings(M.n, M.k, M.m)[0] if M.n == 3 else M)
 
 
-def _relation_rows_with_one_flipped_entry(real):
+def _psi_row_negated(real):
     def rows(n, k, m=None):
-        out = list(real(n, k, m))
-        if (n, k, m) == (5, 2, 1):
-            c = next(iter(out[0]))
-            out[0] = {**out[0], c: -out[0][c]}
-        return out
+        return [{c: -x for c, x in row.items()} if (k, m, i) == (2, 1, 0) else row
+                for i, row in enumerate(real(n, k, m))]
     return rows
 
 
-def _psi_row_negated(real):
-    return lambda k, m, arrows: [{c: -x for c, x in row.items()} if (k, m, i) == (2, 1, 0) else row
-                                 for i, row in enumerate(real(k, m, arrows))]
-
-
 def _psi_targets_doubled(real):
-    return lambda k, m, arrows: [{c: 2 * x if x < 0 else x for c, x in row.items()}
-                                 for row in real(k, m, arrows)]
+    return lambda n, k, m=None: [{c: 2 * x if x < 0 else x for c, x in row.items()}
+                                 for row in real(n, k, m)]
 
 
 def _last_listed_row_dropped(real):
@@ -289,16 +282,12 @@ FAULTS = {
         5, homology, "_reduce_linear",
         _when(lambda x: x.n == 5, lambda y, x: y.scale(-1)),
         "(5, 1, '5: d1-2 r3 r4 r5')"),
-    "homology.relation-span": Fault(
-        5, homology, "_relation_rows",
-        _relation_rows_with_one_flipped_entry,
-        "(5, 2, 1)"),
     "homology.psi-peel": Fault(
-        4, homology, "_psi_minus_rows",
+        4, homology, "_relation_rows",
         _psi_targets_doubled,
         "(3, 1, 0, 'normal forms"),
     "homology.psi-rows": Fault(
-        4, homology, "_psi_minus_rows",
+        4, homology, "_relation_rows",
         _psi_row_negated,
         "(4, 2, 1)"),
     "homology.column-numbers": Fault(
