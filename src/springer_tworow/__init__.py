@@ -2,7 +2,8 @@
 
 Matchings, overlay diagrams, component subspaces, cell decompositions, the
 homology presentation with its standard basis, the tabloid model, the
-symmetric-group action (oracle, pole-flip, and skein routes), and a CLI.
+symmetric-group action (tabloid and skein routes, with the pole-flip map
+as a reference), and a CLI.
 
 Importing the package loads no submodule.  Each name in ``__all__`` is
 looked up in its defining submodule on every access (PEP 562), importing

@@ -1,13 +1,14 @@
 """The graded symmetric-group action on the homology of the two-row space.
 
-Normative route: push a class through the tabloid model (zeta), permute,
-and solve back in the span of the standard-basis images.  Validation
-route: expand through the pole-flip map into line-diagram classes of the
-ambient sphere product, permute there and solve back.  Characters and
-the Coxeter presentation pin the representation exactly.  The pole-flip
-terms of a dotted matching are its tabloid terms times (-1)^(m*(n mod 2))
-(the ``action.gamma-agreement`` verify invariant, n <= 10), so that
-route certifies the orientation convention, not an independent solve.
+One route: push a class through the tabloid model (zeta), permute, and
+solve back in the span of the standard-basis images.  Characters and the
+Coxeter presentation pin the representation exactly.  The paper's
+pole-flip map into line-diagram classes of the ambient sphere product
+(``line_diagram_expand``) is kept as a reference, not as a second solve:
+the pole-flip terms of a dotted matching are its tabloid terms times
+(-1)^(m*(n mod 2)) (the ``action.gamma-agreement`` verify invariant,
+n <= 10), so the two routes solve to the same class, and ``act_via_gamma``
+is ``act``.
 
 Every solve runs against one cached factor per (n, m),
 ``tabloids._factor(n, m)``, in its own column numbering, and k only
@@ -23,14 +24,13 @@ factor column's takes that column as it is; only other terms are
 expanded.  Coordinates are sparse ``{column: int}`` dicts from end to end.
 ``_image_coords`` moves a weighted sum of columns through ``_RowMap``,
 the one memo of row -> sigma(row), and solves in the factor.
-``act`` and ``act_via_gamma`` share one body and differ only in how a
-term becomes a column.  ``_solved_columns`` solves the image of every
-factor column with one row map, so each tabloid row is moved at most
-once per matrix; ``rep_matrix`` writes it out dense at the view's
-positions, one lookup per nonzero entry.  The factor columns are
-unit-triangular (the ``action.unit-triangular`` verify invariant), so
-every solve is integer back-substitution certified by a zero residual,
-and no Fraction is built on this path.
+``_solved_columns`` solves the image of every factor column with one row
+map, so each tabloid row is moved at most once per matrix; ``rep_matrix``
+writes it out dense at the view's positions, one lookup per nonzero
+entry.  The factor columns are unit-triangular (the
+``action.unit-triangular`` verify invariant), so every solve is integer
+back-substitution certified by a zero residual, and no Fraction is built
+on this path.
 
 ``character_table_check`` works one grading at a time, checks each
 (n, k, m) view's position table, and reads each grading's
@@ -49,8 +49,8 @@ strings only.
 Tabloid rows are keyed by integer bit masks, not frozensets (see
 ``tabloids``): ``_RowMap`` moves a row by sending each set bit of
 its mask through sigma and looking up the result, and every expanded
-term (a nonstandard matching, a pole-flip image) becomes a
-``{row: int}`` column by ``tabloids._pair_column``.
+term (a nonstandard matching whose undotted arcs no factor column has)
+becomes a ``{row: int}`` column by ``tabloids._pair_column``.
 """
 from __future__ import annotations
 
@@ -125,33 +125,29 @@ def _image_coords(sigma: Permutation, n: int, k: int, m: int, columns,
                           f"left the standard span: {exc}") from exc
 
 
-def _act(sigma: Permutation, x: HomClass, weighted_column) -> HomClass:
+def _act(sigma: Permutation, x: HomClass) -> HomClass:
     """sigma applied to a homogeneous class, in the standard basis.
 
-    ``weighted_column(M, c)`` turns c * M into (coefficient, ``{row: int}``
-    column) over ``_mask_rows(n, m)``.  The caller checks ``check_tabloid_route``.
+    Each term takes the factor column with its undotted arcs, or its own
+    expanded column if none has them.  The caller checks ``check_tabloid_route``.
     """
     m = x.grading
     moved = _RowMap(sigma, x.n, m)
     if x.is_zero:
         return x
-    terms = (weighted_column(M, c) for M, c in x.terms)
+    place, columns, _ = _factor(x.n, m)
+    row = _mask_rows(x.n, m)[1]
+    terms = ((c, columns[place[M.undotted]] if M.undotted in place
+              else _pair_column(_arc_pairs(M), row)) for M, c in x.terms)
     coords = _image_coords(sigma, x.n, x.k, m, terms, moved)
     basis, positions = standard_dotted_matchings(x.n, x.k, m), _positions(x.n, x.k, m)
     return hom_class(x.n, x.k, {basis[positions[j]]: c for j, c in coords.items()})
 
 
-def _matching_column(M: DottedMatching, c: int) -> tuple[int, dict[int, int]]:
-    """c and the factor column with M's undotted arcs, or M's expanded column if none has them."""
-    place, columns, _ = _factor(M.n, M.m)
-    j = place.get(M.undotted)
-    return c, _pair_column(_arc_pairs(M), _mask_rows(M.n, M.m)[1]) if j is None else columns[j]
-
-
 def act(sigma: Permutation, x: HomClass) -> HomClass:
     """The action of sigma on a homogeneous class, in the standard basis."""
     check_tabloid_route(x.n, x.k, x.grading)
-    return _act(sigma, x, _matching_column)
+    return _act(sigma, x)
 
 
 def _solved_columns(sigma: Permutation, n: int, m: int) -> list[dict[int, int]]:
@@ -173,7 +169,7 @@ def rep_matrix(sigma: Permutation, n: int, k: int, m: int) -> list[list[int]]:
     return matrix
 
 
-# --- line-diagram route ---------------------------------------------------------
+# --- the pole-flip map, the reference of action.gamma-agreement -----------------
 
 def _line_pairs(M: DottedMatching) -> list[tuple[int, int]]:
     """The undotted arcs of M as (plus, minus), plus the even endpoint."""
@@ -195,21 +191,14 @@ def line_diagram_expand(M: DottedMatching) -> TabloidVector:
     return tabloid_vector(M.n, M.m, line_diagram_terms(M))
 
 
-def _pole_flip_column(M: DottedMatching, c: int) -> tuple[int, dict[int, int]]:
-    """c times (-1)^(m*(n mod 2)), the sign from matching to pole-flip terms, and M's column."""
-    return (-1) ** (M.m * (M.n % 2)) * c, _pair_column(_line_pairs(M), _mask_rows(M.n, M.m)[1])
-
-
 def act_via_gamma(sigma: Permutation, x: HomClass | DottedMatching) -> HomClass:
-    """The action computed through the ambient coordinate permutation.
+    """``act`` on x, a class or a single dotted matching.
 
-    Every term is expanded by its pole-flip pairs (``line_diagram_terms``
-    on masks); no pole-flip solver is built.
+    The pole-flip terms of M are its matching terms times
+    (-1)^(m*(n mod 2)) (``action.gamma-agreement``), so the ambient route
+    solves to the same class as ``act``; only the name is kept.
     """
-    if isinstance(x, DottedMatching):
-        x = HomClass.of(x)
-    check_tabloid_route(x.n, x.k, x.grading)
-    return _act(sigma, x, _pole_flip_column)
+    return act(sigma, HomClass.of(x) if isinstance(x, DottedMatching) else x)
 
 
 # --- action chart -----------------------------------------------------------------
@@ -291,7 +280,7 @@ def derive_chart(n: int, k: int) -> Chart:
         for M in standard_dotted_matchings(n, k, m):
             for i in range(1, n):
                 case = classify_case(M, i)
-                out = _act(adjacent(n, i), HomClass.of(M), _matching_column)
+                out = _act(adjacent(n, i), HomClass.of(M))
                 chart.rows.append(ChartRow(case, M, i, out))
                 terms = len(out.terms)
                 if case == 2:

@@ -78,9 +78,6 @@ def parse_class(text: str) -> HomClass:
         first = False
     if not coeffs:
         raise SpringerError(f"empty class text {text!r}")
-    types = {(M.n, M.k) for M in coeffs}
-    if len(types) > 1:
-        raise SpringerError(f"terms mix matching types {sorted(types)}")
     some = next(iter(coeffs))
     return hom_class(some.n, some.k, coeffs)
 

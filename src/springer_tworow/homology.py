@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import (DomainError, InhomogeneousClass, InternalCheckError, NotAnArrowPair,
-                     refuse_past)
+                     TypeMismatch, refuse_past)
 from .matchings import (
     COLUMN_CAP,
     Arc,
@@ -111,6 +111,9 @@ class HomClass(Record, frozen=True):
 
 
 def hom_class(n: int, k: int, coeffs: dict[DottedMatching, int]) -> HomClass:
+    for M in coeffs:
+        if M.n != n or M.k != k:
+            raise TypeMismatch(f"term {M} is not of type ({n - k},{k}) on {n} vertices")
     terms = tuple(
         (M, c) for M, c in sorted(coeffs.items(), key=lambda t: sort_key(t[0])) if c != 0
     )
@@ -382,7 +385,7 @@ def pushforward_inclusion(a: Matching, b: Matching,
     circles = glue(a, b).circles
     bad = set(free_circles) - set(range(len(circles)))
     if bad:
-        raise InternalCheckError(f"free circle indices {sorted(bad)} out of range")
+        raise DomainError(f"free circle indices {sorted(bad)} out of range")
     groups = [comp.arcs_above for idx, comp in enumerate(circles) if idx in free_circles]
     # Pinned circles and lines keep all their arcs dotted; each free circle
     # undots one chosen arc, and distinct choices give distinct terms.

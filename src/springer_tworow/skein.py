@@ -58,6 +58,7 @@ from .errors import (
     MatchingError,
     MultipleConventionsFit,
     NoConventionFits,
+    SizeMismatch,
 )
 from .homology import HomClass, hom_class, reduce_class
 from .matchings import (
@@ -85,7 +86,7 @@ class FlatTangle(Record, frozen=True):
         set_layers(self, layers)
         for i in layers:
             if not 1 <= i <= n - 1:
-                raise InternalCheckError(f"crossing position {i} outside 1..{n - 1}")
+                raise DomainError(f"crossing position {i} outside 1..{n - 1}")
 
 
 def flatten(word: list[int] | tuple[int, ...], n: int) -> FlatTangle:
@@ -164,7 +165,7 @@ def _start(M: DottedMatching, tangle: FlatTangle) -> tuple[list[int], list[tuple
 
 def _check_strands(M: DottedMatching, tangle: FlatTangle) -> None:
     if M.n != tangle.n:
-        raise InternalCheckError(
+        raise SizeMismatch(
             f"{M} has {M.n} strands but the tangle of word {tangle.layers} has {tangle.n}")
 
 

@@ -546,11 +546,12 @@ def check_integer_rows(n_max: int, rng) -> None:
     sigma and every adjacent transposition, ``action._RowMap`` sends every
     row r to ``tabloid_index[sigma.apply_to_set(keys[r])]``.  For every
     dotted matching M, standard or not, the ``_pair_column`` of its arc
-    pairs and of its pole-flip pairs equal ``matching_terms`` and
-    ``line_diagram_terms`` looked up in ``tabloid_index``; for a standard
-    M so does the column of ``tableau_of(M)``'s pairs against
+    pairs equals ``matching_terms`` looked up in ``tabloid_index``; for a
+    standard M so does the column of ``tableau_of(M)``'s pairs against
     ``polytabloid_terms``, and each ``_factor`` column is the column of the
-    basis element at its ``_positions`` entry.
+    basis element at its ``_positions`` entry.  No production path builds
+    a pole-flip column, and ``action.gamma-agreement`` holds pole-flip
+    terms to matching terms.
     """
     for n in range(1, min(n_max, 10) + 1):
         for m in range(n // 2 + 1):
@@ -572,10 +573,7 @@ def check_integer_rows(n_max: int, rng) -> None:
 
                 standard = []
                 for M in matchings.all_dotted_matchings(n, k, m):
-                    families = [
-                        ("matching", tabloids._arc_pairs(M), tabloids.matching_terms(M)),
-                        ("pole-flip", action._line_pairs(M), action.line_diagram_terms(M)),
-                    ]
+                    families = [("matching", tabloids._arc_pairs(M), tabloids.matching_terms(M))]
                     if M.is_standard:
                         T = matchings.tableau_of(M)
                         families.append(("polytabloid", tabloids._tableau_pairs(T),
@@ -592,17 +590,17 @@ def check_integer_rows(n_max: int, rng) -> None:
 def check_unit_triangular(n_max: int, rng) -> None:
     """Standard columns are unit-triangular on their tableau bottom rows.
 
-    For the matching vector, the pole-flip image and the polytabloid of
-    tableau_of(M), the lexicographically last key with a nonzero entry is
-    the bottom row of tableau_of(M), and that entry is +-1.  The integer
-    solve of the action relies on this.
+    For the matching vector and the polytabloid of tableau_of(M), the
+    lexicographically last key with a nonzero entry is the bottom row of
+    tableau_of(M), and that entry is +-1.  The integer solve of the action
+    relies on this.  The pole-flip image is the matching vector up to sign
+    (``action.gamma-agreement``), so it is unit-triangular too.
     """
     for n, k in _types(min(n_max, 10)):
         for M in matchings.standard_dotted_matchings(n, k):
             T = matchings.tableau_of(M)
             families = (
                 ("matching vector", tabloids.matching_terms(M)),
-                ("pole-flip", action.line_diagram_terms(M)),
                 ("polytabloid", tabloids.polytabloid_terms(T)),
             )
             for family, terms in families:
@@ -693,13 +691,11 @@ def check_action_graded_and_group(n_max: int, rng) -> None:
 
 
 def check_gamma_agreement(n_max: int, rng) -> int:
-    """Pole-flip terms are matching terms times (-1)^(m*(n mod 2)), and both routes act alike.
+    """Pole-flip terms are matching terms times (-1)^(m*(n mod 2)).
 
-    The term identity is checked on every dotted matching with n up to
-    min(n_max, 10), the agreement of ``act`` and ``act_via_gamma`` on the
-    standard generators under every adjacent transposition up to
-    min(n_max, 5).  Returns the number of dotted matchings whose terms
-    were compared.
+    Checked on every dotted matching with n up to min(n_max, 10).  So the
+    pole-flip route acts as ``act`` does, and no second solve runs.
+    Returns the number of dotted matchings whose terms were compared.
     """
     count = 0
     for n, k in _types(min(n_max, 10)):
@@ -708,12 +704,6 @@ def check_gamma_agreement(n_max: int, rng) -> int:
             want = {key: sign * v for key, v in tabloids.matching_terms(M).items()}
             assert action.line_diagram_terms(M) == want, (n, k, str(M))
             count += 1
-    for n, k in _types(min(n_max, 5), n_min=2):
-        for M in matchings.standard_dotted_matchings(n, k):
-            for i in range(1, n):
-                sigma = permutations.adjacent(n, i)
-                got = action.act_via_gamma(sigma, M)
-                assert action.act(sigma, homology.HomClass.of(M)) == got, (n, k, str(M), i)
     return count
 
 

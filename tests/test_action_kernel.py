@@ -7,16 +7,16 @@ each Coxeter relation on composed sparse products and reads class traces
 off the factor's dual basis.  The reference shares none of that.
 ``reference_solve`` takes ``linalg.rref`` of the dense augmented matrix
 [A | B] of one (n, k, m) on its own, with columns built by the frozenset
-route (``matching_vector``, ``polytabloid``, ``line_diagram_expand``,
-``permute``); traces are diagonals of solved matrices, and Coxeter
-relations dense matrix products.  ``rep_matrix``, ``modules_equal`` and
-the rows and failures of ``character_table_check`` are held to it for
-every (n, k, m) with n <= 9; ``act`` and ``act_via_gamma`` on standard
-and mixed classes for n <= 8, whose pole-flip images always solve; a
-planted row map that leaves the span must make both raise SolveFailed
-naming sigma and the (n, k, m).  Tests that patch the kernel start and end
-with ``springer_tworow.clear_caches()``, so no certificate computed under
-a patch is read by another test.
+route (``matching_vector``, ``polytabloid``, ``permute``); traces are
+diagonals of solved matrices, and Coxeter relations dense matrix
+products.  ``rep_matrix``, ``modules_equal`` and the rows and failures of
+``character_table_check`` are held to it for every (n, k, m) with
+n <= 9, and ``act`` on mixed classes for n <= 8; a planted row map that
+leaves the span must make ``act`` raise SolveFailed naming sigma and the
+(n, k, m).  ``act_via_gamma`` is ``act``: the pole-flip terms are the
+matching terms up to a global sign (``action.gamma-agreement``).  Tests
+that patch the kernel start and end with ``springer_tworow.clear_caches()``,
+so no certificate computed under a patch is read by another test.
 """
 import random
 
@@ -26,9 +26,7 @@ import springer_tworow
 from springer_tworow import action, linalg, tabloids, verify
 from springer_tworow.action import (
     act,
-    act_via_gamma,
     character_table_check,
-    line_diagram_expand,
     rep_matrix,
 )
 from springer_tworow.errors import InternalCheckError, SolveFailed
@@ -73,26 +71,26 @@ def reference_solve(a_cols, b_cols):
     return [[echelon[r][ncols + j] for r in range(ncols)] for j in range(len(b_cols))]
 
 
-def moved_row(sigma, terms, expand):
-    """sigma applied to the sum of c * expand(M) over the terms (M, c), as a dense row."""
-    rows = [[c * v for v in permute(sigma, expand(M)).to_row()] for M, c in terms]
+def moved_row(sigma, terms):
+    """sigma applied to the sum of c * matching_vector(M) over the terms (M, c), dense."""
+    rows = [[c * v for v in permute(sigma, matching_vector(M)).to_row()] for M, c in terms]
     return [sum(entries) for entries in zip(*rows)]
 
 
-def reference_matrices(n, k, m, sigmas, expand=matching_vector):
+def reference_matrices(n, k, m, sigmas):
     """The matrix of each sigma on the (n, k, m) basis, from one dense solve."""
     basis = standard_dotted_matchings(n, k, m)
-    b_cols = [moved_row(sigma, [(M, 1)], expand) for sigma in sigmas for M in basis]
-    x = reference_solve([expand(M).to_row() for M in basis], b_cols)
+    b_cols = [moved_row(sigma, [(M, 1)]) for sigma in sigmas for M in basis]
+    x = reference_solve([matching_vector(M).to_row() for M in basis], b_cols)
     d = len(basis)
     return [[list(row) for row in zip(*x[i * d:(i + 1) * d])] for i in range(len(sigmas))]
 
 
-def reference_class(sigma, x, expand):
-    """sigma applied to the class x through ``expand``, or None if it leaves the span."""
+def reference_class(sigma, x):
+    """sigma applied to the class x, or None if it leaves the span."""
     basis = standard_dotted_matchings(x.n, x.k, x.grading)
-    solved = reference_solve([expand(M).to_row() for M in basis],
-                             [moved_row(sigma, x.terms, expand)])
+    solved = reference_solve([matching_vector(M).to_row() for M in basis],
+                             [moved_row(sigma, x.terms)])
     return None if solved is None else hom_class(x.n, x.k, dict(zip(basis, solved[0])))
 
 
@@ -176,17 +174,6 @@ def test_rep_matrix_matches_reference(n):
             assert rep_matrix(sigma, n, k, m) == want, (sigma.images, n, k, m)
 
 
-@pytest.mark.parametrize("n", range(1, NMAX + 1))
-def test_act_via_gamma_matches_reference(n):
-    for k, m in shapes(n):
-        basis = standard_dotted_matchings(n, k, m)
-        sigmas = [adjacent(n, i) for i in range(1, n)] + [seeded_sigma(n, k, m)]
-        for sigma, mat in zip(sigmas, reference_matrices(n, k, m, sigmas, line_diagram_expand)):
-            for j, M in enumerate(basis):
-                want = hom_class(n, k, {N: row[j] for N, row in zip(basis, mat)})
-                assert act_via_gamma(sigma, M) == want, (sigma.images, M)
-
-
 def mixed_classes(n, k, m, rng):
     """Seeded classes over (n, k, m) that each hold at least one nonstandard term."""
     basis = standard_dotted_matchings(n, k, m)
@@ -206,13 +193,7 @@ def test_act_on_nonstandard_terms_matches_reference(n):
         for x in mixed_classes(n, k, m, rng):
             seen += 1
             for sigma in (adjacent(n, rng.randint(1, n - 1)), seeded_sigma(n, k, m)):
-                assert act(sigma, x) == reference_class(sigma, x, matching_vector), \
-                    (sigma.images, x)
-                # pole-flip terms are matching terms up to a global sign, so
-                # the image stays in the span (action.gamma-agreement)
-                want = reference_class(sigma, x, line_diagram_expand)
-                assert want is not None, (sigma.images, x)
-                assert act_via_gamma(sigma, x) == want, (sigma.images, x)
+                assert act(sigma, x) == reference_class(sigma, x), (sigma.images, x)
     assert seen or n < 4
 
 
@@ -227,10 +208,9 @@ def test_an_image_outside_the_span_raises_naming_sigma_and_the_shape(monkeypatch
 
     monkeypatch.setattr(action, "_RowMap", Stray)
     sigma, x = adjacent(6, 1), HomClass.of(parse_matching("6: u1-4 u2-3 d5-6"))
-    for route in (act, act_via_gamma):
-        with pytest.raises(SolveFailed, match=r"^action of \(2, 1, 3, 4, 5, 6\) at "
-                                              r"\(n, k, m\) = \(6, 3, 2\) left the standard span"):
-            route(sigma, x)
+    with pytest.raises(SolveFailed, match=r"^action of \(2, 1, 3, 4, 5, 6\) at "
+                                          r"\(n, k, m\) = \(6, 3, 2\) left the standard span"):
+        act(sigma, x)
 
 
 def corrupted_generators(gens):

@@ -30,6 +30,16 @@ def test_homclass_grading_enforced():
         cls(("4: u1-2 d3-4", 1), ("4: u1-2 u3-4", 1)).grading
 
 
+def test_a_class_refuses_a_term_of_another_type():
+    # the sum once built an n = 4 class holding an n = 5 term, and act met an IndexError
+    x, y = HomClass.of(pm("4: d1-2 u3-4")), HomClass.of(pm("5: r1 d2-3 u4-5"))
+    with pytest.raises(errors.TypeMismatch,
+                       match=r"^term 5: r1 d2-3 u4-5 is not of type \(2,2\) on 4 vertices$"):
+        x + y
+    with pytest.raises(errors.TypeMismatch, match=r"^term 4: d1-2 u3-4 is not of type \(3,2\) on 5"):
+        y + x
+
+
 def test_relation_instances_examples():
     rels = {format_class(r) for r in relation_instances(4, 2)}
     type_two = "1·(4: d1-2 d3-4) - 1·(4: d1-4 d2-3)"
@@ -95,6 +105,9 @@ def test_pushforward_examples():
     assert pushforward_inclusion(a31, b31, set()) == HomClass.of(pm("4: d1-2 r3 r4"))
     with pytest.raises(errors.NotAnArrowPair):
         pushforward_inclusion(a, a, set())
+    # (4: u1-2 u3-4) -> (4: u1-4 u2-3) glues one circle, index 0
+    with pytest.raises(errors.DomainError, match=r"^free circle indices \[1, 3\] out of range$"):
+        pushforward_inclusion(a, b, {0, 1, 3})
 
 
 def test_boundary_rows_peel_alone():

@@ -17,7 +17,7 @@ from dataclasses import make_dataclass
 
 import pytest
 
-from springer_tworow.errors import InternalCheckError
+from springer_tworow.errors import DomainError
 from springer_tworow.matchings import DottedMatching, Matching
 from springer_tworow.records import Record
 
@@ -207,6 +207,6 @@ def test_constructor_defaults_and_keywords():
     assert line.kind == "line"
     assert skein.FlatTangle(3, (1, 2)).layers == (1, 2)
     for bad in ((0,), (3,)):
-        with pytest.raises(InternalCheckError, match="outside 1..2"):
+        with pytest.raises(DomainError, match="outside 1..2"):
             skein.FlatTangle(3, bad)
 

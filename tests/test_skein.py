@@ -249,15 +249,20 @@ def test_fold_matches_full_expansion_for_every_convention():
 
 
 def test_fold_errors_name_the_matching_and_the_word():
-    with pytest.raises(errors.InternalCheckError, match=r"2: u1-2 .*\(1, 2\)"):
+    with pytest.raises(errors.SizeMismatch, match=r"2: u1-2 .*\(1, 2\)"):
         boundary_coefficients(pm("2: u1-2"), flatten([1, 2], 3))
+
+
+def test_a_crossing_outside_the_strands_is_refused():
+    with pytest.raises(errors.DomainError, match=r"^crossing position 4 outside 1..3$"):
+        flatten([1, 4], 4)
 
 
 def test_reference_errors_name_the_matching_and_the_word():
     M, tangle = pm("2: u1-2"), flatten([1, 2], 3)
     messages = []
     for route in (expand_resolutions, boundary_coefficients):
-        with pytest.raises(errors.InternalCheckError, match=r"2: u1-2 .*\(1, 2\)") as info:
+        with pytest.raises(errors.SizeMismatch, match=r"2: u1-2 .*\(1, 2\)") as info:
             route(M, tangle)
         messages.append(str(info.value))
     assert messages[0] == messages[1]

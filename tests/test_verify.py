@@ -139,7 +139,7 @@ def _others_relations_negated(real):
     return intersect
 
 
-def _bottom_entry_doubled(terms, M):
+def _bottom_entry_doubled(terms, T):
     last = max(tuple(sorted(key)) for key in terms)
     return {key: 2 * c if tuple(sorted(key)) == last else c for key, c in terms.items()}
 
@@ -337,17 +337,17 @@ FAULTS = {
         _first_entry_negated,
         "((4, 2, 2), '4: u1-2 u3-4', 'matching')"),
     "action.unit-triangular": Fault(
-        4, action, "line_diagram_terms",
-        _when(lambda M: M.m == 2, _bottom_entry_doubled),
-        "((4, 2, 2), '4: u1-2 u3-4', 'pole-flip'"),
+        4, tabloids, "polytabloid_terms",
+        _when(lambda T: len(T.bottom) == 2, _bottom_entry_doubled),
+        "((4, 2, 2), '4: u1-2 u3-4', 'polytabloid'"),
     "action.graded-group-laws": Fault(
         4, action, "act",
         lambda real: lambda sigma, x: real(_inverse(sigma), x),
         "(3, 1, 1, [1, 2, 1, 1]"),
     "action.gamma-agreement": Fault(
-        4, action, "_pole_flip_column",
-        lambda real: lambda M, c: (c, real(M, c)[1]),
-        "(3, 1, '3: u1-2 r3', 1)"),
+        4, action, "_line_pairs",
+        lambda real: lambda M: list(M.undotted),
+        "(2, 1, '2: u1-2')"),
     "action.image-stability": Fault(
         4, matchings, "complete_dotted",
         _one_completion,
