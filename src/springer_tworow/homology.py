@@ -17,8 +17,10 @@ same row with that circle pinned, and type III the row of a ray arrow,
 whose line is always pinned.  So :func:`_relation_rows` is the one list
 of presentation rows, read by the reduction, by the cokernel ranks and
 by :func:`psi_minus_rows`.  Reduction to the standard basis is
-implemented twice, by the normal forms of those rows and by a terminating
-rewriting system, and the two must agree.  The rows are sparse
+implemented twice, and the two must agree: by the normal forms of those
+rows, and by a terminating rewriting system that shares nothing with
+them, runs on plain ``(arcs, rays, dotted)`` states and builds dotted
+matchings only for the terms of its result.  The rows are sparse
 ``{column: int}`` rows for :mod:`linalg`, built with integer arithmetic
 only.  Columns are numbered by ``matchings._column_numbers``, the one
 column order, and the dots of each arrow are bit masks of arc positions,
@@ -34,6 +36,7 @@ which holds every row to the difference of its two glued pushforwards.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -50,6 +53,7 @@ from .matchings import (
     Matching,
     _column_count,
     _column_numbers,
+    _parent,
     all_dotted_matchings,
     check_type,
     count_matchings,
@@ -190,10 +194,6 @@ def _relation_rows(n: int, k: int, m: int | None = None) -> Iterator[dict[int, i
                         yield {oa + rank[da | x | x2]: 1, ob + rank[db | y | y2]: -1}
 
 
-def _dotted(base: Matching, dotted: set[Arc]) -> DottedMatching:
-    return DottedMatching(base, tuple(sorted(dotted)))
-
-
 def relation_instances(n: int, k: int, m: int | None = None) -> list[HomClass]:
     """Every local relation, optionally of grading m only; DomainError for m outside 0..k."""
     _check_columns(n, k, m)
@@ -207,8 +207,8 @@ def relation_instances(n: int, k: int, m: int | None = None) -> list[HomClass]:
 def _nonstandard_columns(bases: Sequence[Matching], masks: Sequence[int]) -> list[int]:
     """Column numbers of the nonstandard dotted matchings: a dot mask outside ``dottable``."""
     width = len(masks)
-    return [i * width + r for i, base in enumerate(bases)
-            for r, d in enumerate(masks) if d & ~base.dottable]
+    return [i * width + r for i, dottable in enumerate([base.dottable for base in bases])
+            for r, d in enumerate(masks) if d & ~dottable]
 
 
 @lru_cache(maxsize=None)
@@ -268,85 +268,84 @@ def _reduce_linear(x: HomClass) -> HomClass:
     return hom_class(x.n, x.k, {standard[s]: v for s, v in reduced.items()})
 
 
-def _ray_violation(M: DottedMatching) -> tuple[Arc, int] | None:
-    """Rightmost dotted arc with a ray to its right, and the nearest ray."""
-    best = None
-    for x, y in M.dotted:
-        rays_right = [r for r in M.base.rays if r > y]
-        if rays_right:
-            if best is None or x > best[0][0]:
-                best = ((x, y), min(rays_right))
-    return best
+def _rewrites(arcs: tuple[Arc, ...], rays: tuple[int, ...], dotted: tuple[Arc, ...],
+              every: bool = False) -> list[list[tuple[tuple, int]]]:
+    """The oriented rewrites of one state, each a list of (state, coefficient) terms.
+
+    A state is ``sort_key`` of a dotted matching: (arcs, rays, dotted).  A
+    dotted arc nested under a parent rewrites via Type I/II against that
+    parent, children in ``dotted`` order.  The rightmost dotted arc with a
+    ray to its right, when unnested, swaps via Type III with the nearest
+    such ray; being the rightmost, it has no dotted arc between them.  Only
+    the first rewrite is listed unless ``every``; [] when the state is standard.
+    """
+    out = []
+    for child in dotted:
+        parent = _parent(arcs, child)
+        if parent is None:
+            continue
+        pair = [(parent[0], child[0]), (child[1], parent[1])]  # the unnested arcs
+        rest = [d for d in dotted if d != child and d != parent]
+        new_arcs = tuple(sorted([a for a in arcs if a != parent and a != child] + pair))
+        if parent in dotted:
+            out.append([((new_arcs, rays, tuple(sorted(rest + pair))), 1)])
+        else:
+            out.append([((new_arcs, rays, tuple(sorted(rest + pair[:1]))), 1),
+                        ((new_arcs, rays, tuple(sorted(rest + pair[1:]))), 1),
+                        ((arcs, rays, tuple(sorted(rest + [parent]))), -1)])
+        if not every:
+            return out
+    arc = next((d for d in reversed(dotted) if rays and rays[-1] > d[1]), None)
+    if arc is not None and _parent(arcs, arc) is None:
+        (x, y), r = arc, next(v for v in rays if v > arc[1])
+        new_arcs = tuple(sorted([a for a in arcs if a != (x, y)] + [(y, r)]))
+        new_rays = tuple(sorted([v for v in rays if v != r] + [x]))
+        out.append([((new_arcs, new_rays,
+                      tuple(sorted([d for d in dotted if d != (x, y)] + [(y, r)]))), 1)])
+    return out
+
+
+def _class(n: int, k: int, terms) -> HomClass:
+    """The class of (state, coefficient) terms, with a dotted matching per nonzero term."""
+    return hom_class(n, k, {DottedMatching(Matching(n, arcs, rays), dotted): c
+                            for (arcs, rays, dotted), c in terms if c})
 
 
 def rewrite_step(M: DottedMatching, rng: random.Random | None = None) -> HomClass | None:
-    """One oriented relation application, or None when M is standard.
+    """One oriented relation application (:func:`_rewrites`), or None when M is standard.
 
-    Nesting violations rewrite via Type I/II against the immediate parent;
-    ray violations shift the ray left over the rightmost dotted arc via
-    Type III.  With an rng, a uniformly random applicable safe rewrite is
-    chosen instead of the default priority, for confluence testing.
+    With an rng, a uniformly random applicable rewrite is chosen instead of
+    the first, for confluence testing.
     """
-    candidates = []
-    dotted = set(M.dotted)
-    for child in M.dotted:
-        parent = M.base.parent(child)
-        if parent is None:
-            continue
-        i, l = parent
-        j, kk = child
-        unnested = {(i, j), (kk, l)}
-        rest = dotted - {child} - {(i, l)}
-        base_arcs = set(M.base.arcs) - {(i, l), (j, kk)} | unnested
-        new_base = Matching(M.n, tuple(sorted(base_arcs)), M.base.rays)
-        if (i, l) in dotted:
-            candidates.append(HomClass.of(_dotted(new_base, rest | unnested)))
-        else:
-            candidates.append(hom_class(M.n, M.k, {
-                _dotted(new_base, rest | {(i, j)}): 1,
-                _dotted(new_base, rest | {(kk, l)}): 1,
-                _dotted(M.base, rest | {(i, l)}): -1,
-            }))
-        if rng is None:
-            break
-    if not candidates or rng is not None:
-        viol = _ray_violation(M)
-        if viol is not None:
-            (x, y), r = viol
-            unnested = not any(i < x and y < j for i, j in M.base.arcs)
-            gap_clear = not any(y < dx[0] and dx[1] < r for dx in dotted)
-            if unnested and gap_clear:
-                base_arcs = set(M.base.arcs) - {(x, y)} | {(y, r)}
-                rays = set(M.base.rays) - {r} | {x}
-                new_base = Matching(M.n, tuple(sorted(base_arcs)), tuple(sorted(rays)))
-                candidates.append(HomClass.of(_dotted(new_base, dotted - {(x, y)} | {(y, r)})))
+    candidates = _rewrites(M.base.arcs, M.base.rays, M.dotted, rng is not None)
     if not candidates:
         return None
-    return candidates[0] if rng is None else rng.choice(candidates)
+    return _class(M.n, M.k, candidates[0] if rng is None else rng.choice(candidates))
 
 
 def reduce_by_rewriting(x: HomClass, rng: random.Random | None = None) -> HomClass:
-    """Reduce x to the standard basis by repeated ``rewrite_step``.
+    """Reduce x to the standard basis by repeated rewrites, smallest state first.
 
-    With an rng, terms and rewrites are picked at random (confluence testing).
+    A heap holds each state of ``work`` once.  With an rng, terms and
+    rewrites are picked at random (confluence testing).
     """
-    done: dict[DottedMatching, int] = {}
-    work = x.coeffs
+    done: dict[tuple, int] = {}
+    work = {sort_key(M): c for M, c in x.terms}
+    heap = sorted(work)  # a sorted list is a heap
     while work:
-        if rng is None:
-            M = min(work, key=sort_key)
-        else:
-            M = rng.choice(sorted(work, key=sort_key))
-        c = work.pop(M)
+        state = heapq.heappop(heap) if rng is None else rng.choice(sorted(work))
+        c = work.pop(state)
         if c == 0:
             continue
-        step = rewrite_step(M, rng)
-        if step is None:
-            done[M] = done.get(M, 0) + c
+        candidates = _rewrites(*state, rng is not None)
+        if not candidates:
+            done[state] = done.get(state, 0) + c
             continue
-        for N, cn in step.terms:
+        for N, cn in candidates[0] if rng is None else rng.choice(candidates):
+            if N not in work:
+                heapq.heappush(heap, N)
             work[N] = work.get(N, 0) + c * cn
-    return hom_class(x.n, x.k, done)
+    return _class(x.n, x.k, done.items())
 
 
 # --- Betti numbers -------------------------------------------------------------

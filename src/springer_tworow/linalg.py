@@ -264,8 +264,12 @@ def _image(row: Mapping[int, int], forms: Mapping[int, Mapping[int, int]]) -> di
     """sum_j row[j] * NF(j), NF(j) = {j: 1} for a column j with no form, without zeros."""
     out: dict[int, int] = {}
     for j, x in row.items():
-        for s, y in forms.get(j, {j: 1}).items():
-            out[s] = out.get(s, 0) + x * y
+        form = forms.get(j)
+        if form is None:
+            out[j] = out.get(j, 0) + x
+        else:
+            for s, y in form.items():
+                out[s] = out.get(s, 0) + x * y
     return {s: y for s, y in out.items() if y}
 
 

@@ -76,9 +76,7 @@ class Matching(Record, frozen=True, order=True):
 
     def parent(self, arc: Arc) -> Arc | None:
         """The innermost arc enclosing ``arc``, or None if no arc encloses it."""
-        i, j = arc
-        return min(((p, q) for p, q in self.arcs if p < i and j < q),
-                   key=lambda a: a[1] - a[0], default=None)
+        return _parent(self.arcs, arc)
 
     @property
     def dottable(self) -> int:
@@ -184,6 +182,19 @@ class StandardTableau(Record, frozen=True, order=True):
         for t, b in zip(self.top, self.bottom):
             if b <= t:
                 raise ShapeMismatch("columns must strictly increase downward")
+
+
+def _parent(arcs: Sequence[Arc], arc: Arc) -> Arc | None:
+    """The innermost of ``arcs`` enclosing ``arc``, or None; ``arcs`` run by left end.
+
+    The package's one enclosing-arc lookup.  Noncrossing arcs that enclose
+    ``arc`` nest, so the innermost is the one with the largest left end.
+    """
+    i, j = arc
+    for p, q in reversed(arcs):
+        if p < i and j < q:
+            return p, q
+    return None
 
 
 def _partners(n: int, arcs: Iterable[Arc]) -> list[int]:

@@ -361,7 +361,7 @@ def check_subcomplexes(n_max: int, rng) -> None:
 # --- homology-presentation ----------------------------------------------------------
 
 def check_reduce_agreement(n_max: int, rng) -> None:
-    for n, k in _types(min(n_max, 7)):
+    for n, k in _types(min(n_max, 9)):
         for M in matchings.all_dotted_matchings(n, k):
             x = homology.HomClass.of(M)
             linear = homology.reduce_class(x)

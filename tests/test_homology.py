@@ -15,7 +15,8 @@ from springer_tworow.homology import (
     reduce_class,
     relation_instances,
 )
-from springer_tworow.matchings import all_dotted_matchings, parse_matching
+from springer_tworow.matchings import (DottedMatching, Matching, all_dotted_matchings,
+                                       parse_matching, sort_key)
 
 pm = parse_matching
 
@@ -72,6 +73,39 @@ def test_reduce_refuses_an_unknown_method_before_any_work(monkeypatch):
 
 def test_reduce_routes_agree():
     verify.check_reduce_agreement(7, random.Random(11))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_rewrite_is_sound(n):
+    # The rule lists a rewrite exactly for the nonstandard states, the default
+    # first; each one, and each alternative an rng picks among, reduces by the
+    # linear route to the class of M.
+    for k in range(n // 2 + 1):
+        for M in all_dotted_matchings(n, k):
+            every = homology._rewrites(*sort_key(M), every=True)
+            assert bool(every) != M.is_standard, str(M)
+            if not every:
+                continue
+            assert homology._rewrites(*sort_key(M)) == every[:1], str(M)
+            want = reduce_class(HomClass.of(M), "linear")
+            for terms in every:
+                assert reduce_class(homology._class(n, k, terms), "linear") == want, (str(M), terms)
+
+
+def test_rewriting_builds_dotted_matchings_only_for_the_result(monkeypatch):
+    # The rewriting runs on plain (arcs, rays, dotted) states: the one Matching
+    # and DottedMatching built per state are those of the reduced class's terms.
+    x = HomClass.of(pm("12: d1-12 u2-11 d3-10 u4-9 d5-8 u6-7"))
+    built = {Matching: [], DottedMatching: []}
+    for record, calls in built.items():
+        monkeypatch.setattr(record, "__init__", lambda self, *args, init=record.__init__,
+                            calls=calls: calls.append(args) or init(self, *args))
+    reduced = homology.reduce_by_rewriting(x)
+    monkeypatch.undo()
+    terms = [N for N, _ in reduced.terms]
+    assert len(terms) > 1 and all(N.is_standard for N in terms)
+    assert sorted(built[Matching]) == sorted((N.n, N.base.arcs, N.base.rays) for N in terms)
+    assert sorted(built[DottedMatching]) == sorted((N.base, N.dotted) for N in terms)
 
 
 def test_betti_examples():
