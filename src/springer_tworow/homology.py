@@ -39,7 +39,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
@@ -244,18 +243,15 @@ def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> Ho
     """
     if method not in ("linear", "rewrite"):
         raise DomainError(f"unknown reduction method {method!r}; expected 'linear' or 'rewrite'")
-    if x.is_zero:
+    if all(M.is_standard for M, _ in x.terms):  # zero included
         return x
     if check:
-        linear = reduce_class(x, "linear")
-        rewritten = reduce_class(x, "rewrite")
+        linear, rewritten = _reduce_linear(x), reduce_by_rewriting(x)
         if linear != rewritten:
             raise InternalCheckError(
                 f"reduction routes disagree on {x}: {linear} vs {rewritten}"
             )
         return linear
-    if all(M.is_standard for M, _ in x.terms):
-        return x
     if method == "rewrite":
         return reduce_by_rewriting(x)
     return _reduce_linear(x)
@@ -268,18 +264,17 @@ def _reduce_linear(x: HomClass) -> HomClass:
     return hom_class(x.n, x.k, {standard[s]: v for s, v in reduced.items()})
 
 
-def _rewrites(arcs: tuple[Arc, ...], rays: tuple[int, ...], dotted: tuple[Arc, ...],
-              every: bool = False) -> list[list[tuple[tuple, int]]]:
-    """The oriented rewrites of one state, each a list of (state, coefficient) terms.
+def _rewrites(arcs: tuple[Arc, ...], rays: tuple[int, ...],
+              dotted: tuple[Arc, ...]) -> list[tuple[tuple, int]] | None:
+    """The oriented rewrite of one state as (state, coefficient) terms, or None when standard.
 
-    A state is ``sort_key`` of a dotted matching: (arcs, rays, dotted).  A
-    dotted arc nested under a parent rewrites via Type I/II against that
-    parent, children in ``dotted`` order.  The rightmost dotted arc with a
-    ray to its right, when unnested, swaps via Type III with the nearest
-    such ray; being the rightmost, it has no dotted arc between them.  Only
-    the first rewrite is listed unless ``every``; [] when the state is standard.
+    A state is ``sort_key`` of a dotted matching: (arcs, rays, dotted).  The
+    first dotted arc, in ``dotted`` order, nested under a parent rewrites
+    via Type I/II against that parent.  With no such arc, every dotted arc
+    is unnested, and the rightmost dotted arc with a ray to its right swaps
+    via Type III with the nearest such ray; being the rightmost, it has no
+    dotted arc between them.
     """
-    out = []
     for child in dotted:
         parent = _parent(arcs, child)
         if parent is None:
@@ -288,21 +283,18 @@ def _rewrites(arcs: tuple[Arc, ...], rays: tuple[int, ...], dotted: tuple[Arc, .
         rest = [d for d in dotted if d != child and d != parent]
         new_arcs = tuple(sorted([a for a in arcs if a != parent and a != child] + pair))
         if parent in dotted:
-            out.append([((new_arcs, rays, tuple(sorted(rest + pair))), 1)])
-        else:
-            out.append([((new_arcs, rays, tuple(sorted(rest + pair[:1]))), 1),
-                        ((new_arcs, rays, tuple(sorted(rest + pair[1:]))), 1),
-                        ((arcs, rays, tuple(sorted(rest + [parent]))), -1)])
-        if not every:
-            return out
+            return [((new_arcs, rays, tuple(sorted(rest + pair))), 1)]
+        return [((new_arcs, rays, tuple(sorted(rest + pair[:1]))), 1),
+                ((new_arcs, rays, tuple(sorted(rest + pair[1:]))), 1),
+                ((arcs, rays, tuple(sorted(rest + [parent]))), -1)]
     arc = next((d for d in reversed(dotted) if rays and rays[-1] > d[1]), None)
-    if arc is not None and _parent(arcs, arc) is None:
-        (x, y), r = arc, next(v for v in rays if v > arc[1])
-        new_arcs = tuple(sorted([a for a in arcs if a != (x, y)] + [(y, r)]))
-        new_rays = tuple(sorted([v for v in rays if v != r] + [x]))
-        out.append([((new_arcs, new_rays,
-                      tuple(sorted([d for d in dotted if d != (x, y)] + [(y, r)]))), 1)])
-    return out
+    if arc is None:
+        return None
+    (x, y), r = arc, next(v for v in rays if v > arc[1])
+    new_arcs = tuple(sorted([a for a in arcs if a != (x, y)] + [(y, r)]))
+    new_rays = tuple(sorted([v for v in rays if v != r] + [x]))
+    new_dotted = tuple(sorted([d for d in dotted if d != (x, y)] + [(y, r)]))
+    return [((new_arcs, new_rays, new_dotted), 1)]
 
 
 def _class(n: int, k: int, terms) -> HomClass:
@@ -311,37 +303,31 @@ def _class(n: int, k: int, terms) -> HomClass:
                             for (arcs, rays, dotted), c in terms if c})
 
 
-def rewrite_step(M: DottedMatching, rng: random.Random | None = None) -> HomClass | None:
-    """One oriented relation application (:func:`_rewrites`), or None when M is standard.
-
-    With an rng, a uniformly random applicable rewrite is chosen instead of
-    the first, for confluence testing.
-    """
-    candidates = _rewrites(M.base.arcs, M.base.rays, M.dotted, rng is not None)
-    if not candidates:
-        return None
-    return _class(M.n, M.k, candidates[0] if rng is None else rng.choice(candidates))
+def rewrite_step(M: DottedMatching) -> HomClass | None:
+    """The class of M's one oriented rewrite (:func:`_rewrites`), or None when M is standard."""
+    terms = _rewrites(M.base.arcs, M.base.rays, M.dotted)
+    return None if terms is None else _class(M.n, M.k, terms)
 
 
-def reduce_by_rewriting(x: HomClass, rng: random.Random | None = None) -> HomClass:
+def reduce_by_rewriting(x: HomClass) -> HomClass:
     """Reduce x to the standard basis by repeated rewrites, smallest state first.
 
-    A heap holds each state of ``work`` once.  With an rng, terms and
-    rewrites are picked at random (confluence testing).
+    Each state is rewritten by its one :func:`_rewrites` entry, so the
+    order is fixed; a heap holds each state of ``work`` once.
     """
     done: dict[tuple, int] = {}
     work = {sort_key(M): c for M, c in x.terms}
     heap = sorted(work)  # a sorted list is a heap
     while work:
-        state = heapq.heappop(heap) if rng is None else rng.choice(sorted(work))
+        state = heapq.heappop(heap)
         c = work.pop(state)
         if c == 0:
             continue
-        candidates = _rewrites(*state, rng is not None)
-        if not candidates:
+        terms = _rewrites(*state)
+        if terms is None:
             done[state] = done.get(state, 0) + c
             continue
-        for N, cn in candidates[0] if rng is None else rng.choice(candidates):
+        for N, cn in terms:
             if N not in work:
                 heapq.heappush(heap, N)
             work[N] = work.get(N, 0) + c * cn

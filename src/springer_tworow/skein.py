@@ -30,13 +30,14 @@ fold's rewriting and merging.
 
 The decoration and coefficient of each smoothing are not dictated by the
 evaluation rules themselves; they are fixed once as
-:data:`CALIBRATED_CONVENTION`, which every evaluator uses unless handed
-another member of the finite convention family.  The turnback is
-decorated separately according to whether its cup closes one component
-into a circle or merges two components: the two topologies provably
-cannot share one decoration (closing a dotted cap must die while merging
-through a dotted arc must survive).  :func:`calibrate` is a check, not
-set-up: it searches the family for the conventions that agree with the
+:data:`CALIBRATED_CONVENTION`, the one convention the fold evaluates.
+The turnback is decorated separately according to whether its cup
+closes one component into a circle or merges two components: the two
+topologies provably cannot share one decoration (closing a dotted cap
+must die while merging through a dotted arc must survive).  Only the
+reference evaluates other members of the finite convention family, and
+:func:`calibrate` is a check, not set-up: it searches the family through
+:func:`expanded_coefficients` for the conventions that agree with the
 tabloid-oracle action and changes nothing.  Of the family's 2,000
 members it builds only the 100 whose closure pair passes
 :func:`_anchor_ok`.  The search is pair-major: it walks the pairs
@@ -98,9 +99,8 @@ class ResolutionConvention(Record, frozen=True, order=True):
     __slots__ = _fields = ("identity_coeff", "closure_coeff", "closure_dots", "merge_coeff",
                            "merge_dots")
 
-    def __init__(self, identity_coeff: int = 1, closure_coeff: int = -2,
-                 closure_dots: str = "upperArc", merge_coeff: int = -1,
-                 merge_dots: str = "none"):
+    def __init__(self, identity_coeff: int, closure_coeff: int, closure_dots: str,
+                 merge_coeff: int, merge_dots: str):
         (set_identity_coeff, set_closure_coeff, set_closure_dots, set_merge_coeff,
          set_merge_dots) = self._setters
         set_identity_coeff(self, identity_coeff)
@@ -110,11 +110,11 @@ class ResolutionConvention(Record, frozen=True, order=True):
         set_merge_dots(self, merge_dots)
 
 
-#: The convention every evaluator uses by default, the unique fit that
-#: :func:`calibrate` finds from n = 3 on: closing a plain component must
-#: scale by -2 with the dot landing on the circle (undotted cap -> -2
-#: undotted cap, dotted cap -> 0), and merging must pass dots through
-#: unscathed with coefficient -1.
+#: The convention the fold evaluates, and the reference's default: the
+#: unique fit that :func:`calibrate` finds from n = 3 on.  Closing a plain
+#: component must scale by -2 with the dot landing on the circle (undotted
+#: cap -> -2 undotted cap, dotted cap -> 0), and merging must pass dots
+#: through unscathed with coefficient -1.
 CALIBRATED_CONVENTION = ResolutionConvention(1, -2, "upperArc", -1, "none")
 
 
@@ -138,10 +138,9 @@ def circle_rule(dots: int) -> int:
     return 0
 
 
-def resolve_evaluate(M: DottedMatching, tangle: FlatTangle,
-                     convention: ResolutionConvention = CALIBRATED_CONVENTION) -> HomClass:
+def resolve_evaluate(M: DottedMatching, tangle: FlatTangle) -> HomClass:
     """Evaluate the tangle glued below M; result in the standard basis."""
-    return reduce_class(hom_class(M.n, M.k, boundary_coefficients(M, tangle, convention)))
+    return reduce_class(hom_class(M.n, M.k, boundary_coefficients(M, tangle)))
 
 
 def _start(M: DottedMatching, tangle: FlatTangle) -> tuple[list[int], list[tuple[int, bool]]]:
@@ -174,28 +173,26 @@ def _state_error(M: DottedMatching, tangle: FlatTangle, what: str) -> InternalCh
     return InternalCheckError(f"{M} under word {tangle.layers}: {what}")
 
 
-def boundary_coefficients(M: DottedMatching, tangle: FlatTangle,
-                          convention: ResolutionConvention = CALIBRATED_CONVENTION
-                          ) -> dict[DottedMatching, int]:
+def boundary_coefficients(M: DottedMatching, tangle: FlatTangle) -> dict[DottedMatching, int]:
     """The tangle glued below M as boundary matchings with nonzero coefficients.
 
-    Folds the crossing layers top first over a dict from partner state to
-    coefficient.  A partner state is a flat tuple of ints, one per boundary
-    point v, 0-based: ``partner << 2 | dots``, where the partner is the
-    other boundary end of v's component, or n when the component runs off
-    as a ray, and the dots are those on the component (a ray's intrinsic
-    dot included).  Every surviving component has one boundary end or two,
-    so the tuple is the open boundary as a dotted matching, already
-    canonical.  A state passes its vertical smoothing on unchanged.  Its
-    turnback rewrites at most four entries: a cup on the two ends of one
-    arc closes a circle, which is evaluated at once; a cup on two
-    components joins their outer ends, and a join reaching two dots is
-    dropped.  Zero coefficients are pruned after every layer, and each
-    surviving state is read off by :func:`_read_off`.  The result is not
-    reduced to the standard basis; it equals the sum of
-    :func:`expand_resolutions` by boundary.
+    Evaluates :data:`CALIBRATED_CONVENTION`.  Folds the crossing layers
+    top first over a dict from partner state to coefficient.  A partner
+    state is a flat tuple of ints, one per boundary point v, 0-based:
+    ``partner << 2 | dots``, where the partner is the other boundary end
+    of v's component, or n when the component runs off as a ray, and the
+    dots are those on the component (a ray's intrinsic dot included).
+    Every surviving component has one boundary end or two, so the tuple is
+    the open boundary as a dotted matching, already canonical.  A state
+    passes its vertical smoothing on unchanged.  Its turnback rewrites at
+    most four entries: a cup on the two ends of one arc closes a circle,
+    which is evaluated at once; a cup on two components joins their outer
+    ends, and a join reaching two dots is dropped.  Zero coefficients are
+    pruned after every layer, and each surviving state is read off by
+    :func:`_read_off`.  The result is not reduced to the standard basis;
+    it equals :func:`expanded_coefficients`.
     """
-    c = convention
+    c = CALIBRATED_CONVENTION
     _check_strands(M, tangle)
     n = M.n
     start = [n << 2 | 1] * n
@@ -327,6 +324,16 @@ def expand_resolutions(M: DottedMatching, tangle: FlatTangle,
     return out
 
 
+def expanded_coefficients(M: DottedMatching, tangle: FlatTangle,
+                          convention: ResolutionConvention = CALIBRATED_CONVENTION
+                          ) -> dict[DottedMatching, int]:
+    """Every resolution of :func:`expand_resolutions`, summed by boundary; zeros dropped."""
+    coeffs: dict[DottedMatching, int] = {}
+    for diagram in expand_resolutions(M, tangle, convention):
+        coeffs[diagram.boundary] = coeffs.get(diagram.boundary, 0) + diagram.coefficient
+    return {N: c for N, c in coeffs.items() if c}
+
+
 def _reassemble(M: DottedMatching, tangle: FlatTangle, labels, comps,
                 validated: dict) -> DottedMatching:
     """Read a boundary off a (labels, comps) state of M under TANGLE.
@@ -387,9 +394,12 @@ def _anchor_ok(closure_coeff: int, closure_dots: str) -> bool:
 
 def _fits(c: ResolutionConvention, M: DottedMatching, tangle: FlatTangle,
           want: HomClass) -> bool:
-    """Whether c evaluates the tangle under M to WANT; a raising evaluation does not fit."""
+    """Whether the reference under c evaluates the tangle under M to WANT.
+
+    A raising evaluation does not fit.
+    """
     try:
-        return resolve_evaluate(M, tangle, c) == want
+        return reduce_class(hom_class(M.n, M.k, expanded_coefficients(M, tangle, c))) == want
     except (InhomogeneousClass, InternalCheckError):
         return False
 
@@ -404,7 +414,7 @@ def _generator_pairs(n_max: int):
                         yield M, i
 
 
-#: The deepest :func:`calibrate` searches: depth 11 takes 2.4 s, 12 6.5 s (CLI, 2 cores, 3.11).
+#: The deepest :func:`calibrate` searches: depth 11 takes 2.6 s, 12 5.7 s (CLI, 2 cores, 3.11).
 CALIBRATE_CAP = 11
 
 
@@ -416,9 +426,10 @@ def calibrate(n_max: int) -> ResolutionConvention:
     One pass over the pairs (M, s_i): every standard dotted matching M
     with 2 <= n <= N_MAX, by n, k and grading m, and every generator s_i
     of S_n.  Each pair computes the tabloid-oracle action of s_i on M once
-    and keeps the anchored candidates whose single-crossing skein
-    evaluation equals it; the pass stops when none is left.  Depth 2
-    leaves several fits and depth 3 pins one.
+    and keeps the anchored candidates whose single-crossing evaluation
+    by the full expansion (:func:`expanded_coefficients`, reduced) equals
+    it; the pass stops when none is left.  Depth 2 leaves several fits and
+    depth 3 pins one.
 
     Returns the unique fitting convention and changes nothing.  Raises
     DomainError below depth 2, where no generator acts; CapExceeded past

@@ -361,14 +361,13 @@ def check_subcomplexes(n_max: int, rng) -> None:
 # --- homology-presentation ----------------------------------------------------------
 
 def check_reduce_agreement(n_max: int, rng) -> None:
+    """Both reduction routes agree on every dotted matching, to n = min(n_max, 9)."""
     for n, k in _types(min(n_max, 9)):
         for M in matchings.all_dotted_matchings(n, k):
             x = homology.HomClass.of(M)
             linear = homology.reduce_class(x)
             rewrite = homology.reduce_by_rewriting(x)
             assert linear == rewrite, (n, k, str(M))
-            shuffled = homology.reduce_by_rewriting(x, rng=random.Random(rng.randint(0, 10 ** 9)))
-            assert shuffled == linear, (n, k, str(M))
             assert all(N.is_standard for N, _ in linear.terms), (n, k, str(M))
 
 
@@ -780,14 +779,6 @@ def check_skein_calibration(n_max: int, rng) -> None:
     assert convention == skein.CALIBRATED_CONVENTION, (depth, convention)
 
 
-def expanded_coefficients(M, tangle, convention=skein.CALIBRATED_CONVENTION) -> dict:
-    """Reference route: every resolution of the whole tangle, summed by boundary."""
-    coeffs: dict = {}
-    for diagram in skein.expand_resolutions(M, tangle, convention):
-        coeffs[diagram.boundary] = coeffs.get(diagram.boundary, 0) + diagram.coefficient
-    return {N: c for N, c in coeffs.items() if c}
-
-
 def check_skein_fold_agreement(n_max: int, rng) -> None:
     """The layer fold equals the full expansion summed by boundary, for every dotted matching."""
     for n, k in _types(min(n_max, 7), n_min=2):
@@ -795,7 +786,7 @@ def check_skein_fold_agreement(n_max: int, rng) -> None:
             word = skein.random_word(n, 8, rng)
             tangle = skein.flatten(word, n)
             got = skein.boundary_coefficients(M, tangle)
-            assert got == expanded_coefficients(M, tangle), (n, k, str(M), word)
+            assert got == skein.expanded_coefficients(M, tangle), (n, k, str(M), word)
 
 
 def check_skein_random_words(n_max: int, rng) -> None:

@@ -115,12 +115,18 @@ def test_one_factor_serves_every_caller(monkeypatch):
         basis = standard_dotted_matchings(n, k, m)
         rep_matrix(sigma, n, k, m)
         act(sigma, HomClass.of(basis[0]) - HomClass.of(basis[-1]))
-        act_via_gamma(sigma, basis[1])
         assert modules_equal(n, m, k).equal
         assert character_table_check(n, k).ok
     assert tabloids._factor.cache_info().misses == n // 2 + 1
     assert sorted(factored) == sorted([count_matchings(n, j) for j in range(n // 2 + 1)]
                                       + [count_matchings(n, m)])
+
+
+def test_act_via_gamma_takes_a_bare_dotted_matching():
+    # The one behaviour the name adds to act: a DottedMatching is read as its class.
+    sigma = parse_permutation("(1 3 4 7 6 2)(5 8)", 8)
+    for M in standard_dotted_matchings(8, 3, 2)[:4]:
+        assert act_via_gamma(sigma, M) == act(sigma, HomClass.of(M)), str(M)
 
 
 def test_classify_cases():

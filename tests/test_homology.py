@@ -77,19 +77,27 @@ def test_reduce_routes_agree():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_rewrite_is_sound(n):
-    # The rule lists a rewrite exactly for the nonstandard states, the default
-    # first; each one, and each alternative an rng picks among, reduces by the
-    # linear route to the class of M.
+    # The rule gives a rewrite exactly for the nonstandard states, and that
+    # rewrite reduces by the linear route to the class of M.
     for k in range(n // 2 + 1):
         for M in all_dotted_matchings(n, k):
-            every = homology._rewrites(*sort_key(M), every=True)
-            assert bool(every) != M.is_standard, str(M)
-            if not every:
-                continue
-            assert homology._rewrites(*sort_key(M)) == every[:1], str(M)
-            want = reduce_class(HomClass.of(M), "linear")
-            for terms in every:
+            terms = homology._rewrites(*sort_key(M))
+            assert (terms is None) == M.is_standard, str(M)
+            if terms is not None:
+                want = reduce_class(HomClass.of(M), "linear")
                 assert reduce_class(homology._class(n, k, terms), "linear") == want, (str(M), terms)
+
+
+def test_rewrite_step_is_the_class_of_the_one_rewrite():
+    # Type I/II and type III rewrites: every dotted matching on six points.
+    for k in range(4):
+        for M in all_dotted_matchings(6, k):
+            step = homology.rewrite_step(M)
+            if M.is_standard:
+                assert step is None, str(M)
+                continue
+            assert step == homology._class(6, k, homology._rewrites(*sort_key(M))), str(M)
+            assert reduce_class(step, "linear") == reduce_class(HomClass.of(M), "linear"), str(M)
 
 
 def test_rewriting_builds_dotted_matchings_only_for_the_result(monkeypatch):

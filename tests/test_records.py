@@ -193,10 +193,13 @@ def test_constructor_defaults_and_keywords():
     skein = importlib.import_module("springer_tworow.skein")
     action = importlib.import_module("springer_tworow.action")
     diagrams = importlib.import_module("springer_tworow.diagrams")
-    assert repr(skein.ResolutionConvention()) == (
+    # ResolutionConvention has no defaults: CALIBRATED_CONVENTION is the one place it is written.
+    with pytest.raises(TypeError):
+        skein.ResolutionConvention()
+    assert repr(skein.CALIBRATED_CONVENTION) == (
         "ResolutionConvention(identity_coeff=1, closure_coeff=-2, closure_dots='upperArc', "
         "merge_coeff=-1, merge_dots='none')")
-    assert skein.ResolutionConvention(merge_dots="both").merge_dots == "both"
+    assert skein.ResolutionConvention(1, -2, "upperArc", -1, merge_dots="both").merge_dots == "both"
     a, b = action.Chart(3, 1), action.Chart(3, 1)
     assert a.rows == [] and a.rows is not b.rows and a.anchor_failures is not b.anchor_failures
     r, s = action.CharacterReport(3, 1), action.CharacterReport(3, 1)
