@@ -26,8 +26,10 @@ only.  Columns are numbered by ``matchings._column_numbers``, the one
 column order, and the dots of each arrow are bit masks of arc positions,
 read off the arrow-move table that ``diagrams.arrow_graph`` builds once
 per type; no overlay is glued and no dotted matching is built per term.
-The reduction reads standardness off each base's ``dottable`` mask and
-builds only the standard dotted matchings.  :func:`relation_instances`
+The reduction takes its pivots, the nonstandard columns, off each base's
+``dottable`` mask, builds no nonstandard dotted matching, and checks that
+the standard basis, the completions of ``standard_dotted_matchings``,
+sits on exactly the other columns.  :func:`relation_instances`
 and :func:`psi_minus_rows` map the columns back through
 ``all_dotted_matchings``; :func:`pushforward_inclusion` glues with
 ``diagrams.glue``, the reference of the ``homology.psi-rows`` invariant,
@@ -114,15 +116,17 @@ class HomClass(Record, frozen=True):
 
 
 def hom_class(n: int, k: int, coeffs: dict[DottedMatching, int]) -> HomClass:
-    for M in coeffs:
-        if M.n != n or M.k != k:
+    gradings = set()
+    for M, c in coeffs.items():
+        base = M.base
+        if base.n != n or len(base.arcs) != k:
             raise TypeMismatch(f"term {M} is not of type ({n - k},{k}) on {n} vertices")
-    terms = tuple(
-        (M, c) for M, c in sorted(coeffs.items(), key=lambda t: sort_key(t[0])) if c != 0
-    )
-    cls = HomClass(n, k, terms)
-    cls.grading  # raises on mixed gradings
-    return cls
+        if c != 0:
+            gradings.add(k - len(M.dotted))
+    if len(gradings) > 1:
+        raise InhomogeneousClass(f"mixed gradings {sorted(gradings)}")
+    return HomClass(n, k, tuple(
+        (M, c) for M, c in sorted(coeffs.items(), key=lambda t: sort_key(t[0])) if c != 0))
 
 
 def format_class(x: HomClass) -> str:
@@ -216,9 +220,11 @@ def _reduction_data(n: int, k: int, m: int):
 
     ``forms`` is ``linalg.normal_forms`` of :func:`_relation_rows`, with the
     nonstandard columns (masks outside ``dottable``) as pivots; ``column(M)``
-    is M's column number, and ``standard`` maps each other column to its
-    dotted matching.  Raises CapExceeded past COLUMN_CAP columns, and
-    InternalCheckError, naming (n, k, m), when the rows give no normal forms.
+    is M's column number, and ``standard`` maps the column of each element
+    of ``standard_dotted_matchings(n, k, m)`` to it.  Raises CapExceeded
+    past COLUMN_CAP columns, and InternalCheckError, naming (n, k, m), when
+    the rows give no normal forms or when the standard basis, in order, is
+    not on exactly the columns with no normal form.
     """
     _check_columns(n, k, m)
     bases = enumerate_matchings(n, k)
@@ -228,9 +234,15 @@ def _reduction_data(n: int, k: int, m: int):
         forms = linalg.normal_forms(_relation_rows(n, k, m), _nonstandard_columns(bases, masks))
     except InternalCheckError as exc:
         raise InternalCheckError(f"relation rows of (n, k, m) = ({n}, {k}, {m}): {exc}") from exc
-    standard = dict(zip((c for c in range(len(bases) * len(masks)) if c not in forms),
-                        standard_dotted_matchings(n, k, m)))
-    return (lambda M: start[M.base] + rank[M.mask]), forms, standard
+
+    def column(M: DottedMatching) -> int:
+        return start[M.base] + rank[M.mask]
+
+    standard = {column(M): M for M in standard_dotted_matchings(n, k, m)}
+    if list(standard) != [c for c in range(len(bases) * len(masks)) if c not in forms]:
+        raise InternalCheckError(f"standard basis of (n, k, m) = ({n}, {k}, {m}) is not "
+                                 "the set of columns with no normal form")
+    return column, forms, standard
 
 
 def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> HomClass:

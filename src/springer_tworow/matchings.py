@@ -139,7 +139,7 @@ class DottedMatching(Record, frozen=True, order=True):
 
     @property
     def is_standard(self) -> bool:
-        """The paper's definition; the enumerators read ``base.dottable`` instead."""
+        """The paper's definition; the homology pivots read ``base.dottable`` instead."""
         for x, y in self.dotted:
             for i, j in self.base.arcs:
                 if i < x and y < j:
@@ -381,17 +381,23 @@ def _column_numbers(k: int, m: int | None) -> tuple[list[int], list]:
     return masks, rank
 
 
-def _dotted_matchings(n: int, k: int, m: int | None, standard: bool) -> tuple[DottedMatching, ...]:
-    """The bases in order, each with its masks in rank order; ``standard`` keeps ``dottable`` ones."""
-    bases = enumerate_matchings(n, k)
+def _dotted_matchings(n: int, k: int, m: int | None) -> tuple[DottedMatching, ...]:
+    """The bases in order, each with its masks in rank order."""
     masks, _ = _column_numbers(k, m)
-    positions = [(d, tuple(p for p in range(k) if d >> p & 1)) for d in masks]
-    out = []
-    for base in bases:
-        dottable = base.dottable if standard else -1
-        out += (DottedMatching(base, tuple(map(base.arcs.__getitem__, ps)))
-                for d, ps in positions if not d & ~dottable)
-    return tuple(out)
+    positions = [tuple(p for p in range(k) if d >> p & 1) for d in masks]
+    return tuple(DottedMatching(base, tuple(map(base.arcs.__getitem__, ps)))
+                 for base in enumerate_matchings(n, k) for ps in positions)
+
+
+def _standard_completion(n: int, k: int, undotted: tuple[Arc, ...], free: Sequence[int]) -> tuple:
+    """(arcs, rays, dotted): the standard completion of these undotted arcs at arc count k.
+
+    ``free`` lists the other vertices ascending: the first n - 2k are the
+    rays, and the rest pair up left to right into dotted arcs.
+    """
+    rays, rest = tuple(free[:n - 2 * k]), free[n - 2 * k:]
+    dotted = tuple(zip(rest[::2], rest[1::2]))
+    return tuple(sorted(undotted + dotted)), rays, dotted
 
 
 #: The most dotted matchings, of the gradings asked for, that :func:`all_dotted_matchings`
@@ -410,20 +416,28 @@ def all_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMa
     Raises CapExceeded past COLUMN_CAP of them, before listing any.
     """
     refuse_past(_column_count(n, k, m), COLUMN_CAP, "list {} dotted matchings", n, k, m)
-    return _dotted_matchings(n, k, m, False)
+    return _dotted_matchings(n, k, m)
 
 
 @lru_cache(maxsize=None)
 def standard_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMatching, ...]:
     """Every standard dotted matching of type (n-k, k); optionally fixed grading m.
 
-    Listed in column order, so this is the same tuple as filtering
-    :func:`all_dotted_matchings` by ``is_standard`` (the
-    ``matching.standard-enumeration`` verify invariant).  Only
-    ``ENUMERATE_CAP`` bounds it: it keeps the standard candidates as it
-    walks them, and (16, 8, 4) walks 1,430 * 70 = 100,100 of them.
+    The inverse of M -> M.undotted: each U in ``enumerate_matchings(n, g)``,
+    g = m or every g <= k, has one standard completion, since no free vertex
+    of U lies under an arc of U.  Listed in column order (``sort_key``), so
+    this is the same tuple as filtering :func:`all_dotted_matchings` by
+    ``is_standard`` (the ``matching.standard-enumeration`` verify
+    invariant).  Raises CapExceeded past ``ENUMERATE_CAP`` matchings of type
+    (n-k, k), before listing any.
     """
-    return _dotted_matchings(n, k, m, True)
+    refuse_past(count_matchings(n, k), ENUMERATE_CAP, "list {} matchings", n, k)
+    out = []
+    for g in range(k + 1) if m is None else (m,) if 0 <= m <= k else ():
+        for U in enumerate_matchings(n, g):
+            arcs, rays, dotted = _standard_completion(n, k, U.arcs, U.rays)
+            out.append(DottedMatching(U if g == k else Matching(n, arcs, rays), dotted))
+    return tuple(sorted(out, key=sort_key))
 
 
 def sort_key(M: DottedMatching):
@@ -526,7 +540,7 @@ def matching_of(T: StandardTableau, k: int) -> DottedMatching:
 
 
 def standard_layout(undotted_arcs: Iterable[Arc], n: int, k: int) -> DottedMatching:
-    """The unique standard dotted matching with exactly these undotted arcs."""
+    """The unique standard dotted matching with these undotted arcs: their completion, validated."""
     undotted = tuple(sorted(tuple(sorted(a)) for a in undotted_arcs))
     if len(undotted) > k:
         raise NoStandardCompletion(f"{len(undotted)} undotted arcs exceed k={k}")
@@ -534,11 +548,9 @@ def standard_layout(undotted_arcs: Iterable[Arc], n: int, k: int) -> DottedMatch
     if len(occupied) != 2 * len(undotted):
         raise NoStandardCompletion("undotted arcs share a vertex")
     free = [v for v in range(1, n + 1) if v not in occupied]
-    rays = tuple(free[: n - 2 * k])
-    leftover = free[n - 2 * k:]
-    dotted = tuple((leftover[i], leftover[i + 1]) for i in range(0, len(leftover), 2))
+    arcs, rays, dotted = _standard_completion(n, k, undotted, free)
     try:
-        M = validate(n, undotted + dotted, rays, dotted)
+        M = validate(n, arcs, rays, dotted)
     except Exception as exc:
         raise NoStandardCompletion(str(exc)) from exc
     if not M.is_standard or set(M.undotted) != set(undotted):

@@ -94,9 +94,10 @@ def check_standard_enumeration(n_max: int, rng) -> None:
     """The enumeration of the standard basis is the ``is_standard`` filter of the reference.
 
     For every (n, k) with n up to min(n_max, 12) and every m, None
-    included, ``standard_dotted_matchings``, which reads standardness off
-    ``Matching.dottable``, lists the dotted matchings of
-    :func:`_reference_dotted_matchings` that satisfy the paper's definition.
+    included, ``standard_dotted_matchings``, which sorts the standard
+    completions of the matchings of each grading, lists the dotted
+    matchings of :func:`_reference_dotted_matchings` that satisfy the
+    paper's definition.
     """
     for n, k in _types(min(n_max, 12)):
         for m in (None, *range(k + 1)):
@@ -626,7 +627,10 @@ def check_graded_module(n_max: int, rng) -> None:
     ``tableau_of`` is injective and ``standard_layout`` rebuilds M from its
     undotted arcs; and ``tabloids._positions(n, k, m)`` is the
     bijection's inverse.  The action layer shares one factor per (n, m),
-    ``tabloids._factor(n, m)``, on this bijection.
+    ``tabloids._factor(n, m)``, on this bijection.  Both bases here are
+    built by the same completion step, so the bijection's independent
+    checks are ``matching.standard-enumeration`` and the ``is_standard``
+    filter of ``all_dotted_matchings`` in ``tests/test_matchings.py``.
     """
     for n in range(1, min(n_max, 12) + 1):
         for m in range(n // 2 + 1):

@@ -192,6 +192,17 @@ def test_reduction_data_keeps_one_entry_per_shape():
     assert homology._reduction_data.cache_info().currsize == len(shapes)
 
 
+@pytest.mark.parametrize("change", [lambda basis: basis[::-1], lambda basis: basis[:-1],
+                                    lambda basis: basis[:1] + basis[:-1]],
+                         ids=["reversed", "short", "repeated"])
+def test_reduction_data_refuses_a_standard_basis_off_the_form_free_columns(monkeypatch, change):
+    real = homology.standard_dotted_matchings
+    monkeypatch.setattr(homology, "standard_dotted_matchings",
+                        lambda n, k, m: change(real(n, k, m)))
+    with pytest.raises(errors.InternalCheckError, match=r"\(n, k, m\) = \(7, 3, 1\)"):
+        homology._reduction_data.__wrapped__(7, 3, 1)
+
+
 def test_presentation_betti_takes_no_row_order():
     with pytest.raises(TypeError):
         presentation_betti(6, 3, linear_order(6, 3)[:2])

@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from springer_tworow import errors, tabloids, verify
+import springer_tworow
+from springer_tworow import action, errors, matchings, permutations, tabloids, verify
 from springer_tworow.matchings import (
     DottedMatching,
     Matching,
@@ -20,6 +22,7 @@ from springer_tworow.matchings import (
     matching_of,
     parse_matching,
     restrict,
+    standard_dotted_matchings,
     standard_layout,
     tableau_of,
     validate,
@@ -225,6 +228,43 @@ def test_bijection_exhaustive():
 
 def test_standard_enumeration_is_the_is_standard_filter():
     verify.check_standard_enumeration(10, random.Random(0))
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_standard_basis_is_the_is_standard_filter_of_the_column_walk(n):
+    # The column walk and the paper's definition share nothing with the completion step.
+    for k in range(n // 2 + 1):
+        for m in (None, *range(k + 1)):
+            want = tuple(M for M in all_dotted_matchings(n, k, m) if M.is_standard)
+            assert standard_dotted_matchings(n, k, m) == want, (n, k, m)
+
+
+def recorded_enumerations(monkeypatch) -> list:
+    """Cold caches, and the (n, k) of every later ``enumerate_matchings`` call, in order."""
+    springer_tworow.clear_caches()
+    calls, real = [], matchings.enumerate_matchings
+
+    def recording(n, k):
+        calls.append((n, k))
+        return real(n, k)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("springer_tworow") and vars(module).get("enumerate_matchings") is real:
+            monkeypatch.setattr(module, "enumerate_matchings", recording)
+    return calls
+
+
+def test_standard_basis_lists_only_the_matchings_of_its_grading(monkeypatch):
+    calls = recorded_enumerations(monkeypatch)
+    assert len(standard_dotted_matchings(16, 8, 1)) == 15
+    assert calls == [(16, 1)]
+
+
+def test_rep_matrix_below_the_top_grading_lists_no_matching_of_its_type(monkeypatch):
+    calls = recorded_enumerations(monkeypatch)
+    sigma = permutations.parse_permutation("(1 5 2)(3 9)", 9)
+    assert len(action.rep_matrix(sigma, 9, 4, 0)) == 1
+    assert calls and (9, 4) not in calls
 
 
 def test_standard_layout_examples():
