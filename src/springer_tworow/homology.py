@@ -19,8 +19,10 @@ of presentation rows, read by the reduction, by the cokernel ranks and
 by :func:`psi_minus_rows`.  Reduction to the standard basis is
 implemented twice, and the two must agree: by the normal forms of those
 rows, and by a terminating rewriting system that shares nothing with
-them, runs on plain ``(arcs, rays, dotted)`` states and builds dotted
-matchings only for the terms of its result.  The rows are sparse
+them.  The rewriting runs on packed states, the ``matchings._encode``
+tuples with one ``partner << 2 | dots`` int per vertex, and decodes a
+dotted matching only for each term of its result; the checked reduction
+compares the two routes on those states.  The rows are sparse
 ``{column: int}`` rows for :mod:`linalg`, built with integer arithmetic
 only.  Columns are numbered by ``matchings._column_numbers``, the one
 column order, and the dots of each arrow are bit masks of arc positions,
@@ -45,16 +47,16 @@ from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from . import linalg
-from .errors import (DomainError, InhomogeneousClass, InternalCheckError, NotAnArrowPair,
-                     TypeMismatch, refuse_past)
+from .errors import (DomainError, InhomogeneousClass, InternalCheckError, MatchingError,
+                     NotAnArrowPair, TypeMismatch, refuse_past)
 from .matchings import (
     COLUMN_CAP,
-    Arc,
     DottedMatching,
     Matching,
     _column_count,
     _column_numbers,
-    _parent,
+    _decode,
+    _encode,
     all_dotted_matchings,
     check_type,
     count_matchings,
@@ -250,19 +252,19 @@ def reduce_class(x: HomClass, method: str = "linear", check: bool = False) -> Ho
 
     ``method`` is "linear" (the normal forms of the relation rows) or
     "rewrite" (oriented local rewriting); both give the same answer, and
-    ``check=True`` runs both and asserts the agreement.  Any other method
-    raises DomainError.
+    ``check=True`` runs both and asserts the agreement, comparing the
+    rewriting's packed states with the encoded terms of the linear result.
+    Any other method raises DomainError.
     """
     if method not in ("linear", "rewrite"):
         raise DomainError(f"unknown reduction method {method!r}; expected 'linear' or 'rewrite'")
     if all(M.is_standard for M, _ in x.terms):  # zero included
         return x
     if check:
-        linear, rewritten = _reduce_linear(x), reduce_by_rewriting(x)
-        if linear != rewritten:
-            raise InternalCheckError(
-                f"reduction routes disagree on {x}: {linear} vs {rewritten}"
-            )
+        linear, rewritten = _reduce_linear(x), _rewrite_states(x)
+        if {_encode(M): c for M, c in linear.terms} != rewritten:
+            raise InternalCheckError(f"reduction routes disagree on {x}: {linear} vs "
+                                     f"{_class(x.n, x.k, rewritten.items())}")
         return linear
     if method == "rewrite":
         return reduce_by_rewriting(x)
@@ -276,66 +278,97 @@ def _reduce_linear(x: HomClass) -> HomClass:
     return hom_class(x.n, x.k, {standard[s]: v for s, v in reduced.items()})
 
 
-def _rewrites(arcs: tuple[Arc, ...], rays: tuple[int, ...],
-              dotted: tuple[Arc, ...]) -> list[tuple[tuple, int]] | None:
-    """The oriented rewrite of one state as (state, coefficient) terms, or None when standard.
+def _rewrites(state: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]] | None:
+    """The oriented rewrite of one packed state as (state, coefficient) terms, or None.
 
-    A state is ``sort_key`` of a dotted matching: (arcs, rays, dotted).  The
-    first dotted arc, in ``dotted`` order, nested under a parent rewrites
-    via Type I/II against that parent.  With no such arc, every dotted arc
-    is unnested, and the rightmost dotted arc with a ray to its right swaps
-    via Type III with the nearest such ray; being the rightmost, it has no
-    dotted arc between them.
+    A state is ``matchings._encode`` of a dotted matching: one
+    ``partner << 2 | dots`` int per vertex, n for a ray's partner.  One
+    left-to-right scan finds the first dotted arc under an open arc, which
+    rewrites via Type I/II against its parent, the innermost open arc.
+    With no such arc, every dotted arc is unnested, and the same scan has
+    paired the rightmost dotted arc with a ray to its right with the
+    nearest such ray; they swap via Type III, and being the rightmost, the
+    arc has no dotted arc between them.  Each new state rewrites at most
+    four entries; None means the state is standard.
     """
-    for child in dotted:
-        parent = _parent(arcs, child)
-        if parent is None:
-            continue
-        pair = [(parent[0], child[0]), (child[1], parent[1])]  # the unnested arcs
-        rest = [d for d in dotted if d != child and d != parent]
-        new_arcs = tuple(sorted([a for a in arcs if a != parent and a != child] + pair))
-        if parent in dotted:
-            return [((new_arcs, rays, tuple(sorted(rest + pair))), 1)]
-        return [((new_arcs, rays, tuple(sorted(rest + pair[:1]))), 1),
-                ((new_arcs, rays, tuple(sorted(rest + pair[1:]))), 1),
-                ((arcs, rays, tuple(sorted(rest + [parent]))), -1)]
-    arc = next((d for d in reversed(dotted) if rays and rays[-1] > d[1]), None)
-    if arc is None:
+    n = len(state)
+    depth = 0  # the arcs open at i
+    dotted_end = swap = None  # the last dotted arc's right end, and the last (end, ray) pair
+    for i, end in enumerate(state):
+        j = end >> 2
+        if j < i:
+            depth -= 1
+            if end & 1:
+                dotted_end = i
+        elif j == n:
+            if dotted_end is not None:
+                swap, dotted_end = (dotted_end, i), None
+        elif end & 1 and depth:
+            # the innermost open arc (p, q) is the nearest left end that closes past i
+            p = i - 1
+            while not i < state[p] >> 2 < n:
+                p -= 1
+            q = state[p] >> 2
+            # the parent (p, q) and the child (i, j) unnest into (p, i) and (j, q)
+            new = list(state)
+            if state[p] & 1:  # type II
+                new[p], new[i], new[j], new[q] = i << 2 | 1, p << 2 | 1, q << 2 | 1, j << 2 | 1
+                return [(tuple(new), 1)]
+            new[p], new[i], new[j], new[q] = i << 2 | 1, p << 2 | 1, q << 2, j << 2
+            left = tuple(new)
+            new[p], new[i], new[j], new[q] = i << 2, p << 2, q << 2 | 1, j << 2 | 1
+            right = tuple(new)
+            new[p], new[i], new[j], new[q] = q << 2 | 1, j << 2, i << 2, p << 2 | 1
+            return [(left, 1), (right, 1), (tuple(new), -1)]
+        else:
+            depth += 1
+    if swap is None:
         return None
-    (x, y), r = arc, next(v for v in rays if v > arc[1])
-    new_arcs = tuple(sorted([a for a in arcs if a != (x, y)] + [(y, r)]))
-    new_rays = tuple(sorted([v for v in rays if v != r] + [x]))
-    new_dotted = tuple(sorted([d for d in dotted if d != (x, y)] + [(y, r)]))
-    return [((new_arcs, new_rays, new_dotted), 1)]
+    # type III: the dotted arc (i, j) and the ray become a ray at i and the dotted arc (j, ray)
+    j, ray = swap
+    i = state[j] >> 2
+    new = list(state)
+    new[i], new[j], new[ray] = n << 2 | 1, ray << 2 | 1, j << 2 | 1
+    return [(tuple(new), 1)]
 
 
 def _class(n: int, k: int, terms) -> HomClass:
-    """The class of (state, coefficient) terms, with a dotted matching per nonzero term."""
-    return hom_class(n, k, {DottedMatching(Matching(n, arcs, rays), dotted): c
-                            for (arcs, rays, dotted), c in terms if c})
+    """The class of (state, coefficient) terms, with a dotted matching per nonzero term.
+
+    A state that does not decode raises InternalCheckError naming it.
+    """
+    coeffs = {}
+    for state, c in terms:
+        if c:
+            try:
+                coeffs[_decode(state)] = c
+            except MatchingError as exc:
+                raise InternalCheckError(f"rewritten state {state}: {exc}") from None
+    return hom_class(n, k, coeffs)
 
 
 def rewrite_step(M: DottedMatching) -> HomClass | None:
     """The class of M's one oriented rewrite (:func:`_rewrites`), or None when M is standard."""
-    terms = _rewrites(M.base.arcs, M.base.rays, M.dotted)
+    terms = _rewrites(_encode(M))
     return None if terms is None else _class(M.n, M.k, terms)
 
 
-def reduce_by_rewriting(x: HomClass) -> HomClass:
-    """Reduce x to the standard basis by repeated rewrites, smallest state first.
+def _rewrite_states(x: HomClass) -> dict[tuple[int, ...], int]:
+    """x reduced by repeated rewrites, as {standard packed state: nonzero coefficient}.
 
-    Each state is rewritten by its one :func:`_rewrites` entry, so the
-    order is fixed; a heap holds each state of ``work`` once.
+    Each state is rewritten by its one :func:`_rewrites` entry, smallest
+    packed tuple first, so the order is fixed; a heap holds each state of
+    ``work`` once.
     """
-    done: dict[tuple, int] = {}
-    work = {sort_key(M): c for M, c in x.terms}
+    done: dict[tuple[int, ...], int] = {}
+    work = {_encode(M): c for M, c in x.terms}
     heap = sorted(work)  # a sorted list is a heap
     while work:
         state = heapq.heappop(heap)
         c = work.pop(state)
         if c == 0:
             continue
-        terms = _rewrites(*state)
+        terms = _rewrites(state)
         if terms is None:
             done[state] = done.get(state, 0) + c
             continue
@@ -343,7 +376,16 @@ def reduce_by_rewriting(x: HomClass) -> HomClass:
             if N not in work:
                 heapq.heappush(heap, N)
             work[N] = work.get(N, 0) + c * cn
-    return _class(x.n, x.k, done.items())
+    return {state: c for state, c in done.items() if c}
+
+
+def reduce_by_rewriting(x: HomClass) -> HomClass:
+    """Reduce x to the standard basis by repeated rewrites on packed states.
+
+    The states are ``matchings._encode`` tuples (:func:`_rewrite_states`),
+    and a dotted matching is decoded only for each term of the result.
+    """
+    return _class(x.n, x.k, _rewrite_states(x).items())
 
 
 # --- Betti numbers -------------------------------------------------------------

@@ -75,8 +75,16 @@ class Matching(Record, frozen=True, order=True):
         return None
 
     def parent(self, arc: Arc) -> Arc | None:
-        """The innermost arc enclosing ``arc``, or None if no arc encloses it."""
-        return _parent(self.arcs, arc)
+        """The innermost arc enclosing ``arc``, or None if no arc encloses it.
+
+        Noncrossing arcs that enclose ``arc`` nest, so the innermost is the
+        one with the largest left end.
+        """
+        i, j = arc
+        for p, q in reversed(self.arcs):
+            if p < i and j < q:
+                return p, q
+        return None
 
     @property
     def dottable(self) -> int:
@@ -184,19 +192,6 @@ class StandardTableau(Record, frozen=True, order=True):
                 raise ShapeMismatch("columns must strictly increase downward")
 
 
-def _parent(arcs: Sequence[Arc], arc: Arc) -> Arc | None:
-    """The innermost of ``arcs`` enclosing ``arc``, or None; ``arcs`` run by left end.
-
-    The package's one enclosing-arc lookup.  Noncrossing arcs that enclose
-    ``arc`` nest, so the innermost is the one with the largest left end.
-    """
-    i, j = arc
-    for p, q in reversed(arcs):
-        if p < i and j < q:
-            return p, q
-    return None
-
-
 def _partners(n: int, arcs: Iterable[Arc]) -> list[int]:
     """The partner array of these arcs on 1..n; every other vertex is a ray."""
     partner = [n] * n
@@ -245,6 +240,46 @@ def _check_noncrossing(partner: Sequence[int]) -> tuple[tuple[Arc, ...], tuple[i
         r, i = under
         raise RayUnderArc(f"ray {r + 1} lies beneath arc ({i + 1},{partner[i] + 1})")
     return tuple(arcs), tuple(rays)
+
+
+def _encode(M: DottedMatching) -> tuple[int, ...]:
+    """M as a packed state: one ``partner << 2 | dots`` int per vertex, 0-based.
+
+    The partner is the other end of the vertex's arc, or n for a ray; an
+    arc carries its dot (0 or 1) at both ends and a ray its one intrinsic
+    dot, so a ray is ``n << 2 | 1``.  Equal states are equal matchings,
+    and :func:`_decode` inverts this.
+    """
+    n, dotted = M.base.n, M.dotted
+    state = [n << 2 | 1] * n
+    for i, j in M.base.arcs:
+        dots = (i, j) in dotted
+        state[i - 1], state[j - 1] = (j - 1) << 2 | dots, (i - 1) << 2 | dots
+    return tuple(state)
+
+
+def _decode(state: Sequence[int]) -> DottedMatching:
+    """The dotted matching of a packed state (:func:`_encode`), once it is checked.
+
+    One scan of the partners by ``_check_noncrossing`` checks that they
+    are symmetric, that each arc closes the innermost open arc and that no
+    ray lies under an arc.  The two ends of an arc must carry the same
+    dots, at most one, and a ray exactly its intrinsic dot, else BadCounts.
+    """
+    arcs, rays = _check_noncrossing([end >> 2 for end in state])
+    dotted = []
+    for arc in arcs:
+        dots = state[arc[0] - 1] & 3
+        if dots != state[arc[1] - 1] & 3:
+            raise BadCounts(f"the ends of arc {arc} disagree on its dots")
+        if dots >= 2:
+            raise BadCounts(f"arc {arc} is doubly dotted")
+        if dots:
+            dotted.append(arc)
+    for r in rays:
+        if state[r - 1] & 3 != 1:
+            raise BadCounts(f"ray {r} carries {state[r - 1] & 3} dots, not 1")
+    return DottedMatching(Matching(len(state), arcs, rays), tuple(dotted))
 
 
 def validate(n: int, arcs: Iterable[Arc], rays: Iterable[int] = (),
@@ -540,7 +575,12 @@ def matching_of(T: StandardTableau, k: int) -> DottedMatching:
 
 
 def standard_layout(undotted_arcs: Iterable[Arc], n: int, k: int) -> DottedMatching:
-    """The unique standard dotted matching with these undotted arcs: their completion, validated."""
+    """The unique standard dotted matching with these undotted arcs: their completion, validated.
+
+    Raises NoStandardCompletion, before any work, unless 0 <= k <= n // 2.
+    """
+    if n < 0 or k < 0 or 2 * k > n:
+        raise NoStandardCompletion(f"no dotted matching with k={k} arcs on n={n} vertices")
     undotted = tuple(sorted(tuple(sorted(a)) for a in undotted_arcs))
     if len(undotted) > k:
         raise NoStandardCompletion(f"{len(undotted)} undotted arcs exceed k={k}")

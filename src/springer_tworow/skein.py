@@ -13,13 +13,15 @@ manner of Bar-Natan's local evaluation: after each layer the open
 boundary is again a dotted matching with at most one dot per component,
 held as a flat tuple of ints, one ``partner << 2 | dots`` entry per
 boundary point (its partner, or n for a ray, and the dots of its
-component).  A turnback rewrites at most four entries and leaves the
+component): the packed state of ``matchings._encode``, which also builds
+the start state.  A turnback rewrites at most four entries and leaves the
 tuple canonical, so equal boundary states merge in one dict with no
 relabelling, a circle closed by a layer becomes a scalar at once, and
 the number of states stays bounded by the number of boundary states
 instead of doubling with every crossing.  Each surviving state is read
-off by one left-to-right stack scan of its partners, the package's one
-crossing test ``matchings._check_noncrossing``.
+off by the shared decoder ``matchings._decode``, whose one left-to-right
+stack scan of the partners is the package's one crossing test
+``matchings._check_noncrossing``.
 :func:`expand_resolutions` lists every resolution of the whole tangle; it
 is the full-expansion reference the fold is tested against.  It keeps
 its own component-label states and shares with the fold only that
@@ -64,8 +66,8 @@ from .errors import (
 from .homology import HomClass, hom_class, reduce_class
 from .matchings import (
     DottedMatching,
-    Matching,
-    _check_noncrossing,
+    _decode,
+    _encode,
     standard_dotted_matchings,
     validate,
 )
@@ -177,31 +179,26 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle) -> dict[DottedM
     """The tangle glued below M as boundary matchings with nonzero coefficients.
 
     Evaluates :data:`CALIBRATED_CONVENTION`.  Folds the crossing layers
-    top first over a dict from partner state to coefficient.  A partner
-    state is a flat tuple of ints, one per boundary point v, 0-based:
-    ``partner << 2 | dots``, where the partner is the other boundary end
-    of v's component, or n when the component runs off as a ray, and the
-    dots are those on the component (a ray's intrinsic dot included).
-    Every surviving component has one boundary end or two, so the tuple is
-    the open boundary as a dotted matching, already canonical.  A state
-    passes its vertical smoothing on unchanged.  Its turnback rewrites at
-    most four entries: a cup on the two ends of one arc closes a circle,
-    which is evaluated at once; a cup on two components joins their outer
-    ends, and a join reaching two dots is dropped.  Zero coefficients are
-    pruned after every layer, and each surviving state is read off by
-    :func:`_read_off`.  The result is not reduced to the standard basis;
-    it equals :func:`expanded_coefficients`.
+    top first over a dict from partner state to coefficient, starting from
+    ``matchings._encode(M)``.  A partner state is a flat tuple of ints, one
+    per boundary point v, 0-based: ``partner << 2 | dots``, where the
+    partner is the other boundary end of v's component, or n when the
+    component runs off as a ray, and the dots are those on the component
+    (a ray's intrinsic dot included).  Every surviving component has one
+    boundary end or two, so the tuple is the open boundary as a packed
+    dotted matching, already canonical.  A state passes its vertical
+    smoothing on unchanged.  Its turnback rewrites at most four entries: a
+    cup on the two ends of one arc closes a circle, which is evaluated at
+    once; a cup on two components joins their outer ends, and a join
+    reaching two dots is dropped.  Zero coefficients are pruned after
+    every layer, and each surviving state is read off by :func:`_read_off`,
+    through the shared decoder ``matchings._decode``.  The result is not
+    reduced to the standard basis; it equals :func:`expanded_coefficients`.
     """
     c = CALIBRATED_CONVENTION
     _check_strands(M, tangle)
     n = M.n
-    start = [n << 2 | 1] * n
-    dotted = set(M.dotted)
-    for arc in M.base.arcs:
-        i, j = arc[0] - 1, arc[1] - 1
-        dots = 1 if arc in dotted else 0
-        start[i], start[j] = j << 2 | dots, i << 2 | dots
-    states: dict[tuple[int, ...], int] = {tuple(start): 1}
+    states: dict[tuple[int, ...], int] = {_encode(M): 1}
     identity = c.identity_coeff
     cup_c, cap_c = _PLACEMENT_DOTS[c.closure_dots]
     cup_m, cap_m = _PLACEMENT_DOTS[c.merge_dots]
@@ -244,32 +241,16 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle) -> dict[DottedM
 
 
 def _read_off(M: DottedMatching, tangle: FlatTangle, state: tuple[int, ...]) -> DottedMatching:
-    """The dotted matching of one fold state of M under TANGLE.
+    """The dotted matching of one fold state of M under TANGLE: ``matchings._decode``.
 
-    One scan of the partner array by ``_check_noncrossing`` checks that
-    partners are symmetric, that each arc closes the innermost open arc and
-    that no ray lies under an arc.  The two ends of an arc must carry its
-    dots, at most one, and a ray exactly its intrinsic dot.  A failed check
-    names M and the word.  A state that passes is the encoding of the
+    A state the decoder refuses raises InternalCheckError naming M, the
+    word and the state.  A state that passes is the encoding of the
     matching it reads off to, so distinct states give distinct matchings.
     """
     try:
-        arcs, rays = _check_noncrossing([end >> 2 for end in state])
+        return _decode(state)
     except MatchingError as exc:
         raise _state_error(M, tangle, f"boundary state {state}: {exc}") from None
-    dotted = []
-    for arc in arcs:
-        dots = state[arc[0] - 1] & 3
-        if dots != state[arc[1] - 1] & 3:
-            raise _state_error(M, tangle, f"the ends of arc {arc} disagree on its dots")
-        if dots >= 2:
-            raise _state_error(M, tangle, "doubly dotted component survived")
-        if dots:
-            dotted.append(arc)
-    for r in rays:
-        if state[r - 1] & 3 != 1:
-            raise _state_error(M, tangle, f"ray {r} carries {state[r - 1] & 3} dots, not 1")
-    return DottedMatching(Matching(M.n, arcs, rays), tuple(dotted))
 
 
 def expand_resolutions(M: DottedMatching, tangle: FlatTangle,

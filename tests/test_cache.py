@@ -71,6 +71,28 @@ def test_cli_recomputes_and_replaces_a_malformed_matrix(tmp_path, capsys, row):
     assert json.loads(path.read_text(encoding="utf-8")) == stored
 
 
+# An entry of other provenance in place of the stored one, each refused by its own check:
+# not a JSON object, a basis listed in another order, and another (n, k, m) over the same basis.
+@pytest.mark.parametrize("plant", [
+    lambda stored: [stored],
+    lambda stored: {**stored, "basis": stored["basis"][::-1]},
+    lambda stored: {**stored, "k": "3"},
+], ids=["not-an-object", "basis", "shape"])
+def test_cli_recomputes_and_replaces_an_entry_of_other_provenance(tmp_path, capsys, plant):
+    argv = ["matrix", "-n", "4", "-k", "2", "-m", "1", "--sigma", "(1 2)"]
+    assert main(argv) == 0
+    uncached = capsys.readouterr().out
+    cached = argv + ["--cached", "--cache-dir", str(tmp_path)]
+    assert main(cached) == 0
+    [path] = tmp_path.glob("rep_4_2_1/*.json")
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(plant(stored)), encoding="utf-8")
+    assert RepMatrixCache(str(tmp_path)).load(adjacent(4, 1), 4, 2, 1) is None
+    assert main(cached) == 0
+    assert capsys.readouterr().out == 2 * uncached
+    assert json.loads(path.read_text(encoding="utf-8")) == stored
+
+
 def test_cli_stores_each_entry_under_springer_cache_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SPRINGER_CACHE_DIR", str(tmp_path))
     assert main(["matrix", "-n", "4", "-k", "2", "-m", "2", "--sigma", "s1", "--cached"]) == 0

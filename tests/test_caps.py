@@ -50,7 +50,8 @@ DOTTED = [(matchings, name) for name in ("enumerate_matchings", "_dotted_matchin
 ARROW_GRAPH = [(diagrams, name) for name in ("enumerate_matchings", "_arrow_table", "glue",
                                              "_bfs_path", "_narrowest_leftmost_sequence")]
 COLUMNS = [(homology, name) for name in ("enumerate_matchings", "all_dotted_matchings",
-                                         "_relation_rows", "reduce_by_rewriting")]
+                                         "_relation_rows", "reduce_by_rewriting",
+                                         "_rewrite_states")]
 TABLOID_ROUTE = [(action, name) for name in ("_RowMap", "_positions", "_solved_columns",
                                              "standard_dotted_matchings")]
 TABLOID_ROUTE += [(tabloids, "_positions"), (tabloids, "_comparison")]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from springer_tworow import errors, homology, verify
+from springer_tworow import errors, homology, matchings, verify
 from springer_tworow.diagrams import linear_order
 from springer_tworow.homology import (
     HomClass,
@@ -15,8 +15,7 @@ from springer_tworow.homology import (
     reduce_class,
     relation_instances,
 )
-from springer_tworow.matchings import (DottedMatching, Matching, all_dotted_matchings,
-                                       parse_matching, sort_key)
+from springer_tworow.matchings import DottedMatching, Matching, all_dotted_matchings, parse_matching
 
 pm = parse_matching
 
@@ -27,8 +26,16 @@ def cls(*pairs):
 
 
 def test_homclass_grading_enforced():
-    with pytest.raises(errors.InhomogeneousClass):
-        cls(("4: u1-2 d3-4", 1), ("4: u1-2 u3-4", 1)).grading
+    with pytest.raises(errors.InhomogeneousClass, match=r"^mixed gradings \[1, 2\]$"):
+        cls(("4: u1-2 d3-4", 1), ("4: u1-2 u3-4", 1))
+
+
+def test_grading_refuses_a_mixed_class_built_directly():
+    # hom_class refuses mixed gradings before a class exists; a HomClass built
+    # by hand reaches the check in the grading itself.
+    x = HomClass(4, 2, ((pm("4: u1-2 d3-4"), 1), (pm("4: u1-2 u3-4"), 1)))
+    with pytest.raises(errors.InhomogeneousClass, match=r"^mixed gradings \[1, 2\]$"):
+        x.grading
 
 
 def test_a_class_refuses_a_term_of_another_type():
@@ -71,6 +78,28 @@ def test_reduce_refuses_an_unknown_method_before_any_work(monkeypatch):
             reduce_class(x, "Rewrite")
 
 
+@pytest.mark.parametrize("text", [
+    "4: u1-4 d2-3",          # type I: a dotted arc under an undotted parent
+    "6: r1 d2-5 d3-4 r6",    # type II: a dotted arc under a dotted parent
+    "5: d1-2 u3-4 r5",       # type III: a dotted arc left of a ray
+])
+def test_rewrite_method_alone_equals_the_linear_route(text):
+    x = HomClass.of(pm(text))
+    rewritten = reduce_class(x, "rewrite")
+    assert rewritten == reduce_class(x, "linear") != x
+    assert all(N.is_standard for N, _ in rewritten.terms)
+
+
+def test_a_planted_disagreement_fails_the_checked_reduction(monkeypatch):
+    linear = homology._reduce_linear
+    monkeypatch.setattr(homology, "_reduce_linear", lambda x: linear(x).scale(-1))
+    message = (r"^reduction routes disagree on 1·\(4: u1-4 d2-3\): "
+               r"-1·\(4: d1-2 u3-4\) - 1·\(4: u1-2 d3-4\) \+ 1·\(4: d1-4 u2-3\) vs "
+               r"1·\(4: d1-2 u3-4\) \+ 1·\(4: u1-2 d3-4\) - 1·\(4: d1-4 u2-3\)$")
+    with pytest.raises(errors.InternalCheckError, match=message):
+        reduce_class(HomClass.of(pm("4: u1-4 d2-3")), check=True)
+
+
 def test_reduce_routes_agree():
     verify.check_reduce_agreement(7, random.Random(11))
 
@@ -81,7 +110,7 @@ def test_every_rewrite_is_sound(n):
     # rewrite reduces by the linear route to the class of M.
     for k in range(n // 2 + 1):
         for M in all_dotted_matchings(n, k):
-            terms = homology._rewrites(*sort_key(M))
+            terms = homology._rewrites(matchings._encode(M))
             assert (terms is None) == M.is_standard, str(M)
             if terms is not None:
                 want = reduce_class(HomClass.of(M), "linear")
@@ -96,13 +125,13 @@ def test_rewrite_step_is_the_class_of_the_one_rewrite():
             if M.is_standard:
                 assert step is None, str(M)
                 continue
-            assert step == homology._class(6, k, homology._rewrites(*sort_key(M))), str(M)
+            assert step == homology._class(6, k, homology._rewrites(matchings._encode(M))), str(M)
             assert reduce_class(step, "linear") == reduce_class(HomClass.of(M), "linear"), str(M)
 
 
 def test_rewriting_builds_dotted_matchings_only_for_the_result(monkeypatch):
-    # The rewriting runs on plain (arcs, rays, dotted) states: the one Matching
-    # and DottedMatching built per state are those of the reduced class's terms.
+    # The rewriting runs on packed states: the one Matching and DottedMatching
+    # built per state are those of the reduced class's terms.
     x = HomClass.of(pm("12: d1-12 u2-11 d3-10 u4-9 d5-8 u6-7"))
     built = {Matching: [], DottedMatching: []}
     for record, calls in built.items():
@@ -114,6 +143,19 @@ def test_rewriting_builds_dotted_matchings_only_for_the_result(monkeypatch):
     assert len(terms) > 1 and all(N.is_standard for N in terms)
     assert sorted(built[Matching]) == sorted((N.n, N.base.arcs, N.base.rays) for N in terms)
     assert sorted(built[DottedMatching]) == sorted((N.base, N.dotted) for N in terms)
+
+
+def test_checked_reduction_builds_no_dotted_matching_once_warm(monkeypatch):
+    # The check compares the rewriting's packed states with the encoded linear
+    # result, so with the normal forms built it makes no Matching or DottedMatching.
+    x = HomClass.of(pm("12: d1-12 u2-11 d3-10 u4-9 d5-8 u6-7"))
+    want = reduce_class(x, check=True)
+    built = []
+    for record in (Matching, DottedMatching):
+        monkeypatch.setattr(record, "__init__", lambda self, *args, init=record.__init__:
+                            built.append(args) or init(self, *args))
+    assert reduce_class(x, check=True) == want
+    assert built == []
 
 
 def test_betti_examples():

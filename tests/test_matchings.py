@@ -13,6 +13,8 @@ from springer_tworow.matchings import (
     Matching,
     StandardTableau,
     _check_noncrossing,
+    _decode,
+    _encode,
     _partners,
     all_dotted_matchings,
     complete,
@@ -135,6 +137,31 @@ def test_stack_scan_refuses_exactly_where_the_pairwise_test_does():
 def test_stack_scan_refuses_asymmetric_partners(partner):
     with pytest.raises(errors.VertexReuse, match="does not pair back"):
         _check_noncrossing(partner)
+
+
+def test_decode_inverts_encode():
+    # The checked reduction compares packed states, so distinct matchings
+    # must give distinct states and each state must decode to its matching.
+    states = set()
+    for n in range(11):
+        for k in range(n // 2 + 1):
+            for M in all_dotted_matchings(n, k):
+                state = _encode(M)
+                assert len(state) == n and _decode(state) == M, str(M)
+                states.add(state)
+    assert len(states) == sum(len(all_dotted_matchings(n, k))
+                              for n in range(11) for k in range(n // 2 + 1))
+
+
+@pytest.mark.parametrize("state, what", [
+    ((1 << 2 | 2, 0 << 2 | 2), r"^arc \(1, 2\) is doubly dotted$"),
+    ((1 << 2 | 1, 0 << 2), r"^the ends of arc \(1, 2\) disagree on its dots$"),
+    ((2 << 2 | 1, 2 << 2), r"^ray 2 carries 0 dots, not 1$"),
+])
+def test_decode_refuses_a_miscounted_dot(state, what):
+    # The crossing scan's refusals are held by the _check_noncrossing tests.
+    with pytest.raises(errors.BadCounts, match=what):
+        _decode(state)
 
 
 def test_enumerate_b31():
@@ -275,6 +302,15 @@ def test_standard_layout_examples():
         standard_layout([(1, 2), (2, 3)], 6, 3)
     with pytest.raises(errors.NoStandardCompletion):
         standard_layout([(2, 3)], 4, 0)
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (3, 2), (0, 1), (4, -1), (-2, -1)])
+def test_standard_layout_refuses_a_type_with_no_matchings_before_any_work(n, k, monkeypatch):
+    # k arcs do not fit on n vertices: the completion once returned "4: r1 r2 d3-4" for (4, 3)
+    monkeypatch.setattr(matchings, "_standard_completion", None)
+    with pytest.raises(errors.NoStandardCompletion,
+                       match=rf"^no dotted matching with k={k} arcs on n={n} vertices$"):
+        standard_layout([], n, k)
 
 
 def test_codec_examples():
