@@ -30,8 +30,8 @@ read off the arrow-move table that ``diagrams.arrow_graph`` builds once
 per type; no overlay is glued and no dotted matching is built per term.
 The reduction takes its pivots, the nonstandard columns, off each base's
 ``dottable`` mask, builds no nonstandard dotted matching, and checks that
-the standard basis, the completions of ``standard_dotted_matchings``,
-sits on exactly the other columns.  :func:`relation_instances`
+the standard basis, which ``standard_dotted_matchings`` lists off the same
+masks, sits on exactly the other columns.  :func:`relation_instances`
 and :func:`psi_minus_rows` map the columns back through
 ``all_dotted_matchings``; :func:`pushforward_inclusion` glues with
 ``diagrams.glue``, the reference of the ``homology.psi-rows`` invariant,

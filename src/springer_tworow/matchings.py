@@ -147,7 +147,7 @@ class DottedMatching(Record, frozen=True, order=True):
 
     @property
     def is_standard(self) -> bool:
-        """The paper's definition; the homology pivots read ``base.dottable`` instead."""
+        """The paper's definition; the standard basis and the homology pivots read ``base.dottable``."""
         for x, y in self.dotted:
             for i, j in self.base.arcs:
                 if i < x and y < j:
@@ -338,7 +338,9 @@ TABLOID_CAP = 2 * 10**4
 
 @lru_cache(maxsize=None)
 def enumerate_matchings(n: int, k: int) -> tuple[Matching, ...]:
-    """All noncrossing matchings of type (n-k, k), sorted by arc list; CapExceeded past the cap.
+    """All noncrossing matchings of type (n-k, k), in column order; CapExceeded past the cap.
+
+    Column order sorts by arc list; :func:`_matchings` walks it directly.
 
     >>> [m.arcs for m in enumerate_matchings(4, 1)]
     [((1, 2),), ((2, 3),), ((3, 4),)]
@@ -346,37 +348,51 @@ def enumerate_matchings(n: int, k: int) -> tuple[Matching, ...]:
     5
     """
     refuse_past(count_matchings(n, k), ENUMERATE_CAP, "list {} matchings", n, k)
+    return _matchings(n, k, 0)
+
+
+def _matchings(n: int, k: int, d: int) -> tuple[Matching, ...]:
+    """The matchings of type (n-k, k) with at least d ``dottable`` arcs, in column order.
+
+    The first free vertex takes its partner, nearest first, or else becomes
+    a ray (under no open arc), so arcs are placed by left end and the arc
+    lists come out sorted.  An arc's inside is a full matching, counted in
+    the arcs to place when the arc is opened.  At a top-level vertex with
+    a arcs and r rays still to place and ``run`` top-level arcs since the
+    last ray, an arc (v, j) leaves a' = a - (j - v + 1) / 2 arcs and is
+    taken only if a' (r > 0) or run + 1 + a' (r = 0) is at least d, and a
+    ray only if a >= d.  Each bound is reached, so no branch dies.
+    """
     out: list[Matching] = []
     arcs: list[Arc] = []
-    stack: list[int] = []
     rays: list[int] = []
 
-    def walk(pos: int) -> None:
-        if pos > n:
-            if not stack and len(arcs) == k:
-                out.append(Matching(n, tuple(sorted(arcs)), tuple(rays)))
-            return
-        remaining = n - pos + 1
-        # close the innermost open arc
-        if stack:
-            i = stack.pop()
-            arcs.append((i, pos))
-            walk(pos + 1)
-            arcs.pop()
-            stack.append(i)
-        # open a new arc
-        if len(arcs) + len(stack) < k and len(stack) + 1 <= remaining - 1:
-            stack.append(pos)
-            walk(pos + 1)
-            stack.pop()
-        # place a ray: only allowed outside every open arc
-        if not stack and len(rays) < n - 2 * k:
-            rays.append(pos)
-            walk(pos + 1)
-            rays.pop()
+    def walk(v: int, a: int, r: int, run: int, ends: tuple[int, ...]) -> None:
+        # ends: the right ends of the open arcs, innermost last
+        while ends and ends[-1] == v:
+            v, ends = v + 1, ends[:-1]
+        if v > n and run >= d:  # run < d only where n = 0 < d, and then no branch follows
+            out.append(Matching(n, tuple(arcs), tuple(rays)))
+        elif ends:
+            for j in range(v + 1, ends[-1], 2):
+                arcs.append((v, j))
+                walk(v + 1, a, r, run, ends + (j,))
+                arcs.pop()
+        else:
+            for j in range(v + 1, n + 1, 2):
+                left = a - (j - v + 1) // 2
+                if left < 0 or (left if r else run + 1 + left) < d:
+                    break
+                arcs.append((v, j))
+                walk(v + 1, left, r, run + 1, (j,))
+                arcs.pop()
+            if r and a >= d:
+                rays.append(v)
+                walk(v + 1, a, r - 1, 0, ())
+                rays.pop()
 
-    walk(1)
-    return tuple(sorted(out, key=lambda m: (m.arcs, m.rays)))
+    walk(1, k, n - 2 * k, 0, ())
+    return tuple(out)
 
 
 def count_matchings(n: int, k: int) -> int:
@@ -424,17 +440,6 @@ def _dotted_matchings(n: int, k: int, m: int | None) -> tuple[DottedMatching, ..
                  for base in enumerate_matchings(n, k) for ps in positions)
 
 
-def _standard_completion(n: int, k: int, undotted: tuple[Arc, ...], free: Sequence[int]) -> tuple:
-    """(arcs, rays, dotted): the standard completion of these undotted arcs at arc count k.
-
-    ``free`` lists the other vertices ascending: the first n - 2k are the
-    rays, and the rest pair up left to right into dotted arcs.
-    """
-    rays, rest = tuple(free[:n - 2 * k]), free[n - 2 * k:]
-    dotted = tuple(zip(rest[::2], rest[1::2]))
-    return tuple(sorted(undotted + dotted)), rays, dotted
-
-
 #: The most dotted matchings, of the gradings asked for, that :func:`all_dotted_matchings`
 #: lists and the homology layer assembles columns over: (14, 6) has 64,064, (15, 7) 183,040.
 COLUMN_CAP = 10**5
@@ -458,21 +463,24 @@ def all_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMa
 def standard_dotted_matchings(n: int, k: int, m: int | None = None) -> tuple[DottedMatching, ...]:
     """Every standard dotted matching of type (n-k, k); optionally fixed grading m.
 
-    The inverse of M -> M.undotted: each U in ``enumerate_matchings(n, g)``,
-    g = m or every g <= k, has one standard completion, since no free vertex
-    of U lies under an arc of U.  Listed in column order (``sort_key``), so
-    this is the same tuple as filtering :func:`all_dotted_matchings` by
-    ``is_standard`` (the ``matching.standard-enumeration`` verify
-    invariant).  Raises CapExceeded past ``ENUMERATE_CAP`` matchings of type
-    (n-k, k), before listing any.
+    A dotted matching is standard when its dot mask lies inside its base's
+    ``dottable`` mask, so grading m lists the bases with at least k - m
+    dottable arcs (:func:`_matchings`), each with the masks of
+    ``_column_numbers(k, m)`` inside its ``dottable``.  That is column
+    order, the ``is_standard`` filter of :func:`all_dotted_matchings` (the
+    ``matching.standard-enumeration`` verify invariant).  Raises
+    CapExceeded past ``ENUMERATE_CAP`` matchings of type (n-k, k), before
+    listing any.
     """
     refuse_past(count_matchings(n, k), ENUMERATE_CAP, "list {} matchings", n, k)
-    out = []
-    for g in range(k + 1) if m is None else (m,) if 0 <= m <= k else ():
-        for U in enumerate_matchings(n, g):
-            arcs, rays, dotted = _standard_completion(n, k, U.arcs, U.rays)
-            out.append(DottedMatching(U if g == k else Matching(n, arcs, rays), dotted))
-    return tuple(sorted(out, key=sort_key))
+    if m is not None and not 0 <= m <= k:
+        return ()
+    bases = enumerate_matchings(n, k) if m in (None, k) else _matchings(n, k, k - m)
+    masks, _ = _column_numbers(k, m)
+    positions = [tuple(p for p in range(k) if d >> p & 1) for d in masks]
+    return tuple(DottedMatching(base, tuple(map(base.arcs.__getitem__, ps)))
+                 for base in bases for dottable in (base.dottable,)
+                 for d, ps in zip(masks, positions) if not d & ~dottable)
 
 
 def sort_key(M: DottedMatching):
@@ -566,18 +574,19 @@ def matching_of(T: StandardTableau, k: int) -> DottedMatching:
     occupied: set[int] = set()
     undotted: list[Arc] = []
     for b in T.bottom:
-        left = max((v for v in range(1, b) if v not in occupied), default=None)
-        if left is None:
-            raise ShapeMismatch(f"no free vertex left of bottom entry {b}")
+        left = max(v for v in range(1, b) if v not in occupied)
         occupied.update((left, b))
         undotted.append((left, b))
     return standard_layout(undotted, n, k)
 
 
 def standard_layout(undotted_arcs: Iterable[Arc], n: int, k: int) -> DottedMatching:
-    """The unique standard dotted matching with these undotted arcs: their completion, validated.
+    """The unique standard dotted matching with these undotted arcs, validated.
 
-    Raises NoStandardCompletion, before any work, unless 0 <= k <= n // 2.
+    The other vertices, ascending: the first n - 2k are its rays, and the
+    rest pair up left to right into dotted arcs.  Raises
+    NoStandardCompletion, before any work, unless 0 <= k <= n // 2, and
+    when that layout is no matching or not standard.
     """
     if n < 0 or k < 0 or 2 * k > n:
         raise NoStandardCompletion(f"no dotted matching with k={k} arcs on n={n} vertices")
@@ -588,12 +597,13 @@ def standard_layout(undotted_arcs: Iterable[Arc], n: int, k: int) -> DottedMatch
     if len(occupied) != 2 * len(undotted):
         raise NoStandardCompletion("undotted arcs share a vertex")
     free = [v for v in range(1, n + 1) if v not in occupied]
-    arcs, rays, dotted = _standard_completion(n, k, undotted, free)
+    rays, rest = free[:n - 2 * k], free[n - 2 * k:]
+    dotted = tuple(zip(rest[::2], rest[1::2]))
     try:
-        M = validate(n, arcs, rays, dotted)
+        M = validate(n, undotted + dotted, rays, dotted)
     except Exception as exc:
         raise NoStandardCompletion(str(exc)) from exc
-    if not M.is_standard or set(M.undotted) != set(undotted):
+    if not M.is_standard:
         raise NoStandardCompletion(f"no standard completion of {undotted}")
     return M
 

@@ -209,9 +209,11 @@ def _positions(n: int, k: int, m: int) -> tuple[int, ...]:
     element with the undotted arcs of factor column j.  The view rests on
     the bijection M -> M.undotted from that basis onto the standard basis
     of (n, m, m), along which ``tableau_of`` agrees (the
-    ``tabloid.graded-module`` verify invariant); it is checked here, and a
-    basis element with no partner or a repeated partner, or a partner left
-    over, raises InternalCheckError.  Every solve runs in the factor's
+    ``tabloid.graded-module`` verify invariant); it is checked here, between
+    two independently listed bases (the (n, k, m) one walks only the
+    matchings with at least k - m dottable arcs), and a basis element with
+    no partner or a repeated partner, or a partner left over, raises
+    InternalCheckError.  Every solve runs in the factor's
     numbering; the callers map its answers through this table.
     """
     basis = standard_dotted_matchings(n, k, m)

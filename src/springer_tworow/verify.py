@@ -94,10 +94,10 @@ def check_standard_enumeration(n_max: int, rng) -> None:
     """The enumeration of the standard basis is the ``is_standard`` filter of the reference.
 
     For every (n, k) with n up to min(n_max, 12) and every m, None
-    included, ``standard_dotted_matchings``, which sorts the standard
-    completions of the matchings of each grading, lists the dotted
-    matchings of :func:`_reference_dotted_matchings` that satisfy the
-    paper's definition.
+    included, ``standard_dotted_matchings``, which lists the dot masks
+    inside each base's ``dottable`` mask, lists the dotted matchings of
+    the build-then-sort :func:`_reference_dotted_matchings` that satisfy
+    the paper's definition.
     """
     for n, k in _types(min(n_max, 12)):
         for m in (None, *range(k + 1)):
@@ -627,10 +627,12 @@ def check_graded_module(n_max: int, rng) -> None:
     ``tableau_of`` is injective and ``standard_layout`` rebuilds M from its
     undotted arcs; and ``tabloids._positions(n, k, m)`` is the
     bijection's inverse.  The action layer shares one factor per (n, m),
-    ``tabloids._factor(n, m)``, on this bijection.  Both bases here are
-    built by the same completion step, so the bijection's independent
-    checks are ``matching.standard-enumeration`` and the ``is_standard``
-    filter of ``all_dotted_matchings`` in ``tests/test_matchings.py``.
+    ``tabloids._factor(n, m)``, on this bijection.  The two bases are
+    listed independently, the (n, m, m) one from every matching of type
+    (n - m, m) and the (n, k, m) one from the matchings of type (n - k, k)
+    with at least k - m dottable arcs, so the bijection checks the one
+    listing against the other; ``matching.standard-enumeration`` holds
+    both to the paper's ``is_standard``.
     """
     for n in range(1, min(n_max, 12) + 1):
         for m in range(n // 2 + 1):

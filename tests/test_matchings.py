@@ -79,6 +79,18 @@ def test_validate_examples():
         validate(4, [(1, 2)], [3])
     with pytest.raises(errors.DotOnNonArc):
         validate(4, [(1, 2), (3, 4)], (), [(1, 3)])
+    assert M.base.partner(3) == 4 and validate(2, [], [1, 2]).base.partner(1) is None
+
+
+@pytest.mark.parametrize("args, error, what", [
+    ((-1, []), errors.BadCounts, r"^vertex count -1 is negative$"),
+    ((3, [(2, 2)], [1, 3]), errors.VertexReuse, r"^arc \(2,2\) repeats a vertex$"),
+    ((2, [], [1, 3]), errors.BadCounts, r"^vertex 3 outside 1\.\.2$"),
+    ((3, [(1, 2)], [2, 3]), errors.VertexReuse, r"^vertex 2 used twice$"),
+])
+def test_validate_refuses_bad_vertices(args, error, what):
+    with pytest.raises(error, match=what):
+        validate(*args)
 
 
 def _pairwise_noncrossing(arcs, rays):
@@ -218,6 +230,11 @@ def test_restrict_errors():
     c = validate(4, [(1, 2), (3, 4)]).base
     with pytest.raises(errors.NotInRestrictableSet):
         restrict(c, 2)
+    for pad in (-1, 5):
+        with pytest.raises(errors.DomainError, match=rf"^pad {pad} outside 0\.\.4$"):
+            restrict(c, pad)
+    with pytest.raises(errors.NotInRestrictableSet, match="^input already has rays$"):
+        restrict(validate(3, [(2, 3)], [1]).base, 1)
 
 
 def test_completion_bijective_up_to_8():
@@ -257,9 +274,21 @@ def test_standard_enumeration_is_the_is_standard_filter():
     verify.check_standard_enumeration(10, random.Random(0))
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_the_walk_lists_exactly_the_bases_with_enough_dottable_arcs(n):
+    # The prune drops no base and keeps none extra: every d in 0..k + 1, in column order.
+    for k in range(n // 2 + 1):
+        bases = enumerate_matchings(n, k)
+        assert list(bases) == sorted(bases, key=lambda a: a.arcs), (n, k)
+        for d in range(k + 2):
+            want = tuple(a for a in bases if a.dottable.bit_count() >= d)
+            assert matchings._matchings(n, k, d) == want, (n, k, d)
+
+
 @pytest.mark.parametrize("n", range(14))
 def test_standard_basis_is_the_is_standard_filter_of_the_column_walk(n):
-    # The column walk and the paper's definition share nothing with the completion step.
+    # The listing shares the walk and the column order with all_dotted_matchings,
+    # but reads standardness off the dottable masks: this holds it to the paper's definition.
     for k in range(n // 2 + 1):
         for m in (None, *range(k + 1)):
             want = tuple(M for M in all_dotted_matchings(n, k, m) if M.is_standard)
@@ -282,9 +311,26 @@ def recorded_enumerations(monkeypatch) -> list:
 
 
 def test_standard_basis_lists_only_the_matchings_of_its_grading(monkeypatch):
+    # Grading 1 of (16, 8) needs 7 dottable arcs: the 8 bases with at most one arc under
+    # another carry its 15 elements, and enumerate_matchings is never called.
     calls = recorded_enumerations(monkeypatch)
+    built, init = [], Matching.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Matching, "__init__", counting)
     assert len(standard_dotted_matchings(16, 8, 1)) == 15
-    assert calls == [(16, 1)]
+    assert calls == [] and len(built) <= 15
+
+
+@pytest.mark.parametrize("m", [-1, 3])
+def test_standard_basis_of_a_grading_outside_0_to_k_is_empty_before_any_walk(m, monkeypatch):
+    springer_tworow.clear_caches()
+    monkeypatch.setattr(matchings, "_matchings", None)
+    monkeypatch.setattr(matchings, "enumerate_matchings", None)
+    assert standard_dotted_matchings(6, 2, m) == ()
 
 
 def test_rep_matrix_below_the_top_grading_lists_no_matching_of_its_type(monkeypatch):
@@ -305,12 +351,25 @@ def test_standard_layout_examples():
 
 
 @pytest.mark.parametrize("n, k", [(4, 3), (3, 2), (0, 1), (4, -1), (-2, -1)])
-def test_standard_layout_refuses_a_type_with_no_matchings_before_any_work(n, k, monkeypatch):
-    # k arcs do not fit on n vertices: the completion once returned "4: r1 r2 d3-4" for (4, 3)
-    monkeypatch.setattr(matchings, "_standard_completion", None)
+def test_standard_layout_refuses_a_type_with_no_matchings_before_any_work(n, k):
+    # k arcs do not fit on n vertices: the layout once returned "4: r1 r2 d3-4" for (4, 3).
+    # The undotted arcs raise if read, so the refusal comes before any work.
+    def undotted():
+        raise AssertionError("standard_layout read the undotted arcs")
+        yield
+
     with pytest.raises(errors.NoStandardCompletion,
                        match=rf"^no dotted matching with k={k} arcs on n={n} vertices$"):
-        standard_layout([], n, k)
+        standard_layout(undotted(), n, k)
+
+
+def test_standard_layout_refuses_a_layout_that_is_no_standard_matching():
+    # The rays 2 and 4 around the arc (1, 3) lie beneath it; the dotted (2, 3) nests under (1, 4).
+    with pytest.raises(errors.NoStandardCompletion, match=r"^ray 2 lies beneath arc \(1,3\)$"):
+        standard_layout([(1, 3)], 4, 1)
+    with pytest.raises(errors.NoStandardCompletion,
+                       match=r"^no standard completion of \(\(1, 4\),\)$"):
+        standard_layout([(1, 4)], 4, 2)
 
 
 def test_codec_examples():
@@ -324,6 +383,16 @@ def test_codec_examples():
         parse_matching("u1-2")
     with pytest.raises(errors.CodecSyntaxError):
         parse_matching("4: r1-2 r3 r4")
+
+
+@pytest.mark.parametrize("text, what", [
+    ("x: u1-2", r"^bad vertex count 'x'"),
+    ("4: u1 r3 r4", r"^arc item 'u1' needs i-j"),
+    ("4: u2-1 r3 r4", r"^arc item 'u2-1' needs i < j"),
+])
+def test_codec_refuses_malformed_items(text, what):
+    with pytest.raises(errors.CodecSyntaxError, match=what):
+        parse_matching(text)
 
 
 def test_codec_roundtrip_exhaustive():
