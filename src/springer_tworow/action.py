@@ -32,19 +32,21 @@ entry.  The factor columns are unit-triangular (the
 back-substitution certified by a zero residual, and no Fraction is built
 on this path.
 
+The generators have one home, ``_generators(n, m)``: the solved columns
+of s_1, ..., s_{n-1} on the factor, built on each call.
 ``character_table_check`` works one grading at a time, checks each
 (n, k, m) view's position table, and reads each grading's
 ``_certificate`` once per (n, m), since every k >= m has the same traces
-and relations.  A certificate solves the n - 1 generators
-through ``_solved_columns`` first, which proves the standard span
-S_n-stable.  Only then does it build the factor's dual basis, read every
-class trace off it with no solve, and drop it.  The forward ``_RowMap``
-reads off the trace of sigma^-1, which is that of sigma, since the two
-are conjugate in S_n.  Each Coxeter relation
-w^e = 1 is checked on sparse products: w (s_i, or s_i s_j composed once
-from the generator columns) is raised to the power e and compared with
-the identity.  The certificate keeps the report rows and failure
-strings only.
+and relations.  A certificate reads ``_generators`` first, which proves
+the standard span S_n-stable.  Only then does it build the factor's dual
+basis, read every class trace off it with no solve, and drop it.  The
+forward ``_RowMap`` reads off the trace of sigma^-1, which is that of
+sigma, since the two are conjugate in S_n.  Each Coxeter relation w^e = 1
+is checked on sparse products: w (s_i, or s_i s_j composed once from the
+generator columns) is raised to the power e and compared with the
+identity.  The certificate keeps the report rows and failure strings
+only.  ``derive_chart`` reads its rows off the same columns, one per
+(M, s_i), and the skein calibration reads the chart.
 
 Tabloid rows are keyed by integer bit masks, not frozensets (see
 ``tabloids``): ``_RowMap`` moves a row by sending each set bit of
@@ -156,6 +158,15 @@ def _solved_columns(sigma: Permutation, n: int, m: int) -> list[dict[int, int]]:
     return [_image_coords(sigma, n, m, m, ((1, column),), moved) for column in _factor(n, m)[1]]
 
 
+def _generators(n: int, m: int) -> list[list[dict[int, int]]]:
+    """``_solved_columns`` of s_1, ..., s_{n-1} on ``_factor(n, m)``, entry i - 1 for s_i.
+
+    The one home of the generator action: the character certificate and
+    the chart read it, and so does the skein calibration, through the chart.
+    """
+    return [_solved_columns(adjacent(n, i), n, m) for i in range(1, n)]
+
+
 def rep_matrix(sigma: Permutation, n: int, k: int, m: int) -> list[list[int]]:
     """Matrix of the action over the standard basis: ``_solved_columns`` at its ``_positions``."""
     _check_grading(n, k, m)
@@ -213,10 +224,6 @@ CASE_LABELS = {
     7: "ray and undotted arc",
 }
 
-SINGLE_TERM_CASES = (1, 5, 6)
-TWO_TERM_CASES = (3, 4, 7)
-
-
 def classify_case(M: DottedMatching, i: int) -> int:
     """Which of the seven local configurations (i, i+1) realizes in M."""
     if not 1 <= i <= M.n - 1:
@@ -267,37 +274,40 @@ class Chart(Record):
         return {r.case for r in self.rows}
 
 
+#: The paper's readable anchor of each case: what its output must be, and the test
+#: of it on (M, output).  The undotted cap negates its input.
+_ANCHORS = {
+    2: ("-input", lambda M, out: out == HomClass.of(M, -1)),
+    **dict.fromkeys((1, 5, 6), ("one term", lambda M, out: len(out.terms) == 1)),
+    **dict.fromkeys((3, 4, 7), ("two terms", lambda M, out: len(out.terms) == 2)),
+}
+
+
 def derive_chart(n: int, k: int) -> Chart:
     """Machine-computed action chart with the readable anchors asserted.
 
-    Anchors: the undotted-cap case returns minus the input; the
-    dotted/dotted, ray/ray and ray-dotted cases return a single term; the
-    mixed-arc, undotted-arc-pair and ray-undotted cases return two terms.
+    Row (M, i) is column j of ``_generators(n, m)[i - 1]``, the solved
+    columns of s_i, with M = basis[positions[j]] in the (n, k, m) view;
+    the rows run by grading, then in basis order, then by i.  Each row is
+    held to its case's anchor in ``_ANCHORS``.  A generator image that
+    leaves the standard span raises SolveFailed, naming s_i and the
+    (n, m, m) factor it was solved in.
     """
     check_tabloid_route(n, k)
     chart = Chart(n, k)
     for m in range(k + 1):
-        for M in standard_dotted_matchings(n, k, m):
-            for i in range(1, n):
+        basis, positions = standard_dotted_matchings(n, k, m), _positions(n, k, m)
+        gens = _generators(n, m)
+        for j in sorted(range(len(positions)), key=positions.__getitem__):
+            M = basis[positions[j]]
+            for i, columns in enumerate(gens, 1):
                 case = classify_case(M, i)
-                out = _act(adjacent(n, i), HomClass.of(M))
+                out = hom_class(n, k, {basis[positions[t]]: c for t, c in columns[j].items()})
                 chart.rows.append(ChartRow(case, M, i, out))
-                terms = len(out.terms)
-                if case == 2:
-                    if out != HomClass.of(M, -1):
-                        chart.anchor_failures.append(
-                            f"case 2 at {M}, i={i}: expected -input, got {out}"
-                        )
-                elif case in SINGLE_TERM_CASES:
-                    if terms != 1:
-                        chart.anchor_failures.append(
-                            f"case {case} at {M}, i={i}: expected one term, got {out}"
-                        )
-                elif case in TWO_TERM_CASES:
-                    if terms != 2:
-                        chart.anchor_failures.append(
-                            f"case {case} at {M}, i={i}: expected two terms, got {out}"
-                        )
+                want, holds = _ANCHORS[case]
+                if not holds(M, out):
+                    chart.anchor_failures.append(
+                        f"case {case} at {M}, i={i}: expected {want}, got {out}")
     return chart
 
 
@@ -380,14 +390,14 @@ def _factor_trace(sigma: Permutation, n: int, m: int, dual) -> int:
 def _certificate(n: int, m: int) -> tuple[tuple, tuple[str, ...], tuple[str, ...]]:
     """(rows, trace failures, relation failures) of grading m on n points.
 
-    Worked in the factor's numbering: the n - 1 generators are solved and
-    certified first, which proves the span S_n-stable; the dual basis is
-    then built, read by ``_factor_trace`` once per class and dropped;
-    the Coxeter relations come last.  Every (n, k, m) view is the same
+    Worked in the factor's numbering: ``_generators`` solves and
+    certifies the n - 1 generators first, which proves the span
+    S_n-stable; the dual basis is then built, read by ``_factor_trace``
+    once per class and dropped; the Coxeter relations come last.  Every (n, k, m) view is the same
     module with its basis reordered, so its traces and relations are
     these.  Only the report rows and failure strings are kept.
     """
-    gens = [_solved_columns(adjacent(n, i), n, m) for i in range(1, n)]
+    gens = _generators(n, m)
     dual = _factor(n, m)[2].dual_basis()
     rows, failures = [], []
     for mu in partitions(n):
@@ -404,10 +414,11 @@ def _certificate(n: int, m: int) -> tuple[tuple, tuple[str, ...], tuple[str, ...
 def character_table_check(n: int, k: int) -> CharacterReport:
     """Traces against the two-row irreducible characters, plus Coxeter laws.
 
-    Each grading's ``_certificate`` is computed once per (n, m) and read
-    here; the position table of the (n, k, m) view is built (or read) for
-    every m, so the bijection onto the (n, m, m) basis is proved for this k.  Rows and
-    failures keep the order traces, then relations, grading by grading.
+    Each grading's ``_certificate``, on the columns of ``_generators(n, m)``,
+    is computed once per (n, m) and read here; the position table of the
+    (n, k, m) view is built (or read) for every m, so the bijection onto
+    the (n, m, m) basis is proved for this k.  Rows and failures keep the
+    order traces, then relations, grading by grading.
     """
     check_tabloid_route(n, k)
     report = CharacterReport(n, k)

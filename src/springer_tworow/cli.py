@@ -76,8 +76,6 @@ def parse_class(text: str) -> HomClass:
         coeffs[M] = coeffs.get(M, 0) + sign * coeff
         pos = m.end()
         first = False
-    if not coeffs:
-        raise SpringerError(f"empty class text {text!r}")
     some = next(iter(coeffs))
     return hom_class(some.n, some.k, coeffs)
 

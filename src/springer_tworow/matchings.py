@@ -413,12 +413,12 @@ def check_tabloid_route(n: int, k: int, m: int | None = None) -> None:
     refuse_past(math.comb(n, k if m is None else m), TABLOID_CAP, "factor {} tabloid rows", n, k, m)
 
 
-def _column_numbers(k: int, m: int | None) -> tuple[list[int], list]:
+def _column_numbers(k: int, m: int | None) -> tuple[list[int], dict[int, int]]:
     """(masks, rank): the one column order of the dotted matchings of type (n-k, k), grading m.
 
     ``masks`` are the masks of dotted arc positions (``DottedMatching.mask``)
     of grading m, in lexicographic order of their position tuples, and
-    rank[d] is d's place there (None for masks of another size).  The
+    ``rank`` maps each of them, and no other mask, to its place there.  The
     matching on the i-th base of ``enumerate_matchings(n, k)`` with mask d
     is column ``i * len(masks) + rank[d]``, its position in
     :func:`all_dotted_matchings`.
@@ -426,10 +426,7 @@ def _column_numbers(k: int, m: int | None) -> tuple[list[int], list]:
     sizes = range(k + 1) if m is None else (k - m,) if m <= k else ()
     subsets = sorted(c for r in sizes for c in itertools.combinations(range(k), r))
     masks = [sum(1 << p for p in positions) for positions in subsets]
-    rank = [None] * (1 << k)
-    for i, d in enumerate(masks):
-        rank[d] = i
-    return masks, rank
+    return masks, {d: i for i, d in enumerate(masks)}
 
 
 def _dotted_matchings(n: int, k: int, m: int | None) -> tuple[DottedMatching, ...]:

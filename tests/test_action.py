@@ -153,6 +153,15 @@ def test_chart_anchors():
     assert seen == set(range(1, 8))
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chart_rows_are_the_action_on_each_matching(n):
+    # the chart reads the solved generator columns; act solves each class alone
+    for k in range(n // 2 + 1):
+        for row in derive_chart(n, k).rows:
+            assert row.output == act(adjacent(n, row.position), HomClass.of(row.matching)), (
+                str(row.matching), row.position)
+
+
 def test_character_table_422():
     report = character_table_check(4, 2)
     assert report.ok
@@ -186,3 +195,16 @@ def test_eta_image_stability():
 def test_act_size_mismatch():
     with pytest.raises(errors.SizeMismatch):
         act(parse_permutation("(1 2)", 3), one("2: u1-2"))
+
+
+def test_act_returns_a_zero_class_after_its_size_check():
+    zero = hom_class(4, 2, {})
+    assert act(adjacent(4, 1), zero) is zero
+    with pytest.raises(errors.SizeMismatch, match="permutation on 3 letters, class on 4"):
+        act(adjacent(3, 1), zero)
+
+
+@pytest.mark.parametrize("i", [0, 4])
+def test_classify_case_refuses_a_position_outside_the_strands(i):
+    with pytest.raises(errors.DomainError, match=f"position {i} outside 1..3"):
+        classify_case(pm("4: u1-2 r3 r4"), i)

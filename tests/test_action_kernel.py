@@ -239,7 +239,7 @@ def test_sparse_coxeter_words_match_dense_products(n):
     for m in range(n // 2 + 1):
         # the factor is the (n, m, m) basis, which its own view leaves in place
         matrices = [rep_matrix(adjacent(n, i), n, m, m) for i in range(1, n)]
-        sparse = [action._solved_columns(adjacent(n, i), n, m) for i in range(1, n)]
+        sparse = action._generators(n, m)
         for columns, mat in zip(sparse, matrices):
             # the seam keeps only nonzero coordinates, and rep_matrix writes them out
             assert all(v for column in columns for v in column.values())

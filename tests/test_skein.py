@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from springer_tworow import errors, skein, verify
+from springer_tworow import action, errors, skein, verify
 from springer_tworow.action import act, act_word
 from springer_tworow.homology import HomClass, hom_class, reduce_class
 from springer_tworow.matchings import (
@@ -153,23 +153,37 @@ def test_calibrate_starts_from_the_anchored_family_in_order(monkeypatch):
 
 
 def test_calibrate_calls_the_oracle_once_per_pair(monkeypatch):
-    oracle, evaluations = [], []
+    # the oracle is the chart: one derive_chart per (n, k), one row per pair
+    charts, evaluations = [], []
 
-    def counted_act_word(word, x):
-        oracle.append((tuple(word), x))
-        return act_word(word, x)
+    def counted_derive_chart(n, k):
+        charts.append(derive_chart(n, k))
+        return charts[-1]
 
     def counted_expanded_coefficients(M, tangle, convention):
         evaluations.append((M, tangle.layers))
         return expanded_coefficients(M, tangle, convention)
 
-    expanded_coefficients = skein.expanded_coefficients
-    monkeypatch.setattr(skein, "act_word", counted_act_word)
+    derive_chart, expanded_coefficients = skein.derive_chart, skein.expanded_coefficients
+    monkeypatch.setattr(skein, "derive_chart", counted_derive_chart)
     monkeypatch.setattr(skein, "expanded_coefficients", counted_expanded_coefficients)
     assert calibrate(3) == CALIBRATED_CONVENTION
-    assert len(oracle) == len(set(oracle)) == 11
+    assert [(chart.n, chart.k) for chart in charts] == [(2, 0), (2, 1), (3, 0), (3, 1)]
+    pairs = [(row.matching, (row.position,)) for chart in charts for row in chart.rows]
+    assert len(pairs) == len(set(pairs)) == 11
     assert len(evaluations) == 262
-    assert {(x.terms[0][0], word) for word, x in oracle} == set(evaluations)
+    assert set(pairs) == set(evaluations)
+
+
+def test_the_chart_and_calibrate_solve_no_class_alone(monkeypatch):
+    # both read the generator columns that the character certificate solves
+    def refuse(*args):
+        raise AssertionError("a per-pair action oracle ran")
+
+    monkeypatch.setattr(action, "_act", refuse)
+    monkeypatch.setattr(skein, "act_word", refuse)
+    assert action.derive_chart(7, 3).ok
+    assert calibrate(3) == CALIBRATED_CONVENTION
 
 
 @pytest.mark.parametrize("n_max", [1, 0, -3])

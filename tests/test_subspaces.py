@@ -157,6 +157,17 @@ def test_sign_conflict_collapses():
     assert not S3.empty and S3.dimension == 0
 
 
+def test_the_empty_subspace_stays_empty_under_every_operation():
+    empty = from_constraints(2, [(1, 2, 1), (1, 2, -1)], [])
+    cap = subspace_of(m("2: u1-2"))
+    assert empty.empty and (empty.free_class_count, empty.dimension) == (0, -1)
+    assert empty.intersect(cap) == cap.intersect(empty) == empty.apply_gamma() == empty
+    for image in (empty.apply_eta(4), empty.apply_iota(4)):
+        assert image.empty and image.n == 4
+    with pytest.raises(errors.SizeMismatch, match="slot counts 2 and 4 differ"):
+        cap.intersect(full_space(4))
+
+
 def test_commuting_square():
     for n in range(1, 7):
         for k in range(0, n // 2 + 1):

@@ -18,10 +18,12 @@ from springer_tworow.matchings import (
 )
 from springer_tworow.permutations import (
     Permutation,
+    class_representative,
     from_word,
     identity,
     parse_permutation,
     partitions,
+    transposition,
 )
 from springer_tworow.tabloids import (
     f_embed,
@@ -50,6 +52,26 @@ def test_permutation_parsing_and_words():
     assert parse_permutation("id", 4) == identity(4)
     with pytest.raises(errors.DomainError):
         parse_permutation("(1 6)", 4)
+
+
+def test_permutations_refuse_letters_and_cycle_types_of_another_size():
+    with pytest.raises(errors.SizeMismatch, match="sizes 3 and 4 differ"):
+        identity(3) * identity(4)
+    with pytest.raises(errors.DomainError, match=r"transposition \(1 5\) outside 1..4"):
+        transposition(4, 1, 5)
+    with pytest.raises(errors.DomainError, match=r"\(2, 1\) is not a partition of 4"):
+        class_representative((2, 1), 4)
+
+
+def test_tabloid_operations_refuse_mismatched_sizes():
+    with pytest.raises(errors.SizeMismatch, match=r"key \[1, 2\] is not an 1-subset"):
+        tv(3, 1, {(1, 2): 1})
+    with pytest.raises(errors.SizeMismatch, match="permutation on 4 letters, vector on 3"):
+        permute(identity(4), tv(3, 1, {(1,): 1}))
+    with pytest.raises(errors.DomainError, match="pad -1 is negative"):
+        f_embed(tv(3, 1, {(1,): 1}), -1)
+    with pytest.raises(errors.DomainError, match=r"\(2, 1\) and \(2, 2\) partition different"):
+        irr_character((2, 1), (2, 2))
 
 
 @pytest.mark.parametrize("text, entry", [("(1 1)", 1), ("(1 2)(1 2)", 1), ("(1 2)(3 2)", 2)])

@@ -293,8 +293,7 @@ FAULTS = {
     "homology.column-numbers": Fault(
         5, matchings, "_column_numbers",
         _when(lambda k, m: (k, m) == (2, 1),
-              lambda out, k, m: (out[0], [r if r is None else len(out[0]) - 1 - r
-                                          for r in out[1]])),
+              lambda out, k, m: (out[0], {d: len(out[0]) - 1 - r for d, r in out[1].items()})),
         "(4, 2, 1, '4: d1-2 u3-4')"),
     "homology.betti-both-ways": Fault(
         4, homology, "presentation_betti",
