@@ -249,22 +249,14 @@ def classify_case(M: DottedMatching, i: int) -> int:
 class ChartRow(Record):
     __slots__ = _fields = ("case", "matching", "position", "output")
 
-    def __init__(self, case: int, matching: DottedMatching, position: int, output: HomClass):
-        self.case = case
-        self.matching = matching
-        self.position = position
-        self.output = output
-
 
 class Chart(Record):
     __slots__ = _fields = ("n", "k", "rows", "anchor_failures")
 
     def __init__(self, n: int, k: int, rows: list[ChartRow] | None = None,
                  anchor_failures: list[str] | None = None):
-        self.n = n
-        self.k = k
-        self.rows = [] if rows is None else rows
-        self.anchor_failures = [] if anchor_failures is None else anchor_failures
+        self._store(n, k, [] if rows is None else rows,
+                    [] if anchor_failures is None else anchor_failures)
 
     @property
     def ok(self) -> bool:
@@ -319,11 +311,8 @@ class CharacterReport(Record):
     def __init__(self, n: int, k: int,
                  rows: list[tuple[int, tuple[int, ...], int, int]] | None = None,
                  coxeter_ok: bool = True, failures: list[str] | None = None):
-        self.n = n
-        self.k = k
-        self.rows = [] if rows is None else rows
-        self.coxeter_ok = coxeter_ok
-        self.failures = [] if failures is None else failures
+        self._store(n, k, [] if rows is None else rows, coxeter_ok,
+                    [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:

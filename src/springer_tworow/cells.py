@@ -24,14 +24,9 @@ ForestElement = tuple  # ("edge", parent_arc, child_arc) | ("root", arc)
 
 
 class ArcForest(Record, frozen=True):
-    __slots__ = _fields = ("matching", "edges", "roots")
+    """The arc forest of a matching: ``edges`` are (parent, child) arc pairs."""
 
-    def __init__(self, matching: Matching, edges: tuple[tuple[Arc, Arc], ...],
-                 roots: tuple[Arc, ...]):
-        set_matching, set_edges, set_roots = self._setters
-        set_matching(self, matching)
-        set_edges(self, edges)  # (parent, child) pairs
-        set_roots(self, roots)
+    __slots__ = _fields = ("matching", "edges", "roots")
 
     @property
     def elements(self) -> tuple[ForestElement, ...]:

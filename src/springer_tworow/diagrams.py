@@ -51,25 +51,17 @@ from .records import Record
 
 
 class Component(Record, frozen=True):
-    __slots__ = _fields = ("kind", "vertices", "ends", "arcs_above")
+    """One component of a glued 1-manifold.
 
-    def __init__(self, kind: str, vertices: frozenset[int], ends: tuple[tuple[int, str], ...],
-                 arcs_above: tuple[Arc, ...]):
-        set_kind, set_vertices, set_ends, set_arcs_above = self._setters
-        set_kind(self, kind)                # "circle" | "line"
-        set_vertices(self, vertices)
-        set_ends(self, ends)                # lines: ((vertex, "up"|"down"), ...)
-        set_arcs_above(self, arcs_above)    # arcs of a on this component
+    ``kind`` is "circle" or "line"; a line's ``ends`` are ((vertex, "up"
+    or "down"), ...); ``arcs_above`` are the arcs of a on this component.
+    """
+
+    __slots__ = _fields = ("kind", "vertices", "ends", "arcs_above")
 
 
 class GluedOneManifold(Record, frozen=True):
     __slots__ = _fields = ("a", "b", "components")
-
-    def __init__(self, a: Matching, b: Matching, components: tuple[Component, ...]):
-        set_a, set_b, set_components = self._setters
-        set_a(self, a)
-        set_b(self, b)
-        set_components(self, components)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -220,8 +212,7 @@ def _arrow_table(nodes: tuple[Matching, ...]) -> dict:
                                         for flip, *rest in _arrow_scan(a)):
             keep = [u for u in range(a.k) if u != x and u != y]
             moved = ((1 << x, 1 << y), (1 << x, 1 << t)) if len(move) == 4 else ((1 << x,), (1 << t,))
-            entries.append((nodes[ib], move, tuple(a.arcs[u] for u in keep),
-                            tuple(1 << u for u in keep) + moved[0],
+            entries.append((nodes[ib], move, tuple(1 << u for u in keep) + moved[0],
                             tuple(1 << (u + (t <= u < y)) for u in keep) + moved[1]))
         table[a] = tuple(entries)
     return table
@@ -259,15 +250,16 @@ class ArrowGraph(Record, frozen=True):
     """The arrow relation on the matchings of one type.
 
     ``arrows`` is the arrow-move table that :func:`_arrow_scan` reads off
-    each source a: one (b, move, shared, a_bits, b_bits) per successor b,
-    in ``successors`` order, where move is (i, j, k, l) or (r, j, k) as
-    :func:`arrow_move` returns it.  ``shared`` lists the arcs a and
-    b have in common, sorted; ``a_bits`` holds ``1 << p`` for the position
-    p in ``a.arcs`` of each shared arc and then of each arc of a that
-    moves ((i, j), (k, l) of a nesting move, (j, k) of a ray move), and
-    ``b_bits`` the same in ``b.arcs`` for the shared arcs and then (i, l),
-    (j, k), or (r, j).  The table is a slot but not a field; a graph built
-    from its three fields alone scans its nodes for it.
+    each source a: one (b, move, a_bits, b_bits) per successor b, in
+    ``successors`` order, where move is (i, j, k, l) or (r, j, k) as
+    :func:`arrow_move` returns it.  ``a_bits`` holds ``1 << p`` for the
+    position p in ``a.arcs`` of each arc a shares with b, in sorted order,
+    and then of each arc of a that moves ((i, j), (k, l) of a nesting move,
+    (j, k) of a ray move); ``b_bits`` the same in ``b.arcs`` for the shared
+    arcs and then (i, l), (j, k), or (r, j).  So the first s entries of
+    both are the s shared arcs, s = ``len(a_bits) - len(move) + 2``.  The
+    table is a slot but not a field; a graph built from its three fields
+    alone scans its nodes for it.
     """
 
     _fields = ("nodes", "successors", "predecessors")
@@ -275,11 +267,8 @@ class ArrowGraph(Record, frozen=True):
 
     def __init__(self, nodes: tuple[Matching, ...], successors: dict, predecessors: dict,
                  arrows: dict | None = None):
-        set_nodes, set_successors, set_predecessors, set_arrows = self._setters
-        set_nodes(self, nodes)
-        set_successors(self, successors)
-        set_predecessors(self, predecessors)
-        set_arrows(self, _arrow_table(nodes) if arrows is None else arrows)
+        self._store(nodes, successors, predecessors)
+        object.__setattr__(self, "arrows", _arrow_table(nodes) if arrows is None else arrows)
 
 
 @lru_cache(maxsize=None)
@@ -394,12 +383,6 @@ BACKWARD = "<-"
 
 class MoveSequence(Record, frozen=True):
     __slots__ = _fields = ("steps", "tags", "certified")
-
-    def __init__(self, steps: tuple[Matching, ...], tags: tuple[str, ...], certified: bool):
-        set_steps, set_tags, set_certified = self._setters
-        set_steps(self, steps)
-        set_tags(self, tags)
-        set_certified(self, certified)
 
     def __len__(self) -> int:
         return len(self.tags)

@@ -73,12 +73,6 @@ class HomClass(Record, frozen=True):
 
     __slots__ = _fields = ("n", "k", "terms")
 
-    def __init__(self, n: int, k: int, terms: tuple[tuple[DottedMatching, int], ...]):
-        set_n, set_k, set_terms = self._setters
-        set_n(self, n)
-        set_k(self, k)
-        set_terms(self, terms)
-
     @staticmethod
     def of(M: DottedMatching, coeff: int = 1) -> "HomClass":
         return hom_class(M.n, M.k, {M: coeff})
@@ -164,10 +158,12 @@ def _relation_rows(n: int, k: int, m: int | None = None) -> Iterator[dict[int, i
     """Every local relation as a sparse row over the columns of grading m: the ψ₋ rows.
 
     Each arrow pair a -> b gives one relation per rule and per set D of
-    dots on the s arcs common to a and b.  A rule of excess e has grading
-    s - |D| + e (e = 1 for type I, 0 for types II and III), so with m
-    given only |D| = s + e - m is enumerated; only a nesting move
-    (len(move) == 4) has a type I rule.  Dots are masks of arc positions
+    dots on the s arcs common to a and b; for an entry (b, move, a_bits,
+    b_bits) of the arrow-move table, s = ``len(a_bits) - len(move) + 2``
+    (a nesting move moves two arcs of a, a ray move one).  A rule of
+    excess e has grading s - |D| + e (e = 1 for type I, 0 for types II
+    and III), so with m given only |D| = s + e - m is enumerated; only a
+    nesting move (len(move) == 4) has a type I rule.  Dots are masks of arc positions
     taken from the arrow-move table, columns are ``_column_numbers``, and
     rows come in node order of a, with their +1 entries in a's block.
     """
@@ -178,8 +174,8 @@ def _relation_rows(n: int, k: int, m: int | None = None) -> Iterator[dict[int, i
     start = {a: i * len(masks) for i, a in enumerate(graph.nodes)}
     for a in graph.nodes:
         oa = start[a]
-        for b, move, shared, a_bits, b_bits in graph.arrows[a]:
-            ob, s = start[b], len(shared)
+        for b, move, a_bits, b_bits in graph.arrows[a]:
+            ob, s = start[b], len(a_bits) - len(move) + 2
             # the moved arcs: (i, j), (k, l) over (i, l), (j, k), or (j, k) over (r, j)
             x, y, x2, y2 = a_bits[s], b_bits[s], a_bits[-1], b_bits[-1]
             sizes = range(s + 1) if m is None else range(

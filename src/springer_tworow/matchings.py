@@ -51,16 +51,6 @@ class Matching(Record, frozen=True, order=True):
     _fields = ("n", "arcs", "rays")
     __slots__ = _fields + ("_hash",)
 
-    def __init__(self, n: int, arcs: tuple[Arc, ...], rays: tuple[int, ...]):
-        set_n, set_arcs, set_rays, set_hash = self._setters
-        set_n(self, n)
-        set_arcs(self, arcs)
-        set_rays(self, rays)
-        set_hash(self, hash((n, arcs, rays)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @property
     def k(self) -> int:
         return len(self.arcs)
@@ -111,15 +101,6 @@ class DottedMatching(Record, frozen=True, order=True):
     _fields = ("base", "dotted")
     __slots__ = _fields + ("_hash",)
 
-    def __init__(self, base: Matching, dotted: tuple[Arc, ...]):
-        set_base, set_dotted, set_hash = self._setters
-        set_base(self, base)
-        set_dotted(self, dotted)
-        set_hash(self, hash((base, dotted)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @property
     def n(self) -> int:
         return self.base.n
@@ -165,15 +146,6 @@ class StandardTableau(Record, frozen=True, order=True):
 
     _fields = ("top", "bottom")
     __slots__ = _fields + ("_hash",)
-
-    def __init__(self, top: tuple[int, ...], bottom: tuple[int, ...]):
-        set_top, set_bottom, set_hash = self._setters
-        set_top(self, top)
-        set_bottom(self, bottom)
-        set_hash(self, hash((top, bottom)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n(self) -> int:

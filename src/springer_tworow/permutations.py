@@ -13,16 +13,10 @@ from .records import Record
 
 
 class Permutation(Record, frozen=True, order=True):
+    """A permutation of 1..n by its images: ``images[i - 1]`` is sigma(i)."""
+
     _fields = ("images",)
     __slots__ = _fields + ("_hash",)
-
-    def __init__(self, images: tuple[int, ...]):
-        set_images, set_hash = self._setters
-        set_images(self, images)  # images[i-1] = sigma(i)
-        set_hash(self, hash((images,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n(self) -> int:

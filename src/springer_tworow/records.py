@@ -2,26 +2,33 @@
 
 The value types (matchings, homology classes, permutations and the small
 reports built from them) are plain ``__slots__`` classes on one base.  A
-record names its fields in ``_fields``, lists them in ``__slots__`` and
-writes its own ``__init__``; the base supplies what a field tuple decides:
+record is declared by its fields: it names them in ``_fields`` and lists
+them in ``__slots__``, and the base supplies what that field tuple
+decides:
 
+- a constructor ``_store(self, f1, ..., fk)``, compiled once per class as
+  ``collections.namedtuple`` compiles its ``__new__``.  It stores each
+  field in its slot: a frozen record's ``__setattr__`` refuses, so there
+  through the slot's own ``__set__`` (cheaper per field than
+  ``object.__setattr__``), else by plain assignment.  A record that lists
+  one more slot, ``_hash``, also stores ``hash((f1, ..., fk))`` there;
+  records that are dict keys on hot paths do, so their hash is computed
+  once, and a frozen record with one field must, because its key is then
+  the bare field value (which compares and orders exactly as the
+  one-element tuple, but hashes differently);
+- ``__init__``: a record that writes none gets ``_store``.  A record whose
+  constructor computes something first (checks, a canonical form, fresh
+  default lists, a slot that is not a field) writes its own ``__init__``
+  and calls ``self._store(...)`` from it;
 - ``==`` compares the field tuples of two instances of the same class;
   against any other class it returns ``NotImplemented``;
 - ``frozen=True`` makes assignment and deletion raise ``AttributeError``
-  and hashes the field tuple, ``hash((f1, f2, ...))``; a mutable record is
+  and hashes the field tuple, ``hash((f1, f2, ...))``: the stored
+  ``_hash`` if there is one, else computed per call.  A mutable record is
   unhashable;
 - ``order=True`` orders instances of one class by their field tuples;
 - ``repr`` is ``Name(f1=..., f2=...)``;
 - copying and pickling rebuild an instance through its ``__init__``.
-
-A frozen record's ``__setattr__`` refuses, so its ``__init__`` stores
-each slot through ``self._setters``, the slots' own ``__set__`` methods in
-``__slots__`` order (cheaper per field than ``object.__setattr__``).  A
-record that is a dict key on hot paths may store ``hash((f1, f2, ...))``
-in one more slot at construction and return it from its own ``__hash__``;
-a record with one field must, because its key is then the bare field
-value (which compares and orders exactly as the one-element tuple, but
-hashes differently).
 
 The standard library's generated record classes behave the same way, but
 importing their module (with ``inspect``, ``ast`` and ``tokenize``) and
@@ -41,10 +48,12 @@ class Record:
     def __init_subclass__(cls, frozen: bool = False, order: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*cls._fields)
+        cls._store = _constructor(cls, frozen)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._store
         if frozen:
-            cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
             if "__hash__" not in cls.__dict__:
-                cls.__hash__ = _field_hash
+                cls.__hash__ = _stored_hash if "_hash" in cls.__slots__ else _field_hash
             cls.__setattr__ = _refuse_assignment
             cls.__delattr__ = _refuse_deletion
         if order:
@@ -61,6 +70,24 @@ class Record:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def _constructor(cls, frozen: bool):
+    """``__init__(self, f1, ..., fk)`` compiled for cls; its globals are the slots' setters."""
+    fields = ", ".join(cls._fields)
+    slots = cls._fields + ("_hash",) * ("_hash" in cls.__slots__)
+    values = cls._fields + (f"hash(({fields},))",)  # what each slot stores
+    store = " _set_{}(self, {})\n" if frozen else " self.{} = {}\n"
+    namespace = {f"_set_{slot}": getattr(cls, slot).__set__ for slot in slots}
+    exec(f"def __init__(self, {fields}):\n"
+         + "".join(store.format(slot, value) for slot, value in zip(slots, values)), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"  # as a wrong call's TypeError names it
+    return init
+
+
+def _stored_hash(self) -> int:
+    return self._hash
 
 
 def _field_hash(self) -> int:

@@ -84,12 +84,11 @@ class FlatTangle(Record, frozen=True):
     __slots__ = _fields = ("n", "layers")
 
     def __init__(self, n: int, layers: tuple[int, ...]):
-        set_n, set_layers = self._setters
-        set_n(self, n)
-        set_layers(self, layers)
+        self._store(n, layers)
+        last = n - 1
         for i in layers:
-            if not 1 <= i <= n - 1:
-                raise DomainError(f"crossing position {i} outside 1..{n - 1}")
+            if i < 1 or i > last:
+                raise DomainError(f"crossing position {i} outside 1..{last}")
 
 
 def flatten(word: list[int] | tuple[int, ...], n: int) -> FlatTangle:
@@ -100,16 +99,6 @@ def flatten(word: list[int] | tuple[int, ...], n: int) -> FlatTangle:
 class ResolutionConvention(Record, frozen=True, order=True):
     __slots__ = _fields = ("identity_coeff", "closure_coeff", "closure_dots", "merge_coeff",
                            "merge_dots")
-
-    def __init__(self, identity_coeff: int, closure_coeff: int, closure_dots: str,
-                 merge_coeff: int, merge_dots: str):
-        (set_identity_coeff, set_closure_coeff, set_closure_dots, set_merge_coeff,
-         set_merge_dots) = self._setters
-        set_identity_coeff(self, identity_coeff)
-        set_closure_coeff(self, closure_coeff)
-        set_closure_dots(self, closure_dots)
-        set_merge_coeff(self, merge_coeff)
-        set_merge_dots(self, merge_dots)
 
 
 #: The convention the fold evaluates, and the reference's default: the
@@ -124,11 +113,6 @@ class ResolvedDiagram(Record, frozen=True):
     """One fully resolved term: its coefficient, closed circles included, and its boundary."""
 
     __slots__ = _fields = ("coefficient", "boundary")
-
-    def __init__(self, coefficient: int, boundary: DottedMatching):
-        set_coefficient, set_boundary = self._setters
-        set_coefficient(self, coefficient)
-        set_boundary(self, boundary)
 
 
 def circle_rule(dots: int) -> int:

@@ -31,6 +31,12 @@ Pin = tuple[int, int]             # (i, s):    x_i = s * p
 
 
 class SignedPartitionSubspace(Record, frozen=True):
+    """A subspace of (S^2)^n in canonical form.
+
+    ``assignment`` maps slot i to (representative, sign) at position
+    i - 1, and each pin is (representative, sign) of a pinned class.
+    """
+
     __slots__ = _fields = ("n", "assignment", "pins", "empty")
 
     def __init__(self, n: int, assignment: tuple[tuple[int, int], ...],
@@ -38,7 +44,9 @@ class SignedPartitionSubspace(Record, frozen=True):
         """The set the fields describe, stored in canonical form.
 
         ``assignment[i - 1] = (r, s)`` reads as x_i = s * x_r and a pin
-        ``(i, s)`` as x_i = s * p, whether or not they are canonical.
+        ``(i, s)`` as x_i = s * p, whether or not they are canonical.  The
+        closed fields are stored by ``_store``; :func:`_canonical` stores
+        fields already canonical with it and skips the closure.
         """
         if empty:
             canonical = _empty(n)
@@ -47,11 +55,7 @@ class SignedPartitionSubspace(Record, frozen=True):
                 raise SizeMismatch(f"{len(assignment)} assigned slots for {n} slots")
             relations = [(i, r, s) for i, (r, s) in enumerate(assignment, 1)]
             canonical = from_constraints(n, relations, pins)
-        set_n, set_assignment, set_pins, set_empty = self._setters
-        set_n(self, n)
-        set_assignment(self, canonical.assignment)  # slot -> (representative, sign)
-        set_pins(self, canonical.pins)              # (representative, sign)
-        set_empty(self, canonical.empty)
+        self._store(n, canonical.assignment, canonical.pins, canonical.empty)
 
     # -- queries ---------------------------------------------------------
 
@@ -153,11 +157,7 @@ def _canonical(n: int, assignment: tuple[tuple[int, int], ...], pins: tuple[Pin,
                empty: bool) -> SignedPartitionSubspace:
     """A subspace from fields already in canonical form, not closed again."""
     space = object.__new__(SignedPartitionSubspace)
-    set_n, set_assignment, set_pins, set_empty = SignedPartitionSubspace._setters
-    set_n(space, n)
-    set_assignment(space, assignment)
-    set_pins(space, pins)
-    set_empty(space, empty)
+    space._store(n, assignment, pins, empty)
     return space
 
 

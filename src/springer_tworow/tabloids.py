@@ -61,12 +61,6 @@ class TabloidVector(Record, frozen=True):
 
     __slots__ = _fields = ("n", "m", "coords")
 
-    def __init__(self, n: int, m: int, coords: tuple[tuple[TabloidKey, int], ...]):
-        set_n, set_m, set_coords = self._setters
-        set_n(self, n)
-        set_m(self, m)
-        set_coords(self, coords)
-
     @property
     def as_dict(self) -> dict[TabloidKey, int]:
         return dict(self.coords)
@@ -274,13 +268,13 @@ def shifted_permutation(sigma: Permutation, pad: int) -> Permutation:
 
 
 class ModuleComparison(Record):
-    __slots__ = _fields = ("equal", "tableau_in_matching", "matching_in_tableau")
+    """Whether the two spans are equal, with both changes of basis, or None for each.
 
-    def __init__(self, equal: bool, tableau_in_matching: list | None,
-                 matching_in_tableau: list | None):
-        self.equal = equal
-        self.tableau_in_matching = tableau_in_matching  # row i: e_T(i) over the e_M basis
-        self.matching_in_tableau = matching_in_tableau  # row i: e_M(i) over the e_T basis
+    Row i of ``tableau_in_matching`` is e_T(i) over the e_M basis, and
+    row i of ``matching_in_tableau`` is e_M(i) over the e_T basis.
+    """
+
+    __slots__ = _fields = ("equal", "tableau_in_matching", "matching_in_tableau")
 
 
 @lru_cache(maxsize=None)

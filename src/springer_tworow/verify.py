@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import (action, cells, diagrams, homology, linalg, matchings, permutations, skein,
                subspaces, tabloids)
@@ -201,9 +201,8 @@ def check_arrow_table(n_max: int, rng) -> None:
 
     For every (n, k) with n up to min(n_max, 12): each node's (successor,
     move) pairs in the move table, in order, and its successors and
-    predecessors in node order; for each arrow a -> b its shared arcs are
-    the sorted common arcs, and its position masks decode to those arcs and
-    then to the arcs that move.
+    predecessors in node order; for each arrow a -> b the position masks
+    decode to the sorted common arcs and then to the arcs that move.
     """
     for n, k in _types(min(n_max, 12), n_min=0):
         graph = diagrams.arrow_graph(n, k)
@@ -212,10 +211,11 @@ def check_arrow_table(n_max: int, rng) -> None:
             moves = [(b, move) for b, move, *_ in graph.arrows[a]]
             assert moves == _reference_successors(a), (n, k, str(a))
             assert list(graph.successors[a]) == [b for b, _ in moves], (n, k, str(a))
-            for b, move, shared, a_bits, b_bits in graph.arrows[a]:
+            for b, move, a_bits, b_bits in graph.arrows[a]:
                 predecessors[b].append(a)
+                shared = tuple(sorted(set(a.arcs) & set(b.arcs)))
                 where, s = (n, k, str(a), str(b)), len(shared)
-                assert shared == tuple(sorted(set(a.arcs) & set(b.arcs))), where
+                assert len(a_bits) == len(b_bits) == s + len(move) - 2, where
                 assert _arcs(a, a_bits[:s]) == _arcs(b, b_bits[:s]) == shared, where
                 assert set(_arcs(a, a_bits[s:])) == set(a.arcs) - set(shared), where
                 assert set(_arcs(b, b_bits[s:])) == set(b.arcs) - set(shared), where
@@ -825,10 +825,6 @@ def check_skein_word_invariance(n_max: int, rng) -> None:
 
 class Check(Record):
     __slots__ = _fields = ("name", "fn")
-
-    def __init__(self, name: str, fn: Callable):
-        self.name = name
-        self.fn = fn
 
 
 CHECKS: list[Check] = [

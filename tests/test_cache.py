@@ -1,5 +1,6 @@
 """The matrix cache serves an entry only if it provably matches the request."""
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -120,3 +121,23 @@ def test_old_version_entry_is_a_miss(tmp_path):
     del data["perm"]
     path.write_text(json.dumps(data), encoding="utf-8")
     assert cache.load(sigma, 4, 2, 2) is None
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    # The entry is written to a temporary file and renamed into place; when
+    # the rename fails, store removes the temporary file and raises, and the
+    # CLI reports the OSError and exits 2.
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    sigma = adjacent(4, 1)
+    with pytest.raises(OSError, match=r"cannot rename .*\.tmp$"):
+        RepMatrixCache(str(tmp_path)).store(sigma, 4, 2, 2, rep_matrix(sigma, 4, 2, 2))
+    argv = ["matrix", "-n", "4", "-k", "2", "-m", "2", "--sigma", "s1", "--cached",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot rename ")
+    monkeypatch.undo()
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+    assert RepMatrixCache(str(tmp_path)).load(sigma, 4, 2, 2) is None

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from springer_tworow import errors
+from springer_tworow import cells, errors
 from springer_tworow.cells import (
     arc_forest,
     cartesian_cells,
@@ -109,3 +109,12 @@ def test_not_an_arrow_pair():
         subcomplex_cells(a, a)
     with pytest.raises(errors.NotAnArrowPair):
         subcomplex_cells(a, m("4: u1-4 u2-3"))  # wrong direction: b -> a required
+
+
+def test_a_move_that_does_not_match_the_forest_is_refused(monkeypatch):
+    # The edge (1, 4) over (2, 3) that the move designates is not in the forest of a.
+    a = m("4: u1-2 u3-4")
+    monkeypatch.setattr(cells, "arrow_move", lambda b, a: (1, 2, 3, 4))
+    with pytest.raises(errors.NotAnArrowPair,
+                       match=r"^move \(1, 2, 3, 4\) does not match the forest of 4: u1-2 u3-4$"):
+        subcomplex_cells(a, m("4: u1-4 u2-3"))

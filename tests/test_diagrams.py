@@ -231,3 +231,51 @@ def test_ray_move_can_keep_the_component_count():
     assert y in arrow_graph(4, 1).successors[a]
     assert len(glue(a, b)) == len(glue(y, b)) == 2
     assert compatible(a, b) and not compatible(y, b)
+
+
+def test_linear_order_refuses_a_cyclic_relation(monkeypatch):
+    a, b = m("4: u1-2 u3-4"), m("4: u1-4 u2-3")
+    cyclic = diagrams.ArrowGraph((a, b), {a: (b,), b: (a,)}, {a: (b,), b: (a,)}, {})
+    monkeypatch.setattr(diagrams, "arrow_graph", lambda n, k: cyclic)
+    with pytest.raises(errors.CycleDetected, match="^arrow relation is not acyclic$"):
+        linear_order(4, 2)
+
+
+def test_a_step_that_is_not_one_move_cannot_be_tagged():
+    a, b = m("6: u1-2 u3-4 u5-6"), m("6: u1-6 u2-3 u4-5")
+    assert distance(a, b) == 2
+    with pytest.raises(errors.InternalCheckError, match="do not differ by one move$"):
+        diagrams._tag(a, b)
+
+
+COMPATIBLE = ("4: u1-2 u3-4", "4: u1-4 u2-3")
+
+
+def test_minimal_sequence_refuses_an_illegal_repair(monkeypatch):
+    monkeypatch.setattr(diagrams, "_try_build", lambda n, arcs: None)
+    with pytest.raises(errors.InternalCheckError, match="^illegal repair move for 4: u1-2 u3-4 "):
+        minimal_sequence(*map(m, COMPATIBLE))
+
+
+def test_minimal_sequence_refuses_a_pair_with_no_path(monkeypatch):
+    monkeypatch.setattr(diagrams, "_bfs_path", lambda a, b, step: None)
+    with pytest.raises(errors.NotFound, match="are in different components$"):
+        minimal_sequence(m("4: u1-2 r3 r4"), m("4: r1 r2 u3-4"))
+
+
+def test_minimal_sequence_checks_its_length_against_the_distance(monkeypatch):
+    checked = diagrams._checked_distance
+    monkeypatch.setattr(diagrams, "_checked_distance",
+                        lambda a, b, glued: checked(a, b, glued) + 1)
+    with pytest.raises(errors.InternalCheckError, match="^sequence length 1 != distance 2$"):
+        minimal_sequence(*map(m, COMPATIBLE))
+
+
+def test_minimal_sequence_checks_that_each_step_splits_a_component(monkeypatch):
+    # Every overlay is read as the first one, so no step splits a component.
+    a, b = map(m, COMPATIBLE)
+    real = diagrams.glue
+    monkeypatch.setattr(diagrams, "glue", lambda x, y: real(a, y))
+    with pytest.raises(errors.InternalCheckError,
+                       match="^step does not split an overlay component$"):
+        minimal_sequence(a, b)

@@ -265,3 +265,11 @@ def test_format_class():
     x = cls(("4: u1-2 d3-4", 1), ("4: d1-2 u3-4", -2))
     assert format_class(x) == "-2·(4: d1-2 u3-4) + 1·(4: u1-2 d3-4)"
     assert format_class(hom_class(4, 2, {})) == "0"
+
+
+def test_a_rewritten_state_that_does_not_decode_is_refused(monkeypatch):
+    # Two rays with no dot: every ray of a packed state carries exactly one.
+    monkeypatch.setattr(homology, "_rewrites", lambda state: [((8, 8), 1)])
+    with pytest.raises(errors.InternalCheckError,
+                       match=r"^rewritten state \(8, 8\): ray 1 carries 0 dots, not 1$"):
+        homology.rewrite_step(parse_matching("2: u1-2"))

@@ -6,7 +6,10 @@ listed in ``FLAGS``.  Here every class meets a twin made by
 seeded instances built from the same field values must agree on ``==``,
 ``!=``, the four orderings, ``hash``, ``repr``, assignment and deletion.
 A record in ``CANONICAL`` stores a canonical form of the values it is
-handed, so its twin is built from the fields it stored.
+handed, so its twin is built from the fields it stored.  The constructor
+that ``Record`` compiles from a class's fields takes the same positional
+and keyword calls as the twin's and refuses the same wrong ones, and only
+the records in ``OWN_INIT`` write their own.
 """
 import copy
 import importlib
@@ -19,6 +22,7 @@ import pytest
 
 from springer_tworow.errors import DomainError
 from springer_tworow.matchings import DottedMatching, Matching
+from springer_tworow import records
 from springer_tworow.records import Record
 
 MODULES = ("action", "cells", "diagrams", "homology", "matchings", "permutations",
@@ -213,3 +217,49 @@ def test_constructor_defaults_and_keywords():
         with pytest.raises(DomainError, match="outside 1..2"):
             skein.FlatTangle(3, bad)
 
+
+
+# The records whose constructor computes something before it stores the fields.
+OWN_INIT = {"FlatTangle", "SignedPartitionSubspace", "ArrowGraph", "Chart", "CharacterReport"}
+
+
+@pytest.mark.parametrize("module, name", sorted(FLAGS))
+def test_keyword_and_positional_construction_agree(module, name):
+    cls, pools = _record(module, name), POOLS[name]
+    assert tuple(pools) == cls._fields
+    for v in _values(pools, seed=len(name)):
+        assert cls(**dict(zip(pools, v))) == cls(*v)
+
+
+@pytest.mark.parametrize("module, name", sorted(k for k in FLAGS if k[1] not in OWN_INIT))
+def test_generated_constructor_refuses_what_the_twin_refuses(module, name):
+    frozen, order = FLAGS[module, name]
+    cls, pools = _record(module, name), POOLS[name]
+    twin = make_dataclass(name, list(pools), frozen=frozen, order=order)
+    v = _values(pools, seed=1, count=1)[0]
+    keywords = dict(zip(pools, v))
+    calls = [(v, {}), (v[:-1], {}), (v + v[:1], {}), ((), keywords),
+             (v, {"unknown": 1}), ((), {**keywords, "unknown": 1}), (v[:1], keywords)]
+    calls += [((), {f: x for f, x in keywords.items() if f != field}) for field in pools]
+    for args, kwargs in calls:
+        refused = _outcome(lambda: cls(*args, **kwargs)) is TypeError
+        assert refused == (_outcome(lambda: twin(*args, **kwargs)) is TypeError), (args, kwargs)
+        assert refused == ((args, kwargs) not in ((v, {}), ((), keywords)))
+
+
+def test_only_computing_constructors_are_hand_written_and_no_hash_is():
+    for module in MODULES:
+        importlib.import_module(f"springer_tworow.{module}")
+    classes = Record.__subclasses__()
+    assert {cls.__name__ for cls in classes if cls.__init__ is not cls._store} == OWN_INIT
+    for cls in classes:
+        assert cls.__dict__.get("__hash__") in (None, records._field_hash, records._stored_hash)
+        assert (cls.__hash__ is records._stored_hash) == ("_hash" in cls.__slots__)
+
+
+def test_a_stored_hash_is_the_hash_of_the_field_tuple():
+    Permutation = _record("permutations", "Permutation")
+    for n, arcs, rays in ((2, ((1, 2),), ()), (4, ((1, 4), (2, 3)), ()), (3, (), (1, 2, 3))):
+        assert hash(Matching(n, arcs, rays)) == hash((n, arcs, rays))
+    for images in ((), (1,), (2, 1, 3)):
+        assert hash(Permutation(images)) == hash((images,)) != hash(images)

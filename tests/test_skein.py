@@ -252,10 +252,6 @@ def test_reference_errors_name_the_matching_and_the_word():
             route(M, tangle)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
-    # A ray component with two boundary ends cannot arise; read it off by hand.
-    with pytest.raises(errors.InternalCheckError,
-                       match=r"^2: u1-2 under word \(1,\): two boundary ends on a ray"):
-        _reassemble(M, flatten([1], 2), [0, 0], [(1, True)], {})
 
 
 #: A ray end on four points: partner 4 and the ray's one dot.
@@ -321,3 +317,26 @@ def test_full_length_words_up_to_8():
             for M in chosen:
                 for word in words:
                     assert skein_matches_action(word, M), (word, M)
+
+
+def test_the_fold_refuses_two_ray_ends_that_merge(monkeypatch):
+    # Each ray carries its one dot, so a join of two rays reaches two dots
+    # and is dropped; plant rays with none, and the join must raise instead.
+    encode = skein._encode
+    monkeypatch.setattr(skein, "_encode", lambda M: tuple(
+        end & ~3 if end >> 2 == M.n else end for end in encode(M)))
+    with pytest.raises(errors.InternalCheckError,
+                       match=r"^2: r1 r2 under word \(1,\): two ray ends merge at crossing 1$"):
+        boundary_coefficients(pm("2: r1 r2"), flatten([1], 2))
+
+
+# No fold of a valid input leaves these components; read each off by hand.
+@pytest.mark.parametrize("labels, comps, what", [
+    ([0, 0], [(1, True)], "two boundary ends on a ray component"),
+    ([0, 0], [(2, False)], "doubly dotted component survived"),
+    ([0, 1], [(0, False), (1, True)], "open non-ray component at the boundary"),
+    ([0, 0, 0], [(0, False)], "component with 3 boundary ends"),
+])
+def test_reassemble_refuses_a_broken_component(labels, comps, what):
+    with pytest.raises(errors.InternalCheckError, match=rf"^2: u1-2 under word \(1,\): {what}$"):
+        _reassemble(pm("2: u1-2"), flatten([1], 2), labels, comps, {})

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import springer_tworow
 from springer_tworow import errors, linalg, verify
 from springer_tworow.action import line_diagram_expand, line_diagram_terms, rep_matrix
 from springer_tworow.homology import HomClass, hom_class
@@ -29,6 +30,7 @@ from springer_tworow.tabloids import (
     f_embed,
     irr_character,
     matching_terms,
+    ModuleComparison,
     matching_vector,
     modules_equal,
     permute,
@@ -262,3 +264,19 @@ def test_character_orthogonality_row():
                 for mu in partitions(n)
             )
             assert total == (math.factorial(n) if s1 == s2 else 0)
+
+
+def test_modules_equal_reports_unequal_spans_when_a_solve_fails(monkeypatch):
+    # From cold caches, so the comparison is solved here; the failed one is
+    # cleared again, so no later caller reads it.
+    def fail(self, b):
+        raise errors.SolveFailed("planted")
+
+    springer_tworow.clear_caches()
+    monkeypatch.setattr(linalg.ColumnSolver, "solve", fail)
+    try:
+        assert modules_equal(5, 2, 2) == ModuleComparison(False, None, None)
+    finally:
+        monkeypatch.undo()
+        springer_tworow.clear_caches()
+    assert modules_equal(5, 2, 2).equal
