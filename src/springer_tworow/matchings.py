@@ -165,32 +165,39 @@ class StandardTableau(Record, frozen=True, order=True):
 
 
 def _partners(n: int, arcs: Iterable[Arc]) -> list[int]:
-    """The partner array of these arcs on 1..n; every other vertex is a ray."""
-    partner = [n] * n
-    for i, j in arcs:
-        partner[i - 1], partner[j - 1] = j - 1, i - 1
-    return partner
+    """The packed entries of these arcs on 1..n with no dots, for :func:`_check_noncrossing`.
 
-
-def _check_noncrossing(partner: Sequence[int]) -> tuple[tuple[Arc, ...], tuple[int, ...]]:
-    """The arcs and rays of a partner array, once it is checked to be a matching.
-
-    ``partner[v]`` is the 0-based other end of vertex v + 1's arc, or
-    ``len(partner)`` when v + 1 is a ray; entries lie in 0..len(partner).
-    This is the package's one crossing test: a single left-to-right stack
-    scan.  A left end opens an arc; a right end must close the innermost
-    open arc and be named back by it, else CrossingArcs (the two arcs
-    cross) or VertexReuse (partners are not symmetric); a ray must sit
-    under no open arc, else RayUnderArc, raised only once the scan finds
-    no crossing.  Arcs come back in left-end order and rays ascending, as
-    :class:`Matching` holds them.
+    Entry v is ``partner << 2``: the 0-based other end of vertex v + 1's
+    arc, or n for every vertex no arc uses (a ray).
     """
-    n = len(partner)
+    state = [n << 2] * n
+    for i, j in arcs:
+        state[i - 1], state[j - 1] = (j - 1) << 2, (i - 1) << 2
+    return state
+
+
+def _check_noncrossing(state: Sequence[int]) -> tuple[tuple[Arc, ...], tuple[int, ...]]:
+    """The arcs and rays of a packed state, once its partners are checked to be a matching.
+
+    ``state[v]`` is a packed entry ``partner << 2 | dots`` (:func:`_encode`;
+    :func:`_partners` gives the entries with no dots): the partner is the
+    0-based other end of vertex v + 1's arc, or ``len(state)`` when v + 1
+    is a ray, and lies in 0..len(state).  The scan reads ``entry >> 2``
+    and never the dots.  This is the package's one crossing test: a
+    single left-to-right stack scan.  A left end opens an arc; a right end
+    must close the innermost open arc and be named back by it, else
+    CrossingArcs (the two arcs cross) or VertexReuse (partners are not
+    symmetric); a ray must sit under no open arc, else RayUnderArc, raised
+    only once the scan finds no crossing.  Arcs come back in left-end
+    order and rays ascending, as :class:`Matching` holds them.
+    """
+    n = len(state)
     arcs: list[Arc] = []
     rays: list[int] = []
     stack: list[int] = []
     under = None
-    for v, p in enumerate(partner):
+    for v, entry in enumerate(state):
+        p = entry >> 2
         if p == n:
             if stack and under is None:
                 under = v, stack[-1]
@@ -198,19 +205,20 @@ def _check_noncrossing(partner: Sequence[int]) -> tuple[tuple[Arc, ...], tuple[i
         elif v < p:
             stack.append(v)
             arcs.append((v + 1, p + 1))
-        elif p == v or partner[p] != v:
+        elif p == v or state[p] >> 2 != v:
             raise VertexReuse(f"vertex {v + 1} pairs with {p + 1}, which does not pair back")
         else:
             top = stack.pop()  # p opened an arc that only v closes, so it is on the stack
             if top != p:
                 raise CrossingArcs(
-                    f"arcs ({p + 1},{v + 1}) and ({top + 1},{partner[top] + 1}) cross")
+                    f"arcs ({p + 1},{v + 1}) and ({top + 1},{(state[top] >> 2) + 1}) cross")
     if stack:
         v = stack[-1]
-        raise VertexReuse(f"vertex {v + 1} pairs with {partner[v] + 1}, which does not pair back")
+        raise VertexReuse(
+            f"vertex {v + 1} pairs with {(state[v] >> 2) + 1}, which does not pair back")
     if under is not None:
         r, i = under
-        raise RayUnderArc(f"ray {r + 1} lies beneath arc ({i + 1},{partner[i] + 1})")
+        raise RayUnderArc(f"ray {r + 1} lies beneath arc ({i + 1},{(state[i] >> 2) + 1})")
     return tuple(arcs), tuple(rays)
 
 
@@ -233,12 +241,13 @@ def _encode(M: DottedMatching) -> tuple[int, ...]:
 def _decode(state: Sequence[int]) -> DottedMatching:
     """The dotted matching of a packed state (:func:`_encode`), once it is checked.
 
-    One scan of the partners by ``_check_noncrossing`` checks that they
-    are symmetric, that each arc closes the innermost open arc and that no
-    ray lies under an arc.  The two ends of an arc must carry the same
-    dots, at most one, and a ray exactly its intrinsic dot, else BadCounts.
+    One scan of the packed entries by ``_check_noncrossing``, which reads
+    only their partners, checks that those are symmetric, that each arc
+    closes the innermost open arc and that no ray lies under an arc.  The
+    two ends of an arc must carry the same dots, at most one, and a ray
+    exactly its intrinsic dot, else BadCounts.
     """
-    arcs, rays = _check_noncrossing([end >> 2 for end in state])
+    arcs, rays = _check_noncrossing(state)
     dotted = []
     for arc in arcs:
         dots = state[arc[0] - 1] & 3

@@ -14,13 +14,19 @@ boundary is again a dotted matching with at most one dot per component,
 held as a flat tuple of ints, one ``partner << 2 | dots`` entry per
 boundary point (its partner, or n for a ray, and the dots of its
 component): the packed state of ``matchings._encode``, which also builds
-the start state.  A turnback rewrites at most four entries and leaves the
-tuple canonical, so equal boundary states merge in one dict with no
-relabelling, a circle closed by a layer becomes a scalar at once, and
-the number of states stays bounded by the number of boundary states
-instead of doubling with every crossing.  Each surviving state is read
-off by the shared decoder ``matchings._decode``, whose one left-to-right
-stack scan of the partners is the package's one crossing test
+the start state.  The fold keeps one dict from state to coefficient and
+updates it in place, layer by layer.  The vertical smoothing has
+coefficient 1, so it leaves every state where it is (the fold checks
+that, and refuses any other identity coefficient); only each state's
+turnback writes, adding into the dict from a snapshot of the layer's
+incoming coefficients, and a sum that returns to 0 deletes its key.  A
+turnback rewrites at most four entries and leaves the tuple canonical,
+so equal boundary states merge with no relabelling, a circle closed by a
+layer becomes a scalar at once, and the number of states stays bounded
+by the number of boundary states instead of doubling with every
+crossing.  Each surviving state is read off by the shared decoder
+``matchings._decode``, whose one left-to-right stack scan of the packed
+entries is the package's one crossing test
 ``matchings._check_noncrossing``.
 :func:`expand_resolutions` lists every resolution of the whole tangle; it
 is the full-expansion reference the fold is tested against.  It keeps
@@ -53,7 +59,6 @@ from __future__ import annotations
 
 import random
 
-from .action import act_word, derive_chart
 from .errors import (
     CapExceeded,
     DomainError,
@@ -170,37 +175,51 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle) -> dict[DottedM
     component runs off as a ray, and the dots are those on the component
     (a ray's intrinsic dot included).  Every surviving component has one
     boundary end or two, so the tuple is the open boundary as a packed
-    dotted matching, already canonical.  A state passes its vertical
-    smoothing on unchanged.  Its turnback rewrites at most four entries: a
-    cup on the two ends of one arc closes a circle, which is evaluated at
-    once; a cup on two components joins their outer ends, and a join
-    reaching two dots is dropped.  Zero coefficients are pruned after
-    every layer, and each surviving state is read off by :func:`_read_off`,
-    through the shared decoder ``matchings._decode``.  The result is not
-    reduced to the standard basis; it equals :func:`expanded_coefficients`.
+    dotted matching, already canonical.
+
+    The one dict is updated in place, a crossing layer at a time.  The
+    vertical smoothing has coefficient 1 and leaves every state as it is,
+    so only turnbacks write: each state of a snapshot of the layer's
+    incoming items adds its turnback term into the dict, and a key whose
+    sum returns to 0 is deleted on the way.  A turnback rewrites at most
+    four entries: a cup on the two ends of one arc closes a circle, which
+    is evaluated at once (a circle with two dots is worth 0 and writes
+    nothing); a cup on two components joins their outer ends, and a join
+    reaching two dots is dropped.  Each surviving state is read off by
+    :func:`_read_off`, through the shared decoder ``matchings._decode``.
+    The result is not reduced to the standard basis; it equals
+    :func:`expanded_coefficients`.  Raises InternalCheckError, before the
+    first layer, if the convention's identity coefficient is not 1.
     """
     c = CALIBRATED_CONVENTION
+    if c.identity_coeff != 1:
+        raise InternalCheckError(
+            f"the fold leaves each state in place, which needs identity coefficient 1, "
+            f"not {c.identity_coeff}")
     _check_strands(M, tangle)
     n = M.n
     states: dict[tuple[int, ...], int] = {_encode(M): 1}
-    identity = c.identity_coeff
+    get = states.get
     cup_c, cap_c = _PLACEMENT_DOTS[c.closure_dots]
     cup_m, cap_m = _PLACEMENT_DOTS[c.merge_dots]
+    closure = [c.closure_coeff * circle_rule(dots) for dots in range(3)]
+    merge = c.merge_coeff
 
     for pos in reversed(tangle.layers):
         a, b = pos - 1, pos
         closed = (b << 2 | cap_c, a << 2 | cap_c)
         merged_a, merged_b = b << 2 | cap_m, a << 2 | cap_m
-        nxt: dict[tuple[int, ...], int] = {}
-        get = nxt.get
-        for state, coeff in states.items():
-            nxt[state] = get(state, 0) + coeff * identity
+        # the vertical smoothing leaves every state in place; only turnbacks
+        # write, each from the state's coefficient as the layer found it
+        for state, coeff in list(states.items()):
             end_a, end_b = state[a], state[b]
             partner_a = end_a >> 2
             if partner_a == b:
                 # the cup closes this arc's component into a circle
+                coeff *= closure[(end_a & 3) + cup_c]
+                if not coeff:
+                    continue  # a circle with two dots
                 key = state[:a] + closed + state[b + 1:]
-                coeff *= c.closure_coeff * circle_rule((end_a & 3) + cup_c)
             else:
                 dots = (end_a & 3) + (end_b & 3) + cup_m
                 if dots >= 2:
@@ -217,9 +236,12 @@ def boundary_coefficients(M: DottedMatching, tangle: FlatTangle) -> dict[DottedM
                     turned[partner_b] = partner_a << 2 | dots
                 turned[a], turned[b] = merged_a, merged_b
                 key = tuple(turned)
-                coeff *= c.merge_coeff
-            nxt[key] = get(key, 0) + coeff
-        states = {state: coeff for state, coeff in nxt.items() if coeff}
+                coeff *= merge
+            total = get(key, 0) + coeff
+            if total:
+                states[key] = total
+            else:
+                del states[key]
 
     return {_read_off(M, tangle, state): coeff for state, coeff in states.items()}
 
@@ -370,10 +392,11 @@ def _fits(c: ResolutionConvention, M: DottedMatching, tangle: FlatTangle,
 
 
 def _generator_pairs(n_max: int):
-    """The rows of ``derive_chart(n, k)`` for 2 <= n <= N_MAX and every k, in search order."""
+    """The rows of ``action.derive_chart(n, k)``, 2 <= n <= N_MAX and every k, in search order."""
+    from . import action
     for n in range(2, n_max + 1):
         for k in range(0, n // 2 + 1):
-            yield from derive_chart(n, k).rows
+            yield from action.derive_chart(n, k).rows
 
 
 #: The deepest :func:`calibrate` searches: depth 11 takes 1.3 s (CLI), 12 3.5 s (in process,
@@ -428,4 +451,5 @@ def random_word(n: int, max_len: int, rng: random.Random) -> list[int]:
 
 
 def skein_matches_action(word: list[int], M: DottedMatching) -> bool:
-    return resolve_evaluate(M, flatten(word, M.n)) == act_word(word, HomClass.of(M))
+    from . import action
+    return resolve_evaluate(M, flatten(word, M.n)) == action.act_word(word, HomClass.of(M))

@@ -3,11 +3,14 @@
 Runs tier-1 (``pytest tests perfbench``) and ``springer verify --all -nmax
 40`` at seeds 0 and 1, all in this process under ``sys.settrace``, and
 prints, for each module of ``springer_tworow``, the lines inside functions
-that never ran.  A line that runs only in a child process (the CLI,
-start-up and transcript tests start one) counts as never run.  The tracer
-slows the timed acceptance criteria past their bounds, so a test failure
-here is printed but does not change the report; run those criteria
-untraced.  Standard library only; pytest does not collect this file.
+that never ran.  Each module's function lines are read from its source
+before the traced run, and the report refuses (exit status 1, naming the
+file) if a module's source changed while the probe ran.  A line that
+runs only in a child process (the CLI, start-up and transcript tests
+start one) counts as never run.  The tracer slows the timed acceptance
+criteria past their bounds, so a test failure here is printed but does
+not change the report; run those criteria untraced.  Standard library
+only; pytest does not collect this file.
 
     PYTHONPATH=src python tests/reach.py [extra pytest arguments]
 """
@@ -24,10 +27,10 @@ PACKAGE = ROOT / "src" / "springer_tworow"
 CO_NEWLOCALS = 0x2  # set on the code of functions, lambdas and comprehensions, not on class bodies
 
 
-def function_lines(path: Path) -> set[int]:
+def function_lines(path: Path, source: str) -> set[int]:
     """The lines of every function's code in this module, nested functions included."""
     lines: set[int] = set()
-    stack = [compile(path.read_text(), str(path), "exec")]
+    stack = [compile(source, str(path), "exec")]
     while stack:
         code = stack.pop()
         if code.co_flags & CO_NEWLOCALS:
@@ -39,6 +42,8 @@ def function_lines(path: Path) -> set[int]:
 def main(pytest_args: list[str]) -> int:
     ran: dict[str, set[int]] = defaultdict(set)
     prefix = str(PACKAGE)
+    sources = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    lines_of = {path: function_lines(path, source) for path, source in sources.items()}
 
     def trace(frame, event, arg):
         if not frame.f_code.co_filename.startswith(prefix):
@@ -65,9 +70,14 @@ def main(pytest_args: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
     print(f"\npytest exit status {int(status)}; verify exit statuses {verified}")
+    changed = [path.name for path, source in sources.items()
+               if not path.exists() or path.read_text() != source]
+    if changed:
+        print(f"refused: {', '.join(changed)} changed while the probe ran; run it again",
+              file=sys.stderr)
+        return 1
     total = missed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        lines = function_lines(path)
+    for path, lines in lines_of.items():
         never = sorted(lines - ran[str(path)])
         total, missed = total + len(lines), missed + len(never)
         print(f"{path.name}: {len(never)} of {len(lines)} lines never run"

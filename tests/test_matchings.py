@@ -140,15 +140,22 @@ def test_stack_scan_refuses_exactly_where_the_pairwise_test_does():
     assert all(seen.values())
 
 
-@pytest.mark.parametrize("partner", [
-    [1, 0, 3, 1],   # vertex 4 names 2, which names 1
-    [1, 2, 3, 2],   # vertex 2 names 3, which names 4
-    [0, 2, 2],      # vertex 1 names itself
-    [5, 0, 2, 3],   # vertex 1 names a vertex past the end
-])
-def test_stack_scan_refuses_asymmetric_partners(partner):
-    with pytest.raises(errors.VertexReuse, match="does not pair back"):
-        _check_noncrossing(partner)
+_ASYMMETRIC = [
+    ([1, 0, 3, 1], "vertex 4 pairs with 2"),   # vertex 4 names 2, which names 1
+    ([1, 2, 3, 2], "vertex 2 pairs with 3"),   # vertex 2 names 3, which names 4
+    ([0, 2, 2], "vertex 1 pairs with 1"),      # vertex 1 names itself
+    ([5, 0, 2, 3], "vertex 2 pairs with 1"),   # vertex 1 names 6, past the end
+]
+
+
+@pytest.mark.parametrize("partner, refused", _ASYMMETRIC,
+                         ids=[f"partner{i}" for i in range(len(_ASYMMETRIC))])
+def test_stack_scan_refuses_asymmetric_partners(partner, refused):
+    # The scan reads packed entries, partner << 2 | dots; the dots never matter.
+    for dots in (0, 1):
+        with pytest.raises(errors.VertexReuse) as info:
+            _check_noncrossing([p << 2 | dots for p in partner])
+        assert str(info.value) == f"{refused}, which does not pair back"
 
 
 def test_decode_inverts_encode():

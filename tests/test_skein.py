@@ -164,8 +164,8 @@ def test_calibrate_calls_the_oracle_once_per_pair(monkeypatch):
         evaluations.append((M, tangle.layers))
         return expanded_coefficients(M, tangle, convention)
 
-    derive_chart, expanded_coefficients = skein.derive_chart, skein.expanded_coefficients
-    monkeypatch.setattr(skein, "derive_chart", counted_derive_chart)
+    derive_chart, expanded_coefficients = action.derive_chart, skein.expanded_coefficients
+    monkeypatch.setattr(action, "derive_chart", counted_derive_chart)
     monkeypatch.setattr(skein, "expanded_coefficients", counted_expanded_coefficients)
     assert calibrate(3) == CALIBRATED_CONVENTION
     assert [(chart.n, chart.k) for chart in charts] == [(2, 0), (2, 1), (3, 0), (3, 1)]
@@ -181,7 +181,7 @@ def test_the_chart_and_calibrate_solve_no_class_alone(monkeypatch):
         raise AssertionError("a per-pair action oracle ran")
 
     monkeypatch.setattr(action, "_act", refuse)
-    monkeypatch.setattr(skein, "act_word", refuse)
+    monkeypatch.setattr(action, "act_word", refuse)
     assert action.derive_chart(7, 3).ok
     assert calibrate(3) == CALIBRATED_CONVENTION
 
@@ -289,6 +289,42 @@ def test_reference_refuses_to_close_a_ray(monkeypatch):
 
 def test_fold_agreement_at_depth_7():
     verify.check_skein_fold_agreement(7, random.Random(7))
+
+
+def test_in_place_fold_matches_the_full_expansion_at_benchmark_lengths():
+    # Every dotted matching on 2..7 points, under two seeded words of 9 and 10
+    # letters, the lengths the skein benchmark's reduced words reach.
+    rng = random.Random(910)
+    cases = 0
+    for n in range(2, 8):
+        for k in range(n // 2 + 1):
+            for M in all_dotted_matchings(n, k):
+                for length in (9, 10):
+                    word = [rng.randint(1, n - 1) for _ in range(length)]
+                    tangle = flatten(word, n)
+                    want = skein.expanded_coefficients(M, tangle)
+                    assert boundary_coefficients(M, tangle) == want, (str(M), word)
+                cases += 1
+    assert cases == 320
+
+
+def test_the_fold_refuses_an_identity_coefficient_other_than_1(monkeypatch):
+    # The fold leaves each state in place for its vertical smoothing, which
+    # is only right when that smoothing has coefficient 1.
+    monkeypatch.setattr(skein, "CALIBRATED_CONVENTION",
+                        ResolutionConvention(2, -2, "upperArc", -1, "none"))
+    with pytest.raises(errors.InternalCheckError, match=r"identity coefficient 1, not 2$"):
+        boundary_coefficients(pm("2: u1-2"), flatten([1], 2))
+
+
+def test_a_sum_that_returns_to_0_deletes_its_key():
+    # s2 s2 under 3: u1-2 r3.  The top layer leaves {M: 1, 3: r1 u2-3: -1}.
+    # In the second, M's turnback brings 3: r1 u2-3 to -2, and that state's
+    # own turnback closes a one-dot circle and adds (-1)(-2)(1) = 2: the sum
+    # returns to 0 within the layer and the key goes.
+    M, N, tangle = pm("3: u1-2 r3"), pm("3: r1 u2-3"), flatten([2, 2], 3)
+    assert {diagram.boundary for diagram in expand_resolutions(M, tangle)} == {M, N}
+    assert boundary_coefficients(M, tangle) == {M: 1} == skein.expanded_coefficients(M, tangle)
 
 
 def _random_longest_word(n, rng):

@@ -200,6 +200,15 @@ def test_cold_cache_hit_loads_no_action_layer(tmp_path):
     assert hit_out == miss_out and miss_out
 
 
+def test_cold_skein_loads_no_tabloid_oracle(tmp_path):
+    # The fold needs neither the action nor the tabloids it is checked against.
+    sigma, M = "s5 s4 s1 s3 s1 s3", "6: u1-4 u2-3 u5-6"
+    loaded, out = _cold(["skein", "--sigma", sigma, "--matching", M], tmp_path)
+    assert not loaded & {"action", "tabloids"}
+    assert out == _cold(["act", "--sigma", sigma, "--class", M], tmp_path)[1]
+    assert out == "-1·(6: u1-6 u2-3 u4-5)\n".encode()
+
+
 def _parse(parser, argv, capsys) -> tuple[str, str, object, dict | None]:
     """Stdout, stderr, exit code and parsed namespace of PARSER on ARGV."""
     capsys.readouterr()

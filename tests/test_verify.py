@@ -373,7 +373,7 @@ FAULTS = {
               lambda out, *args: {N: -c for N, c in out.items()}),
         "(2, 0, '2: r1 r2', [1, 1, 1, 1, 1, 1])"),
     "skein.random-words": Fault(
-        4, skein, "act_word",
+        4, action, "act_word",
         lambda real: lambda word, x: real(word[::-1], x),
         "(3, 1, '3: u1-2 r3', [2, 2, 1, 2])"),
     "skein.word-invariance": Fault(
