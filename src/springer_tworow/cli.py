@@ -462,6 +462,9 @@ def main(argv: list[str] | None = None) -> int:
         # death gives, and point stdout at devnull so the exit flush is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE_EXIT
+    except MemoryError:  # past the memory the process may have, as under ulimit -v
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return DOMAIN_EXIT
     except (SpringerError, OSError) as exc:  # OSError: an unwritable output or cache path
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT

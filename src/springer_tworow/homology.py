@@ -444,16 +444,66 @@ def psi_minus_rows(n: int, k: int, m: int) -> tuple[list, list[dict[int, int]]]:
     return list(all_dotted_matchings(n, k, m)), list(_relation_rows(n, k, m))
 
 
+def _identified(rows: Iterator[dict[int, int]], width: int) -> tuple[int, list[list[int]]]:
+    """(classes, dense rows): rows over Q^width modulo their identifying rows.
+
+    A row with two entries +u and -u, |u| = 1, says its two columns are
+    equal; a union-find over ``range(width)`` merges them.  Every other row
+    is returned projected onto the classes, as a dense row of length
+    ``classes``.  The identifying rows span a subspace D of dimension
+    width - classes, so the rank of all rows is that dimension plus the
+    rank of the projected ones.  Classes are numbered by their highest
+    column, from the last column down: ``linalg`` pivots on a row's lowest
+    column, and this order leaves it far less fill than the ascending one
+    (at (13, 6, 4) the rank takes about a twelfth of the time).
+    """
+    parent = list(range(width))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    rest = []
+    for row in rows:
+        if len(row) == 2:
+            (a, u), (b, v) = row.items()
+            if u == -v and abs(u) == 1:
+                parent[find(a)] = find(b)
+                continue
+        rest.append(row)
+    roots: dict[int, int] = {}  # root -> class number
+    number = [0] * width
+    for c in reversed(range(width)):
+        number[c] = roots.setdefault(find(c), len(roots))
+    dense = []
+    for row in rest:
+        out = [0] * len(roots)
+        for c, x in row.items():
+            out[number[c]] += x
+        dense.append(out)
+    return len(roots), dense
+
+
 def presentation_betti(n: int, k: int) -> list[int]:
     """Betti numbers as cokernel ranks of ψ₋, the one place its rows are densified.
 
-    ``perfbench/test_harness.py`` requires the ``linalg.rref`` that ``linalg.rank`` runs
-    to receive dense rows here.  Raises CapExceeded past COLUMN_CAP columns.
+    Every type II and type III row is ``{a: 1, b: -1}``: it identifies
+    columns a and b.  So each grading's rows are first taken modulo their
+    identifying rows (:func:`_identified`, which reads a row's shape and
+    not its rule), and the Betti number is the number of column classes
+    minus the rank of the remaining rows, the type I rows, projected onto
+    those classes: rank(R) = (width - classes) + rank(R mod D), D the span
+    of the identifying rows.  ``perfbench/test_harness.py`` requires the
+    ``linalg.rref`` that ``linalg.rank`` runs to receive dense rows here;
+    they are the projected rows, dense over the classes.  Raises
+    CapExceeded past COLUMN_CAP columns.
     """
     _check_columns(n, k)
     out = []
     for m in range(k + 1):
         width = count_matchings(n, k) * math.comb(k, m)
-        rows = [linalg._dense(row, width) for row in _relation_rows(n, k, m)]
-        out.append(width - linalg.rank(rows))
+        classes, rows = _identified(_relation_rows(n, k, m), width)
+        out.append(classes - linalg.rank(rows))
     return out

@@ -65,6 +65,16 @@ def test_unwritable_paths_are_error_exits(tmp_path, capsys):
         assert err.startswith("error: ") and str(blocker) in err, argv
 
 
+def test_running_out_of_memory_is_an_error_line(monkeypatch, capsys):
+    def exhaust(args):
+        raise MemoryError
+
+    _, help_text, arguments = cli.COMMANDS["betti"]
+    monkeypatch.setitem(cli.COMMANDS, "betti", (exhaust, help_text, arguments))
+    assert run(capsys, "betti", "-n", "13", "-k", "5", "--method", "both") == (
+        cli.DOMAIN_EXIT, "", "error: betti ran out of memory\n")
+
+
 def _springer_argv(*argv):
     return [sys.executable, "-m", "springer_tworow.cli", *argv]
 

@@ -6,9 +6,13 @@ rows, kept here as the independent reference.  The kernel-backed
 ``Echelon.reduce`` must agree with it on every block of relation rows,
 which are the difference-of-inclusions rows, with n <= 8, and on seeded
 random matrices whose entries are not all units, so that non-unit
-pivots and fractional results occur.  The linear reduction to the standard basis,
-on the ``linalg.normal_forms`` peel, must agree with the rewriting
-route on every nonstandard generator with n <= 9, must build no
+pivots and fractional results occur.  ``presentation_betti``, which ranks
+the rows modulo the ones that identify two columns, must give width minus
+the reference rank for every (n, k, m) with n <= 9, also with two-term
+rows that do not identify and a repeated identification added.  The
+linear reduction to the standard basis, on the ``linalg.normal_forms``
+peel, must agree with the rewriting route on every nonstandard
+generator with n <= 9, must build no
 Fraction, and must refuse a relation list that lost a necessary row (a
 pivot never peels) or gained a standard generator (a leftover row does
 not vanish).
@@ -52,11 +56,12 @@ def reference_rref(rows):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
+        p = m[r][c]
+        m[r] = [x / p if x else x for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m[:r], pivots
@@ -305,6 +310,53 @@ def test_presentation_assembly_builds_no_hom_class(monkeypatch):
     homology.presentation_betti(8, 4)
     homology._reduction_data.__wrapped__(8, 4, 2)
     assert calls == []
+
+
+def reference_betti(n, k, rows_of):
+    """Width minus the Fraction reference rank of the dense rows ``rows_of(m)``, for each m."""
+    out = []
+    for m in range(k + 1):
+        width = len(all_dotted_matchings(n, k, m))
+        out.append(width - len(reference_rref([linalg._dense(row, width)
+                                               for row in rows_of(m)])[1]))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_identified_rank_is_the_dense_rank(n):
+    # presentation_betti takes the rank modulo the identifying rows; the
+    # reference takes it over every column.
+    for k in range(n // 2 + 1):
+        want = reference_betti(n, k, lambda m: list(homology._relation_rows(n, k, m)))
+        assert homology.presentation_betti(n, k) == want, (n, k)
+
+
+def test_only_unit_differences_identify(monkeypatch):
+    """Two-term rows that are not ±(e_a - e_b) are ranked, not identified."""
+    rng = random.Random(11)
+    real = homology._relation_rows
+    types = [(5, 2), (6, 3), (7, 3), (8, 4)]
+    extra = {}
+    for n, k in types:
+        for m in range(k + 1):
+            width = len(all_dotted_matchings(n, k, m))
+            if width < 2:
+                continue
+            rows = list(real(n, k, m))
+            a, b, c, d = rng.sample(range(width), 2) + rng.sample(range(width), 2)
+            # a sum, a difference of twos, and an identification repeated with its sign turned
+            added = [{a: 1, b: 1}, {c: 2, d: -2}]
+            added += [{x: -v for x, v in row.items()} for row in rows
+                      if len(row) == 2 and sorted(row.values()) == [-1, 1]][:1]
+            extra[n, k, m] = rows + added
+    monkeypatch.setattr(homology, "_relation_rows",
+                        lambda n, k, m=None: iter(extra.get((n, k, m)) or real(n, k, m)))
+    changed = 0
+    for n, k in types:
+        want = reference_betti(n, k, lambda m: list(homology._relation_rows(n, k, m)))
+        assert homology.presentation_betti(n, k) == want, (n, k)
+        changed += want != homology.betti(n, k)
+    assert changed, "no added row changed a rank"
 
 
 def shape_with_a_necessary_relation():
